@@ -19,6 +19,7 @@ open Cql_constr
 open Cql_datalog
 open Cql_eval
 open Cql_core
+module Reference = Cql_gen.Reference
 
 let parse = Parser.program_of_string
 let edb_of s = List.map Fact.of_fact_rule (Parser.facts_of_string s)
@@ -628,20 +629,18 @@ let compiled_reps = 3
 
 type compiled_row = {
   cw_name : string;
-  cw_compiled_s : float;
-  cw_interp_s : float;
-  cw_compiled_bytes : float;
-  cw_interp_bytes : float;
-  cw_answers_match : bool;
-  cw_derivs : (int * int * int) list;  (** jobs, compiled, interpreted *)
+  cw_wall_s : float;
+  cw_bytes : float;
+  cw_derivations : int;
+  cw_checks : (int * bool * int * int) list;
+      (** jobs, answers match the reference, engine / reference derivations *)
 }
 
 (* the three timing workloads: the raw recursive flights program (join-heavy,
    budget-capped), the constrained backward Fibonacci after magic rewriting,
-   and D.1 under qrp,mg.  Each runs register-frame compiled and
-   tuple-at-a-time interpreted ([Compile.with_compile]) from identical
-   inputs; the [Gc.allocated_bytes] delta of one run quantifies the
-   per-candidate substitution allocation the mutable frame removes *)
+   and D.1 under qrp,mg.  Each runs on the production engine (the compiled
+   executor); the [Gc.allocated_bytes] delta of one run over its derivation
+   count is the bytes-per-derivation figure *)
 let compiled_workloads () =
   let d1qm, _ = Rewrite.sequence [ Rewrite.Qrp; magic_ff ] (parse d1_src) in
   [
@@ -652,53 +651,52 @@ let compiled_workloads () =
 
 let compiled_row (name, prog, edb, mi, md) =
   let run ~jobs () = Engine.run ~jobs ~max_iterations:mi ~max_derivations:md prog ~edb in
-  let side on =
-    Compile.with_compile on (fun () ->
-        let secs, res = time_best compiled_reps (run ~jobs:1) in
-        let a0 = Gc.allocated_bytes () in
-        ignore (run ~jobs:1 ());
-        (secs, Gc.allocated_bytes () -. a0, res))
-  in
-  let c_secs, c_bytes, c_res = side true in
-  let i_secs, i_bytes, i_res = side false in
-  let fact_set res =
-    List.sort compare
-      (List.concat_map
-         (fun (p, fs) -> List.map (fun f -> p ^ ":" ^ Fact.to_string f) fs)
-         (Engine.all_facts res))
-  in
-  let derivs on jobs =
-    Compile.with_compile on (fun () -> (Engine.stats (run ~jobs ())).Engine.derivations)
+  let secs, res = time_best compiled_reps (run ~jobs:1) in
+  let a0 = Gc.allocated_bytes () in
+  ignore (run ~jobs:1 ());
+  let bytes = Gc.allocated_bytes () -. a0 in
+  (* the seed reference evaluator under the same budgets: derivation counts
+     must agree, and so must the answers wherever the run ends on an
+     iteration boundary *)
+  let reference = Reference.run ~max_iterations:mi ~max_derivations:md prog ~edb in
+  let sorted fs = List.sort compare (List.map Fact.to_string fs) in
+  let checks =
+    List.map
+      (fun jobs ->
+        let r = run ~jobs () in
+        ( jobs,
+          sorted (Engine.answers r prog) = sorted (Reference.answers reference prog),
+          (Engine.stats r).Engine.derivations,
+          (Reference.stats reference).Reference.derivations ))
+      [ 1; 4 ]
   in
   {
     cw_name = name;
-    cw_compiled_s = c_secs;
-    cw_interp_s = i_secs;
-    cw_compiled_bytes = c_bytes;
-    cw_interp_bytes = i_bytes;
-    cw_answers_match = fact_set c_res = fact_set i_res;
-    cw_derivs = List.map (fun jobs -> (jobs, derivs true jobs, derivs false jobs)) [ 1; 4 ];
+    cw_wall_s = secs;
+    cw_bytes = bytes;
+    cw_derivations = (Engine.stats res).Engine.derivations;
+    cw_checks = checks;
   }
 
 let compiled_rows () = List.map compiled_row (compiled_workloads ())
 
+let bytes_per_derivation r =
+  if r.cw_derivations > 0 then r.cw_bytes /. float_of_int r.cw_derivations else 0.0
+
 let run_compiled () =
-  header "COMPILED: register-frame join plans vs the Subst interpreter";
-  paper "(no paper counterpart -- rule-execution backend; CQLOPT_NO_COMPILE reverts)";
-  Printf.printf "  %-12s %12s %12s %9s %11s %8s %s\n" "workload" "compiled" "interpreted"
-    "speedup" "alloc-ratio" "match" "derivations jobs{1,4}";
+  header "COMPILED: register-frame join plans, checked against the seed reference";
+  paper "(no paper counterpart -- rule-execution backend)";
+  Printf.printf "  %-12s %12s %14s %11s %12s %s\n" "workload" "wall" "allocated" "derivations"
+    "bytes/deriv" "vs reference jobs{1,4}";
   List.iter
     (fun r ->
-      let speedup = if r.cw_compiled_s > 0.0 then r.cw_interp_s /. r.cw_compiled_s else 0.0 in
-      let alloc =
-        if r.cw_compiled_bytes > 0.0 then r.cw_interp_bytes /. r.cw_compiled_bytes else 0.0
-      in
-      let dmatch = List.for_all (fun (_, dc, di) -> dc = di) r.cw_derivs in
-      Printf.printf "  %-12s %9.3f ms %9.3f ms %8.2fx %10.2fx %8b %s\n" r.cw_name
-        (r.cw_compiled_s *. 1000.) (r.cw_interp_s *. 1000.) speedup alloc r.cw_answers_match
+      Printf.printf "  %-12s %9.3f ms %11.1f MB %11d %12.0f %s\n" r.cw_name
+        (r.cw_wall_s *. 1000.) (r.cw_bytes /. 1e6) r.cw_derivations (bytes_per_derivation r)
         (String.concat " "
-           (List.map (fun (j, dc, di) -> Printf.sprintf "j%d:%d/%d" j dc di) r.cw_derivs)
-        ^ if dmatch then " (equal)" else " (MISMATCH)"))
+           (List.map
+              (fun (j, answers, de, dr) ->
+                Printf.sprintf "j%d:answers=%b,derivations=%d/%d" j answers de dr)
+              r.cw_checks)))
     (compiled_rows ())
 
 (* ----- serving (lib/serve): cqlserved under concurrent load ----- *)
@@ -896,9 +894,9 @@ let stats_json (s : Engine.stats) =
       ("subsumptions_avoided", jint s.Engine.subsumptions_avoided);
     ]
 
-(* flights (constraint-rewritten, terminating) with the indexed store vs the
-   seed list path: same answers, and the store counters quantify the join
-   probes indexing saved *)
+(* flights (constraint-rewritten, terminating) on the indexed store: the
+   answers match the seed reference evaluator, and the store counters
+   quantify the join probes indexing saved *)
 let json_flights_store () =
   let p = parse flights_src in
   let p', _ = Rewrite.constraint_rewrite p in
@@ -906,7 +904,7 @@ let json_flights_store () =
     (fun m ->
       let edb = singleleg_edb (100 + m) m in
       let ri = Engine.run ~max_iterations:10 p' ~edb in
-      let rs = Engine.run ~indexed:false ~max_iterations:10 p' ~edb in
+      let rs = Reference.run ~max_iterations:10 p' ~edb in
       let si = Engine.stats ri in
       let considered = si.Engine.index_hits + si.Engine.facts_skipped in
       Obj
@@ -915,9 +913,11 @@ let json_flights_store () =
           ("edb_facts", jint (List.length edb));
           ("flight_facts", jint (List.length (Engine.facts_of ri "flight'")));
           ("answer_facts", jint (List.length (Engine.answers ri p')));
-          ("answers_match_seed", jbool (Engine.total_idb_facts ri ~edb = Engine.total_idb_facts rs ~edb));
+          ( "answers_match_reference",
+            jbool
+              (List.sort compare (List.map Fact.to_string (Engine.answers ri p'))
+              = List.sort compare (List.map Fact.to_string (Reference.answers rs p'))) );
           ("indexed", stats_json si);
-          ("seed", stats_json (Engine.stats rs));
           ("probe_candidates_without_index", jint considered);
           ("probe_candidates_with_index", jint si.Engine.index_hits);
           ( "join_probe_reduction",
@@ -1220,46 +1220,38 @@ let json_parallel () =
              rows) );
     ]
 
-(* compiled vs interpreted rule execution on the three timing workloads;
-   [answers_match] compares the full sorted fact sets and [derivations]
-   must agree pairwise for jobs in {1, 4} (the transparency contract) *)
+(* the production engine on the three timing workloads: wall time, bytes
+   allocated and bytes per derivation; [answers_match_reference] and the
+   derivation pairs compare against the seed reference evaluator at jobs 1
+   and 4 *)
 let json_compiled () =
   let module Obs = Cql_obs.Obs in
-  let rows = compiled_rows () in
   let runs =
     List.map
       (fun r ->
-        let speedup = if r.cw_compiled_s > 0.0 then r.cw_interp_s /. r.cw_compiled_s else 0.0 in
         Obj
           [
             ("workload", Str r.cw_name);
             ("reps", jint compiled_reps);
-            ("compiled_wall_seconds", Raw (Printf.sprintf "%.6f" r.cw_compiled_s));
-            ("interpreted_wall_seconds", Raw (Printf.sprintf "%.6f" r.cw_interp_s));
-            ("speedup", jfloat speedup);
-            ("compiled_allocated_bytes", Raw (Printf.sprintf "%.0f" r.cw_compiled_bytes));
-            ("interpreted_allocated_bytes", Raw (Printf.sprintf "%.0f" r.cw_interp_bytes));
-            ( "allocation_ratio",
-              jfloat
-                (if r.cw_compiled_bytes > 0.0 then r.cw_interp_bytes /. r.cw_compiled_bytes
-                 else 0.0) );
-            ("answers_match", jbool r.cw_answers_match);
-            ( "derivations",
+            ("wall_seconds", Raw (Printf.sprintf "%.6f" r.cw_wall_s));
+            ("allocated_bytes", Raw (Printf.sprintf "%.0f" r.cw_bytes));
+            ("derivations", jint r.cw_derivations);
+            ("bytes_per_derivation", Raw (Printf.sprintf "%.0f" (bytes_per_derivation r)));
+            ( "reference_checks",
               List
                 (List.map
-                   (fun (jobs, dc, di) ->
+                   (fun (jobs, answers, de, dr) ->
                      Obj
                        [
                          ("jobs", jint jobs);
-                         ("compiled", jint dc);
-                         ("interpreted", jint di);
-                         ("match", jbool (dc = di));
+                         ("answers_match_reference", jbool answers);
+                         ("derivations", jint de);
+                         ("reference_derivations", jint dr);
+                         ("derivations_match", jbool (de = dr));
                        ])
-                   r.cw_derivs) );
-            ( "derivations_match",
-              jbool (List.for_all (fun (_, dc, di) -> dc = di) r.cw_derivs) );
+                   r.cw_checks) );
           ])
-      rows
+      (compiled_rows ())
   in
   let counters =
     Obj

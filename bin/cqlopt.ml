@@ -84,28 +84,6 @@ let domain_arg =
 
 let apply_domain d = Cql_constr.Cdomain.set_default d
 
-let no_interval_arg =
-  Arg.(value & flag & info [ "no-interval" ]
-         ~doc:"Disable the interval fast tier in front of the exact decision \
-               procedures, forcing every satisfiability/implication check \
-               through simplex/Fourier-Motzkin (equivalent to setting \
-               \\$CQLOPT_NO_INTERVAL)")
-
-(* CQLOPT_NO_INTERVAL already disabled the tier at load time; the flag only
-   ever turns it off, never back on *)
-let apply_interval no_interval =
-  if no_interval then Cql_constr.Interval.enabled := false
-
-let no_compile_arg =
-  Arg.(value & flag & info [ "no-compile" ]
-         ~doc:"Disable register-frame join-plan compilation, running every \
-               rule through the tuple-at-a-time substitution interpreter \
-               (equivalent to setting \\$CQLOPT_NO_COMPILE)")
-
-(* same one-way convention as --no-interval *)
-let apply_compile no_compile =
-  if no_compile then Cql_eval.Compile.enabled := false
-
 let print_solver_stats flag =
   if flag then
     Format.eprintf "%a@?" Cql_constr.Solver_stats.pp (Cql_constr.Solver_stats.snapshot ())
@@ -197,11 +175,9 @@ let parse_steps adornment constraint_magic s =
 
 let rewrite_cmd =
   let run path domain steps adornment no_cmagic gmt optimal max_iters inline_seed simplify
-      solver_stats jobs no_interval no_compile trace_json metrics =
+      solver_stats jobs trace_json metrics =
     apply_domain domain;
     apply_jobs jobs;
-    apply_interval no_interval;
-    apply_compile no_compile;
     apply_tracing trace_json metrics;
     let code =
     match read_program path with
@@ -270,7 +246,7 @@ let rewrite_cmd =
   let term =
     Term.(const run $ program_arg $ domain_arg $ steps $ adornment $ no_cmagic $ gmt $ optimal
           $ max_iters_arg $ inline_seed $ simplify $ solver_stats_arg $ jobs_arg
-          $ no_interval_arg $ no_compile_arg $ trace_json_arg $ metrics_arg)
+          $ trace_json_arg $ metrics_arg)
   in
   Cmd.v (Cmd.info "rewrite" ~doc:"Rewrite a program by pushing constraint selections") term
 
@@ -278,11 +254,9 @@ let rewrite_cmd =
 
 let eval_cmd =
   let run path edb_path domain max_iterations max_derivations traced naive explain stratified
-      solver_stats jobs no_interval no_compile trace_json metrics =
+      solver_stats jobs trace_json metrics =
     apply_domain domain;
     apply_jobs jobs;
-    apply_interval no_interval;
-    apply_compile no_compile;
     apply_tracing trace_json metrics;
     let code =
     match read_program path with
@@ -294,44 +268,48 @@ let eval_cmd =
         | Error msg ->
             prerr_endline msg;
             1
-        | Ok edb ->
+        | Ok edb -> (
             let max_iterations = if max_iterations = 0 then None else Some max_iterations in
             let max_derivations = if max_derivations = 0 then None else Some max_derivations in
-            let res =
+            match
               if naive then Cql_eval.Engine.run_naive ?max_iterations ?max_derivations p ~edb
               else if stratified then
                 Cql_eval.Engine.run_stratified ?max_iterations ?max_derivations p ~edb
               else Cql_eval.Engine.run ?max_iterations ?max_derivations ~traced p ~edb
-            in
-            if traced then
-              List.iter
-                (fun (t : Cql_eval.Engine.trace_entry) ->
-                  Printf.printf "iter %-3d %-10s %s%s\n" t.Cql_eval.Engine.iteration
-                    t.Cql_eval.Engine.rule_label
-                    (Cql_eval.Fact.to_string t.Cql_eval.Engine.fact)
-                    (if t.Cql_eval.Engine.subsumed then "   [subsumed]" else ""))
-                (Cql_eval.Engine.trace res);
-            let s = Cql_eval.Engine.stats res in
-            Printf.printf
-              "iterations=%d derivations=%d facts=%d fixpoint=%b ground_only=%b\n"
-              s.Cql_eval.Engine.iterations s.Cql_eval.Engine.derivations
-              (Cql_eval.Engine.total_facts res) s.Cql_eval.Engine.reached_fixpoint
-              (Cql_eval.Engine.all_ground res);
-            (match p.Program.query with
-            | Some q ->
-                Printf.printf "answers (%s):\n" q;
-                List.iter
-                  (fun f ->
-                    Printf.printf "  %s\n" (Cql_eval.Fact.to_string f);
-                    if explain then
-                      match Cql_eval.Explain.tree res f with
-                      | Some t -> print_string (Cql_eval.Explain.to_string t)
-                      | None -> ())
-                  (* sorted (predicate, then canonical fact order) so output
-                     diffs cleanly across jobs settings and runs *)
-                  (List.sort Cql_eval.Fact.compare (Cql_eval.Engine.facts_of res q))
-            | None -> ());
-            0)
+            with
+            | exception Cql_eval.Engine.Arity_mismatch msg ->
+                prerr_endline ("edb: " ^ msg);
+                1
+            | res ->
+                if traced then
+                  List.iter
+                    (fun (t : Cql_eval.Engine.trace_entry) ->
+                      Printf.printf "iter %-3d %-10s %s%s\n" t.Cql_eval.Engine.iteration
+                        t.Cql_eval.Engine.rule_label
+                        (Cql_eval.Fact.to_string t.Cql_eval.Engine.fact)
+                        (if t.Cql_eval.Engine.subsumed then "   [subsumed]" else ""))
+                    (Cql_eval.Engine.trace res);
+                let s = Cql_eval.Engine.stats res in
+                Printf.printf
+                  "iterations=%d derivations=%d facts=%d fixpoint=%b ground_only=%b\n"
+                  s.Cql_eval.Engine.iterations s.Cql_eval.Engine.derivations
+                  (Cql_eval.Engine.total_facts res) s.Cql_eval.Engine.reached_fixpoint
+                  (Cql_eval.Engine.all_ground res);
+                (match p.Program.query with
+                | Some q ->
+                    Printf.printf "answers (%s):\n" q;
+                    List.iter
+                      (fun f ->
+                        Printf.printf "  %s\n" (Cql_eval.Fact.to_string f);
+                        if explain then
+                          match Cql_eval.Explain.tree res f with
+                          | Some t -> print_string (Cql_eval.Explain.to_string t)
+                          | None -> ())
+                      (* sorted (predicate, then canonical fact order) so output
+                         diffs cleanly across jobs settings and runs *)
+                      (List.sort Cql_eval.Fact.compare (Cql_eval.Engine.facts_of res q))
+                | None -> ());
+                0))
     in
     print_solver_stats solver_stats;
     emit_tracing trace_json metrics;
@@ -359,7 +337,7 @@ let eval_cmd =
   let term =
     Term.(const run $ program_arg $ edb $ domain_arg $ max_iterations $ max_derivations
           $ traced $ naive $ explain $ stratified $ solver_stats_arg $ jobs_arg
-          $ no_interval_arg $ no_compile_arg $ trace_json_arg $ metrics_arg)
+          $ trace_json_arg $ metrics_arg)
   in
   Cmd.v (Cmd.info "eval" ~doc:"Bottom-up evaluation of a CQL program") term
 
@@ -368,12 +346,9 @@ let eval_cmd =
 let fuzz_cmd =
   let module H = Cql_gen.Harness in
   let module G = Cql_gen.Generate in
-  let run seed count mode domain inject_bug replay out solver_stats jobs no_interval
-      no_compile trace_json metrics =
+  let run seed count mode domain inject_bug replay out solver_stats jobs trace_json metrics =
     apply_domain domain;
     apply_jobs jobs;
-    apply_interval no_interval;
-    apply_compile no_compile;
     apply_tracing trace_json metrics;
     let code =
     match replay with
@@ -475,8 +450,7 @@ let fuzz_cmd =
   in
   let term =
     Term.(const run $ seed $ count $ mode $ domain_arg $ inject_bug $ replay $ out
-          $ solver_stats_arg $ jobs_arg $ no_interval_arg $ no_compile_arg $ trace_json_arg
-          $ metrics_arg)
+          $ solver_stats_arg $ jobs_arg $ trace_json_arg $ metrics_arg)
   in
   Cmd.v
     (Cmd.info "fuzz"

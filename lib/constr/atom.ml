@@ -29,18 +29,13 @@ let intern e op =
   let h = struct_hash e op in
   let probe = { expr = e; op; id = -1; hash = h } in
   let i = h land (stripes - 1) in
-  let m = locks.(i) in
-  Mutex.lock m;
-  let a =
-    match WT.find_opt tables.(i) probe with
-    | Some a -> a
-    | None ->
-        let a = { probe with id = Atomic.fetch_and_add counter 1 + 1 } in
-        WT.add tables.(i) a;
-        a
-  in
-  Mutex.unlock m;
-  a
+  Mutex.protect locks.(i) (fun () ->
+      match WT.find_opt tables.(i) probe with
+      | Some a -> a
+      | None ->
+          let a = { probe with id = Atomic.fetch_and_add counter 1 + 1 } in
+          WT.add tables.(i) a;
+          a)
 
 let make e op =
   let e = Linexpr.integerize e in

@@ -28,18 +28,13 @@ let intern atoms =
   let h = List.fold_left (fun acc a -> ((acc * 65599) lxor Atom.id a) land max_int) 17 atoms in
   let probe = { atoms; id = -1; hash = h } in
   let i = h land (stripes - 1) in
-  let m = locks.(i) in
-  Mutex.lock m;
-  let c =
-    match WT.find_opt tables.(i) probe with
-    | Some c -> c
-    | None ->
-        let c = { probe with id = Atomic.fetch_and_add counter 1 + 1 } in
-        WT.add tables.(i) c;
-        c
-  in
-  Mutex.unlock m;
-  c
+  Mutex.protect locks.(i) (fun () ->
+      match WT.find_opt tables.(i) probe with
+      | Some c -> c
+      | None ->
+          let c = { probe with id = Atomic.fetch_and_add counter 1 + 1 } in
+          WT.add tables.(i) c;
+          c)
 
 let tt : t = intern []
 let ff : t = intern [ Atom.ff ]
@@ -244,7 +239,7 @@ let is_sat c =
                 Solver_stats.count_pivot_limit ();
                 not (is_ff_syntactic (project_uncached ~keep:Var.Set.empty c))
           in
-          if not !Interval.enabled then exact ()
+          if not (Interval.enabled ()) then exact ()
           else
             (* abstract tier ahead of the exact backend: interval verdicts
                equal the exact answer (integer-rounded boxes in Z mode), so
@@ -285,7 +280,7 @@ let implies_atom c a =
               let exact () =
                 List.for_all (fun na -> not (is_sat (add na c))) (Atom.negate a)
               in
-              if not !Interval.enabled then exact ()
+              if not (Interval.enabled ()) then exact ()
               else
                 match Interval.implies_atom ~id:c.id c.atoms a with
                 | Interval.True ->
@@ -305,7 +300,7 @@ let implies c d =
   else
     Memo.cached implies_memo (dkey c.id, d.id) (fun () ->
         if
-          !Interval.enabled
+          Interval.enabled ()
           && Interval.implies ~id:c.id c.atoms d.atoms = Interval.True
         then begin
           (* the left box entails every right atom (or is empty); refutations

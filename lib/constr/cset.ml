@@ -17,7 +17,7 @@ let vars cs = List.fold_left (fun acc d -> Var.Set.union acc (Conj.vars d)) Var.
 (* interval box-disjointness between two disjuncts; [false] = maybe
    compatible (tier off, or the boxes overlap) *)
 let interval_disjoint d d' =
-  !Interval.enabled
+  Interval.enabled ()
   && Interval.disjoint ~id1:(Conj.id d) (Conj.to_list d) ~id2:(Conj.id d') (Conj.to_list d')
 
 (* prune disjuncts subsumed by another disjunct; with zero or one disjunct

@@ -7,17 +7,14 @@ open Cql_num
 
 type verdict = True | False | Unknown
 
-let disabled_by_env =
-  match Sys.getenv_opt "CQLOPT_NO_INTERVAL" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
+(* the tier's on/off state; only [with_tier] flips it, for a scope *)
+let on = ref true
+let enabled () = !on
 
-let enabled = ref (not disabled_by_env)
-
-let with_tier on f =
-  let prev = !enabled in
-  enabled := on;
-  Fun.protect ~finally:(fun () -> enabled := prev) f
+let with_tier b f =
+  let prev = !on in
+  on := b;
+  Fun.protect ~finally:(fun () -> on := prev) f
 
 (* ----- the domain ----- *)
 

@@ -21,23 +21,23 @@
 
     Environments are memoized per conjunction id in a {!Memo} cache
     (["interval_env"]), so they obey the same epoch clearing and
-    per-domain storage as the exact-tier caches.  The tier can be disabled
-    for a scope with {!with_tier} or for the whole process with the
-    [CQLOPT_NO_INTERVAL] environment variable. *)
+    per-domain storage as the exact-tier caches.  The tier is always on in
+    production; {!with_tier} turns it off for a scope, which is how the
+    fuzz harness's tier oracle and the benchmarks compare both sides. *)
 
 type verdict = True | False | Unknown
 (** Three-valued answer of the abstract tier.  [True]/[False] are exact
     (equal to the simplex/FM answer); [Unknown] means the box has no
     opinion and the exact tier must decide. *)
 
-val enabled : bool ref
-(** Master switch, [true] unless [CQLOPT_NO_INTERVAL] is set (to anything
-    but [""] or ["0"]) at load time.  Callers skip the tier entirely when
-    [false].  Toggle only from sequential phases. *)
+val enabled : unit -> bool
+(** Whether the tier is on: [true] except inside [with_tier false].
+    Callers skip the tier entirely when [false]. *)
 
 val with_tier : bool -> (unit -> 'a) -> 'a
 (** [with_tier on f] runs [f] with the tier forced on or off, restoring
-    the previous {!enabled} value afterwards (exception-safe). *)
+    the previous state afterwards (exception-safe).  Call only from
+    sequential phases: the state is process-wide. *)
 
 val sat : id:int -> Atom.t list -> verdict
 (** Satisfiability of the conjunction with interned id [id] and the given

@@ -19,17 +19,13 @@ let counter = Atomic.make 0
    parse time on the main domain); the counter is atomic because [fresh]
    is on the hot path of every worker domain during parallel evaluation. *)
 let mk name =
-  Mutex.lock lock;
-  let v =
-    match Hashtbl.find_opt table name with
-    | Some v -> v
-    | None ->
-        let v = { id = Atomic.fetch_and_add counter 1 + 1; name; argi = argi_of_name name } in
-        Hashtbl.add table name v;
-        v
-  in
-  Mutex.unlock lock;
-  v
+  Mutex.protect lock (fun () ->
+      match Hashtbl.find_opt table name with
+      | Some v -> v
+      | None ->
+          let v = { id = Atomic.fetch_and_add counter 1 + 1; name; argi = argi_of_name name } in
+          Hashtbl.add table name v;
+          v)
 
 (* Fresh variables are NOT interned: the evaluation engine creates them per
    candidate derivation, and interning would retain them all in [table] for

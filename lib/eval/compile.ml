@@ -14,34 +14,22 @@ module Obs = Cql_obs.Obs
    ground facts.  Head construction and the rule's constraint conjunction
    are instantiated by direct register reads.
 
-   Transparency: enumeration visits the same candidates in the same order as
-   the interpreter (probe keys are exactly the bound columns
-   [Store.bound_columns] extracts from the literal [Subst.apply_literal]
-   would have built), and the per-position actions are the
-   interpreter's [Subst.unify_terms] calls specialized by binding time.
-   Rule variables live in the register frame; bindings of the fresh
-   variables that non-ground facts introduce go to a side substitution
-   through the very same [Subst.unify_terms] — so derivations, their order,
-   subsumption, provenance, budget truncation and every [--jobs] value are
-   bit-for-bit identical to the interpreter. *)
-
-let disabled_by_env =
-  match Sys.getenv_opt "CQLOPT_NO_COMPILE" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
-
-let enabled = ref (not disabled_by_env)
-
-let with_compile on f =
-  let prev = !enabled in
-  enabled := on;
-  Fun.protect ~finally:(fun () -> enabled := prev) f
+   The per-position actions are [Subst.unify_terms] calls specialized by
+   binding time.  Rule variables live in the register frame; bindings of
+   the fresh variables that non-ground facts introduce go to a side
+   substitution through the very same [Subst.unify_terms], so each
+   candidate combination yields exactly the head fact substitution
+   semantics would derive from it (the seed evaluator, lib/gen/reference,
+   is the cross-check).  Enumeration order is the plan's; the sequential
+   and the parallel ([exec_seeded]) entries visit the same candidates in
+   the same order, so every [--jobs] value merges an identical production
+   list. *)
 
 let ctr_programs = Obs.counter "engine.compile.programs_compiled"
 let ctr_ops = Obs.counter "engine.compile.ops"
 let ctr_frame = Obs.counter "engine.compile.frame_width"
 
-(* ----- fact instantiation (moved from the engine) ----- *)
+(* ----- fact instantiation (shared with the reference evaluator) ----- *)
 
 (* instantiate a stored fact as a literal: pinned numeric positions become
    constants (so ground workloads never touch the solver), the rest become
@@ -91,8 +79,8 @@ let fact_literal (f : Fact.t) : Literal.t * Conj.t =
 
 (* finish one candidate derivation: instantiate the combined constraint,
    check satisfiability, project onto the head fact.  [lookup] must return
-   fully-resolved terms (see Subst.apply_*_env); the interpreter passes a
-   substitution resolve, the executor below a register read. *)
+   fully-resolved terms (see Subst.apply_*_env); the reference evaluator
+   passes a substitution resolve, the executor below a register read. *)
 let derive_from_combined ~lookup (rule : Rule.t) combined : Fact.t option =
   try
     let combined = Subst.apply_conj_env ~lookup combined in
@@ -182,10 +170,11 @@ type code = {
   c_head : hsrc array;  (* head argument layout *)
 }
 
+let rule code = code.c_rule
+
+(* total per-argument actions across the program's steps *)
 let ops code =
   Array.fold_left (fun acc s -> acc + Array.length s.c_actions) 0 code.c_steps
-
-let frame_width code = code.c_nregs
 
 (* ----- compilation ----- *)
 
@@ -194,9 +183,8 @@ let compile (rule : Rule.t) (plan : Planner.plan) : code =
   let nregs = ref 0 in
   let compile_step (step : Planner.step) (bound_before, _newly) =
     (* probe columns use the bindings available when the step starts; a
-       position neither constant nor bound before the step is dropped here,
-       exactly as [Store.bound_columns] would skip the variable it still
-       holds in the resolved literal *)
+       position neither constant nor bound before the step still holds a
+       variable and can contribute no index key *)
     let probe =
       List.concat
         (List.mapi
@@ -409,11 +397,10 @@ let apply_fact (fr : frame) (st : cstep) f side cstr =
     go 0 side
   end
 
-(* the probe's bound columns, exactly [Store.bound_columns] over the
-   resolved literal [Subst.apply_literal theta lit]: compile-time constants
-   plus register reads that resolve to constants, ascending positions — a
-   register chain ending at an unbound fresh variable contributes nothing,
-   as the still-variable position of the resolved literal would not *)
+(* the probe's bound columns: compile-time constants plus register reads
+   that resolve to constants, ascending positions — a register chain ending
+   at an unbound fresh variable contributes nothing, as the still-variable
+   position of the resolved literal would not *)
 let probe_cols (fr : frame) (st : cstep) side =
   let ps = st.c_probe in
   let n = Array.length ps in
@@ -435,7 +422,14 @@ let probe_cols (fr : frame) (st : cstep) side =
 
 let dummy_const = Term.Sym ""
 
-let run_from (code : code) (fr : frame) ~iter_cands ~emit start side0 cstr0 =
+(* a step's candidates: the store's index probe on the bound columns.  Only
+   the arity guard runs here; every other [Fact.matches_literal] condition
+   is re-checked by the step's actions *)
+let iter_cands store (st : cstep) positions key k =
+  Store.iter_probe_cols store st.c_part st.c_lit.Literal.pred positions key (fun f ->
+      if Fact.arity f = st.c_arity then k f)
+
+let run_from (code : code) (fr : frame) store ~emit start side0 cstr0 =
   let nsteps = Array.length code.c_steps in
   let rule = code.c_rule in
   let hpred = rule.Rule.head.Literal.pred in
@@ -454,8 +448,7 @@ let run_from (code : code) (fr : frame) ~iter_cands ~emit start side0 cstr0 =
     (* [Fact.of_consts] skips the solver, so in integer mode a non-integral
        numeric head constant must not take this path: over ℤ the pin
        [$i = q] is unsatisfiable, which [Fact.make] on the generic path
-       detects.  Bailing to [None] keeps the compiled executor bit-for-bit
-       with the interpreter. *)
+       detects.  Bailing to [None] keeps the fast path exact. *)
     let const_ok =
       if Cdomain.is_z () then function Term.Num q -> Rat.is_integer q | Term.Sym _ -> true
       else fun _ -> true
@@ -549,8 +542,7 @@ let run_from (code : code) (fr : frame) ~iter_cands ~emit start side0 cstr0 =
     else begin
       let st = code.c_steps.(si) in
       let positions, key = probe_cols fr st side in
-      iter_cands st.c_part ~pred:st.c_lit.Literal.pred ~arity:st.c_arity positions key
-        (fun f ->
+      iter_cands store st positions key (fun f ->
           match apply_fact fr st f side cstr with
           | None -> ()
           | Some (side', cstr') ->
@@ -560,13 +552,25 @@ let run_from (code : code) (fr : frame) ~iter_cands ~emit start side0 cstr0 =
   in
   step_loop start side0 cstr0
 
-let exec (code : code) ~iter_cands ~emit =
+let exec (code : code) store ~emit =
   let fr = make_frame code in
-  run_from code fr ~iter_cands ~emit 0 Subst.empty Conj.tt
+  run_from code fr store ~emit 0 Subst.empty Conj.tt
 
-(* parallel-task entry: step 0's candidate is fixed (the task's slice of
-   the first join step's fan-out); mirrors the interpreter's seeded path *)
-let exec_seeded (code : code) ~seed ~iter_cands ~emit =
+(* the first step's candidates in enumeration order: no register is bound
+   yet, so the probe keys on the step's constants only *)
+let seeds (code : code) store =
+  match code.c_steps with
+  | [||] -> []
+  | steps ->
+      let st = steps.(0) in
+      let positions, key = probe_cols (make_frame code) st Subst.empty in
+      let acc = ref [] in
+      iter_cands store st positions key (fun f -> acc := f :: !acc);
+      List.rev !acc
+
+(* parallel-task entry: step 0's candidate is fixed (one of the task's
+   slice of [seeds]) *)
+let exec_seeded (code : code) store ~seed ~emit =
   let fr = make_frame code in
   match code.c_steps with
   | [||] -> ()
@@ -575,4 +579,4 @@ let exec_seeded (code : code) ~seed ~iter_cands ~emit =
       | None -> ()
       | Some (side, cstr) ->
           fr.chosen.(0) <- seed;
-          run_from code fr ~iter_cands ~emit 1 side cstr)
+          run_from code fr store ~emit 1 side cstr)

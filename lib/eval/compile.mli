@@ -1,35 +1,26 @@
-(** Compiled join plans: register-frame execution of planner plans.
+(** Compiled join plans: register-frame execution of planner plans — the
+    engine's one rule executor.
 
     Each [(rule, pivot)] plan from {!Cql_store.Planner} is compiled once per
     run into a flat program: every body literal becomes an array of
     per-argument {e actions} ([Check_const], [Check_reg], [Bind_reg])
     resolved against the plan's binding order at compile time, and the probe
-    literal for each step is rebuilt from constants and register reads.
-    Rule variables live in a mutable register frame overwritten per
-    candidate; the fresh variables that non-ground facts introduce are bound
-    in a side substitution through the interpreter's own
-    {!Cql_datalog.Subst.unify_terms}, so the compiled executor and the
-    tuple-at-a-time interpreter enumerate identical derivations in identical
-    order — subsumption, provenance, budgets, delta partitioning and every
-    [--jobs] value are bit-for-bit equivalent.
+    key for each step is rebuilt from constants and register reads.  Rule
+    variables live in a mutable register frame overwritten per candidate;
+    the fresh variables that non-ground facts introduce are bound in a side
+    substitution through {!Cql_datalog.Subst.unify_terms}, so each candidate
+    combination derives exactly the head fact of substitution semantics.
+    The seed evaluator ([Cql_gen.Reference]) is that semantics, kept as the
+    fuzz harness's reference.
 
-    [CQLOPT_NO_COMPILE=1] (or [--no-compile]) disables compilation, falling
-    back to the interpreter.  Counters: [engine.compile.programs_compiled],
-    [engine.compile.ops], [engine.compile.frame_width] (and
-    [engine.compile.cache_hits] in the engine, for precompiled programs). *)
+    Counters: [engine.compile.programs_compiled], [engine.compile.ops],
+    [engine.compile.frame_width] (and [engine.compile.cache_hits] in the
+    engine, for precompiled programs). *)
 
 open Cql_constr
 open Cql_datalog
 module Store = Cql_store.Store
 module Planner = Cql_store.Planner
-
-val enabled : bool ref
-(** Whether the engine compiles plans (default: true unless
-    [CQLOPT_NO_COMPILE] is set to a non-empty, non-["0"] value). *)
-
-val with_compile : bool -> (unit -> 'a) -> 'a
-(** Run a thunk with compilation forced on or off, restoring the previous
-    setting afterwards (used by the differential fuzz oracle). *)
 
 val fact_literal : Fact.t -> Literal.t * Conj.t
 (** Instantiate a stored fact as a body-literal match target: pinned numeric
@@ -41,56 +32,31 @@ val derive_head_env :
 (** Finish one candidate derivation over an environment: conjoin the rule's
     constraint with the body constraint, instantiate via [lookup]
     (fully-resolved terms, as {!Subst.apply_conj_env} expects), check
-    satisfiability and project onto the head fact.  The interpreter's
-    [derive_head] is this with a substitution lookup. *)
+    satisfiability and project onto the head fact.  The reference
+    evaluator calls it with a substitution lookup; a fact rule derives with
+    [~lookup:Term.var] and [Conj.tt]. *)
 
 type code
 (** A compiled (rule, plan) program. *)
 
 val compile : Rule.t -> Planner.plan -> code
 
-val ops : code -> int
-(** Total per-argument actions across the program's steps. *)
+val rule : code -> Rule.t
+(** The rule the program was compiled from. *)
 
-val frame_width : code -> int
-(** Registers in the frame (distinct body variables). *)
+val exec : code -> Store.t -> emit:(Fact.t -> Fact.t list -> unit) -> unit
+(** Enumerate every derivation of the program against the store: each step
+    probes {!Store.iter_probe_cols} on its bound columns (constants and
+    registers that resolve to constants) in the step's partition.  [emit
+    fact used] receives each derived head fact with the body facts it used,
+    in original body-literal order.  Read-only on the store. *)
 
-val exec :
-  code ->
-  iter_cands:
-    (Store.partition ->
-    pred:string ->
-    arity:int ->
-    int list ->
-    Term.const list ->
-    (Fact.t -> unit) ->
-    unit) ->
-  emit:(Fact.t -> Fact.t list -> unit) ->
-  unit
-(** Enumerate every derivation of the program against the store.
-    [iter_cands part ~pred ~arity positions key k] must push the candidate
-    facts of predicate [pred] agreeing with the constants [key] on the bound
-    columns [positions] (ascending; empty means scan) in the backend's
-    enumeration order — the columns are exactly what [Store.bound_columns]
-    would extract from the resolved probe literal.  Candidates only need
-    the arity guard: every other [matches_literal] condition is re-checked
-    by the step's compiled actions.  [emit fact used] receives each derived
-    head fact with the body facts it used, in original body-literal
-    order. *)
+val seeds : code -> Store.t -> Fact.t list
+(** The first step's candidate facts, in the order {!exec} visits them —
+    what the parallel path slices into per-task chunks. *)
 
 val exec_seeded :
-  code ->
-  seed:Fact.t ->
-  iter_cands:
-    (Store.partition ->
-    pred:string ->
-    arity:int ->
-    int list ->
-    Term.const list ->
-    (Fact.t -> unit) ->
-    unit) ->
-  emit:(Fact.t -> Fact.t list -> unit) ->
-  unit
-(** Like {!exec} with the first step's candidate fixed to [seed] — the
-    parallel task path, where the first join step's fan-out is sliced into
-    per-task chunks. *)
+  code -> Store.t -> seed:Fact.t -> emit:(Fact.t -> Fact.t list -> unit) -> unit
+(** Like {!exec} with the first step's candidate fixed to [seed] (one of
+    {!seeds}): running it over every seed in order emits exactly {!exec}'s
+    derivations, in {!exec}'s order. *)

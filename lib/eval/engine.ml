@@ -59,329 +59,129 @@ let provenance r f = FactMap.find_opt f r.provenance
 
 let all_ground r = StringMap.for_all (fun _ l -> List.for_all Fact.is_ground l) r.facts
 
+(* ----- EDB admission ----- *)
+
+exception Arity_mismatch of string
+
+(* A fact whose predicate the program uses must have the program's arity:
+   the store's join indexes key on the program's argument positions, so a
+   shorter fact would break them.  Checked over the whole batch before any
+   store mutation, so a rejected batch leaves the store (or view) exactly as
+   it was.  Facts of predicates the program never mentions are inert. *)
+let check_arities (p : Program.t) facts =
+  let arities = Hashtbl.create 16 in
+  List.iter
+    (fun (r : Rule.t) ->
+      List.iter
+        (fun (l : Literal.t) -> Hashtbl.replace arities l.Literal.pred (Literal.arity l))
+        (r.Rule.head :: r.Rule.body))
+    p.Program.rules;
+  List.iter
+    (fun f ->
+      match Hashtbl.find_opt arities (Fact.pred f) with
+      | Some n when n <> Fact.arity f ->
+          raise
+            (Arity_mismatch
+               (Printf.sprintf "fact %s has arity %d, but the program uses %s/%d"
+                  (Fact.to_string f) (Fact.arity f) (Fact.pred f) n))
+      | _ -> ())
+    facts
+
 (* ----- rule application ----- *)
 
-(* fact instantiation lives with the compiled executor (both paths share
-   it); kept under its old name for the interpreter code below *)
-let fact_literal = Compile.fact_literal
+(* a bodyless rule fires once, from the empty substitution *)
+let derive_fact_rule (r : Rule.t) = Compile.derive_head_env ~lookup:Term.var r Conj.tt
 
-(* finish one candidate derivation: apply the substitution, check
-   satisfiability, project onto the head fact.  The shared implementation
-   takes an environment; the interpreter's environment is a substitution
-   resolve, the compiled executor's a register read — one code path, so the
-   two modes cannot diverge. *)
-let derive_head (rule : Rule.t) theta body_cstr : Fact.t option =
-  Compile.derive_head_env
-    ~lookup:(fun v -> Subst.resolve theta (Term.V v))
-    rule body_cstr
-
-(* one candidate derivation from explicitly chosen facts (used for fact
-   rules and by tests) *)
-let try_derive (rule : Rule.t) (choices : Fact.t list) : Fact.t option =
-  let rec go theta cstr body choices =
-    match (body, choices) with
-    | [], [] -> derive_head rule theta cstr
-    | lit :: brest, fact :: frest -> (
-        let flit, fcstr = fact_literal fact in
-        match Subst.unify_under theta lit flit with
-        | None -> None
-        | Some theta' -> go theta' (Conj.and_ cstr fcstr) brest frest)
-    | _ -> invalid_arg "try_derive: body/choices length mismatch"
-  in
-  go Subst.empty Conj.tt rule.Rule.body choices
-
-(* ----- storage backends ----- *)
-
-(* The fixpoint loop is generic over how facts are stored and probed.  The
-   indexed backend (default) keeps facts in the Cql_store relation store and
-   probes hash indexes on the columns the current substitution binds; the
-   seed backend reproduces the original per-predicate association lists and
-   linear scans, and exists as the reference for cross-checking. *)
-type backend = {
-  bk_add : int -> Fact.t -> unit;
-      (* store a non-subsumed fact (tagged with the iteration that made it) *)
-  bk_known : Fact.t -> bool; (* is the fact subsumed by a stored one? *)
-  bk_cands : Store.partition -> Subst.t -> Literal.t -> Fact.t list;
-      (* candidate facts for a body literal, pre-filtered by matches_literal *)
-  bk_iter_cands :
-    Store.partition ->
-    pred:string ->
-    arity:int ->
-    int list ->
-    Term.const list ->
-    (Fact.t -> unit) ->
-    unit;
-      (* same candidates keyed directly on the resolved bound columns,
-         pushed to a callback without materializing a list or building the
-         resolved literal (the compiled executor) *)
-  bk_advance : unit -> unit; (* iteration boundary *)
-  bk_plan : seminaive:bool -> Rule.t -> Planner.plan list;
-  bk_snapshot : unit -> Fact.t list StringMap.t; (* live facts, oldest first *)
-  bk_stats : unit -> int * int * int * int;
-      (* index probes, index hits, facts skipped, subsumptions avoided *)
-  bk_freeze : unit -> unit; (* enter read-only mode for a parallel match phase *)
-  bk_thaw : unit -> unit;
-}
-
-let indexed_backend_of store =
-  {
-    bk_add = (fun _iter f -> Store.add store f);
-    bk_known = (fun f -> Store.known_subsumes store f);
-    bk_cands =
-      (fun part theta lit ->
-        (* resolving first turns bound variables into constants, giving the
-           index more columns to key on *)
-        let rlit = Subst.apply_literal theta lit in
-        List.filter (fun f -> Fact.matches_literal rlit f) (Store.probe store part rlit));
-    bk_iter_cands =
-      (fun part ~pred ~arity positions key k ->
-        (* no [matches_literal] pre-filter: the compiled step's actions
-           perform exactly those checks (constants via [const_matches],
-           pins via unification), so candidates failing it die in
-           [Compile.apply_fact] — only the arity guard has no action
-           counterpart *)
-        Store.iter_probe_cols store part pred positions key (fun f ->
-            if Fact.arity f = arity then k f));
-    bk_advance = (fun () -> Store.advance store);
-    bk_plan = (fun ~seminaive r -> Planner.plans ~seminaive r);
-    bk_snapshot =
-      (fun () ->
-        List.fold_left
-          (fun acc (pred, fs) -> StringMap.add pred fs acc)
-          StringMap.empty (Store.all_facts store));
-    bk_stats =
-      (fun () ->
-        let s = Store.stats store in
-        ( s.Store.indexed_probes,
-          s.Store.index_hits,
-          s.Store.facts_skipped,
-          s.Store.subsumption_avoided ));
-    bk_freeze = (fun () -> Store.freeze store);
-    bk_thaw = (fun () -> Store.thaw store);
-  }
-
-let indexed_backend () = indexed_backend_of (Store.create ())
-
-(* the seed engine's storage: per-predicate assoc lists of (fact, iteration
-   tag), linear subsumption scans, body literals evaluated in program order *)
-let seed_backend () =
-  let store = ref StringMap.empty in
-  let cur_iter = ref 0 in
-  let store_find pred =
-    match StringMap.find_opt pred !store with Some l -> l | None -> []
-  in
-  let range = function
-    | Store.Old -> (0, !cur_iter - 2)
-    | Store.Delta -> (!cur_iter - 1, !cur_iter - 1)
-    | Store.Full -> (0, !cur_iter - 1)
-  in
-  let cands part (lit : Literal.t) =
-    let min_iter, max_iter = range part in
-    List.filter_map
-      (fun (f, it) ->
-        if it >= min_iter && it <= max_iter && Fact.matches_literal lit f then Some f
-        else None)
-      (store_find lit.Literal.pred)
-  in
-  {
-    bk_add =
-      (fun iter f ->
-        let l =
-          List.filter (fun (g, _) -> not (Fact.subsumes f g)) (store_find (Fact.pred f))
-        in
-        store := StringMap.add (Fact.pred f) ((f, iter) :: l) !store);
-    bk_known =
-      (fun f -> List.exists (fun (g, _) -> Fact.subsumes g f) (store_find (Fact.pred f)));
-    bk_cands = (fun part _theta lit -> cands part lit);
-    bk_iter_cands =
-      (fun part ~pred ~arity _positions _key k ->
-        (* linear scan, no index to key; like the indexed backend, only the
-           arity guard is needed ahead of the compiled actions *)
-        let min_iter, max_iter = range part in
-        List.iter
-          (fun (f, it) ->
-            if it >= min_iter && it <= max_iter && Fact.arity f = arity then k f)
-          (store_find pred));
-    bk_advance = (fun () -> incr cur_iter);
-    bk_plan =
-      (fun ~seminaive r ->
-        (* original body order; only the partition assignment varies *)
-        let n = List.length r.Rule.body in
-        let plan pivot =
-          List.mapi
-            (fun i lit -> { Planner.lit; orig = i; part = Planner.part_of ~pivot i })
-            r.Rule.body
-        in
-        if seminaive then List.init n plan else [ plan (-1) ]);
-    bk_snapshot =
-      (fun () -> StringMap.map (fun l -> List.rev_map fst l) !store);
-    bk_stats = (fun () -> (0, 0, 0, 0));
-    (* the seed store is an immutable map behind a ref: reads from worker
-       domains race only with the sequential merge phase, which the pool's
-       batch handoff already orders *)
-    bk_freeze = (fun () -> ());
-    bk_thaw = (fun () -> ());
-  }
-
-(* ----- evaluation loops ----- *)
+(* the compiled (rule, pivot) programs of the body rules, in rule order
+   then plan order — the order every round produces derivations in *)
+let compile_rules ~seminaive rules =
+  List.concat_map
+    (fun r -> List.map (Compile.compile r) (Planner.plans ~seminaive r))
+    rules
 
 type budget = { mutable deriv_left : int }
 
 exception Budget_exhausted
 
-(* enumerate combinations along a plan with incremental unification: failed
-   joins are pruned before the cross-product expands *)
-let rec choose_combos bk (steps : Planner.plan) theta cstr used k =
-  match steps with
-  | [] ->
-      let used = List.sort (fun (a, _) (b, _) -> compare a b) used in
-      k theta cstr (List.map snd used)
-  | step :: rest ->
-      List.iter
-        (fun f ->
-          let flit, fcstr = fact_literal f in
-          match Subst.unify_under theta step.Planner.lit flit with
-          | None -> ()
-          | Some theta' ->
-              choose_combos bk rest theta' (Conj.and_ cstr fcstr)
-                ((step.Planner.orig, f) :: used) k)
-        (bk.bk_cands step.Planner.part theta step.Planner.lit)
+(* One parallel task: a slice of one compiled plan's first-step candidates.
+   Tasks are built in the exact order the sequential loop would enumerate
+   them, and each task emits its derivations in enumeration order, so
+   concatenating task outputs in task order reproduces the sequential
+   production list — the merge phase then behaves identically (same facts,
+   same provenance, same trace, same budget-truncation point). *)
+type task = { tk_code : Compile.code; tk_seeds : Fact.t list }
 
-(* One parallel task: a slice of a rule-plan's first-step candidates.  Tasks
-   are built in the exact order the sequential loop would enumerate them, and
-   each task emits its derivations in enumeration order, so concatenating
-   task outputs in task order reproduces the sequential production list —
-   the merge phase then behaves identically (same facts, same provenance,
-   same trace, same budget-truncation point). *)
-type task = {
-  tk_rule : Rule.t;
-  tk_rest : Planner.plan; (* plan minus the first step *)
-  tk_step0 : Planner.step option; (* None for an empty plan *)
-  tk_cands : Fact.t list; (* this task's slice of the first step's candidates *)
-  tk_code : Compile.code option; (* compiled program for the whole plan *)
-}
-
-let run_task bk (tk : task) =
+let run_task store (tk : task) =
+  let label = (Compile.rule tk.tk_code).Rule.label in
   let out = ref [] in
-  (match tk.tk_code with
-  | Some code -> (
-      let emit f used = out := (tk.tk_rule.Rule.label, f, used) :: !out in
-      match tk.tk_step0 with
-      | None -> Compile.exec code ~iter_cands:bk.bk_iter_cands ~emit
-      | Some _ ->
-          List.iter
-            (fun f -> Compile.exec_seeded code ~seed:f ~iter_cands:bk.bk_iter_cands ~emit)
-            tk.tk_cands)
-  | None -> (
-      let emit theta cstr used =
-        match derive_head tk.tk_rule theta cstr with
-        | None -> ()
-        | Some f -> out := (tk.tk_rule.Rule.label, f, used) :: !out
-      in
-      match tk.tk_step0 with
-      | None -> choose_combos bk tk.tk_rest Subst.empty Conj.tt [] emit
-      | Some step0 ->
-          List.iter
-            (fun f ->
-              let flit, fcstr = fact_literal f in
-              match Subst.unify_under Subst.empty step0.Planner.lit flit with
-              | None -> ()
-              | Some theta ->
-                  choose_combos bk tk.tk_rest theta fcstr [ (step0.Planner.orig, f) ] emit)
-            tk.tk_cands));
+  List.iter
+    (fun seed ->
+      Compile.exec_seeded tk.tk_code store ~seed ~emit:(fun f used ->
+          out := (label, f, used) :: !out))
+    tk.tk_seeds;
   (* forward (enumeration) order, ready for in-order concatenation *)
   List.rev !out
 
-(* Slice every rule-plan into tasks: the first join step's candidate list is
-   what semi-naive iteration fans out over (the delta pivot is placed first
-   by the planner), cut into [jobs * 4] chunks for load balance. *)
-let tasks_of_iteration bk jobs rule_plans =
+(* Slice every plan into tasks: the first join step's candidate list is what
+   semi-naive iteration fans out over (the delta pivot is placed first by
+   the planner), cut into [jobs * 4] chunks for load balance. *)
+let tasks_of_iteration store jobs codes =
   let tasks = ref [] in
   List.iter
-    (fun ((r : Rule.t), plans) ->
-      List.iter
-        (fun (plan, code) ->
-          match plan with
-          | [] ->
-              tasks :=
-                { tk_rule = r; tk_rest = []; tk_step0 = None; tk_cands = []; tk_code = code }
-                :: !tasks
-          | step0 :: rest ->
-              let cands = bk.bk_cands step0.Planner.part Subst.empty step0.Planner.lit in
-              let n = List.length cands in
-              if n = 0 then ()
-              else begin
-                let chunk = max 1 ((n + (jobs * 4) - 1) / (jobs * 4)) in
-                let rec cut cands =
-                  match cands with
-                  | [] -> ()
-                  | _ ->
-                      let rec take k acc rest =
-                        if k = 0 then (List.rev acc, rest)
-                        else
-                          match rest with
-                          | [] -> (List.rev acc, [])
-                          | x :: tl -> take (k - 1) (x :: acc) tl
-                      in
-                      let slice, rest' = take chunk [] cands in
-                      tasks :=
-                        {
-                          tk_rule = r;
-                          tk_rest = rest;
-                          tk_step0 = Some step0;
-                          tk_cands = slice;
-                          tk_code = code;
-                        }
-                        :: !tasks;
-                      cut rest'
-                in
-                cut cands
-              end)
-        plans)
-    rule_plans;
+    (fun code ->
+      let seeds = Compile.seeds code store in
+      let n = List.length seeds in
+      let chunk = max 1 ((n + (jobs * 4) - 1) / (jobs * 4)) in
+      let rec cut seeds =
+        if seeds <> [] then begin
+          let rec take k acc rest =
+            match rest with
+            | x :: tl when k > 0 -> take (k - 1) (x :: acc) tl
+            | _ -> (List.rev acc, rest)
+          in
+          let slice, rest = take chunk [] seeds in
+          tasks := { tk_code = code; tk_seeds = slice } :: !tasks;
+          cut rest
+        end
+      in
+      cut seeds)
+    codes;
   Array.of_list (List.rev !tasks)
 
-(* One match/join phase over every rule plan.  With a pool the store is
+(* One match/join phase over every compiled plan.  With a pool the store is
    frozen and the candidate fan-out runs on worker domains; either way the
    returned production list is in the exact sequential enumeration order,
    so the (sequential) merge that follows behaves identically. *)
-let produce_round bk pool jobs rule_plans =
+let produce_round store pool jobs codes =
   match pool with
   | None ->
       (* exact sequential path: no task slicing, no synchronization *)
       let produced = ref [] in
       List.iter
-        (fun ((r : Rule.t), plans) ->
-          List.iter
-            (fun (plan, code) ->
-              match code with
-              | Some code ->
-                  Compile.exec code ~iter_cands:bk.bk_iter_cands ~emit:(fun f used ->
-                      produced := (r.Rule.label, f, used) :: !produced)
-              | None ->
-                  choose_combos bk plan Subst.empty Conj.tt [] (fun theta cstr used ->
-                      match derive_head r theta cstr with
-                      | None -> ()
-                      | Some f -> produced := (r.Rule.label, f, used) :: !produced))
-            plans)
-        rule_plans;
+        (fun code ->
+          let label = (Compile.rule code).Rule.label in
+          Compile.exec code store ~emit:(fun f used ->
+              produced := (label, f, used) :: !produced))
+        codes;
       List.rev !produced
   | Some pool ->
       (* workers only read the store (frozen for the phase) and emit into
          per-task buffers; concatenation in task order reproduces the
          sequential production order exactly *)
-      bk.bk_freeze ();
+      Store.freeze store;
       (* the constraint domain is domain-local state: capture the caller's
          choice and re-establish it on every worker, so a Z-mode run keeps
          Z-mode solver verdicts on all [--jobs] paths *)
       let cdom = Cdomain.current () in
       let outs =
         Fun.protect
-          ~finally:(fun () -> bk.bk_thaw ())
+          ~finally:(fun () -> Store.thaw store)
           (fun () ->
-            let tasks = tasks_of_iteration bk jobs rule_plans in
+            let tasks = tasks_of_iteration store jobs codes in
             Obs.add_field "tasks" (Array.length tasks);
-            Pool.map pool (fun t -> Cdomain.with_domain cdom (fun () -> run_task bk t)) tasks)
+            Pool.map pool
+              (fun t -> Cdomain.with_domain cdom (fun () -> run_task store t))
+              tasks)
       in
       List.concat (Array.to_list outs)
 
@@ -389,31 +189,27 @@ let produce_round bk pool jobs rule_plans =
    cache) and reused across runs so warm requests skip both planning and
    compilation.  [cp_for] is compared physically — the artifact only applies
    to the exact program value it was built from. *)
-type compiled = {
-  cp_for : Program.t;
-  cp_plans : (Rule.t * (Planner.plan * Compile.code option) list) list;
-}
+type compiled = { cp_for : Program.t; cp_codes : Compile.code list }
 
 let ctr_cache_hits = Obs.counter "engine.compile.cache_hits"
 
 let compile_plans (p : Program.t) : compiled =
-  let _, body_rules = List.partition Rule.is_fact p.Program.rules in
-  {
-    cp_for = p;
-    cp_plans =
-      List.map
-        (fun (r : Rule.t) ->
-          ( r,
-            List.map
-              (fun pl ->
-                (pl, if !Compile.enabled then Some (Compile.compile r pl) else None))
-              (Planner.plans ~seminaive:true r) ))
-        body_rules;
-  }
+  let body_rules = List.filter (fun r -> not (Rule.is_fact r)) p.Program.rules in
+  { cp_for = p; cp_codes = compile_rules ~seminaive:true body_rules }
 
-let run_loop ~seminaive ~indexed ?jobs ?max_iterations ?max_derivations ?(traced = false)
-    ?compiled (p : Program.t) ~(edb : Fact.t list) =
+(* the semi-naive programs for [p]: the precompiled artifact when it was
+   built from this exact program value, else a fresh compilation *)
+let codes_for ?compiled (p : Program.t) body_rules =
+  match compiled with
+  | Some cp when cp.cp_for == p ->
+      Obs.incr ctr_cache_hits;
+      cp.cp_codes
+  | _ -> compile_rules ~seminaive:true body_rules
+
+let run_loop ~seminaive ?jobs ?max_iterations ?max_derivations ?(traced = false) ?compiled
+    (p : Program.t) ~(edb : Fact.t list) =
   Obs.span "engine.run" @@ fun () ->
+  check_arities p edb;
   let jobs = match jobs with Some n -> max 1 n | None -> default_jobs () in
   if Obs.enabled () then begin
     Obs.add_field "jobs" jobs;
@@ -421,16 +217,16 @@ let run_loop ~seminaive ~indexed ?jobs ?max_iterations ?max_derivations ?(traced
     Obs.add_field "edb_facts" (List.length edb);
     Obs.add_field_str "mode" (if seminaive then "seminaive" else "naive")
   end;
-  let bk = if indexed then indexed_backend () else seed_backend () in
+  let store = Store.create () in
   let budget = { deriv_left = (match max_derivations with Some n -> n | None -> max_int) } in
   let provenance = ref FactMap.empty in
   let trace_rev = ref [] in
   let derivations = ref 0 in
   let facts_added = ref 0 in
-  let add_fact iter f =
+  let add_fact f =
     (* back-subsumption: drop stored facts the new fact subsumes; safe for
        semi-naive completeness because the new fact enters the delta *)
-    bk.bk_add iter f;
+    Store.add store f;
     incr facts_added
   in
   let record iter label f subsumed =
@@ -443,43 +239,22 @@ let run_loop ~seminaive ~indexed ?jobs ?max_iterations ?max_derivations ?(traced
     if not (FactMap.mem f !provenance) then
       provenance := FactMap.add f (label, used) !provenance
   in
-  (* iteration 0: EDB facts (untraced) + fact rules *)
-  List.iter
-    (fun f ->
-      if not (bk.bk_known f) then begin
-        add_fact 0 f;
-        remember "edb" f []
-      end)
-    edb;
-  let fact_rules, body_rules = List.partition Rule.is_fact p.Program.rules in
-  List.iter
-    (fun (r : Rule.t) ->
-      match try_derive r [] with
-      | None -> ()
-      | Some f ->
-          let subsumed = bk.bk_known f in
-          record 0 r.Rule.label f subsumed;
-          if not subsumed then begin
-            add_fact 0 f;
-            remember r.Rule.label f []
-          end)
-    fact_rules;
-  (* join plans are computed once per rule, not per iteration — and, for the
-     indexed backend, compiled to register-frame programs (the seed backend
-     stays the pure reference interpreter).  A precompiled artifact for this
-     exact program skips both phases. *)
-  let compile_maybe r pl =
-    if indexed && !Compile.enabled then Some (Compile.compile r pl) else None
+  (* merge one production in derivation order: subsumed arrivals only count *)
+  let merge iter (label, f, used) =
+    let subsumed = Store.known_subsumes store f in
+    record iter label f subsumed;
+    if not subsumed then begin
+      add_fact f;
+      remember label f used
+    end;
+    subsumed
   in
-  let rule_plans =
-    match compiled with
-    | Some cp when cp.cp_for == p && seminaive && indexed && !Compile.enabled ->
-        Obs.incr ctr_cache_hits;
-        cp.cp_plans
-    | _ ->
-        List.map
-          (fun r -> (r, List.map (fun pl -> (pl, compile_maybe r pl)) (bk.bk_plan ~seminaive r)))
-          body_rules
+  let fact_rules, body_rules = List.partition Rule.is_fact p.Program.rules in
+  (* join plans are planned and compiled once per rule, not per iteration;
+     a precompiled artifact for this exact program skips both phases *)
+  let codes =
+    if seminaive then codes_for ?compiled p body_rules
+    else compile_rules ~seminaive:false body_rules
   in
   let iterations = ref 0 in
   let fixpoint = ref false in
@@ -490,9 +265,12 @@ let run_loop ~seminaive ~indexed ?jobs ?max_iterations ?max_derivations ?(traced
       Obs.add_field "facts_added" !facts_added;
       Obs.add_field_str "fixpoint" (string_of_bool !fixpoint)
     end;
-    let index_probes, index_hits, facts_skipped, subsumptions_avoided = bk.bk_stats () in
+    let s = Store.stats store in
     {
-      facts = bk.bk_snapshot ();
+      facts =
+        List.fold_left
+          (fun acc (pred, fs) -> StringMap.add pred fs acc)
+          StringMap.empty (Store.all_facts store);
       provenance = !provenance;
       stats =
         {
@@ -500,10 +278,10 @@ let run_loop ~seminaive ~indexed ?jobs ?max_iterations ?max_derivations ?(traced
           derivations = !derivations;
           facts_added = !facts_added;
           reached_fixpoint = !fixpoint;
-          index_probes;
-          index_hits;
-          facts_skipped;
-          subsumptions_avoided;
+          index_probes = s.Store.indexed_probes;
+          index_hits = s.Store.index_hits;
+          facts_skipped = s.Store.facts_skipped;
+          subsumptions_avoided = s.Store.subsumption_avoided;
         };
       trace_rev = !trace_rev;
     }
@@ -512,38 +290,37 @@ let run_loop ~seminaive ~indexed ?jobs ?max_iterations ?max_derivations ?(traced
      domain pool; the merge phase below stays sequential either way, so the
      two paths produce identical results (see [run_task]). *)
   let pool = if jobs > 1 then Some (Pool.create ~jobs) else None in
-  let produce () = produce_round bk pool jobs rule_plans in
   Fun.protect
     ~finally:(fun () -> match pool with Some p -> Pool.shutdown p | None -> ())
     (fun () ->
       try
+        (* iteration 0: EDB facts (untraced) + fact rules *)
+        List.iter
+          (fun f ->
+            if not (Store.known_subsumes store f) then begin
+              add_fact f;
+              remember "edb" f []
+            end)
+          edb;
+        List.iter
+          (fun (r : Rule.t) ->
+            Option.iter (fun f -> ignore (merge 0 (r.Rule.label, f, []))) (derive_fact_rule r))
+          fact_rules;
         let continue_ = ref true in
         while !continue_ do
           let iter = !iterations + 1 in
-          (match max_iterations with
-          | Some cap when iter > cap ->
-              continue_ := false;
-              raise Exit
-          | _ -> ());
+          (match max_iterations with Some cap when iter > cap -> raise Exit | _ -> ());
           iterations := iter;
           let any_added =
             Obs.span "engine.iteration" @@ fun () ->
             Obs.add_field "iteration" iter;
-            bk.bk_advance ();
-            let produced = produce () in
+            Store.advance store;
+            let produced = produce_round store pool jobs codes in
             let added = ref 0 and subsumed_hits = ref 0 in
             (* [record] may raise Budget_exhausted mid-merge; the span still
                records (with the fields attached so far) and re-raises *)
             List.iter
-              (fun (label, f, used) ->
-                let subsumed = bk.bk_known f in
-                if subsumed then incr subsumed_hits;
-                record iter label f subsumed;
-                if not subsumed then begin
-                  add_fact iter f;
-                  remember label f used;
-                  incr added
-                end)
+              (fun prod -> if merge iter prod then incr subsumed_hits else incr added)
               produced;
             if Obs.enabled () then begin
               Obs.add_field "produced" (List.length produced);
@@ -558,23 +335,21 @@ let run_loop ~seminaive ~indexed ?jobs ?max_iterations ?max_derivations ?(traced
           end
         done;
         result ()
-      with
-      | Exit -> result ()
-      | Budget_exhausted -> result ())
+      with Exit | Budget_exhausted -> result ())
 
-let run ?(indexed = true) ?jobs ?max_iterations ?max_derivations ?traced ?compiled p ~edb =
-  run_loop ~seminaive:true ~indexed ?jobs ?max_iterations ?max_derivations ?traced ?compiled p
-    ~edb
+let run ?jobs ?max_iterations ?max_derivations ?traced ?compiled p ~edb =
+  run_loop ~seminaive:true ?jobs ?max_iterations ?max_derivations ?traced ?compiled p ~edb
 
-let run_naive ?(indexed = true) ?jobs ?max_iterations ?max_derivations p ~edb =
-  run_loop ~seminaive:false ~indexed ?jobs ?max_iterations ?max_derivations ~traced:false p ~edb
+let run_naive ?jobs ?max_iterations ?max_derivations p ~edb =
+  run_loop ~seminaive:false ?jobs ?max_iterations ?max_derivations p ~edb
 
 (* SCC-stratified evaluation: process the predicate dependency graph
    callees-first, running the semi-naive loop once per stratum with all
    earlier facts as input.  Same fixpoint; each stratum's rules only ever
    see fully-computed lower strata, so no wasted re-derivation across strata. *)
-let run_stratified ?(indexed = true) ?jobs ?max_iterations ?max_derivations (p : Program.t) ~edb =
+let run_stratified ?jobs ?max_iterations ?max_derivations (p : Program.t) ~edb =
   Obs.span "engine.run_stratified" @@ fun () ->
+  check_arities p edb;
   let g = Depgraph.of_program p in
   let derived = Program.derived p in
   let sccs =
@@ -601,8 +376,8 @@ let run_stratified ?(indexed = true) ?jobs ?max_iterations ?max_derivations (p :
         in
         let sub = { p with Program.rules } in
         let res =
-          run_loop ~seminaive:true ~indexed ?jobs ?max_iterations
-            ~max_derivations:!deriv_budget ~traced:false sub ~edb:!facts
+          run_loop ~seminaive:true ?jobs ?max_iterations ~max_derivations:!deriv_budget
+            ~traced:false sub ~edb:!facts
         in
         deriv_budget := !deriv_budget - res.stats.derivations;
         derivations := !derivations + res.stats.derivations;
@@ -620,7 +395,7 @@ let run_stratified ?(indexed = true) ?jobs ?max_iterations ?max_derivations (p :
       else fixpoint := false)
     sccs;
   match !last with
-  | None -> run ~indexed ?jobs ?max_iterations ?max_derivations p ~edb
+  | None -> run ?jobs ?max_iterations ?max_derivations p ~edb
   | Some res ->
       (* merge provenance, preferring the stratum that really derived a
          fact over a later stratum seeing it as input *)
@@ -694,9 +469,7 @@ type maintain_stats = {
 type view = {
   vw_program : Program.t;
   vw_store : Store.t;
-  vw_bk : backend;
-  vw_rule_plans : (Rule.t * (Planner.plan * Compile.code option) list) list;
-  vw_fact_rules : Rule.t list;
+  vw_codes : Compile.code list;
   vw_pool : Pool.t option;
   vw_jobs : int;
   vw_domain : Cdomain.t;  (* constraint domain captured at materialize *)
@@ -820,8 +593,8 @@ let view_rounds vw ms ~max_iterations =
     let iter = ms.s_iterations + 1 in
     (match max_iterations with Some cap when iter > cap -> raise Exit | _ -> ());
     ms.s_iterations <- iter;
-    vw.vw_bk.bk_advance ();
-    let produced = produce_round vw.vw_bk vw.vw_pool vw.vw_jobs vw.vw_rule_plans in
+    Store.advance vw.vw_store;
+    let produced = produce_round vw.vw_store vw.vw_pool vw.vw_jobs vw.vw_codes in
     if view_merge vw ms produced = 0 then continue_ := false
   done
 
@@ -992,6 +765,7 @@ let mstate_create ~max_derivations =
 
 let insert ?max_iterations ?max_derivations vw facts =
   check_open vw "Engine.insert";
+  check_arities vw.vw_program facts;
   (* maintenance must re-derive under the same constraint domain the view
      was materialized with, whatever the ambient domain of the caller *)
   Cdomain.with_domain vw.vw_domain @@ fun () ->
@@ -1082,32 +856,15 @@ let retract ?max_iterations ?max_derivations vw facts =
 let materialize ?jobs ?max_iterations ?max_derivations ?compiled (p : Program.t) ~edb =
   Obs.span "engine.maintain" @@ fun () ->
   Obs.add_field_str "op" "materialize";
+  check_arities p edb;
   let jobs = match jobs with Some n -> max 1 n | None -> default_jobs () in
-  let store = Store.create () in
-  let bk = indexed_backend_of store in
   let fact_rules, body_rules = List.partition Rule.is_fact p.Program.rules in
-  let rule_plans =
-    match compiled with
-    | Some cp when cp.cp_for == p && !Compile.enabled ->
-        Obs.incr ctr_cache_hits;
-        cp.cp_plans
-    | _ ->
-        List.map
-          (fun (r : Rule.t) ->
-            ( r,
-              List.map
-                (fun pl ->
-                  (pl, if !Compile.enabled then Some (Compile.compile r pl) else None))
-                (bk.bk_plan ~seminaive:true r) ))
-          body_rules
-  in
+  let codes = codes_for ?compiled p body_rules in
   let vw =
     {
       vw_program = p;
-      vw_store = store;
-      vw_bk = bk;
-      vw_rule_plans = rule_plans;
-      vw_fact_rules = fact_rules;
+      vw_store = Store.create ();
+      vw_codes = codes;
       vw_pool = (if jobs > 1 then Some (Pool.create ~jobs) else None);
       vw_jobs = jobs;
       vw_domain = Cdomain.current ();
@@ -1128,9 +885,9 @@ let materialize ?jobs ?max_iterations ?max_derivations ?compiled (p : Program.t)
       (* bodyless rules fire once, as firings with no body: never deleted *)
       List.iter
         (fun (r : Rule.t) ->
-          match try_derive r [] with
-          | None -> ()
-          | Some f -> ignore (view_merge vw ms [ (r.Rule.label, f, []) ]))
+          Option.iter
+            (fun f -> ignore (view_merge vw ms [ (r.Rule.label, f, []) ]))
+            (derive_fact_rule r))
         fact_rules;
       view_rounds vw ms ~max_iterations;
       true

@@ -16,9 +16,10 @@
     indexes on the argument columns each probe binds, old/delta/full
     partitions for semi-naive evaluation, and pattern-bucketed subsumption
     checks.  Rule bodies are reordered once per rule by the join planner's
-    bound-ness heuristic ({!Cql_store.Planner}).  Passing [~indexed:false]
-    selects the seed list-based storage path instead — same answers, linear
-    scans — kept as the reference implementation for cross-checking.
+    bound-ness heuristic ({!Cql_store.Planner}) and each (rule, pivot) plan
+    is compiled once into a register-frame program ({!Compile}), the one
+    rule executor.  The seed list-based evaluator lives on outside the
+    engine as [Cql_gen.Reference], the fuzz harness's cross-check.
 
     {b Parallelism.}  With [~jobs:n] (n > 1) each semi-naive iteration fans
     the (rule-plan × first-step-candidate-chunk) match/join tasks out over a
@@ -57,7 +58,7 @@ type stats = {
       (** partition facts indexed probes never had to consider *)
   subsumptions_avoided : int;
       (** stored facts subsumption checks skipped thanks to the
-          pattern/ground indexes (all zero with [~indexed:false]) *)
+          pattern/ground indexes *)
 }
 
 type result
@@ -91,12 +92,17 @@ type compiled
 
 val compile_plans : Program.t -> compiled
 (** Plan and compile every body rule of the program (semi-naive plans, as
-    {!run} uses).  With compilation disabled ([CQLOPT_NO_COMPILE] /
-    {!Compile.enabled}[ = false]) the artifact carries interpreter-only
-    plans, preserving the fallback. *)
+    {!run} uses). *)
+
+exception Arity_mismatch of string
+(** An EDB fact's arity disagrees with the program's use of its predicate.
+    {!run}, {!run_naive}, {!run_stratified}, {!materialize} and {!insert}
+    check the whole batch before touching the store and raise this (with a
+    message naming the fact) instead of evaluating; a rejected {!insert}
+    leaves the view unchanged.  Facts of predicates the program never
+    mentions are accepted and inert. *)
 
 val run :
-  ?indexed:bool ->
   ?jobs:int ->
   ?max_iterations:int ->
   ?max_derivations:int ->
@@ -106,20 +112,15 @@ val run :
   edb:Fact.t list ->
   result
 (** Semi-naive evaluation.  Iteration 0 loads the EDB and fires the
-    program's fact rules; subsequent iterations are delta-driven.
-    [indexed] (default [true]) selects the indexed relation store and join
-    planner; [~indexed:false] runs the seed list-based reference path.
-    With the indexed backend each (rule, pivot) plan is compiled once into
-    a register-frame program ({!Cql_eval.Compile}) — same derivations in
-    the same order, without the per-candidate substitution interpretation;
-    set [CQLOPT_NO_COMPILE=1] (or [--no-compile]) to force the interpreter.
-    [compiled] supplies a precompiled artifact for this exact program
-    (physical equality), skipping planning and compilation entirely.
+    program's fact rules; subsequent iterations are delta-driven.  Each
+    (rule, pivot) plan is compiled once into a register-frame program
+    ({!Cql_eval.Compile}).  [compiled] supplies a precompiled artifact for
+    this exact program (physical equality), skipping planning and
+    compilation entirely.
     [jobs] (default {!default_jobs}) is the number of domains evaluating
     each iteration's match phase; results are identical for every value. *)
 
 val run_naive :
-  ?indexed:bool ->
   ?jobs:int ->
   ?max_iterations:int ->
   ?max_derivations:int ->
@@ -130,7 +131,6 @@ val run_naive :
     used to cross-check the semi-naive engine. *)
 
 val run_stratified :
-  ?indexed:bool ->
   ?jobs:int ->
   ?max_iterations:int ->
   ?max_derivations:int ->

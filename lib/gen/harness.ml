@@ -21,7 +21,6 @@ type oracle =
   | Parallel
   | Update
   | Tier
-  | Compiled
   | Relaxation
 
 let oracle_name = function
@@ -34,22 +33,7 @@ let oracle_name = function
   | Parallel -> "parallel"
   | Update -> "update"
   | Tier -> "interval"
-  | Compiled -> "compiled"
   | Relaxation -> "relaxation"
-
-let oracle_of_name = function
-  | "answers" -> Answers
-  | "indexing" -> Indexing
-  | "solver" -> Solver
-  | "monotone" -> Monotone
-  | "bound" -> Bound
-  | "cache" -> Cache
-  | "parallel" -> Parallel
-  | "update" -> Update
-  | "interval" -> Tier
-  | "compiled" -> Compiled
-  | "relaxation" -> Relaxation
-  | s -> invalid_arg ("Harness.oracle_of_name: " ^ s)
 
 type update_op = Insert of F.t | Retract of F.t
 
@@ -233,45 +217,6 @@ let check_interval_differential ~max_iterations ~max_derivations ~max_iters st p
       end
   | _ -> Some "constraint_rewrite applicability differs with the interval tier on vs off"
 
-(* ----- the compiled-execution differential (oracle 10) ----- *)
-
-(* Run the heaviest rewrite and an evaluation of its output with join-plan
-   compilation enabled (register-frame programs) and disabled (the
-   tuple-at-a-time substitution interpreter), each from a fresh cache state,
-   and require an alpha-equivalent rewritten program, identical sorted
-   answers, identical derivation counts and identical fixpoint status.
-   Compilation may only ever change how a join executes, never what it
-   derives. *)
-let check_compiled_differential ~max_iterations ~max_derivations ~max_iters st p edb =
-  let run_with on =
-    Compile.with_compile on (fun () ->
-        Memo.clear_all ();
-        match Rw.constraint_rewrite ~max_iters p with
-        | exception (Invalid_argument _ | Failure _) -> None
-        | p', _ ->
-            let res = Engine.run ~max_iterations ~max_derivations p' ~edb in
-            Some
-              ( p',
-                List.sort F.compare (Engine.answers res p'),
-                (Engine.stats res).Engine.derivations,
-                (Engine.stats res).Engine.reached_fixpoint ))
-  in
-  match (run_with true, run_with false) with
-  | None, None -> None
-  | Some (p1, a1, d1, f1), Some (p2, a2, d2, f2) ->
-      if not (Program.equal_mod_renaming p1 p2) then
-        Some "constraint_rewrite output differs with compilation on vs off"
-      else if d1 <> d2 then
-        Some
-          (Printf.sprintf "derivation counts differ (compiled: %d, interpreted: %d)" d1 d2)
-      else if f1 <> f2 || not (List.equal F.equal a1 a2) then
-        Some "evaluation answers differ between compiled and interpreted execution"
-      else begin
-        st.checks <- st.checks + 1;
-        None
-      end
-  | _ -> Some "constraint_rewrite applicability differs with compilation on vs off"
-
 (* ----- pipelines ----- *)
 
 let pipelines ~max_iters ?tamper (p : Program.t) =
@@ -350,15 +295,16 @@ let drop_disjuncts cs =
 
 (* ----- oracles ----- *)
 
+(* the Indexing oracle: the production engine against the seed evaluator *)
 let same_engine_results name res_idx res_seed =
   let preds =
     List.sort_uniq compare
-      (List.map fst (Engine.all_facts res_idx) @ List.map fst (Engine.all_facts res_seed))
+      (List.map fst (Engine.all_facts res_idx) @ List.map fst (Reference.all_facts res_seed))
   in
   let bad_pred =
     List.find_opt
       (fun pred ->
-        let fi = Engine.facts_of res_idx pred and fs = Engine.facts_of res_seed pred in
+        let fi = Engine.facts_of res_idx pred and fs = Reference.facts_of res_seed pred in
         List.length fi <> List.length fs
         || first_uncovered fi fs <> None
         || first_uncovered fs fi <> None)
@@ -368,9 +314,10 @@ let same_engine_results name res_idx res_seed =
   | Some pred -> Some (Printf.sprintf "%s: fact sets differ on %s" name pred)
   | None ->
       let di = (Engine.stats res_idx).Engine.derivations
-      and ds = (Engine.stats res_seed).Engine.derivations in
+      and ds = (Reference.stats res_seed).Reference.derivations in
       if di <> ds then
-        Some (Printf.sprintf "%s: derivation counts differ (indexed %d, seed %d)" name di ds)
+        Some
+          (Printf.sprintf "%s: derivation counts differ (engine %d, reference %d)" name di ds)
       else None
 
 let check_solver_pool st pool =
@@ -439,7 +386,7 @@ let check_bound ~max_bound_iters st p =
            (Bigint.to_string bound) pres.Pred_constraints.iterations
            pres.Pred_constraints.converged qres.Qrp.iterations qres.Qrp.converged limit)
 
-(* ----- the rational-relaxation oracle (oracle 11, int mode) ----- *)
+(* ----- the rational-relaxation oracle (oracle 10, int mode) ----- *)
 
 (* ℤ ⊂ ℚ: any answer derivable under the integer domain is derivable under
    the rational one, so every Z answer must be covered by the Q answers.
@@ -474,9 +421,9 @@ let check_relaxation ~max_iterations ~max_derivations st p edb =
 let check_case ?tamper ?(max_iterations = 25) ?(max_derivations = 20_000) ?(max_iters = 20)
     ~mode st p edb =
   (* Int-mode cases run every oracle under the integer domain, so the
-     cache/parallel/interval/compiled differentials double as ℤ
-     transparency checks; the relaxation oracle below is the only one that
-     crosses domains on purpose. *)
+     cache/parallel/interval differentials double as ℤ transparency checks;
+     the relaxation oracle below is the only one that crosses domains on
+     purpose. *)
   (if mode = Generate.Int then Cdomain.with_domain Cdomain.Z else fun k -> k ()) @@ fun () ->
   st.cases <- st.cases + 1;
   let fail oracle pipeline detail =
@@ -491,7 +438,7 @@ let check_case ?tamper ?(max_iterations = 25) ?(max_derivations = 20_000) ?(max_
   else begin
     st.evaluated <- st.evaluated + 1;
     st.facts_derived <- st.facts_derived + Engine.total_idb_facts res0 ~edb;
-    let res0_seed = Engine.run ~indexed:false ~max_iterations ~max_derivations p ~edb in
+    let res0_seed = Reference.run ~max_iterations ~max_derivations p ~edb in
     match same_engine_results "original" res0 res0_seed with
     | Some detail -> fail Indexing "eval" detail
     | None -> (
@@ -516,11 +463,6 @@ let check_case ?tamper ?(max_iterations = 25) ?(max_derivations = 20_000) ?(max_
               check_interval_differential ~max_iterations ~max_derivations ~max_iters st p edb
             with
             | Some detail -> fail Tier "constraint_rewrite" detail
-            | None -> (
-            match
-              check_compiled_differential ~max_iterations ~max_derivations ~max_iters st p edb
-            with
-            | Some detail -> fail Compiled "eval" detail
             | None -> (
             let relaxation_failure =
               if mode = Generate.Int then
@@ -556,9 +498,7 @@ let check_case ?tamper ?(max_iterations = 25) ?(max_derivations = 20_000) ?(max_
                     None
                   end
                   else
-                    let res'_seed =
-                      Engine.run ~indexed:false ~max_iterations ~max_derivations p' ~edb
-                    in
+                    let res'_seed = Reference.run ~max_iterations ~max_derivations p' ~edb in
                     match same_engine_results name res' res'_seed with
                     | Some detail -> fail Indexing name detail
                     | None ->
@@ -623,7 +563,7 @@ let check_case ?tamper ?(max_iterations = 25) ?(max_derivations = 20_000) ?(max_
             | None -> (
                 match check_solver_pool st !solver_pool with
                 | Some detail -> fail Solver "solver" detail
-                | None -> None))))))))
+                | None -> None)))))))
   end
 
 (* ----- shrinking ----- *)
@@ -1040,8 +980,6 @@ let parse_counterexample src =
       (String.split_on_char '\n' updates_part)
   in
   (p, edb, updates)
-
-let _ = oracle_of_name
 
 let pp_summary fmt (s : summary) =
   let st = s.stats in

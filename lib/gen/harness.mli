@@ -1,15 +1,16 @@
 (** Differential fuzzing harness: run generated (program, query, EDB) cases
     through every rewrite pipeline and check the equivalence oracles.
 
-    Eleven oracles guard the paper's claims and the implementation:
+    Ten oracles guard the paper's claims and the implementation:
 
     + {b Answers} — query-answer equivalence: the rewritten program computes
       exactly the original's query answers (Theorems 4.7/4.8, 6.2, 7.10),
       compared as fact sets under subsumption (exact on the ground answers
       range-restricted programs produce).
-    + {b Indexing} — the indexed relation store and the seed list-based
-      engine ([~indexed:false]) agree on every fact set and on the
-      derivation count.
+    + {b Indexing} — the production engine ({!Cql_eval.Engine}: indexed
+      store, join planner, compiled executor) and the seed evaluator
+      ({!Reference}) agree on every fact set and on the derivation count,
+      on the original program and on every pipeline's output.
     + {b Solver} — Fourier–Motzkin elimination and the exact simplex agree
       on the satisfiability of every constraint conjunction the run touches
       (rule constraints of every program variant, derived fact constraints).
@@ -39,13 +40,6 @@
       sorted answers of its evaluation and the fixpoint status are identical
       with the tier enabled and disabled, each run starting from a fresh
       cache state (reported as ["interval"]).
-    + {b Compiled} — register-frame join-plan compilation
-      ({!Cql_eval.Compile}) never changes a result: the [constraint_rewrite]
-      output (mod renaming), the sorted answers of its evaluation, the
-      derivation count and the fixpoint status are identical with
-      compilation enabled and disabled (the tuple-at-a-time substitution
-      interpreter), each run starting from a fresh cache state (reported as
-      ["compiled"]).
     + {b Relaxation} — integer-mode only ([--mode int]): ℤ ⊂ ℚ, so every
       answer the integer-domain evaluation derives must be covered by the
       rational-domain answers of the same program (one-directional — the
@@ -75,7 +69,6 @@ type oracle =
   | Parallel
   | Update
   | Tier
-  | Compiled
   | Relaxation
 
 val oracle_name : oracle -> string

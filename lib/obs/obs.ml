@@ -34,17 +34,13 @@ let registry_mu = Mutex.create ()
 let registry : counter list ref = ref []
 
 let counter name =
-  Mutex.lock registry_mu;
-  let c =
-    match List.find_opt (fun c -> c.c_name = name) !registry with
-    | Some c -> c
-    | None ->
-        let c = { c_name = name; cell = Atomic.make 0 } in
-        registry := c :: !registry;
-        c
-  in
-  Mutex.unlock registry_mu;
-  c
+  Mutex.protect registry_mu (fun () ->
+      match List.find_opt (fun c -> c.c_name = name) !registry with
+      | Some c -> c
+      | None ->
+          let c = { c_name = name; cell = Atomic.make 0 } in
+          registry := c :: !registry;
+          c)
 
 let incr c = Atomic.incr c.cell
 let add c n = ignore (Atomic.fetch_and_add c.cell n)
@@ -91,26 +87,20 @@ let max_events = ref 1_000_000
 let dropped = Atomic.make 0
 
 let record ev =
-  Mutex.lock events_mu;
-  if !n_events < !max_events then begin
-    events_rev := ev :: !events_rev;
-    Stdlib.incr n_events
-  end
-  else Atomic.incr dropped;
-  Mutex.unlock events_mu
+  Mutex.protect events_mu (fun () ->
+      if !n_events < !max_events then begin
+        events_rev := ev :: !events_rev;
+        Stdlib.incr n_events
+      end
+      else Atomic.incr dropped)
 
 let reset () =
-  Mutex.lock events_mu;
-  events_rev := [];
-  n_events := 0;
-  Mutex.unlock events_mu;
+  Mutex.protect events_mu (fun () ->
+      events_rev := [];
+      n_events := 0);
   Atomic.set dropped 0
 
-let events () =
-  Mutex.lock events_mu;
-  let evs = List.rev !events_rev in
-  Mutex.unlock events_mu;
-  evs
+let events () = Mutex.protect events_mu (fun () -> List.rev !events_rev)
 
 let dropped_events () = Atomic.get dropped
 

@@ -138,6 +138,8 @@ let handle_eval t ?id ~tenant ~program ~edb ~pipeline ~domain ~max_iterations ~m
                     Engine.run ~jobs:1 ~max_iterations ~max_derivations
                       ~compiled:plan.Plan_cache.programs plan.Plan_cache.program ~edb
                   with
+                  | exception Engine.Arity_mismatch msg ->
+                      err Protocol.Parse_error ("edb: " ^ msg)
                   | exception e -> err Protocol.Internal (Printexc.to_string e)
                   | res ->
                       let eval_ns = Int64.sub (Obs.monotonic_ns ()) t0 in
@@ -241,6 +243,8 @@ let handle_materialize t ?id ~tenant ~view:name ~program ~edb ~pipeline ~domain 
                     Engine.materialize ~jobs:1 ~max_iterations ~max_derivations
                       ~compiled:plan.Plan_cache.programs plan.Plan_cache.program ~edb
                   with
+                  | exception Engine.Arity_mismatch msg ->
+                      err Protocol.Parse_error ("edb: " ^ msg)
                   | exception e -> err Protocol.Internal (Printexc.to_string e)
                   | vw, ms ->
                       let eval_ns = Int64.sub (Obs.monotonic_ns ()) t0 in
@@ -310,6 +314,9 @@ let handle_update t ?id ~tenant ~view:name ~retract ~facts ~max_iterations ~max_
             | fs -> (
                 let op = if retract then Engine.retract else Engine.insert in
                 match op ~max_iterations ~max_derivations vw fs with
+                | exception Engine.Arity_mismatch msg ->
+                    (* rejected before any store mutation: the view is intact *)
+                    Error (Protocol.Parse_error, "facts: " ^ msg)
                 | exception Invalid_argument msg -> Error (Protocol.Internal, msg)
                 | ms ->
                     if not ms.Engine.m_complete then
@@ -510,7 +517,12 @@ let read_with_stop t fd buf off len =
   in
   go ()
 
+(* An exception escaping a handler (a bug, or an allocation failure) is
+   answered as a structured internal error, so the client never blocks on
+   a reply that will not come; the fd is closed whatever happens. *)
 let handle_connection t fd =
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
   let r = Protocol.reader ~max_frame:t.config.max_frame_bytes (read_with_stop t fd) in
   let out = Buffer.create 1024 in
   let send j =
@@ -522,19 +534,24 @@ let handle_connection t fd =
     Obs.incr t.errors;
     send (Protocol.error_response kind (Protocol.frame_error_to_string e))
   in
+  let internal e =
+    Obs.incr t.errors;
+    Protocol.error_response Protocol.Internal ("unhandled exception: " ^ Printexc.to_string e)
+  in
   let rec loop () =
     match Protocol.read_frame r with
     | Error Protocol.Closed | Error Protocol.Truncated -> ()
     | Error (Protocol.Bad_header _ as e) -> frame_err Protocol.Malformed e
     | Error (Protocol.Too_large _ as e) -> frame_err Protocol.Oversized e
     | Ok payload ->
-        send (respond t payload);
+        send (match respond t payload with reply -> reply | exception e -> internal e);
         loop ()
   in
-  (try loop () with
-  | Client_gone -> ()
-  | Unix.Unix_error _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  try loop () with
+  | Client_gone | Unix.Unix_error _ -> ()
+  | e -> (
+      (* outside a handler (framing, encoding): answer once, then close *)
+      try send (internal e) with _ -> ())
 
 (* ----- accept loop ----- *)
 

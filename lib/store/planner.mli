@@ -19,9 +19,6 @@ type step = {
 
 type plan = step list
 
-val part_of : pivot:int -> int -> Store.partition
-(** Partition for original position [i] under [pivot] ([-1] = naive: full). *)
-
 val order : pivot:int -> Literal.t list -> plan
 (** One evaluation order for the body under the given pivot. *)
 

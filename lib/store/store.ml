@@ -1,5 +1,3 @@
-open Cql_datalog
-
 type partition = Table.partition = Old | Delta | Full
 
 type stats = {
@@ -99,45 +97,11 @@ let seed_delta s facts =
 let freeze s = Hashtbl.iter (fun _ t -> Table.freeze t) s.tables
 let thaw s = Hashtbl.iter (fun _ t -> Table.thaw t) s.tables
 
-(* bound columns of a resolved literal: constants give index keys *)
-let bound_columns (l : Literal.t) =
-  let rec go i = function
-    | [] -> ([], [])
-    | Term.C c :: rest ->
-        let ps, ks = go (i + 1) rest in
-        (i :: ps, c :: ks)
-    | Term.V _ :: rest -> go (i + 1) rest
-  in
-  go 0 l.Literal.args
-
-(* [probe s part lit]: candidate facts for a body literal already resolved
-   under the current substitution.  With at least one constant argument the
-   per-predicate hash index on those columns answers the probe; otherwise
-   the partition is scanned (the seed engine's behaviour for every probe). *)
-let probe s part (lit : Literal.t) =
-  let st = s.stats in
-  st.probes <- st.probes + 1;
-  match find_table s lit.Literal.pred with
-  | None -> []
-  | Some t -> (
-      match bound_columns lit with
-      | [], _ ->
-          st.scans <- st.scans + 1;
-          let fs = Table.scan t part in
-          st.scanned_facts <- st.scanned_facts + List.length fs;
-          fs
-      | positions, key ->
-          st.indexed_probes <- st.indexed_probes + 1;
-          let fs = Table.probe t part positions key in
-          let n = List.length fs in
-          st.index_hits <- st.index_hits + n;
-          st.facts_skipped <- st.facts_skipped + (Table.part_count t part - n);
-          fs)
-
-(* iteration twin of [probe], keyed directly on resolved columns: same
-   candidates, same order, same stats accounting, no result list and no
-   literal to build — the compiled executor precomputes which positions can
-   be bound and hands over exactly what [bound_columns] would extract *)
+(* [iter_probe_cols s part pred positions key k]: candidate facts for a
+   body literal whose resolved bound columns are [positions] with constants
+   [key], pushed to [k] without building a result list.  With at least one
+   bound column the per-predicate hash index on those columns answers the
+   probe; otherwise the partition is scanned. *)
 let iter_probe_cols s part pred positions key k =
   let st = s.stats in
   st.probes <- st.probes + 1;

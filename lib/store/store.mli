@@ -1,19 +1,18 @@
 (** The indexed relation store: one {!Table} per predicate plus counters.
 
-    This replaces the evaluation engine's per-predicate association lists.
     Probes for a body literal with at least one constant argument (after
-    applying the current substitution) are answered from a hash index on the
+    applying the current bindings) are answered from a hash index on the
     bound columns; subsumption checks only compare facts with the same
     symbolic pattern, with duplicate ground facts detected by hash lookup.
     The counters expose how much work indexing saved.
 
     {b Concurrency.}  The store is single-writer.  During a parallel match
-    phase, {!freeze} it: worker domains may then {!probe} concurrently (the
-    per-table lazy indexes synchronize internally) while {!add}/{!advance}
-    raise, enforcing read-only sharing for the round.  {!stats} counters
-    are plain (non-atomic) ints: concurrent probes may lose increments, so
-    under [jobs > 1] they are approximate — acceptable for observability,
-    never used for control flow. *)
+    phase, {!freeze} it: worker domains may then {!iter_probe_cols}
+    concurrently (the per-table lazy indexes synchronize internally) while
+    {!add}/{!advance} raise, enforcing read-only sharing for the round.
+    {!stats} counters are plain (non-atomic) ints: concurrent probes may
+    lose increments, so under [jobs > 1] they are approximate — acceptable
+    for observability, never used for control flow. *)
 
 open Cql_datalog
 
@@ -82,19 +81,16 @@ val freeze : t -> unit
 val thaw : t -> unit
 (** Leave read-only mode on every table. *)
 
-val probe : t -> partition -> Literal.t -> Fact.t list
-(** Candidate facts for a body literal {e already resolved} under the
-    current substitution.  A sound over-approximation: callers still filter
-    with {!Fact.matches_literal} and unification. *)
-
 val iter_probe_cols :
   t -> partition -> string -> int list -> Term.const list -> (Fact.t -> unit) -> unit
-(** [iter_probe_cols s part pred positions key k]: like {!probe} on a
-    resolved literal of predicate [pred] whose bound columns are [positions]
-    (ascending) with constants [key], but pushes each candidate to the
-    callback (same facts, same order) without materializing a list; the
-    stats counters advance exactly as for {!probe}.  Empty [positions]
-    scans the partition.  The callback must not mutate the store. *)
+(** [iter_probe_cols s part pred positions key k]: push to [k] the
+    candidate facts of [pred] in [part] for a body literal whose bound
+    columns are [positions] (0-based, ascending) with constants [key] —
+    live facts agreeing with [key] there, plus facts with an unpinned
+    indexed column, newest partition first.  A sound over-approximation:
+    callers still check {!Fact.matches_literal} conditions and unify.
+    Empty [positions] scans the partition.  The callback must not mutate
+    the store. *)
 
 val facts : t -> string -> Fact.t list
 (** Live facts of a predicate, oldest first. *)

@@ -276,48 +276,17 @@ let get_index t cells indexes positions =
   match find (Atomic.get indexes) with
   | Some idx -> idx
   | None ->
-      Mutex.lock t.lock;
-      let idx =
-        match find (Atomic.get indexes) with
-        | Some idx -> idx
-        | None ->
-            let idx = Index.of_cells positions cells in
-            Atomic.set indexes (idx :: Atomic.get indexes);
-            idx
-      in
-      Mutex.unlock t.lock;
-      idx
+      Mutex.protect t.lock (fun () ->
+          match find (Atomic.get indexes) with
+          | Some idx -> idx
+          | None ->
+              let idx = Index.of_cells positions cells in
+              Atomic.set indexes (idx :: Atomic.get indexes);
+              idx)
 
-let probe_one t which positions key =
-  let idx =
-    match which with
-    | `Old -> get_index t t.old_cells t.old_indexes positions
-    | `Delta -> get_index t t.delta_cells t.delta_indexes positions
-  in
-  let bucket, wild = Index.probe idx key in
-  List.filter_map (fun c -> if c.live then Some c.fact else None) (bucket @ wild)
-
-(* indexed probe: facts agreeing with [key] on [positions] (plus wildcard
-   cells), newest partitions first *)
-let probe t part positions key =
-  match part with
-  | Old -> probe_one t `Old positions key
-  | Delta -> probe_one t `Delta positions key
-  | Full -> probe_one t `Delta positions key @ probe_one t `Old positions key
-
-(* unindexed scan of a whole partition, newest-first (the seed engine's
-   enumeration order) *)
-let scan t part =
-  let live l = List.filter_map (fun c -> if c.live then Some c.fact else None) l in
-  match part with
-  | Old -> live t.old_cells
-  | Delta -> live t.delta_cells
-  | Full -> live t.delta_cells @ live t.old_cells
-
-(* Iteration twins of [probe]/[scan]: same candidates in the same order,
-   but pushed to a callback instead of materialized into a list, so the
-   compiled executor's inner loop allocates nothing per probe.  Both return
-   the number of live facts visited (the stats the list versions feed). *)
+(* Probes push candidates to a callback instead of materializing a list,
+   so the compiled executor's inner loop allocates nothing per probe.  Both
+   return the number of live facts visited (the store's stats). *)
 
 let iter_probe_one t which positions key k =
   let idx =
@@ -345,8 +314,8 @@ let iter_probe t part positions key k =
   | Old -> iter_probe_one t `Old positions key k
   | Delta -> iter_probe_one t `Delta positions key k
   | Full ->
-      (* delta first, then old — matching [probe]'s concatenation order
-         (and OCaml's right-to-left [+] would visit them backwards) *)
+      (* delta first, then old: newest partition first (and OCaml's
+         right-to-left [+] would visit them backwards) *)
       let d = iter_probe_one t `Delta positions key k in
       d + iter_probe_one t `Old positions key k
 

@@ -15,10 +15,10 @@
     {b Concurrency.}  A table is single-writer: all mutation ({!insert},
     {!advance}, {!back_subsume}) happens on one domain in the sequential
     phases of evaluation.  During a parallel match phase the table must be
-    {!freeze}-d: worker domains may then call {!probe} and {!scan}
-    concurrently (lazy index construction synchronizes internally) while
-    any mutation raises [Invalid_argument], enforcing the read-only
-    contract. *)
+    {!freeze}-d: worker domains may then call {!iter_probe} and
+    {!iter_scan} concurrently (lazy index construction synchronizes
+    internally) while any mutation raises [Invalid_argument], enforcing
+    the read-only contract. *)
 
 type cell = Index.cell = { fact : Fact.t; mutable live : bool; mutable part : int }
 
@@ -73,22 +73,16 @@ val freeze : t -> unit
 val thaw : t -> unit
 (** Leave read-only mode (call from the mutating domain only). *)
 
-val probe : t -> partition -> int list -> Cql_datalog.Term.const list -> Fact.t list
-(** [probe t part positions key]: live facts of [part] agreeing with [key]
-    on the 0-based [positions], plus facts with unpinned indexed columns.
-    A sound over-approximation of the matching facts. *)
-
-val scan : t -> partition -> Fact.t list
-(** All live facts of a partition, newest first. *)
-
 val iter_probe :
   t -> partition -> int list -> Cql_datalog.Term.const list -> (Fact.t -> unit) -> int
-(** Like {!probe}, but pushes each candidate to the callback in the exact
-    order {!probe} would list them, allocating no result list.  Returns the
-    number of facts visited. *)
+(** [iter_probe t part positions key k]: push to [k] the live facts of
+    [part] agreeing with [key] on the 0-based [positions], plus facts with
+    unpinned indexed columns (a sound over-approximation of the matching
+    facts), newest partition first.  Returns the number of facts visited. *)
 
 val iter_scan : t -> partition -> (Fact.t -> unit) -> int
-(** Like {!scan}, pushed to a callback; returns the number of facts. *)
+(** Push every live fact of a partition to [k], newest first; returns the
+    number of facts. *)
 
 val facts : t -> Fact.t list
 (** All live facts (any partition), oldest first. *)

@@ -1,10 +1,12 @@
 (* Tests for the bottom-up evaluation engine: constraint facts, subsumption,
-   relations, semi-naive and naive fixpoint evaluation. *)
+   semi-naive and naive fixpoint evaluation, compiled join plans checked
+   against the seed reference evaluator, and EDB admission. *)
 
 open Cql_num
 open Cql_constr
 open Cql_datalog
 open Cql_eval
+module Reference = Cql_gen.Reference
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -55,14 +57,6 @@ let test_subsumption () =
   let s2 = Fact.ground "p" [ Term.Sym "b" ] in
   check_bool "different syms incomparable" false (Fact.subsumes s1 s2);
   check_bool "sym vs numeric incomparable" false (Fact.subsumes s1 g)
-
-let test_relation () =
-  let fa = Fact.of_fact_rule (Parser.rule_of_string "p(X; X <= 2).") in
-  let fb = Fact.of_fact_rule (Parser.rule_of_string "p(X; X <= 4).") in
-  let r = Relation.empty in
-  let r = match Relation.insert r fb with `Added r -> r | `Subsumed -> Alcotest.fail "add" in
-  check_bool "subsumed insert" true (Relation.insert r fa = `Subsumed);
-  check_int "size" 1 (Relation.size r)
 
 (* ----- evaluation: transitive closure over ground facts ----- *)
 
@@ -186,44 +180,68 @@ let test_derivation_budget () =
   check_bool "stopped by derivations" false (Engine.stats res).Engine.reached_fixpoint;
   check_bool "at most 10" true ((Engine.stats res).Engine.derivations <= 10)
 
-(* budget exhaustion must be reported identically by the indexed and the
-   seed list engine: [reached_fixpoint = false], the budget respected, and
-   the partial results still available -- never a silent truncation *)
+(* budget exhaustion must be reported identically by the engine and the
+   seed reference evaluator: [reached_fixpoint = false], the budget
+   respected, and the partial results still available -- never a silent
+   truncation *)
 let test_budget_truncation_both_engines () =
   let diverging = parse "r1: p(0).\nr2: p(Y) :- p(X), Y = X + 1.\n#query p." in
+  let finite = parse "r1: q(1).\nr2: q(2).\n#query q." in
+  (* [run iters derivs p], [naive iters p]; [stats r] is (fixpoint,
+     iterations, derivations) *)
+  let check tag run naive stats facts_of =
+    let by_iter = run (Some 5) None diverging in
+    let fixpoint, iterations, _ = stats by_iter in
+    check_bool (tag ^ ": iteration budget reported") false fixpoint;
+    check_bool (tag ^ ": iterations within budget") true (iterations <= 5);
+    check_bool (tag ^ ": partial facts available") true (facts_of by_iter "p" <> []);
+    let by_deriv = run None (Some 7) diverging in
+    let fixpoint, _, derivations = stats by_deriv in
+    check_bool (tag ^ ": derivation budget reported") false fixpoint;
+    check_bool (tag ^ ": derivations within budget") true (derivations <= 7);
+    check_bool (tag ^ ": partial facts under derivation budget") true
+      (facts_of by_deriv "p" <> []);
+    (* the naive strategy reports truncation the same way *)
+    let fixpoint, _, _ = stats (naive (Some 4) diverging) in
+    check_bool (tag ^ ": naive reports truncation") false fixpoint;
+    (* a terminating program under the same budgets still reports fixpoint *)
+    let fixpoint, _, _ = stats (run (Some 5) (Some 7) finite) in
+    check_bool (tag ^ ": fixpoint when budgets suffice") true fixpoint
+  in
+  check "engine"
+    (fun max_iterations max_derivations p ->
+      Engine.run ?max_iterations ?max_derivations p ~edb:[])
+    (fun max_iterations p -> Engine.run_naive ?max_iterations p ~edb:[])
+    (fun r ->
+      let s = Engine.stats r in
+      (s.Engine.reached_fixpoint, s.Engine.iterations, s.Engine.derivations))
+    Engine.facts_of;
+  check "reference"
+    (fun max_iterations max_derivations p ->
+      Reference.run ?max_iterations ?max_derivations p ~edb:[])
+    (fun max_iterations p -> Reference.run_naive ?max_iterations p ~edb:[])
+    (fun r ->
+      let s = Reference.stats r in
+      (s.Reference.reached_fixpoint, s.Reference.iterations, s.Reference.derivations))
+    Reference.facts_of;
+  (* both truncate at the same point: same facts, same counters *)
   List.iter
-    (fun indexed ->
-      let tag = if indexed then "indexed" else "seed" in
-      let by_iter = Engine.run ~indexed ~max_iterations:5 diverging ~edb:[] in
-      let s = Engine.stats by_iter in
-      check_bool (tag ^ ": iteration budget reported") false s.Engine.reached_fixpoint;
-      check_bool (tag ^ ": iterations within budget") true (s.Engine.iterations <= 5);
-      check_bool (tag ^ ": partial facts available") true
-        (Engine.facts_of by_iter "p" <> []);
-      let by_deriv = Engine.run ~indexed ~max_derivations:7 diverging ~edb:[] in
-      let s = Engine.stats by_deriv in
-      check_bool (tag ^ ": derivation budget reported") false s.Engine.reached_fixpoint;
-      check_bool (tag ^ ": derivations within budget") true (s.Engine.derivations <= 7);
-      check_bool (tag ^ ": partial facts under derivation budget") true
-        (Engine.facts_of by_deriv "p" <> []);
-      (* the naive strategy reports truncation the same way *)
-      let naive = Engine.run_naive ~indexed ~max_iterations:4 diverging ~edb:[] in
-      check_bool (tag ^ ": naive reports truncation") false
-        (Engine.stats naive).Engine.reached_fixpoint;
-      (* a terminating program under the same budgets still reports fixpoint *)
-      let finite = parse "r1: q(1).\nr2: q(2).\n#query q." in
-      let done_ = Engine.run ~indexed ~max_iterations:5 ~max_derivations:7 finite ~edb:[] in
-      check_bool (tag ^ ": fixpoint when budgets suffice") true
-        (Engine.stats done_).Engine.reached_fixpoint)
-    [ true; false ];
-  (* both engines truncate at the same point: same facts, same counters *)
-  let ri = Engine.run ~max_iterations:5 diverging ~edb:[] in
-  let rs = Engine.run ~indexed:false ~max_iterations:5 diverging ~edb:[] in
-  check_int "same truncated fact count"
-    (List.length (Engine.facts_of ri "p"))
-    (List.length (Engine.facts_of rs "p"));
-  check_int "same truncated derivation count" (Engine.stats ri).Engine.derivations
-    (Engine.stats rs).Engine.derivations
+    (fun (what, e, r) ->
+      Reference_check.check what e r;
+      check_bool (what ^ ": truncation reported") false
+        (Engine.stats e).Engine.reached_fixpoint)
+    [
+      ( "iteration cap",
+        Engine.run ~max_iterations:5 diverging ~edb:[],
+        Reference.run ~max_iterations:5 diverging ~edb:[] );
+      ( "derivation cap",
+        Engine.run ~max_derivations:7 diverging ~edb:[],
+        Reference.run ~max_derivations:7 diverging ~edb:[] );
+      (* a budget the fact rules already exhaust truncates iteration 0 *)
+      ( "derivation cap in iteration 0",
+        Engine.run ~max_derivations:1 finite ~edb:[],
+        Reference.run ~max_derivations:1 finite ~edb:[] );
+    ]
 
 (* ----- semi-naive vs naive cross-check ----- *)
 
@@ -281,6 +299,35 @@ let test_duplicate_edb_dedup () =
   let res = Engine.run p ~edb in
   check_int "edb deduped" 1 (List.length (Engine.facts_of res "e"));
   check_int "one answer" 1 (List.length (Engine.facts_of res "q"))
+
+(* an EDB fact whose arity disagrees with the program is a typed error
+   raised before the store is touched: a rejected view insert leaves the
+   view serving, and predicates the program never mentions stay inert *)
+let arity_src = "r1: q(X) :- r(Y), p(X, Y).\n#query q."
+
+let rejected f = match f () with _ -> false | exception Engine.Arity_mismatch _ -> true
+
+let test_edb_arity_mismatch () =
+  let p = parse arity_src in
+  let edb = edb_of "p(1). p(1, 2). r(2)." in
+  check_bool "run" true (rejected (fun () -> Engine.run p ~edb));
+  check_bool "run_naive" true (rejected (fun () -> Engine.run_naive p ~edb));
+  check_bool "run_stratified" true (rejected (fun () -> Engine.run_stratified p ~edb));
+  check_bool "materialize" true (rejected (fun () -> Engine.materialize p ~edb));
+  let vw, _ = Engine.materialize p ~edb:(edb_of "p(1, 2). r(2).") in
+  Fun.protect ~finally:(fun () -> Engine.close_view vw) @@ fun () ->
+  let state () =
+    List.map (fun (pred, fs) -> (pred, List.map Fact.to_string fs)) (Engine.view_all_facts vw)
+  in
+  let before = state () in
+  check_bool "insert" true (rejected (fun () -> Engine.insert vw (edb_of "p(5, 2). p(1).")));
+  check_bool "rejected batch left the view untouched" true (state () = before);
+  ignore (Engine.insert vw (edb_of "p(5, 2)."));
+  Alcotest.(check (list string))
+    "the view keeps maintaining" [ "q(1)"; "q(5)" ]
+    (List.sort compare (List.map Fact.to_string (Engine.view_answers vw)));
+  let res = Engine.run p ~edb:(edb_of "z(1). z(1, 2). p(1, 2). r(2).") in
+  check_int "unmentioned predicate accepted" 1 (List.length (Engine.answers res p))
 
 let test_symbolic_in_arithmetic_prunes () =
   (* data feeding a symbol into an arithmetic position cannot derive *)
@@ -493,7 +540,7 @@ let test_stratified_budget_jobs_agree () =
   check_int "budget 7 truncates the second stratum" 1
     (List.length (Engine.facts_of r1 "a"))
 
-(* ----- compiled register-frame execution vs the interpreter ----- *)
+(* ----- compiled register-frame execution vs the seed interpreter ----- *)
 
 let compiled_flights_src =
   {|
@@ -524,65 +571,83 @@ let fingerprint res =
 
 let test_compiled_matches_interpreter () =
   List.iter
-    (fun (src, edb_src) ->
+    (fun (name, src, edb_src) ->
       let p = parse src in
       let edb = edb_of edb_src in
-      let fp on =
-        fingerprint
-          (Compile.with_compile on (fun () ->
-               Engine.run ~max_iterations:20 ~max_derivations:20_000 ~traced:true p ~edb))
-      in
-      check_bool "compiled == interpreted (facts, derivations, trace)" true (fp true = fp false))
-    [ (compiled_flights_src, compiled_flights_edb); (compiled_cf_src, compiled_cf_edb) ]
+      Reference_check.check name
+        (Engine.run ~max_iterations:20 ~max_derivations:20_000 p ~edb)
+        (Reference.run ~max_iterations:20 ~max_derivations:20_000 p ~edb))
+    [
+      ("flights", compiled_flights_src, compiled_flights_edb);
+      ("constraint facts", compiled_cf_src, compiled_cf_edb);
+    ]
 
 let test_compiled_jobs_agree () =
   let p = parse compiled_flights_src in
   let edb = edb_of compiled_flights_edb in
-  let fp on jobs =
-    fingerprint
-      (Compile.with_compile on (fun () ->
-           Engine.run ~jobs ~max_iterations:20 ~max_derivations:20_000 p ~edb))
+  let fp jobs =
+    fingerprint (Engine.run ~jobs ~max_iterations:20 ~max_derivations:20_000 p ~edb)
   in
-  check_bool "compiled jobs=4 == interpreted jobs=1" true (fp true 4 = fp false 1);
-  check_bool "compiled jobs=4 == compiled jobs=1" true (fp true 4 = fp true 1)
+  check_bool "compiled jobs=4 == compiled jobs=1" true (fp 4 = fp 1)
 
 let test_compiled_counters () =
   let module Obs = Cql_obs.Obs in
   let programs = Obs.counter "engine.compile.programs_compiled" in
   let before = Obs.value programs in
   ignore
-    (Compile.with_compile true (fun () ->
-         Engine.run ~max_iterations:20 (parse compiled_flights_src)
-           ~edb:(edb_of compiled_flights_edb)));
-  check_bool "plans were compiled" true (Obs.value programs > before);
-  let before = Obs.value programs in
-  ignore
-    (Compile.with_compile false (fun () ->
-         Engine.run ~max_iterations:20 (parse compiled_flights_src)
-           ~edb:(edb_of compiled_flights_edb)));
-  check_int "disabled: nothing compiled" before (Obs.value programs)
+    (Engine.run ~max_iterations:20 (parse compiled_flights_src)
+       ~edb:(edb_of compiled_flights_edb));
+  check_bool "plans were compiled" true (Obs.value programs > before)
 
 let test_compiled_artifact_reuse () =
-  (* force compilation on: artifact reuse is meaningless when disabled
-     (e.g. under CQLOPT_NO_COMPILE=1 the engine must bypass the artifact,
-     which is exactly why the hit below requires the toggle) *)
-  Compile.with_compile true (fun () ->
-      let module Obs = Cql_obs.Obs in
-      let hits = Obs.counter "engine.compile.cache_hits" in
-      let p = parse compiled_flights_src in
-      let edb = edb_of compiled_flights_edb in
-      let cp = Engine.compile_plans p in
-      let h0 = Obs.value hits in
-      let r1 = Engine.run ~max_iterations:20 ~compiled:cp p ~edb in
-      check_bool "artifact hit" true (Obs.value hits > h0);
-      let r2 = Engine.run ~max_iterations:20 p ~edb in
-      check_bool "precompiled == fresh compile" true (fingerprint r1 = fingerprint r2);
-      (* the artifact only applies to the exact program value it was built from *)
-      let p' = parse compiled_flights_src in
-      let h1 = Obs.value hits in
-      let r3 = Engine.run ~max_iterations:20 ~compiled:cp p' ~edb in
-      check_int "other program value: no hit" h1 (Obs.value hits);
-      check_bool "and still correct" true (fingerprint r3 = fingerprint r2))
+  let module Obs = Cql_obs.Obs in
+  let hits = Obs.counter "engine.compile.cache_hits" in
+  let p = parse compiled_flights_src in
+  let edb = edb_of compiled_flights_edb in
+  let cp = Engine.compile_plans p in
+  let h0 = Obs.value hits in
+  let r1 = Engine.run ~max_iterations:20 ~compiled:cp p ~edb in
+  check_bool "artifact hit" true (Obs.value hits > h0);
+  let r2 = Engine.run ~max_iterations:20 p ~edb in
+  check_bool "precompiled == fresh compile" true (fingerprint r1 = fingerprint r2);
+  (* the artifact only applies to the exact program value it was built from *)
+  let p' = parse compiled_flights_src in
+  let h1 = Obs.value hits in
+  let r3 = Engine.run ~max_iterations:20 ~compiled:cp p' ~edb in
+  check_int "other program value: no hit" h1 (Obs.value hits);
+  check_bool "and still correct" true (fingerprint r3 = fingerprint r2)
+
+(* ----- the cqlopt CLI ----- *)
+
+(* a mixed-arity EDB is reported as an error with exit status 1, not an
+   uncaught exception *)
+let test_cli_edb_arity () =
+  let cqlopt =
+    (* runtest sandbox cwd is test/; dune exec runs from the project root *)
+    List.find Sys.file_exists [ "../bin/cqlopt.exe"; "_build/default/bin/cqlopt.exe" ]
+  in
+  let write suffix contents =
+    let path = Filename.temp_file "cqlopt_cli" suffix in
+    Out_channel.with_open_text path (fun oc -> output_string oc contents);
+    path
+  in
+  let prog = write ".cql" arity_src and edb = write ".cql" "p(1). p(1, 2). r(2)." in
+  let err = Filename.temp_file "cqlopt_cli" ".err" in
+  let status =
+    Sys.command
+      (Filename.quote_command cqlopt [ "eval"; prog; "--edb"; edb ] ~stdout:Filename.null
+         ~stderr:err)
+  in
+  let msg = In_channel.with_open_text err In_channel.input_all in
+  List.iter Sys.remove [ prog; edb; err ];
+  check_int "exit status" 1 status;
+  check_bool "the message names the arity clash" true
+    (let has sub =
+       let n = String.length sub in
+       let rec go i = i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1)) in
+       go 0
+     in
+     has "p/2")
 
 let () =
   Alcotest.run "eval"
@@ -594,7 +659,6 @@ let () =
           Alcotest.test_case "unsat rejected" `Quick test_fact_unsat;
           Alcotest.test_case "repeated vars" `Quick test_fact_repeated_vars;
           Alcotest.test_case "subsumption" `Quick test_subsumption;
-          Alcotest.test_case "relations" `Quick test_relation;
         ] );
       ( "explain",
         [
@@ -612,6 +676,7 @@ let () =
           Alcotest.test_case "facts-only program" `Quick test_facts_only_program;
           Alcotest.test_case "empty program" `Quick test_empty_program;
           Alcotest.test_case "duplicate EDB dedup" `Quick test_duplicate_edb_dedup;
+          Alcotest.test_case "EDB arity mismatch" `Quick test_edb_arity_mismatch;
           Alcotest.test_case "symbol in arithmetic prunes" `Quick test_symbolic_in_arithmetic_prunes;
           Alcotest.test_case "repeated body vars" `Quick test_repeated_vars_in_body;
           Alcotest.test_case "constants in body" `Quick test_constants_in_rule_body;
@@ -640,4 +705,6 @@ let () =
           Alcotest.test_case "compile counters" `Quick test_compiled_counters;
           Alcotest.test_case "precompiled artifact reuse" `Quick test_compiled_artifact_reuse;
         ] );
+      ( "cli",
+        [ Alcotest.test_case "eval rejects a mixed-arity EDB" `Quick test_cli_edb_arity ] );
     ]

@@ -106,12 +106,12 @@ let test_interval_tier_oracle () =
      caller's tier state afterwards *)
   let rng = Rng.create 21 in
   let p, edb = G.case rng (G.default G.Decidable) in
-  let prev = !Cql_constr.Interval.enabled in
+  let prev = Cql_constr.Interval.enabled () in
   check_bool "case passes with the tier off" true
     (Cql_constr.Interval.with_tier false (fun () ->
          H.check_case ~mode:G.Decidable (H.new_stats ()) p edb)
     = None);
-  check_bool "tier state restored" true (!Cql_constr.Interval.enabled = prev)
+  check_bool "tier state restored" true (Cql_constr.Interval.enabled () = prev)
 
 (* ----- the injected bug is caught and shrinks small ----- *)
 

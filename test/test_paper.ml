@@ -8,6 +8,7 @@ open Cql_constr
 open Cql_datalog
 open Cql_eval
 open Cql_core
+module Reference = Cql_gen.Reference
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -453,6 +454,49 @@ let test_rename_base () =
   Alcotest.(check string) "untouched" "cheap_seats" (Differential.rename_base "cheap_seats");
   Alcotest.(check string) "bcf" "q" (Differential.rename_base "q_ccf")
 
+(* ----- the seed reference evaluator on the paper's runs ----- *)
+
+let ref_fib_value res n =
+  List.exists
+    (fun f -> Fact.ground_value f 1 = Some (Rat.of_int n))
+    (Reference.facts_of res "fib")
+
+let test_reference_table1 () =
+  (* Pfib^mg diverges; fib(4, 5) first appears at iteration 7 *)
+  let pmg = fib_magic () in
+  let at cap = Reference.run ~max_iterations:cap pmg ~edb:[] in
+  check_bool "no fib(4, _) after 6 iterations" false (ref_fib_value (at 6) 4);
+  let r7 = at 7 in
+  check_bool "fib(4, 5) at iteration 7" true (ref_fib_value r7 4);
+  check_bool "does not terminate" false (Reference.stats r7).Reference.reached_fixpoint;
+  check_bool "m_fib constraint facts" true
+    (List.exists (fun f -> not (Fact.is_ground f)) (Reference.facts_of r7 "m_fib"));
+  Reference_check.check "Table 1, 8 iterations"
+    (Engine.run ~max_iterations:8 pmg ~edb:[])
+    (at 8)
+
+let test_reference_table2 () =
+  (* Pfib^mg_1 terminates with the answer and without fib(5, _) *)
+  let pmg = fib_magic_constrained 5 in
+  let r = Reference.run ~max_iterations:30 pmg ~edb:[] in
+  check_bool "terminates" true (Reference.stats r).Reference.reached_fixpoint;
+  check_bool "answer fib(4, 5)" true (ref_fib_value r 4);
+  check_bool "no fib(5, _) computed" false (ref_fib_value r 5);
+  Reference_check.check "Table 2" (Engine.run ~max_iterations:30 pmg ~edb:[]) r
+
+let test_reference_flights () =
+  (* the motivating flights program, unrewritten (budget-capped: it
+     diverges) and after the pred,qrp constraint rewrite *)
+  let p = parse flights_src in
+  let edb = singleleg_edb 11 6 in
+  Reference_check.check "flights, 4 iterations"
+    (Engine.run ~max_iterations:4 p ~edb)
+    (Reference.run ~max_iterations:4 p ~edb);
+  let p', _ = Rewrite.constraint_rewrite p in
+  let r = Reference.run ~max_iterations:10 p' ~edb in
+  check_bool "rewritten flights terminates" true (Reference.stats r).Reference.reached_fixpoint;
+  Reference_check.check "flights, pred,qrp" (Engine.run ~max_iterations:10 p' ~edb) r
+
 let () =
   Alcotest.run "paper"
     [
@@ -481,6 +525,12 @@ let () =
           Alcotest.test_case "Example 7.2 / D.2" `Quick test_d2;
         ] );
       ( "ordering", [ Alcotest.test_case "Theorem 7.10 optimal order" `Slow test_optimal_ordering ] );
+      ( "reference",
+        [
+          Alcotest.test_case "Table 1 (diverging fib)" `Quick test_reference_table1;
+          Alcotest.test_case "Table 2 (terminating fib)" `Quick test_reference_table2;
+          Alcotest.test_case "flights" `Quick test_reference_flights;
+        ] );
       ( "differential",
         Alcotest.test_case "rename_base" `Quick test_rename_base
         :: List.map QCheck_alcotest.to_alcotest

@@ -206,12 +206,6 @@ r3: narrow(Z; Z >= 5, Z <= 6) :- span(Z).
   let r4 = Engine.run ~jobs:4 p ~edb:[] in
   check_runs_agree "constraint facts" r1 r4
 
-let test_engine_seed_backend_parallel () =
-  let p = parse flights_p in
-  let r1 = Engine.run ~indexed:false ~jobs:1 p ~edb:flights_edb in
-  let r4 = Engine.run ~indexed:false ~jobs:4 p ~edb:flights_edb in
-  check_runs_agree "seed backend" r1 r4
-
 let test_default_jobs () =
   let restore = Engine.default_jobs () in
   Engine.set_default_jobs 3;
@@ -394,7 +388,6 @@ let () =
           Alcotest.test_case "budget truncation" `Quick test_engine_parallel_truncated;
           Alcotest.test_case "repeated jobs=4 determinism" `Quick test_engine_parallel_deterministic;
           Alcotest.test_case "constraint-fact subsumption" `Quick test_engine_parallel_constraint_facts;
-          Alcotest.test_case "seed backend" `Quick test_engine_seed_backend_parallel;
           Alcotest.test_case "default jobs" `Quick test_default_jobs;
         ] );
     ]

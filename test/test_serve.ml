@@ -709,6 +709,38 @@ let test_server_maintenance_budget () =
           check_bool "truncated materialize cached nothing" true
             (Client.error_kind r = Some "unknown_view")))
 
+(* EDB facts whose arity disagrees with the program are a structured
+   parse error on every op, and a rejected insert leaves the view intact
+   and still maintaining *)
+let test_server_edb_arity () =
+  let program = "r1: q(X) :- r(Y), p(X, Y).\n#query q." in
+  with_server "arity" (fun socket _ ->
+      with_client socket (fun c ->
+          let kind r = Client.error_kind (Result.get_ok r) in
+          check_bool "eval: parse error" true
+            (kind (Client.eval c ~pipeline:"none" ~edb:"p(1). p(1, 2). r(2)." ~program ())
+            = Some "parse_error");
+          check_bool "materialize: parse error" true
+            (kind
+               (Client.materialize c ~view:"bad" ~pipeline:"none" ~edb:"p(1). p(1, 2). r(2)."
+                  ~program ())
+            = Some "parse_error");
+          let r =
+            Result.get_ok
+              (Client.materialize c ~view:"v" ~pipeline:"none" ~edb:"p(1, 2). r(2)."
+                 ~program ())
+          in
+          check_bool "materialize ok" true (Client.is_ok r);
+          check_bool "insert: parse error" true
+            (kind (Client.insert c ~view:"v" ~facts:"p(1)." ()) = Some "parse_error");
+          let q = Result.get_ok (Client.query c ~view:"v" ()) in
+          check_bool "the view is intact" true
+            (Client.is_ok q && Client.answers q = Client.answers r);
+          let r = Result.get_ok (Client.insert c ~view:"v" ~facts:"p(5, 4). p(6, 2)." ()) in
+          check_bool "well-formed inserts still succeed" true (Client.is_ok r);
+          check_bool "and are maintained" true
+            (List.sort compare (Client.answers r) = [ "q(1)"; "q(6)" ])))
+
 let () =
   Alcotest.run "cql_serve"
     [
@@ -748,5 +780,6 @@ let () =
             test_server_view_lifecycle;
           Alcotest.test_case "admission + budget on maintenance" `Quick
             test_server_maintenance_budget;
+          Alcotest.test_case "EDB arity mismatch" `Quick test_server_edb_arity;
         ] );
     ]

@@ -1,7 +1,7 @@
 (* Tests for the indexed relation store (Cql_store): hash-index insert and
    probe, old/delta/full partition promotion, indexed subsumption, the join
-   planner's bound-ness ordering, and cross-checks asserting the indexed
-   engine computes exactly the same fact sets as the seed list-based path. *)
+   planner's bound-ness ordering, and cross-checks asserting the engine
+   computes exactly the same fact sets as the seed reference evaluator. *)
 
 open Cql_num
 open Cql_constr
@@ -9,6 +9,7 @@ open Cql_datalog
 open Cql_eval
 module Store = Cql_store.Store
 module Planner = Cql_store.Planner
+module Reference = Cql_gen.Reference
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -20,6 +21,20 @@ let ground2 p a b = Fact.ground p [ Term.Sym a; Term.Num (Rat.of_int b) ]
 
 let lit pred args = Literal.make pred args
 
+(* the candidates [Store.iter_probe_cols] pushes for a literal, keyed on
+   its constant columns *)
+let probe_lit s part (l : Literal.t) =
+  let bound =
+    List.concat
+      (List.mapi
+         (fun i (t : Term.t) -> match t with Term.C c -> [ (i, c) ] | Term.V _ -> [])
+         l.Literal.args)
+  in
+  let acc = ref [] in
+  Store.iter_probe_cols s part l.Literal.pred (List.map fst bound) (List.map snd bound)
+    (fun f -> acc := f :: !acc);
+  List.rev !acc
+
 (* ----- index insert / probe ----- *)
 
 let test_probe_indexed () =
@@ -30,20 +45,20 @@ let test_probe_indexed () =
   Store.advance s;
   (* bound first column *)
   let x = Term.var (Var.fresh "X") in
-  check_int "p(a, X)" 2 (List.length (Store.probe s Store.Full (lit "p" [ Term.sym "a"; x ])));
-  check_int "p(b, X)" 1 (List.length (Store.probe s Store.Full (lit "p" [ Term.sym "b"; x ])));
+  check_int "p(a, X)" 2 (List.length (probe_lit s Store.Full (lit "p" [ Term.sym "a"; x ])));
+  check_int "p(b, X)" 1 (List.length (probe_lit s Store.Full (lit "p" [ Term.sym "b"; x ])));
   (* bound second column *)
-  check_int "p(X, 1)" 2 (List.length (Store.probe s Store.Full (lit "p" [ x; Term.int 1 ])));
+  check_int "p(X, 1)" 2 (List.length (probe_lit s Store.Full (lit "p" [ x; Term.int 1 ])));
   (* both columns bound: exact lookup *)
   check_int "p(a, 1)" 1
-    (List.length (Store.probe s Store.Full (lit "p" [ Term.sym "a"; Term.int 1 ])));
+    (List.length (probe_lit s Store.Full (lit "p" [ Term.sym "a"; Term.int 1 ])));
   check_int "p(a, 9)" 0
-    (List.length (Store.probe s Store.Full (lit "p" [ Term.sym "a"; Term.int 9 ])));
+    (List.length (probe_lit s Store.Full (lit "p" [ Term.sym "a"; Term.int 9 ])));
   (* no bound column: full scan *)
   check_int "p(X, Y)" 3
-    (List.length (Store.probe s Store.Full (lit "p" [ x; Term.var (Var.fresh "Y") ])));
+    (List.length (probe_lit s Store.Full (lit "p" [ x; Term.var (Var.fresh "Y") ])));
   (* unknown predicate *)
-  check_int "q(X)" 0 (List.length (Store.probe s Store.Full (lit "q" [ x ])));
+  check_int "q(X)" 0 (List.length (probe_lit s Store.Full (lit "q" [ x ])));
   let st = Store.stats s in
   check_bool "indexed probes counted" true (st.Store.indexed_probes >= 5);
   check_bool "scans counted" true (st.Store.scans >= 1);
@@ -56,7 +71,7 @@ let test_probe_wildcard_constraint_fact () =
   Store.advance s;
   (* a numeric probe cannot rule the unpinned fact out: the index returns it
      from the wildcard list and matches_literal keeps it *)
-  let cands = Store.probe s Store.Full (lit "p" [ Term.sym "a"; Term.int 3 ]) in
+  let cands = probe_lit s Store.Full (lit "p" [ Term.sym "a"; Term.int 3 ]) in
   let rlit = lit "p" [ Term.sym "a"; Term.int 3 ] in
   let matching = List.filter (fun f -> Fact.matches_literal rlit f) cands in
   check_int "wildcard returned" 1 (List.length matching);
@@ -65,7 +80,7 @@ let test_probe_wildcard_constraint_fact () =
 let test_partition_promotion () =
   let s = Store.create () in
   let x = Term.var (Var.fresh "X") in
-  let probe part = List.length (Store.probe s part (lit "e" [ Term.sym "a"; x ])) in
+  let probe part = List.length (probe_lit s part (lit "e" [ Term.sym "a"; x ])) in
   Store.add s (ground2 "e" "a" 1);
   check_int "pending invisible" 0 (probe Store.Full);
   Store.advance s;
@@ -183,7 +198,7 @@ let test_seed_delta () =
   Store.advance s;
   (* fixpoint state: everything old, delta empty *)
   let x = Term.var (Var.fresh "X") in
-  let probe part = List.length (Store.probe s part (lit "e" [ Term.sym "a"; x ])) in
+  let probe part = List.length (probe_lit s part (lit "e" [ Term.sym "a"; x ])) in
   check_int "delta empty at fixpoint" 0 (probe Store.Delta);
   Store.seed_delta s [ ground2 "e" "a" 2; ground2 "e" "a" 3 ];
   (* the seeded facts are the delta; the old facts stay old *)
@@ -313,45 +328,18 @@ let test_engine_store_stats () =
   let s = Engine.stats res in
   check_bool "index probes happened" true (s.Engine.index_probes > 0);
   check_bool "join probes skipped facts" true (s.Engine.facts_skipped > 0);
-  check_bool "subsumption work avoided" true (s.Engine.subsumptions_avoided > 0);
-  (* the seed path reports all-zero store counters *)
-  let r0 = Engine.run ~indexed:false ~max_iterations:5 p ~edb in
-  check_int "seed path: no probes" 0 (Engine.stats r0).Engine.index_probes;
-  check_int "seed path: no skips" 0 (Engine.stats r0).Engine.facts_skipped
+  check_bool "subsumption work avoided" true (s.Engine.subsumptions_avoided > 0)
 
-(* ----- cross-check: indexed engine == seed list-based path ----- *)
-
-let all_preds res1 res2 =
-  List.sort_uniq compare
-    (List.map fst (Engine.all_facts res1) @ List.map fst (Engine.all_facts res2))
-
-let same_fact_sets a b =
-  List.for_all (fun f -> List.exists (fun g -> Fact.subsumes g f) b) a
-  && List.for_all (fun f -> List.exists (fun g -> Fact.subsumes g f) a) b
-
-let check_equivalent name res_idx res_seed =
-  List.iter
-    (fun pred ->
-      let fi = Engine.facts_of res_idx pred and fs = Engine.facts_of res_seed pred in
-      Alcotest.(check int)
-        (Printf.sprintf "%s: %s fact count" name pred)
-        (List.length fs) (List.length fi);
-      check_bool (Printf.sprintf "%s: %s fact sets equal" name pred) true
-        (same_fact_sets fi fs))
-    (all_preds res_idx res_seed);
-  let si = Engine.stats res_idx and ss = Engine.stats res_seed in
-  check_int (name ^ ": iterations agree") ss.Engine.iterations si.Engine.iterations;
-  check_int (name ^ ": derivations agree") ss.Engine.derivations si.Engine.derivations;
-  check_int (name ^ ": facts_added agree") ss.Engine.facts_added si.Engine.facts_added
+(* ----- cross-check: engine == seed reference evaluator ----- *)
 
 let cross_check ?(max_iterations = 8) name src edb =
   let p = parse src in
-  check_equivalent (name ^ " seminaive")
+  Reference_check.check (name ^ " seminaive")
     (Engine.run ~max_iterations p ~edb)
-    (Engine.run ~indexed:false ~max_iterations p ~edb);
-  check_equivalent (name ^ " naive")
+    (Reference.run ~max_iterations p ~edb);
+  Reference_check.check (name ^ " naive")
     (Engine.run_naive ~max_iterations p ~edb)
-    (Engine.run_naive ~indexed:false ~max_iterations p ~edb)
+    (Reference.run_naive ~max_iterations p ~edb)
 
 (* every program under examples/programs/, with an EDB where one is needed *)
 let programs_dir =
@@ -397,8 +385,8 @@ let test_cross_check_examples () =
     files;
   check_bool "checked every example program" true (!checked >= 5)
 
-(* randomized cross-checks: the indexed store must agree with the seed path
-   on arbitrary ground EDBs, both for pure symbolic joins (transitive
+(* randomized cross-checks: the engine must agree with the seed reference
+   evaluator on arbitrary ground EDBs, both for pure symbolic joins (transitive
    closure) and arithmetic joins (flights) *)
 
 let tc_src = {|
@@ -419,10 +407,10 @@ let prop_tc_cross_check =
           edges
       in
       let p = parse tc_src in
-      let r1 = Engine.run p ~edb and r2 = Engine.run ~indexed:false p ~edb in
-      List.length (Engine.facts_of r1 "path") = List.length (Engine.facts_of r2 "path")
-      && same_fact_sets (Engine.facts_of r1 "path") (Engine.facts_of r2 "path")
-      && (Engine.stats r1).Engine.derivations = (Engine.stats r2).Engine.derivations)
+      let r1 = Engine.run p ~edb and r2 = Reference.run p ~edb in
+      Reference_check.fact_sets (Engine.all_facts r1)
+      = Reference_check.fact_sets (Reference.all_facts r2)
+      && (Engine.stats r1).Engine.derivations = (Reference.stats r2).Reference.derivations)
 
 let prop_flights_cross_check =
   QCheck.Test.make ~name:"indexed == seed on random flight networks" ~count:8
@@ -431,13 +419,10 @@ let prop_flights_cross_check =
       let edb = singleleg_edb seed m in
       let p = parse flights_src in
       let r1 = Engine.run ~max_iterations:5 p ~edb in
-      let r2 = Engine.run ~indexed:false ~max_iterations:5 p ~edb in
-      List.for_all
-        (fun pred ->
-          same_fact_sets (Engine.facts_of r1 pred) (Engine.facts_of r2 pred)
-          && List.length (Engine.facts_of r1 pred) = List.length (Engine.facts_of r2 pred))
-        [ "flight"; "cheaporshort" ]
-      && (Engine.stats r1).Engine.derivations = (Engine.stats r2).Engine.derivations)
+      let r2 = Reference.run ~max_iterations:5 p ~edb in
+      Reference_check.fact_sets (Engine.all_facts r1)
+      = Reference_check.fact_sets (Reference.all_facts r2)
+      && (Engine.stats r1).Engine.derivations = (Reference.stats r2).Reference.derivations)
 
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
