@@ -57,6 +57,16 @@ let ge e1 e2 = make (Linexpr.sub e2 e1) Le
 let gt e1 e2 = make (Linexpr.sub e2 e1) Lt
 let eq e1 e2 = make (Linexpr.sub e1 e2) Eq
 
+(* [x = q] is [den(q)·x − num(q) = 0], already in [make]'s normal form: the
+   two integers are coprime and the leading coefficient is positive *)
+let pin x q =
+  let e =
+    if Rat.is_integer q then Linexpr.affine Rat.one x (Rat.neg q)
+    else
+      Linexpr.affine (Rat.of_bigint (Rat.den q)) x (Rat.of_bigint (Bigint.neg (Rat.num q)))
+  in
+  intern e Eq
+
 let tt = make Linexpr.zero Eq
 let ff = make Linexpr.zero Lt
 

@@ -27,6 +27,11 @@ val ge : Linexpr.t -> Linexpr.t -> t
 val gt : Linexpr.t -> Linexpr.t -> t
 val eq : Linexpr.t -> Linexpr.t -> t
 
+val pin : Var.t -> Cql_num.Rat.t -> t
+(** [pin x q] is [eq (Linexpr.var x) (Linexpr.const q)] — the identical
+    interned atom — built directly as [den(q)·x − num(q) = 0], without the
+    subtraction and normalization of {!make}. *)
+
 val tt : t
 (** A trivially true atom ([0 = 0]). *)
 

@@ -13,6 +13,9 @@ let term a x =
 
 let var x = term Rat.one x
 
+let affine a x c =
+  if Rat.is_zero a then const c else { coeffs = Var.Map.singleton x a; const = c }
+
 let add a b =
   let coeffs =
     Var.Map.union

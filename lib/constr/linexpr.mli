@@ -18,6 +18,9 @@ val var : Var.t -> t
 val term : Rat.t -> Var.t -> t
 (** [term a x] is the monomial [a·x]. *)
 
+val affine : Rat.t -> Var.t -> Rat.t -> t
+(** [affine a x c] is [a·x + c], built directly. *)
+
 val of_terms : (Rat.t * Var.t) list -> Rat.t -> t
 (** [of_terms [(a1,x1);…] c] builds [a1·x1 + … + c], merging duplicates. *)
 

@@ -23,7 +23,13 @@ module Obs = Cql_obs.Obs
    is the cross-check).  Enumeration order is the plan's; the sequential
    and the parallel ([exec_seeded]) entries visit the same candidates in
    the same order, so every [--jobs] value merges an identical production
-   list. *)
+   list.
+
+   The rule's constraint is compiled too, into a straight-line program over
+   value slots (the registers, then one slot per variable the constraint's
+   equations solve).  A completed match runs it when the match is ground
+   and numeric where the constraint reads it; every other candidate takes
+   the generic finisher [derive_from_combined]. *)
 
 let ctr_programs = Obs.counter "engine.compile.programs_compiled"
 let ctr_ops = Obs.counter "engine.compile.ops"
@@ -96,8 +102,7 @@ let derive_from_combined ~lookup (rule : Rule.t) combined : Fact.t option =
           let ai = Var.arg (i + 1) in
           match (t : Term.t) with
           | Term.C (Term.Sym s) -> args.(i) <- Fact.Psym s
-          | Term.C (Term.Num q) ->
-              atoms := Atom.eq (Linexpr.var ai) (Linexpr.const q) :: !atoms
+          | Term.C (Term.Num q) -> atoms := Atom.pin ai q :: !atoms
           | Term.V v -> atoms := Atom.eq (Linexpr.var ai) (Linexpr.var v) :: !atoms)
         head.Literal.args;
       match Fact.make head.Literal.pred args (Conj.of_list !atoms) with
@@ -108,30 +113,6 @@ let derive_from_combined ~lookup (rule : Rule.t) combined : Fact.t option =
 
 let derive_head_env ~lookup (rule : Rule.t) body_cstr : Fact.t option =
   derive_from_combined ~lookup rule (Conj.and_ rule.Rule.cstr body_cstr)
-
-(* Fast leaf for a combined constraint that evaluated to true under a fully
-   numeric environment: the instantiated conjunction is [tt] (every atom is
-   variable-free and true, so [Conj.of_list] drops them all), satisfiability
-   is trivial, and the head fact carries only the position-pinning
-   equalities — exactly what [derive_from_combined] would build, minus the
-   substitution and solver work. *)
-let build_head_fast ~lookup (rule : Rule.t) : Fact.t option =
-  let head = rule.Rule.head in
-  let n = Literal.arity head in
-  let args = Array.make n Fact.Pvar in
-  let atoms = ref [] in
-  List.iteri
-    (fun i t ->
-      let ai = Var.arg (i + 1) in
-      let t = match (t : Term.t) with Term.V v -> lookup v | _ -> t in
-      match (t : Term.t) with
-      | Term.C (Term.Sym s) -> args.(i) <- Fact.Psym s
-      | Term.C (Term.Num q) -> atoms := Atom.eq (Linexpr.var ai) (Linexpr.const q) :: !atoms
-      | Term.V v -> atoms := Atom.eq (Linexpr.var ai) (Linexpr.var v) :: !atoms)
-    head.Literal.args;
-  match Fact.make head.Literal.pred args (Conj.of_list !atoms) with
-  | f -> Some f
-  | exception Fact.Unsat -> None
 
 (* ----- the op set ----- *)
 
@@ -147,10 +128,35 @@ type action =
    are omitted — they can contribute no index key. *)
 type probe_src = PS_const of int * Term.const | PS_reg of int * int
 
-(* sources of the head fact's positions, resolved against the final
-   register assignment: a constant, a body-bound variable's register, or a
-   variable no body literal binds (constraint-computed or universal) *)
-type hsrc = H_const of Term.const | H_reg of int | H_var of Var.t
+(* A linear form [const + Σ coefs.(i) · slot (slots.(i))] over the value
+   slots.  Atoms are integerized on construction ([Atom.make]), so the
+   coefficients and the constant are integers; [n_coefs]/[n_const] repeat
+   them as native ints, meaningful only in a [p_native] program. *)
+type form = {
+  slots : int array;
+  coefs : Rat.t array;
+  const : Rat.t;
+  n_coefs : int array;
+  n_const : int;
+}
+
+type instr =
+  | Solve of { dst : int; k : Rat.t; n_k : int; rest : form }
+      (** an [=] atom [k·x + rest = 0] whose one unknown [x] gets slot
+          [dst]: [x := −rest / k] *)
+  | Check of Atom.op * form  (** the atom [form op 0] must hold *)
+
+(* sources of the head fact's positions: a constant, a body-bound
+   variable's register, or the slot of a variable the program solves *)
+type hsrc = H_const of Term.const | H_reg of int | H_slot of int
+
+type cprog = {
+  p_instrs : instr array;
+  p_reads : int array;  (* registers some instruction reads *)
+  p_nslots : int;
+  p_native : bool;  (* every form is small enough for native-int evaluation *)
+  p_head : hsrc array;
+}
 
 type cstep = {
   c_lit : Literal.t;  (* the original body literal (predicate, shape) *)
@@ -167,7 +173,9 @@ type code = {
   c_used_perm : int array;  (* step indices sorted by original position *)
   c_nregs : int;
   c_reg_of : int Var.Map.t;  (* rule variable -> register *)
-  c_head : hsrc array;  (* head argument layout *)
+  c_prog : cprog option;
+      (* the rule's constraint and head over the slots; [None] when an atom
+         or the head has a variable that is neither bound nor solved *)
 }
 
 let rule code = code.c_rule
@@ -178,9 +186,140 @@ let ops code =
 
 (* ----- compilation ----- *)
 
-let compile (rule : Rule.t) (plan : Planner.plan) : code =
-  let reg_of = ref Var.Map.empty in
-  let nregs = ref 0 in
+(* Native evaluation is exact while no sum can overflow: at most
+   [native_terms] products of a coefficient below [native_coef] and a value
+   below [native_value], plus a constant below [native_value], stay under
+   2^55.  Register values and solved values outside the bound send the
+   candidate to [Rat] arithmetic instead. *)
+let native_coef = 1 lsl 20
+let native_value = 1 lsl 30
+let native_terms = 16
+let small_value q = Rat.to_small_int q <> min_int
+
+let small_coef q =
+  let n = Rat.to_small_int q in
+  n <> min_int && abs n < native_coef
+
+let form_of slot terms const =
+  let n = List.length terms in
+  let slots = Array.make n 0 and coefs = Array.make n Rat.zero in
+  List.iteri
+    (fun i (v, k) ->
+      slots.(i) <- slot v;
+      coefs.(i) <- k)
+    terms;
+  {
+    slots;
+    coefs;
+    const;
+    n_coefs = Array.map Rat.to_small_int coefs;
+    n_const = Rat.to_small_int const;
+  }
+
+let native_form f =
+  Array.length f.slots <= native_terms
+  && Array.for_all small_coef f.coefs
+  && small_value f.const
+
+(* Compile [rule.cstr] over the slots: the registers first, then one slot
+   per solved variable.  The equation chain is solved here, once per rule:
+   passes over the atoms turn each [=] atom with exactly one variable that
+   is neither registered nor solved into a [Solve] of that variable, until a
+   pass solves nothing (the solvable set is the same in any atom order).
+   Every other atom becomes a [Check], placed right after the last [Solve]
+   it reads, so register-only checks run first.  [None] when an atom keeps
+   an unknown, or a head variable is neither bound nor solved: such a rule
+   always takes the generic path. *)
+let compile_cstr (rule : Rule.t) reg_of nregs =
+  let solved = ref Var.Map.empty and nslots = ref nregs in
+  let slot_opt v =
+    match Var.Map.find_opt v reg_of with Some _ as r -> r | None -> Var.Map.find_opt v !solved
+  in
+  let unknowns terms = List.filter (fun (v, _) -> Option.is_none (slot_opt v)) terms in
+  let solves = ref [] in
+  let rec chain pending =
+    let progress = ref false in
+    let pending =
+      List.filter
+        (fun ((a : Atom.t), terms) ->
+          match (a.Atom.op, unknowns terms) with
+          | Atom.Eq, [ (x, k) ] ->
+              let dst = !nslots in
+              incr nslots;
+              solved := Var.Map.add x dst !solved;
+              let rest = List.filter (fun (v, _) -> not (Var.equal v x)) terms in
+              solves := (dst, k, rest, Linexpr.constant a.Atom.expr) :: !solves;
+              progress := true;
+              false
+          | _ -> true)
+        pending
+    in
+    if !progress then chain pending else pending
+  in
+  let atoms =
+    List.map (fun (a : Atom.t) -> (a, Linexpr.terms a.Atom.expr)) (Conj.to_list rule.Rule.cstr)
+  in
+  let checks = chain atoms in
+  let head_slot = function
+    | Term.C c -> Some (H_const c)
+    | Term.V v -> (
+        match Var.Map.find_opt v reg_of with
+        | Some r -> Some (H_reg r)
+        | None -> Option.map (fun s -> H_slot s) (Var.Map.find_opt v !solved))
+  in
+  let head = List.map head_slot rule.Rule.head.Literal.args in
+  if List.exists (fun (_, terms) -> unknowns terms <> []) checks
+     || not (List.for_all Option.is_some head)
+  then None
+  else begin
+    let slot v = Option.get (slot_opt v) in
+    (* a check is ready once the highest slot it reads is written *)
+    let ready (_, terms) = List.fold_left (fun m (v, _) -> max m (slot v)) (-1) terms in
+    let check ((a : Atom.t), terms) =
+      Check (a.Atom.op, form_of slot terms (Linexpr.constant a.Atom.expr))
+    in
+    let checks_at p = List.map check (List.filter p checks) in
+    let instrs =
+      checks_at (fun c -> ready c < nregs)
+      @ List.concat_map
+          (fun (dst, k, rest, const) ->
+            Solve { dst; k; n_k = Rat.to_small_int k; rest = form_of slot rest const }
+            :: checks_at (fun c -> ready c = dst))
+          (List.rev !solves)
+    in
+    let reads = Array.make nregs false in
+    let read (v, _) = Option.iter (fun r -> reads.(r) <- true) (Var.Map.find_opt v reg_of) in
+    List.iter (fun (_, terms) -> List.iter read terms) atoms;
+    Some
+      {
+        p_instrs = Array.of_list instrs;
+        p_reads = Array.of_list (List.filter (fun r -> reads.(r)) (List.init nregs Fun.id));
+        p_nslots = !nslots;
+        p_native =
+          List.for_all
+            (function
+              | Check (_, f) -> native_form f
+              | Solve { k; rest; _ } -> small_coef k && native_form rest)
+            instrs;
+        p_head = Array.of_list (List.map Option.get head);
+      }
+  end
+
+(* Registers are numbered once per rule, by first occurrence in the body,
+   so every plan of the rule shares one register layout and one constraint
+   program *)
+let registers (rule : Rule.t) =
+  List.fold_left
+    (fun acc (l : Literal.t) ->
+      List.fold_left
+        (fun (reg_of, n) (t : Term.t) ->
+          match t with
+          | Term.V v when not (Var.Map.mem v reg_of) -> (Var.Map.add v n reg_of, n + 1)
+          | Term.V _ | Term.C _ -> (reg_of, n))
+        acc l.Literal.args)
+    (Var.Map.empty, 0) rule.Rule.body
+
+let compile_plan (rule : Rule.t) reg_of nregs prog (plan : Planner.plan) : code =
   let compile_step (step : Planner.step) (bound_before, _newly) =
     (* probe columns use the bindings available when the step starts; a
        position neither constant nor bound before the step still holds a
@@ -192,8 +331,7 @@ let compile (rule : Rule.t) (plan : Planner.plan) : code =
              match t with
              | Term.C c -> [ PS_const (i, c) ]
              | Term.V v ->
-                 if Var.Set.mem v bound_before then
-                   [ PS_reg (i, Var.Map.find v !reg_of) ]
+                 if Var.Set.mem v bound_before then [ PS_reg (i, Var.Map.find v reg_of) ]
                  else [])
            step.Planner.lit.Literal.args)
     in
@@ -208,13 +346,10 @@ let compile (rule : Rule.t) (plan : Planner.plan) : code =
           | Term.C c -> Check_const c
           | Term.V v ->
               if Var.Set.mem v bound_before || Var.Set.mem v !seen then
-                Check_reg (Var.Map.find v !reg_of)
+                Check_reg (Var.Map.find v reg_of)
               else begin
-                let r = !nregs in
-                incr nregs;
-                reg_of := Var.Map.add v r !reg_of;
                 seen := Var.Set.add v !seen;
-                Bind_reg r
+                Bind_reg (Var.Map.find v reg_of)
               end)
         step.Planner.lit.Literal.args
     in
@@ -232,28 +367,14 @@ let compile (rule : Rule.t) (plan : Planner.plan) : code =
   in
   let perm = Array.init (Array.length steps) Fun.id in
   Array.sort (fun a b -> compare steps.(a).c_orig steps.(b).c_orig) perm;
-  (* head layout against the final register assignment (every body variable
-     is registered by now) *)
-  let head_src =
-    Array.of_list
-      (List.map
-         (fun (t : Term.t) ->
-           match t with
-           | Term.C c -> H_const c
-           | Term.V v -> (
-               match Var.Map.find_opt v !reg_of with
-               | Some r -> H_reg r
-               | None -> H_var v))
-         rule.Rule.head.Literal.args)
-  in
   let code =
     {
       c_rule = rule;
       c_steps = steps;
       c_used_perm = perm;
-      c_nregs = !nregs;
-      c_reg_of = !reg_of;
-      c_head = head_src;
+      c_nregs = nregs;
+      c_reg_of = reg_of;
+      c_prog = prog;
     }
   in
   Obs.incr ctr_programs;
@@ -261,60 +382,17 @@ let compile (rule : Rule.t) (plan : Planner.plan) : code =
   Obs.add ctr_frame code.c_nregs;
   code
 
-(* ----- equation-chain solving at the leaf ----- *)
-
-(* The classification of a rule variable at the leaf: bound to a number,
-   bound to a symbol, or not bound by any body literal (a head computed by
-   constraint arithmetic, e.g. [T = T1 + T2 + 30]). *)
-type binding = B_num of Rat.t | B_sym | B_free
-
-(* Solve the combined constraint's equational definitions of the free
-   variables: an [=] atom whose terms contain exactly one free variable and
-   otherwise only numbers forces that variable's value, and iterating to a
-   fixpoint resolves triangular chains ([X = Y + 1, Y = Z + Z, ...]).  A
-   forced value holds in {e every} satisfying assignment, so once all atoms
-   evaluate under the extended environment that evaluation decides
-   satisfiability exactly; if any atom stays undecided (symbol-bound or
-   genuinely underdetermined variables) the caller falls back to the
-   generic substitution + solver path.  Returns [None] when no variable
-   was solved. *)
-let solve_eq_chain classify atoms =
-  let solved = ref Var.Map.empty in
-  let value v =
-    match Var.Map.find_opt v !solved with
-    | Some _ as q -> q
-    | None -> ( match classify v with B_num q -> Some q | B_sym | B_free -> None)
-  in
-  let solve_atom (a : Atom.t) =
-    if a.Atom.op = Atom.Eq then begin
-      let sum = ref (Linexpr.constant a.Atom.expr) in
-      let unknown = ref None in
-      let stuck = ref false in
-      List.iter
-        (fun (v, k) ->
-          match value v with
-          | Some q -> sum := Rat.add !sum (Rat.mul k q)
-          | None -> (
-              match (classify v, !unknown) with
-              | B_free, None -> unknown := Some (v, k)
-              | _ -> stuck := true))
-        (Linexpr.terms a.Atom.expr);
-      match (!stuck, !unknown) with
-      | false, Some (v, k) -> solved := Var.Map.add v (Rat.neg (Rat.div !sum k)) !solved
-      | _ -> ()
-    end
-  in
-  let rec fix budget =
-    let before = Var.Map.cardinal !solved in
-    List.iter solve_atom atoms;
-    if Var.Map.cardinal !solved > before && budget > 0 then fix (budget - 1)
-  in
-  fix (List.length atoms);
-  if Var.Map.is_empty !solved then None else Some (value, !solved)
+(* partially applied to a rule, the registers and the constraint program
+   are built once for all of the rule's plans *)
+let compile (rule : Rule.t) =
+  let reg_of, nregs = registers rule in
+  let prog = compile_cstr rule reg_of nregs in
+  fun plan -> compile_plan rule reg_of nregs prog plan
 
 (* ----- execution ----- *)
 
 let dummy_term = Term.C (Term.Sym "")
+let dummy_const = Term.Sym ""
 let dummy_fact = Fact.ground "" []
 
 (* the fact's constant at a position of a ground fact *)
@@ -335,14 +413,28 @@ let const_matches (c : Term.const) (f : Fact.t) i =
       match f.Fact.pinned.(i) with Some q2 -> Rat.equal q1 q2 | None -> false)
   | Term.Num _, Fact.Psym _ | Term.Sym _, Fact.Pvar -> false
 
-type frame = { regs : Term.t array; chosen : Fact.t array }
+type frame = {
+  regs : Term.t array;
+  chosen : Fact.t array;
+  (* the constraint program's value slots, native and exact *)
+  ivals : int array;
+  qvals : Rat.t array;
+  hconsts : Term.const array;  (* the head under construction *)
+}
 
 let make_frame code =
+  let nslots, head =
+    match code.c_prog with Some p -> (p.p_nslots, p.p_head) | None -> (0, [||])
+  in
   {
     regs = Array.make code.c_nregs dummy_term;
     (* every slot is written before any read: a step stores its candidate
        before descending, and the leaf only runs once all steps have *)
     chosen = Array.make (Array.length code.c_steps) dummy_fact;
+    ivals = Array.make nslots 0;
+    qvals = Array.make nslots Rat.zero;
+    (* constant head positions are written once, here *)
+    hconsts = Array.map (function H_const c -> c | H_reg _ | H_slot _ -> dummy_const) head;
   }
 
 (* Apply one step's actions to a candidate fact.  Returns the updated side
@@ -420,8 +512,6 @@ let probe_cols (fr : frame) (st : cstep) side =
   in
   go 0
 
-let dummy_const = Term.Sym ""
-
 (* a step's candidates: the store's index probe on the bound columns.  Only
    the arity guard runs here; every other [Fact.matches_literal] condition
    is re-checked by the step's actions *)
@@ -429,113 +519,163 @@ let iter_cands store (st : cstep) positions key k =
   Store.iter_probe_cols store st.c_part st.c_lit.Literal.pred positions key (fun f ->
       if Fact.arity f = st.c_arity then k f)
 
+(* ----- the constraint program at the leaf ----- *)
+
+type verdict = Accept | Reject | Unfit
+
+let holds_native op n = match (op : Atom.op) with Le -> n <= 0 | Lt -> n < 0 | Eq -> n = 0
+
+let holds_exact op q =
+  let c = Rat.sign q in
+  match (op : Atom.op) with Le -> c <= 0 | Lt -> c < 0 | Eq -> c = 0
+
+let sum_native f (vals : int array) =
+  let acc = ref f.n_const in
+  for i = 0 to Array.length f.slots - 1 do
+    acc := !acc + (f.n_coefs.(i) * vals.(f.slots.(i)))
+  done;
+  !acc
+
+let sum_exact f (vals : Rat.t array) =
+  let acc = ref f.const in
+  for i = 0 to Array.length f.slots - 1 do
+    acc := Rat.add !acc (Rat.mul f.coefs.(i) vals.(f.slots.(i)))
+  done;
+  !acc
+
+(* Native ints while every value stays below [native_value]; [Unfit] hands
+   the candidate to [run_exact] (a solved value too large, or a fraction in
+   Q).  In Z a fractional solved value rejects: a value forced by an
+   equation holds in every satisfying assignment, so a fraction proves there
+   is no integer one — what [Conj.is_sat] on the generic path concludes. *)
+let rec run_native instrs (vals : int array) ~z i =
+  if i = Array.length instrs then Accept
+  else
+    match instrs.(i) with
+    | Check (op, f) ->
+        if holds_native op (sum_native f vals) then run_native instrs vals ~z (i + 1)
+        else Reject
+    | Solve { dst; n_k; rest; _ } ->
+        let r = sum_native rest vals in
+        if r mod n_k <> 0 then if z then Reject else Unfit
+        else
+          let x = -(r / n_k) in
+          if x >= native_value || x <= -native_value then Unfit
+          else begin
+            vals.(dst) <- x;
+            run_native instrs vals ~z (i + 1)
+          end
+
+let rec run_exact instrs (vals : Rat.t array) ~z i =
+  if i = Array.length instrs then Accept
+  else
+    match instrs.(i) with
+    | Check (op, f) ->
+        if holds_exact op (sum_exact f vals) then run_exact instrs vals ~z (i + 1)
+        else Reject
+    | Solve { dst; k; rest; _ } ->
+        let x = Rat.neg (Rat.div (sum_exact rest vals) k) in
+        if z && not (Rat.is_integer x) then Reject
+        else begin
+          vals.(dst) <- x;
+          run_exact instrs vals ~z (i + 1)
+        end
+
+(* Load the registers the program reads into both slot arrays:
+   [Not_numeric] when one does not resolve to a number, [Large] when some
+   value is too big for native ints *)
+type loaded = Not_numeric | Large | Small
+
+let rec load_reads p (fr : frame) side j acc =
+  if j = Array.length p.p_reads then acc
+  else
+    let r = p.p_reads.(j) in
+    match Subst.resolve side fr.regs.(r) with
+    | Term.C (Term.Num q) ->
+        fr.qvals.(r) <- q;
+        let n = Rat.to_small_int q in
+        if n = min_int then load_reads p fr side (j + 1) Large
+        else begin
+          fr.ivals.(r) <- n;
+          load_reads p fr side (j + 1) acc
+        end
+    | Term.C (Term.Sym _) | Term.V _ -> Not_numeric
+
+(* the head's register positions into [fr.hconsts]: each must resolve to a
+   constant, and in Z a number must be an integer (over ℤ a fractional pin
+   [$i = q] is unsatisfiable, which only the generic path's [Fact.make]
+   decides) *)
+let rec load_head p (fr : frame) side ~z i =
+  i = Array.length p.p_head
+  ||
+  match p.p_head.(i) with
+  | H_reg r -> (
+      match Subst.resolve side fr.regs.(r) with
+      | Term.C (Term.Num q) when z && not (Rat.is_integer q) -> false
+      | Term.C c ->
+          fr.hconsts.(i) <- c;
+          load_head p fr side ~z (i + 1)
+      | Term.V _ -> false)
+  | H_const _ | H_slot _ -> load_head p fr side ~z (i + 1)
+
+let store_solved p (fr : frame) ~native =
+  Array.iteri
+    (fun i h ->
+      match h with
+      | H_slot s ->
+          fr.hconsts.(i) <-
+            Term.Num (if native then Rat.of_int fr.ivals.(s) else fr.qvals.(s))
+      | H_const _ | H_reg _ -> ())
+    p.p_head
+
+let finish_exact p (fr : frame) ~z =
+  match run_exact p.p_instrs fr.qvals ~z 0 with
+  | Accept ->
+      store_solved p fr ~native:false;
+      Accept
+  | (Reject | Unfit) as v -> v
+
+(* The leaf contract: a ground match whose registers hold what the program
+   reads and the head needs runs the program — [Accept] leaves the head in
+   [fr.hconsts], [Reject] is exact — and everything else is [Unfit] for it
+   and takes [derive_from_combined]; there is no path in between. *)
+let run_program p (fr : frame) side ~z =
+  match load_reads p fr side 0 Small with
+  | Not_numeric -> Unfit
+  | (Large | Small) when not (load_head p fr side ~z 0) -> Unfit
+  | Small when p.p_native -> (
+      match run_native p.p_instrs fr.ivals ~z 0 with
+      | Accept ->
+          store_solved p fr ~native:true;
+          Accept
+      | Reject -> Reject
+      | Unfit -> finish_exact p fr ~z)
+  | Large | Small -> finish_exact p fr ~z
+
 let run_from (code : code) (fr : frame) store ~emit start side0 cstr0 =
   let nsteps = Array.length code.c_steps in
   let rule = code.c_rule in
   let hpred = rule.Rule.head.Literal.pred in
-  let leaf side cstr =
+  let z = Cdomain.is_z () in
+  let emit_used f =
+    emit f (Array.fold_right (fun i acc -> fr.chosen.(i) :: acc) code.c_used_perm [])
+  in
+  let generic side cstr =
     let lookup v =
       match Var.Map.find_opt v code.c_reg_of with
       | Some r -> Subst.resolve side fr.regs.(r)
       | None -> Subst.resolve side (Term.V v)
     in
-    let combined = Conj.and_ rule.Rule.cstr cstr in
-    (* all-constant head off the precomputed layout, ending in the
-       canonicalization-free [Fact.of_consts]; [value] supplies values the
-       equation-chain solver forced for otherwise-unbound variables.
-       Returns [None] only when some head position stays a variable — the
-       caller then builds the non-ground fact generically. *)
-    (* [Fact.of_consts] skips the solver, so in integer mode a non-integral
-       numeric head constant must not take this path: over ℤ the pin
-       [$i = q] is unsatisfiable, which [Fact.make] on the generic path
-       detects.  Bailing to [None] keeps the fast path exact. *)
-    let const_ok =
-      if Cdomain.is_z () then function Term.Num q -> Rat.is_integer q | Term.Sym _ -> true
-      else fun _ -> true
-    in
-    let head_consts value =
-      let hs = code.c_head in
-      let n = Array.length hs in
-      let consts = Array.make n dummy_const in
-      let rec go i =
-        if i = n then Some (Fact.of_consts hpred consts)
-        else
-          let t =
-            match hs.(i) with
-            | H_const c -> Term.C c
-            | H_reg r -> Subst.resolve side fr.regs.(r)
-            | H_var v -> Subst.resolve side (Term.V v)
-          in
-          match t with
-          | Term.C c ->
-              if const_ok c then begin
-                consts.(i) <- c;
-                go (i + 1)
-              end
-              else None
-          | Term.V v -> (
-              match value v with
-              | Some q when const_ok (Term.Num q) ->
-                  consts.(i) <- Term.Num q;
-                  go (i + 1)
-              | Some _ | None -> None)
-      in
-      go 0
-    in
-    let head =
-      (* evaluate the combined constraint directly off the registers; only
-         an undecided atom (unbound or symbolic variable) pays for the
-         generic substitution + solver path *)
-      let env v =
-        match (lookup v : Term.t) with Term.C (Term.Num q) -> Some q | _ -> None
-      in
-      match Conj.eval_at env combined with
-      | Some false -> None
-      | Some true -> (
-          match head_consts (fun _ -> None) with
-          | Some _ as f -> f
-          | None -> build_head_fast ~lookup rule)
-      | None -> (
-          (* some variable is not bound by the body literals; solve the
-             arithmetic chain off the registers before paying for generic
-             substitution, interning and the solver *)
-          let classify v =
-            match (lookup v : Term.t) with
-            | Term.C (Term.Num q) -> B_num q
-            | Term.C (Term.Sym _) -> B_sym
-            | Term.V _ -> B_free
-          in
-          match solve_eq_chain classify (Conj.to_list combined) with
-          | Some (_, solved)
-            when Cdomain.is_z () && Var.Map.exists (fun _ q -> not (Rat.is_integer q)) solved ->
-              (* a forced value holds in every satisfying assignment, so a
-                 non-integral one proves the combined constraint has no
-                 integer solution — exactly what the generic path's
-                 [Conj.is_sat] would conclude *)
-              None
-          | Some (value, _) -> (
-              match Conj.eval_at value combined with
-              | Some false -> None
-              | Some true -> (
-                  match head_consts value with
-                  | Some _ as f -> f
-                  | None ->
-                      let lookup v =
-                        match value v with
-                        | Some q -> Term.C (Term.Num q)
-                        | None -> lookup v
-                      in
-                      build_head_fast ~lookup rule)
-              | None -> derive_from_combined ~lookup rule combined)
-          | None -> derive_from_combined ~lookup rule combined)
-    in
-    match head with
-    | None -> ()
-    | Some f ->
-        let used =
-          Array.fold_right (fun i acc -> fr.chosen.(i) :: acc) code.c_used_perm []
-        in
-        emit f used
+    Option.iter emit_used (derive_from_combined ~lookup rule (Conj.and_ rule.Rule.cstr cstr))
+  in
+  let leaf side cstr =
+    match code.c_prog with
+    | Some p when Conj.is_tt cstr -> (
+        match run_program p fr side ~z with
+        | Accept -> emit_used (Fact.of_consts hpred fr.hconsts)
+        | Reject -> ()
+        | Unfit -> generic side cstr)
+    | Some _ | None -> generic side cstr
   in
   let rec step_loop si side cstr =
     if si = nsteps then leaf side cstr

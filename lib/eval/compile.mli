@@ -13,6 +13,25 @@
     The seed evaluator ([Cql_gen.Reference]) is that semantics, kept as the
     fuzz harness's reference.
 
+    The rule's constraint is compiled as well, into a straight-line program
+    over value slots — the registers, then one slot per variable its
+    equations define.  The equation chain is solved at compile time into
+    [Solve] instructions in dependency order, and every other atom becomes a
+    [Check] of a precomputed linear form, evaluated in native ints when no
+    sum can overflow and in {!Cql_num.Rat} otherwise.
+
+    {b The leaf contract.}  A completed body match takes exactly one of two
+    paths, with nothing in between:
+    - the compiled program, when the body constraint is [tt] (every fact
+      used is ground, or carries no residual), every register the program
+      reads holds a number, and every head register a constant (an integer,
+      over ℤ).  Its verdict is exact; on acceptance the head is built from
+      registers and solved slots by [Fact.of_consts];
+    - the generic finisher otherwise — substitution, satisfiability and
+      projection, the same code the reference evaluator runs — and always
+      for a rule whose constraint or head has a variable that is neither
+      bound by the body nor solved by an equation.
+
     Counters: [engine.compile.programs_compiled], [engine.compile.ops],
     [engine.compile.frame_width] (and [engine.compile.cache_hits] in the
     engine, for precompiled programs). *)
@@ -40,6 +59,9 @@ type code
 (** A compiled (rule, plan) program. *)
 
 val compile : Rule.t -> Planner.plan -> code
+(** [compile rule plan] compiles one plan.  Partially applied to a rule, it
+    numbers the registers (body variables by first occurrence) and compiles
+    the constraint program once for all of the rule's plans. *)
 
 val rule : code -> Rule.t
 (** The rule the program was compiled from. *)

@@ -339,6 +339,9 @@ let to_int_opt x =
       Some (if x.sign < 0 then -v else v)
   end
 
+let to_small_int x =
+  match x.mag with [||] -> 0 | [| l |] -> x.sign * l | _ -> Stdlib.min_int
+
 let to_int_exn x =
   match to_int_opt x with
   | Some n -> n

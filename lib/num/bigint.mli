@@ -22,6 +22,11 @@ val of_int : int -> t
 val to_int_opt : t -> int option
 (** [to_int_opt x] is [Some n] when [x] fits in a native [int]. *)
 
+val to_small_int : t -> int
+(** [to_small_int x] is [x] when [|x| < 2{^30}] (at most one limb), and
+    [min_int] otherwise — a sentinel no small value can take.  Allocation
+    free, for hot paths that switch to native arithmetic. *)
+
 val to_int_exn : t -> int
 (** @raise Failure when the value does not fit in a native [int]. *)
 

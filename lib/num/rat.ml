@@ -25,6 +25,7 @@ let den x = x.den
 let sign x = B.sign x.num
 let is_zero x = B.is_zero x.num
 let is_integer x = B.is_one x.den
+let to_small_int x = if B.is_one x.den then B.to_small_int x.num else Stdlib.min_int
 
 (* integers (den = 1) dominate evaluator arithmetic: comparing, adding and
    multiplying them must not pay for cross-multiplication or reduction —

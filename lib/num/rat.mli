@@ -38,6 +38,10 @@ val sign : t -> int
 val is_zero : t -> bool
 val is_integer : t -> bool
 
+val to_small_int : t -> int
+(** [to_small_int q] is [q] when it is an integer with [|q| < 2{^30}], and
+    [min_int] otherwise (see {!Bigint.to_small_int}). *)
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

@@ -70,7 +70,7 @@ let of_consts pred (consts : Term.const array) =
     | Term.Sym s -> args.(i) <- Psym s
     | Term.Num q ->
         pinned.(i) <- Some q;
-        atoms := Atom.eq (Linexpr.var (Var.arg (i + 1))) (Linexpr.const q) :: !atoms
+        atoms := Atom.pin (Var.arg (i + 1)) q :: !atoms
   done;
   { pred; args; cstr = Conj.of_list !atoms; pinned }
 
@@ -83,7 +83,7 @@ let ground pred consts =
       | Term.Sym s -> args.(i) <- Psym s
       | Term.Num q ->
           args.(i) <- Pvar;
-          atoms := Atom.eq (Linexpr.var (Var.arg (i + 1))) (Linexpr.const q) :: !atoms)
+          atoms := Atom.pin (Var.arg (i + 1)) q :: !atoms)
     consts;
   make pred args (Conj.of_list !atoms)
 
@@ -100,7 +100,7 @@ let of_fact_rule (r : Rule.t) =
       let ai = Var.arg (i + 1) in
       match t with
       | Term.C (Term.Sym s) -> args.(i) <- Psym s
-      | Term.C (Term.Num q) -> atoms := Atom.eq (Linexpr.var ai) (Linexpr.const q) :: !atoms
+      | Term.C (Term.Num q) -> atoms := Atom.pin ai q :: !atoms
       | Term.V v -> (
           match List.assoc_opt v !seen with
           | Some j ->
@@ -178,15 +178,28 @@ let subsumes general specific =
        | None -> Conj.implies specific.cstr general.cstr
      else Conj.implies specific.cstr general.cstr)
 
+(* position by position, [Pvar] before [Psym], then the shorter pattern
+   first: the order of the patterns as [string option] lists *)
+let compare_args a b =
+  let la = Array.length a and lb = Array.length b in
+  let rec go i =
+    if i = la || i = lb then Int.compare la lb
+    else
+      match (a.(i), b.(i)) with
+      | Pvar, Pvar -> go (i + 1)
+      | Pvar, Psym _ -> -1
+      | Psym _, Pvar -> 1
+      | Psym s1, Psym s2 ->
+          let c = String.compare s1 s2 in
+          if c <> 0 then c else go (i + 1)
+  in
+  go 0
+
 let compare a b =
   let c = String.compare a.pred b.pred in
   if c <> 0 then c
   else
-    let c =
-      Stdlib.compare
-        (Array.to_list (Array.map (function Psym s -> Some s | Pvar -> None) a.args))
-        (Array.to_list (Array.map (function Psym s -> Some s | Pvar -> None) b.args))
-    in
+    let c = compare_args a.args b.args in
     if c <> 0 then c else Conj.compare a.cstr b.cstr
 
 let equal a b = compare a b = 0

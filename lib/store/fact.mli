@@ -66,7 +66,12 @@ val subsumes : t -> t -> bool
     instance of [general].  Requires identical symbolic pattern. *)
 
 val equal : t -> t -> bool
+
 val compare : t -> t -> int
+(** Structural order: predicate, then the pattern position by position
+    ([Pvar] before [Psym], symbols by [String.compare], a shorter pattern
+    before its extensions), then {!Conj.compare}.  Allocation free; keys the
+    engine's provenance map and the store's derivation counts. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints ground values where pinned, e.g. [m_fib(N1, 5; N1 > 0)] style:

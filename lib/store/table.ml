@@ -10,32 +10,32 @@ let p_delta = 1
 let p_pending = 2
 
 (* subsumption can only relate facts with the same symbolic pattern
-   (Fact.same_pattern), so candidates are bucketed by it *)
-type pattern = string option array
-
+   (Fact.same_pattern), so candidates are bucketed by it; a fact's
+   [Fact.pos array] is its pattern and keys the buckets as it is *)
 type sbucket = {
   mutable ground_cells : cell list; (* every numeric position pinned *)
   mutable general : cell list; (* carries a residual constraint *)
 }
 
+(* fully-pinned facts keyed by pattern and values, read off the fact *)
 module GroundKey = struct
-  type t = pattern * Rat.t option array
+  type t = Fact.t
 
-  let equal (p1, v1) (p2, v2) =
-    Array.length p1 = Array.length p2
-    && p1 = p2
+  let equal (a : Fact.t) (b : Fact.t) =
+    Array.length a.Fact.args = Array.length b.Fact.args
+    && a.Fact.args = b.Fact.args
     && Array.for_all2
          (fun a b ->
            match (a, b) with
            | None, None -> true
            | Some x, Some y -> Rat.equal x y
            | _ -> false)
-         v1 v2
+         a.Fact.pinned b.Fact.pinned
 
-  let hash (p, v) =
+  let hash (f : Fact.t) =
     Array.fold_left
       (fun acc o -> (acc * 65599) lxor (match o with Some q -> Rat.hash q | None -> 7))
-      (Hashtbl.hash p) v
+      (Hashtbl.hash f.Fact.args) f.Fact.pinned
 end
 
 module GroundTbl = Hashtbl.Make (GroundKey)
@@ -59,7 +59,7 @@ type t = {
   mutable frozen : bool; (* read-only mode during a parallel match phase *)
   (* subsumption indexes over every live cell *)
   ground : cell GroundTbl.t; (* fully-pinned facts by (pattern, values) *)
-  patterns : (pattern, sbucket) Hashtbl.t;
+  patterns : (Fact.pos array, sbucket) Hashtbl.t;
   mutable counts : int FactMap.t; (* per-fact derivation counts (maintenance) *)
 }
 
@@ -78,11 +78,6 @@ let create () =
     patterns = Hashtbl.create 16;
     counts = FactMap.empty;
   }
-
-let pattern_of (f : Fact.t) : pattern =
-  Array.map (function Fact.Psym s -> Some s | Fact.Pvar -> None) f.Fact.args
-
-let ground_key (f : Fact.t) = (pattern_of f, f.Fact.pinned)
 
 let sbucket_of t pat =
   match Hashtbl.find_opt t.patterns pat with
@@ -136,10 +131,10 @@ let insert t f =
   t.pending_cells <- c :: t.pending_cells;
   t.all_rev <- c :: t.all_rev;
   t.live_counts.(p_pending) <- t.live_counts.(p_pending) + 1;
-  let b = sbucket_of t (pattern_of f) in
+  let b = sbucket_of t f.Fact.args in
   if Fact.is_ground f then begin
     b.ground_cells <- c :: b.ground_cells;
-    GroundTbl.replace t.ground (ground_key f) c
+    GroundTbl.replace t.ground f c
   end
   else b.general <- c :: b.general
 
@@ -149,7 +144,7 @@ let insert t f =
    hash first (a pinned general fact subsumes it only if their constraints
    agree at [f]'s point, which the general scan still covers). *)
 let known_subsumes t f =
-  match Hashtbl.find_opt t.patterns (pattern_of f) with
+  match Hashtbl.find_opt t.patterns f.Fact.args with
   | None -> (false, 0)
   | Some b ->
       let cmp = ref 0 in
@@ -163,7 +158,7 @@ let known_subsumes t f =
           l
       in
       if Fact.is_ground f then
-        match GroundTbl.find_opt t.ground (ground_key f) with
+        match GroundTbl.find_opt t.ground f with
         | Some c when c.live -> (true, 0)
         | _ ->
             let hit = scan b.general in
@@ -183,7 +178,7 @@ let known_subsumes t f =
    only live facts are counted). *)
 let back_subsume t f =
   check_mutable t "Table.back_subsume";
-  match Hashtbl.find_opt t.patterns (pattern_of f) with
+  match Hashtbl.find_opt t.patterns f.Fact.args with
   | None -> (0, [])
   | Some b ->
       let cmp = ref 0 in
@@ -208,12 +203,12 @@ let back_subsume t f =
 (* ----- structural lookup & deletion ----- *)
 
 let find_cell_equal t f =
-  match Hashtbl.find_opt t.patterns (pattern_of f) with
+  match Hashtbl.find_opt t.patterns f.Fact.args with
   | None -> None
   | Some b ->
       let scan l = List.find_opt (fun c -> c.live && Fact.compare c.fact f = 0) l in
       if Fact.is_ground f then
-        match GroundTbl.find_opt t.ground (ground_key f) with
+        match GroundTbl.find_opt t.ground f with
         | Some c when c.live && Fact.compare c.fact f = 0 -> Some c
         | _ -> scan b.ground_cells
       else scan b.general
@@ -232,16 +227,15 @@ let delete t f =
       kill t c;
       drop_count t c.fact;
       if Fact.is_ground f then begin
-        let key = ground_key f in
-        (match GroundTbl.find_opt t.ground key with
-        | Some c' when not c'.live -> GroundTbl.remove t.ground key
+        (match GroundTbl.find_opt t.ground f with
+        | Some c' when not c'.live -> GroundTbl.remove t.ground f
         | _ -> ());
         match
           List.find_opt
             (fun c2 -> c2.live && Fact.compare c2.fact f = 0)
-            (sbucket_of t (pattern_of f)).ground_cells
+            (sbucket_of t f.Fact.args).ground_cells
         with
-        | Some c2 -> GroundTbl.replace t.ground key c2
+        | Some c2 -> GroundTbl.replace t.ground f c2
         | None -> ()
       end;
       true

@@ -617,6 +617,214 @@ let test_compiled_artifact_reuse () =
   check_int "other program value: no hit" h1 (Obs.value hits);
   check_bool "and still correct" true (fingerprint r3 = fingerprint r2)
 
+(* ----- the compiled constraint program at the leaf ----- *)
+
+(* Each case runs under Q and under Z, checked against the reference
+   evaluator, which finishes every candidate through the generic
+   substitution + solver path.  [expect] pins the printed facts of some
+   predicates per domain where the verdict itself is the point. *)
+type leaf_case = {
+  name : string;
+  src : string;
+  edb : string;
+  expect : (Cdomain.t * string * string list) list;
+}
+
+let leaf_cases =
+  [
+    {
+      name = "equation chain out of atom order";
+      src = "q(T) :- e(A, B), T = U + 1, U = A + B.";
+      edb = "e(1, 2). e(3, 4).";
+      expect = [ (Cdomain.Q, "q", [ "q(4)"; "q(8)" ]); (Cdomain.Z, "q", [ "q(4)"; "q(8)" ]) ];
+    };
+    {
+      name = "second equation on a solved variable is a check";
+      src = "q(A, T) :- e(A, B), T = A + B, T = 2 * A.";
+      edb = "e(1, 1). e(2, 3). e(5, 5).";
+      expect = [ (Cdomain.Q, "q", [ "q(1, 2)"; "q(5, 10)" ]) ];
+    };
+    {
+      name = "<, <= and = at the boundary";
+      src =
+        {|
+lt(A, B) :- e(A, B), A < B.
+le(A, B) :- e(A, B), A <= B.
+eq(A, B) :- e(A, B), A = B.
+q(T) :- e(A, B), T = A + B, T < 3.
+r(T) :- e(A, B), T = A + B, T <= 3.
+|};
+      edb = "e(1, 1). e(1, 2). e(2, 1).";
+      expect =
+        [
+          (Cdomain.Q, "lt", [ "lt(1, 2)" ]);
+          (Cdomain.Q, "le", [ "le(1, 1)"; "le(1, 2)" ]);
+          (Cdomain.Q, "eq", [ "eq(1, 1)" ]);
+          (Cdomain.Q, "q", [ "q(2)" ]);
+          (Cdomain.Q, "r", [ "r(2)"; "r(3)" ]);
+        ];
+    };
+    {
+      name = "boundaries and an odd solve on values past 2^30 and fractions";
+      src =
+        {|
+lt(A, B) :- e(A, B), A < B.
+le(A, B) :- e(A, B), A <= B.
+eq(A, B) :- e(A, B), A = B.
+q(T) :- e(A, B), T = A + B, T < 3.
+r(T) :- e(A, B), T = A + B, T <= 3.
+h(T) :- e(A, B), 2 * T = A + B.
+|};
+      edb =
+        "e(1073741824, 1073741824). e(1073741824, 1073741825). e(1073741825, 1073741824). \
+         e(1.5, 1.5). e(0.5, 1.5).";
+      expect =
+        [
+          (Cdomain.Q, "lt", [ "lt(1/2, 3/2)"; "lt(1073741824, 1073741825)" ]);
+          ( Cdomain.Q,
+            "le",
+            [
+              "le(1/2, 3/2)";
+              "le(3/2, 3/2)";
+              "le(1073741824, 1073741824)";
+              "le(1073741824, 1073741825)";
+            ] );
+          (Cdomain.Q, "eq", [ "eq(3/2, 3/2)"; "eq(1073741824, 1073741824)" ]);
+          (Cdomain.Q, "q", [ "q(2)" ]);
+          (Cdomain.Q, "r", [ "r(2)"; "r(3)" ]);
+          (Cdomain.Q, "h", [ "h(1)"; "h(3/2)"; "h(1073741824)"; "h(2147483649/2)" ]);
+          (Cdomain.Z, "h", [ "h(1)"; "h(1073741824)" ]);
+        ];
+    };
+    {
+      name = "2T = A with A odd";
+      src = "q(T) :- e(A), 2 * T = A.";
+      edb = "e(3). e(4).";
+      expect = [ (Cdomain.Q, "q", [ "q(2)"; "q(3/2)" ]); (Cdomain.Z, "q", [ "q(2)" ]) ];
+    };
+    {
+      name = "values past 2^30 and fractions";
+      src =
+        {|
+q(A, T) :- e(A, B), T = A + B, T >= 0.
+r(T) :- e(A, B), T = 1000 * A.
+s(T) :- e(A, B), T = 1048576 * B, T > 0.
+|};
+      edb = "e(1073741824, 1). e(536870912, -1). e(3.5, 0.5). e(2.5, 1).";
+      expect =
+        [
+          ( Cdomain.Q,
+            "q",
+            [
+              "q(1073741824, 1073741825)"; "q(5/2, 7/2)"; "q(536870912, 536870911)"; "q(7/2, 4)";
+            ] );
+          (Cdomain.Z, "q", [ "q(1073741824, 1073741825)"; "q(536870912, 536870911)" ]);
+          (Cdomain.Q, "r", [ "r(1073741824000)"; "r(2500)"; "r(3500)"; "r(536870912000)" ]);
+          (Cdomain.Q, "s", [ "s(1048576)"; "s(524288)" ]);
+        ];
+    };
+    {
+      name = "symbol in an arithmetic position";
+      src = "q(X) :- e(X, Y), X <= Y.\np(S, T) :- e(S, A), T = A + 1.";
+      edb = "e(apple, 3). e(2, 3). e(4, 3).";
+      expect =
+        [ (Cdomain.Q, "q", [ "q(2)" ]); (Cdomain.Q, "p", [ "p(2, 4)"; "p(4, 4)"; "p(apple, 4)" ]) ];
+    };
+    {
+      name = "head variable no body literal binds";
+      src = "q(X, Y) :- e(X).\nr(X, Y) :- e(X), Y >= X.";
+      edb = "e(1). e(2).";
+      expect = [];
+    };
+    {
+      name = "constraint facts in the body";
+      src =
+        {|
+p(7, X2) :- m(7, X2), e(X1), X2 - X1 = 6.
+q(X, T) :- w(X), e(T), X = T.
+r(X, T) :- lo(X), T = X + 1.
+|};
+      edb = "m(X, X). w(X). e(5). lo(X; X >= 2).";
+      expect = [ (Cdomain.Q, "p", []); (Cdomain.Z, "p", []); (Cdomain.Q, "q", [ "q(5, 5)" ]) ];
+    };
+  ]
+
+let test_leaf_program () =
+  List.iter
+    (fun c ->
+      let p = parse (c.src ^ "\n#query q.") in
+      let edb = edb_of c.edb in
+      List.iter
+        (fun d ->
+          let tag = Printf.sprintf "%s [%s]" c.name (Cdomain.to_string d) in
+          Cdomain.with_domain d (fun () ->
+              let e = Engine.run ~max_iterations:20 p ~edb in
+              Reference_check.check tag e (Reference.run ~max_iterations:20 p ~edb);
+              List.iter
+                (fun (d', pred, want) ->
+                  if d' = d then
+                    Alcotest.(check (list string))
+                      (tag ^ ": " ^ pred) (List.sort compare want)
+                      (List.sort compare (List.map Fact.to_string (Engine.facts_of e pred))))
+                c.expect))
+        [ Cdomain.Q; Cdomain.Z ])
+    leaf_cases
+
+let rat_gen =
+  let open QCheck.Gen in
+  (* past one limb: a * 2^e *)
+  let big =
+    map2
+      (fun a e -> Bigint.mul (Bigint.of_int a) (Bigint.pow (Bigint.of_int 2) e))
+      (int_range (-50) 50) (int_range 28 100)
+  in
+  oneof
+    [
+      return Rat.zero;
+      map Rat.of_int (int_range (-1000) 1000);
+      map2 Rat.of_ints (int_range (-1000) 1000) (int_range 1 1000);
+      map Rat.of_bigint big;
+      map2 (fun n d -> Rat.make n (Bigint.add d Bigint.one)) big (map Bigint.abs big);
+    ]
+
+let prop_pin =
+  QCheck.Test.make ~name:"Atom.pin is Atom.eq of the variable and the constant" ~count:500
+    (QCheck.make
+       ~print:(fun (i, q) -> Printf.sprintf "$%d = %s" i (Rat.to_string q))
+       QCheck.Gen.(pair (int_range 1 40) rat_gen))
+    (fun (i, q) ->
+      let x = Var.arg i in
+      Atom.pin x q == Atom.eq (Linexpr.var x) (Linexpr.const q))
+
+(* the definition [Fact.compare] had before it stopped copying the
+   patterns into lists *)
+let list_fact_compare (a : Fact.t) (b : Fact.t) =
+  let c = String.compare a.Fact.pred b.Fact.pred in
+  if c <> 0 then c
+  else
+    let pattern f =
+      Array.to_list (Array.map (function Fact.Psym s -> Some s | Fact.Pvar -> None) f.Fact.args)
+    in
+    let c = Stdlib.compare (pattern a) (pattern b) in
+    if c <> 0 then c else Conj.compare a.Fact.cstr b.Fact.cstr
+
+let fact_gen =
+  let open QCheck.Gen in
+  let arg =
+    oneof
+      [
+        map (fun s -> Term.Sym s) (oneofl [ ""; "a"; "ab"; "b" ]);
+        map (fun n -> Term.Num (Rat.of_int n)) (int_range 0 2);
+      ]
+  in
+  map2 Fact.ground (oneofl [ "p"; "q" ]) (list_size (int_range 0 4) arg)
+
+let prop_fact_compare =
+  QCheck.Test.make ~name:"Fact.compare orders as the list-based definition" ~count:1000
+    (QCheck.make ~print:(fun (a, b) -> Fact.to_string a ^ " vs " ^ Fact.to_string b)
+       QCheck.Gen.(pair fact_gen fact_gen))
+    (fun (a, b) -> Int.compare (Fact.compare a b) 0 = Int.compare (list_fact_compare a b) 0)
+
 (* ----- the cqlopt CLI ----- *)
 
 (* a mixed-arity EDB is reported as an error with exit status 1, not an
@@ -704,6 +912,12 @@ let () =
           Alcotest.test_case "jobs agree" `Quick test_compiled_jobs_agree;
           Alcotest.test_case "compile counters" `Quick test_compiled_counters;
           Alcotest.test_case "precompiled artifact reuse" `Quick test_compiled_artifact_reuse;
+        ] );
+      ( "leaf",
+        [
+          Alcotest.test_case "constraint program vs reference" `Quick test_leaf_program;
+          QCheck_alcotest.to_alcotest prop_pin;
+          QCheck_alcotest.to_alcotest prop_fact_compare;
         ] );
       ( "cli",
         [ Alcotest.test_case "eval rejects a mixed-arity EDB" `Quick test_cli_edb_arity ] );
