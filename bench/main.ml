@@ -6,7 +6,7 @@
 
      table1 table2 fig1 fig2 ex41 ex51 ex43 ex44 ex61 d1 d2 optimal
      ablation-disjuncts ablation-single ablation-stratified bound
-     solver-interval fuzz parallel serve compiled
+     solver-interval fuzz serve compiled
 
    Usage:
      dune exec bench/main.exe              run every experiment
@@ -568,16 +568,6 @@ let run_fuzz () =
       Format.printf "%a" H.pp_summary s)
     (fuzz_summaries ())
 
-(* ----- parallel evaluation (domain pool) ----- *)
-
-(* the flights-P workload of the timing suite at 10 cities: recursive joins
-   over a growing flight relation, enough match work per iteration for the
-   pool fan-out to matter on multicore hardware *)
-let parallel_workload jobs =
-  let p = parse flights_src in
-  let edb = singleleg_edb 110 10 in
-  Engine.run ~jobs ~max_iterations:6 ~max_derivations:4000 p ~edb
-
 (* best-of-[reps] wall time: minimum filters out GC / scheduler noise *)
 let time_best reps f =
   let best = ref infinity in
@@ -591,38 +581,6 @@ let time_best reps f =
   done;
   (!best, Option.get !last)
 
-let parallel_reps = 3
-
-let parallel_rows () =
-  let baseline = ref 0.0 in
-  let seq_derivs = ref 0 in
-  List.map
-    (fun jobs ->
-      let secs, res = time_best parallel_reps (fun () -> parallel_workload jobs) in
-      if jobs = 1 then begin
-        baseline := secs;
-        seq_derivs := (Engine.stats res).Engine.derivations
-      end;
-      let speedup = if secs > 0.0 then !baseline /. secs else 0.0 in
-      (jobs, secs, speedup, (Engine.stats res).Engine.derivations = !seq_derivs))
-    [ 1; 2; 4 ]
-
-let run_parallel () =
-  header "PARALLEL: domain-pool semi-naive evaluation (flights-P, 10 cities)";
-  paper "(no paper counterpart -- implementation scaling)";
-  let cores = Cql_par.Pool.recommended_jobs () in
-  Printf.printf "  recommended domains on this machine: %d%s\n" cores
-    (if cores = 1 then "  (single core: speedup vs jobs=1 is noise, omitted)" else "");
-  List.iter
-    (fun (jobs, secs, speedup, same) ->
-      if cores > 1 then
-        Printf.printf "  jobs=%d  wall=%8.3f ms  speedup=%.2fx  derivations_match_jobs1=%b\n" jobs
-          (secs *. 1000.) speedup same
-      else
-        Printf.printf "  jobs=%d  wall=%8.3f ms  derivations_match_jobs1=%b\n" jobs
-          (secs *. 1000.) same)
-    (parallel_rows ())
-
 (* ----- compiled join plans (lib/eval/compile) ----- *)
 
 let compiled_reps = 3
@@ -632,8 +590,8 @@ type compiled_row = {
   cw_wall_s : float;
   cw_bytes : float;
   cw_derivations : int;
-  cw_checks : (int * bool * int * int) list;
-      (** jobs, answers match the reference, engine / reference derivations *)
+  cw_answers_match : bool;  (** answers match the seed reference evaluator *)
+  cw_reference_derivations : int;
 }
 
 (* the three timing workloads: the raw recursive flights program (join-heavy,
@@ -650,32 +608,24 @@ let compiled_workloads () =
   ]
 
 let compiled_row (name, prog, edb, mi, md) =
-  let run ~jobs () = Engine.run ~jobs ~max_iterations:mi ~max_derivations:md prog ~edb in
-  let secs, res = time_best compiled_reps (run ~jobs:1) in
+  let run () = Engine.run ~max_iterations:mi ~max_derivations:md prog ~edb in
+  let secs, res = time_best compiled_reps run in
   let a0 = Gc.allocated_bytes () in
-  ignore (run ~jobs:1 ());
+  ignore (run ());
   let bytes = Gc.allocated_bytes () -. a0 in
   (* the seed reference evaluator under the same budgets: derivation counts
      must agree, and so must the answers wherever the run ends on an
      iteration boundary *)
   let reference = Reference.run ~max_iterations:mi ~max_derivations:md prog ~edb in
   let sorted fs = List.sort compare (List.map Fact.to_string fs) in
-  let checks =
-    List.map
-      (fun jobs ->
-        let r = run ~jobs () in
-        ( jobs,
-          sorted (Engine.answers r prog) = sorted (Reference.answers reference prog),
-          (Engine.stats r).Engine.derivations,
-          (Reference.stats reference).Reference.derivations ))
-      [ 1; 4 ]
-  in
   {
     cw_name = name;
     cw_wall_s = secs;
     cw_bytes = bytes;
     cw_derivations = (Engine.stats res).Engine.derivations;
-    cw_checks = checks;
+    cw_answers_match =
+      sorted (Engine.answers res prog) = sorted (Reference.answers reference prog);
+    cw_reference_derivations = (Reference.stats reference).Reference.derivations;
   }
 
 let compiled_rows () = List.map compiled_row (compiled_workloads ())
@@ -687,16 +637,12 @@ let run_compiled () =
   header "COMPILED: register-frame join plans, checked against the seed reference";
   paper "(no paper counterpart -- rule-execution backend)";
   Printf.printf "  %-12s %12s %14s %11s %12s %s\n" "workload" "wall" "allocated" "derivations"
-    "bytes/deriv" "vs reference jobs{1,4}";
+    "bytes/deriv" "vs reference";
   List.iter
     (fun r ->
-      Printf.printf "  %-12s %9.3f ms %11.1f MB %11d %12.0f %s\n" r.cw_name
-        (r.cw_wall_s *. 1000.) (r.cw_bytes /. 1e6) r.cw_derivations (bytes_per_derivation r)
-        (String.concat " "
-           (List.map
-              (fun (j, answers, de, dr) ->
-                Printf.sprintf "j%d:answers=%b,derivations=%d/%d" j answers de dr)
-              r.cw_checks)))
+      Printf.printf "  %-12s %9.3f ms %11.1f MB %11d %12.0f answers=%b,derivations=%d/%d\n"
+        r.cw_name (r.cw_wall_s *. 1000.) (r.cw_bytes /. 1e6) r.cw_derivations
+        (bytes_per_derivation r) r.cw_answers_match r.cw_derivations r.cw_reference_derivations)
     (compiled_rows ())
 
 (* ----- serving (lib/serve): cqlserved under concurrent load ----- *)
@@ -987,6 +933,7 @@ let json_fuzz () =
           ("programs_evaluated", jint st.H.evaluated);
           ("oracle_checks_passed", jint st.H.checks);
           ("rewrites_skipped", jint st.H.rewrites_skipped);
+          ("rewrites_unconverged", jint st.H.rewrites_unconverged);
           ("runs_truncated", jint st.H.runs_truncated);
           ( "mean_facts_derived",
             jfloat
@@ -1187,43 +1134,9 @@ let json_trace () =
   Obs.set_enabled was_enabled;
   rows
 
-(* per-jobs wall time and speedup on the flights-P workload; [cores] records
-   how many domains the runtime recommends on the measuring machine (on a
-   single-core box every speedup is necessarily ~1.0) *)
-let json_parallel () =
-  let rows = parallel_rows () in
-  let cores = Cql_par.Pool.recommended_jobs () in
-  Obj
-    [
-      ("workload", Str "flights-P (10 cities, capped at 6 iterations / 4000 derivations)");
-      ("cores", jint cores);
-      ("reps", jint parallel_reps);
-      ( "runs",
-        List
-          (List.map
-             (fun (jobs, secs, speedup, same) ->
-               Obj
-                 ([
-                    ("jobs", jint jobs);
-                    ("wall_seconds", Raw (Printf.sprintf "%.6f" secs));
-                  ]
-                 (* on a single-core box a jobs>1 run measures domain-pool
-                    overhead, not parallelism: report null rather than a
-                    number that reads as a scaling result *)
-                 @ (if cores > 1 then [ ("speedup_vs_jobs1", jfloat speedup) ]
-                    else
-                      [
-                        ("speedup_vs_jobs1", Raw "null");
-                        ("speedup_suppressed_single_core", jbool true);
-                      ])
-                 @ [ ("derivations_match_jobs1", jbool same) ]))
-             rows) );
-    ]
-
 (* the production engine on the three timing workloads: wall time, bytes
    allocated and bytes per derivation; [answers_match_reference] and the
-   derivation pairs compare against the seed reference evaluator at jobs 1
-   and 4 *)
+   derivation pair compare against the seed reference evaluator *)
 let json_compiled () =
   let module Obs = Cql_obs.Obs in
   let runs =
@@ -1237,19 +1150,9 @@ let json_compiled () =
             ("allocated_bytes", Raw (Printf.sprintf "%.0f" r.cw_bytes));
             ("derivations", jint r.cw_derivations);
             ("bytes_per_derivation", Raw (Printf.sprintf "%.0f" (bytes_per_derivation r)));
-            ( "reference_checks",
-              List
-                (List.map
-                   (fun (jobs, answers, de, dr) ->
-                     Obj
-                       [
-                         ("jobs", jint jobs);
-                         ("answers_match_reference", jbool answers);
-                         ("derivations", jint de);
-                         ("reference_derivations", jint dr);
-                         ("derivations_match", jbool (de = dr));
-                       ])
-                   r.cw_checks) );
+            ("answers_match_reference", jbool r.cw_answers_match);
+            ("reference_derivations", jint r.cw_reference_derivations);
+            ("derivations_match", jbool (r.cw_derivations = r.cw_reference_derivations));
           ])
       (compiled_rows ())
   in
@@ -1296,7 +1199,6 @@ let run_json () =
               ("solver_cache", Obj (json_solver_cache ()));
               ("solver_interval", json_solver_interval ());
               ("trace", Obj (json_trace ()));
-              ("parallel", json_parallel ());
               ("compiled", json_compiled ());
               ("serve", json_serve ());
             ] );
@@ -1333,7 +1235,6 @@ let experiments =
     ("bound", run_bound);
     ("solver-interval", run_solver_interval);
     ("fuzz", run_fuzz);
-    ("parallel", run_parallel);
     ("compiled", run_compiled);
     ("serve", run_serve);
     ("time", run_timings);

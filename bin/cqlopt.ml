@@ -59,19 +59,6 @@ let solver_stats_arg =
          ~doc:"After the run, print decision-procedure call counts and \
                memoization cache hit rates to stderr")
 
-let jobs_arg =
-  Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N"
-         ~doc:"Domains used by the evaluation engine (1 = exact sequential \
-               path; 0 = auto: \\$CQLOPT_JOBS if set, else the runtime's \
-               recommended domain count)")
-
-(* [--jobs 0] (the default) defers to CQLOPT_JOBS when set — that is how CI
-   exercises both paths — and otherwise asks the runtime *)
-let apply_jobs n =
-  if n > 0 then Cql_eval.Engine.set_default_jobs n
-  else if Sys.getenv_opt "CQLOPT_JOBS" = None then
-    Cql_eval.Engine.set_default_jobs (Cql_par.Pool.recommended_jobs ())
-
 let domain_conv =
   Arg.enum [ ("rat", Cql_constr.Cdomain.Q); ("int", Cql_constr.Cdomain.Z) ]
 
@@ -175,9 +162,8 @@ let parse_steps adornment constraint_magic s =
 
 let rewrite_cmd =
   let run path domain steps adornment no_cmagic gmt optimal max_iters inline_seed simplify
-      solver_stats jobs trace_json metrics =
+      solver_stats trace_json metrics =
     apply_domain domain;
-    apply_jobs jobs;
     apply_tracing trace_json metrics;
     let code =
     match read_program path with
@@ -245,7 +231,7 @@ let rewrite_cmd =
   in
   let term =
     Term.(const run $ program_arg $ domain_arg $ steps $ adornment $ no_cmagic $ gmt $ optimal
-          $ max_iters_arg $ inline_seed $ simplify $ solver_stats_arg $ jobs_arg
+          $ max_iters_arg $ inline_seed $ simplify $ solver_stats_arg
           $ trace_json_arg $ metrics_arg)
   in
   Cmd.v (Cmd.info "rewrite" ~doc:"Rewrite a program by pushing constraint selections") term
@@ -254,9 +240,8 @@ let rewrite_cmd =
 
 let eval_cmd =
   let run path edb_path domain max_iterations max_derivations traced naive explain stratified
-      solver_stats jobs trace_json metrics =
+      solver_stats trace_json metrics =
     apply_domain domain;
-    apply_jobs jobs;
     apply_tracing trace_json metrics;
     let code =
     match read_program path with
@@ -306,7 +291,7 @@ let eval_cmd =
                           | Some t -> print_string (Cql_eval.Explain.to_string t)
                           | None -> ())
                       (* sorted (predicate, then canonical fact order) so output
-                         diffs cleanly across jobs settings and runs *)
+                         diffs cleanly across runs *)
                       (List.sort Cql_eval.Fact.compare (Cql_eval.Engine.facts_of res q))
                 | None -> ());
                 0))
@@ -336,7 +321,7 @@ let eval_cmd =
   in
   let term =
     Term.(const run $ program_arg $ edb $ domain_arg $ max_iterations $ max_derivations
-          $ traced $ naive $ explain $ stratified $ solver_stats_arg $ jobs_arg
+          $ traced $ naive $ explain $ stratified $ solver_stats_arg
           $ trace_json_arg $ metrics_arg)
   in
   Cmd.v (Cmd.info "eval" ~doc:"Bottom-up evaluation of a CQL program") term
@@ -346,9 +331,8 @@ let eval_cmd =
 let fuzz_cmd =
   let module H = Cql_gen.Harness in
   let module G = Cql_gen.Generate in
-  let run seed count mode domain inject_bug replay out solver_stats jobs trace_json metrics =
+  let run seed count mode domain inject_bug replay out solver_stats trace_json metrics =
     apply_domain domain;
-    apply_jobs jobs;
     apply_tracing trace_json metrics;
     let code =
     match replay with
@@ -450,7 +434,7 @@ let fuzz_cmd =
   in
   let term =
     Term.(const run $ seed $ count $ mode $ domain_arg $ inject_bug $ replay $ out
-          $ solver_stats_arg $ jobs_arg $ trace_json_arg $ metrics_arg)
+          $ solver_stats_arg $ trace_json_arg $ metrics_arg)
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -760,13 +744,13 @@ let bench_incremental_cmd =
       (r, Int64.to_float (Int64.sub (Cql_obs.Obs.monotonic_ns ()) t0) /. 1e6)
     in
     let scratch_answers edb =
-      let res = Engine.run ~jobs:1 ~max_iterations ~max_derivations p ~edb in
+      let res = Engine.run ~max_iterations ~max_derivations p ~edb in
       if not (Engine.stats res).Engine.reached_fixpoint then
         failwith "bench incremental: from-scratch run truncated (raise the budgets)";
       List.sort Fact.compare (Engine.answers res p)
     in
     let (vw, ms0), materialize_ms =
-      time (fun () -> Engine.materialize ~jobs:1 ~max_iterations ~max_derivations p ~edb)
+      time (fun () -> Engine.materialize ~max_iterations ~max_derivations p ~edb)
     in
     Fun.protect ~finally:(fun () -> Engine.close_view vw) @@ fun () ->
     if not ms0.Engine.m_complete then failwith "bench incremental: materialization truncated";
@@ -956,8 +940,8 @@ let bench_int_cmd =
         let p', rewrite_ms =
           time (fun () -> fst (Rewrite.sequence ~max_iters:50 [ Rewrite.Pred; Rewrite.Qrp ] p))
         in
-        let res, eval_ms = time (fun () -> Engine.run ~jobs:1 p ~edb) in
-        let res', eval_rw_ms = time (fun () -> Engine.run ~jobs:1 p' ~edb) in
+        let res, eval_ms = time (fun () -> Engine.run p ~edb) in
+        let res', eval_rw_ms = time (fun () -> Engine.run p' ~edb) in
         let answers r pr = List.sort Fact.compare (Engine.answers r pr) in
         (answers res p, answers res' p', rewrite_ms, eval_ms, eval_rw_ms,
          Engine.total_facts res')

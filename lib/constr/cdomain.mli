@@ -4,9 +4,11 @@
     The flag follows the same two-level discipline as the simplex pivot
     budget: a process-wide default set at CLI/daemon startup, plus a
     per-domain scoped override for individual requests ({!with_domain}).
-    Worker domains spawned inside a scope start from the process default,
-    so fan-out sites must capture {!current} and re-enter the scope on each
-    task (see [Engine.produce_round]).
+    Domains spawned inside a scope, and pool workers running jobs submitted
+    from it, start from the process default, so a job that needs the
+    caller's choice must capture {!current} and re-enter the scope itself
+    (as [cqlserved] does per request, and a view's maintenance does with
+    the domain it was materialized under).
 
     The decision procedures read the flag through {!current}; memoization
     caches salt their keys with {!tag} so a rational verdict is never

@@ -16,8 +16,8 @@ module WT = Weak.Make (struct
   let hash c = c.hash
 end)
 
-(* The weak hashset is striped by hash so worker domains interning in
-   parallel rarely contend; ids come from one atomic counter, so they stay
+(* The weak hashset is striped by hash so domains interning concurrently
+   (the server's requests) rarely contend; ids come from one atomic counter, so they stay
    globally unique and monotonic regardless of which stripe allocates. *)
 let stripes = 16 (* power of two: stripe index is a mask of the hash *)
 let tables = Array.init stripes (fun _ -> WT.create 512)

@@ -6,9 +6,9 @@
    never reused.
 
    Storage is per-domain ([Domain.DLS]): every domain lazily materializes
-   its own Hashtbl for each cache, so lookups and insertions during a
-   parallel evaluation round need no locking and never observe a torn
-   table.  [clear_all] bumps a per-cache epoch; a domain whose local table
+   its own Hashtbl for each cache, so lookups and insertions by evaluations
+   running concurrently on different domains need no locking and never
+   observe a torn table.  [clear_all] bumps a per-cache epoch; a domain whose local table
    is from an older epoch drops it on its next access.  Hit/miss counters
    are [Atomic.t] and therefore aggregate exactly across domains, while
    [entries] in {!stats} reports the calling domain's table only. *)

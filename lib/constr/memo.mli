@@ -10,7 +10,8 @@
     that.
 
     Storage is per-domain via [Domain.DLS]: each domain owns a private
-    table per cache, so parallel evaluation rounds memoize without locks.
+    table per cache, so evaluations running concurrently on different
+    domains (the server's requests) memoize without locks.
     Hit/miss counters are atomic and aggregate exactly across domains;
     {!stats}' [entries] field is the calling domain's view. *)
 
@@ -18,7 +19,8 @@ val enabled : bool ref
 (** When [false], every cache is bypassed (no lookups, no insertions, no
     hit/miss accounting).  Interning itself is always on — it is the term
     representation, not an optimization that can drift.  Toggle only from
-    sequential phases (it is a plain flag read racily by workers). *)
+    while no other domain is solving (it is a plain flag read racily by
+    them). *)
 
 val max_entries : int ref
 (** Per-domain, per-cache bound; a table reaching it is dropped wholesale. *)

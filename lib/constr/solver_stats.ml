@@ -2,8 +2,8 @@
    automatically carries the delta of each decision-procedure counter over
    its extent, and `cqlopt --metrics` reports them alongside span timings.
    The cells are [Atomic.t] underneath: concurrent decision-procedure calls
-   from worker domains during a parallel evaluation round count exactly; the
-   sequential cost is one fetch-and-add per counted event. *)
+   from requests on different domains count exactly; the sequential cost
+   is one fetch-and-add per counted event. *)
 
 module Obs = Cql_obs.Obs
 

@@ -17,7 +17,7 @@ let counter = Atomic.make 0
 
 (* Interning is mutexed (named variables are rare and mostly created at
    parse time on the main domain); the counter is atomic because [fresh]
-   is on the hot path of every worker domain during parallel evaluation. *)
+   is on the hot path of every domain evaluating a request. *)
 let mk name =
   Mutex.protect lock (fun () ->
       match Hashtbl.find_opt table name with

@@ -20,10 +20,7 @@ module Obs = Cql_obs.Obs
    substitution through the very same [Subst.unify_terms], so each
    candidate combination yields exactly the head fact substitution
    semantics would derive from it (the seed evaluator, lib/gen/reference,
-   is the cross-check).  Enumeration order is the plan's; the sequential
-   and the parallel ([exec_seeded]) entries visit the same candidates in
-   the same order, so every [--jobs] value merges an identical production
-   list.
+   is the cross-check).  Enumeration order is the plan's.
 
    The rule's constraint is compiled too, into a straight-line program over
    value slots (the registers, then one slot per variable the constraint's
@@ -652,7 +649,8 @@ let run_program p (fr : frame) side ~z =
       | Unfit -> finish_exact p fr ~z)
   | Large | Small -> finish_exact p fr ~z
 
-let run_from (code : code) (fr : frame) store ~emit start side0 cstr0 =
+let exec (code : code) store ~emit =
+  let fr = make_frame code in
   let nsteps = Array.length code.c_steps in
   let rule = code.c_rule in
   let hpred = rule.Rule.head.Literal.pred in
@@ -690,33 +688,4 @@ let run_from (code : code) (fr : frame) store ~emit start side0 cstr0 =
               step_loop (si + 1) side' cstr')
     end
   in
-  step_loop start side0 cstr0
-
-let exec (code : code) store ~emit =
-  let fr = make_frame code in
-  run_from code fr store ~emit 0 Subst.empty Conj.tt
-
-(* the first step's candidates in enumeration order: no register is bound
-   yet, so the probe keys on the step's constants only *)
-let seeds (code : code) store =
-  match code.c_steps with
-  | [||] -> []
-  | steps ->
-      let st = steps.(0) in
-      let positions, key = probe_cols (make_frame code) st Subst.empty in
-      let acc = ref [] in
-      iter_cands store st positions key (fun f -> acc := f :: !acc);
-      List.rev !acc
-
-(* parallel-task entry: step 0's candidate is fixed (one of the task's
-   slice of [seeds]) *)
-let exec_seeded (code : code) store ~seed ~emit =
-  let fr = make_frame code in
-  match code.c_steps with
-  | [||] -> ()
-  | steps -> (
-      match apply_fact fr steps.(0) seed Subst.empty Conj.tt with
-      | None -> ()
-      | Some (side, cstr) ->
-          fr.chosen.(0) <- seed;
-          run_from code fr store ~emit 1 side cstr)
+  step_loop 0 Subst.empty Conj.tt

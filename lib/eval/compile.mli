@@ -72,13 +72,3 @@ val exec : code -> Store.t -> emit:(Fact.t -> Fact.t list -> unit) -> unit
     registers that resolve to constants) in the step's partition.  [emit
     fact used] receives each derived head fact with the body facts it used,
     in original body-literal order.  Read-only on the store. *)
-
-val seeds : code -> Store.t -> Fact.t list
-(** The first step's candidate facts, in the order {!exec} visits them —
-    what the parallel path slices into per-task chunks. *)
-
-val exec_seeded :
-  code -> Store.t -> seed:Fact.t -> emit:(Fact.t -> Fact.t list -> unit) -> unit
-(** Like {!exec} with the first step's candidate fixed to [seed] (one of
-    {!seeds}): running it over every seed in order emits exactly {!exec}'s
-    derivations, in {!exec}'s order. *)

@@ -2,24 +2,9 @@ open Cql_constr
 open Cql_datalog
 module Store = Cql_store.Store
 module Planner = Cql_store.Planner
-module Pool = Cql_par.Pool
 module Obs = Cql_obs.Obs
 
 module StringMap = Map.Make (String)
-
-(* ----- parallelism degree ----- *)
-
-let default_jobs_ref : int option ref = ref None
-let set_default_jobs n = default_jobs_ref := Some (max 1 n)
-
-let default_jobs () =
-  match !default_jobs_ref with
-  | Some n -> n
-  | None -> (
-      match Sys.getenv_opt "CQLOPT_JOBS" with
-      | Some s -> (
-          match int_of_string_opt (String.trim s) with Some n when n >= 1 -> n | _ -> 1)
-      | None -> 1)
 
 type trace_entry = { iteration : int; rule_label : string; fact : Fact.t; subsumed : bool }
 
@@ -103,87 +88,17 @@ type budget = { mutable deriv_left : int }
 
 exception Budget_exhausted
 
-(* One parallel task: a slice of one compiled plan's first-step candidates.
-   Tasks are built in the exact order the sequential loop would enumerate
-   them, and each task emits its derivations in enumeration order, so
-   concatenating task outputs in task order reproduces the sequential
-   production list — the merge phase then behaves identically (same facts,
-   same provenance, same trace, same budget-truncation point). *)
-type task = { tk_code : Compile.code; tk_seeds : Fact.t list }
-
-let run_task store (tk : task) =
-  let label = (Compile.rule tk.tk_code).Rule.label in
-  let out = ref [] in
-  List.iter
-    (fun seed ->
-      Compile.exec_seeded tk.tk_code store ~seed ~emit:(fun f used ->
-          out := (label, f, used) :: !out))
-    tk.tk_seeds;
-  (* forward (enumeration) order, ready for in-order concatenation *)
-  List.rev !out
-
-(* Slice every plan into tasks: the first join step's candidate list is what
-   semi-naive iteration fans out over (the delta pivot is placed first by
-   the planner), cut into [jobs * 4] chunks for load balance. *)
-let tasks_of_iteration store jobs codes =
-  let tasks = ref [] in
+(* One match/join phase over every compiled plan, returning the
+   productions in enumeration order (rule order, then plan order) for the
+   merge that follows. *)
+let produce_round store codes =
+  let produced = ref [] in
   List.iter
     (fun code ->
-      let seeds = Compile.seeds code store in
-      let n = List.length seeds in
-      let chunk = max 1 ((n + (jobs * 4) - 1) / (jobs * 4)) in
-      let rec cut seeds =
-        if seeds <> [] then begin
-          let rec take k acc rest =
-            match rest with
-            | x :: tl when k > 0 -> take (k - 1) (x :: acc) tl
-            | _ -> (List.rev acc, rest)
-          in
-          let slice, rest = take chunk [] seeds in
-          tasks := { tk_code = code; tk_seeds = slice } :: !tasks;
-          cut rest
-        end
-      in
-      cut seeds)
+      let label = (Compile.rule code).Rule.label in
+      Compile.exec code store ~emit:(fun f used -> produced := (label, f, used) :: !produced))
     codes;
-  Array.of_list (List.rev !tasks)
-
-(* One match/join phase over every compiled plan.  With a pool the store is
-   frozen and the candidate fan-out runs on worker domains; either way the
-   returned production list is in the exact sequential enumeration order,
-   so the (sequential) merge that follows behaves identically. *)
-let produce_round store pool jobs codes =
-  match pool with
-  | None ->
-      (* exact sequential path: no task slicing, no synchronization *)
-      let produced = ref [] in
-      List.iter
-        (fun code ->
-          let label = (Compile.rule code).Rule.label in
-          Compile.exec code store ~emit:(fun f used ->
-              produced := (label, f, used) :: !produced))
-        codes;
-      List.rev !produced
-  | Some pool ->
-      (* workers only read the store (frozen for the phase) and emit into
-         per-task buffers; concatenation in task order reproduces the
-         sequential production order exactly *)
-      Store.freeze store;
-      (* the constraint domain is domain-local state: capture the caller's
-         choice and re-establish it on every worker, so a Z-mode run keeps
-         Z-mode solver verdicts on all [--jobs] paths *)
-      let cdom = Cdomain.current () in
-      let outs =
-        Fun.protect
-          ~finally:(fun () -> Store.thaw store)
-          (fun () ->
-            let tasks = tasks_of_iteration store jobs codes in
-            Obs.add_field "tasks" (Array.length tasks);
-            Pool.map pool
-              (fun t -> Cdomain.with_domain cdom (fun () -> run_task store t))
-              tasks)
-      in
-      List.concat (Array.to_list outs)
+  List.rev !produced
 
 (* A precompiled plan set for one program: built once (e.g. by the plan
    cache) and reused across runs so warm requests skip both planning and
@@ -206,13 +121,11 @@ let codes_for ?compiled (p : Program.t) body_rules =
       cp.cp_codes
   | _ -> compile_rules ~seminaive:true body_rules
 
-let run_loop ~seminaive ?jobs ?max_iterations ?max_derivations ?(traced = false) ?compiled
+let run_loop ~seminaive ?max_iterations ?max_derivations ?(traced = false) ?compiled
     (p : Program.t) ~(edb : Fact.t list) =
   Obs.span "engine.run" @@ fun () ->
   check_arities p edb;
-  let jobs = match jobs with Some n -> max 1 n | None -> default_jobs () in
   if Obs.enabled () then begin
-    Obs.add_field "jobs" jobs;
     Obs.add_field "rules" (List.length p.Program.rules);
     Obs.add_field "edb_facts" (List.length edb);
     Obs.add_field_str "mode" (if seminaive then "seminaive" else "naive")
@@ -286,68 +199,61 @@ let run_loop ~seminaive ?jobs ?max_iterations ?max_derivations ?(traced = false)
       trace_rev = !trace_rev;
     }
   in
-  (* With [jobs > 1] the match/join work of each iteration fans out over a
-     domain pool; the merge phase below stays sequential either way, so the
-     two paths produce identical results (see [run_task]). *)
-  let pool = if jobs > 1 then Some (Pool.create ~jobs) else None in
-  Fun.protect
-    ~finally:(fun () -> match pool with Some p -> Pool.shutdown p | None -> ())
-    (fun () ->
-      try
-        (* iteration 0: EDB facts (untraced) + fact rules *)
+  try
+    (* iteration 0: EDB facts (untraced) + fact rules *)
+    List.iter
+      (fun f ->
+        if not (Store.known_subsumes store f) then begin
+          add_fact f;
+          remember "edb" f []
+        end)
+      edb;
+    List.iter
+      (fun (r : Rule.t) ->
+        Option.iter (fun f -> ignore (merge 0 (r.Rule.label, f, []))) (derive_fact_rule r))
+      fact_rules;
+    let continue_ = ref true in
+    while !continue_ do
+      let iter = !iterations + 1 in
+      (match max_iterations with Some cap when iter > cap -> raise Exit | _ -> ());
+      iterations := iter;
+      let any_added =
+        Obs.span "engine.iteration" @@ fun () ->
+        Obs.add_field "iteration" iter;
+        Store.advance store;
+        let produced = produce_round store codes in
+        let added = ref 0 and subsumed_hits = ref 0 in
+        (* [record] may raise Budget_exhausted mid-merge; the span still
+           records (with the fields attached so far) and re-raises *)
         List.iter
-          (fun f ->
-            if not (Store.known_subsumes store f) then begin
-              add_fact f;
-              remember "edb" f []
-            end)
-          edb;
-        List.iter
-          (fun (r : Rule.t) ->
-            Option.iter (fun f -> ignore (merge 0 (r.Rule.label, f, []))) (derive_fact_rule r))
-          fact_rules;
-        let continue_ = ref true in
-        while !continue_ do
-          let iter = !iterations + 1 in
-          (match max_iterations with Some cap when iter > cap -> raise Exit | _ -> ());
-          iterations := iter;
-          let any_added =
-            Obs.span "engine.iteration" @@ fun () ->
-            Obs.add_field "iteration" iter;
-            Store.advance store;
-            let produced = produce_round store pool jobs codes in
-            let added = ref 0 and subsumed_hits = ref 0 in
-            (* [record] may raise Budget_exhausted mid-merge; the span still
-               records (with the fields attached so far) and re-raises *)
-            List.iter
-              (fun prod -> if merge iter prod then incr subsumed_hits else incr added)
-              produced;
-            if Obs.enabled () then begin
-              Obs.add_field "produced" (List.length produced);
-              Obs.add_field "delta_added" !added;
-              Obs.add_field "subsumption_hits" !subsumed_hits
-            end;
-            !added > 0
-          in
-          if not any_added then begin
-            fixpoint := true;
-            continue_ := false
-          end
-        done;
-        result ()
-      with Exit | Budget_exhausted -> result ())
+          (fun prod -> if merge iter prod then incr subsumed_hits else incr added)
+          produced;
+        if Obs.enabled () then begin
+          Obs.add_field "produced" (List.length produced);
+          Obs.add_field "delta_added" !added;
+          Obs.add_field "subsumption_hits" !subsumed_hits
+        end;
+        !added > 0
+      in
+      if not any_added then begin
+        fixpoint := true;
+        continue_ := false
+      end
+    done;
+    result ()
+  with Exit | Budget_exhausted -> result ()
 
-let run ?jobs ?max_iterations ?max_derivations ?traced ?compiled p ~edb =
-  run_loop ~seminaive:true ?jobs ?max_iterations ?max_derivations ?traced ?compiled p ~edb
+let run ?jobs:_ ?max_iterations ?max_derivations ?traced ?compiled p ~edb =
+  run_loop ~seminaive:true ?max_iterations ?max_derivations ?traced ?compiled p ~edb
 
-let run_naive ?jobs ?max_iterations ?max_derivations p ~edb =
-  run_loop ~seminaive:false ?jobs ?max_iterations ?max_derivations p ~edb
+let run_naive ?max_iterations ?max_derivations p ~edb =
+  run_loop ~seminaive:false ?max_iterations ?max_derivations p ~edb
 
 (* SCC-stratified evaluation: process the predicate dependency graph
    callees-first, running the semi-naive loop once per stratum with all
    earlier facts as input.  Same fixpoint; each stratum's rules only ever
    see fully-computed lower strata, so no wasted re-derivation across strata. *)
-let run_stratified ?jobs ?max_iterations ?max_derivations (p : Program.t) ~edb =
+let run_stratified ?max_iterations ?max_derivations (p : Program.t) ~edb =
   Obs.span "engine.run_stratified" @@ fun () ->
   check_arities p edb;
   let g = Depgraph.of_program p in
@@ -376,7 +282,7 @@ let run_stratified ?jobs ?max_iterations ?max_derivations (p : Program.t) ~edb =
         in
         let sub = { p with Program.rules } in
         let res =
-          run_loop ~seminaive:true ?jobs ?max_iterations ~max_derivations:!deriv_budget
+          run_loop ~seminaive:true ?max_iterations ~max_derivations:!deriv_budget
             ~traced:false sub ~edb:!facts
         in
         deriv_budget := !deriv_budget - res.stats.derivations;
@@ -395,7 +301,7 @@ let run_stratified ?jobs ?max_iterations ?max_derivations (p : Program.t) ~edb =
       else fixpoint := false)
     sccs;
   match !last with
-  | None -> run ?jobs ?max_iterations ?max_derivations p ~edb
+  | None -> run ?max_iterations ?max_derivations p ~edb
   | Some res ->
       (* merge provenance, preferring the stratum that really derived a
          fact over a later stratum seeing it as input *)
@@ -470,8 +376,6 @@ type view = {
   vw_program : Program.t;
   vw_store : Store.t;
   vw_codes : Compile.code list;
-  vw_pool : Pool.t option;
-  vw_jobs : int;
   vw_domain : Cdomain.t;  (* constraint domain captured at materialize *)
   vw_max_iterations : int option;
   vw_max_derivations : int option;
@@ -594,7 +498,7 @@ let view_rounds vw ms ~max_iterations =
     (match max_iterations with Some cap when iter > cap -> raise Exit | _ -> ());
     ms.s_iterations <- iter;
     Store.advance vw.vw_store;
-    let produced = produce_round vw.vw_store vw.vw_pool vw.vw_jobs vw.vw_codes in
+    let produced = produce_round vw.vw_store vw.vw_codes in
     if view_merge vw ms produced = 0 then continue_ := false
   done
 
@@ -853,11 +757,10 @@ let retract ?max_iterations ?max_derivations vw facts =
   in
   finish_op vw ms ~op:"retract" ~batch:(List.length facts) ~complete
 
-let materialize ?jobs ?max_iterations ?max_derivations ?compiled (p : Program.t) ~edb =
+let materialize ?jobs:_ ?max_iterations ?max_derivations ?compiled (p : Program.t) ~edb =
   Obs.span "engine.maintain" @@ fun () ->
   Obs.add_field_str "op" "materialize";
   check_arities p edb;
-  let jobs = match jobs with Some n -> max 1 n | None -> default_jobs () in
   let fact_rules, body_rules = List.partition Rule.is_fact p.Program.rules in
   let codes = codes_for ?compiled p body_rules in
   let vw =
@@ -865,8 +768,6 @@ let materialize ?jobs ?max_iterations ?max_derivations ?compiled (p : Program.t)
       vw_program = p;
       vw_store = Store.create ();
       vw_codes = codes;
-      vw_pool = (if jobs > 1 then Some (Pool.create ~jobs) else None);
-      vw_jobs = jobs;
       vw_domain = Cdomain.current ();
       vw_max_iterations = max_iterations;
       vw_max_derivations = max_derivations;
@@ -896,18 +797,13 @@ let materialize ?jobs ?max_iterations ?max_derivations ?compiled (p : Program.t)
   let stats = finish_op vw ms ~op:"materialize" ~batch:(List.length edb) ~complete in
   (vw, stats)
 
-let close_view vw =
-  if not vw.vw_closed then begin
-    vw.vw_closed <- true;
-    match vw.vw_pool with Some p -> Pool.shutdown p | None -> ()
-  end
+let close_view vw = vw.vw_closed <- true
 
 (* ----- view accessors ----- *)
 
 let view_program vw = vw.vw_program
 let view_complete vw = vw.vw_complete
 let view_edb vw = List.rev vw.vw_edb
-let view_jobs vw = vw.vw_jobs
 let view_domain vw = vw.vw_domain
 
 let view_facts_of vw pred = Store.facts vw.vw_store pred

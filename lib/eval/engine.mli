@@ -21,24 +21,13 @@
     rule executor.  The seed list-based evaluator lives on outside the
     engine as [Cql_gen.Reference], the fuzz harness's cross-check.
 
-    {b Parallelism.}  With [~jobs:n] (n > 1) each semi-naive iteration fans
-    the (rule-plan × first-step-candidate-chunk) match/join tasks out over a
-    domain pool ({!Cql_par.Pool}): workers probe the frozen, read-only store
-    and emit candidate derivations into per-task buffers, and a sequential
-    merge phase then performs subsumption, provenance and delta construction
-    in the exact order the sequential engine would have — so results
-    (facts, derivation counts, trace, provenance, budget truncation) are
-    identical for every [jobs] value.  [~jobs:1] is the unmodified
-    sequential code path. *)
+    {b Concurrency.}  One evaluation runs on the calling domain from start
+    to finish; its store, register frames and budgets belong to that run
+    alone.  Independent evaluations may run on different domains at once
+    (as [cqlserved] runs requests): the interned constraint terms, the
+    solver caches and the constraint domain are safe to share that way. *)
 
 open Cql_datalog
-
-val set_default_jobs : int -> unit
-(** Set the parallelism degree used when [?jobs] is not passed (clamped to
-    at least 1).  Until called, the default is the [CQLOPT_JOBS]
-    environment variable if it parses as a positive integer, else 1. *)
-
-val default_jobs : unit -> int
 
 type trace_entry = {
   iteration : int;
@@ -117,11 +106,11 @@ val run :
     ({!Cql_eval.Compile}).  [compiled] supplies a precompiled artifact for
     this exact program (physical equality), skipping planning and
     compilation entirely.
-    [jobs] (default {!default_jobs}) is the number of domains evaluating
-    each iteration's match phase; results are identical for every value. *)
+    [jobs] is accepted and ignored: evaluation is sequential, and no result
+    ever depended on it.  It stays only because [perfbench/] still passes
+    it. *)
 
 val run_naive :
-  ?jobs:int ->
   ?max_iterations:int ->
   ?max_derivations:int ->
   Program.t ->
@@ -131,7 +120,6 @@ val run_naive :
     used to cross-check the semi-naive engine. *)
 
 val run_stratified :
-  ?jobs:int ->
   ?max_iterations:int ->
   ?max_derivations:int ->
   Program.t ->
@@ -151,8 +139,8 @@ val all_ground : result -> bool
     {!materialize} evaluates a program once and returns a live handle;
     {!insert} and {!retract} then maintain the fixpoint under EDB changes
     without re-evaluating from scratch.  Insertions run ordinary semi-naive
-    delta rounds seeded from the new facts (on the view's domain pool when
-    [jobs > 1]).  Retractions are DRed over a recorded support graph:
+    delta rounds seeded from the new facts.  Retractions are DRed over a
+    recorded support graph:
     every rule firing (head, label, body facts) is kept, so over-deletion
     and re-derivation are pure graph walks and facts outside the deleted
     cone are never re-proved.  Per-fact support counts (EDB multiplicity +
@@ -163,7 +151,8 @@ val all_ground : result -> bool
     fact covers them are remembered, and retracting their last cover
     resurrects the ones that still have support.
 
-    Results are identical for every [jobs] value, exactly as for {!run}. *)
+    A view is single-writer: maintenance and reads of one view must not run
+    on two domains at once (the server serializes them per view). *)
 
 type view
 
@@ -193,8 +182,8 @@ val materialize :
 (** Evaluate the program to fixpoint and return a live view.  The budgets
     become the view's per-operation defaults.  When truncated
     ([m_complete = false]) the view's contents are a sound under-
-    approximation and {!view_complete} turns false.  [compiled] as for
-    {!run}: a precompiled plan artifact for this exact program. *)
+    approximation and {!view_complete} turns false.  [compiled] and the
+    ignored [jobs] as for {!run}. *)
 
 val insert :
   ?max_iterations:int -> ?max_derivations:int -> view -> Fact.t list -> maintain_stats
@@ -209,8 +198,8 @@ val retract :
     cover died. *)
 
 val close_view : view -> unit
-(** Release the view's domain pool.  Further maintenance raises
-    [Invalid_argument]; accessors keep working. *)
+(** Close the view: further maintenance raises [Invalid_argument];
+    accessors keep working. *)
 
 val view_program : view -> Program.t
 val view_complete : view -> bool
@@ -219,8 +208,6 @@ val view_complete : view -> bool
 
 val view_edb : view -> Fact.t list
 (** The current EDB multiset, oldest first. *)
-
-val view_jobs : view -> int
 
 val view_domain : view -> Cql_constr.Cdomain.t
 (** The constraint domain captured when the view was materialized; every

@@ -18,7 +18,6 @@ type oracle =
   | Monotone
   | Bound
   | Cache
-  | Parallel
   | Update
   | Tier
   | Relaxation
@@ -30,7 +29,6 @@ let oracle_name = function
   | Monotone -> "monotone"
   | Bound -> "bound"
   | Cache -> "cache"
-  | Parallel -> "parallel"
   | Update -> "update"
   | Tier -> "interval"
   | Relaxation -> "relaxation"
@@ -55,6 +53,7 @@ type stats = {
   mutable evaluated : int;
   mutable checks : int;
   mutable rewrites_skipped : int;
+  mutable rewrites_unconverged : int;
   mutable runs_truncated : int;
   mutable facts_derived : int;
   mutable gen_retries : int;
@@ -66,6 +65,7 @@ let new_stats () =
     evaluated = 0;
     checks = 0;
     rewrites_skipped = 0;
+    rewrites_unconverged = 0;
     runs_truncated = 0;
     facts_derived = 0;
     gen_retries = 0;
@@ -141,43 +141,7 @@ let check_cache_differential ~max_iterations ~max_derivations ~max_iters st p ed
       end
   | _ -> Some "constraint_rewrite applicability differs with caches on vs off"
 
-(* ----- the parallel differential (oracle 7) ----- *)
-
-(* Run the heaviest rewrite and an evaluation of its output with [jobs=1]
-   (the exact sequential path) and [jobs=4] (domain-pool fan-out), each from
-   a fresh cache state, and require alpha-equivalent rewritten programs,
-   identical sorted answers, identical derivation counts and identical
-   fixpoint status.  Parallelism may only ever change speed, never a
-   result. *)
-let check_parallel_differential ~max_iterations ~max_derivations ~max_iters st p edb =
-  let run_with jobs =
-    Memo.clear_all ();
-    match Rw.constraint_rewrite ~max_iters p with
-    | exception (Invalid_argument _ | Failure _) -> None
-    | p', _ ->
-        let res = Engine.run ~jobs ~max_iterations ~max_derivations p' ~edb in
-        Some
-          ( p',
-            List.sort F.compare (Engine.answers res p'),
-            (Engine.stats res).Engine.derivations,
-            (Engine.stats res).Engine.reached_fixpoint )
-  in
-  match (run_with 1, run_with 4) with
-  | None, None -> None
-  | Some (p1, a1, d1, f1), Some (p4, a4, d4, f4) ->
-      if not (Program.equal_mod_renaming p1 p4) then
-        Some "constraint_rewrite output differs between jobs=1 and jobs=4"
-      else if d1 <> d4 then
-        Some (Printf.sprintf "derivation counts differ (jobs=1: %d, jobs=4: %d)" d1 d4)
-      else if f1 <> f4 || not (List.equal F.equal a1 a4) then
-        Some "evaluation answers differ between jobs=1 and jobs=4"
-      else begin
-        st.checks <- st.checks + 1;
-        None
-      end
-  | _ -> Some "constraint_rewrite applicability differs between jobs=1 and jobs=4"
-
-(* ----- the interval-tier differential (oracle 9) ----- *)
+(* ----- the interval-tier differential (oracle 8) ----- *)
 
 (* Run the heaviest rewrite and an evaluation of its output with the
    interval fast tier enabled and disabled, each from a fresh cache state,
@@ -226,21 +190,24 @@ let pipelines ~max_iters ?tamper (p : Program.t) =
       let ad = String.make (Program.arity p q) 'f' in
       let mg = Rw.Magic { adornment = ad; constraint_magic = true } in
       let plain_mg = Rw.Magic { adornment = ad; constraint_magic = false } in
-      let seq steps p = fst (Rw.sequence ~max_iters steps p) in
+      let seq steps p = Rw.sequence ~max_iters steps p in
       let base =
         [
           ("pred", seq [ Rw.Pred ]);
           ("qrp", seq [ Rw.Qrp ]);
           ("pred,qrp", seq [ Rw.Pred; Rw.Qrp ]);
           ("qrp,pred", seq [ Rw.Qrp; Rw.Pred ]);
-          ("constraint_rewrite", fun p -> fst (Rw.constraint_rewrite ~max_iters p));
+          ("constraint_rewrite", fun p -> Rw.constraint_rewrite ~max_iters p);
           ("mg", seq [ mg ]);
           ("mg-plain", seq [ plain_mg ]);
           ("mg-complete", seq [ Rw.Magic_complete ]);
           ("pred,qrp,mg", seq [ Rw.Pred; Rw.Qrp; mg ]);
           ("mg,qrp", seq [ mg; Rw.Qrp ]);
-          ("optimal", fun p -> fst (Rw.optimal ~max_iters ~adornment:ad p));
-          ("gmt", fun p -> Gmt.pipeline ~query_adornment:ad p);
+          ("optimal", fun p -> Rw.optimal ~max_iters ~adornment:ad p);
+          ( "gmt",
+            fun p ->
+              ( Gmt.pipeline ~query_adornment:ad p,
+                { Rw.pred_constraints = None; qrp_constraints = None } ) );
         ]
       in
       (* The injected bug: a QRP propagation whose definition rules are
@@ -252,7 +219,7 @@ let pipelines ~max_iters ?tamper (p : Program.t) =
          the fold check, so a tightened cset just folds fewer call sites and
          stays sound.) *)
       let tampered t p =
-        let p1, _ = Pred_constraints.gen_prop ~max_iters p in
+        let p1, pres = Pred_constraints.gen_prop ~max_iters p in
         let res = Qrp.gen ~max_iters p1 in
         let query = p1.Program.query in
         let to_prime =
@@ -284,7 +251,8 @@ let pipelines ~max_iters ?tamper (p : Program.t) =
             r to_prime
         in
         let rules = List.map fold_all (p1.Program.rules @ primed_rules) in
-        Program.dedup_rules (Program.restrict_reachable { p1 with Program.rules })
+        ( Program.dedup_rules (Program.restrict_reachable { p1 with Program.rules }),
+          { Rw.pred_constraints = Some pres; qrp_constraints = Some res } )
       in
       match tamper with
       | None -> base
@@ -292,6 +260,14 @@ let pipelines ~max_iters ?tamper (p : Program.t) =
 
 let drop_disjuncts cs =
   match Cset.disjuncts cs with [] -> cs | d :: _ -> Cset.of_conj d
+
+(* the pred or QRP fixpoint of a rewrite exhausted [max_iters] and fell
+   back to [true] (sound, not minimum) *)
+let fell_back (r : Rw.report) =
+  (match r.Rw.pred_constraints with
+  | Some res -> not res.Pred_constraints.converged
+  | None -> false)
+  || match r.Rw.qrp_constraints with Some res -> not res.Qrp.converged | None -> false
 
 (* ----- oracles ----- *)
 
@@ -386,7 +362,7 @@ let check_bound ~max_bound_iters st p =
            (Bigint.to_string bound) pres.Pred_constraints.iterations
            pres.Pred_constraints.converged qres.Qrp.iterations qres.Qrp.converged limit)
 
-(* ----- the rational-relaxation oracle (oracle 10, int mode) ----- *)
+(* ----- the rational-relaxation oracle (oracle 9, int mode) ----- *)
 
 (* ℤ ⊂ ℚ: any answer derivable under the integer domain is derivable under
    the rational one, so every Z answer must be covered by the Q answers.
@@ -421,7 +397,7 @@ let check_relaxation ~max_iterations ~max_derivations st p edb =
 let check_case ?tamper ?(max_iterations = 25) ?(max_derivations = 20_000) ?(max_iters = 20)
     ~mode st p edb =
   (* Int-mode cases run every oracle under the integer domain, so the
-     cache/parallel/interval differentials double as ℤ transparency checks;
+     cache/interval differentials double as ℤ transparency checks;
      the relaxation oracle below is the only one that crosses domains on
      purpose. *)
   (if mode = Generate.Int then Cdomain.with_domain Cdomain.Z else fun k -> k ()) @@ fun () ->
@@ -455,11 +431,6 @@ let check_case ?tamper ?(max_iterations = 25) ?(max_derivations = 20_000) ?(max_
             | Some detail -> fail Cache "constraint_rewrite" detail
             | None -> (
             match
-              check_parallel_differential ~max_iterations ~max_derivations ~max_iters st p edb
-            with
-            | Some detail -> fail Parallel "eval" detail
-            | None -> (
-            match
               check_interval_differential ~max_iterations ~max_derivations ~max_iters st p edb
             with
             | Some detail -> fail Tier "constraint_rewrite" detail
@@ -490,7 +461,9 @@ let check_case ?tamper ?(max_iterations = 25) ?(max_derivations = 20_000) ?(max_
               | exception (Invalid_argument _ | Failure _) ->
                   st.rewrites_skipped <- st.rewrites_skipped + 1;
                   None
-              | p' -> (
+              | p', report -> (
+                  if fell_back report then
+                    st.rewrites_unconverged <- st.rewrites_unconverged + 1;
                   add_conjs p';
                   let res' = Engine.run ~max_iterations ~max_derivations p' ~edb in
                   if not (Engine.stats res').Engine.reached_fixpoint then begin
@@ -563,7 +536,7 @@ let check_case ?tamper ?(max_iterations = 25) ?(max_derivations = 20_000) ?(max_
             | None -> (
                 match check_solver_pool st !solver_pool with
                 | Some detail -> fail Solver "solver" detail
-                | None -> None)))))))
+                | None -> None))))))
   end
 
 (* ----- shrinking ----- *)
@@ -679,7 +652,7 @@ let replay ?mode p edb =
   in
   check_case ~mode (new_stats ()) p edb
 
-(* ----- the update-oracle differential (oracle 8) ----- *)
+(* ----- the update-oracle differential (oracle 7) ----- *)
 
 (* Apply a random insert/retract sequence to a materialized view and, after
    every step, compare it against a from-scratch re-evaluation of the
@@ -709,7 +682,7 @@ let check_update_case ?(max_iterations = 25) ?(max_derivations = 20_000) st p (e
   (* one differential check of the live view against fresh evaluations *)
   let compare_now what =
     let edb_now = Engine.view_edb vw in
-    let sv, sst = Engine.materialize ~jobs:1 ~max_iterations ~max_derivations p ~edb:edb_now in
+    let sv, sst = Engine.materialize ~max_iterations ~max_derivations p ~edb:edb_now in
     Fun.protect ~finally:(fun () -> Engine.close_view sv) @@ fun () ->
     if not sst.Engine.m_complete then `Truncated
     else begin
@@ -731,7 +704,7 @@ let check_update_case ?(max_iterations = 25) ?(max_derivations = 20_000) st p (e
                 Some (what ^ ": incremental and from-scratch support counts differ")
               else begin
                 (* anchor to the plain engine: same answers *)
-                let r = Engine.run ~jobs:1 ~max_iterations ~max_derivations p ~edb:edb_now in
+                let r = Engine.run ~max_iterations ~max_derivations p ~edb:edb_now in
                 if not (Engine.stats r).Engine.reached_fixpoint then ()
                 else if
                   not
@@ -985,8 +958,9 @@ let pp_summary fmt (s : summary) =
   let st = s.stats in
   Format.fprintf fmt
     "fuzz: seed=%d cases=%d evaluated=%d oracle_checks=%d skipped_rewrites=%d \
-     truncated_runs=%d gen_retries=%d mean_idb_facts=%.1f@."
-    s.seed st.cases st.evaluated st.checks st.rewrites_skipped st.runs_truncated st.gen_retries
+     unconverged_rewrites=%d truncated_runs=%d gen_retries=%d mean_idb_facts=%.1f@."
+    s.seed st.cases st.evaluated st.checks st.rewrites_skipped st.rewrites_unconverged
+    st.runs_truncated st.gen_retries
     (if st.evaluated = 0 then 0.0
      else float_of_int st.facts_derived /. float_of_int st.evaluated);
   match s.failure with

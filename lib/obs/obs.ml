@@ -7,7 +7,7 @@
    - Disabled is free: every entry point first reads one [Atomic.t] flag and
      returns to the caller's code without allocating.  Tracing is off unless
      [set_enabled true] ran (the [CQLOPT_TRACE] environment variable arms it
-     at startup), so the jobs>1 evaluation hot path is unaffected.
+     at startup), so the evaluation hot path is unaffected.
    - Domain-safe: span stacks live in [Domain.DLS], so nesting is tracked
      per domain; completed events are appended to one global buffer under a
      mutex (spans close at phase granularity, never per derivation, so the
@@ -17,8 +17,9 @@
    monotonic start and duration in nanoseconds, the domain it ran on, any
    integer/string fields attached with [add_field] while it was open, and
    the delta of every registered counter over its extent.  Counter deltas
-   are observational: with jobs>1 the work of worker domains is attributed
-   to whichever spans are open while they run. *)
+   are observational: counters are process-wide, so work that other
+   domains do concurrently (the server's other requests) is attributed to
+   whichever spans are open while it runs. *)
 
 external monotonic_ns : unit -> int64 = "caml_obs_monotonic_ns"
 

@@ -1,19 +1,8 @@
-type batch = {
-  run : int -> unit;  (* run task [i]; must not raise *)
-  n : int;
-  next : int Atomic.t;  (* shared claim cursor *)
-  chunk : int;
-  left : int Atomic.t;  (* tasks not yet finished *)
-}
-
 type t = {
   jobs : int;
   m : Mutex.t;
-  work : Condition.t;  (* signalled when work is published or on stop *)
-  done_ : Condition.t;  (* signalled when a batch fully drains *)
-  mutable batch : batch option;
-  mutable generation : int;
-  queue : (unit -> unit) Queue.t;  (* independent submitted jobs *)
+  work : Condition.t;  (* signalled when a job is queued or on stop *)
+  queue : (unit -> unit) Queue.t;  (* submitted jobs, not yet started *)
   mutable stop : bool;
   mutable workers : unit Domain.t list;
 }
@@ -26,57 +15,20 @@ type 'a job = {
   mutable result : 'a outcome option;  (* [None] while the job is pending *)
 }
 
-let recommended_jobs () = Domain.recommended_domain_count ()
-
-(* Claim chunks of tasks off [b.next] until the cursor passes [b.n].
-   Decrementing [b.left] by the number of tasks actually run lets the
-   last finisher detect completion and wake the caller. *)
-let drain t b =
-  let rec loop () =
-    let lo = Atomic.fetch_and_add b.next b.chunk in
-    if lo < b.n then begin
-      let hi = min b.n (lo + b.chunk) in
-      for i = lo to hi - 1 do
-        b.run i
-      done;
-      let remaining = Atomic.fetch_and_add b.left (lo - hi) + (lo - hi) in
-      if remaining = 0 then begin
-        Mutex.lock t.m;
-        Condition.broadcast t.done_;
-        Mutex.unlock t.m
-      end;
-      loop ()
-    end
-  in
-  loop ()
-
-(* Run one submitted job closure.  The closure owns its exceptions (it
-   stores them into the job cell), so a raise here is a bug. *)
-let run_job f = f ()
-
-(* Workers serve two kinds of work: [map] batches (all workers cooperate on
-   one batch, signalled by a generation bump) and independent submitted jobs
-   (each popped and run by a single worker).  Batches take priority so a
-   parallel evaluation round is never starved by queued jobs. *)
+(* Each worker pops and runs one submitted job at a time.  A job closure
+   owns its exceptions (it stores them into the job cell), so a raise here
+   is a bug. *)
 let worker t =
-  let seen = ref 0 in
   let rec loop () =
     Mutex.lock t.m;
-    while (not t.stop) && t.generation = !seen && Queue.is_empty t.queue do
+    while (not t.stop) && Queue.is_empty t.queue do
       Condition.wait t.work t.m
     done;
     if t.stop then Mutex.unlock t.m
-    else if t.generation <> !seen then begin
-      seen := t.generation;
-      let b = t.batch in
-      Mutex.unlock t.m;
-      (match b with Some b -> drain t b | None -> ());
-      loop ()
-    end
     else begin
       let f = Queue.pop t.queue in
       Mutex.unlock t.m;
-      run_job f;
+      f ();
       loop ()
     end
   in
@@ -89,9 +41,6 @@ let create ~jobs =
       jobs;
       m = Mutex.create ();
       work = Condition.create ();
-      done_ = Condition.create ();
-      batch = None;
-      generation = 0;
       queue = Queue.create ();
       stop = false;
       workers = [];
@@ -100,51 +49,6 @@ let create ~jobs =
   if jobs > 1 then
     t.workers <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker t));
   t
-
-let jobs t = t.jobs
-
-let map t f xs =
-  let n = Array.length xs in
-  if t.stop then invalid_arg "Pool.map: pool is shut down";
-  if t.jobs <= 1 || n <= 1 then Array.map f xs
-  else begin
-    let results = Array.make n None in
-    let failure = Atomic.make None in
-    let run i =
-      if Atomic.get failure = None then
-        match f xs.(i) with
-        | v -> results.(i) <- Some v
-        | exception e ->
-            let bt = Printexc.get_raw_backtrace () in
-            (* first failure wins; later tasks are skipped, not run *)
-            ignore (Atomic.compare_and_set failure None (Some (e, bt)))
-    in
-    let chunk = max 1 (n / (t.jobs * 4)) in
-    let b = { run; n; next = Atomic.make 0; chunk; left = Atomic.make n } in
-    Mutex.lock t.m;
-    t.batch <- Some b;
-    t.generation <- t.generation + 1;
-    Condition.broadcast t.work;
-    Mutex.unlock t.m;
-    (* the caller participates as the jobs-th worker *)
-    drain t b;
-    Mutex.lock t.m;
-    while Atomic.get b.left > 0 do
-      Condition.wait t.done_ t.m
-    done;
-    t.batch <- None;
-    Mutex.unlock t.m;
-    match Atomic.get failure with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None ->
-        Array.map
-          (function
-            | Some v -> v
-            | None -> assert false (* only reachable after a failure *))
-          results
-  end
-
-(* ----- independent jobs ----- *)
 
 let fulfill j outcome =
   Mutex.lock j.jm;
@@ -160,7 +64,7 @@ let submit t f =
     | v -> fulfill j (Value v)
     | exception e -> fulfill j (Raised (e, Printexc.get_raw_backtrace ()))
   in
-  if t.jobs <= 1 then run_job closure
+  if t.jobs <= 1 then closure ()
   else begin
     Mutex.lock t.m;
     Queue.push closure t.queue;
@@ -187,8 +91,6 @@ let await j =
   | Some (Raised (e, bt)) -> Printexc.raise_with_backtrace e bt
   | None -> assert false
 
-let run t f = await (submit t f)
-
 let shutdown t =
   if not t.stop then begin
     Mutex.lock t.m;
@@ -199,14 +101,8 @@ let shutdown t =
     t.workers <- [];
     (* a worker that had already popped a job finished it before joining;
        jobs still queued run here so no [await] is left hanging *)
-    let rec drain_queue () =
-      match Queue.pop t.queue with
-      | f ->
-          run_job f;
-          drain_queue ()
-      | exception Queue.Empty -> ()
-    in
-    drain_queue ()
+    Queue.iter (fun f -> f ()) t.queue;
+    Queue.clear t.queue
   end
 
 let with_pool ~jobs f =

@@ -1,45 +1,24 @@
-(** A small, dependency-free domain pool for fork/join parallelism and
-    independent concurrent jobs.
+(** A small, dependency-free domain pool for independent concurrent jobs —
+    the executor behind [cqlserved], one connection per job.
 
-    [create ~jobs] spawns [jobs - 1] worker domains once.  Two kinds of work
-    run on them:
+    [create ~jobs] spawns [jobs - 1] worker domains once.  {!submit}
+    enqueues a single independent job that any one worker picks up;
+    multiple domains may submit concurrently and each {!await}s its own
+    result.  With [jobs = 1] no domains are spawned and {!submit} runs the
+    job synchronously — the exact sequential path, with no synchronization.
 
-    {ul
-    {- {!map} fans an array of independent tasks out across the workers plus
-       the calling domain, with chunked work stealing from a shared cursor.
-       Task results come back in task order, so a deterministic decomposition
-       stays deterministic after the parallel phase.  The first exception a
-       task raises is re-raised in the caller (with its backtrace) after the
-       batch drains; remaining unstarted tasks are skipped.}
-    {- {!submit} enqueues a single independent job — e.g. one request's
-       entire fixpoint in a server — that any one worker picks up; multiple
-       domains may submit concurrently and each {!await}s its own result.
-       Batches take priority over queued jobs, so an evaluation round fanned
-       out with {!map} is never starved by a deep request queue.}}
-
-    With [jobs = 1] no domains are spawned, {!map} degrades to [Array.map]
-    and {!submit} runs the job synchronously — the exact sequential path,
-    with no synchronization.
-
-    Batches must not be nested: a task must not call {!map} on the pool that
-    is running it (worker domains only drain the current batch).  Likewise a
-    submitted job must not {!await} another job on the same pool — with all
-    workers busy awaiting, no worker is left to run the awaited jobs. *)
+    A submitted job must not {!await} another job on the same pool — with
+    all workers busy awaiting, no worker is left to run the awaited jobs.
+    Domain-local state (the constraint domain, a pivot budget) does not
+    follow a job onto its worker: a job that needs it re-establishes it
+    itself. *)
 
 type t
 
 val create : jobs:int -> t
-(** Spawn a pool of [max 1 jobs] total workers ([jobs - 1] new domains;
-    the caller is the remaining worker). *)
-
-val jobs : t -> int
-
-val map : t -> ('a -> 'b) -> 'a array -> 'b array
-(** [map pool f xs] computes [Array.map f xs] with the tasks distributed
-    over the pool.  Results are in input order.  Re-raises the first task
-    exception after the batch completes. *)
-
-(** {1 Independent jobs} *)
+(** Spawn [jobs - 1] worker domains; with [jobs <= 1] none, and every job
+    runs in the caller of {!submit}.  The count includes the caller, which
+    only submits and awaits, so [jobs = n + 1] gives [n] workers. *)
 
 type 'a job
 
@@ -57,18 +36,11 @@ val await : 'a job -> 'a
 (** Block until the job finishes; return its value or re-raise its
     exception (with the backtrace captured on the worker). *)
 
-val run : t -> (unit -> 'a) -> 'a
-(** [run pool f] is [await (submit pool f)]. *)
-
 val shutdown : t -> unit
 (** Terminate and join the worker domains; jobs still queued but unstarted
-    are run in the caller so every {!await} returns.  No {!map} may be in
-    flight; using the pool afterwards raises [Invalid_argument]. *)
+    are run in the caller so every {!await} returns.  Using the pool
+    afterwards raises [Invalid_argument]. *)
 
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] with a fresh pool and shuts it down
     afterwards, exception-safely. *)
-
-val recommended_jobs : unit -> int
-(** [Domain.recommended_domain_count ()], the runtime's estimate of how
-    many domains this machine runs well. *)

@@ -98,7 +98,7 @@ let oneshot_answers (w : workload) =
         fst (Cql_core.Rewrite.optimal ~adornment:(String.make (Program.arity p q) 'f') p)
     | other -> invalid_arg ("unknown pipeline " ^ other)
   in
-  let res = Engine.run ~jobs:1 ~max_iterations:200 ~max_derivations:200_000 prog ~edb in
+  let res = Engine.run ~max_iterations:200 ~max_derivations:200_000 prog ~edb in
   List.map Fact.to_string (List.sort Fact.compare (Engine.answers res prog))
 
 type client_tally = {

@@ -135,7 +135,7 @@ let handle_eval t ?id ~tenant ~program ~edb ~pipeline ~domain ~max_iterations ~m
                   Obs.add_field_str "cache" (if cached then "hit" else "miss");
                   let t0 = Obs.monotonic_ns () in
                   match
-                    Engine.run ~jobs:1 ~max_iterations ~max_derivations
+                    Engine.run ~max_iterations ~max_derivations
                       ~compiled:plan.Plan_cache.programs plan.Plan_cache.program ~edb
                   with
                   | exception Engine.Arity_mismatch msg ->
@@ -240,7 +240,7 @@ let handle_materialize t ?id ~tenant ~view:name ~program ~edb ~pipeline ~domain 
                   Obs.add_field_str "cache" (if cached then "hit" else "miss");
                   let t0 = Obs.monotonic_ns () in
                   match
-                    Engine.materialize ~jobs:1 ~max_iterations ~max_derivations
+                    Engine.materialize ~max_iterations ~max_derivations
                       ~compiled:plan.Plan_cache.programs plan.Plan_cache.program ~edb
                   with
                   | exception Engine.Arity_mismatch msg ->

@@ -7,9 +7,10 @@
     {- One accept domain owns the listening socket.  Each accepted
        connection becomes one independent job on a {!Cql_par.Pool} executor
        ({!Cql_par.Pool.submit}), so up to [workers] connections are served
-       concurrently, each request running its fixpoint sequentially
-       ([~jobs:1]) on its worker domain — one fixpoint per request task,
-       not one pooled run per process.}
+       concurrently, each request running its fixpoint sequentially on its
+       worker domain.  Each request sets its own constraint domain there
+       ({!Cql_constr.Cdomain.with_domain}); a view's maintenance runs under
+       the {!View_cache} entry's lock.}
     {- Requests and responses are length-prefixed NDJSON frames
        ({!Protocol}).  CQL syntax errors come back as structured
        [parse_error] responses carrying the parser's token/position

@@ -94,8 +94,6 @@ let seed_delta s facts =
   advance s;
   List.iter (add s) facts;
   advance s
-let freeze s = Hashtbl.iter (fun _ t -> Table.freeze t) s.tables
-let thaw s = Hashtbl.iter (fun _ t -> Table.thaw t) s.tables
 
 (* [iter_probe_cols s part pred positions key k]: candidate facts for a
    body literal whose resolved bound columns are [positions] with constants

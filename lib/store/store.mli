@@ -6,13 +6,9 @@
     symbolic pattern, with duplicate ground facts detected by hash lookup.
     The counters expose how much work indexing saved.
 
-    {b Concurrency.}  The store is single-writer.  During a parallel match
-    phase, {!freeze} it: worker domains may then {!iter_probe_cols}
-    concurrently (the per-table lazy indexes synchronize internally) while
-    {!add}/{!advance} raise, enforcing read-only sharing for the round.
-    {!stats} counters are plain (non-atomic) ints: concurrent probes may
-    lose increments, so under [jobs > 1] they are approximate — acceptable
-    for observability, never used for control flow. *)
+    A store belongs to one evaluation (or one view) and is used by one
+    domain at a time; nothing in it is synchronized, lazily built probe
+    indexes included. *)
 
 open Cql_datalog
 
@@ -74,12 +70,6 @@ val seed_delta : t -> Fact.t list -> unit
 (** Make [facts] the delta partition: the current delta retires into old,
     then the seeds are added and promoted in one extra boundary.  Sets up
     the store for a semi-naive maintenance round driven by the new facts. *)
-
-val freeze : t -> unit
-(** Enter read-only mode on every table (see {!Table.freeze}). *)
-
-val thaw : t -> unit
-(** Leave read-only mode on every table. *)
 
 val iter_probe_cols :
   t -> partition -> string -> int list -> Term.const list -> (Fact.t -> unit) -> unit

@@ -48,15 +48,8 @@ type t = {
   mutable pending_cells : cell list;
   mutable all_rev : cell list; (* insertion order (newest first), for listing *)
   mutable live_counts : int array; (* live cells per partition tag *)
-  (* join indexes, created lazily per probed column set.  The lists are
-     atomic so a worker domain probing during a frozen (read-only) round
-     either sees a fully-built index or builds one under [lock] — a plain
-     mutable field would publish the index's internal Hashtbl without
-     synchronization, which the OCaml memory model does not allow. *)
-  old_indexes : Index.t list Atomic.t;
-  delta_indexes : Index.t list Atomic.t;
-  lock : Mutex.t; (* serializes lazy index construction *)
-  mutable frozen : bool; (* read-only mode during a parallel match phase *)
+  indexes : Index.t list array; (* old/delta join indexes by partition tag,
+                                   built lazily per probed column set *)
   (* subsumption indexes over every live cell *)
   ground : cell GroundTbl.t; (* fully-pinned facts by (pattern, values) *)
   patterns : (Fact.pos array, sbucket) Hashtbl.t;
@@ -70,10 +63,7 @@ let create () =
     pending_cells = [];
     all_rev = [];
     live_counts = Array.make 3 0;
-    old_indexes = Atomic.make [];
-    delta_indexes = Atomic.make [];
-    lock = Mutex.create ();
-    frozen = false;
+    indexes = Array.make 2 [];
     ground = GroundTbl.create 64;
     patterns = Hashtbl.create 16;
     counts = FactMap.empty;
@@ -121,12 +111,7 @@ let counted_facts t = FactMap.bindings t.counts
 
 (* ----- insertion & subsumption ----- *)
 
-let freeze t = t.frozen <- true
-let thaw t = t.frozen <- false
-let check_mutable t who = if t.frozen then invalid_arg (who ^ ": table is frozen")
-
 let insert t f =
-  check_mutable t "Table.insert";
   let c = { fact = f; live = true; part = p_pending } in
   t.pending_cells <- c :: t.pending_cells;
   t.all_rev <- c :: t.all_rev;
@@ -177,7 +162,6 @@ let known_subsumes t f =
    maintenance layer can remember them as covered (and lose their counts:
    only live facts are counted). *)
 let back_subsume t f =
-  check_mutable t "Table.back_subsume";
   match Hashtbl.find_opt t.patterns f.Fact.args with
   | None -> (0, [])
   | Some b ->
@@ -220,7 +204,6 @@ let mem_equal t f = Option.is_some (find_cell_equal t f)
    are filtered by every read path, so killing suffices; the ground hash
    entry is refreshed in case another live duplicate remains). *)
 let delete t f =
-  check_mutable t "Table.delete";
   match find_cell_equal t f with
   | None -> false
   | Some c ->
@@ -246,10 +229,9 @@ let delete t f =
    pending becomes the next delta.  Delta indexes are rebuilt lazily since
    the partition's contents just changed wholesale. *)
 let advance t =
-  check_mutable t "Table.advance";
   let promoted = List.filter (fun c -> c.live) t.delta_cells in
   List.iter (fun c -> c.part <- p_old) promoted;
-  List.iter (fun idx -> List.iter (fun c -> Index.add idx c) promoted) (Atomic.get t.old_indexes);
+  List.iter (fun idx -> List.iter (fun c -> Index.add idx c) promoted) t.indexes.(p_old);
   t.old_cells <- promoted @ t.old_cells;
   t.live_counts.(p_old) <- t.live_counts.(p_old) + List.length promoted;
   let delta = List.filter (fun c -> c.live) t.pending_cells in
@@ -258,37 +240,24 @@ let advance t =
   t.live_counts.(p_delta) <- List.length delta;
   t.pending_cells <- [];
   t.live_counts.(p_pending) <- 0;
-  Atomic.set t.delta_indexes []
+  t.indexes.(p_delta) <- []
 
 (* ----- probing ----- *)
 
-(* Double-checked: the fast path reads the atomic list without locking;
-   on a miss the index is built and published under [t.lock], so at most
-   one domain builds a given index and others see it only once complete. *)
-let get_index t cells indexes positions =
-  let find l = List.find_opt (fun i -> Index.positions i = positions) l in
-  match find (Atomic.get indexes) with
+let get_index t part cells positions =
+  match List.find_opt (fun i -> Index.positions i = positions) t.indexes.(part) with
   | Some idx -> idx
   | None ->
-      Mutex.protect t.lock (fun () ->
-          match find (Atomic.get indexes) with
-          | Some idx -> idx
-          | None ->
-              let idx = Index.of_cells positions cells in
-              Atomic.set indexes (idx :: Atomic.get indexes);
-              idx)
+      let idx = Index.of_cells positions cells in
+      t.indexes.(part) <- idx :: t.indexes.(part);
+      idx
 
 (* Probes push candidates to a callback instead of materializing a list,
    so the compiled executor's inner loop allocates nothing per probe.  Both
    return the number of live facts visited (the store's stats). *)
 
-let iter_probe_one t which positions key k =
-  let idx =
-    match which with
-    | `Old -> get_index t t.old_cells t.old_indexes positions
-    | `Delta -> get_index t t.delta_cells t.delta_indexes positions
-  in
-  let bucket, wild = Index.probe idx key in
+let iter_probe_one t part cells positions key k =
+  let bucket, wild = Index.probe (get_index t part cells positions) key in
   let n = ref 0 in
   let visit l =
     List.iter
@@ -305,13 +274,13 @@ let iter_probe_one t which positions key k =
 
 let iter_probe t part positions key k =
   match part with
-  | Old -> iter_probe_one t `Old positions key k
-  | Delta -> iter_probe_one t `Delta positions key k
+  | Old -> iter_probe_one t p_old t.old_cells positions key k
+  | Delta -> iter_probe_one t p_delta t.delta_cells positions key k
   | Full ->
       (* delta first, then old: newest partition first (and OCaml's
          right-to-left [+] would visit them backwards) *)
-      let d = iter_probe_one t `Delta positions key k in
-      d + iter_probe_one t `Old positions key k
+      let d = iter_probe_one t p_delta t.delta_cells positions key k in
+      d + iter_probe_one t p_old t.old_cells positions key k
 
 let iter_scan t part k =
   let visit l =

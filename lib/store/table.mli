@@ -12,13 +12,8 @@
     are additionally hashed by their value tuple, so duplicate ground facts
     are detected without a single solver call.
 
-    {b Concurrency.}  A table is single-writer: all mutation ({!insert},
-    {!advance}, {!back_subsume}) happens on one domain in the sequential
-    phases of evaluation.  During a parallel match phase the table must be
-    {!freeze}-d: worker domains may then call {!iter_probe} and
-    {!iter_scan} concurrently (lazy index construction synchronizes
-    internally) while any mutation raises [Invalid_argument], enforcing
-    the read-only contract. *)
+    A table is used by one domain at a time: probes build their indexes
+    lazily, without synchronization. *)
 
 type cell = Index.cell = { fact : Fact.t; mutable live : bool; mutable part : int }
 
@@ -65,13 +60,6 @@ val counted_facts : t -> (Fact.t * int) list
 
 val advance : t -> unit
 (** Iteration boundary: old ∪= delta, delta ← pending, pending ← ∅. *)
-
-val freeze : t -> unit
-(** Enter read-only mode: mutation raises until {!thaw}.  Probing stays
-    legal from any domain. *)
-
-val thaw : t -> unit
-(** Leave read-only mode (call from the mutating domain only). *)
 
 val iter_probe :
   t -> partition -> int list -> Cql_datalog.Term.const list -> (Fact.t -> unit) -> int

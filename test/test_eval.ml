@@ -521,24 +521,14 @@ let test_stratified_budget_boundary () =
   check_int "unbounded derivations" 10 (Engine.stats r').Engine.derivations
 
 let test_stratified_budget_jobs_agree () =
-  (* truncation point is deterministic and identical across worker counts *)
+  (* the truncation point is deterministic: budget 7 stops inside the
+     second stratum *)
   let p = parse budget_carry_src in
   let edb = edb_of budget_carry_edb in
-  let r1 = Engine.run_stratified ~jobs:1 ~max_derivations:7 p ~edb in
-  let r4 = Engine.run_stratified ~jobs:4 ~max_derivations:7 p ~edb in
-  check_int "same derivations" (Engine.stats r1).Engine.derivations
-    (Engine.stats r4).Engine.derivations;
-  check_bool "same fixpoint flag"
-    (Engine.stats r1).Engine.reached_fixpoint
-    (Engine.stats r4).Engine.reached_fixpoint;
-  List.iter
-    (fun pred ->
-      check_int (pred ^ " counts agree")
-        (List.length (Engine.facts_of r1 pred))
-        (List.length (Engine.facts_of r4 pred)))
-    [ "b"; "a" ];
-  check_int "budget 7 truncates the second stratum" 1
-    (List.length (Engine.facts_of r1 "a"))
+  let r = Engine.run_stratified ~max_derivations:7 p ~edb in
+  check_int "all 7 derivations counted" 7 (Engine.stats r).Engine.derivations;
+  check_bool "truncated" false (Engine.stats r).Engine.reached_fixpoint;
+  check_int "budget 7 truncates the second stratum" 1 (List.length (Engine.facts_of r "a"))
 
 (* ----- compiled register-frame execution vs the seed interpreter ----- *)
 
@@ -581,14 +571,6 @@ let test_compiled_matches_interpreter () =
       ("flights", compiled_flights_src, compiled_flights_edb);
       ("constraint facts", compiled_cf_src, compiled_cf_edb);
     ]
-
-let test_compiled_jobs_agree () =
-  let p = parse compiled_flights_src in
-  let edb = edb_of compiled_flights_edb in
-  let fp jobs =
-    fingerprint (Engine.run ~jobs ~max_iterations:20 ~max_derivations:20_000 p ~edb)
-  in
-  check_bool "compiled jobs=4 == compiled jobs=1" true (fp 4 = fp 1)
 
 let test_compiled_counters () =
   let module Obs = Cql_obs.Obs in
@@ -909,7 +891,6 @@ let () =
       ( "compiled",
         [
           Alcotest.test_case "matches the interpreter" `Quick test_compiled_matches_interpreter;
-          Alcotest.test_case "jobs agree" `Quick test_compiled_jobs_agree;
           Alcotest.test_case "compile counters" `Quick test_compiled_counters;
           Alcotest.test_case "precompiled artifact reuse" `Quick test_compiled_artifact_reuse;
         ] );

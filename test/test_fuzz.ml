@@ -113,6 +113,32 @@ let test_interval_tier_oracle () =
     = None);
   check_bool "tier state restored" true (Cql_constr.Interval.enabled () = prev)
 
+(* ----- silent pred/QRP fallbacks are counted ----- *)
+
+let count_fallbacks ?max_iters src edb_src =
+  let p = Parser.program_of_string src in
+  let edb = List.map Cql_eval.Fact.of_fact_rule (Parser.facts_of_string edb_src) in
+  let st = H.new_stats () in
+  check_bool "case passes" true (H.check_case ?max_iters ~mode:G.Linear st p edb = None);
+  check_bool "case evaluated" true (st.H.evaluated = 1);
+  st.H.rewrites_unconverged
+
+let test_unconverged_counted () =
+  (* a bounded counting recursion: its pred fixpoint needs more than one
+     iteration, so with [max_iters = 1] the rewrites fall back to [true] *)
+  let recursive =
+    {|r1: hops(X, N) :- start(X), N = 0.
+r2: hops(Y, N) :- hops(X, M), link(X, Y), N = M + 1, N <= 3.
+#query hops.
+|}
+  in
+  let links = "start(a). link(a, b). link(b, c). link(c, a)." in
+  check_bool "recursive case at max_iters 1 falls back" true
+    (count_fallbacks ~max_iters:1 recursive links >= 1);
+  let flat = "r1: cheap(X, C) :- offer(X, C), C <= 5.\n#query cheap.\n" in
+  check_int "non-recursive case converges" 0
+    (count_fallbacks flat "offer(a, 3). offer(b, 9).")
+
 (* ----- the injected bug is caught and shrinks small ----- *)
 
 let test_injected_bug_caught () =
@@ -289,6 +315,7 @@ let () =
           Alcotest.test_case "typed generator exhaustion" `Quick test_generate_exhausted;
           Alcotest.test_case "reseeded retry recovers" `Quick test_exhausted_reseed_retry;
           Alcotest.test_case "counterexample round-trip" `Quick test_counterexample_roundtrip;
+          Alcotest.test_case "unconverged rewrites counted" `Quick test_unconverged_counted;
         ] );
       ( "update-oracle",
         [
