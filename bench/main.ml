@@ -6,7 +6,7 @@
 
      table1 table2 fig1 fig2 ex41 ex51 ex43 ex44 ex61 d1 d2 optimal
      ablation-disjuncts ablation-single ablation-stratified bound
-     solver-interval fuzz serve compiled
+     fuzz serve compiled
 
    Usage:
      dune exec bench/main.exe              run every experiment
@@ -728,16 +728,6 @@ let timing_tests () =
                   Atom.lt (arg 3) (arg 1); Atom.ge (arg 3) (n 0) ]
             in
             fun () -> ignore (Conj.is_tt (Conj.project ~keep:Var.Set.empty c))));
-      Test.make ~name:"solver/sat-interval-tier"
-        (Staged.stage
-           (* box-shaped conjunction the tier decides outright; env cache
-              warmed, so this is the steady-state entailment-check cost *)
-           (let c =
-              conj
-                [ Atom.le (arg 1) (n 6); Atom.ge (arg 1) (n 2);
-                  Atom.lt (arg 3) (n 6); Atom.ge (arg 3) (n 0) ]
-            in
-            fun () -> ignore (Interval.sat ~id:(Conj.id c) (Conj.to_list c))));
       Test.make ~name:"solver/implication"
         (Staged.stage (fun () ->
              let c =
@@ -956,10 +946,7 @@ let solver_stats_json (s : Solver_stats.t) =
       ("fm_eliminations", jint s.Solver_stats.fm_eliminations);
       ("pivot_limit_hits", jint s.Solver_stats.pivot_limit_hits);
       ("interval_env_builds", jint s.Solver_stats.interval_env_builds);
-      ("interval_sat_hits", jint s.Solver_stats.interval_sat_hits);
-      ("interval_implies_hits", jint s.Solver_stats.interval_implies_hits);
       ("interval_disjoint_hits", jint s.Solver_stats.interval_disjoint_hits);
-      ("interval_bails", jint s.Solver_stats.interval_bails);
       ( "caches",
         List
           (List.map
@@ -979,8 +966,8 @@ let solver_stats_json (s : Solver_stats.t) =
 
 (* decision-procedure call counts and cache hit rates over two representative
    workloads; each workload runs twice from cold caches and zeroed counters,
-   once with the interval fast tier on and once with it off, so the
-   before/after effect on exact-procedure calls is read off one block *)
+   once with the disjointness prefilter on and once with it off, so the
+   implication checks it saves are read off one block *)
 let json_solver_cache () =
   let side on f =
     Interval.with_tier on (fun () ->
@@ -1000,100 +987,6 @@ let json_solver_cache () =
         let module H = Cql_gen.Harness in
         ignore (H.run ~config:(G.default G.Decidable) ~seed:fuzz_seed ~count:50 ()));
   ]
-
-(* a deduplicated conjunction corpus drawn from generated programs' rule
-   constraints — the interval tier's natural inputs *)
-let solver_interval_corpus programs =
-  let module G = Cql_gen.Generate in
-  let module Rng = Cql_gen.Rng in
-  let rng = Rng.create fuzz_seed in
-  let rec collect acc k =
-    if k = 0 then acc
-    else
-      let acc =
-        match G.program (Rng.split rng) (G.default G.Decidable) with
-        | p -> List.rev_append (List.map (fun r -> r.Rule.cstr) p.Program.rules) acc
-        | exception G.Exhausted _ -> acc
-      in
-      collect acc (k - 1)
-  in
-  List.sort_uniq Conj.compare (collect [] programs)
-
-let solver_interval_reps = 25
-
-(* [Conj.is_sat] over the corpus and [Conj.implies] over consecutive pairs,
-   tier forced on vs off; caches are cleared every rep so each query pays
-   the decision cost rather than a memo lookup, which is exactly the cost
-   the tier is meant to cut.  [exact_calls_avoided] is the simplex-run
-   delta between the two sides *)
-let json_solver_interval () =
-  let corpus = solver_interval_corpus 40 in
-  let pairs =
-    let rec go = function c :: (d :: _ as rest) -> (c, d) :: go rest | _ -> [] in
-    go corpus
-  in
-  let drive () =
-    List.iter (fun c -> ignore (Conj.is_sat c)) corpus;
-    List.iter (fun (c, d) -> ignore (Conj.implies c d)) pairs
-  in
-  let measure on =
-    Interval.with_tier on (fun () ->
-        Solver_stats.reset ();
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to solver_interval_reps do
-          Memo.clear_all ();
-          drive ()
-        done;
-        let dt = Unix.gettimeofday () -. t0 in
-        (dt, Solver_stats.snapshot ()))
-  in
-  let dt_on, on = measure true in
-  let dt_off, off = measure false in
-  let side dt s =
-    Obj [ ("wall_seconds", Raw (Printf.sprintf "%.6f" dt)); ("stats", solver_stats_json s) ]
-  in
-  Obj
-    [
-      ("corpus_conjunctions", jint (List.length corpus));
-      ("implication_pairs", jint (List.length pairs));
-      ("reps", jint solver_interval_reps);
-      ("with_interval", side dt_on on);
-      ("without_interval", side dt_off off);
-      ( "exact_calls_avoided",
-        jint (off.Solver_stats.simplex_runs - on.Solver_stats.simplex_runs) );
-      ( "interval_hits",
-        jint
-          (on.Solver_stats.interval_sat_hits + on.Solver_stats.interval_implies_hits
-         + on.Solver_stats.interval_disjoint_hits) );
-      ("speedup", jfloat (if dt_on > 0.0 then dt_off /. dt_on else 0.0));
-    ]
-
-let run_solver_interval () =
-  header "SOLVER INTERVAL FAST TIER (is_sat + implies, generated corpus)";
-  match json_solver_interval () with
-  | Obj fields ->
-      let get k = List.assoc_opt k fields in
-      let num = function
-        | Some (Raw s) -> s
-        | Some (Str s) -> s
-        | _ -> "?"
-      in
-      let wall side =
-        match get side with
-        | Some (Obj f) -> num (List.assoc_opt "wall_seconds" f)
-        | _ -> "?"
-      in
-      paper "interval tier decides box-shaped queries without simplex/FM";
-      measured "corpus=%s conjunctions, %s implication pairs, %d reps"
-        (num (get "corpus_conjunctions"))
-        (num (get "implication_pairs"))
-        solver_interval_reps;
-      measured "wall: with tier %ss, without %ss (speedup %s)" (wall "with_interval")
-        (wall "without_interval") (num (get "speedup"));
-      measured "exact simplex runs avoided: %s (interval hits: %s)"
-        (num (get "exact_calls_avoided"))
-        (num (get "interval_hits"))
-  | _ -> ()
 
 (* per-phase wall-clock timings from the lib/obs tracing subsystem over two
    representative pipelines (rewrite + evaluate), each run with tracing armed
@@ -1197,7 +1090,6 @@ let run_json () =
               ("fib_backward", json_fib ());
               ("fuzz", List (json_fuzz ()));
               ("solver_cache", Obj (json_solver_cache ()));
-              ("solver_interval", json_solver_interval ());
               ("trace", Obj (json_trace ()));
               ("compiled", json_compiled ());
               ("serve", json_serve ());
@@ -1233,7 +1125,6 @@ let experiments =
     ("ablation-single", run_ablation_single);
     ("ablation-stratified", run_ablation_stratified);
     ("bound", run_bound);
-    ("solver-interval", run_solver_interval);
     ("fuzz", run_fuzz);
     ("compiled", run_compiled);
     ("serve", run_serve);

@@ -1,8 +1,8 @@
 type t = Q | Z
 
-(* same two-level scheme as the simplex pivot budget: an atomic process
-   default plus a per-domain DLS override, so one request's scoped domain
-   can never leak into a concurrent one *)
+(* an atomic process default plus a per-domain DLS override (as for the
+   simplex pivot budget), so one request's scoped domain can never leak
+   into a concurrent one *)
 let process_default = Atomic.make Q
 
 let override : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)

@@ -1,9 +1,10 @@
 (** The constraint interpretation domain in force: rationals (the paper's
     setting, the default) or integers.
 
-    The flag follows the same two-level discipline as the simplex pivot
-    budget: a process-wide default set at CLI/daemon startup, plus a
-    per-domain scoped override for individual requests ({!with_domain}).
+    The flag has a process-wide default set at CLI/daemon startup, plus a
+    per-domain scoped override for individual requests ({!with_domain}),
+    the same override {!Simplex.with_pivot_limit} uses for the pivot
+    budget.
     Domains spawned inside a scope, and pool workers running jobs submitted
     from it, start from the process default, so a job that needs the
     caller's choice must capture {!current} and re-enter the scope itself

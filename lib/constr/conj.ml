@@ -224,37 +224,19 @@ let is_sat c =
   else
     let z = Cdomain.is_z () in
     (* in integer mode the whole query runs on the tightened form: the
-       rewrite is an equivalence over ℤ and sharpens every later tier
+       rewrite is an equivalence over ℤ and sharpens Zsolve's input
        (tightening alone refutes parity-infeasible equalities) *)
     let c = if z then ztighten c else c in
     if is_ff_syntactic c then false
     else if c == tt then true
     else
       Memo.cached sat_memo (dkey c.id) (fun () ->
-          let exact () =
-            if z then Zsolve.is_sat c.atoms
-            else
-              try Simplex.is_sat c.atoms
-              with Simplex.Pivot_limit _ ->
-                Solver_stats.count_pivot_limit ();
-                not (is_ff_syntactic (project_uncached ~keep:Var.Set.empty c))
-          in
-          if not (Interval.enabled ()) then exact ()
+          if z then Zsolve.is_sat c.atoms
           else
-            (* abstract tier ahead of the exact backend: interval verdicts
-               equal the exact answer (integer-rounded boxes in Z mode), so
-               a hit skips the exact procedures; either way the boolean
-               lands in the memo, so warm repeats are lookups *)
-            match Interval.sat ~id:c.id c.atoms with
-            | Interval.False ->
-                Solver_stats.count_interval_sat_hit ();
-                false
-            | Interval.True ->
-                Solver_stats.count_interval_sat_hit ();
-                true
-            | Interval.Unknown ->
-                Solver_stats.count_interval_bail ();
-                exact ())
+            try Simplex.is_sat c.atoms
+            with Simplex.Pivot_limit _ ->
+              Solver_stats.count_pivot_limit ();
+              not (is_ff_syntactic (project_uncached ~keep:Var.Set.empty c)))
 
 let eval_at env c =
   let rec go = function
@@ -277,21 +259,7 @@ let implies_atom c a =
         if List.memq a c.atoms then true (* syntactic subset fast path *)
         else
           Memo.cached implies_atom_memo (dkey c.id, Atom.id a) (fun () ->
-              let exact () =
-                List.for_all (fun na -> not (is_sat (add na c))) (Atom.negate a)
-              in
-              if not (Interval.enabled ()) then exact ()
-              else
-                match Interval.implies_atom ~id:c.id c.atoms a with
-                | Interval.True ->
-                    Solver_stats.count_interval_implies_hit ();
-                    true
-                | Interval.False ->
-                    Solver_stats.count_interval_implies_hit ();
-                    false
-                | Interval.Unknown ->
-                    Solver_stats.count_interval_bail ();
-                    exact ())
+              List.for_all (fun na -> not (is_sat (add na c))) (Atom.negate a))
 
 let implies c d =
   Solver_stats.count_implies_check ();
@@ -299,16 +267,7 @@ let implies c d =
   else if is_ff_syntactic c then true
   else
     Memo.cached implies_memo (dkey c.id, d.id) (fun () ->
-        if
-          Interval.enabled ()
-          && Interval.implies ~id:c.id c.atoms d.atoms = Interval.True
-        then begin
-          (* the left box entails every right atom (or is empty); refutations
-             are found per-atom by the fall-through path below *)
-          Solver_stats.count_interval_implies_hit ();
-          true
-        end
-        else List.for_all (implies_atom c) d.atoms)
+        List.for_all (implies_atom c) d.atoms)
 
 let equiv c d = implies c d && implies d c
 

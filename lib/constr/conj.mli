@@ -2,10 +2,13 @@
     procedure for the linear fragment over the reals.
 
     Satisfiability, projection (existential quantifier elimination) and
-    implication are decided exactly by Gaussian elimination on equalities
-    plus Fourier–Motzkin elimination on inequalities — the operations that
-    the paper's Theorems 4.2, 4.5 and 4.7 require to "be done exactly"
-    (citing Lassez–Maher [8] and Tarski [15]).
+    implication are decided exactly — the operations that the paper's
+    Theorems 4.2, 4.5 and 4.7 require to "be done exactly" (citing
+    Lassez–Maher [8] and Tarski [15]).  Each query takes one route:
+    satisfiability by simplex ({!Simplex}) over ℚ or by {!Zsolve} over ℤ,
+    projection by Gaussian elimination on equalities plus Fourier–Motzkin
+    elimination on inequalities, implication by refutation through
+    {!is_sat}.
 
     A conjunction is a sorted, duplicate-free list of atoms; trivially-true
     atoms are dropped and a detected contradiction is represented by the
@@ -54,18 +57,18 @@ val hash : t -> int
 (** {1 Decision procedures} *)
 
 val is_sat : t -> bool
-(** Exact satisfiability over the active {!Cdomain}: over the reals
-    (simplex, Fourier–Motzkin fallback) when it is {!Cdomain.Q}, over the
-    integers ({!ztighten}, then {!Zsolve}) when it is {!Cdomain.Z}.  Memo
-    entries are keyed by domain, so flipping the domain never serves a
-    stale verdict. *)
+(** Exact satisfiability over the active {!Cdomain}: after the memo, over
+    the reals by simplex when it is {!Cdomain.Q} (Fourier–Motzkin only
+    when a solve exhausts its pivot budget), over the integers by
+    {!ztighten} and then {!Zsolve} when it is {!Cdomain.Z}.  Memo entries
+    are keyed by domain, so flipping the domain never serves a stale
+    verdict. *)
 
 val ztighten : t -> t
 (** The integer-tightened form: every atom run through
     {!Zsolve.tighten_atom}.  Equivalent over ℤ, generally strictly
     stronger over ℚ; the identity on conjunctions with nothing to
-    tighten.  Used by the Z branch of the decision procedures and exposed
-    for the tier-transparency property tests. *)
+    tighten.  Used by the Z branch of the decision procedures. *)
 
 val project : keep:Var.Set.t -> t -> t
 (** [project ~keep c] is the strongest conjunction over [keep] implied by
@@ -79,11 +82,12 @@ val eval_at : (Var.t -> Cql_num.Rat.t option) -> t -> bool option
 (** Evaluate at a (partial) point: [Some b] when every atom evaluates. *)
 
 val implies_atom : t -> Atom.t -> bool
-(** [implies_atom c a] decides [c ⊨ a] by refutation. *)
+(** [implies_atom c a] decides [c ⊨ a]: after the memo, by refutation —
+    [c ∧ ¬a] is unsatisfiable, one {!is_sat} per disjunct of [¬a]. *)
 
 val implies : t -> t -> bool
-(** [implies c d] decides [c ⊨ d].  An unsatisfiable [c] implies
-    everything. *)
+(** [implies c d] decides [c ⊨ d]: after the memo, {!implies_atom} for
+    each atom of [d].  An unsatisfiable [c] implies everything. *)
 
 val equiv : t -> t -> bool
 

@@ -15,7 +15,7 @@ let num_disjuncts = List.length
 let vars cs = List.fold_left (fun acc d -> Var.Set.union acc (Conj.vars d)) Var.Set.empty cs
 
 (* interval box-disjointness between two disjuncts; [false] = maybe
-   compatible (tier off, or the boxes overlap) *)
+   compatible (prefilter off, or the boxes overlap) *)
 let interval_disjoint d d' =
   Interval.enabled ()
   && Interval.disjoint ~id1:(Conj.id d) (Conj.to_list d) ~id2:(Conj.id d') (Conj.to_list d')

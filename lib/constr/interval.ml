@@ -1,13 +1,11 @@
 open Cql_num
 
-(* A sound box abstraction of a conjunction's solution set.  Verdicts are
-   only ever True/False when the box proves the exact answer, so the tier
-   is result-transparent: callers get the simplex/FM boolean, just cheaper.
-   Everything else is Unknown and falls through. *)
+(* A sound box abstraction of a conjunction's solution set, used only to
+   prove two conjunctions disjoint.  A box may be larger than the solution
+   set, never smaller, so "disjoint" is always exact and "maybe
+   compatible" falls through to the caller's exact check. *)
 
-type verdict = True | False | Unknown
-
-(* the tier's on/off state; only [with_tier] flips it, for a scope *)
+(* the prefilter's on/off state; only [with_tier] flips it, for a scope *)
 let on = ref true
 let enabled () = !on
 
@@ -69,20 +67,20 @@ let env_is_empty env = Var.Map.exists (fun _ i -> itv_is_empty i) env
 
 (* ----- interval arithmetic over linear expressions ----- *)
 
-(* [bound_expr ~upper env e] is a sound upper (resp. lower) bound of [e]
-   over the box, or [None] when unbounded on that side; [except] skips one
-   variable's term (the residual used by one-unknown propagation). *)
-let bound_expr ~upper ?except env (e : Linexpr.t) =
+(* [residual_lo x env e] is a sound lower bound, over the box, of [e]
+   without its [x] term (the residual used by one-unknown propagation), or
+   [None] when unbounded below. *)
+let residual_lo x env (e : Linexpr.t) =
   List.fold_left
-    (fun acc (x, c) ->
+    (fun acc (y, c) ->
       match acc with
       | None -> None
       | Some b -> (
-          if match except with Some y -> Var.id x = Var.id y | None -> false then acc
+          if Var.id x = Var.id y then acc
           else
-            let i = find env x in
-            (* the upper bound of c·x uses hi(x) for c>0, lo(x) for c<0 *)
-            let side = if Rat.sign c > 0 = upper then i.hi else i.lo in
+            let i = find env y in
+            (* the lower bound of c·y uses lo(y) for c>0, hi(y) for c<0 *)
+            let side = if Rat.sign c > 0 then i.lo else i.hi in
             match side with
             | None -> None
             | Some s ->
@@ -98,33 +96,13 @@ let bound_expr ~upper ?except env (e : Linexpr.t) =
     (Some { v = Linexpr.constant e; strict = false })
     (Linexpr.terms e)
 
-(* does the box entail the atom, i.e. does every box point satisfy it? *)
-let entails env (a : Atom.t) =
-  match a.Atom.op with
-  | Atom.Le -> (
-      match bound_expr ~upper:true env a.Atom.expr with
-      | Some u -> Rat.sign u.v <= 0
-      | None -> false)
-  | Atom.Lt -> (
-      match bound_expr ~upper:true env a.Atom.expr with
-      | Some u -> Rat.sign u.v < 0 || (u.strict && Rat.sign u.v = 0)
-      | None -> false)
-  | Atom.Eq -> (
-      (* the whole box must sit at e = 0 exactly *)
-      match
-        (bound_expr ~upper:true env a.Atom.expr, bound_expr ~upper:false env a.Atom.expr)
-      with
-      | Some u, Some l -> (not u.strict) && (not l.strict) && Rat.is_zero u.v && Rat.is_zero l.v
-      | _ -> false)
-
 (* ----- bound propagation ----- *)
 
 (* In integer mode every candidate bound rounds to a closed integer
    endpoint: non-integral values floor/ceil inward, integral-but-strict
    bounds step by one.  The rounded box still contains every integer
-   solution (rounding only discards fractional points), and a nonempty box
-   whose finite sides are all closed integers always contains an integer
-   point — so both False and True verdicts stay exact over ℤ. *)
+   solution (rounding only discards fractional points), so disjointness
+   stays exact over ℤ. *)
 let zround_hi (b : bnd) =
   if Rat.is_integer b.v then
     if b.strict then { v = Rat.sub b.v Rat.one; strict = false } else b
@@ -142,7 +120,7 @@ let zround_lo (b : bnd) =
 let propagate_ineq ~z ~strict e (env, changed) =
   List.fold_left
     (fun (env, changed) (x, c) ->
-      match bound_expr ~upper:false ~except:x env e with
+      match residual_lo x env e with
       | None -> (env, changed)
       | Some l ->
           let v =
@@ -173,10 +151,10 @@ let propagate_atom ~z acc (a : Atom.t) =
       |> propagate_ineq ~z ~strict:false (Linexpr.neg a.Atom.expr)
 
 (* a small pass cap: each pass only tightens, so stopping early loses
-   precision (more Unknowns), never soundness *)
+   precision (fewer disjoint pairs found), never soundness *)
 let max_passes = 4
 
-let build ?(init = Var.Map.empty) atoms =
+let build atoms =
   let z = Cdomain.is_z () in
   (* bounds only flow between variables through multi-term atoms; without
      any, the first pass (direct bounds) is already the fixpoint *)
@@ -192,9 +170,9 @@ let build ?(init = Var.Map.empty) atoms =
     else if multi && changed && pass < max_passes then go env (pass + 1)
     else env
   in
-  go init 1
+  go Var.Map.empty 1
 
-(* ----- memoized environments and verdicts ----- *)
+(* ----- memoized environments ----- *)
 
 let env_memo : (int, env) Memo.cache = Memo.create ~name:"interval_env"
 
@@ -204,36 +182,6 @@ let env_of ~id atoms =
   Memo.cached env_memo ((id lsl 1) lor Cdomain.tag ()) (fun () ->
       Solver_stats.count_interval_env_build ();
       build atoms)
-
-(* abstract satisfiability of an atom list over a (pre-built) box *)
-let sat_env env atoms =
-  if env_is_empty env then False
-  else if List.for_all (entails env) atoms then True
-  else Unknown
-
-let sat ~id atoms = match atoms with [] -> True | _ -> sat_env (env_of ~id atoms) atoms
-
-let implies_atom ~id atoms (a : Atom.t) =
-  let env = env_of ~id atoms in
-  if env_is_empty env then True
-  else if entails env a then True
-  else
-    (* c ⊨ a  iff  every disjunct of ¬a is unsatisfiable with c; seed the
-       refinement with c's memoized box *)
-    let verdict_neg na =
-      let all = na :: atoms in
-      sat_env (build ~init:env all) all
-    in
-    let vs = List.map verdict_neg (Atom.negate a) in
-    if List.exists (fun v -> v = True) vs then False
-    else if List.for_all (fun v -> v = False) vs then True
-    else Unknown
-
-let implies ~id atoms datoms =
-  let env = env_of ~id atoms in
-  if env_is_empty env then True
-  else if List.for_all (entails env) datoms then True
-  else Unknown
 
 let disjoint ~id1 atoms1 ~id2 atoms2 =
   let e1 = env_of ~id:id1 atoms1 in

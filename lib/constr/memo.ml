@@ -14,7 +14,8 @@
    [entries] in {!stats} reports the calling domain's table only. *)
 
 let enabled = ref true
-let max_entries = ref 65_536
+(* per-domain, per-cache entry bound *)
+let max_entries = 65_536
 
 type entry = {
   name : string;
@@ -79,7 +80,7 @@ let cached c key compute =
         (* bounded: a full cache is dropped wholesale rather than evicted
            entry-by-entry — the workloads are fixpoints that re-ask the same
            questions, so a periodic cold restart costs little *)
-        if Hashtbl.length tbl >= !max_entries then Hashtbl.reset tbl;
+        if Hashtbl.length tbl >= max_entries then Hashtbl.reset tbl;
         Hashtbl.add tbl key v;
         v
 

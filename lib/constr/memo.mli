@@ -22,9 +22,6 @@ val enabled : bool ref
     while no other domain is solving (it is a plain flag read racily by
     them). *)
 
-val max_entries : int ref
-(** Per-domain, per-cache bound; a table reaching it is dropped wholesale. *)
-
 type ('k, 'v) cache
 (** One registered cache: per-domain tables from ['k] to ['v]. *)
 

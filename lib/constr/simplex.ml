@@ -87,21 +87,17 @@ exception Pivot_limit of { pivots : int }
 
 let default_pivot_limit = 200_000
 
-(* The budget is a process-wide atomic default plus a per-domain override:
+(* The budget is a constant default plus a per-domain override:
    [with_pivot_limit] in one request (domain) must not change the budget a
    concurrent request observes, so the scoped form only ever touches the
    calling domain's cell. *)
-let process_pivot_limit = Atomic.make default_pivot_limit
-
 let pivot_limit_override : int option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
-
-let set_pivot_limit n = Atomic.set process_pivot_limit (max 1 n)
 
 let current_pivot_limit () =
   match !(Domain.DLS.get pivot_limit_override) with
   | Some n -> n
-  | None -> Atomic.get process_pivot_limit
+  | None -> default_pivot_limit
 
 let with_pivot_limit n f =
   let cell = Domain.DLS.get pivot_limit_override in

@@ -31,21 +31,14 @@ exception Pivot_limit of { pivots : int }
     tableaus — callers should fall back to another procedure rather than
     retry (see {!Conj.is_sat}). *)
 
-val default_pivot_limit : int
-
-val set_pivot_limit : int -> unit
-(** Set the process-wide default per-solve pivot budget (clamped to at
-    least [1]).  Intended for CLI/daemon configuration at startup — for
-    scoped use see {!with_pivot_limit}. *)
-
 val with_pivot_limit : int -> (unit -> 'a) -> 'a
-(** [with_pivot_limit n f] runs [f] with the budget set to [n] {e for the
-    calling domain only}, restoring the previous value afterwards (also on
-    exceptions).  Concurrent solves on other domains keep their own budget,
-    so one request's scoped budget can never leak into another — but note
-    that a domain spawned inside [f], or a pool worker running a job
-    submitted from it, starts from the process default, not the caller's
-    override. *)
+(** [with_pivot_limit n f] runs [f] with the per-solve pivot budget set to
+    [n] (clamped to at least [1]) {e for the calling domain only},
+    restoring the previous value afterwards (also on exceptions).
+    Concurrent solves on other domains keep their own budget, so one
+    request's scoped budget can never leak into another — but note that a
+    domain spawned inside [f], or a pool worker running a job submitted
+    from it, starts from the default budget, not the caller's override. *)
 
 val is_sat : Atom.t list -> bool
 (** Exact satisfiability of the conjunction of the atoms, over the reals;

@@ -17,10 +17,7 @@ let simplex_pivots = Obs.counter "solver.simplex_pivots"
 let fm_eliminations = Obs.counter "solver.fm_eliminations"
 let pivot_limit_hits = Obs.counter "solver.pivot_limit_hits"
 let interval_env_builds = Obs.counter "solver.interval.env_builds"
-let interval_sat_hits = Obs.counter "solver.interval.sat_hits"
-let interval_implies_hits = Obs.counter "solver.interval.implies_hits"
 let interval_disjoint_hits = Obs.counter "solver.interval.disjoint_hits"
-let interval_bails = Obs.counter "solver.interval.bails"
 let int_sat_checks = Obs.counter "solver.int.sat_checks"
 let int_tightened_atoms = Obs.counter "solver.int.tightened_atoms"
 let int_omega_eliminations = Obs.counter "solver.int.omega_eliminations"
@@ -38,10 +35,7 @@ let count_simplex_pivot () = Obs.incr simplex_pivots
 let count_fm_elimination () = Obs.incr fm_eliminations
 let count_pivot_limit () = Obs.incr pivot_limit_hits
 let count_interval_env_build () = Obs.incr interval_env_builds
-let count_interval_sat_hit () = Obs.incr interval_sat_hits
-let count_interval_implies_hit () = Obs.incr interval_implies_hits
 let count_interval_disjoint_hit () = Obs.incr interval_disjoint_hits
-let count_interval_bail () = Obs.incr interval_bails
 let count_int_sat_check () = Obs.incr int_sat_checks
 let count_int_tightened_atom () = Obs.incr int_tightened_atoms
 let count_int_omega_elimination () = Obs.incr int_omega_eliminations
@@ -84,10 +78,7 @@ let reset () =
   Obs.set fm_eliminations 0;
   Obs.set pivot_limit_hits 0;
   Obs.set interval_env_builds 0;
-  Obs.set interval_sat_hits 0;
-  Obs.set interval_implies_hits 0;
   Obs.set interval_disjoint_hits 0;
-  Obs.set interval_bails 0;
   Obs.set int_sat_checks 0;
   Obs.set int_tightened_atoms 0;
   Obs.set int_omega_eliminations 0;
@@ -108,10 +99,10 @@ let snapshot () =
     fm_eliminations = Obs.value fm_eliminations;
     pivot_limit_hits = Obs.value pivot_limit_hits;
     interval_env_builds = Obs.value interval_env_builds;
-    interval_sat_hits = Obs.value interval_sat_hits;
-    interval_implies_hits = Obs.value interval_implies_hits;
+    interval_sat_hits = 0;
+    interval_implies_hits = 0;
     interval_disjoint_hits = Obs.value interval_disjoint_hits;
-    interval_bails = Obs.value interval_bails;
+    interval_bails = 0;
     int_sat_checks = Obs.value int_sat_checks;
     int_tightened_atoms = Obs.value int_tightened_atoms;
     int_omega_eliminations = Obs.value int_omega_eliminations;
@@ -138,10 +129,8 @@ let pp fmt s =
   Format.fprintf fmt
     "solver: simplex_runs=%d simplex_pivots=%d fm_eliminations=%d pivot_limit_hits=%d@\n"
     s.simplex_runs s.simplex_pivots s.fm_eliminations s.pivot_limit_hits;
-  Format.fprintf fmt
-    "solver: interval env_builds=%d sat_hits=%d implies_hits=%d disjoint_hits=%d bails=%d@\n"
-    s.interval_env_builds s.interval_sat_hits s.interval_implies_hits s.interval_disjoint_hits
-    s.interval_bails;
+  Format.fprintf fmt "solver: interval env_builds=%d disjoint_hits=%d@\n" s.interval_env_builds
+    s.interval_disjoint_hits;
   Format.fprintf fmt
     "solver: int sat_checks=%d tightened=%d omega_eliminations=%d splinters=%d bb_fallbacks=%d \
      bb_nodes=%d@\n"

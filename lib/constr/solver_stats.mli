@@ -32,27 +32,15 @@ val count_pivot_limit : unit -> unit
     ({!Simplex.Pivot_limit}); {!Conj.is_sat} counts these when it falls back
     to Fourier–Motzkin. *)
 
-(** {2 Interval fast tier ({!Interval})} *)
+(** {2 Disjointness prefilter ({!Interval})} *)
 
 val count_interval_env_build : unit -> unit
 (** One interval environment actually constructed by bound propagation (a
     miss of the ["interval_env"] cache). *)
 
-val count_interval_sat_hit : unit -> unit
-(** One {!Conj.is_sat} query decided by the interval tier (either verdict)
-    without reaching the memoized exact procedure. *)
-
-val count_interval_implies_hit : unit -> unit
-(** One {!Conj.implies} / {!Conj.implies_atom} query decided by the
-    interval tier. *)
-
 val count_interval_disjoint_hit : unit -> unit
 (** One pairwise implication skipped ({!Cset} prune) or one
     {!Cset.conj_implies} answered early on interval box-disjointness. *)
-
-val count_interval_bail : unit -> unit
-(** One query where the tier ran but returned Unknown, falling through to
-    the exact procedure. *)
 
 (** {2 Integer domain ({!Zsolve})} *)
 
@@ -90,10 +78,10 @@ type t = {
   fm_eliminations : int;
   pivot_limit_hits : int;  (** simplex solves abandoned at the pivot budget *)
   interval_env_builds : int;  (** interval environments constructed *)
-  interval_sat_hits : int;  (** is_sat decided by the interval tier *)
-  interval_implies_hits : int;  (** implies/implies_atom decided by the tier *)
+  interval_sat_hits : int;  (** always [0], see below *)
+  interval_implies_hits : int;  (** always [0], see below *)
   interval_disjoint_hits : int;  (** cset work pruned by box-disjointness *)
-  interval_bails : int;  (** tier ran but fell through to the exact tier *)
+  interval_bails : int;  (** always [0], see below *)
   int_sat_checks : int;  (** {!Zsolve.is_sat} entries *)
   int_tightened_atoms : int;  (** atoms changed by integer tightening *)
   int_omega_eliminations : int;  (** Omega-test eliminations performed *)
@@ -102,6 +90,10 @@ type t = {
   int_bb_nodes : int;  (** branch-and-bound nodes solved *)
   caches : Memo.table_stats list;
 }
+(** [interval_sat_hits], [interval_implies_hits] and [interval_bails] are
+    always [0]: no {!Conj} decision consults the interval boxes, which only
+    prefilter {!Cset}'s implication checks.  The fields stay only because
+    [perfbench/] still reads them. *)
 
 val reset : unit -> unit
 (** Zero the raw counters and every cache's hit/miss counters. *)

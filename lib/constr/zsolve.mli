@@ -12,7 +12,8 @@
        coefficient gcd ([a·x ≤ b] ↦ [x ≤ ⌊b/a⌋]), and equalities whose
        coefficient gcd does not divide the constant refute outright.
        Tightening is an equivalence over ℤ, so it runs in front of every
-       other procedure (including the interval tier).}
+       other procedure ({!Conj.is_sat} tightens with {!Conj.ztighten}
+       before calling {!is_sat}).}
     {- {b Omega-test elimination}: equalities are eliminated by exact
        substitution (unit coefficient) or Pugh's symmetric-modulus rewrite;
        inequalities by dark-shadow projection with splinter equalities when

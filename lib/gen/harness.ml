@@ -141,13 +141,14 @@ let check_cache_differential ~max_iterations ~max_derivations ~max_iters st p ed
       end
   | _ -> Some "constraint_rewrite applicability differs with caches on vs off"
 
-(* ----- the interval-tier differential (oracle 8) ----- *)
+(* ----- the prefilter differential (oracle 8) ----- *)
 
 (* Run the heaviest rewrite and an evaluation of its output with the
-   interval fast tier enabled and disabled, each from a fresh cache state,
-   and require an alpha-equivalent rewritten program, identical sorted
-   answers and identical fixpoint status.  The abstract tier may only ever
-   change which procedure answers a query, never the answer. *)
+   interval disjointness prefilter enabled and disabled, each from a fresh
+   cache state, and require an alpha-equivalent rewritten program,
+   identical sorted answers and identical fixpoint status.  The prefilter
+   may only ever skip an implication check whose answer is known, never
+   change the answer. *)
 let check_interval_differential ~max_iterations ~max_derivations ~max_iters st p edb =
   let run_with on =
     Interval.with_tier on (fun () ->
@@ -167,19 +168,19 @@ let check_interval_differential ~max_iterations ~max_derivations ~max_iters st p
       if not (Program.equal_mod_renaming p1 p2) then
         Some
           (Printf.sprintf
-             "constraint_rewrite output differs with the interval tier on vs off:\n\
+             "constraint_rewrite output differs with the interval prefilter on vs off:\n\
               --- on ---\n\
               %s\n\
               --- off ---\n\
               %s"
              (Program.to_string p1) (Program.to_string p2))
       else if f1 <> f2 || not (List.equal F.equal a1 a2) then
-        Some "evaluation answers differ with the interval tier on vs off"
+        Some "evaluation answers differ with the interval prefilter on vs off"
       else begin
         st.checks <- st.checks + 1;
         None
       end
-  | _ -> Some "constraint_rewrite applicability differs with the interval tier on vs off"
+  | _ -> Some "constraint_rewrite applicability differs with the interval prefilter on vs off"
 
 (* ----- pipelines ----- *)
 
@@ -397,7 +398,7 @@ let check_relaxation ~max_iterations ~max_derivations st p edb =
 let check_case ?tamper ?(max_iterations = 25) ?(max_derivations = 20_000) ?(max_iters = 20)
     ~mode st p edb =
   (* Int-mode cases run every oracle under the integer domain, so the
-     cache/interval differentials double as ℤ transparency checks;
+     cache/prefilter differentials double as ℤ transparency checks;
      the relaxation oracle below is the only one that crosses domains on
      purpose. *)
   (if mode = Generate.Int then Cdomain.with_domain Cdomain.Z else fun k -> k ()) @@ fun () ->

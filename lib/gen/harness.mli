@@ -30,18 +30,19 @@
       the sorted answers, per-predicate fact state, per-fact support counts
       and fixpoint status of a from-scratch re-evaluation of the current
       EDB multiset ({!run_update}, [--mode update]).
-    + {b Tier} — the interval fast tier ({!Cql_constr.Interval}) never
+    + {b Tier} — the interval disjointness prefilter
+      ({!Cql_constr.Interval}, consulted only by {!Cql_constr.Cset}) never
       changes a result: the [constraint_rewrite] output (mod renaming), the
       sorted answers of its evaluation and the fixpoint status are identical
-      with the tier enabled and disabled, each run starting from a fresh
-      cache state (reported as ["interval"]).
+      with the prefilter enabled and disabled, each run starting from a
+      fresh cache state (reported as ["interval"]).
     + {b Relaxation} — integer-mode only ([--mode int]): ℤ ⊂ ℚ, so every
       answer the integer-domain evaluation derives must be covered by the
       rational-domain answers of the same program (one-directional — the
       real-shadow FM projection over-approximates, so the converse is
       expected to fail).  Integer-mode cases additionally run {e all} the
       differential oracles above under {!Cql_constr.Cdomain.Z}, which makes
-      the interval-tier differential a ℤ tier-transparency check, and swap
+      the prefilter differential a ℤ transparency check, and swap
       the {b Solver} pair to the two independent exact ℤ procedures (Omega
       elimination vs. branch-and-bound over the rational relaxation).
 

@@ -496,9 +496,6 @@ let test_pivot_limit () =
     (Simplex.with_pivot_limit 1 (fun () -> Simplex.is_sat [ Atom.ge vx (n 1) ]))
 
 let test_pivot_limit_fm_fallback () =
-  (* pin the exact tier: the interval box decides unsat_c outright and
-     would keep the second solve from ever tripping the pivot budget *)
-  Interval.with_tier false @@ fun () ->
   Memo.clear_all ();
   Solver_stats.reset ();
   (* fresh conjunctions (constants unused elsewhere) so the sat memo can't
@@ -586,21 +583,51 @@ let prop_negate_conj_complement =
     (QCheck.make QCheck.Gen.(pair conj_gen point_gen)) (fun (c, env) ->
       eval_cset env (Cset.negate_conj c) = not (eval_conj env c))
 
+(* the disjointness prefilter never changes a pruned cset or a cset
+   implication, only how it is computed (fresh caches on both sides);
+   [Cset.or_] and [Cset.conj_implies] are the only calls that consult it *)
+let cset_calls_with_tier (a, b, c) on =
+  Interval.with_tier on (fun () ->
+      Memo.with_caches true (fun () ->
+          let cs = Cset.or_ (Cset.of_disjuncts [ a; b ]) (Cset.of_conj c) in
+          let ci = Cset.conj_implies a (Cset.of_disjuncts [ b; c ]) in
+          (Cset.to_string cs, ci)))
+
 let prop_interval_transparent =
-  (* the interval fast tier never changes a decision-procedure result or a
-     pruned cset, only how it is computed (fresh caches on both sides) *)
   QCheck.Test.make ~name:"interval tier is result-transparent" ~count:300
-    (QCheck.make QCheck.Gen.(triple conj_gen conj_gen conj_gen)) (fun (a, b, c) ->
-      let run on =
-        Interval.with_tier on (fun () ->
-            Memo.with_caches true (fun () ->
-                let sat = Conj.is_sat a in
-                let imp = Conj.implies a b in
-                let cs = Cset.or_ (Cset.of_disjuncts [ a; b ]) (Cset.of_conj c) in
-                let ci = Cset.conj_implies a (Cset.of_disjuncts [ b; c ]) in
-                (sat, imp, Cset.to_string cs, ci)))
-      in
-      run true = run false)
+    (QCheck.make QCheck.Gen.(triple conj_gen conj_gen conj_gen)) (fun abc ->
+      cset_calls_with_tier abc true = cset_calls_with_tier abc false)
+
+(* univariate bounds give the boxes edges, so a fair share of generated
+   pairs come out box-disjoint *)
+let boxy_conj_gen =
+  QCheck.Gen.(
+    let bound =
+      map3
+        (fun i k op ->
+          let v = Linexpr.var vars_pool.(i) in
+          match op with
+          | 0 -> Atom.le v (n k)
+          | 1 -> Atom.ge v (n k)
+          | 2 -> Atom.lt v (n k)
+          | _ -> Atom.gt v (n k))
+        (int_range 0 1) (int_range (-4) 4) (int_range 0 3)
+    in
+    map Conj.of_list (list_size (int_range 1 4) (frequency [ (2, bound); (1, atom_gen) ])))
+
+(* the invariant that makes the prefilter transparent: a box-disjoint pair
+   has no common solution, over Q and over Z *)
+let prop_disjoint_sound =
+  QCheck.Test.make ~name:"box-disjoint conjunctions share no solution" ~count:500
+    (QCheck.make QCheck.Gen.(pair boxy_conj_gen boxy_conj_gen)) (fun (d, d') ->
+      List.for_all
+        (fun dom ->
+          Cdomain.with_domain dom (fun () ->
+              (not
+                 (Interval.disjoint ~id1:(Conj.id d) (Conj.to_list d) ~id2:(Conj.id d')
+                    (Conj.to_list d')))
+              || not (Conj.is_sat (Conj.and_ d d'))))
+        [ Cdomain.Q; Cdomain.Z ])
 
 (* ----- hash-consing and memoization ----- *)
 
@@ -622,9 +649,6 @@ let total_entries () =
   List.fold_left (fun acc (s : Memo.table_stats) -> acc + s.Memo.entries) 0 (Memo.stats ())
 
 let test_memo_hit_counting () =
-  (* pin the exact tier so the hits/misses counted here are the memoized
-     decision procedures', not the interval env cache's *)
-  Interval.with_tier false @@ fun () ->
   Memo.clear_all ();
   Solver_stats.reset ();
   let c = Conj.of_list [ Atom.le vx (n 2); Atom.le vy vx ] in
@@ -642,7 +666,6 @@ let test_memo_hit_counting () =
   check_bool "hit rate nonzero" true (Solver_stats.hit_rate s2 > 0.0)
 
 let test_memo_clear_all () =
-  Interval.with_tier false @@ fun () ->
   Memo.clear_all ();
   Solver_stats.reset ();
   let c = Conj.of_list [ Atom.le vx (n 2); Atom.le vy vx ] in
@@ -657,7 +680,6 @@ let test_memo_clear_all () =
     (Solver_stats.total_misses (Solver_stats.snapshot ()) > misses_before)
 
 let test_memo_with_caches_off () =
-  Interval.with_tier false @@ fun () ->
   let c = Conj.of_list [ Atom.le vx (n 2); Atom.le vy vx ] in
   let d = Conj.of_list [ Atom.le vx (n 5) ] in
   let unsat = Conj.of_list [ Atom.le vx (n 0); Atom.le (n 1) vx ] in
@@ -673,44 +695,36 @@ let test_memo_with_caches_off () =
   check_bool "enabled restored" true !Memo.enabled;
   check_int "fresh state on exit" 0 (total_entries ())
 
-(* ----- the interval fast tier ----- *)
-
-let itv_sat atoms =
-  let c = conj atoms in
-  Interval.sat ~id:(Conj.id c) (Conj.to_list c)
-
-let itv_implies_atom atoms a =
-  let c = conj atoms in
-  Interval.implies_atom ~id:(Conj.id c) (Conj.to_list c) a
+(* ----- the disjointness prefilter ----- *)
 
 let itv_disjoint atoms atoms' =
   let c = conj atoms and c' = conj atoms' in
   Interval.disjoint ~id1:(Conj.id c) (Conj.to_list c) ~id2:(Conj.id c') (Conj.to_list c')
 
 let test_interval_verdicts () =
-  (* satisfiability: box verdicts agree with the exact answers above *)
-  check_bool "bounded sat box" true (itv_sat [ Atom.ge vx (n 0); Atom.le vx (n 4) ] = Interval.True);
-  check_bool "empty box" true (itv_sat [ Atom.le vx (n 0); Atom.ge vx (n 1) ] = Interval.False);
+  (* an empty box is disjoint from anything, the empty conjunction too *)
+  check_bool "empty box" true (itv_disjoint [ Atom.le vx (n 0); Atom.ge vx (n 1) ] []);
   check_bool "strictly empty box" true
-    (itv_sat [ Atom.lt vx (n 1); Atom.ge vx (n 1) ] = Interval.False);
-  check_bool "point box with equality" true (itv_sat [ Atom.eq vx (n 5) ] = Interval.True);
+    (itv_disjoint [ Atom.lt vx (n 1); Atom.ge vx (n 1) ] [ Atom.ge vy (n 0) ]);
+  check_bool "nonempty box meets the whole space" false
+    (itv_disjoint [ Atom.ge vx (n 0); Atom.le vx (n 4) ] []);
+  (* an equality pins a point box *)
+  check_bool "point box misses a bound past it" true
+    (itv_disjoint [ Atom.eq vx (n 5) ] [ Atom.ge vx (n 6) ]);
+  check_bool "point box meets a bound through it" false
+    (itv_disjoint [ Atom.eq vx (n 5) ] [ Atom.ge vx (n 5) ]);
   (* one-unknown propagation through a two-variable atom *)
   check_bool "propagated empty box" true
-    (itv_sat [ Atom.le (Linexpr.add vx vy) (n 4); Atom.ge vx (n 2); Atom.ge vy (n 3) ]
-    = Interval.False);
-  check_bool "propagated sat box" true
-    (itv_sat [ Atom.le (Linexpr.add vx vy) (n 4); Atom.ge vx (n 2); Atom.ge vy (n 2) ]
-    = Interval.True);
-  (* purely relational conjunctions are beyond the box: fall through *)
-  check_bool "relational cycle is Unknown" true
-    (itv_sat [ Atom.le vx vy; Atom.le vy vz; Atom.le vz vx ] = Interval.Unknown);
-  (* entailment and refutation *)
-  check_bool "box entails the weaker bound" true
-    (itv_implies_atom [ Atom.le vx (n 2); Atom.le vy vx ] (Atom.le vx (n 5)) = Interval.True);
-  check_bool "box refutes the contradicted bound" true
-    (itv_implies_atom [ Atom.le vx (n 2) ] (Atom.ge vx (n 3)) = Interval.False);
-  check_bool "relational goal is Unknown" true
-    (itv_implies_atom [ Atom.le vx (n 2) ] (Atom.le vx vy) = Interval.Unknown);
+    (itv_disjoint [ Atom.le (Linexpr.add vx vy) (n 4); Atom.ge vx (n 2); Atom.ge vy (n 3) ] []);
+  check_bool "propagated bound separates" true
+    (itv_disjoint
+       [ Atom.le (Linexpr.add vx vy) (n 4); Atom.ge vx (n 2); Atom.ge vy (n 0) ]
+       [ Atom.ge vx (n 5) ]);
+  (* purely relational conjunctions are beyond the box: maybe compatible *)
+  check_bool "relational cycle has no box" false
+    (itv_disjoint [ Atom.le vx vy; Atom.le vy vz; Atom.le vz vx ] [ Atom.ge vx (n 5) ]);
+  check_bool "relational contradiction is beyond the box" false
+    (itv_disjoint [ Atom.lt vx vy; Atom.lt vy vx ] []);
   (* pairwise box disjointness *)
   check_bool "separated intervals" true (itv_disjoint [ Atom.le vx (n 1) ] [ Atom.ge vx (n 5) ]);
   check_bool "touching closed intervals meet" false
@@ -719,65 +733,6 @@ let test_interval_verdicts () =
     (itv_disjoint [ Atom.lt vx (n 2) ] [ Atom.ge vx (n 2) ]);
   check_bool "different variables never separate" false
     (itv_disjoint [ Atom.le vx (n 1) ] [ Atom.ge vy (n 5) ])
-
-let cache_entries (s : Solver_stats.t) name =
-  List.fold_left
-    (fun acc (t : Memo.table_stats) -> if t.Memo.name = name then acc + t.Memo.entries else acc)
-    0 s.Solver_stats.caches
-
-let test_interval_fast_paths () =
-  Interval.with_tier true @@ fun () ->
-  Memo.clear_all ();
-  Solver_stats.reset ();
-  let c = conj [ Atom.ge vx (n 0); Atom.le vx (n 4) ] in
-  let u = conj [ Atom.le vx (n 0); Atom.ge vx (n 1) ] in
-  check_bool "tier decides sat" true (Conj.is_sat c);
-  check_bool "tier decides unsat" false (Conj.is_sat u);
-  let s = Solver_stats.snapshot () in
-  check_int "both decided by the tier" 2 s.Solver_stats.interval_sat_hits;
-  check_int "no simplex run" 0 s.Solver_stats.simplex_runs;
-  check_int "tier booleans land in the memo" 2 (cache_entries s "conj_is_sat");
-  check_bool "envs were built" true (s.Solver_stats.interval_env_builds > 0);
-  (* warm repeat: a memo lookup, no further tier work *)
-  check_bool "memoized repeat" true (Conj.is_sat c);
-  check_int "no extra tier hit on the repeat" 2
-    (Solver_stats.snapshot ()).Solver_stats.interval_sat_hits;
-  (* a relational conjunction bails to the exact tier *)
-  let r = conj [ Atom.le vx vy; Atom.le vy vz; Atom.le vz vx ] in
-  check_bool "exact tier decides the bail" true (Conj.is_sat r);
-  let s2 = Solver_stats.snapshot () in
-  check_bool "bail counted" true (s2.Solver_stats.interval_bails > 0);
-  check_bool "simplex ran on the bail" true (s2.Solver_stats.simplex_runs > 0)
-
-(* interval-tier hits and memo hits never double-count: the cold query a
-   box decides is one interval hit (the boolean is stored as a fresh memo
-   entry), the warm repeat is one memo hit and no further tier work — one
-   counter per query, and the exact procedures never run *)
-let test_interval_memo_hygiene () =
-  Interval.with_tier true @@ fun () ->
-  Memo.clear_all ();
-  Solver_stats.reset ();
-  let c = conj [ Atom.le vx (n 2); Atom.le vy (n 1) ] in
-  let d = conj [ Atom.le vx (n 5) ] in
-  check_bool "implies holds" true (Conj.implies c d);
-  check_bool "implies holds on repeat" true (Conj.implies c d);
-  let s = Solver_stats.snapshot () in
-  check_int "one tier hit (the cold query)" 1 s.Solver_stats.interval_implies_hits;
-  check_int "raw counter still sees both entries" 2 s.Solver_stats.implies_checks;
-  check_int "tier boolean became one memo entry" 1 (cache_entries s "conj_implies");
-  check_int "no per-atom entries (tier decided first)" 0 (cache_entries s "conj_implies_atom");
-  check_int "no conj_is_sat entries" 0 (cache_entries s "conj_is_sat");
-  check_bool "env cache populated" true (cache_entries s "interval_env" > 0);
-  let memo_hits name =
-    List.fold_left
-      (fun acc (t : Memo.table_stats) -> if t.Memo.name = name then acc + t.Memo.hits else acc)
-      0 s.Solver_stats.caches
-  in
-  check_int "warm repeat was one memo hit" 1 (memo_hits "conj_implies");
-  (* exactly one counter fired per query: 1 interval hit + 1 memo hit = 2 checks *)
-  check_int "no double counting" s.Solver_stats.implies_checks
-    (s.Solver_stats.interval_implies_hits + memo_hits "conj_implies");
-  check_int "simplex never ran" 0 s.Solver_stats.simplex_runs
 
 let test_cset_prune_multi () =
   (* three disjuncts: (0<=X<=1) | (0<=X<=3) | (5<=X<=6); the first is
@@ -885,48 +840,53 @@ let test_int_counters () =
   Memo.with_caches true @@ fun () ->
   Solver_stats.reset ();
   let half = conj [ Atom.ge (scale2 vx) (n 1); Atom.le (scale2 vx) (n 1) ] in
-  check_bool "half-point unsat, tier off" false
-    (Cdomain.with_domain Cdomain.Z (fun () ->
-         Interval.with_tier false (fun () -> Conj.is_sat half)));
+  check_bool "half-point unsat" false
+    (Cdomain.with_domain Cdomain.Z (fun () -> Conj.is_sat half));
   let st = Solver_stats.snapshot () in
   check_bool "sat checks counted" true (st.Solver_stats.int_sat_checks >= 1);
   check_bool "tightened atoms counted" true (st.Solver_stats.int_tightened_atoms >= 2)
 
-(* satellite: interval-tier verdicts on integer-tightened atoms must agree
-   with the exact integer procedures — endpoint-touching cases where the
-   rational box verdict and the ℤ verdict genuinely differ *)
+(* integer boxes round every bound inward to a closed integer endpoint:
+   endpoint-touching cases where the rational and the integer box differ *)
 
 let test_interval_z_verdicts () =
-  let zsat atoms = Cdomain.with_domain Cdomain.Z (fun () -> itv_sat atoms) in
+  let zdisjoint atoms atoms' =
+    Cdomain.with_domain Cdomain.Z (fun () -> itv_disjoint atoms atoms')
+  in
   let half = [ Atom.ge (scale2 vx) (n 1); Atom.le (scale2 vx) (n 1) ] in
-  check_bool "half-point box over Q" true (itv_sat half = Interval.True);
-  check_bool "half-point box rounds empty over Z" true (zsat half = Interval.False);
+  check_bool "half-point box over Q" false (itv_disjoint half []);
+  check_bool "half-point box rounds empty over Z" true (zdisjoint half []);
   (* the open interval (2, 3): sat over Q, no integer inside *)
   let gap = [ Atom.gt vx (n 2); Atom.lt vx (n 3) ] in
-  check_bool "open unit gap over Q" true (itv_sat gap = Interval.True);
-  check_bool "open unit gap empty over Z" true (zsat gap = Interval.False);
+  check_bool "open unit gap over Q" false (itv_disjoint gap []);
+  check_bool "open unit gap empty over Z" true (zdisjoint gap []);
   (* touching an integer endpoint survives the rounding *)
-  check_bool "integer endpoint survives" true
-    (zsat [ Atom.ge (scale2 vx) (n 4); Atom.le vx (n 2) ] = Interval.True);
-  check_bool "interval containing an integer survives" true
-    (zsat [ Atom.ge (scale3 vx) (n 2); Atom.le (scale3 vx) (n 4) ] = Interval.True);
-  (* every definite verdict above matches the exact integer answer *)
+  let endpoint = [ Atom.ge (scale2 vx) (n 4); Atom.le vx (n 2) ] in
+  check_bool "integer endpoint survives" false (zdisjoint endpoint []);
+  check_bool "integer endpoint meets it" false (zdisjoint endpoint [ Atom.ge vx (n 2) ]);
+  check_bool "integer endpoint bounds the box" true (zdisjoint endpoint [ Atom.gt vx (n 2) ]);
+  let unit_width = [ Atom.ge (scale3 vx) (n 2); Atom.le (scale3 vx) (n 4) ] in
+  check_bool "interval containing an integer survives" false (zdisjoint unit_width []);
+  (* strict bounds close over Z: x < 2 and x > 1 share no integer *)
+  check_bool "open bounds one apart are disjoint over Z" true
+    (zdisjoint [ Atom.lt vx (n 2) ] [ Atom.gt vx (n 1) ]);
+  check_bool "open bounds one apart meet over Q" false
+    (itv_disjoint [ Atom.lt vx (n 2) ] [ Atom.gt vx (n 1) ]);
+  (* every disjoint verdict above matches the exact integer answer *)
   List.iter
-    (fun (label, atoms) ->
-      match zsat atoms with
-      | Interval.Unknown -> ()
-      | v ->
-          check_bool (label ^ ": box verdict matches exact Z") true
-            ((v = Interval.True) = Zsolve.is_sat atoms))
+    (fun (label, atoms, atoms') ->
+      if zdisjoint atoms atoms' then
+        check_bool (label ^ ": disjoint boxes are Z-unsat together") false
+          (Zsolve.is_sat (atoms @ atoms')))
     [
-      ("half", half);
-      ("gap", gap);
-      ("endpoint", [ Atom.ge (scale2 vx) (n 4); Atom.le vx (n 2) ]);
-      ("unit-width", [ Atom.ge (scale3 vx) (n 2); Atom.le (scale3 vx) (n 4) ]);
+      ("half", half, []);
+      ("gap", gap, []);
+      ("endpoint", endpoint, [ Atom.gt vx (n 2) ]);
+      ("open bounds", [ Atom.lt vx (n 2) ], [ Atom.gt vx (n 1) ]);
     ]
 
 let test_z_tier_endpoints () =
-  (* tier on and tier off agree with Zsolve through Conj.is_sat under Z *)
+  (* Conj.is_sat under Z agrees with Zsolve on the endpoint cases *)
   let cases =
     [
       ("half-point", [ Atom.ge (scale2 vx) (n 1); Atom.le (scale2 vx) (n 1) ], false);
@@ -938,15 +898,10 @@ let test_z_tier_endpoints () =
   in
   List.iter
     (fun (label, atoms, expected) ->
-      check_bool (label ^ ": exact") expected
-        (Cdomain.with_domain Cdomain.Z (fun () -> Zsolve.is_sat atoms));
-      let via tier =
-        Cdomain.with_domain Cdomain.Z (fun () ->
-            Interval.with_tier tier (fun () ->
-                Memo.with_caches true (fun () -> Conj.is_sat (conj atoms))))
-      in
-      check_bool (label ^ ": tier on") expected (via true);
-      check_bool (label ^ ": tier off") expected (via false))
+      Cdomain.with_domain Cdomain.Z (fun () ->
+          check_bool (label ^ ": exact") expected (Zsolve.is_sat atoms);
+          check_bool (label ^ ": Conj.is_sat") expected
+            (Memo.with_caches true (fun () -> Conj.is_sat (conj atoms)))))
     cases
 
 (* ----- integer-domain properties ----- *)
@@ -1007,13 +962,9 @@ let prop_z_relaxation =
 
 let prop_z_tier_transparent =
   QCheck.Test.make ~name:"interval tier is result-transparent over Z" ~count:300
-    (QCheck.make bigger_conj_gen) (fun atoms ->
+    (QCheck.make QCheck.Gen.(triple conj_gen conj_gen conj_gen)) (fun abc ->
       Cdomain.with_domain Cdomain.Z (fun () ->
-          let run tier =
-            Interval.with_tier tier (fun () ->
-                Memo.with_caches true (fun () -> Conj.is_sat (Conj.of_list atoms)))
-          in
-          run true = run false))
+          cset_calls_with_tier abc true = cset_calls_with_tier abc false))
 
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
@@ -1067,8 +1018,6 @@ let () =
       ( "interval",
         [
           Alcotest.test_case "verdicts" `Quick test_interval_verdicts;
-          Alcotest.test_case "fast paths and counters" `Quick test_interval_fast_paths;
-          Alcotest.test_case "memo hygiene" `Quick test_interval_memo_hygiene;
           Alcotest.test_case "cset prune multi-disjunct" `Quick test_cset_prune_multi;
         ] );
       ( "extra",
@@ -1088,6 +1037,7 @@ let () =
             prop_cset_and_is_intersection;
             prop_negate_conj_complement;
             prop_interval_transparent;
+            prop_disjoint_sound;
             prop_sat_sound;
             prop_project_sound;
             prop_implies_sound;
