@@ -599,9 +599,9 @@ let rec load_reads p (fr : frame) side j acc =
     | Term.C (Term.Sym _) | Term.V _ -> Not_numeric
 
 (* the head's register positions into [fr.hconsts]: each must resolve to a
-   constant, and in Z a number must be an integer (over ℤ a fractional pin
-   [$i = q] is unsatisfiable, which only the generic path's [Fact.make]
-   decides) *)
+   constant, and in Z a number, the head's own constants included, must be
+   an integer (over ℤ a fractional pin [$i = q] is unsatisfiable, which only
+   the generic path's [Fact.make] decides) *)
 let rec load_head p (fr : frame) side ~z i =
   i = Array.length p.p_head
   ||
@@ -613,6 +613,7 @@ let rec load_head p (fr : frame) side ~z i =
           fr.hconsts.(i) <- c;
           load_head p fr side ~z (i + 1)
       | Term.V _ -> false)
+  | H_const (Term.Num q) when z && not (Rat.is_integer q) -> false
   | H_const _ | H_slot _ -> load_head p fr side ~z (i + 1)
 
 let store_solved p (fr : frame) ~native =

@@ -57,7 +57,8 @@ let make pred args cstr =
    [make] over the pin conjunction would return its canonicalization
    unchanged — [project] keeps every variable (none falls outside [keep]),
    [simplify] drops nothing (each pin binds a distinct [$i], so no atom is
-   implied by the others) and the conjunction is trivially satisfiable — so
+   implied by the others) and the conjunction is satisfiable (over ℤ only
+   when every value is an integer, which callers check) — so
    the canonical representation is built directly, skipping the solver
    memo lookups and the per-position pin extraction of [compute_pinned]. *)
 let of_consts pred (consts : Term.const array) =
@@ -74,42 +75,42 @@ let of_consts pred (consts : Term.const array) =
   done;
   { pred; args; cstr = Conj.of_list !atoms; pinned }
 
+(* Over ℤ a pin to a fractional value is unsatisfiable: such a fact is left
+   to [make], which raises [Unsat].  Every other ground fact is [of_consts]'s. *)
 let ground pred consts =
-  let args = Array.make (List.length consts) Pvar in
-  let atoms = ref [] in
-  List.iteri
-    (fun i c ->
-      match c with
-      | Term.Sym s -> args.(i) <- Psym s
-      | Term.Num q ->
-          args.(i) <- Pvar;
-          atoms := Atom.pin (Var.arg (i + 1)) q :: !atoms)
-    consts;
-  make pred args (Conj.of_list !atoms)
+  let f = of_consts pred (Array.of_list consts) in
+  let fractional = function Some q -> not (Rat.is_integer q) | None -> false in
+  if Cdomain.is_z () && Array.exists fractional f.pinned then make pred f.args f.cstr else f
 
 let of_fact_rule (r : Rule.t) =
   if r.Rule.body <> [] then invalid_arg "Fact.of_fact_rule: rule has body literals";
   let head = r.Rule.head in
-  let n = Literal.arity head in
-  let args = Array.make n Pvar in
-  (* bind each head term to $i; repeated variables become $i = $j *)
-  let atoms = ref (Conj.to_list r.Rule.cstr) in
-  let seen : (Var.t * int) list ref = ref [] in
-  List.iteri
-    (fun i t ->
-      let ai = Var.arg (i + 1) in
-      match t with
-      | Term.C (Term.Sym s) -> args.(i) <- Psym s
-      | Term.C (Term.Num q) -> atoms := Atom.pin ai q :: !atoms
-      | Term.V v -> (
-          match List.assoc_opt v !seen with
-          | Some j ->
-              atoms := Atom.eq (Linexpr.var ai) (Linexpr.var (Var.arg j)) :: !atoms
-          | None ->
-              seen := (v, i + 1) :: !seen;
-              atoms := Atom.eq (Linexpr.var ai) (Linexpr.var v) :: !atoms))
-    head.Literal.args;
-  make head.Literal.pred args (Conj.of_list !atoms)
+  let consts =
+    List.filter_map (function Term.C c -> Some c | Term.V _ -> None) head.Literal.args
+  in
+  if Conj.is_tt r.Rule.cstr && List.compare_lengths consts head.Literal.args = 0 then
+    ground head.Literal.pred consts
+  else
+    let n = Literal.arity head in
+    let args = Array.make n Pvar in
+    (* bind each head term to $i; repeated variables become $i = $j *)
+    let atoms = ref (Conj.to_list r.Rule.cstr) in
+    let seen : (Var.t * int) list ref = ref [] in
+    List.iteri
+      (fun i t ->
+        let ai = Var.arg (i + 1) in
+        match t with
+        | Term.C (Term.Sym s) -> args.(i) <- Psym s
+        | Term.C (Term.Num q) -> atoms := Atom.pin ai q :: !atoms
+        | Term.V v -> (
+            match List.assoc_opt v !seen with
+            | Some j ->
+                atoms := Atom.eq (Linexpr.var ai) (Linexpr.var (Var.arg j)) :: !atoms
+            | None ->
+                seen := (v, i + 1) :: !seen;
+                atoms := Atom.eq (Linexpr.var ai) (Linexpr.var v) :: !atoms))
+      head.Literal.args;
+    make head.Literal.pred args (Conj.of_list !atoms)
 
 let pred f = f.pred
 let arity f = Array.length f.args

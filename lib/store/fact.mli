@@ -28,22 +28,32 @@ exception Unsat
 
 val make : string -> pos array -> Conj.t -> t
 (** [make pred args c] canonicalizes [c] (projects it onto the [$i] of
-    numeric positions and simplifies).
+    numeric positions and simplifies).  The constructor for facts that carry
+    a real constraint; ground facts take {!ground}.
     @raise Unsat if [c] is unsatisfiable. *)
 
-val ground : string -> Term.const list -> t
-(** A ground fact from constants. *)
-
 val of_consts : string -> Term.const array -> t
-(** [ground] without the canonicalization round-trip: builds the pin
-    conjunction directly (on which {!make}'s projection and simplification
-    are provably the identity), so no solver memo is consulted.  The hot
-    constructor of the compiled executor's all-constant head path. *)
+(** The ground fact from constants, its pin conjunction ([$i = q] per
+    numeric position) built directly: {!make}'s projection and
+    simplification are provably the identity on it and it is satisfiable
+    over ℚ, so no solver call is made.  The compiled executor's head
+    constructor; its leaf checks over ℤ that every value is an integer
+    before the call.  Unchecked: over ℤ it builds a fact {!make} would
+    refute (a fractional pin); use {!ground} for constants from outside. *)
+
+val ground : string -> Term.const list -> t
+(** The ground fact from constants: {!of_consts}, except that over ℤ a
+    fact pinning a fractional value goes through {!make}.  Returns exactly
+    what {!make} returns on the pin conjunction.
+    @raise Unsat over ℤ when a numeric constant is not an integer. *)
 
 val of_fact_rule : Rule.t -> t
 (** Convert a bodyless rule [p(t̄) :- C.] into a fact, e.g. parsed EDB
-    clauses.
-    @raise Unsat when [C] is unsatisfiable.
+    clauses.  A ground, unconstrained rule (every [tᵢ] a constant, [C]
+    empty) is {!ground}'s, so loading it calls no solver; any other goes
+    through {!make}.
+    @raise Unsat when [C] is unsatisfiable (over ℤ also when a constant
+    [tᵢ] is not an integer).
     @raise Invalid_argument when the rule has body literals. *)
 
 val pred : t -> string

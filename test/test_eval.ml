@@ -35,10 +35,17 @@ let test_fact_constraint () =
     (Conj.implies_atom c (Atom.le (Linexpr.var (Var.arg 1)) (Linexpr.of_int 4)))
 
 let test_fact_unsat () =
-  check_bool "unsat fact rejected" true
-    (match Fact.of_fact_rule (Parser.rule_of_string "p(X; X <= 1, X >= 2).") with
-    | exception Fact.Unsat -> true
-    | _ -> false)
+  List.iter
+    (fun src ->
+      check_bool src true
+        (match Fact.of_fact_rule (Parser.rule_of_string src) with
+        | exception Fact.Unsat -> true
+        | _ -> false))
+    [
+      "p(X; X <= 1, X >= 2).";
+      (* a ground head does not skip the constraint *)
+      "p(1; X <= 1, X >= 2).";
+    ]
 
 let test_fact_repeated_vars () =
   (* p(X, X) pins $1 = $2 *)
@@ -57,6 +64,54 @@ let test_subsumption () =
   let s2 = Fact.ground "p" [ Term.Sym "b" ] in
   check_bool "different syms incomparable" false (Fact.subsumes s1 s2);
   check_bool "sym vs numeric incomparable" false (Fact.subsumes s1 g)
+
+(* the EDBs of examples/programs/flights_edb.cql and scheduling_edb.cql *)
+let flights_edb_src =
+  {|
+singleleg(madison, chicago, 50, 100).
+singleleg(chicago, seattle, 230, 90).
+singleleg(chicago, newyork, 110, 160).
+singleleg(newyork, boston, 45, 60).
+singleleg(seattle, anchorage, 200, 210).
+|}
+
+let scheduling_edb_src =
+  {|
+calendar(alice, 9, 12).
+calendar(alice, 14, 18).
+calendar(bob, 10, 16).
+calendar(carol, 8, 10).
+|}
+
+(* a ground, unconstrained fact pins each numeric position to one value:
+   loading it has nothing to decide *)
+let test_ground_load_no_solver () =
+  List.iter
+    (fun d ->
+      Cdomain.with_domain d (fun () ->
+          List.iter
+            (fun (name, src) ->
+              let rules = facts src in
+              Memo.clear_all ();
+              Solver_stats.reset ();
+              let loaded = List.map Fact.of_fact_rule rules in
+              let s = Solver_stats.snapshot () in
+              let tag what = Printf.sprintf "%s [%s]: %s" name (Cdomain.to_string d) what in
+              check_int (tag "facts") (List.length rules) (List.length loaded);
+              check_bool (tag "all ground") true (List.for_all Fact.is_ground loaded);
+              check_int (tag "sat checks") 0 s.Solver_stats.sat_checks;
+              check_int (tag "simplex runs") 0 s.Solver_stats.simplex_runs;
+              check_int (tag "implied-atom checks") 0 s.Solver_stats.implies_atom_checks;
+              check_int (tag "projections") 0 s.Solver_stats.project_calls)
+            [ ("flights", flights_edb_src); ("scheduling", scheduling_edb_src) ]))
+    [ Cdomain.Q; Cdomain.Z ];
+  let half = Parser.rule_of_string "p(0.5, a)." in
+  check_bool "a fractional pin is refuted over Z" true
+    (Cdomain.with_domain Cdomain.Z (fun () ->
+         match Fact.of_fact_rule half with exception Fact.Unsat -> true | _ -> false));
+  Alcotest.(check string)
+    "and loads over Q" "p(1/2, a)"
+    (Cdomain.with_domain Cdomain.Q (fun () -> Fact.to_string (Fact.of_fact_rule half)))
 
 (* ----- evaluation: transitive closure over ground facts ----- *)
 
@@ -729,6 +784,19 @@ r(X, T) :- lo(X), T = X + 1.
       edb = "m(X, X). w(X). e(5). lo(X; X >= 2).";
       expect = [ (Cdomain.Q, "p", []); (Cdomain.Z, "p", []); (Cdomain.Q, "q", [ "q(5, 5)" ]) ];
     };
+    {
+      name = "fractional head constant";
+      src = "q(0.5, X) :- e(X).\nr(X, 2) :- e(X).\ns(0.5, T) :- e(X), T = X + 1.";
+      edb = "e(1). e(2).";
+      expect =
+        [
+          (Cdomain.Q, "q", [ "q(1/2, 1)"; "q(1/2, 2)" ]);
+          (Cdomain.Z, "q", []);
+          (Cdomain.Z, "r", [ "r(1, 2)"; "r(2, 2)" ]);
+          (Cdomain.Q, "s", [ "s(1/2, 2)"; "s(1/2, 3)" ]);
+          (Cdomain.Z, "s", []);
+        ];
+    };
   ]
 
 let test_leaf_program () =
@@ -777,6 +845,56 @@ let prop_pin =
     (fun (i, q) ->
       let x = Var.arg i in
       Atom.pin x q == Atom.eq (Linexpr.var x) (Linexpr.const q))
+
+(* ground fact rules: symbols from a small pool, numbers from [rat_gen] or
+   a small range, so values repeat *)
+let ground_rule_gen =
+  let open QCheck.Gen in
+  let const =
+    oneof
+      [
+        map (fun s -> Term.Sym s) (oneofl [ "a"; "b" ]);
+        map (fun q -> Term.Num q) rat_gen;
+        map (fun n -> Term.Num (Rat.of_int n)) (int_range 0 2);
+      ]
+  in
+  pair (oneofl [ "p"; "q" ]) (list_size (int_range 0 5) const)
+
+let ground_head (pred, consts) = Literal.make pred (List.map (fun c -> Term.C c) consts)
+
+let prop_ground_direct =
+  QCheck.Test.make ~name:"ground facts built directly are the facts make builds" ~count:500
+    (QCheck.make ~print:(fun g -> Literal.to_string (ground_head g)) ground_rule_gen)
+    (fun (pred, consts) ->
+      let rule = Rule.fact (ground_head (pred, consts)) Conj.tt in
+      let pos = function Term.Sym s -> Fact.Psym s | Term.Num _ -> Fact.Pvar in
+      let args = Array.of_list (List.map pos consts) in
+      let pins =
+        List.concat
+          (List.mapi
+             (fun i c ->
+               match c with
+               | Term.Num q -> [ Atom.eq (Linexpr.var (Var.arg (i + 1))) (Linexpr.const q) ]
+               | Term.Sym _ -> [])
+             consts)
+      in
+      let build f = match f () with f -> Some f | exception Fact.Unsat -> None in
+      let same (f : Fact.t) (m : Fact.t) =
+        Fact.compare f m = 0 && f.Fact.cstr == m.Fact.cstr
+        && Array.for_all2 (Option.equal Rat.equal) f.Fact.pinned m.Fact.pinned
+      in
+      List.for_all
+        (fun d ->
+          Cdomain.with_domain d (fun () ->
+              match
+                ( build (fun () -> Fact.of_fact_rule rule),
+                  build (fun () -> Fact.ground pred consts),
+                  build (fun () -> Fact.make pred args (Conj.of_list pins)) )
+              with
+              | None, None, None -> true
+              | Some r, Some g, Some m -> same r m && same g m
+              | _ -> false))
+        [ Cdomain.Q; Cdomain.Z ])
 
 (* the definition [Fact.compare] had before it stopped copying the
    patterns into lists *)
@@ -849,6 +967,8 @@ let () =
           Alcotest.test_case "unsat rejected" `Quick test_fact_unsat;
           Alcotest.test_case "repeated vars" `Quick test_fact_repeated_vars;
           Alcotest.test_case "subsumption" `Quick test_subsumption;
+          Alcotest.test_case "ground facts load without the solver" `Quick
+            test_ground_load_no_solver;
         ] );
       ( "explain",
         [
@@ -898,6 +1018,7 @@ let () =
         [
           Alcotest.test_case "constraint program vs reference" `Quick test_leaf_program;
           QCheck_alcotest.to_alcotest prop_pin;
+          QCheck_alcotest.to_alcotest prop_ground_direct;
           QCheck_alcotest.to_alcotest prop_fact_compare;
         ] );
       ( "cli",
