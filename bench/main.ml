@@ -6,13 +6,17 @@
 
      table1 table2 fig1 fig2 ex41 ex51 ex43 ex44 ex61 d1 d2 optimal
      ablation-disjuncts ablation-single ablation-stratified bound
-     fuzz serve compiled
+     fuzz compiled incremental int serve
 
    Usage:
      dune exec bench/main.exe              run every experiment
      dune exec bench/main.exe -- <id>...   run selected experiments
      dune exec bench/main.exe -- time      Bechamel wall-clock timings
-     dune exec bench/main.exe -- json      write BENCH_results.json *)
+     dune exec bench/main.exe -- json      run every experiment once and
+                                           write BENCH_results.json
+
+   The incremental, int and serve experiments carry checks: when one
+   fails, the run finishes (json writes its file) and exits 1. *)
 
 open Cql_num
 open Cql_constr
@@ -20,6 +24,7 @@ open Cql_datalog
 open Cql_eval
 open Cql_core
 module Reference = Cql_gen.Reference
+module J = Cql_serve.Json
 
 let parse = Parser.program_of_string
 let edb_of s = List.map Fact.of_fact_rule (Parser.facts_of_string s)
@@ -30,6 +35,27 @@ let arg i = Linexpr.var (Var.arg i)
 let header title = Printf.printf "\n==================== %s ====================\n" title
 let paper fmt = Printf.printf ("  paper:    " ^^ fmt ^^ "\n")
 let measured fmt = Printf.printf ("  measured: " ^^ fmt ^^ "\n")
+
+(* checks whose failure makes the run exit 1, once every requested
+   experiment (and json's file) is done *)
+let failed_checks = ref []
+let check name ok = if not ok then failed_checks := name :: !failed_checks
+
+let time_ms f =
+  let t0 = Cql_obs.Obs.monotonic_ns () in
+  let r = f () in
+  (r, Int64.to_float (Int64.sub (Cql_obs.Obs.monotonic_ns ()) t0) /. 1e6)
+
+(* [(name, value)] for every registered Obs counter whose name starts with
+   [prefix], the prefix stripped *)
+let counters_with prefix =
+  let k = String.length prefix in
+  List.filter_map
+    (fun (name, v) ->
+      if String.starts_with ~prefix name then
+        Some (String.sub name k (String.length name - k), J.Int v)
+      else None)
+    (Cql_obs.Obs.counters ())
 
 (* ----- shared programs ----- *)
 
@@ -610,8 +636,15 @@ let compiled_workloads () =
 let compiled_row (name, prog, edb, mi, md) =
   let run () = Engine.run ~max_iterations:mi ~max_derivations:md prog ~edb in
   let secs, res = time_best compiled_reps run in
+  (* OCaml 5.1's [Gc.allocated_bytes] counts each word still in the minor
+     heap as one byte, so a delta is exact only between two minor
+     collections; without them a run smaller than the minor heap read an
+     eighth of its minor allocation, or all of it, depending on whether a
+     collection fell inside the run *)
+  Gc.minor ();
   let a0 = Gc.allocated_bytes () in
   ignore (run ());
+  Gc.minor ();
   let bytes = Gc.allocated_bytes () -. a0 in
   (* the seed reference evaluator under the same budgets: derivation counts
      must agree, and so must the answers wherever the run ends on an
@@ -645,15 +678,257 @@ let run_compiled () =
         (bytes_per_derivation r) r.cw_answers_match r.cw_derivations r.cw_reference_derivations)
     (compiled_rows ())
 
+(* ----- incremental view maintenance (Engine.materialize/insert/retract) ----- *)
+
+let incremental_legs = 48
+let incremental_updates = 12
+
+(* Example 1.1's flights program over a generated acyclic chain network: a
+   single-leg retraction (and the re-insertion that undoes it) maintained
+   incrementally, timed against re-evaluating the whole fixpoint from
+   scratch on the same EDB; the check fails unless every step's answers
+   match and maintenance is faster on average *)
+let incremental () =
+  let legs = incremental_legs in
+  let max_iterations = 1_000 and max_derivations = 5_000_000 in
+  let p = parse flights_src in
+  let edb =
+    edb_of
+      (String.concat "\n"
+         (List.init legs (fun i ->
+              Printf.sprintf "singleleg(city%d, city%d, %d, %d)." i (i + 1)
+                (20 + (i * 37 mod 120))
+                (15 + (i * 53 mod 140)))))
+  in
+  let scratch_answers edb =
+    let res = Engine.run ~max_iterations ~max_derivations p ~edb in
+    if not (Engine.stats res).Engine.reached_fixpoint then
+      failwith "incremental: from-scratch run truncated (raise the budgets)";
+    List.sort Fact.compare (Engine.answers res p)
+  in
+  let (vw, ms0), materialize_ms =
+    time_ms (fun () -> Engine.materialize ~max_iterations ~max_derivations p ~edb)
+  in
+  Fun.protect ~finally:(fun () -> Engine.close_view vw) @@ fun () ->
+  if not ms0.Engine.m_complete then failwith "incremental: materialization truncated";
+  let maintain_ms = ref [] and scratch_ms = ref [] and answers_match = ref true in
+  let step op victim =
+    let ms, m_ms = time_ms (fun () -> op vw [ victim ]) in
+    maintain_ms := m_ms :: !maintain_ms;
+    if not ms.Engine.m_complete then failwith "incremental: maintenance truncated";
+    let answers, s_ms = time_ms (fun () -> scratch_answers (Engine.view_edb vw)) in
+    scratch_ms := s_ms :: !scratch_ms;
+    if answers <> Engine.view_answers vw then answers_match := false
+  in
+  let leg_facts = Array.of_list edb in
+  for k = 0 to incremental_updates - 1 do
+    (* spread the retractions over the chain; middle legs delete the most *)
+    let victim = leg_facts.(((k * 7) + 3) mod legs) in
+    step Engine.retract victim;
+    step Engine.insert victim
+  done;
+  let mean l = List.fold_left ( +. ) 0.0 l /. float_of_int (max 1 (List.length l)) in
+  let p50 l = match List.sort compare l with [] -> 0.0 | s -> List.nth s (List.length s / 2) in
+  let maintain = !maintain_ms and scratch = !scratch_ms in
+  let speedup = if mean maintain > 0.0 then mean scratch /. mean maintain else 0.0 in
+  let faster = mean maintain < mean scratch in
+  measured "legs=%d updates=%d facts=%d answers_match=%b" legs incremental_updates
+    (Engine.view_total vw) !answers_match;
+  measured "materialize=%.2fms maintain: mean=%.3fms p50=%.3fms (%d ops)" materialize_ms
+    (mean maintain) (p50 maintain) (List.length maintain);
+  measured "from-scratch: mean=%.3fms p50=%.3fms; speedup=%.1fx faster=%b" (mean scratch)
+    (p50 scratch) speedup faster;
+  check "incremental" (!answers_match && faster);
+  J.Obj
+    [
+      ("program", J.Str "flights (Example 1.1)");
+      ("network", J.Str (Printf.sprintf "acyclic chain, %d legs" legs));
+      ("updates", J.Int (List.length maintain));
+      ("facts", J.Int (Engine.view_total vw));
+      ("materialize_ms", J.Float materialize_ms);
+      ("maintain_mean_ms", J.Float (mean maintain));
+      ("maintain_p50_ms", J.Float (p50 maintain));
+      ("scratch_mean_ms", J.Float (mean scratch));
+      ("scratch_p50_ms", J.Float (p50 scratch));
+      ("speedup", J.Float speedup);
+      ("maintenance_faster", J.Bool faster);
+      ("answers_match", J.Bool !answers_match);
+    ]
+
+let run_incremental () =
+  header "INCREMENTAL: view maintenance vs from-scratch re-evaluation";
+  paper "(no paper counterpart -- materialized views under single-leg updates)";
+  ignore (incremental ())
+
+(* ----- integer domain (Cdomain.Z) ----- *)
+
+let range lo n = List.init n (fun i -> lo + i)
+
+(* Two workloads whose constraints sit on the ℚ/ℤ boundary: meeting-slot
+   scheduling (strict windows plus a scaled duration bound, 2E - 2S >= 3,
+   that tightens to E - S >= 2 over the integers) and a flights variant
+   with a divisibility-constrained voucher (3V in [10, 14] pins V = 4 over
+   ℤ).  Each workload is [(name, program, edb, points)], where [points]
+   pairs every integer grid point with whether the query should hold on
+   it, enumerated here in OCaml *)
+let int_workloads () =
+  let calendar = [ ("alice", 9, 12); ("alice", 14, 18); ("bob", 10, 16); ("carol", 8, 10) ] in
+  let avail p s e =
+    List.exists (fun (p', lo, hi) -> p' = p && s >= lo && e <= hi && s < e) calendar
+  in
+  let persons = [ "alice"; "bob"; "carol" ] in
+  let num i = Term.Num (Rat.of_int i) in
+  let scheduling_points =
+    List.concat_map
+      (fun p1 ->
+        List.concat_map
+          (fun p2 ->
+            List.concat_map
+              (fun s ->
+                List.map
+                  (fun e ->
+                    ( [ Term.Sym p1; Term.Sym p2; num s; num e ],
+                      avail p1 s e && avail p2 s e && (2 * e) - (2 * s) >= 3 && s <= 12 ))
+                  (range 8 11))
+              (range 8 11))
+          persons)
+      persons
+  in
+  let leg_costs = [ 7; 6; 9; 8; 5 ] in
+  let n = List.length leg_costs in
+  let city i = Printf.sprintf "c%d" i in
+  (* contiguous chain: the only reach(ci, cj) cost is the segment sum *)
+  let cost i j = List.fold_left ( + ) 0 (List.filteri (fun k _ -> k >= i && k < j) leg_costs) in
+  let flights_points =
+    List.concat_map
+      (fun i ->
+        List.concat_map
+          (fun j ->
+            if j <= i then []
+            else
+              List.concat_map
+                (fun c ->
+                  List.map
+                    (fun v ->
+                      ( [ Term.Sym (city i); Term.Sym (city j); num c; num v ],
+                        c = cost i j && 3 * v >= 10 && 3 * v <= 14 && c <= 5 * v ))
+                    (range 0 7))
+                (range 0 (cost 0 n + 2)))
+          (range 0 (n + 1)))
+      (range 0 (n + 1))
+  in
+  [
+    ( "scheduling",
+      {|
+r1: slot(P1, P2, S, E) :- avail(P1, S, E), avail(P2, S, E).
+r2: avail(P, S, E) :- calendar(P, LO, HI), S >= LO, E <= HI, S < E.
+r3: good(P1, P2, S, E) :- slot(P1, P2, S, E), 2*E - 2*S >= 3, S <= 12.
+#query good.
+|},
+      String.concat "\n"
+        (List.map (fun (p, lo, hi) -> Printf.sprintf "calendar(%s, %d, %d)." p lo hi) calendar),
+      scheduling_points );
+    ( "integer_flights",
+      {|
+r1: reach(S, D, C) :- leg(S, D, C).
+r2: reach(S, D, C) :- reach(S, M, C1), leg(M, D, C2), C = C1 + C2.
+r3: voucher(V) :- 3*V >= 10, 3*V <= 14.
+r4: deal(S, D, C, V) :- reach(S, D, C), voucher(V), C <= 5*V.
+#query deal.
+|},
+      String.concat "\n"
+        (List.mapi (fun i c -> Printf.sprintf "leg(%s, %s, %d)." (city i) (city (i + 1)) c)
+           leg_costs),
+      flights_points );
+  ]
+
+(* The integer-domain answers of both the original program and its pred,qrp
+   rewrite are verified point by point against the brute-force grid; the
+   rational run of the same workload is the timing baseline *)
+let int_workload (name, src, edb_src, points) =
+  let p = parse src in
+  let edb = edb_of edb_src in
+  let arity = Program.arity p (Option.get p.Program.query) in
+  let run_domain d =
+    Cdomain.with_domain d @@ fun () ->
+    Memo.clear_all ();
+    Solver_stats.reset ();
+    let p', rewrite_ms =
+      time_ms (fun () -> fst (Rewrite.sequence ~max_iters:50 [ Rewrite.Pred; Rewrite.Qrp ] p))
+    in
+    let res, eval_ms = time_ms (fun () -> Engine.run p ~edb) in
+    let res', eval_rw_ms = time_ms (fun () -> Engine.run p' ~edb) in
+    let answers r pr = List.sort Fact.compare (Engine.answers r pr) in
+    let n_answers = List.length (answers res p) and facts = Engine.total_facts res' in
+    let line =
+      Printf.sprintf "  %s: rewrite=%.2fms eval=%.2fms eval(rw)=%.2fms answers=%d facts=%d"
+        (Cdomain.to_string d) rewrite_ms eval_ms eval_rw_ms n_answers facts
+    in
+    let row =
+      [
+        ("rewrite_ms", J.Float rewrite_ms);
+        ("eval_ms", J.Float eval_ms);
+        ("eval_rewritten_ms", J.Float eval_rw_ms);
+        ("answers", J.Int n_answers);
+        ("facts", J.Int facts);
+      ]
+    in
+    (answers res p, answers res' p', line, row)
+  in
+  let expected = List.length (List.filter snd points) in
+  let _, _, rat_line, rat = run_domain Cdomain.Q in
+  let za, za_rw, int_line, int = run_domain Cdomain.Z in
+  let int = int @ counters_with "solver.int." in
+  (* membership of every grid point in the ℤ answers, original and
+     rewritten, must match the enumerated expectation in both directions *)
+  let bad answers =
+    Cdomain.with_domain Cdomain.Z @@ fun () ->
+    let neutral =
+      List.filter_map
+        (fun f ->
+          if Fact.arity f = arity then Some (Fact.make "x" f.Fact.args (Fact.cstr f)) else None)
+        answers
+    in
+    List.length
+      (List.filter
+         (fun (args, holds) ->
+           let g = Fact.ground "x" args in
+           List.exists (fun f -> Fact.subsumes f g) neutral <> holds)
+         points)
+  in
+  let bad = bad za and bad_rw = bad za_rw in
+  let ok = bad = 0 && bad_rw = 0 in
+  measured "%s: grid=%d expected=%d bruteforce_match=%b (orig bad=%d, rewritten bad=%d)" name
+    (List.length points) expected ok bad bad_rw;
+  measured "%s" rat_line;
+  measured "%s" int_line;
+  check "int" ok;
+  ( name,
+    J.Obj
+      [
+        ("grid_points", J.Int (List.length points));
+        ("expected_points", J.Int expected);
+        ("bruteforce_match", J.Bool ok);
+        ("rat", J.Obj rat);
+        ("int", J.Obj int);
+      ] )
+
+let int_experiment () = J.Obj (List.map int_workload (int_workloads ()))
+
+let run_int () =
+  header "INT: the integer domain, checked against brute-force grids";
+  paper "(no paper counterpart -- constraints decided over Z instead of Q)";
+  ignore (int_experiment ())
+
 (* ----- serving (lib/serve): cqlserved under concurrent load ----- *)
 
 let serve_clients = 4
-let serve_requests_per_client = 15
+let serve_requests_per_client = 25
 
-(* in-process server + the cqlopt bench serve load generator: answers are
-   checked against one-shot evaluation, so this doubles as an end-to-end
-   correctness run *)
-let serve_result () =
+(* an in-process server driven by Loadgen: every answer is checked against
+   one-shot evaluation, so this doubles as an end-to-end correctness run;
+   the check fails on any failed request or differing answer *)
+let serve () =
   let module S = Cql_serve in
   let socket =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -661,26 +936,34 @@ let serve_result () =
   in
   let t = S.Server.start (S.Server.default_config ~socket_path:socket) in
   let r =
-    S.Loadgen.run ~socket ~clients:serve_clients
-      ~requests_per_client:serve_requests_per_client ()
+    Fun.protect
+      ~finally:(fun () ->
+        S.Server.stop t;
+        S.Server.wait t)
+      (fun () ->
+        S.Loadgen.run ~socket ~clients:serve_clients
+          ~requests_per_client:serve_requests_per_client)
   in
-  S.Server.stop t;
-  S.Server.wait t;
-  r
+  match r with
+  | Error msg ->
+      measured "FAILED: %s" msg;
+      check "serve" false;
+      J.Obj [ ("error", J.Str msg) ]
+  | Ok r ->
+      let open S.Loadgen in
+      measured "clients=%d requests=%d ok=%d errors=%d cache_hits=%d answers_match=%b" r.clients
+        r.total_requests r.ok r.errors r.cache_hits r.answers_match;
+      measured "p50=%.2fms p95=%.2fms p99=%.2fms max=%.2fms throughput=%.1f req/s" r.p50_ms
+        r.p95_ms r.p99_ms r.max_ms r.throughput_rps;
+      measured "warm (%d hits): p50=%.2fms p99=%.2fms; cold (%d misses): p50=%.2fms p99=%.2fms"
+        r.cache_hits r.warm_p50_ms r.warm_p99_ms r.cache_misses r.cold_p50_ms r.cold_p99_ms;
+      check "serve" (r.errors = 0 && r.answers_match);
+      to_json r
 
 let run_serve () =
-  let module S = Cql_serve in
   header "SERVE: cqlserved under concurrent load (plan cache + admission)";
   paper "(no paper counterpart -- the persistent multi-tenant query service)";
-  match serve_result () with
-  | Error msg -> measured "FAILED: %s" msg
-  | Ok r ->
-      measured "clients=%d requests=%d ok=%d errors=%d cache_hits=%d answers_match=%b"
-        r.S.Loadgen.clients r.S.Loadgen.total_requests r.S.Loadgen.ok r.S.Loadgen.errors
-        r.S.Loadgen.cache_hits r.S.Loadgen.answers_match;
-      measured "p50=%.2fms p95=%.2fms p99=%.2fms max=%.2fms throughput=%.1f req/s"
-        r.S.Loadgen.p50_ms r.S.Loadgen.p95_ms r.S.Loadgen.p99_ms r.S.Loadgen.max_ms
-        r.S.Loadgen.throughput_rps
+  ignore (serve ())
 
 (* ----- Bechamel timings ----- *)
 
@@ -779,55 +1062,17 @@ let run_timings () =
 
 (* ----- machine-readable results: bench/main.exe json -> BENCH_results.json ----- *)
 
-(* hand-rolled JSON writer (the toolchain has no JSON library) *)
-type json = Raw of string | Str of string | List of json list | Obj of (string * json) list
-
-let rec write_json b = function
-  | Raw s -> Buffer.add_string b s
-  | Str s ->
-      Buffer.add_char b '"';
-      String.iter
-        (function
-          | '"' -> Buffer.add_string b "\\\""
-          | '\\' -> Buffer.add_string b "\\\\"
-          | '\n' -> Buffer.add_string b "\\n"
-          | c -> Buffer.add_char b c)
-        s;
-      Buffer.add_char b '"'
-  | List items ->
-      Buffer.add_char b '[';
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_string b ", ";
-          write_json b item)
-        items;
-      Buffer.add_char b ']'
-  | Obj kvs ->
-      Buffer.add_char b '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_string b ", ";
-          write_json b (Str k);
-          Buffer.add_string b ": ";
-          write_json b v)
-        kvs;
-      Buffer.add_char b '}'
-
-let jint i = Raw (string_of_int i)
-let jbool bo = Raw (string_of_bool bo)
-let jfloat f = Raw (Printf.sprintf "%.3f" f)
-
 let stats_json (s : Engine.stats) =
-  Obj
+  J.Obj
     [
-      ("iterations", jint s.Engine.iterations);
-      ("derivations", jint s.Engine.derivations);
-      ("facts_added", jint s.Engine.facts_added);
-      ("reached_fixpoint", jbool s.Engine.reached_fixpoint);
-      ("index_probes", jint s.Engine.index_probes);
-      ("index_hits", jint s.Engine.index_hits);
-      ("facts_skipped", jint s.Engine.facts_skipped);
-      ("subsumptions_avoided", jint s.Engine.subsumptions_avoided);
+      ("iterations", J.Int s.Engine.iterations);
+      ("derivations", J.Int s.Engine.derivations);
+      ("facts_added", J.Int s.Engine.facts_added);
+      ("reached_fixpoint", J.Bool s.Engine.reached_fixpoint);
+      ("index_probes", J.Int s.Engine.index_probes);
+      ("index_hits", J.Int s.Engine.index_hits);
+      ("facts_skipped", J.Int s.Engine.facts_skipped);
+      ("subsumptions_avoided", J.Int s.Engine.subsumptions_avoided);
     ]
 
 (* flights (constraint-rewritten, terminating) on the indexed store: the
@@ -843,21 +1088,21 @@ let json_flights_store () =
       let rs = Reference.run ~max_iterations:10 p' ~edb in
       let si = Engine.stats ri in
       let considered = si.Engine.index_hits + si.Engine.facts_skipped in
-      Obj
+      J.Obj
         [
-          ("cities", jint m);
-          ("edb_facts", jint (List.length edb));
-          ("flight_facts", jint (List.length (Engine.facts_of ri "flight'")));
-          ("answer_facts", jint (List.length (Engine.answers ri p')));
+          ("cities", J.Int m);
+          ("edb_facts", J.Int (List.length edb));
+          ("flight_facts", J.Int (List.length (Engine.facts_of ri "flight'")));
+          ("answer_facts", J.Int (List.length (Engine.answers ri p')));
           ( "answers_match_reference",
-            jbool
+            J.Bool
               (List.sort compare (List.map Fact.to_string (Engine.answers ri p'))
               = List.sort compare (List.map Fact.to_string (Reference.answers rs p'))) );
           ("indexed", stats_json si);
-          ("probe_candidates_without_index", jint considered);
-          ("probe_candidates_with_index", jint si.Engine.index_hits);
+          ("probe_candidates_without_index", J.Int considered);
+          ("probe_candidates_with_index", J.Int si.Engine.index_hits);
           ( "join_probe_reduction",
-            jfloat
+            J.Float
               (if considered = 0 then 0.0
                else 1.0 -. (float_of_int si.Engine.index_hits /. float_of_int considered)) );
         ])
@@ -870,12 +1115,12 @@ let json_d1 () =
   List.map
     (fun nsrc ->
       let edb = segments_edb nsrc 5 in
-      Obj
+      J.Obj
         [
-          ("sources", jint nsrc);
-          ("edb_facts", jint (List.length edb));
-          ("qrp_mg_facts", jint (idb_count qrp_mg edb));
-          ("mg_qrp_facts", jint (idb_count mg_qrp edb));
+          ("sources", J.Int nsrc);
+          ("edb_facts", J.Int (List.length edb));
+          ("qrp_mg_facts", J.Int (idb_count qrp_mg edb));
+          ("mg_qrp_facts", J.Int (idb_count mg_qrp edb));
         ])
     [ 6; 12; 24 ]
 
@@ -896,17 +1141,17 @@ let json_optimal () =
     (fun (name, steps) ->
       let prog, _ = Rewrite.sequence steps p in
       let res = Engine.run ~max_iterations:10 ~max_derivations:30_000 prog ~edb in
-      Obj [ ("ordering", Str name); ("idb_facts", jint (Engine.total_idb_facts res ~edb)) ])
+      J.Obj
+        [ ("ordering", J.Str name); ("idb_facts", J.Int (Engine.total_idb_facts res ~edb)) ])
     orderings
 
 let json_fib () =
   let res = Engine.run ~max_iterations:30 (fib_magic_constrained 5) ~edb:[] in
-  let s = Engine.stats res in
-  Obj
+  J.Obj
     [
-      ("query", Str "fib(N, 5) via constrained magic rewriting");
-      ("stats", stats_json s);
-      ("answers", jint (List.length (Engine.facts_of res "q_")));
+      ("query", J.Str "fib(N, 5) via constrained magic rewriting");
+      ("stats", stats_json (Engine.stats res));
+      ("answers", J.Int (List.length (Engine.facts_of res "q_")));
     ]
 
 let json_fuzz () =
@@ -915,54 +1160,51 @@ let json_fuzz () =
   List.map
     (fun (mode, (s : H.summary)) ->
       let st = s.H.stats in
-      Obj
+      J.Obj
         [
-          ("mode", Str (G.mode_to_string mode));
-          ("seed", jint s.H.seed);
-          ("programs_generated", jint st.H.cases);
-          ("programs_evaluated", jint st.H.evaluated);
-          ("oracle_checks_passed", jint st.H.checks);
-          ("rewrites_skipped", jint st.H.rewrites_skipped);
-          ("rewrites_unconverged", jint st.H.rewrites_unconverged);
-          ("runs_truncated", jint st.H.runs_truncated);
+          ("mode", J.Str (G.mode_to_string mode));
+          ("seed", J.Int s.H.seed);
+          ("programs_generated", J.Int st.H.cases);
+          ("programs_evaluated", J.Int st.H.evaluated);
+          ("oracle_checks_passed", J.Int st.H.checks);
+          ("rewrites_skipped", J.Int st.H.rewrites_skipped);
+          ("rewrites_unconverged", J.Int st.H.rewrites_unconverged);
+          ("runs_truncated", J.Int st.H.runs_truncated);
           ( "mean_facts_derived",
-            jfloat
+            J.Float
               (if st.H.evaluated = 0 then 0.0
                else float_of_int st.H.facts_derived /. float_of_int st.H.evaluated) );
-          ("all_oracles_passed", jbool (s.H.failure = None));
+          ("all_oracles_passed", J.Bool (s.H.failure = None));
         ])
     (fuzz_summaries ())
 
-let solver_stats_json (s : Solver_stats.t) =
-  Obj
-    [
-      ("sat_checks", jint s.Solver_stats.sat_checks);
-      ("implies_checks", jint s.Solver_stats.implies_checks);
-      ("implies_atom_checks", jint s.Solver_stats.implies_atom_checks);
-      ("cset_implies_checks", jint s.Solver_stats.cset_implies_checks);
-      ("project_calls", jint s.Solver_stats.project_calls);
-      ("simplex_runs", jint s.Solver_stats.simplex_runs);
-      ("simplex_pivots", jint s.Solver_stats.simplex_pivots);
-      ("fm_eliminations", jint s.Solver_stats.fm_eliminations);
-      ("pivot_limit_hits", jint s.Solver_stats.pivot_limit_hits);
-      ("interval_env_builds", jint s.Solver_stats.interval_env_builds);
-      ("interval_disjoint_hits", jint s.Solver_stats.interval_disjoint_hits);
-      ( "caches",
-        List
-          (List.map
-             (fun (c : Memo.table_stats) ->
-               Obj
-                 [
-                   ("name", Str c.Memo.name);
-                   ("hits", jint c.Memo.hits);
-                   ("misses", jint c.Memo.misses);
-                   ("entries", jint c.Memo.entries);
-                 ])
-             s.Solver_stats.caches) );
-      ("cache_hits", jint (Solver_stats.total_hits s));
-      ("cache_misses", jint (Solver_stats.total_misses s));
-      ("cache_hit_rate", jfloat (Solver_stats.hit_rate s));
-    ]
+(* every solver.* counter in the Obs registry, then the Memo caches *)
+let solver_json () =
+  let caches = Memo.stats () in
+  let total f = List.fold_left (fun acc c -> acc + f c) 0 caches in
+  let hits = total (fun c -> c.Memo.hits) and misses = total (fun c -> c.Memo.misses) in
+  J.Obj
+    (counters_with "solver."
+    @ [
+        ( "caches",
+          J.List
+            (List.map
+               (fun (c : Memo.table_stats) ->
+                 J.Obj
+                   [
+                     ("name", J.Str c.Memo.name);
+                     ("hits", J.Int c.Memo.hits);
+                     ("misses", J.Int c.Memo.misses);
+                     ("entries", J.Int c.Memo.entries);
+                   ])
+               caches) );
+        ("cache_hits", J.Int hits);
+        ("cache_misses", J.Int misses);
+        ( "cache_hit_rate",
+          J.Float
+            (if hits + misses = 0 then 0.0
+             else float_of_int hits /. float_of_int (hits + misses)) );
+      ])
 
 (* decision-procedure call counts and cache hit rates over two representative
    workloads; each workload runs twice from cold caches and zeroed counters,
@@ -974,10 +1216,10 @@ let json_solver_cache () =
         Memo.clear_all ();
         Solver_stats.reset ();
         f ();
-        solver_stats_json (Solver_stats.snapshot ()))
+        solver_json ())
   in
   let workload name f =
-    (name, Obj [ ("with_interval", side true f); ("without_interval", side false f) ])
+    (name, J.Obj [ ("with_interval", side true f); ("without_interval", side false f) ])
   in
   [
     workload "rewrite_flights" (fun () ->
@@ -1002,16 +1244,16 @@ let json_trace () =
     let spans =
       List.map
         (fun (r : Obs.summary_row) ->
-          Obj
+          J.Obj
             [
-              ("span", Str r.Obs.sr_name);
-              ("count", jint r.Obs.sr_count);
-              ("total_ns", Raw (Int64.to_string r.Obs.sr_total_ns));
-              ("max_ns", Raw (Int64.to_string r.Obs.sr_max_ns));
+              ("span", J.Str r.Obs.sr_name);
+              ("count", J.Int r.Obs.sr_count);
+              ("total_ns", J.Int (Int64.to_int r.Obs.sr_total_ns));
+              ("max_ns", J.Int (Int64.to_int r.Obs.sr_max_ns));
             ])
         (Obs.summary ())
     in
-    (name, Obj [ ("spans", List spans); ("events", jint (List.length (Obs.events ()))) ])
+    (name, J.Obj [ ("spans", J.List spans); ("events", J.Int (List.length (Obs.events ()))) ])
   in
   let rows =
     [
@@ -1031,82 +1273,83 @@ let json_trace () =
    allocated and bytes per derivation; [answers_match_reference] and the
    derivation pair compare against the seed reference evaluator *)
 let json_compiled () =
-  let module Obs = Cql_obs.Obs in
   let runs =
     List.map
       (fun r ->
-        Obj
+        J.Obj
           [
-            ("workload", Str r.cw_name);
-            ("reps", jint compiled_reps);
-            ("wall_seconds", Raw (Printf.sprintf "%.6f" r.cw_wall_s));
-            ("allocated_bytes", Raw (Printf.sprintf "%.0f" r.cw_bytes));
-            ("derivations", jint r.cw_derivations);
-            ("bytes_per_derivation", Raw (Printf.sprintf "%.0f" (bytes_per_derivation r)));
-            ("answers_match_reference", jbool r.cw_answers_match);
-            ("reference_derivations", jint r.cw_reference_derivations);
-            ("derivations_match", jbool (r.cw_derivations = r.cw_reference_derivations));
+            ("workload", J.Str r.cw_name);
+            ("reps", J.Int compiled_reps);
+            ("wall_seconds", J.Float r.cw_wall_s);
+            ("allocated_bytes", J.Int (Float.to_int r.cw_bytes));
+            ("derivations", J.Int r.cw_derivations);
+            ( "bytes_per_derivation",
+              J.Int (Float.to_int (Float.round (bytes_per_derivation r))) );
+            ("answers_match_reference", J.Bool r.cw_answers_match);
+            ("reference_derivations", J.Int r.cw_reference_derivations);
+            ("derivations_match", J.Bool (r.cw_derivations = r.cw_reference_derivations));
           ])
       (compiled_rows ())
   in
-  let counters =
-    Obj
-      (List.map
-         (fun n -> (n, jint (Obs.value (Obs.counter ("engine.compile." ^ n)))))
-         [ "programs_compiled"; "ops"; "frame_width"; "cache_hits" ])
-  in
-  Obj [ ("runs", List runs); ("compile_counters", counters) ]
+  J.Obj [ ("runs", J.List runs); ("compile_counters", J.Obj (counters_with "engine.compile.")) ]
 
-(* cqlserved under concurrent load; the loadgen payload embeds via [Raw]
-   since Loadgen.to_json prints through lib/serve's own JSON type *)
-let json_serve () =
-  let module S = Cql_serve in
-  match serve_result () with
-  | Error msg -> Obj [ ("error", Str msg) ]
-  | Ok r -> Raw (S.Json.to_string (S.Loadgen.to_json r))
-
+(* every experiment once, in document order; serve goes last, after the
+   timings, so nothing else runs after its server and client domains exit *)
 let run_json () =
+  let flights_store = json_flights_store () in
+  let d1 = json_d1 () in
+  let optimal = json_optimal () in
+  let fib = json_fib () in
+  let fuzz = json_fuzz () in
+  let solver_cache = json_solver_cache () in
+  let trace = json_trace () in
+  let compiled = json_compiled () in
+  let incremental = incremental () in
+  let int = int_experiment () in
   let timings =
     List.map
       (fun (name, est) ->
-        Obj
+        J.Obj
           [
-            ("name", Str name);
-            ("ns_per_run", match est with Some ns -> jfloat ns | None -> Raw "null");
+            ("name", J.Str name);
+            ("ns_per_run", match est with Some ns -> J.Float ns | None -> J.Null);
           ])
       (measure_timings (timing_tests ()))
   in
+  let serve = serve () in
   let doc =
-    Obj
-      [
-        ("schema", Str "cqlopt-bench-1");
-        ("command", Str "dune exec bench/main.exe -- json");
-        ( "experiments",
-          Obj
-            [
-              ("flights_store", List (json_flights_store ()));
-              ("d1_rewrite_orderings", List (json_d1 ()));
-              ("optimal_orderings", List (json_optimal ()));
-              ("fib_backward", json_fib ());
-              ("fuzz", List (json_fuzz ()));
-              ("solver_cache", Obj (json_solver_cache ()));
-              ("trace", Obj (json_trace ()));
-              ("compiled", json_compiled ());
-              ("serve", json_serve ());
-            ] );
-        ("timings", List timings);
-      ]
+    J.to_string
+      (J.Obj
+         [
+           ("schema", J.Str "cqlopt-bench-1");
+           ("command", J.Str "dune exec bench/main.exe -- json");
+           ( "experiments",
+             J.Obj
+               [
+                 ("flights_store", J.List flights_store);
+                 ("d1_rewrite_orderings", J.List d1);
+                 ("optimal_orderings", J.List optimal);
+                 ("fib_backward", fib);
+                 ("fuzz", J.List fuzz);
+                 ("solver_cache", J.Obj solver_cache);
+                 ("trace", J.Obj trace);
+                 ("compiled", compiled);
+                 ("incremental", incremental);
+                 ("int", int);
+                 ("serve", serve);
+               ] );
+           ("timings", J.List timings);
+         ])
+    ^ "\n"
   in
-  let b = Buffer.create 4096 in
-  write_json b doc;
-  Buffer.add_char b '\n';
   let oc = open_out "BENCH_results.json" in
-  output_string oc (Buffer.contents b);
+  output_string oc doc;
   close_out oc;
-  Printf.printf "wrote BENCH_results.json (%d bytes)\n" (Buffer.length b)
+  Printf.printf "wrote BENCH_results.json (%d bytes)\n" (String.length doc)
 
 (* ----- driver ----- *)
 
+(* in list order; the no-argument run is everything but json *)
 let experiments =
   [
     ("table1", run_table1);
@@ -1127,24 +1370,30 @@ let experiments =
     ("bound", run_bound);
     ("fuzz", run_fuzz);
     ("compiled", run_compiled);
-    ("serve", run_serve);
+    ("incremental", run_incremental);
+    ("int", run_int);
     ("time", run_timings);
+    ("serve", run_serve);
     ("json", run_json);
   ]
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  match args with
-  | [] ->
-      List.iter (fun (id, f) -> if id <> "time" && id <> "json" then f ()) experiments;
-      run_timings ()
-  | ids ->
-      List.iter
-        (fun id ->
-          match List.assoc_opt id experiments with
-          | Some f -> f ()
-          | None ->
-              Printf.eprintf "unknown experiment %s; known: %s\n" id
-                (String.concat ", " (List.map fst experiments));
-              exit 1)
-        ids
+  let ids =
+    match List.tl (Array.to_list Sys.argv) with
+    | [] -> List.filter (fun id -> id <> "json") (List.map fst experiments)
+    | ids -> ids
+  in
+  List.iter
+    (fun id ->
+      match List.assoc_opt id experiments with
+      | Some f -> f ()
+      | None ->
+          Printf.eprintf "unknown experiment %s; known: %s\n" id
+            (String.concat ", " (List.map fst experiments));
+          exit 1)
+    ids;
+  match List.rev !failed_checks with
+  | [] -> ()
+  | names ->
+      Printf.eprintf "failed checks: %s\n" (String.concat ", " names);
+      exit 1

@@ -5,8 +5,7 @@
      rewrite  - apply a transformation pipeline and print the program
      eval     - bottom-up evaluation of a program against an EDB file
      fuzz     - differential fuzzing of every pipeline against oracles
-     client   - send one request to a running cqlserved daemon
-     bench    - service benchmarks (bench serve drives a daemon under load) *)
+     client   - send one request to a running cqlserved daemon *)
 
 open Cql_datalog
 open Cql_core
@@ -545,503 +544,9 @@ let client_cmd =
        ~doc:"Send one request to a running cqlserved daemon and print the answers")
     term
 
-(* ----- bench serve ----- *)
-
-(* merge [experiments.<key>] into an existing BENCH_results.json (or start a
-   fresh document), leaving every other experiment in place *)
-let merge_bench_file path key payload =
-  let module J = Cql_serve.Json in
-  let upsert k v kvs =
-    if List.mem_assoc k kvs then
-      List.map (fun (k', v') -> if String.equal k' k then (k, v) else (k', v')) kvs
-    else kvs @ [ (k, v) ]
-  in
-  let existing =
-    if Sys.file_exists path then
-      match read_file path with
-      | Ok src -> ( match J.parse src with Ok (J.Obj kvs) -> kvs | _ -> [])
-      | Error _ -> []
-    else []
-  in
-  let existing =
-    if existing = [] then [ ("schema", J.Str "cqlopt-bench-1") ] else existing
-  in
-  let experiments =
-    match List.assoc_opt "experiments" existing with Some (J.Obj kvs) -> kvs | _ -> []
-  in
-  let doc = upsert "experiments" (J.Obj (upsert key payload experiments)) existing in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (J.to_string (J.Obj doc));
-      output_char oc '\n')
-
-let bench_serve_cmd =
-  let module S = Cql_serve in
-  let run socket clients requests warmup workers daemon daemon_trace out =
-    let socket =
-      if socket = "" then
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "cqlserved-bench-%d.sock" (Unix.getpid ()))
-      else socket
-    in
-    (* the daemon: an explicit path, '-' for in-process, or (default) the
-       cqlserved built next to this executable, else in-process *)
-    let exe_dir = Filename.dirname Sys.executable_name in
-    let daemon_path =
-      match daemon with
-      | "-" -> None
-      | "" ->
-          List.find_opt Sys.file_exists
-            [ Filename.concat exe_dir "cqlserved.exe"; Filename.concat exe_dir "cqlserved" ]
-      | path -> Some path
-    in
-    let daemon_desc, stop_daemon =
-      match daemon_path with
-      | Some path ->
-          let argv = [ path; "--socket"; socket; "--workers"; string_of_int workers ] in
-          let argv =
-            match daemon_trace with
-            | None -> argv
-            | Some f -> argv @ [ "--trace-json"; f ]
-          in
-          let pid =
-            Unix.create_process path (Array.of_list argv) Unix.stdin Unix.stderr Unix.stderr
-          in
-          ( Printf.sprintf "spawned %s (pid %d)" path pid,
-            fun () ->
-              (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-              match Unix.waitpid [] pid with
-              | _, Unix.WEXITED 0 -> true
-              | _ -> false )
-      | None ->
-          if daemon_trace <> None then Cql_obs.Obs.set_enabled true;
-          let t = S.Server.start { (S.Server.default_config ~socket_path:socket) with workers } in
-          ( "in-process",
-            fun () ->
-              S.Server.stop t;
-              S.Server.wait t;
-              (match daemon_trace with
-              | None -> ()
-              | Some f ->
-                  let oc = open_out f in
-                  Fun.protect
-                    ~finally:(fun () -> close_out oc)
-                    (fun () -> Cql_obs.Obs.write_ndjson oc));
-              true )
-    in
-    Printf.eprintf "bench serve: daemon %s, socket %s\n%!" daemon_desc socket;
-    match S.Loadgen.run ~socket ~clients ~requests_per_client:requests ~warmup () with
-    | Error msg ->
-        ignore (stop_daemon ());
-        prerr_endline ("bench serve: " ^ msg);
-        1
-    | Ok r ->
-        let clean = stop_daemon () in
-        Printf.printf
-          "clients=%d requests=%d ok=%d errors=%d cache_hits=%d answers_match=%b\n"
-          r.S.Loadgen.clients r.S.Loadgen.total_requests r.S.Loadgen.ok r.S.Loadgen.errors
-          r.S.Loadgen.cache_hits r.S.Loadgen.answers_match;
-        Printf.printf "p50=%.2fms p95=%.2fms p99=%.2fms mean=%.2fms max=%.2fms\n"
-          r.S.Loadgen.p50_ms r.S.Loadgen.p95_ms r.S.Loadgen.p99_ms r.S.Loadgen.mean_ms
-          r.S.Loadgen.max_ms;
-        if r.S.Loadgen.warmup_requests > 0 then
-          Printf.printf "warmup: requests=%d errors=%d p50=%.2fms max=%.2fms (excluded above)\n"
-            r.S.Loadgen.warmup_requests r.S.Loadgen.warmup_errors r.S.Loadgen.warmup_p50_ms
-            r.S.Loadgen.warmup_max_ms;
-        Printf.printf "throughput=%.1f req/s over %.2fs; clean_daemon_exit=%b\n"
-          r.S.Loadgen.throughput_rps r.S.Loadgen.wall_s clean;
-        let payload =
-          match S.Loadgen.to_json r with
-          | S.Json.Obj kvs ->
-              S.Json.Obj
-                (kvs
-                @ [
-                    ( "daemon",
-                      S.Json.Str (if daemon_path = None then "in-process" else "spawned") );
-                    ("clean_daemon_exit", S.Json.Bool clean);
-                  ])
-          | j -> j
-        in
-        merge_bench_file out "serve" payload;
-        Printf.printf "merged experiments.serve into %s\n" out;
-        if r.S.Loadgen.errors = 0 && r.S.Loadgen.answers_match && clean then 0 else 1
-  in
-  let socket =
-    Arg.(value & opt string "" & info [ "socket" ] ~docv:"PATH"
-           ~doc:"Socket path for the run (default: a fresh path under \\$TMPDIR)")
-  in
-  let clients =
-    Arg.(value & opt int 4 & info [ "clients" ] ~docv:"N" ~doc:"Concurrent client domains")
-  in
-  let requests =
-    Arg.(value & opt int 25 & info [ "requests" ] ~docv:"M" ~doc:"Requests per client")
-  in
-  let warmup =
-    Arg.(value & opt int 0 & info [ "warmup" ] ~docv:"N"
-           ~doc:"Warmup requests per client before measurement: absorbs the cold \
-                 plan-compile outliers, which are reported separately from the \
-                 steady-state percentiles")
-  in
-  let workers =
-    Arg.(value & opt int 4 & info [ "workers" ] ~docv:"N" ~doc:"Daemon worker domains")
-  in
-  let daemon =
-    Arg.(value & opt string "" & info [ "daemon" ] ~docv:"PATH"
-           ~doc:"cqlserved executable to spawn (default: the one next to cqlopt; \
-                 '-' = run the server in-process)")
-  in
-  let daemon_trace =
-    Arg.(value & opt (some string) None & info [ "daemon-trace" ] ~docv:"FILE"
-           ~doc:"Have the daemon write its per-request NDJSON trace to $(docv) on exit")
-  in
-  let out =
-    Arg.(value & opt string "BENCH_results.json" & info [ "o"; "output" ] ~docv:"FILE"
-           ~doc:"Benchmark results file to merge experiments.serve into")
-  in
-  let term =
-    Term.(const run $ socket $ clients $ requests $ warmup $ workers $ daemon $ daemon_trace
-          $ out)
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:"Load-test cqlserved: N clients x M requests, latency percentiles and throughput")
-    term
-
-(* ----- bench incremental ----- *)
-
-(* Example 1.1's flights program over a generated acyclic chain network: a
-   single-leg retraction (and the re-insertion that undoes it) maintained
-   incrementally, timed against re-evaluating the whole fixpoint from
-   scratch on the same EDB. *)
-let bench_incremental_cmd =
-  let module J = Cql_serve.Json in
-  let module Engine = Cql_eval.Engine in
-  let module Fact = Cql_eval.Fact in
-  let flights_src =
-    "r1: cheaporshort(S, D, T, C) :- flight(S, D, T, C), T <= 240.\n\
-     r2: cheaporshort(S, D, T, C) :- flight(S, D, T, C), C <= 150.\n\
-     r3: flight(Src, Dst, Time, Cost) :- singleleg(Src, Dst, Time, Cost), Cost > 0, Time > 0.\n\
-     r4: flight(S, D, T, C) :- flight(S, D1, T1, C1), flight(D1, D, T2, C2),\n\
-    \     T = T1 + T2 + 30, C = C1 + C2.\n\
-     #query cheaporshort.\n"
-  in
-  let chain_edb legs =
-    List.init legs (fun i ->
-        Printf.sprintf "singleleg(city%d, city%d, %d, %d)." i (i + 1)
-          (20 + ((i * 37) mod 120))
-          (15 + ((i * 53) mod 140)))
-    |> String.concat "\n"
-  in
-  let run legs updates out =
-    let max_iterations = 1_000 and max_derivations = 5_000_000 in
-    let p = Parser.program_of_string flights_src in
-    let edb = List.map Fact.of_fact_rule (Parser.facts_of_string (chain_edb legs)) in
-    let time f =
-      let t0 = Cql_obs.Obs.monotonic_ns () in
-      let r = f () in
-      (r, Int64.to_float (Int64.sub (Cql_obs.Obs.monotonic_ns ()) t0) /. 1e6)
-    in
-    let scratch_answers edb =
-      let res = Engine.run ~max_iterations ~max_derivations p ~edb in
-      if not (Engine.stats res).Engine.reached_fixpoint then
-        failwith "bench incremental: from-scratch run truncated (raise the budgets)";
-      List.sort Fact.compare (Engine.answers res p)
-    in
-    let (vw, ms0), materialize_ms =
-      time (fun () -> Engine.materialize ~max_iterations ~max_derivations p ~edb)
-    in
-    Fun.protect ~finally:(fun () -> Engine.close_view vw) @@ fun () ->
-    if not ms0.Engine.m_complete then failwith "bench incremental: materialization truncated";
-    let maintain_ms = ref [] and scratch_ms = ref [] in
-    let answers_match = ref true in
-    let check_step () =
-      let answers, s_ms = time (fun () -> scratch_answers (Engine.view_edb vw)) in
-      scratch_ms := s_ms :: !scratch_ms;
-      if answers <> Engine.view_answers vw then answers_match := false
-    in
-    let leg_facts = Array.of_list edb in
-    for step = 0 to updates - 1 do
-      (* spread the retractions over the chain; middle legs delete the most *)
-      let victim = leg_facts.(((step * 7) + 3) mod legs) in
-      let ms_r, r_ms = time (fun () -> Engine.retract vw [ victim ]) in
-      maintain_ms := r_ms :: !maintain_ms;
-      if not ms_r.Engine.m_complete then failwith "bench incremental: retract truncated";
-      check_step ();
-      let ms_i, i_ms = time (fun () -> Engine.insert vw [ victim ]) in
-      maintain_ms := i_ms :: !maintain_ms;
-      if not ms_i.Engine.m_complete then failwith "bench incremental: insert truncated";
-      check_step ()
-    done;
-    let mean l = List.fold_left ( +. ) 0.0 l /. float_of_int (max 1 (List.length l)) in
-    let p50 l =
-      match List.sort compare l with [] -> 0.0 | s -> List.nth s (List.length s / 2)
-    in
-    let maintain = !maintain_ms and scratch = !scratch_ms in
-    let speedup = if mean maintain > 0.0 then mean scratch /. mean maintain else 0.0 in
-    let faster = mean maintain < mean scratch in
-    Printf.printf "legs=%d updates=%d facts=%d answers_match=%b\n" legs updates
-      (Engine.view_total vw) !answers_match;
-    Printf.printf "materialize=%.2fms maintain: mean=%.3fms p50=%.3fms (%d ops)\n"
-      materialize_ms (mean maintain) (p50 maintain) (List.length maintain);
-    Printf.printf "from-scratch: mean=%.3fms p50=%.3fms; speedup=%.1fx faster=%b\n"
-      (mean scratch) (p50 scratch) speedup faster;
-    let payload =
-      J.Obj
-        [
-          ("program", J.Str "flights (Example 1.1)");
-          ("network", J.Str (Printf.sprintf "acyclic chain, %d legs" legs));
-          ("updates", J.Int (List.length maintain));
-          ("facts", J.Int (Engine.view_total vw));
-          ("materialize_ms", J.Float materialize_ms);
-          ("maintain_mean_ms", J.Float (mean maintain));
-          ("maintain_p50_ms", J.Float (p50 maintain));
-          ("scratch_mean_ms", J.Float (mean scratch));
-          ("scratch_p50_ms", J.Float (p50 scratch));
-          ("speedup", J.Float speedup);
-          ("maintenance_faster", J.Bool faster);
-          ("answers_match", J.Bool !answers_match);
-        ]
-    in
-    merge_bench_file out "incremental" payload;
-    Printf.printf "merged experiments.incremental into %s\n" out;
-    if !answers_match && faster then 0 else 1
-  in
-  let legs =
-    Arg.(value & opt int 48 & info [ "legs" ] ~docv:"N"
-           ~doc:"Single-leg flights in the generated chain network")
-  in
-  let updates =
-    Arg.(value & opt int 12 & info [ "updates" ] ~docv:"K"
-           ~doc:"Retract/re-insert cycles (each timed against a from-scratch run)")
-  in
-  let out =
-    Arg.(value & opt string "BENCH_results.json" & info [ "o"; "output" ] ~docv:"FILE"
-           ~doc:"Benchmark results file to merge experiments.incremental into")
-  in
-  let term = Term.(const run $ legs $ updates $ out) in
-  Cmd.v
-    (Cmd.info "incremental"
-       ~doc:"Update-stream benchmark: incremental view maintenance vs from-scratch \
-             re-evaluation on the flights program")
-    term
-
-(* ----- bench int ----- *)
-
-(* Two workloads whose constraints sit on the ℚ/ℤ boundary: meeting-slot
-   scheduling (strict windows plus a scaled duration bound, 2E - 2S >= 3,
-   that tightens to E - S >= 2 over the integers) and a flights variant
-   with a divisibility-constrained voucher (3V in [10, 14] pins V = 4 over
-   ℤ).  The integer-domain answers — of both the original program and its
-   pred,qrp rewrite — are verified point-by-point against brute-force
-   enumeration of the small integer grid; the rational run of the same
-   workload provides the timing baseline. *)
-let bench_int_cmd =
-  let module J = Cql_serve.Json in
-  let module Engine = Cql_eval.Engine in
-  let module Fact = Cql_eval.Fact in
-  let module Cdomain = Cql_constr.Cdomain in
-  let module Stats = Cql_constr.Solver_stats in
-  let module T = Cql_datalog.Term in
-  let scheduling_src =
-    "r1: slot(P1, P2, S, E) :- avail(P1, S, E), avail(P2, S, E).\n\
-     r2: avail(P, S, E) :- calendar(P, LO, HI), S >= LO, E <= HI, S < E.\n\
-     r3: good(P1, P2, S, E) :- slot(P1, P2, S, E), 2*E - 2*S >= 3, S <= 12.\n\
-     #query good.\n"
-  in
-  let calendar = [ ("alice", 9, 12); ("alice", 14, 18); ("bob", 10, 16); ("carol", 8, 10) ] in
-  let scheduling_edb =
-    String.concat "\n"
-      (List.map (fun (p, lo, hi) -> Printf.sprintf "calendar(%s, %d, %d)." p lo hi) calendar)
-  in
-  let scheduling_points =
-    let persons = [ "alice"; "bob"; "carol" ] in
-    let avail p s e =
-      List.exists (fun (p', lo, hi) -> p' = p && s >= lo && e <= hi && s < e) calendar
-    in
-    List.concat_map
-      (fun p1 ->
-        List.concat_map
-          (fun p2 ->
-            List.concat_map
-              (fun s ->
-                List.map
-                  (fun e ->
-                    let expected =
-                      avail p1 s e && avail p2 s e && (2 * e) - (2 * s) >= 3 && s <= 12
-                    in
-                    ( [ T.Sym p1; T.Sym p2; T.Num (Cql_num.Rat.of_int s);
-                        T.Num (Cql_num.Rat.of_int e) ],
-                      expected ))
-                  (List.init 11 (fun i -> 8 + i)))
-              (List.init 11 (fun i -> 8 + i)))
-          persons)
-      persons
-  in
-  let flights_src =
-    "r1: reach(S, D, C) :- leg(S, D, C).\n\
-     r2: reach(S, D, C) :- reach(S, M, C1), leg(M, D, C2), C = C1 + C2.\n\
-     r3: voucher(V) :- 3*V >= 10, 3*V <= 14.\n\
-     r4: deal(S, D, C, V) :- reach(S, D, C), voucher(V), C <= 5*V.\n\
-     #query deal.\n"
-  in
-  let leg_costs = [ 7; 6; 9; 8; 5 ] in
-  let city i = Printf.sprintf "c%d" i in
-  let flights_edb =
-    String.concat "\n"
-      (List.mapi (fun i c -> Printf.sprintf "leg(%s, %s, %d)." (city i) (city (i + 1)) c)
-         leg_costs)
-  in
-  let flights_points =
-    let n = List.length leg_costs in
-    let cost i j =
-      (* contiguous chain: the only reach(ci, cj) cost is the segment sum *)
-      List.fold_left ( + ) 0 (List.filteri (fun k _ -> k >= i && k < j) leg_costs)
-    in
-    let total = List.fold_left ( + ) 0 leg_costs in
-    List.concat_map
-      (fun i ->
-        List.concat_map
-          (fun j ->
-            if j <= i then []
-            else
-              List.concat_map
-                (fun c ->
-                  List.map
-                    (fun v ->
-                      let expected =
-                        c = cost i j && (3 * v) >= 10 && 3 * v <= 14 && c <= 5 * v
-                      in
-                      ( [ T.Sym (city i); T.Sym (city j);
-                          T.Num (Cql_num.Rat.of_int c); T.Num (Cql_num.Rat.of_int v) ],
-                        expected ))
-                    (List.init 7 (fun v -> v)))
-                (List.init (total + 2) (fun c -> c)))
-          (List.init (n + 1) (fun j -> j)))
-      (List.init (n + 1) (fun i -> i))
-  in
-  let run out =
-    let time f =
-      let t0 = Cql_obs.Obs.monotonic_ns () in
-      let r = f () in
-      (r, Int64.to_float (Int64.sub (Cql_obs.Obs.monotonic_ns ()) t0) /. 1e6)
-    in
-    let neutral f = Fact.make "x" f.Fact.args (Fact.cstr f) in
-    let run_workload (name, src, edb_src, points) =
-      let p = Parser.program_of_string src in
-      let edb = List.filter_map fact_opt (Parser.facts_of_string edb_src) in
-      let arity =
-        match p.Program.query with Some q -> Program.arity p q | None -> assert false
-      in
-      let run_domain d =
-        Cdomain.with_domain d @@ fun () ->
-        Cql_constr.Memo.clear_all ();
-        let p', rewrite_ms =
-          time (fun () -> fst (Rewrite.sequence ~max_iters:50 [ Rewrite.Pred; Rewrite.Qrp ] p))
-        in
-        let res, eval_ms = time (fun () -> Engine.run p ~edb) in
-        let res', eval_rw_ms = time (fun () -> Engine.run p' ~edb) in
-        let answers r pr = List.sort Fact.compare (Engine.answers r pr) in
-        (answers res p, answers res' p', rewrite_ms, eval_ms, eval_rw_ms,
-         Engine.total_facts res')
-      in
-      let qa, qa_rw, q_rw_ms, q_ev_ms, q_evrw_ms, q_facts = run_domain Cdomain.Q in
-      Stats.reset ();
-      let za, za_rw, z_rw_ms, z_ev_ms, z_evrw_ms, z_facts = run_domain Cdomain.Z in
-      let st = Stats.snapshot () in
-      (* brute-force verification: membership of every integer grid point in
-         the ℤ answers — original and rewritten — must match the enumerated
-         expectation exactly (both verdict directions) *)
-      let check answers =
-        Cdomain.with_domain Cdomain.Z @@ fun () ->
-        let nanswers =
-          List.filter_map
-            (fun f -> if Fact.arity f = arity then Some (neutral f) else None)
-            answers
-        in
-        List.filter
-          (fun (args, expected) ->
-            let g = Fact.ground "x" args in
-            List.exists (fun f -> Fact.subsumes f g) nanswers <> expected)
-          points
-      in
-      let bad = check za and bad_rw = check za_rw in
-      let ok = bad = [] && bad_rw = [] in
-      Printf.printf
-        "%s: grid=%d expected=%d bruteforce_match=%b (orig bad=%d, rewritten bad=%d)\n" name
-        (List.length points)
-        (List.length (List.filter snd points))
-        ok (List.length bad) (List.length bad_rw);
-      Printf.printf
-        "  rat: rewrite=%.2fms eval=%.2fms eval(rw)=%.2fms answers=%d facts=%d\n" q_rw_ms
-        q_ev_ms q_evrw_ms (List.length qa) q_facts;
-      Printf.printf
-        "  int: rewrite=%.2fms eval=%.2fms eval(rw)=%.2fms answers=%d facts=%d\n" z_rw_ms
-        z_ev_ms z_evrw_ms (List.length za) z_facts;
-      ignore qa_rw;
-      let payload =
-        J.Obj
-          [
-            ("grid_points", J.Int (List.length points));
-            ("expected_points", J.Int (List.length (List.filter snd points)));
-            ("bruteforce_match", J.Bool ok);
-            ( "rat",
-              J.Obj
-                [
-                  ("rewrite_ms", J.Float q_rw_ms);
-                  ("eval_ms", J.Float q_ev_ms);
-                  ("eval_rewritten_ms", J.Float q_evrw_ms);
-                  ("answers", J.Int (List.length qa));
-                  ("facts", J.Int q_facts);
-                ] );
-            ( "int",
-              J.Obj
-                [
-                  ("rewrite_ms", J.Float z_rw_ms);
-                  ("eval_ms", J.Float z_ev_ms);
-                  ("eval_rewritten_ms", J.Float z_evrw_ms);
-                  ("answers", J.Int (List.length za));
-                  ("facts", J.Int z_facts);
-                  ("sat_checks", J.Int st.Stats.int_sat_checks);
-                  ("tightened_atoms", J.Int st.Stats.int_tightened_atoms);
-                  ("omega_eliminations", J.Int st.Stats.int_omega_eliminations);
-                  ("splinters", J.Int st.Stats.int_splinters);
-                  ("bb_fallbacks", J.Int st.Stats.int_bb_fallbacks);
-                  ("bb_nodes", J.Int st.Stats.int_bb_nodes);
-                ] );
-          ]
-      in
-      (ok, payload)
-    in
-    let sched_ok, sched = run_workload ("scheduling", scheduling_src, scheduling_edb,
-                                        scheduling_points) in
-    let fl_ok, fl =
-      run_workload ("integer-flights", flights_src, flights_edb, flights_points)
-    in
-    merge_bench_file out "int"
-      (J.Obj [ ("scheduling", sched); ("integer_flights", fl) ]);
-    Printf.printf "merged experiments.int into %s\n" out;
-    if sched_ok && fl_ok then 0 else 1
-  in
-  let out =
-    Arg.(value & opt string "BENCH_results.json" & info [ "o"; "output" ] ~docv:"FILE"
-           ~doc:"Benchmark results file to merge experiments.int into")
-  in
-  let term = Term.(const run $ out) in
-  Cmd.v
-    (Cmd.info "int"
-       ~doc:"Integer-domain benchmark: scheduling and flights workloads under --domain int, \
-             verified against brute-force small-domain enumeration")
-    term
-
-let bench_cmd =
-  Cmd.group (Cmd.info "bench" ~doc:"Service benchmarks")
-    [ bench_serve_cmd; bench_incremental_cmd; bench_int_cmd ]
-
 let () =
   let doc = "Pushing constraint selections: CQL program optimizer (Srivastava & Ramakrishnan)" in
   let info = Cmd.info "cqlopt" ~version:"1.0.0" ~doc in
   exit
     (Cmd.eval'
-       (Cmd.group info [ analyze_cmd; rewrite_cmd; eval_cmd; fuzz_cmd; client_cmd; bench_cmd ]))
+       (Cmd.group info [ analyze_cmd; rewrite_cmd; eval_cmd; fuzz_cmd; client_cmd ]))

@@ -2,7 +2,7 @@
 
     The toolchain deliberately has no JSON dependency (lib/serve is
     dependency-free like lib/par and lib/obs), so the wire protocol, the
-    plan-service responses and the BENCH_results.json merge all go through
+    plan-service responses and bench's BENCH_results.json all go through
     this module.  It covers the whole of JSON except that numbers are split
     into [Int] (exact 63-bit integers) and [Float] (everything else), and
     [\uXXXX] escapes outside the BMP are decoded per UTF-16 surrogate

@@ -52,7 +52,7 @@ b1(2, 1). b1(2, 4). b1(3, 3). b1(5, 1). b1(4, 2). b1(1, 1).
 b2(1). b2(2). b2(3). b2(4). b2(9).
 |}
 
-let default_workloads =
+let workloads =
   [
     { name = "flights"; program = flights_program; edb = flights_edb; pipeline = "pred,qrp" };
     { name = "d1"; program = d1_program; edb = d1_edb; pipeline = "pred,qrp" };
@@ -66,19 +66,19 @@ type result = {
   ok : int;
   errors : int;
   cache_hits : int;
+  cache_misses : int;
   answers_match : bool;
   p50_ms : float;
   p95_ms : float;
   p99_ms : float;
   mean_ms : float;
   max_ms : float;
+  warm_p50_ms : float;
+  warm_p99_ms : float;
+  cold_p50_ms : float;
+  cold_p99_ms : float;
   wall_s : float;
   throughput_rps : float;
-  warmup_per_client : int;
-  warmup_requests : int;
-  warmup_errors : int;
-  warmup_p50_ms : float;
-  warmup_max_ms : float;
   workload_names : string list;
   server_stats : Json.t;
 }
@@ -104,34 +104,24 @@ let oneshot_answers (w : workload) =
 type client_tally = {
   mutable c_ok : int;
   mutable c_errors : int;
-  mutable c_hits : int;
   mutable c_match : bool;
-  mutable c_lat_ns : int64 list;
-  mutable c_warm_errors : int;
-  mutable c_warm_ns : int64 list;
+  mutable c_lat_ns : int64 list;  (* every request *)
+  mutable c_hit_ns : int64 list;  (* ok replies with "cache": "hit" *)
+  mutable c_miss_ns : int64 list;  (* ok replies with "cache": "miss" *)
 }
 
-let drive_client ~socket ~requests ~warmup ~workloads ~expected idx =
+let drive_client ~socket ~requests ~workloads ~expected idx =
   let tally =
-    {
-      c_ok = 0;
-      c_errors = 0;
-      c_hits = 0;
-      c_match = true;
-      c_lat_ns = [];
-      c_warm_errors = 0;
-      c_warm_ns = [];
-    }
+    { c_ok = 0; c_errors = 0; c_match = true; c_lat_ns = []; c_hit_ns = []; c_miss_ns = [] }
   in
   match Client.connect_retry socket with
   | Error _ ->
       tally.c_errors <- requests;
-      tally.c_warm_errors <- warmup;
       tally.c_match <- false;
       tally
   | Ok client ->
       let nw = Array.length workloads in
-      let one i =
+      for i = 0 to requests - 1 do
         let w = workloads.((idx + i) mod nw) in
         let t0 = Obs.monotonic_ns () in
         let resp =
@@ -139,27 +129,13 @@ let drive_client ~socket ~requests ~warmup ~workloads ~expected idx =
             ~pipeline:w.pipeline ~program:w.program ()
         in
         let dt = Int64.sub (Obs.monotonic_ns ()) t0 in
-        (w, resp, dt)
-      in
-      (* warmup requests populate the plan cache; their latencies (cold
-         rewrite + join-compile outliers) are tallied separately so the
-         measured percentiles reflect the steady state *)
-      for i = 0 to warmup - 1 do
-        let _, resp, dt = one i in
-        tally.c_warm_ns <- dt :: tally.c_warm_ns;
-        match resp with
-        | Ok j when Client.is_ok j ->
-            if Client.answers j <> expected.((idx + i) mod nw) then tally.c_match <- false
-        | Ok _ | Error _ -> tally.c_warm_errors <- tally.c_warm_errors + 1
-      done;
-      for i = 0 to requests - 1 do
-        let _, resp, dt = one i in
         tally.c_lat_ns <- dt :: tally.c_lat_ns;
         match resp with
         | Ok j when Client.is_ok j ->
             tally.c_ok <- tally.c_ok + 1;
             (match Option.bind (Json.member "cache" j) Json.to_str with
-            | Some "hit" -> tally.c_hits <- tally.c_hits + 1
+            | Some "hit" -> tally.c_hit_ns <- dt :: tally.c_hit_ns
+            | Some "miss" -> tally.c_miss_ns <- dt :: tally.c_miss_ns
             | _ -> ());
             if Client.answers j <> expected.((idx + i) mod nw) then tally.c_match <- false
         | Ok _ | Error _ -> tally.c_errors <- tally.c_errors + 1
@@ -171,14 +147,17 @@ let percentile sorted p =
   let n = Array.length sorted in
   if n = 0 then 0.0
   else
-    let i = min (n - 1) (p * n / 100) in
+    let i = max 0 (min (n - 1) ((((p * n) + 99) / 100) - 1)) in
     Int64.to_float sorted.(i) /. 1e6
 
-let run ~socket ~clients ~requests_per_client ?(warmup = 0) ?(workloads = default_workloads) () =
+let sorted_latencies field tallies =
+  let a = Array.of_list (List.concat_map field tallies) in
+  Array.sort Int64.compare a;
+  a
+
+let run ~socket ~clients ~requests_per_client =
   let clients = max 1 clients in
-  let warmup = max 0 warmup in
   let workloads = Array.of_list workloads in
-  if Array.length workloads = 0 then invalid_arg "Loadgen.run: no workloads";
   let expected = Array.map oneshot_answers workloads in
   (* fail fast (and leave a clear error) when nothing is listening *)
   match Client.connect_retry socket with
@@ -194,8 +173,7 @@ let run ~socket ~clients ~requests_per_client ?(warmup = 0) ?(workloads = defaul
         let domains =
           List.init clients (fun idx ->
               Domain.spawn (fun () ->
-                  drive_client ~socket ~requests:requests_per_client ~warmup ~workloads
-                    ~expected idx))
+                  drive_client ~socket ~requests:requests_per_client ~workloads ~expected idx))
         in
         let tallies = List.map Domain.join domains in
         let wall_s = Int64.to_float (Int64.sub (Obs.monotonic_ns ()) t0) /. 1e9 in
@@ -203,16 +181,12 @@ let run ~socket ~clients ~requests_per_client ?(warmup = 0) ?(workloads = defaul
           match Client.stats probe with Ok j -> j | Error msg -> Json.Str ("error: " ^ msg)
         in
         Client.close probe;
-        let lats =
-          List.concat_map (fun t -> t.c_lat_ns) tallies |> Array.of_list
-        in
-        Array.sort Int64.compare lats;
-        let warm_lats =
-          List.concat_map (fun t -> t.c_warm_ns) tallies |> Array.of_list
-        in
-        Array.sort Int64.compare warm_lats;
+        let lats = sorted_latencies (fun t -> t.c_lat_ns) tallies in
+        let hits = sorted_latencies (fun t -> t.c_hit_ns) tallies in
+        let misses = sorted_latencies (fun t -> t.c_miss_ns) tallies in
+        let n = Array.length lats in
         let total = clients * requests_per_client in
-        let sum = Array.fold_left (fun acc l -> Int64.add acc l) 0L lats in
+        let sum = Array.fold_left Int64.add 0L lats in
         Ok
           {
             clients;
@@ -220,26 +194,20 @@ let run ~socket ~clients ~requests_per_client ?(warmup = 0) ?(workloads = defaul
             total_requests = total;
             ok = List.fold_left (fun acc t -> acc + t.c_ok) 0 tallies;
             errors = List.fold_left (fun acc t -> acc + t.c_errors) 0 tallies;
-            cache_hits = List.fold_left (fun acc t -> acc + t.c_hits) 0 tallies;
+            cache_hits = Array.length hits;
+            cache_misses = Array.length misses;
             answers_match = List.for_all (fun t -> t.c_match) tallies;
             p50_ms = percentile lats 50;
             p95_ms = percentile lats 95;
             p99_ms = percentile lats 99;
-            mean_ms =
-              (if Array.length lats = 0 then 0.0
-               else Int64.to_float sum /. 1e6 /. float_of_int (Array.length lats));
-            max_ms =
-              (if Array.length lats = 0 then 0.0
-               else Int64.to_float lats.(Array.length lats - 1) /. 1e6);
+            mean_ms = (if n = 0 then 0.0 else Int64.to_float sum /. 1e6 /. float_of_int n);
+            max_ms = percentile lats 100;
+            warm_p50_ms = percentile hits 50;
+            warm_p99_ms = percentile hits 99;
+            cold_p50_ms = percentile misses 50;
+            cold_p99_ms = percentile misses 99;
             wall_s;
             throughput_rps = (if wall_s > 0.0 then float_of_int total /. wall_s else 0.0);
-            warmup_per_client = warmup;
-            warmup_requests = clients * warmup;
-            warmup_errors = List.fold_left (fun acc t -> acc + t.c_warm_errors) 0 tallies;
-            warmup_p50_ms = percentile warm_lats 50;
-            warmup_max_ms =
-              (if Array.length warm_lats = 0 then 0.0
-               else Int64.to_float warm_lats.(Array.length warm_lats - 1) /. 1e6);
             workload_names = Array.to_list (Array.map (fun w -> w.name) workloads);
             server_stats = stats_json;
           }
@@ -254,19 +222,19 @@ let to_json r =
       ("ok", Json.Int r.ok);
       ("errors", Json.Int r.errors);
       ("cache_hits", Json.Int r.cache_hits);
+      ("cache_misses", Json.Int r.cache_misses);
       ("answers_match_oneshot", Json.Bool r.answers_match);
       ("p50_ms", Json.Float r.p50_ms);
       ("p95_ms", Json.Float r.p95_ms);
       ("p99_ms", Json.Float r.p99_ms);
       ("mean_ms", Json.Float r.mean_ms);
       ("max_ms", Json.Float r.max_ms);
+      ("warm_p50_ms", Json.Float r.warm_p50_ms);
+      ("warm_p99_ms", Json.Float r.warm_p99_ms);
+      ("cold_p50_ms", Json.Float r.cold_p50_ms);
+      ("cold_p99_ms", Json.Float r.cold_p99_ms);
       ("wall_seconds", Json.Float r.wall_s);
       ("throughput_rps", Json.Float r.throughput_rps);
-      ("warmup_per_client", Json.Int r.warmup_per_client);
-      ("warmup_requests", Json.Int r.warmup_requests);
-      ("warmup_errors", Json.Int r.warmup_errors);
-      ("warmup_p50_ms", Json.Float r.warmup_p50_ms);
-      ("warmup_max_ms", Json.Float r.warmup_max_ms);
       ("workloads", Json.List (List.map (fun n -> Json.Str n) r.workload_names));
       ("server_stats", r.server_stats);
     ]
