@@ -53,11 +53,6 @@ let max_iters_arg =
   Arg.(value & opt int 50 & info [ "max-iters" ] ~docv:"N"
          ~doc:"Iteration budget for the constraint-generation fixpoints")
 
-let solver_stats_arg =
-  Arg.(value & flag & info [ "solver-stats" ]
-         ~doc:"After the run, print decision-procedure call counts and \
-               memoization cache hit rates to stderr")
-
 let domain_conv =
   Arg.enum [ ("rat", Cql_constr.Cdomain.Q); ("int", Cql_constr.Cdomain.Z) ]
 
@@ -70,10 +65,6 @@ let domain_arg =
 
 let apply_domain d = Cql_constr.Cdomain.set_default d
 
-let print_solver_stats flag =
-  if flag then
-    Format.eprintf "%a@?" Cql_constr.Solver_stats.pp (Cql_constr.Solver_stats.snapshot ())
-
 (* ----- tracing (lib/obs) ----- *)
 
 let trace_json_arg =
@@ -85,7 +76,8 @@ let trace_json_arg =
 let metrics_arg =
   Arg.(value & flag & info [ "metrics" ]
          ~doc:"Enable phase tracing and print a per-phase timing summary plus \
-               all nonzero counters to stderr when the command finishes")
+               all nonzero counters (decision-procedure calls and cache hits \
+               and misses among them) to stderr when the command finishes")
 
 (* arm tracing before the work runs; CQLOPT_TRACE=1 arms it at load time
    without either flag *)
@@ -161,7 +153,7 @@ let parse_steps adornment constraint_magic s =
 
 let rewrite_cmd =
   let run path domain steps adornment no_cmagic gmt optimal max_iters inline_seed simplify
-      solver_stats trace_json metrics =
+      trace_json metrics =
     apply_domain domain;
     apply_tracing trace_json metrics;
     let code =
@@ -200,7 +192,6 @@ let rewrite_cmd =
             print_endline (Program.to_string (Program.prettify p'));
             0)
     in
-    print_solver_stats solver_stats;
     emit_tracing trace_json metrics;
     code
   in
@@ -230,8 +221,7 @@ let rewrite_cmd =
   in
   let term =
     Term.(const run $ program_arg $ domain_arg $ steps $ adornment $ no_cmagic $ gmt $ optimal
-          $ max_iters_arg $ inline_seed $ simplify $ solver_stats_arg
-          $ trace_json_arg $ metrics_arg)
+          $ max_iters_arg $ inline_seed $ simplify $ trace_json_arg $ metrics_arg)
   in
   Cmd.v (Cmd.info "rewrite" ~doc:"Rewrite a program by pushing constraint selections") term
 
@@ -239,7 +229,7 @@ let rewrite_cmd =
 
 let eval_cmd =
   let run path edb_path domain max_iterations max_derivations traced naive explain stratified
-      solver_stats trace_json metrics =
+      trace_json metrics =
     apply_domain domain;
     apply_tracing trace_json metrics;
     let code =
@@ -295,7 +285,6 @@ let eval_cmd =
                 | None -> ());
                 0))
     in
-    print_solver_stats solver_stats;
     emit_tracing trace_json metrics;
     code
   in
@@ -320,8 +309,7 @@ let eval_cmd =
   in
   let term =
     Term.(const run $ program_arg $ edb $ domain_arg $ max_iterations $ max_derivations
-          $ traced $ naive $ explain $ stratified $ solver_stats_arg
-          $ trace_json_arg $ metrics_arg)
+          $ traced $ naive $ explain $ stratified $ trace_json_arg $ metrics_arg)
   in
   Cmd.v (Cmd.info "eval" ~doc:"Bottom-up evaluation of a CQL program") term
 
@@ -330,7 +318,7 @@ let eval_cmd =
 let fuzz_cmd =
   let module H = Cql_gen.Harness in
   let module G = Cql_gen.Generate in
-  let run seed count mode domain inject_bug replay out solver_stats trace_json metrics =
+  let run seed count mode domain inject_bug replay out trace_json metrics =
     apply_domain domain;
     apply_tracing trace_json metrics;
     let code =
@@ -402,7 +390,6 @@ let fuzz_cmd =
                 let tamper = if inject_bug then Some H.drop_disjuncts else None in
                 report (H.run ?tamper ~config ~seed ~count ())))
     in
-    print_solver_stats solver_stats;
     emit_tracing trace_json metrics;
     code
   in
@@ -433,7 +420,7 @@ let fuzz_cmd =
   in
   let term =
     Term.(const run $ seed $ count $ mode $ domain_arg $ inject_bug $ replay $ out
-          $ solver_stats_arg $ trace_json_arg $ metrics_arg)
+          $ trace_json_arg $ metrics_arg)
   in
   Cmd.v
     (Cmd.info "fuzz"

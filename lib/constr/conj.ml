@@ -4,7 +4,7 @@ open Cql_num
    list.  Hash-consing makes equality physical and gives every canonical
    conjunction a unique integer id; the decision procedures below are
    memoized in id-keyed caches (see Memo), with raw entry counts recorded in
-   Solver_stats. *)
+   the Cql_obs registry before any cache lookup. *)
 type t = { atoms : Atom.t list; id : int; hash : int }
 
 module WT = Weak.Make (struct
@@ -77,7 +77,16 @@ let vars c =
 let id c = c.id
 let hash c = c.hash
 
-(* ----- caches ----- *)
+(* ----- counters and caches ----- *)
+
+module Obs = Cql_obs.Obs
+
+let ctr_sat = Obs.counter "solver.sat_checks"
+let ctr_implies = Obs.counter "solver.implies_checks"
+let ctr_implies_atom = Obs.counter "solver.implies_atom_checks"
+let ctr_project = Obs.counter "solver.project_calls"
+let ctr_fm = Obs.counter "solver.fm_eliminations"
+let ctr_pivot_limit = Obs.counter "solver.pivot_limit_hits"
 
 let sat_memo : (int, bool) Memo.cache = Memo.create ~name:"conj_is_sat"
 let implies_atom_memo : (int * int, bool) Memo.cache = Memo.create ~name:"conj_implies_atom"
@@ -121,7 +130,7 @@ let eliminate x (c : t) : t =
           let others = List.filter (fun a' -> not (Atom.equal a' eqa)) mentions in
           of_list (rest @ List.map (Atom.subst x repl) others)
       | None ->
-          Solver_stats.count_fm_elimination ();
+          Obs.incr ctr_fm;
           (* all atoms mentioning x are inequalities e op 0 with op in {Le,Lt} *)
           let uppers, lowers =
             List.partition
@@ -202,7 +211,7 @@ let project_uncached ~keep (c : t) : t =
   go c
 
 let project ~keep (c : t) : t =
-  Solver_stats.count_project_call ();
+  Obs.incr ctr_project;
   if is_ff_syntactic c || c == tt then c
   else
     let cvars = vars c in
@@ -218,7 +227,7 @@ let project ~keep (c : t) : t =
    hit and decide by eliminating every variable: the conjunction is
    satisfiable iff full Fourier-Motzkin projection does not reach ff. *)
 let is_sat c =
-  Solver_stats.count_sat_check ();
+  Obs.incr ctr_sat;
   if is_ff_syntactic c then false
   else if c == tt then true
   else
@@ -235,7 +244,7 @@ let is_sat c =
           else
             try Simplex.is_sat c.atoms
             with Simplex.Pivot_limit _ ->
-              Solver_stats.count_pivot_limit ();
+              Obs.incr ctr_pivot_limit;
               not (is_ff_syntactic (project_uncached ~keep:Var.Set.empty c)))
 
 let eval_at env c =
@@ -250,7 +259,7 @@ let eval_at env c =
   go c.atoms
 
 let implies_atom c a =
-  Solver_stats.count_implies_atom_check ();
+  Obs.incr ctr_implies_atom;
   if is_ff_syntactic c then true
   else
     match Atom.truth a with
@@ -262,7 +271,7 @@ let implies_atom c a =
               List.for_all (fun na -> not (is_sat (add na c))) (Atom.negate a))
 
 let implies c d =
-  Solver_stats.count_implies_check ();
+  Obs.incr ctr_implies;
   if c == d || d == tt then true
   else if is_ff_syntactic c then true
   else

@@ -18,8 +18,11 @@
     weak table, so {!equal} is physical equality and {!id} is a unique
     integer.  The decision procedures ({!is_sat}, {!implies},
     {!implies_atom}, {!project}, {!simplify}) are memoized in id-keyed
-    caches registered with {!Memo}; raw call counts are recorded in
-    {!Solver_stats}. *)
+    caches registered with {!Memo}.  Each entry, cache hit or not, counts
+    one in the {!Cql_obs.Obs} registry ([solver.sat_checks],
+    [solver.implies_checks], [solver.implies_atom_checks],
+    [solver.project_calls]); each cache counts its own hits and misses
+    ([solver.memo.conj_is_sat.hits], …). *)
 
 type t
 

@@ -1,3 +1,5 @@
+module Obs = Cql_obs.Obs
+
 type t = Conj.t list (* satisfiable disjuncts, sorted, deduped *)
 
 let ff : t = []
@@ -13,6 +15,9 @@ let is_ff cs = cs = []
 let is_tt cs = List.exists Conj.is_tt cs
 let num_disjuncts = List.length
 let vars cs = List.fold_left (fun acc d -> Var.Set.union acc (Conj.vars d)) Var.Set.empty cs
+
+let ctr_implies = Obs.counter "solver.cset_implies_checks"
+let ctr_disjoint = Obs.counter "solver.interval.disjoint_hits"
 
 (* interval box-disjointness between two disjuncts; [false] = maybe
    compatible (prefilter off, or the boxes overlap) *)
@@ -35,7 +40,7 @@ let prune cs =
               (* prune's inputs are satisfiable disjuncts, so a disjoint
                  pair can never subsume: skip the implication outright *)
               if interval_disjoint d d' then begin
-                Solver_stats.count_interval_disjoint_hit ();
+                Obs.incr ctr_disjoint;
                 false
               end
               else Conj.implies d d'
@@ -62,7 +67,7 @@ let conj_implies_memo : (int * int list, bool) Memo.cache = Memo.create ~name:"c
 
 let conj_implies d (cs : t) =
   (* d ⊨ cs  iff  d ∧ ¬E1 ∧ ... ∧ ¬Ek is unsatisfiable *)
-  Solver_stats.count_cset_implies_check ();
+  Obs.incr ctr_implies;
   if List.memq d cs then true (* d is itself a disjunct *)
   else if not (Conj.is_sat d) then true
   else
@@ -79,7 +84,7 @@ let conj_implies d (cs : t) =
               (* d is satisfiable yet box-disjoint from every disjunct, so
                  some point of d escapes cs: no need to build the DNF residue
                  (the false still lands in the memo for warm repeats) *)
-              Solver_stats.count_interval_disjoint_hit ();
+              Obs.incr ctr_disjoint;
               false
             end
             else

@@ -175,12 +175,13 @@ let build atoms =
 (* ----- memoized environments ----- *)
 
 let env_memo : (int, env) Memo.cache = Memo.create ~name:"interval_env"
+let ctr_env_builds = Cql_obs.Obs.counter "solver.interval.env_builds"
 
 (* integer-mode boxes are rounded differently, so the domain tag rides in
    the cache key's low bit — same discipline as the Conj memo tables *)
 let env_of ~id atoms =
   Memo.cached env_memo ((id lsl 1) lor Cdomain.tag ()) (fun () ->
-      Solver_stats.count_interval_env_build ();
+      Cql_obs.Obs.incr ctr_env_builds;
       build atoms)
 
 let disjoint ~id1 atoms1 ~id2 atoms2 =

@@ -9,9 +9,13 @@
    its own Hashtbl for each cache, so lookups and insertions by evaluations
    running concurrently on different domains need no locking and never
    observe a torn table.  [clear_all] bumps a per-cache epoch; a domain whose local table
-   is from an older epoch drops it on its next access.  Hit/miss counters
-   are [Atomic.t] and therefore aggregate exactly across domains, while
-   [entries] in {!stats} reports the calling domain's table only. *)
+   is from an older epoch drops it on its next access.  Hits and misses are
+   counted in the Cql_obs registry as [solver.memo.<name>.hits] and
+   [.misses], so they aggregate exactly across domains and traced spans
+   carry their deltas, while [entries] in {!stats} reports the calling
+   domain's table only. *)
+
+module Obs = Cql_obs.Obs
 
 let enabled = ref true
 (* per-domain, per-cache entry bound *)
@@ -21,8 +25,8 @@ type entry = {
   name : string;
   clear : unit -> unit;
   size : unit -> int;
-  hits : int Atomic.t;
-  misses : int Atomic.t;
+  hits : Obs.counter;
+  misses : Obs.counter;
 }
 
 type ('k, 'v) cache = {
@@ -59,8 +63,8 @@ let create ~name =
           Atomic.incr epoch;
           ignore (local_table c));
       size = (fun () -> Hashtbl.length (local_table c));
-      hits = Atomic.make 0;
-      misses = Atomic.make 0;
+      hits = Obs.counter ("solver.memo." ^ name ^ ".hits");
+      misses = Obs.counter ("solver.memo." ^ name ^ ".misses");
     }
   in
   tables := e :: !tables;
@@ -72,10 +76,10 @@ let cached c key compute =
     let tbl = local_table c in
     match Hashtbl.find_opt tbl key with
     | Some v ->
-        Atomic.incr c.e.hits;
+        Obs.incr c.e.hits;
         v
     | None ->
-        Atomic.incr c.e.misses;
+        Obs.incr c.e.misses;
         let v = compute () in
         (* bounded: a full cache is dropped wholesale rather than evicted
            entry-by-entry — the workloads are fixpoints that re-ask the same
@@ -89,21 +93,10 @@ type table_stats = { name : string; hits : int; misses : int; entries : int }
 let stats () =
   List.rev_map
     (fun (e : entry) ->
-      { name = e.name; hits = Atomic.get e.hits; misses = Atomic.get e.misses; entries = e.size () })
+      { name = e.name; hits = Obs.value e.hits; misses = Obs.value e.misses; entries = e.size () })
     !tables
-
-let hit_rate (s : table_stats) =
-  let total = s.hits + s.misses in
-  if total = 0 then 0.0 else float_of_int s.hits /. float_of_int total
 
 let clear_all () = List.iter (fun (e : entry) -> e.clear ()) !tables
-
-let reset_stats () =
-  List.iter
-    (fun (e : entry) ->
-      Atomic.set e.hits 0;
-      Atomic.set e.misses 0)
-    !tables
 
 let with_caches on f =
   let prev = !enabled in

@@ -12,8 +12,11 @@
     Storage is per-domain via [Domain.DLS]: each domain owns a private
     table per cache, so evaluations running concurrently on different
     domains (the server's requests) memoize without locks.
-    Hit/miss counters are atomic and aggregate exactly across domains;
-    {!stats}' [entries] field is the calling domain's view. *)
+    Hits and misses are the {!Cql_obs.Obs} counters
+    [solver.memo.<name>.hits] and [solver.memo.<name>.misses]: they
+    aggregate exactly across domains, traced spans carry their deltas and
+    [Obs.zero] resets them; {!stats}' [entries] field is the calling
+    domain's view. *)
 
 val enabled : bool ref
 (** When [false], every cache is bypassed (no lookups, no insertions, no
@@ -26,8 +29,8 @@ type ('k, 'v) cache
 (** One registered cache: per-domain tables from ['k] to ['v]. *)
 
 val create : name:string -> ('k, 'v) cache
-(** Register a cache.  Call once, at module initialization, from the main
-    domain. *)
+(** Register a cache and its two [solver.memo.<name>.*] counters.  Call
+    once, at module initialization, from the main domain. *)
 
 val cached : ('k, 'v) cache -> 'k -> (unit -> 'v) -> 'v
 (** [cached c key compute] looks [key] up in the calling domain's table,
@@ -37,12 +40,9 @@ val cached : ('k, 'v) cache -> 'k -> (unit -> 'v) -> 'v
 type table_stats = { name : string; hits : int; misses : int; entries : int }
 
 val stats : unit -> table_stats list
-(** Per-cache counters, in registration order.  Hits/misses are summed
-    across all domains; [entries] counts the calling domain's table. *)
-
-val hit_rate : table_stats -> float
-(** Hits over total lookups, and [0.0] (not nan) for a cache that was
-    registered but never queried. *)
+(** Per-cache counters, in registration order.  Hits/misses are read from
+    the registry (summed across all domains); [entries] counts the calling
+    domain's table. *)
 
 val clear_all : unit -> unit
 (** Drop every cache's entries in every domain (hit/miss counters
@@ -50,9 +50,6 @@ val clear_all : unit -> unit
     domains drop theirs at their next access.  Call between independent
     workloads — e.g. the fuzz harness clears caches around each
     cache-oracle run. *)
-
-val reset_stats : unit -> unit
-(** Zero every cache's hit/miss counters. *)
 
 val with_caches : bool -> (unit -> 'a) -> 'a
 (** [with_caches on f] runs [f] with caching forced on or off and a fresh

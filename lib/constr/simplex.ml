@@ -21,6 +21,10 @@ module Qeps = struct
 end
 
 module IntMap = Map.Make (Int)
+module Obs = Cql_obs.Obs
+
+let ctr_runs = Obs.counter "solver.simplex_runs"
+let ctr_pivots = Obs.counter "solver.simplex_pivots"
 
 type tableau = {
   mutable rows : Rat.t IntMap.t IntMap.t; (* basic var -> sparse row over nonbasics *)
@@ -33,7 +37,7 @@ type tableau = {
    we only ever solve a full conjunction at once. *)
 
 let pivot_and_update t xb xn v =
-  Solver_stats.count_simplex_pivot ();
+  Obs.incr ctr_pivots;
   let row_b = IntMap.find xb t.rows in
   let a = IntMap.find xn row_b in
   let theta = Qeps.scale (Rat.inv a) (Qeps.sub v t.beta.(xb)) in
@@ -279,7 +283,7 @@ let build (atoms : Atom.t list) =
   with Trivially_false -> None
 
 let solve c =
-  Solver_stats.count_simplex_run ();
+  Obs.incr ctr_runs;
   match build c with
   | None -> None
   | Some (t, var_ids) ->

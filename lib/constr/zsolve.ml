@@ -1,4 +1,13 @@
 open Cql_num
+module Obs = Cql_obs.Obs
+
+let ctr_sat = Obs.counter "solver.int.sat_checks"
+let ctr_tightened = Obs.counter "solver.int.tightened_atoms"
+let ctr_omega = Obs.counter "solver.int.omega_eliminations"
+let ctr_splinters = Obs.counter "solver.int.splinters"
+let ctr_bb_fallbacks = Obs.counter "solver.int.bb_fallbacks"
+let ctr_bb_nodes = Obs.counter "solver.int.bb_nodes"
+let ctr_pivot_limit = Obs.counter "solver.pivot_limit_hits"
 
 (* ----- floor arithmetic ----- *)
 
@@ -37,7 +46,7 @@ let tighten_atom (a : Atom.t) =
       | Atom.Eq ->
           if Bigint.is_one g || Bigint.is_zero (Bigint.rem c g) then a
           else begin
-            Solver_stats.count_int_tightened_atom ();
+            Obs.incr ctr_tightened;
             Atom.ff
           end
       | Atom.Le | Atom.Lt ->
@@ -56,7 +65,7 @@ let tighten_atom (a : Atom.t) =
                 (Rat.neg (Rat.of_bigint b'))
             in
             let a' = Atom.make e' Atom.Le in
-            if not (Atom.equal a' a) then Solver_stats.count_int_tightened_atom ();
+            if not (Atom.equal a' a) then Obs.incr ctr_tightened;
             a'
           end)
 
@@ -186,7 +195,7 @@ let rec zsat budget atoms0 =
       match List.find_opt (fun (a : Atom.t) -> a.Atom.op = Atom.Eq) atoms with
       | Some eq ->
           spend budget;
-          Solver_stats.count_int_omega_elimination ();
+          Obs.incr ctr_omega;
           zsat budget (solve_equality atoms eq)
       | None -> (
           (* only (tightened, non-ground) Le atoms remain *)
@@ -203,12 +212,12 @@ let rec zsat budget atoms0 =
                 (* x is bounded on at most one side: any sufficiently extreme
                    integer satisfies the mentions, so they project away *)
                 spend budget;
-                Solver_stats.count_int_omega_elimination ();
+                Obs.incr ctr_omega;
                 zsat budget rest
               end
               else begin
                 spend budget;
-                Solver_stats.count_int_omega_elimination ();
+                Obs.incr ctr_omega;
                 let lower_bound (a : Atom.t) =
                   let k = Linexpr.coeff x a.Atom.expr in
                   (Rat.neg k, Linexpr.sub a.Atom.expr (Linexpr.term k x))
@@ -242,7 +251,7 @@ let rec zsat budget atoms0 =
                         let rec try_i i =
                           if Bigint.compare i imax > 0 then false
                           else begin
-                            Solver_stats.count_int_splinter ();
+                            Obs.incr ctr_splinters;
                             spend budget;
                             let eqa =
                               Atom.make
@@ -267,7 +276,7 @@ let rec zsat budget atoms0 =
    [re] parts satisfy all Le/Eq atoms (the ε components only order strict
    bounds, and tightening leaves none). *)
 let bb_is_sat atoms0 =
-  Solver_stats.count_int_bb_fallback ();
+  Obs.incr ctr_bb_fallbacks;
   match normalize atoms0 with
   | exception Unsat_exn -> false
   | [] -> true
@@ -311,7 +320,7 @@ let bb_is_sat atoms0 =
         List.concat_map (fun v -> [ le_atom v big_m; ge_atom v (Bigint.neg big_m) ]) vars
       in
       let rec node atoms ranges =
-        Solver_stats.count_int_bb_node ();
+        Obs.incr ctr_bb_nodes;
         let branch v k =
           (* left: v ≤ k, right: v ≥ k+1; both strictly shrink v's range *)
           let lo, hi = Var.Map.find v ranges in
@@ -338,7 +347,7 @@ let bb_is_sat atoms0 =
             | None -> true
             | Some v -> branch v (floor_rat (value v)))
         | exception Simplex.Pivot_limit _ ->
-            Solver_stats.count_pivot_limit ();
+            Obs.incr ctr_pivot_limit;
             (* no relaxation verdict: bisect the widest remaining range *)
             let v, (lo, hi) =
               List.fold_left
@@ -361,10 +370,10 @@ let bb_is_sat atoms0 =
 (* ----- entry points ----- *)
 
 let is_sat atoms =
-  Solver_stats.count_int_sat_check ();
+  Obs.incr ctr_sat;
   let budget = ref default_budget in
   try zsat budget atoms with Budget -> bb_is_sat atoms
 
 let is_sat_bb atoms =
-  Solver_stats.count_int_sat_check ();
+  Obs.incr ctr_sat;
   bb_is_sat atoms

@@ -185,23 +185,6 @@ let magic (p : Program.t) : Program.t =
 
 (* ----- the grounding step as fold/unfold (Section 6.2) ----- *)
 
-(* one-way matching: only pattern variables may bind *)
-let rec match_term (m : Term.t Var.Map.t) (pat : Term.t) (tgt : Term.t) =
-  match pat with
-  | Term.C c -> ( match tgt with Term.C c' when Term.equal_const c c' -> Some m | _ -> None)
-  | Term.V v -> (
-      match Var.Map.find_opt v m with
-      | Some bound -> if Term.equal bound tgt then Some m else None
-      | None -> Some (Var.Map.add v tgt m))
-
-and match_literal m (pat : Literal.t) (tgt : Literal.t) =
-  if pat.Literal.pred <> tgt.Literal.pred then None
-  else if List.length pat.Literal.args <> List.length tgt.Literal.args then None
-  else
-    List.fold_left2
-      (fun acc p t -> match acc with None -> None | Some m -> match_term m p t)
-      (Some m) pat.Literal.args tgt.Literal.args
-
 type defn = {
   s_lit : Literal.t;
   m_lit : Literal.t;
@@ -218,7 +201,7 @@ let try_fold (d : defn) (r : Rule.t) : Rule.t option =
     | [] -> None
     | (occ : Literal.t) :: rest ->
         if occ.Literal.pred = d.m_lit.Literal.pred then
-          match match_literal Var.Map.empty d.m_lit occ with
+          match Simplify.match_literal Var.Map.empty d.m_lit occ with
           | Some m -> (
               match match_gks m [] d.gk_lits (List.rev_append seen rest) with
               | Some (m, used) -> Some (occ, used, m)
@@ -232,7 +215,7 @@ let try_fold (d : defn) (r : Rule.t) : Rule.t option =
         let rec try_candidates seen = function
           | [] -> None
           | (cand : Literal.t) :: cands -> (
-              match match_literal m gk cand with
+              match Simplify.match_literal m gk cand with
               | Some m' -> (
                   match
                     match_gks m' (cand :: used) gks_rest (List.rev_append seen cands)

@@ -12,6 +12,13 @@ val rule : Rule.t -> Rule.t option
 (** Simplify the constraint part; [None] when it is unsatisfiable (the rule
     can never fire). *)
 
+val match_literal :
+  Term.t Cql_constr.Var.Map.t -> Literal.t -> Literal.t -> Term.t Cql_constr.Var.Map.t option
+(** [match_literal m pat tgt]: extend the bindings [m] so that [pat]
+    becomes [tgt] — one-way matching, only [pat]'s variables bind (a bound
+    variable must meet the same term again); [None] when the predicates,
+    the arities or a constant differ. *)
+
 val rule_subsumed_by : general:Rule.t -> Rule.t -> bool
 (** [rule_subsumed_by ~general r]: every fact [r] derives, [general]
     derives too — same head predicate, an instance of [general]'s body

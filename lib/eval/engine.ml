@@ -339,10 +339,10 @@ let run_stratified ?max_iterations ?max_derivations (p : Program.t) ~edb =
    The twist relative to textbook DRed is the support graph: every rule
    firing {head; label; body facts} is recorded, so both phases of deletion
    are pure graph walks — no joins, no solver calls — and facts outside the
-   deleted cone are never re-proved.  Per-fact support counts (EDB
-   multiplicity + live firings, kept in lib/store) fall out of the graph
-   and are what the update-oracle fuzz mode cross-checks against a
-   from-scratch run.
+   deleted cone are never re-proved.  A fact's support count (EDB
+   multiplicity + live firings) is read off the graph when asked for, and
+   is what the update-oracle fuzz mode cross-checks against a from-scratch
+   run.
 
    Constraint subsumption needs one extra piece of state: a fact can be
    dropped on arrival (or killed by back-subsumption) because a live fact
@@ -462,17 +462,17 @@ let spend ms =
   ms.s_deriv_left <- ms.s_deriv_left - 1;
   if ms.s_deriv_left <= 0 then raise Budget_exhausted
 
-(* Merge one round's productions into the view: structural duplicates bump
-   the stored fact's count (a new support), covered arrivals are remembered
-   for possible resurrection, genuinely new facts enter the pending
-   partition.  Returns how many facts were added. *)
+(* Merge one round's productions into the view: structural duplicates add a
+   firing to the stored fact (a new support), covered arrivals are
+   remembered for possible resurrection, genuinely new facts enter the
+   pending partition.  Returns how many facts were added. *)
 let view_merge vw ms produced =
   let added = ref 0 in
   List.iter
     (fun (label, f, used) ->
       spend ms;
       match Store.find_equal vw.vw_store f with
-      | Some g -> if add_firing vw label g used then Store.bump_count vw.vw_store g
+      | Some g -> ignore (add_firing vw label g used)
       | None ->
           if Store.known_subsumes vw.vw_store f then begin
             ignore (add_firing vw label f used);
@@ -482,7 +482,6 @@ let view_merge vw ms produced =
             let killed = Store.add_reporting vw.vw_store f in
             List.iter (fun k -> vw.vw_covered <- FactMap.add k () vw.vw_covered) killed;
             ignore (add_firing vw label f used);
-            Store.set_count vw.vw_store f (support vw f);
             incr added
           end)
     produced;
@@ -506,9 +505,8 @@ let view_rounds vw ms ~max_iterations =
 let insert_edb vw ms f =
   vw.vw_edb <- f :: vw.vw_edb;
   match Store.find_equal vw.vw_store f with
-  | Some g ->
-      (* already live: one more support *)
-      Store.bump_count vw.vw_store g;
+  | Some _ ->
+      (* already live: the EDB occurrence is one more support *)
       ms.s_noops <- ms.s_noops + 1
   | None ->
       if Store.known_subsumes vw.vw_store f then begin
@@ -518,7 +516,6 @@ let insert_edb vw ms f =
       else begin
         let killed = Store.add_reporting vw.vw_store f in
         List.iter (fun k -> vw.vw_covered <- FactMap.add k () vw.vw_covered) killed;
-        Store.set_count vw.vw_store f (support vw f);
         ms.s_inserted <- ms.s_inserted + 1
       end
 
@@ -595,16 +592,11 @@ let dred vw ms ~live_seeds ~gone_seeds =
   in
   ms.s_rederived <- ms.s_rederived + FactMap.cardinal !r;
   ms.s_deleted <- ms.s_deleted + List.length deleted;
-  (* physical deletion, then recount the survivors *)
   List.iter (fun f -> ignore (Store.delete vw.vw_store f)) deleted;
   let all_gone =
     List.fold_left (fun acc f -> FactMap.add f () acc) gone0 deleted
   in
   compact_graph vw all_gone;
-  FactMap.iter
-    (fun f () ->
-      if FactMap.mem f !r then Store.set_count vw.vw_store f (support vw f))
-    !d;
   (deleted, all_gone)
 
 (* After deletions, covered facts whose cover died either resurrect (still
@@ -716,12 +708,12 @@ let retract ?max_iterations ?max_derivations vw facts =
       | Some edb' ->
           vw.vw_edb <- edb';
           ms.s_retracted <- ms.s_retracted + 1;
-          if Store.mem_equal vw.vw_store f then
+          if Store.mem_equal vw.vw_store f then begin
             if edb_mult vw f = 0 then
               (* last EDB occurrence: over-delete even when firings remain —
                  the remaining support may be a derivation cycle *)
               live_seeds := f :: !live_seeds
-            else Store.set_count vw.vw_store f (support vw f)
+          end
           else if
             (* covered (or never-stored) fact: no store change, but if this
                was its last support its joins must cascade *)
@@ -743,8 +735,7 @@ let retract ?max_iterations ?max_derivations vw facts =
           List.iter
             (fun c ->
               let killed = Store.add_reporting vw.vw_store c in
-              List.iter (fun k -> vw.vw_covered <- FactMap.add k () vw.vw_covered) killed;
-              Store.set_count vw.vw_store c (support vw c))
+              List.iter (fun k -> vw.vw_covered <- FactMap.add k () vw.vw_covered) killed)
             resurrect;
           view_rounds vw ms ~max_iterations
         end;
@@ -818,7 +809,8 @@ let view_answers vw =
   | Some q -> List.sort Fact.compare (view_facts_of vw q)
 
 let view_counts vw =
-  List.sort compare
-    (List.filter (fun (_, l) -> l <> []) (Store.counted_facts vw.vw_store))
+  List.filter_map
+    (fun (p, fs) -> if fs = [] then None else Some (p, List.map (fun f -> (f, support vw f)) fs))
+    (view_all_facts vw)
 
 let view_total vw = Store.total vw.vw_store

@@ -143,8 +143,8 @@ val all_ground : result -> bool
     recorded support graph:
     every rule firing (head, label, body facts) is kept, so over-deletion
     and re-derivation are pure graph walks and facts outside the deleted
-    cone are never re-proved.  Per-fact support counts (EDB multiplicity +
-    live firings) live in the store ({!Cql_store.Store.counted_facts}).
+    cone are never re-proved.  A fact's support count (EDB multiplicity +
+    live firings) is read off that graph ({!view_counts}).
 
     Constraint subsumption interacts with deletion through the covered set:
     facts dropped on arrival (or killed by back-subsumption) because a live
@@ -188,7 +188,7 @@ val materialize :
 val insert :
   ?max_iterations:int -> ?max_derivations:int -> view -> Fact.t list -> maintain_stats
 (** Add EDB facts and restore the fixpoint with semi-naive delta rounds.
-    Structural duplicates only bump the stored fact's support count. *)
+    A structural duplicate only adds one to the stored fact's support. *)
 
 val retract :
   ?max_iterations:int -> ?max_derivations:int -> view -> Fact.t list -> maintain_stats
@@ -222,7 +222,8 @@ val view_answers : view -> Fact.t list
 (** Query-predicate facts, sorted by {!Fact.compare}. *)
 
 val view_counts : view -> (string * (Fact.t * int) list) list
-(** Per-fact support counts (EDB multiplicity + live rule firings), sorted;
+(** Each live fact with its support count (EDB multiplicity + live rule
+    firings, from the support graph), sorted as {!view_all_facts};
     predicates with no live facts are omitted. *)
 
 val view_total : view -> int

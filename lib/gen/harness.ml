@@ -104,16 +104,20 @@ let fm_sat c = Conj.is_tt (Conj.project ~keep:Var.Set.empty c)
 
 let simplex_sat c = Simplex.is_sat (Conj.to_list c)
 
-(* ----- the memoization differential (oracle 6) ----- *)
+(* ----- the transparency differentials (oracles 6 and 8) ----- *)
 
 (* Run the heaviest rewrite (the pred/qrp constraint_rewrite fixpoint) and an
-   evaluation of its output twice — decision-procedure caches enabled and
-   disabled, each from a fresh cache state — and require a bit-identical
-   rewritten program and identical answers.  Memoization may only ever
-   change speed, never a result. *)
-let check_cache_differential ~max_iterations ~max_derivations ~max_iters st p edb =
+   evaluation of its output under [switch true] and [switch false], each
+   from a fresh cache state, and require an alpha-equivalent rewritten
+   program, identical sorted answers and identical fixpoint status.  The
+   switches are the decision-procedure caches ([Memo.with_caches]), which
+   may only change speed, and the interval disjointness prefilter
+   ([Interval.with_tier]), which may only skip an implication check whose
+   answer is known; [what] names the switch in failure messages. *)
+let check_transparent ~switch ~what ~max_iterations ~max_derivations ~max_iters st p edb =
   let run_with on =
-    Memo.with_caches on (fun () ->
+    switch on (fun () ->
+        Memo.clear_all ();
         match Rw.constraint_rewrite ~max_iters p with
         | exception (Invalid_argument _ | Failure _) -> None
         | p', _ ->
@@ -131,56 +135,15 @@ let check_cache_differential ~max_iterations ~max_derivations ~max_iters st p ed
       if not (Program.equal_mod_renaming p1 p2) then
         Some
           (Printf.sprintf
-             "constraint_rewrite output differs with caches on vs off:\n--- on ---\n%s\n--- off ---\n%s"
-             (Program.to_string p1) (Program.to_string p2))
+             "constraint_rewrite output differs with %s on vs off:\n--- on ---\n%s\n--- off ---\n%s"
+             what (Program.to_string p1) (Program.to_string p2))
       else if f1 <> f2 || not (List.equal F.equal a1 a2) then
-        Some "evaluation answers differ with caches on vs off"
+        Some (Printf.sprintf "evaluation answers differ with %s on vs off" what)
       else begin
         st.checks <- st.checks + 1;
         None
       end
-  | _ -> Some "constraint_rewrite applicability differs with caches on vs off"
-
-(* ----- the prefilter differential (oracle 8) ----- *)
-
-(* Run the heaviest rewrite and an evaluation of its output with the
-   interval disjointness prefilter enabled and disabled, each from a fresh
-   cache state, and require an alpha-equivalent rewritten program,
-   identical sorted answers and identical fixpoint status.  The prefilter
-   may only ever skip an implication check whose answer is known, never
-   change the answer. *)
-let check_interval_differential ~max_iterations ~max_derivations ~max_iters st p edb =
-  let run_with on =
-    Interval.with_tier on (fun () ->
-        Memo.clear_all ();
-        match Rw.constraint_rewrite ~max_iters p with
-        | exception (Invalid_argument _ | Failure _) -> None
-        | p', _ ->
-            let res = Engine.run ~max_iterations ~max_derivations p' ~edb in
-            Some
-              ( p',
-                List.sort F.compare (Engine.answers res p'),
-                (Engine.stats res).Engine.reached_fixpoint ))
-  in
-  match (run_with true, run_with false) with
-  | None, None -> None
-  | Some (p1, a1, f1), Some (p2, a2, f2) ->
-      if not (Program.equal_mod_renaming p1 p2) then
-        Some
-          (Printf.sprintf
-             "constraint_rewrite output differs with the interval prefilter on vs off:\n\
-              --- on ---\n\
-              %s\n\
-              --- off ---\n\
-              %s"
-             (Program.to_string p1) (Program.to_string p2))
-      else if f1 <> f2 || not (List.equal F.equal a1 a2) then
-        Some "evaluation answers differ with the interval prefilter on vs off"
-      else begin
-        st.checks <- st.checks + 1;
-        None
-      end
-  | _ -> Some "constraint_rewrite applicability differs with the interval prefilter on vs off"
+  | _ -> Some (Printf.sprintf "constraint_rewrite applicability differs with %s on vs off" what)
 
 (* ----- pipelines ----- *)
 
@@ -271,6 +234,56 @@ let fell_back (r : Rw.report) =
   || match r.Rw.qrp_constraints with Some res -> not res.Qrp.converged | None -> false
 
 (* ----- oracles ----- *)
+
+(* The Answers and Monotone oracles on one rewrite [p'] of [p], from both
+   programs' fixpoints [res0] and [res']: the rewrite computes exactly the
+   original's query answers, and derives for each original predicate only
+   facts the original derives.  [pass] runs once per oracle passed. *)
+let compare_rewrite ~pass (p : Program.t) res0 (p' : Program.t) res' =
+  let answers0 = Engine.answers res0 p and answers' = Engine.answers res' p' in
+  match first_uncovered answers0 answers' with
+  | Some f ->
+      Some (Answers, Printf.sprintf "answer %s of the original program is lost" (F.to_string f))
+  | None -> (
+      match first_uncovered answers' answers0 with
+      | Some f ->
+          Some (Answers, Printf.sprintf "extra answer %s not derivable originally" (F.to_string f))
+      | None -> (
+          pass ();
+          let orig_preds = Program.predicates p in
+          let bad =
+            List.find_map
+              (fun (pred', facts') ->
+                match root_name orig_preds pred' with
+                | None -> None
+                | Some op ->
+                    if facts' <> [] && F.arity (List.hd facts') <> Program.arity p op then None
+                    else
+                      Option.map
+                        (fun f ->
+                          Printf.sprintf "%s derives %s, not subsumed by any original %s fact"
+                            pred' (F.to_string f) op)
+                        (first_uncovered facts' (Engine.facts_of res0 op)))
+              (Engine.all_facts res')
+          in
+          match bad with
+          | Some detail -> Some (Monotone, detail)
+          | None ->
+              pass ();
+              None))
+
+type verdict = Agree | Truncated | Fails of oracle * string
+
+let check_rewrite ?(max_iterations = 25) ?(max_derivations = 20_000) ~original ~rewritten ~edb
+    () =
+  let run p = Engine.run ~max_iterations ~max_derivations p ~edb in
+  let res0 = run original and res' = run rewritten in
+  let fixpoint res = (Engine.stats res).Engine.reached_fixpoint in
+  if not (fixpoint res0 && fixpoint res') then Truncated
+  else
+    match compare_rewrite ~pass:ignore original res0 rewritten res' with
+    | None -> Agree
+    | Some (oracle, detail) -> Fails (oracle, detail)
 
 (* the Indexing oracle: the production engine against the seed evaluator *)
 let same_engine_results name res_idx res_seed =
@@ -426,14 +439,13 @@ let check_case ?tamper ?(max_iterations = 25) ?(max_derivations = 20_000) ?(max_
         match bound_failure with
         | Some detail -> fail Bound "analyze" detail
         | None -> (
-            match
-              check_cache_differential ~max_iterations ~max_derivations ~max_iters st p edb
-            with
+            let check_transparent =
+              check_transparent ~max_iterations ~max_derivations ~max_iters st p edb
+            in
+            match check_transparent ~switch:Memo.with_caches ~what:"caches" with
             | Some detail -> fail Cache "constraint_rewrite" detail
             | None -> (
-            match
-              check_interval_differential ~max_iterations ~max_derivations ~max_iters st p edb
-            with
+            match check_transparent ~switch:Interval.with_tier ~what:"the interval prefilter" with
             | Some detail -> fail Tier "constraint_rewrite" detail
             | None -> (
             let relaxation_failure =
@@ -444,9 +456,6 @@ let check_case ?tamper ?(max_iterations = 25) ?(max_derivations = 20_000) ?(max_
             match relaxation_failure with
             | Some detail -> fail Relaxation "eval" detail
             | None -> (
-            let orig_preds = Program.predicates p in
-            let orig_facts pred = Engine.facts_of res0 pred in
-            let answers0 = Engine.answers res0 p in
             let solver_pool = ref [] in
             let add_conjs (prog : Program.t) =
               List.iter (fun (r : Rule.t) -> solver_pool := r.Rule.cstr :: !solver_pool)
@@ -489,48 +498,9 @@ let check_case ?tamper ?(max_iterations = 25) ?(max_derivations = 20_000) ?(max_
                       None
                     end
                     else
-                      let answers' = Engine.answers res' p' in
-                      match first_uncovered answers0 answers' with
-                      | Some f ->
-                          fail Answers name
-                            (Printf.sprintf "answer %s of the original program is lost"
-                               (F.to_string f))
-                      | None -> (
-                          match first_uncovered answers' answers0 with
-                          | Some f ->
-                              fail Answers name
-                                (Printf.sprintf "extra answer %s not derivable originally"
-                                   (F.to_string f))
-                          | None ->
-                              st.checks <- st.checks + 1;
-                              (* monotonicity: rewritten facts refine original
-                                 relations *)
-                              let bad =
-                                List.find_map
-                                  (fun (pred', facts') ->
-                                    match root_name orig_preds pred' with
-                                    | None -> None
-                                    | Some op ->
-                                        if
-                                          facts' <> []
-                                          && F.arity (List.hd facts')
-                                             <> Program.arity p op
-                                        then None
-                                        else
-                                          Option.map
-                                            (fun f ->
-                                              Printf.sprintf
-                                                "%s derives %s, not subsumed by any \
-                                                 original %s fact"
-                                                pred' (F.to_string f) op)
-                                            (first_uncovered facts' (orig_facts op)))
-                                  (Engine.all_facts res')
-                              in
-                              (match bad with
-                              | Some detail -> fail Monotone name detail
-                              | None ->
-                                  st.checks <- st.checks + 1;
-                                  None)))
+                      let pass () = st.checks <- st.checks + 1 in
+                      Option.bind (compare_rewrite ~pass p res0 p' res') (fun (oracle, detail) ->
+                          fail oracle name detail))
             in
             match List.find_map check_pipeline (pipelines ~max_iters ?tamper p) with
             | Some _ as f -> f
@@ -611,30 +581,29 @@ let shrink ?tamper ?max_iterations ?max_derivations ?max_iters ~mode (f0 : failu
 
 type summary = { seed : int; count : int; stats : stats; failure : failure option }
 
+(* Draw one case from the next RNG substream, so a change in how one case
+   is consumed does not shift every later case.  Tight configs can exhaust
+   Generate.case's rejection sampling; retry with the next substream
+   instead of dying, but bound the retries so a config that can never
+   produce a program still terminates. *)
+let draw_case st rng config =
+  let rec draw retries_left =
+    match Generate.case (Rng.split rng) config with
+    | case -> case
+    | exception Generate.Exhausted _ when retries_left > 0 ->
+        st.gen_retries <- st.gen_retries + 1;
+        draw (retries_left - 1)
+  in
+  draw 10
+
 let run ?tamper ?config ?max_iterations ?max_derivations ?max_iters ~seed ~count () =
   let config = match config with Some c -> c | None -> Generate.default Generate.Decidable in
   let rng = Rng.create seed in
   let st = new_stats () in
-  (* Tight configs can exhaust Generate.case's rejection sampling; retry
-     with the next substream instead of dying, but bound the retries so a
-     config that can never produce a program still terminates. *)
-  let generate () =
-    let rec draw retries_left =
-      let case_rng = Rng.split rng in
-      match Generate.case case_rng config with
-      | case -> case
-      | exception Generate.Exhausted _ when retries_left > 0 ->
-          st.gen_retries <- st.gen_retries + 1;
-          draw (retries_left - 1)
-    in
-    draw 10
-  in
   let rec go i =
     if i >= count then None
     else
-      (* each case gets its own substream so a change in how one case is
-         consumed does not shift every later case *)
-      let p, edb = generate () in
+      let p, edb = draw_case st rng config in
       match
         check_case ?tamper ?max_iterations ?max_derivations ?max_iters ~mode:config.Generate.mode
           st p edb
@@ -844,21 +813,10 @@ let run_update ?config ?max_iterations ?max_derivations ~seed ~count () =
   in
   let rng = Rng.create seed in
   let st = new_stats () in
-  let generate () =
-    let rec draw retries_left =
-      let case_rng = Rng.split rng in
-      match Generate.case case_rng config with
-      | case -> case
-      | exception Generate.Exhausted _ when retries_left > 0 ->
-          st.gen_retries <- st.gen_retries + 1;
-          draw (retries_left - 1)
-    in
-    draw 10
-  in
   let rec go i =
     if i >= count then None
     else
-      let p, edb = generate () in
+      let p, edb = draw_case st rng config in
       let initial, ops = gen_updates (Rng.split rng) edb in
       match check_update_case ?max_iterations ?max_derivations st p initial ops with
       | None -> go (i + 1)

@@ -99,6 +99,30 @@ type stats = {
 
 val new_stats : unit -> stats
 
+val root_name : string list -> string -> string option
+(** [root_name preds name]: the predicate of [preds] a rewritten predicate
+    [name] refines, found by stripping adornment suffixes ([p_bf]) and
+    primes ([p']) in any order (["flight'_bbff"] is ["flight"]); [None]
+    for magic ([m_*]) and supplementary ([s_*]) predicates, which denote
+    new relations, and for names that reach no predicate of [preds]. *)
+
+type verdict = Agree | Truncated | Fails of oracle * string
+
+val check_rewrite :
+  ?max_iterations:int ->
+  ?max_derivations:int ->
+  original:Program.t ->
+  rewritten:Program.t ->
+  edb:Cql_eval.Fact.t list ->
+  unit ->
+  verdict
+(** The Answers and Monotone oracles on one rewrite: evaluate both programs
+    on the EDB and require the same query answers and, for every
+    predicate of [rewritten] that {!root_name} maps back to [original], only
+    facts the original derives.  [Truncated] when either evaluation hits a
+    budget (defaults as {!check_case}); [Fails] names the first oracle that
+    failed and why. *)
+
 val check_case :
   ?tamper:(Cset.t -> Cset.t) ->
   ?max_iterations:int ->

@@ -46,7 +46,9 @@ let counter name =
 let incr c = Atomic.incr c.cell
 let add c n = ignore (Atomic.fetch_and_add c.cell n)
 let value c = Atomic.get c.cell
-let set c n = Atomic.set c.cell n
+
+let zero prefix =
+  List.iter (fun c -> if String.starts_with ~prefix c.c_name then Atomic.set c.cell 0) !registry
 
 let counters () =
   List.sort compare (List.map (fun c -> (c.c_name, Atomic.get c.cell)) !registry)
@@ -270,7 +272,7 @@ let pp_summary fmt () =
   let cs = List.filter (fun (_, v) -> v <> 0) (counters ()) in
   if cs <> [] then begin
     Format.fprintf fmt "obs: counters:@\n";
-    List.iter (fun (name, v) -> Format.fprintf fmt "obs:   %-34s %d@\n" name v) cs
+    List.iter (fun (name, v) -> Format.fprintf fmt "obs:   %-40s %d@\n" name v) cs
   end
 
 (* Arm tracing from the environment so `CQLOPT_TRACE=1 dune runtest` (the CI

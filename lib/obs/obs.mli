@@ -30,7 +30,11 @@ val counter : string -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
-val set : counter -> int -> unit
+
+val zero : string -> unit
+(** [zero prefix] sets every registered counter whose name starts with
+    [prefix] to [0] ([zero "solver."] before a workload attributes the
+    solver's counts to it). *)
 
 val counters : unit -> (string * int) list
 (** Current value of every registered counter, sorted by name. *)

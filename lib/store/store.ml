@@ -72,28 +72,7 @@ let mem_equal s f =
 let delete s f =
   match find_table s (Fact.pred f) with None -> false | Some t -> Table.delete t f
 
-let set_count s f n = Table.set_count (table s (Fact.pred f)) f n
-let bump_count ?by s f = Table.bump_count ?by (table s (Fact.pred f)) f
-
-let count s f =
-  match find_table s (Fact.pred f) with None -> 0 | Some t -> Table.count t f
-
-let drop_count s f =
-  match find_table s (Fact.pred f) with None -> () | Some t -> Table.drop_count t f
-
-let counted_facts s =
-  Hashtbl.fold (fun pred t acc -> (pred, Table.counted_facts t) :: acc) s.tables []
-
 let advance s = Hashtbl.iter (fun _ t -> Table.advance t) s.tables
-
-(* Delta seeding: make [facts] the delta partition in one step — the
-   current delta retires into old and each seed lands in pending before a
-   second boundary promotes it.  This is exactly the store state a
-   semi-naive maintenance round wants before its first match phase. *)
-let seed_delta s facts =
-  advance s;
-  List.iter (add s) facts;
-  advance s
 
 (* [iter_probe_cols s part pred positions key k]: candidate facts for a
    body literal whose resolved bound columns are [positions] with constants

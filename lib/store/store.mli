@@ -50,26 +50,11 @@ val find_equal : t -> Fact.t -> Fact.t option
 val mem_equal : t -> Fact.t -> bool
 
 val delete : t -> Fact.t -> bool
-(** Retire the live fact structurally equal to the argument (and its
-    derivation count).  Returns whether it existed. *)
-
-val set_count : t -> Fact.t -> int -> unit
-(** Set a fact's derivation count; [n <= 0] removes the entry. *)
-
-val bump_count : ?by:int -> t -> Fact.t -> unit
-val count : t -> Fact.t -> int
-val drop_count : t -> Fact.t -> unit
-
-val counted_facts : t -> (string * (Fact.t * int) list) list
-(** Per predicate, all tracked derivation counts in {!Fact.compare} order. *)
+(** Retire the live fact structurally equal to the argument.  Returns
+    whether it existed. *)
 
 val advance : t -> unit
 (** Iteration boundary on every table: old ∪= delta, delta ← pending. *)
-
-val seed_delta : t -> Fact.t list -> unit
-(** Make [facts] the delta partition: the current delta retires into old,
-    then the seeds are added and promoted in one extra boundary.  Sets up
-    the store for a semi-naive maintenance round driven by the new facts. *)
 
 val iter_probe_cols :
   t -> partition -> string -> int list -> Term.const list -> (Fact.t -> unit) -> unit

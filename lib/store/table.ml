@@ -39,7 +39,6 @@ module GroundKey = struct
 end
 
 module GroundTbl = Hashtbl.Make (GroundKey)
-module FactMap = Map.Make (Fact)
 
 type t = {
   (* partitions, newest-first; dead cells are filtered on read *)
@@ -53,7 +52,6 @@ type t = {
   (* subsumption indexes over every live cell *)
   ground : cell GroundTbl.t; (* fully-pinned facts by (pattern, values) *)
   patterns : (Fact.pos array, sbucket) Hashtbl.t;
-  mutable counts : int FactMap.t; (* per-fact derivation counts (maintenance) *)
 }
 
 let create () =
@@ -66,7 +64,6 @@ let create () =
     indexes = Array.make 2 [];
     ground = GroundTbl.create 64;
     patterns = Hashtbl.create 16;
-    counts = FactMap.empty;
   }
 
 let sbucket_of t pat =
@@ -89,25 +86,6 @@ let kill t c =
     c.live <- false;
     t.live_counts.(c.part) <- t.live_counts.(c.part) - 1
   end
-
-(* ----- derivation counts -----
-
-   Incremental maintenance keeps, per live fact, the number of supports it
-   has (EDB multiplicity plus rule firings producing exactly it).  The map
-   is keyed by structural fact identity (Fact.compare), so two facts count
-   together exactly when retraction treats them as the same fact. *)
-
-let set_count t f n =
-  if n <= 0 then t.counts <- FactMap.remove f t.counts
-  else t.counts <- FactMap.add f n t.counts
-
-let bump_count ?(by = 1) t f =
-  t.counts <-
-    FactMap.update f (fun c -> Some (by + Option.value c ~default:0)) t.counts
-
-let count t f = Option.value (FactMap.find_opt f t.counts) ~default:0
-let drop_count t f = t.counts <- FactMap.remove f t.counts
-let counted_facts t = FactMap.bindings t.counts
 
 (* ----- insertion & subsumption ----- *)
 
@@ -159,8 +137,7 @@ let known_subsumes t f =
    pinned [f] denotes a single point: the only ground fact it could
    subsume is its duplicate, which [known_subsumes] already rejected, so
    only general cells need scanning.  Killed facts are reported so a
-   maintenance layer can remember them as covered (and lose their counts:
-   only live facts are counted). *)
+   maintenance layer can remember them as covered. *)
 let back_subsume t f =
   match Hashtbl.find_opt t.patterns f.Fact.args with
   | None -> (0, [])
@@ -174,7 +151,6 @@ let back_subsume t f =
               incr cmp;
               if Fact.subsumes f c.fact then begin
                 kill t c;
-                drop_count t c.fact;
                 killed := c.fact :: !killed
               end
             end)
@@ -208,7 +184,6 @@ let delete t f =
   | None -> false
   | Some c ->
       kill t c;
-      drop_count t c.fact;
       if Fact.is_ground f then begin
         (match GroundTbl.find_opt t.ground f with
         | Some c' when not c'.live -> GroundTbl.remove t.ground f

@@ -32,8 +32,7 @@ val known_subsumes : t -> Fact.t -> bool * int
 
 val back_subsume : t -> Fact.t -> int * Fact.t list
 (** Mark live stored facts subsumed by the new fact dead; returns the number
-    of comparisons performed and the facts that were killed (their counts
-    are dropped — only live facts carry counts). *)
+    of comparisons performed and the facts that were killed. *)
 
 val find_equal : t -> Fact.t -> Fact.t option
 (** The live stored fact structurally equal to the argument
@@ -42,21 +41,8 @@ val find_equal : t -> Fact.t -> Fact.t option
 val mem_equal : t -> Fact.t -> bool
 
 val delete : t -> Fact.t -> bool
-(** Retire the live cell structurally equal to the fact (and its count).
-    Returns whether such a cell existed. *)
-
-val set_count : t -> Fact.t -> int -> unit
-(** Set a fact's derivation count; [n <= 0] removes the entry. *)
-
-val bump_count : ?by:int -> t -> Fact.t -> unit
-
-val count : t -> Fact.t -> int
-(** A fact's derivation count (0 when untracked). *)
-
-val drop_count : t -> Fact.t -> unit
-
-val counted_facts : t -> (Fact.t * int) list
-(** All tracked counts in {!Fact.compare} order. *)
+(** Retire the live cell structurally equal to the fact.  Returns whether
+    such a cell existed. *)
 
 val advance : t -> unit
 (** Iteration boundary: old ∪= delta, delta ← pending, pending ← ∅. *)

