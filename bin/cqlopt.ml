@@ -65,35 +65,6 @@ let domain_arg =
 
 let apply_domain d = Cql_constr.Cdomain.set_default d
 
-(* ----- tracing (lib/obs) ----- *)
-
-let trace_json_arg =
-  Arg.(value & opt (some string) None & info [ "trace-json" ] ~docv:"FILE"
-         ~doc:"Enable phase tracing and, when the command finishes, write the \
-               recorded span events as NDJSON (one JSON object per line) to \
-               $(docv), or to stdout for '-'")
-
-let metrics_arg =
-  Arg.(value & flag & info [ "metrics" ]
-         ~doc:"Enable phase tracing and print a per-phase timing summary plus \
-               all nonzero counters (decision-procedure calls and cache hits \
-               and misses among them) to stderr when the command finishes")
-
-(* arm tracing before the work runs; CQLOPT_TRACE=1 arms it at load time
-   without either flag *)
-let apply_tracing trace_json metrics =
-  if trace_json <> None || metrics then Cql_obs.Obs.set_enabled true
-
-let emit_tracing trace_json metrics =
-  (match trace_json with
-  | None -> ()
-  | Some "-" -> Cql_obs.Obs.write_ndjson stdout
-  | Some path -> (
-      match open_out path with
-      | oc -> Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Cql_obs.Obs.write_ndjson oc)
-      | exception Sys_error msg -> prerr_endline msg));
-  if metrics then Format.eprintf "%a@?" Cql_obs.Obs.pp_summary ()
-
 (* ----- analyze ----- *)
 
 let analyze_cmd =
@@ -153,10 +124,9 @@ let parse_steps adornment constraint_magic s =
 
 let rewrite_cmd =
   let run path domain steps adornment no_cmagic gmt optimal max_iters inline_seed simplify
-      trace_json metrics =
+      tracing =
     apply_domain domain;
-    apply_tracing trace_json metrics;
-    let code =
+    Tracing.traced tracing @@ fun () ->
     match read_program path with
     | Error msg ->
         prerr_endline msg;
@@ -191,9 +161,6 @@ let rewrite_cmd =
             let p' = if simplify then Simplify.program p' else p' in
             print_endline (Program.to_string (Program.prettify p'));
             0)
-    in
-    emit_tracing trace_json metrics;
-    code
   in
   let steps =
     Arg.(value & opt string "pred,qrp" & info [ "steps" ] ~docv:"STEPS"
@@ -221,7 +188,7 @@ let rewrite_cmd =
   in
   let term =
     Term.(const run $ program_arg $ domain_arg $ steps $ adornment $ no_cmagic $ gmt $ optimal
-          $ max_iters_arg $ inline_seed $ simplify $ trace_json_arg $ metrics_arg)
+          $ max_iters_arg $ inline_seed $ simplify $ Tracing.term)
   in
   Cmd.v (Cmd.info "rewrite" ~doc:"Rewrite a program by pushing constraint selections") term
 
@@ -229,10 +196,9 @@ let rewrite_cmd =
 
 let eval_cmd =
   let run path edb_path domain max_iterations max_derivations traced naive explain stratified
-      trace_json metrics =
+      tracing =
     apply_domain domain;
-    apply_tracing trace_json metrics;
-    let code =
+    Tracing.traced tracing @@ fun () ->
     match read_program path with
     | Error msg ->
         prerr_endline msg;
@@ -284,9 +250,6 @@ let eval_cmd =
                       (List.sort Cql_eval.Fact.compare (Cql_eval.Engine.facts_of res q))
                 | None -> ());
                 0))
-    in
-    emit_tracing trace_json metrics;
-    code
   in
   let edb =
     Arg.(value & opt (some file) None & info [ "edb" ] ~docv:"FILE" ~doc:"EDB facts file")
@@ -309,7 +272,7 @@ let eval_cmd =
   in
   let term =
     Term.(const run $ program_arg $ edb $ domain_arg $ max_iterations $ max_derivations
-          $ traced $ naive $ explain $ stratified $ trace_json_arg $ metrics_arg)
+          $ traced $ naive $ explain $ stratified $ Tracing.term)
   in
   Cmd.v (Cmd.info "eval" ~doc:"Bottom-up evaluation of a CQL program") term
 
@@ -318,10 +281,9 @@ let eval_cmd =
 let fuzz_cmd =
   let module H = Cql_gen.Harness in
   let module G = Cql_gen.Generate in
-  let run seed count mode domain inject_bug replay out trace_json metrics =
+  let run seed count mode domain inject_bug replay out tracing =
     apply_domain domain;
-    apply_tracing trace_json metrics;
-    let code =
+    Tracing.traced tracing @@ fun () ->
     match replay with
     | Some path -> (
         match read_file path with
@@ -389,9 +351,6 @@ let fuzz_cmd =
                 let config = G.default m in
                 let tamper = if inject_bug then Some H.drop_disjuncts else None in
                 report (H.run ?tamper ~config ~seed ~count ())))
-    in
-    emit_tracing trace_json metrics;
-    code
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed") in
   let count =
@@ -420,7 +379,7 @@ let fuzz_cmd =
   in
   let term =
     Term.(const run $ seed $ count $ mode $ domain_arg $ inject_bug $ replay $ out
-          $ trace_json_arg $ metrics_arg)
+          $ Tracing.term)
   in
   Cmd.v
     (Cmd.info "fuzz"

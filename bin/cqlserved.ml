@@ -1,17 +1,18 @@
 (* cqlserved: the persistent multi-tenant query daemon.
 
-   Listens on a Unix-domain socket for length-prefixed NDJSON eval/ping/
-   stats requests (see lib/serve/protocol.mli), caches compiled plans by
-   program digest, and runs each request's fixpoint as one job on a domain
-   pool.  SIGTERM/SIGINT stop accepting, drain in-flight requests and exit
-   cleanly. *)
+   Listens on a Unix-domain socket for length-prefixed NDJSON requests
+   (eval, materialize, insert, retract, query, ping and stats; see
+   lib/serve/protocol.mli), caches compiled plans by program digest and
+   live views by tenant and name, and serves each connection as one job on
+   a domain pool.  SIGTERM/SIGINT stop accepting, drain in-flight requests
+   and exit cleanly. *)
 
 open Cql_serve
 open Cmdliner
 
 let serve socket workers plan_cache_entries view_cache_entries max_program_kb max_inflight
-    max_derivations max_iterations trace_json metrics =
-  if trace_json <> None || metrics then Cql_obs.Obs.set_enabled true;
+    max_derivations max_iterations tracing =
+  Tracing.traced tracing @@ fun () ->
   let config =
     {
       Server.socket_path = socket;
@@ -40,15 +41,6 @@ let serve socket workers plan_cache_entries view_cache_entries max_program_kb ma
   Printf.eprintf "cqlserved: listening on %s (%d workers)\n%!" socket config.Server.workers;
   Server.wait t;
   Printf.eprintf "cqlserved: drained %d connections, exiting\n%!" (Server.connections_served t);
-  (match trace_json with
-  | None -> ()
-  | Some "-" -> Cql_obs.Obs.write_ndjson stdout
-  | Some path -> (
-      match open_out path with
-      | oc ->
-          Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Cql_obs.Obs.write_ndjson oc)
-      | exception Sys_error msg -> prerr_endline msg));
-  if metrics then Format.eprintf "%a@?" Cql_obs.Obs.pp_summary ();
   0
 
 let socket_arg =
@@ -85,20 +77,11 @@ let max_iterations_arg =
   Arg.(value & opt int 200 & info [ "max-iterations" ] ~docv:"N"
          ~doc:"Hard cap on any request's iteration budget")
 
-let trace_json_arg =
-  Arg.(value & opt (some string) None & info [ "trace-json" ] ~docv:"FILE"
-         ~doc:"Enable per-request tracing and write the span events as NDJSON to \
-               $(docv) on shutdown ('-' = stdout)")
-
-let metrics_arg =
-  Arg.(value & flag & info [ "metrics" ]
-         ~doc:"Enable tracing and print a per-phase summary to stderr on shutdown")
-
 let () =
   let term =
     Term.(const serve $ socket_arg $ workers_arg $ plan_cache_arg $ view_cache_arg
           $ max_program_kb_arg $ max_inflight_arg $ max_derivations_arg $ max_iterations_arg
-          $ trace_json_arg $ metrics_arg)
+          $ Tracing.term)
   in
   let info =
     Cmd.info "cqlserved" ~version:"1.0.0"

@@ -60,8 +60,8 @@ let eval t ?id ?tenant ?edb ?pipeline ?domain ?max_iterations ?max_derivations ~
 let materialize t ?id ?tenant ?edb ?pipeline ?domain ?max_iterations ?max_derivations ~view
     ~program () =
   request t
-    (Protocol.materialize_request_json ?id ?tenant ?edb ?pipeline ?domain ?max_iterations
-       ?max_derivations ~view ~program ())
+    (Protocol.eval_request_json ?id ?tenant ~view ?edb ?pipeline ?domain ?max_iterations
+       ?max_derivations ~program ())
 
 let insert t ?id ?tenant ?max_iterations ?max_derivations ~view ~facts () =
   request t

@@ -89,14 +89,9 @@ let oneshot_answers (w : workload) =
   let p = Parser.program_of_string w.program in
   let edb = List.map Fact.of_fact_rule (Parser.facts_of_string w.edb) in
   let prog =
-    match w.pipeline with
-    | "none" -> p
-    | _ when p.Program.query = None -> p
-    | "pred,qrp" -> fst (Cql_core.Rewrite.constraint_rewrite p)
-    | "optimal" ->
-        let q = Option.get p.Program.query in
-        fst (Cql_core.Rewrite.optimal ~adornment:(String.make (Program.arity p q) 'f') p)
-    | other -> invalid_arg ("unknown pipeline " ^ other)
+    match Server.rewrite ~pipeline:w.pipeline p with
+    | Ok (_, prog) -> prog
+    | Error (_, msg) -> invalid_arg msg
   in
   let res = Engine.run ~max_iterations:200 ~max_derivations:200_000 prog ~edb in
   List.map Fact.to_string (List.sort Fact.compare (Engine.answers res prog))

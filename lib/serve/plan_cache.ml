@@ -1,5 +1,4 @@
 open Cql_datalog
-module Obs = Cql_obs.Obs
 
 type plan = {
   pipeline : string;
@@ -9,75 +8,8 @@ type plan = {
   rewrite_ns : int64;
 }
 
-type slot = { plan : plan; mutable last_used : int }
-
-type t = {
-  m : Mutex.t;
-  table : (string, slot) Hashtbl.t;
-  max_entries : int;
-  mutable tick : int;
-}
-
-let hits = Obs.counter "serve.plan_cache.hits"
-let misses = Obs.counter "serve.plan_cache.misses"
-let evictions = Obs.counter "serve.plan_cache.evictions"
-
-let create ~max_entries =
-  { m = Mutex.create (); table = Hashtbl.create 64; max_entries = max 1 max_entries; tick = 0 }
-
 (* the domain participates in the key: a Z-mode compilation is planned from
    Z-mode rewrite verdicts, so it must never be replayed for a Q request *)
 let key ~pipeline ~domain ~source =
   Digest.to_hex
     (Digest.string (pipeline ^ "\x00" ^ Cql_constr.Cdomain.to_string domain ^ "\x00" ^ source))
-
-let locked t f =
-  Mutex.lock t.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
-
-let find t k =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.table k with
-      | Some slot ->
-          t.tick <- t.tick + 1;
-          slot.last_used <- t.tick;
-          Obs.incr hits;
-          Some slot.plan
-      | None ->
-          Obs.incr misses;
-          None)
-
-let evict_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun k slot acc ->
-        match acc with
-        | Some (_, best) when best <= slot.last_used -> acc
-        | _ -> Some (k, slot.last_used))
-      t.table None
-  in
-  match victim with
-  | Some (k, _) ->
-      Hashtbl.remove t.table k;
-      Obs.incr evictions
-  | None -> ()
-
-let add t k plan =
-  locked t (fun () ->
-      if not (Hashtbl.mem t.table k) then begin
-        if Hashtbl.length t.table >= t.max_entries then evict_lru t;
-        t.tick <- t.tick + 1;
-        Hashtbl.add t.table k { plan; last_used = t.tick }
-      end)
-
-let size t = locked t (fun () -> Hashtbl.length t.table)
-
-type stats = { entries : int; hits : int; misses : int; evictions : int }
-
-let stats t =
-  {
-    entries = size t;
-    hits = Obs.value hits;
-    misses = Obs.value misses;
-    evictions = Obs.value evictions;
-  }

@@ -1,22 +1,21 @@
-(** The compiled-plan cache: rewritten programs interned by source digest.
+(** The compiled-plan cache's entries: rewritten programs interned by
+    source digest.
 
     The expensive, reusable artifact of this engine is the constraint-pushing
     rewrite (pred/QRP/magic), not the fixpoint — so the service caches the
-    {e rewritten} {!Cql_datalog.Program.t} keyed by a digest of the pipeline
-    name and the program source text.  A repeat tenant (same program, same
-    pipeline) skips the rewrite entirely; hash-consed constraint terms make
-    the cached plans cheap to retain and share across worker domains (the
-    plan is immutable once built).
+    {e rewritten} {!Cql_datalog.Program.t} in an {!Lru} named
+    [serve.plan_cache], keyed by {!key}.  A repeat tenant (same program,
+    same pipeline, same domain) skips the rewrite entirely; hash-consed
+    constraint terms make the cached plans cheap to retain and share across
+    worker domains (the plan is immutable once built).
 
-    Lookups and insertions are mutex-protected; the rewrite itself runs
-    outside the lock, so two concurrent first requests for the same key may
-    both compute the plan — the second insert wins, which is harmless
-    because compilation is deterministic.
+    The rewrite itself runs outside the cache's lock, so two concurrent
+    first requests for the same key may both compute the plan — the second
+    insert wins, which is harmless because compilation is deterministic.
 
-    Hits, misses and evictions are exposed as lib/obs counters
-    ([serve.plan_cache.hits] / [.misses] / [.evictions]), so per-request
-    trace spans carry the cache outcome and tests can assert that a warm
-    repeat query skipped the pipeline. *)
+    Hits, misses and evictions are the {!Lru}'s counters
+    ([serve.plan_cache.hits] / [.misses] / [.evictions]), so tests can
+    assert that a warm repeat query skipped the pipeline. *)
 
 open Cql_datalog
 
@@ -31,23 +30,7 @@ type plan = {
   rewrite_ns : int64;  (** wall time the rewrite cost on the miss *)
 }
 
-type t
-
-val create : max_entries:int -> t
-(** LRU-evicting cache of at most [max 1 max_entries] plans. *)
-
 val key : pipeline:string -> domain:Cql_constr.Cdomain.t -> source:string -> string
 (** Digest of pipeline, constraint domain and program source: rewrite
     verdicts (and hence plans) are domain-dependent, so Q and Z
     compilations of the same source never share an entry. *)
-
-val find : t -> string -> plan option
-(** [Some] counts a hit, [None] a miss, in the Obs counters. *)
-
-val add : t -> string -> plan -> unit
-val size : t -> int
-
-type stats = { entries : int; hits : int; misses : int; evictions : int }
-
-val stats : t -> stats
-(** Counter values are process-wide (all caches share the Obs cells). *)

@@ -4,17 +4,7 @@ type request =
   | Eval of {
       id : string option;
       tenant : string;
-      program : string;
-      edb : string;
-      pipeline : string;
-      domain : Cdomain.t;
-      max_iterations : int option;
-      max_derivations : int option;
-    }
-  | Materialize of {
-      id : string option;
-      tenant : string;
-      view : string;
+      view : string option;
       program : string;
       edb : string;
       pipeline : string;
@@ -108,7 +98,10 @@ let request_of_json j =
           match op with
           | "ping" -> Ok (Ping { id })
           | "stats" -> Ok (Stats { id })
-          | "eval" ->
+          | "eval" | "materialize" ->
+              let* view =
+                if op = "eval" then Ok None else Result.map Option.some (str_field "view")
+              in
               let* program = str_field "program" in
               let* tenant = opt_field "tenant" Json.to_str j in
               let* edb = opt_field "edb" Json.to_str j in
@@ -118,27 +111,6 @@ let request_of_json j =
               let* max_derivations = int_field "max_derivations" j in
               Ok
                 (Eval
-                   {
-                     id;
-                     tenant = Option.value tenant ~default:"anon";
-                     program;
-                     edb = Option.value edb ~default:"";
-                     pipeline = Option.value pipeline ~default:"pred,qrp";
-                     domain;
-                     max_iterations;
-                     max_derivations;
-                   })
-          | "materialize" ->
-              let* view = str_field "view" in
-              let* program = str_field "program" in
-              let* tenant = opt_field "tenant" Json.to_str j in
-              let* edb = opt_field "edb" Json.to_str j in
-              let* pipeline = opt_field "pipeline" Json.to_str j in
-              let* domain = domain_field j in
-              let* max_iterations = int_field "max_iterations" j in
-              let* max_derivations = int_field "max_derivations" j in
-              Ok
-                (Materialize
                    {
                      id;
                      tenant = Option.value tenant ~default:"anon";
@@ -184,25 +156,12 @@ let with_id id fields =
 
 let opt name conv v fields = match v with None -> fields | Some v -> (name, conv v) :: fields
 
-let eval_request_json ?id ?tenant ?edb ?pipeline ?domain ?max_iterations ?max_derivations
+let eval_request_json ?id ?tenant ?view ?edb ?pipeline ?domain ?max_iterations ?max_derivations
     ~program () =
   Json.Obj
     (with_id id
-       ([ ("op", Json.Str "eval"); ("program", Json.Str program) ]
-       |> opt "tenant" (fun s -> Json.Str s) tenant
-       |> opt "edb" (fun s -> Json.Str s) edb
-       |> opt "pipeline" (fun s -> Json.Str s) pipeline
-       |> opt "domain" (fun d -> Json.Str (Cdomain.to_string d)) domain
-       |> opt "max_iterations" (fun i -> Json.Int i) max_iterations
-       |> opt "max_derivations" (fun i -> Json.Int i) max_derivations))
-
-let materialize_request_json ?id ?tenant ?edb ?pipeline ?domain ?max_iterations ?max_derivations
-    ~view ~program () =
-  Json.Obj
-    (with_id id
-       ([
-          ("op", Json.Str "materialize"); ("view", Json.Str view); ("program", Json.Str program);
-        ]
+       (("op", Json.Str (if view = None then "eval" else "materialize"))
+        :: opt "view" (fun s -> Json.Str s) view [ ("program", Json.Str program) ]
        |> opt "tenant" (fun s -> Json.Str s) tenant
        |> opt "edb" (fun s -> Json.Str s) edb
        |> opt "pipeline" (fun s -> Json.Str s) pipeline

@@ -23,8 +23,9 @@
        the constraint interpretation (integer mode decides constraints
        exactly over ℤ).}
     {- [{"op": "materialize", "view": NAME, "program": SRC, "edb": SRC,
-       ...}] — evaluate once and keep a live incremental view, keyed by
-       tenant and [NAME] in the view cache alongside the plan cache; the
+       ...}] — decoded as an [Eval] whose [view] is [Some NAME]: the same
+       compile and fixpoint, after which the result is kept as a live
+       incremental view, keyed by tenant and [NAME] in the view cache; the
        budgets become the view's per-operation maintenance defaults.
        Re-materializing an existing name replaces the view.}
     {- [{"op": "insert", "view": NAME, "facts": SRC, ...}] /
@@ -44,32 +45,28 @@
 
     [{"status": "ok", ...}] or [{"status": "error", "error": {"kind": K,
     "message": M}}] with [kind] one of [malformed], [parse_error],
-    [oversized], [admission], [budget], [unknown_view], [shutting_down],
-    [internal].  The request [id], when given, is echoed. *)
+    [oversized], [admission], [budget], [unknown_view], [shutting_down]
+    (eval, materialize, insert and retract while the server drains),
+    [internal].  The request [id], when given, is echoed.  An ok eval
+    carries [tenant], [cache], [pipeline], [domain], [query], [answers],
+    [stats], [rewrite_ms], [eval_ms]; an ok materialize carries [view]
+    after [tenant] and [facts], [maintain] in place of [stats]. *)
 
 type request =
   | Eval of {
       id : string option;
       tenant : string;  (** ["anon"] when absent *)
+      view : string option;
+          (** [Some name] for op ["materialize"]: the view-cache key, scoped
+              to the tenant; [None] for op ["eval"] *)
       program : string;
       edb : string;  (** facts source; [""] when absent *)
       pipeline : string;
       domain : Cql_constr.Cdomain.t;
           (** constraint domain from the optional ["domain"] field
-              (["rat"]/["int"]); {!Cql_constr.Cdomain.Q} when absent *)
-      max_iterations : int option;
-      max_derivations : int option;
-    }
-  | Materialize of {
-      id : string option;
-      tenant : string;
-      view : string;  (** cache key, scoped to the tenant *)
-      program : string;
-      edb : string;
-      pipeline : string;
-      domain : Cql_constr.Cdomain.t;
-          (** the view is materialized {e and maintained} under this
-              domain; updates need not (and cannot) restate it *)
+              (["rat"]/["int"]); {!Cql_constr.Cdomain.Q} when absent.  A
+              view is materialized {e and maintained} under it; updates
+              need not (and cannot) restate it *)
       max_iterations : int option;
       max_derivations : int option;
     }
@@ -105,6 +102,7 @@ val request_of_json : Json.t -> (request, string) result
 val eval_request_json :
   ?id:string ->
   ?tenant:string ->
+  ?view:string ->
   ?edb:string ->
   ?pipeline:string ->
   ?domain:Cql_constr.Cdomain.t ->
@@ -113,19 +111,8 @@ val eval_request_json :
   program:string ->
   unit ->
   Json.t
-
-val materialize_request_json :
-  ?id:string ->
-  ?tenant:string ->
-  ?edb:string ->
-  ?pipeline:string ->
-  ?domain:Cql_constr.Cdomain.t ->
-  ?max_iterations:int ->
-  ?max_derivations:int ->
-  view:string ->
-  program:string ->
-  unit ->
-  Json.t
+(** An ["eval"] request, or a ["materialize"] request when [view] is
+    given. *)
 
 val update_request_json :
   ?id:string ->

@@ -29,7 +29,7 @@ type t = {
   config : config;
   listen_fd : Unix.file_descr;
   pool : Pool.t;
-  cache : Plan_cache.t;
+  plans : Plan_cache.plan Lru.t;
   views : View_cache.t;
   adm : Admission.t;
   stop_flag : bool Atomic.t;
@@ -46,17 +46,22 @@ let connections_served t = Atomic.get t.served
 
 (* ----- compilation ----- *)
 
-let compile ~pipeline (p : Program.t) =
+(* without a query predicate there is nothing to push: every pipeline
+   applies as "none" *)
+let applied ~pipeline (p : Program.t) = if p.Program.query = None then "none" else pipeline
+
+let rewrite ~pipeline (p : Program.t) =
+  let pipeline = applied ~pipeline p in
+  let pushed f =
+    try Ok (pipeline, fst (f p))
+    with Invalid_argument msg -> Error (Protocol.Internal, "rewrite failed: " ^ msg)
+  in
   match pipeline with
-  | "none" -> Ok p
-  | "pred,qrp" -> (
-      try Ok (fst (Rewrite.constraint_rewrite p))
-      with Invalid_argument msg -> Error (Protocol.Internal, "rewrite failed: " ^ msg))
-  | "optimal" -> (
+  | "none" -> Ok (pipeline, p)
+  | "pred,qrp" -> pushed Rewrite.constraint_rewrite
+  | "optimal" ->
       let q = Option.get p.Program.query in
-      let adornment = String.make (Program.arity p q) 'f' in
-      try Ok (fst (Rewrite.optimal ~adornment p))
-      with Invalid_argument msg -> Error (Protocol.Internal, "rewrite failed: " ^ msg))
+      pushed (Rewrite.optimal ~adornment:(String.make (Program.arity p q) 'f'))
   | other ->
       Error
         ( Protocol.Malformed,
@@ -70,121 +75,59 @@ let ms_of_ns ns = Int64.to_float ns /. 1e6
    position to a non-integral value. *)
 let fact_opt r = match Fact.of_fact_rule r with f -> Some f | exception Fact.Unsat -> None
 
-(* plan-cache lookup shared by eval and materialize; the caller has already
-   entered the request's constraint domain (rewrite verdicts depend on it,
-   and the key separates the domains) *)
+(* the caller has already entered the request's constraint domain (rewrite
+   verdicts depend on it, and the key separates the domains) *)
 let compiled_plan t ~pipeline ~domain ~source p =
-  let key = Plan_cache.key ~pipeline ~domain ~source in
-  match Plan_cache.find t.cache key with
-  | Some plan -> (true, Ok plan)
-  | None -> (
+  let key = Plan_cache.key ~pipeline:(applied ~pipeline p) ~domain ~source in
+  match Lru.find t.plans key with
+  | Some plan -> Ok (true, plan)
+  | None ->
       let t0 = Obs.monotonic_ns () in
-      match compile ~pipeline p with
-      | Error e -> (false, Error e)
-      | Ok prog ->
-          let plan =
-            {
-              Plan_cache.pipeline;
-              program = prog;
-              (* join plans compile once here, at rewrite time: warm
-                 requests reuse the register-frame programs as well *)
-              programs = Engine.compile_plans prog;
-              source_bytes = String.length source;
-              rewrite_ns = Int64.sub (Obs.monotonic_ns ()) t0;
-            }
-          in
-          Plan_cache.add t.cache key plan;
-          (false, Ok plan))
+      rewrite ~pipeline p
+      |> Result.map (fun (pipeline, prog) ->
+             let plan =
+               {
+                 Plan_cache.pipeline;
+                 program = prog;
+                 (* join plans compile once here, at rewrite time: warm
+                    requests reuse the register-frame programs as well *)
+                 programs = Engine.compile_plans prog;
+                 source_bytes = String.length source;
+                 rewrite_ns = Int64.sub (Obs.monotonic_ns ()) t0;
+               }
+             in
+             ignore (Lru.add t.plans key plan);
+             (false, plan))
 
-(* ----- eval ----- *)
+(* ----- requests ----- *)
 
-let handle_eval t ?id ~tenant ~program ~edb ~pipeline ~domain ~max_iterations ~max_derivations
-    () =
-  Obs.add_field_str "tenant" tenant;
-  Obs.add_field_str "domain" (Cdomain.to_string domain);
-  let err kind msg =
-    Obs.incr t.errors;
-    Obs.add_field_str "status" (Protocol.error_kind_to_string kind);
-    Protocol.error_response ?id kind msg
-  in
+(* every error reply is counted and marks the request's span *)
+let error t ?id kind msg =
+  Obs.incr t.errors;
+  Obs.add_field_str "status" (Protocol.error_kind_to_string kind);
+  Protocol.error_response ?id kind msg
+
+(* The gate every evaluating request passes: the tenant holds an in-flight
+   slot for the request's duration, and [f] gets the effective budgets,
+   which bound a maintenance round's delta and re-derivation rounds exactly
+   as they bound a fresh fixpoint. *)
+let admitted t ?id ~tenant ~bytes ~max_iterations ~max_derivations f =
   match
-    Admission.admit t.adm ~tenant
-      ~program_bytes:(String.length program)
-      ~max_iterations ~max_derivations
+    Admission.admit t.adm ~tenant ~program_bytes:bytes ~max_iterations ~max_derivations
   with
-  | Admission.Reject_oversized msg -> err Protocol.Oversized msg
-  | Admission.Reject_busy msg | Admission.Reject_budget msg -> err Protocol.Admission msg
-  | Admission.Admit { max_iterations; max_derivations } -> (
-      Fun.protect ~finally:(fun () -> Admission.release t.adm ~tenant) @@ fun () ->
-      (* the request's domain scopes everything with solver contact: EDB
-         admission, rewrite, compilation and the run itself *)
-      Cdomain.with_domain domain @@ fun () ->
-      match Parser.program_of_string program with
-      | exception Parser.Error msg -> err Protocol.Parse_error msg
-      | p -> (
-          match List.filter_map fact_opt (Parser.facts_of_string edb) with
-          | exception Parser.Error msg -> err Protocol.Parse_error ("edb: " ^ msg)
-          | edb -> (
-              (* without a query predicate there is nothing to push; the
-                 effective pipeline is recorded in the response *)
-              let pipeline = if p.Program.query = None then "none" else pipeline in
-              let cached, plan = compiled_plan t ~pipeline ~domain ~source:program p in
-              match plan with
-              | Error (kind, msg) -> err kind msg
-              | Ok plan -> (
-                  Obs.add_field_str "cache" (if cached then "hit" else "miss");
-                  let t0 = Obs.monotonic_ns () in
-                  match
-                    Engine.run ~max_iterations ~max_derivations
-                      ~compiled:plan.Plan_cache.programs plan.Plan_cache.program ~edb
-                  with
-                  | exception Engine.Arity_mismatch msg ->
-                      err Protocol.Parse_error ("edb: " ^ msg)
-                  | exception e -> err Protocol.Internal (Printexc.to_string e)
-                  | res ->
-                      let eval_ns = Int64.sub (Obs.monotonic_ns ()) t0 in
-                      let s = Engine.stats res in
-                      if not s.Engine.reached_fixpoint then
-                        err Protocol.Budget
-                          (Printf.sprintf
-                             "evaluation truncated by its budget after %d iterations / %d \
-                              derivations"
-                             s.Engine.iterations s.Engine.derivations)
-                      else begin
-                        let answers =
-                          List.sort Fact.compare (Engine.answers res plan.Plan_cache.program)
-                        in
-                        Obs.add_field_str "status" "ok";
-                        Obs.add_field "answers" (List.length answers);
-                        Protocol.ok_response ?id
-                          [
-                            ("tenant", Json.Str tenant);
-                            ("cache", Json.Str (if cached then "hit" else "miss"));
-                            ("pipeline", Json.Str plan.Plan_cache.pipeline);
-                            ("domain", Json.Str (Cdomain.to_string domain));
-                            ( "query",
-                              match plan.Plan_cache.program.Program.query with
-                              | Some q -> Json.Str q
-                              | None -> Json.Null );
-                            ( "answers",
-                              Json.List (List.map (fun f -> Json.Str (Fact.to_string f)) answers)
-                            );
-                            ( "stats",
-                              Json.Obj
-                                [
-                                  ("iterations", Json.Int s.Engine.iterations);
-                                  ("derivations", Json.Int s.Engine.derivations);
-                                  ("facts", Json.Int (Engine.total_facts res));
-                                  ("fixpoint", Json.Bool s.Engine.reached_fixpoint);
-                                ] );
-                            ( "rewrite_ms",
-                              Json.Float (if cached then 0.0 else ms_of_ns plan.Plan_cache.rewrite_ns)
-                            );
-                            ("eval_ms", Json.Float (ms_of_ns eval_ns));
-                          ]
-                      end))))
+  | Admission.Reject_oversized msg -> error t ?id Protocol.Oversized msg
+  | Admission.Reject_busy msg | Admission.Reject_budget msg ->
+      error t ?id Protocol.Admission msg
+  | Admission.Admit { max_iterations; max_derivations } ->
+      Fun.protect
+        ~finally:(fun () -> Admission.release t.adm ~tenant)
+        (fun () -> f ~max_iterations ~max_derivations)
 
-(* ----- materialized views ----- *)
+let truncated what iterations derivations =
+  Printf.sprintf "%s truncated by its budget after %d iterations / %d derivations" what
+    iterations derivations
+
+let answers_json answers = Json.List (List.map (fun f -> Json.Str (Fact.to_string f)) answers)
 
 let maintain_json (ms : Engine.maintain_stats) =
   Json.Obj
@@ -202,157 +145,157 @@ let maintain_json (ms : Engine.maintain_stats) =
       ("fixpoint", Json.Bool ms.Engine.m_complete);
     ]
 
-let answers_json answers = Json.List (List.map (fun f -> Json.Str (Fact.to_string f)) answers)
-
-let handle_materialize t ?id ~tenant ~view:name ~program ~edb ~pipeline ~domain ~max_iterations
+(* eval and materialize: one gate, one parse, one plan-cache lookup and one
+   fixpoint; a view ([Some name]) is then kept in the view cache instead of
+   being summarized by its run statistics *)
+let handle_eval t ?id ~tenant ~view ~program ~edb ~pipeline ~domain ~max_iterations
     ~max_derivations () =
   Obs.add_field_str "tenant" tenant;
-  Obs.add_field_str "view" name;
+  Option.iter (Obs.add_field_str "view") view;
   Obs.add_field_str "domain" (Cdomain.to_string domain);
-  let err kind msg =
-    Obs.incr t.errors;
-    Obs.add_field_str "status" (Protocol.error_kind_to_string kind);
-    Protocol.error_response ?id kind msg
+  (* a view's admission also pays for the EDB it keeps *)
+  let bytes = String.length program + if view = None then 0 else String.length edb in
+  admitted t ?id ~tenant ~bytes ~max_iterations ~max_derivations
+  @@ fun ~max_iterations ~max_derivations ->
+  (* the request's domain scopes everything with solver contact: EDB
+     admission, rewrite, compilation and the run itself; a view remembers
+     it, so later insert/retract maintenance re-enters it automatically *)
+  Cdomain.with_domain domain @@ fun () ->
+  let ( let* ) r f = match r with Ok x -> f x | Error (kind, msg) -> error t ?id kind msg in
+  let parsed what parse src =
+    match parse src with
+    | x -> Ok x
+    | exception Parser.Error msg -> Error (Protocol.Parse_error, what ^ msg)
   in
-  match
-    Admission.admit t.adm ~tenant
-      ~program_bytes:(String.length program + String.length edb)
-      ~max_iterations ~max_derivations
-  with
-  | Admission.Reject_oversized msg -> err Protocol.Oversized msg
-  | Admission.Reject_busy msg | Admission.Reject_budget msg -> err Protocol.Admission msg
-  | Admission.Admit { max_iterations; max_derivations } -> (
-      Fun.protect ~finally:(fun () -> Admission.release t.adm ~tenant) @@ fun () ->
-      (* the view is materialized under the request's domain and remembers
-         it: later insert/retract maintenance re-enters it automatically *)
-      Cdomain.with_domain domain @@ fun () ->
-      match Parser.program_of_string program with
-      | exception Parser.Error msg -> err Protocol.Parse_error msg
-      | p -> (
-          match List.filter_map fact_opt (Parser.facts_of_string edb) with
-          | exception Parser.Error msg -> err Protocol.Parse_error ("edb: " ^ msg)
-          | edb -> (
-              let pipeline = if p.Program.query = None then "none" else pipeline in
-              let cached, plan = compiled_plan t ~pipeline ~domain ~source:program p in
-              match plan with
-              | Error (kind, msg) -> err kind msg
-              | Ok plan -> (
-                  Obs.add_field_str "cache" (if cached then "hit" else "miss");
-                  let t0 = Obs.monotonic_ns () in
-                  match
-                    Engine.materialize ~max_iterations ~max_derivations
-                      ~compiled:plan.Plan_cache.programs plan.Plan_cache.program ~edb
-                  with
-                  | exception Engine.Arity_mismatch msg ->
-                      err Protocol.Parse_error ("edb: " ^ msg)
-                  | exception e -> err Protocol.Internal (Printexc.to_string e)
-                  | vw, ms ->
-                      let eval_ns = Int64.sub (Obs.monotonic_ns ()) t0 in
-                      if not ms.Engine.m_complete then begin
-                        Engine.close_view vw;
-                        err Protocol.Budget
-                          (Printf.sprintf
-                             "materialization truncated by its budget after %d iterations / %d \
-                              derivations; the view was not cached"
-                             ms.Engine.m_iterations ms.Engine.m_derivations)
-                      end
-                      else begin
-                        let answers = Engine.view_answers vw in
-                        let total = Engine.view_total vw in
-                        View_cache.add t.views ~tenant ~view:name vw;
-                        Obs.add_field_str "status" "ok";
-                        Obs.add_field "answers" (List.length answers);
-                        Protocol.ok_response ?id
-                          [
-                            ("tenant", Json.Str tenant);
-                            ("view", Json.Str name);
-                            ("cache", Json.Str (if cached then "hit" else "miss"));
-                            ("pipeline", Json.Str plan.Plan_cache.pipeline);
-                            ("domain", Json.Str (Cdomain.to_string domain));
-                            ( "query",
-                              match plan.Plan_cache.program.Program.query with
-                              | Some q -> Json.Str q
-                              | None -> Json.Null );
-                            ("answers", answers_json answers);
-                            ("facts", Json.Int total);
-                            ("maintain", maintain_json ms);
-                            ( "rewrite_ms",
-                              Json.Float
-                                (if cached then 0.0 else ms_of_ns plan.Plan_cache.rewrite_ns) );
-                            ("eval_ms", Json.Float (ms_of_ns eval_ns));
-                          ]
-                      end))))
+  let* p = parsed "" Parser.program_of_string program in
+  let facts s = List.filter_map fact_opt (Parser.facts_of_string s) in
+  let* edb = parsed "edb: " facts edb in
+  let* cached, plan = compiled_plan t ~pipeline ~domain ~source:program p in
+  let cache = if cached then "hit" else "miss" in
+  Obs.add_field_str "cache" cache;
+  let prog = plan.Plan_cache.program and compiled = plan.Plan_cache.programs in
+  let t0 = Obs.monotonic_ns () in
+  let run () =
+    match view with
+    | None -> Either.Left (Engine.run ~max_iterations ~max_derivations ~compiled prog ~edb)
+    | Some name ->
+        Either.Right
+          (name, Engine.materialize ~max_iterations ~max_derivations ~compiled prog ~edb)
+  in
+  let* fixpoint =
+    match run () with
+    | r -> Ok r
+    | exception Engine.Arity_mismatch msg -> Error (Protocol.Parse_error, "edb: " ^ msg)
+    | exception e -> Error (Protocol.Internal, Printexc.to_string e)
+  in
+  let eval_ns = Int64.sub (Obs.monotonic_ns ()) t0 in
+  let* answers, fields =
+    match fixpoint with
+    | Either.Left res ->
+        let s = Engine.stats res in
+        if not s.Engine.reached_fixpoint then
+          Error
+            (Protocol.Budget, truncated "evaluation" s.Engine.iterations s.Engine.derivations)
+        else
+          Ok
+            ( List.sort Fact.compare (Engine.answers res prog),
+              [
+                ( "stats",
+                  Json.Obj
+                    [
+                      ("iterations", Json.Int s.Engine.iterations);
+                      ("derivations", Json.Int s.Engine.derivations);
+                      ("facts", Json.Int (Engine.total_facts res));
+                      ("fixpoint", Json.Bool s.Engine.reached_fixpoint);
+                    ] );
+              ] )
+    | Either.Right (name, (vw, ms)) ->
+        if not ms.Engine.m_complete then begin
+          Engine.close_view vw;
+          Error
+            ( Protocol.Budget,
+              truncated "materialization" ms.Engine.m_iterations ms.Engine.m_derivations
+              ^ "; the view was not cached" )
+        end
+        else begin
+          let answers = Engine.view_answers vw in
+          let total = Engine.view_total vw in
+          View_cache.add t.views ~tenant ~view:name vw;
+          Ok (answers, [ ("facts", Json.Int total); ("maintain", maintain_json ms) ])
+        end
+  in
+  Obs.add_field_str "status" "ok";
+  Obs.add_field "answers" (List.length answers);
+  Protocol.ok_response ?id
+    ((("tenant", Json.Str tenant)
+     :: List.map (fun v -> ("view", Json.Str v)) (Option.to_list view))
+    @ [
+        ("cache", Json.Str cache);
+        ("pipeline", Json.Str plan.Plan_cache.pipeline);
+        ("domain", Json.Str (Cdomain.to_string domain));
+        ("query", match prog.Program.query with Some q -> Json.Str q | None -> Json.Null);
+        ("answers", answers_json answers);
+      ]
+    @ fields
+    @ [
+        ( "rewrite_ms",
+          Json.Float (if cached then 0.0 else ms_of_ns plan.Plan_cache.rewrite_ns) );
+        ("eval_ms", Json.Float (ms_of_ns eval_ns));
+      ])
 
 let handle_update t ?id ~tenant ~view:name ~retract ~facts ~max_iterations ~max_derivations () =
   Obs.add_field_str "tenant" tenant;
   Obs.add_field_str "view" name;
-  let err kind msg =
-    Obs.incr t.errors;
-    Obs.add_field_str "status" (Protocol.error_kind_to_string kind);
-    Protocol.error_response ?id kind msg
+  admitted t ?id ~tenant ~bytes:(String.length facts) ~max_iterations ~max_derivations
+  @@ fun ~max_iterations ~max_derivations ->
+  let t0 = Obs.monotonic_ns () in
+  let result =
+    View_cache.with_view t.views ~tenant ~view:name (fun vw ->
+        (* fact admission must use the view's domain: a Z-mode view
+           rejects (drops) facts pinning non-integral values exactly as
+           its original materialization would have *)
+        Cdomain.with_domain (Engine.view_domain vw) @@ fun () ->
+        match List.filter_map fact_opt (Parser.facts_of_string facts) with
+        | exception Parser.Error msg -> Error (Protocol.Parse_error, "facts: " ^ msg)
+        | fs -> (
+            let op = if retract then Engine.retract else Engine.insert in
+            match op ~max_iterations ~max_derivations vw fs with
+            | exception Engine.Arity_mismatch msg ->
+                (* rejected before any store mutation: the view is intact *)
+                Error (Protocol.Parse_error, "facts: " ^ msg)
+            | exception Invalid_argument msg -> Error (Protocol.Internal, msg)
+            | ms ->
+                if not ms.Engine.m_complete then
+                  Error
+                    ( Protocol.Budget,
+                      truncated "maintenance" ms.Engine.m_iterations ms.Engine.m_derivations )
+                else Ok (ms, Engine.view_answers vw, Engine.view_total vw)))
   in
-  (* maintenance goes through the same admission gate as evaluation: the
-     tenant pays an in-flight slot and the effective budgets bound the
-     delta/re-derivation rounds exactly as they bound a fresh fixpoint *)
-  match
-    Admission.admit t.adm ~tenant ~program_bytes:(String.length facts) ~max_iterations
-      ~max_derivations
-  with
-  | Admission.Reject_oversized msg -> err Protocol.Oversized msg
-  | Admission.Reject_busy msg | Admission.Reject_budget msg -> err Protocol.Admission msg
-  | Admission.Admit { max_iterations; max_derivations } -> (
-      Fun.protect ~finally:(fun () -> Admission.release t.adm ~tenant) @@ fun () ->
-      let t0 = Obs.monotonic_ns () in
-      let result =
-        View_cache.with_view t.views ~tenant ~view:name (fun vw ->
-            (* fact admission must use the view's domain: a Z-mode view
-               rejects (drops) facts pinning non-integral values exactly as
-               its original materialization would have *)
-            Cdomain.with_domain (Engine.view_domain vw) @@ fun () ->
-            match List.filter_map fact_opt (Parser.facts_of_string facts) with
-            | exception Parser.Error msg -> Error (Protocol.Parse_error, "facts: " ^ msg)
-            | fs -> (
-                let op = if retract then Engine.retract else Engine.insert in
-                match op ~max_iterations ~max_derivations vw fs with
-                | exception Engine.Arity_mismatch msg ->
-                    (* rejected before any store mutation: the view is intact *)
-                    Error (Protocol.Parse_error, "facts: " ^ msg)
-                | exception Invalid_argument msg -> Error (Protocol.Internal, msg)
-                | ms ->
-                    if not ms.Engine.m_complete then
-                      Error
-                        ( Protocol.Budget,
-                          Printf.sprintf
-                            "maintenance truncated by its budget after %d iterations / %d \
-                             derivations"
-                            ms.Engine.m_iterations ms.Engine.m_derivations )
-                    else Ok (ms, Engine.view_answers vw, Engine.view_total vw)))
-      in
-      match result with
-      | None ->
-          err Protocol.Unknown_view
-            (Printf.sprintf
-               "tenant %S has no view %S (materialize it first; it may have been evicted)"
-               tenant name)
-      | Some (Error (Protocol.Budget, msg)) ->
-          (* a truncated view under-approximates its fixpoint; drop it
-             rather than serve silently stale answers *)
-          ignore (View_cache.remove t.views ~tenant ~view:name);
-          err Protocol.Budget (msg ^ "; the view has been dropped")
-      | Some (Error (kind, msg)) -> err kind msg
-      | Some (Ok (ms, answers, total)) ->
-          Obs.add_field_str "status" "ok";
-          Obs.add_field "answers" (List.length answers);
-          Protocol.ok_response ?id
-            [
-              ("tenant", Json.Str tenant);
-              ("view", Json.Str name);
-              ("op", Json.Str (if retract then "retract" else "insert"));
-              ("answers", answers_json answers);
-              ("facts", Json.Int total);
-              ("maintain", maintain_json ms);
-              ("eval_ms", Json.Float (ms_of_ns (Int64.sub (Obs.monotonic_ns ()) t0)));
-            ])
+  match result with
+  | None ->
+      error t ?id Protocol.Unknown_view
+        (Printf.sprintf
+           "tenant %S has no view %S (materialize it first; it may have been evicted)" tenant
+           name)
+  | Some (Error (Protocol.Budget, msg)) ->
+      (* a truncated view under-approximates its fixpoint; drop it
+         rather than serve silently stale answers *)
+      ignore (View_cache.remove t.views ~tenant ~view:name);
+      error t ?id Protocol.Budget (msg ^ "; the view has been dropped")
+  | Some (Error (kind, msg)) -> error t ?id kind msg
+  | Some (Ok (ms, answers, total)) ->
+      Obs.add_field_str "status" "ok";
+      Obs.add_field "answers" (List.length answers);
+      Protocol.ok_response ?id
+        [
+          ("tenant", Json.Str tenant);
+          ("view", Json.Str name);
+          ("op", Json.Str (if retract then "retract" else "insert"));
+          ("answers", answers_json answers);
+          ("facts", Json.Int total);
+          ("maintain", maintain_json ms);
+          ("eval_ms", Json.Float (ms_of_ns (Int64.sub (Obs.monotonic_ns ()) t0)));
+        ]
 
 let handle_query t ?id ~tenant ~view:name () =
   Obs.add_field_str "tenant" tenant;
@@ -366,10 +309,7 @@ let handle_query t ?id ~tenant ~view:name () =
           Engine.view_domain vw ))
   with
   | None ->
-      Obs.incr t.errors;
-      Obs.add_field_str "status" "unknown_view";
-      Protocol.error_response ?id Protocol.Unknown_view
-        (Printf.sprintf "tenant %S has no view %S" tenant name)
+      error t ?id Protocol.Unknown_view (Printf.sprintf "tenant %S has no view %S" tenant name)
   | Some (answers, total, edb_facts, complete, domain) ->
       Obs.add_field_str "status" "ok";
       Obs.add_field "answers" (List.length answers);
@@ -386,8 +326,16 @@ let handle_query t ?id ~tenant ~view:name () =
 
 (* ----- stats ----- *)
 
+let cache_json (c : Lru.stats) =
+  Json.Obj
+    [
+      ("entries", Json.Int c.Lru.entries);
+      ("hits", Json.Int c.Lru.hits);
+      ("misses", Json.Int c.Lru.misses);
+      ("evictions", Json.Int c.Lru.evictions);
+    ]
+
 let stats_response t ?id () =
-  let c = Plan_cache.stats t.cache in
   Protocol.ok_response ?id
     [
       ( "server",
@@ -400,23 +348,8 @@ let stats_response t ?id () =
             ( "uptime_ms",
               Json.Float (ms_of_ns (Int64.sub (Obs.monotonic_ns ()) t.started_ns)) );
           ] );
-      ( "plan_cache",
-        Json.Obj
-          [
-            ("entries", Json.Int c.Plan_cache.entries);
-            ("hits", Json.Int c.Plan_cache.hits);
-            ("misses", Json.Int c.Plan_cache.misses);
-            ("evictions", Json.Int c.Plan_cache.evictions);
-          ] );
-      ( "view_cache",
-        (let v = View_cache.stats t.views in
-         Json.Obj
-           [
-             ("entries", Json.Int v.View_cache.entries);
-             ("hits", Json.Int v.View_cache.hits);
-             ("misses", Json.Int v.View_cache.misses);
-             ("evictions", Json.Int v.View_cache.evictions);
-           ]) );
+      ("plan_cache", cache_json (Lru.stats t.plans));
+      ("view_cache", cache_json (Lru.stats t.views));
       ( "tenants",
         Json.List
           (List.map
@@ -436,55 +369,25 @@ let stats_response t ?id () =
 let respond t payload =
   Obs.span "serve.request" @@ fun () ->
   Obs.incr t.requests;
-  let malformed msg =
-    Obs.incr t.errors;
-    Obs.add_field_str "status" "malformed";
-    Protocol.error_response Protocol.Malformed msg
-  in
-  match Json.parse payload with
-  | Error msg -> malformed msg
-  | Ok j -> (
-      match Protocol.request_of_json j with
-      | Error msg -> malformed msg
-      | Ok (Protocol.Ping { id }) ->
-          Obs.add_field_str "status" "ok";
-          Protocol.ok_response ?id [ ("pong", Json.Bool true) ]
-      | Ok (Protocol.Stats { id }) ->
-          Obs.add_field_str "status" "ok";
-          stats_response t ?id ()
-      | Ok (Protocol.Eval e) ->
-          if stopping t then begin
-            Obs.incr t.errors;
-            Protocol.error_response ?id:e.id Protocol.Shutting_down
-              "server is shutting down; no new evaluations"
-          end
-          else
-            handle_eval t ?id:e.id ~tenant:e.tenant ~program:e.program ~edb:e.edb
-              ~pipeline:e.pipeline ~domain:e.domain ~max_iterations:e.max_iterations
-              ~max_derivations:e.max_derivations ()
-      | Ok (Protocol.Materialize m) ->
-          if stopping t then begin
-            Obs.incr t.errors;
-            Protocol.error_response ?id:m.id Protocol.Shutting_down
-              "server is shutting down; no new evaluations"
-          end
-          else
-            handle_materialize t ?id:m.id ~tenant:m.tenant ~view:m.view ~program:m.program
-              ~edb:m.edb ~pipeline:m.pipeline ~domain:m.domain ~max_iterations:m.max_iterations
-              ~max_derivations:m.max_derivations ()
-      | Ok (Protocol.Update u) ->
-          if stopping t then begin
-            Obs.incr t.errors;
-            Protocol.error_response ?id:u.id Protocol.Shutting_down
-              "server is shutting down; no new evaluations"
-          end
-          else
-            handle_update t ?id:u.id ~tenant:u.tenant ~view:u.view ~retract:u.retract
-              ~facts:u.facts ~max_iterations:u.max_iterations
-              ~max_derivations:u.max_derivations ()
-      | Ok (Protocol.Query q) ->
-          (* read-only and cheap: allowed even while draining *)
-          handle_query t ?id:q.id ~tenant:q.tenant ~view:q.view ())
+  match Result.bind (Json.parse payload) Protocol.request_of_json with
+  | Error msg -> error t Protocol.Malformed msg
+  | Ok (Protocol.Ping { id }) ->
+      Obs.add_field_str "status" "ok";
+      Protocol.ok_response ?id [ ("pong", Json.Bool true) ]
+  | Ok (Protocol.Stats { id }) ->
+      Obs.add_field_str "status" "ok";
+      stats_response t ?id ()
+  | Ok (Protocol.Eval { id; _ } | Protocol.Update { id; _ }) when stopping t ->
+      (* a query is read-only and cheap: it stays allowed while draining *)
+      error t ?id Protocol.Shutting_down "server is shutting down; no new evaluations"
+  | Ok (Protocol.Eval e) ->
+      handle_eval t ?id:e.id ~tenant:e.tenant ~view:e.view ~program:e.program ~edb:e.edb
+        ~pipeline:e.pipeline ~domain:e.domain ~max_iterations:e.max_iterations
+        ~max_derivations:e.max_derivations ()
+  | Ok (Protocol.Update u) ->
+      handle_update t ?id:u.id ~tenant:u.tenant ~view:u.view ~retract:u.retract ~facts:u.facts
+        ~max_iterations:u.max_iterations ~max_derivations:u.max_derivations ()
+  | Ok (Protocol.Query q) -> handle_query t ?id:q.id ~tenant:q.tenant ~view:q.view ()
 
 (* ----- connection plumbing ----- *)
 
@@ -600,7 +503,7 @@ let start config =
       (* [workers] domains run connection jobs; the accept domain only
          submits, so it is not counted as a pool worker *)
       pool = Pool.create ~jobs:(max 1 config.workers + 1);
-      cache = Plan_cache.create ~max_entries:config.plan_cache_entries;
+      plans = Lru.create ~name:"serve.plan_cache" ~max_entries:config.plan_cache_entries;
       views = View_cache.create ~max_entries:config.view_cache_entries;
       adm = Admission.create config.limits;
       stop_flag = Atomic.make false;

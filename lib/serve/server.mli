@@ -15,15 +15,16 @@
        ({!Protocol}).  CQL syntax errors come back as structured
        [parse_error] responses carrying the parser's token/position
        message; malformed frames and JSON come back as [malformed].}
-    {- Compiled plans (the constraint-pushing rewrite of a program) are
-       interned in a {!Plan_cache} keyed by source digest: a warm repeat
-       query skips the rewrite pipeline entirely, observable through the
-       [serve.plan_cache.hits] counter and the response's ["cache"] field.}
-    {- [materialize] keeps the evaluated program alive as an incremental
-       view ({!Cql_eval.Engine.materialize}) in a {!View_cache} keyed by
-       tenant and view name, alongside the plan cache; [insert]/[retract]
-       then maintain its fixpoint in place and answer with the updated
-       query answers, and [query] reads it without evaluating anything.}
+    {- [eval] and [materialize] take one path: admission, parse, a
+       {!Plan_cache.plan} looked up by source digest in an {!Lru} (a warm
+       repeat query skips the rewrite pipeline entirely, observable through
+       the [serve.plan_cache.hits] counter and the response's ["cache"]
+       field), then one semi-naive fixpoint.  Only its end differs: [eval]
+       answers with the run's statistics, [materialize] keeps the result
+       alive as an incremental view ({!Cql_eval.Engine.materialize}) in the
+       {!View_cache}, keyed by tenant and view name; [insert]/[retract] then
+       maintain its fixpoint in place and answer with the updated query
+       answers, and [query] reads it without evaluating anything.}
     {- {!Admission} rejects oversized programs, over-parallel tenants and
        over-budget requests before any work happens; admitted requests run
        under the engine's derivation/iteration budgets and a run that is
@@ -38,7 +39,10 @@
     Shutdown ({!stop}, or SIGTERM/SIGINT in the daemon binary) stops
     accepting, lets every connection finish the requests already submitted
     (idle connections are closed at the next quiet moment), then joins the
-    workers.  In-flight evaluations always get their responses. *)
+    workers.  In-flight evaluations always get their responses; a new
+    eval, materialize, insert or retract arriving while the server drains
+    is answered [shutting_down], while [query], [ping] and [stats] are
+    still served. *)
 
 type config = {
   socket_path : string;
@@ -73,6 +77,18 @@ val wait : t -> unit
     this to return. *)
 
 val connections_served : t -> int
+
+val rewrite :
+  pipeline:string ->
+  Cql_datalog.Program.t ->
+  (string * Cql_datalog.Program.t, Protocol.error_kind * string) result
+(** The rewrite a request's [pipeline] names: ["none"] (the program as
+    written), ["pred,qrp"] ({!Cql_core.Rewrite.constraint_rewrite}) or
+    ["optimal"] ({!Cql_core.Rewrite.optimal} under the all-free adornment).
+    A program without a query predicate has nothing to push and runs as
+    ["none"] whatever the pipeline.  Returns the pipeline applied and the
+    program to evaluate; an unknown pipeline is [Malformed], a rewrite that
+    rejects the program [Internal]. *)
 
 (** {1 Request handling} — exposed for tests; the daemon drives it through
     the socket. *)

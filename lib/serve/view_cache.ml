@@ -1,119 +1,37 @@
-module Obs = Cql_obs.Obs
 module Engine = Cql_eval.Engine
 
 type entry = {
   view : Engine.view;
   vm : Mutex.t;  (* serializes maintenance on this one view *)
-  mutable last_used : int;
 }
 
-type t = {
-  m : Mutex.t;
-  table : (string, entry) Hashtbl.t;
-  max_entries : int;
-  mutable tick : int;
-}
+type t = entry Lru.t
 
-let hits = Obs.counter "serve.view_cache.hits"
-let misses = Obs.counter "serve.view_cache.misses"
-let evictions = Obs.counter "serve.view_cache.evictions"
-
-let create ~max_entries =
-  { m = Mutex.create (); table = Hashtbl.create 16; max_entries = max 1 max_entries; tick = 0 }
+let create ~max_entries = Lru.create ~name:"serve.view_cache" ~max_entries
 
 (* views are tenant-scoped; '\x00' cannot occur in either component *)
 let key ~tenant ~view = tenant ^ "\x00" ^ view
-
-let locked t f =
-  Mutex.lock t.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
 (* Close after the entry is unreachable from the table, waiting on its
    mutex so an in-flight maintenance op finishes first.  [close_view] on a
    view another thread already closed raises; swallow it — the pool is
    released either way. *)
 let close_entry e =
-  Mutex.lock e.vm;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock e.vm)
-    (fun () -> try Engine.close_view e.view with Invalid_argument _ -> ())
-
-let evict_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun k e acc ->
-        match acc with
-        | Some (_, _, best) when best <= e.last_used -> acc
-        | _ -> Some (k, e, e.last_used))
-      t.table None
-  in
-  match victim with
-  | Some (k, e, _) ->
-      Hashtbl.remove t.table k;
-      Obs.incr evictions;
-      Some e
-  | None -> None
+  Mutex.protect e.vm (fun () -> try Engine.close_view e.view with Invalid_argument _ -> ())
 
 let add t ~tenant ~view:name view =
-  let k = key ~tenant ~view:name in
-  let displaced =
-    locked t (fun () ->
-        let replaced = Hashtbl.find_opt t.table k in
-        if replaced <> None then Hashtbl.remove t.table k;
-        let evicted =
-          if Hashtbl.length t.table >= t.max_entries then evict_lru t else None
-        in
-        t.tick <- t.tick + 1;
-        Hashtbl.add t.table k { view; vm = Mutex.create (); last_used = t.tick };
-        List.filter_map Fun.id [ replaced; evicted ])
-  in
-  List.iter close_entry displaced
+  List.iter close_entry (Lru.add t (key ~tenant ~view:name) { view; vm = Mutex.create () })
 
 (* Look up under the table lock, then run [f] holding only the per-view
    mutex, so concurrent requests on other views (and cache lookups) are
    never blocked behind one view's maintenance round. *)
 let with_view t ~tenant ~view:name f =
-  let k = key ~tenant ~view:name in
-  let entry =
-    locked t (fun () ->
-        match Hashtbl.find_opt t.table k with
-        | Some e ->
-            t.tick <- t.tick + 1;
-            e.last_used <- t.tick;
-            Obs.incr hits;
-            Some e
-        | None ->
-            Obs.incr misses;
-            None)
-  in
-  match entry with
-  | None -> None
-  | Some e ->
-      Mutex.lock e.vm;
-      Some (Fun.protect ~finally:(fun () -> Mutex.unlock e.vm) (fun () -> f e.view))
+  Lru.find t (key ~tenant ~view:name)
+  |> Option.map (fun e -> Mutex.protect e.vm (fun () -> f e.view))
 
 let remove t ~tenant ~view:name =
-  let k = key ~tenant ~view:name in
-  match locked t (fun () ->
-      match Hashtbl.find_opt t.table k with
-      | Some e ->
-          Hashtbl.remove t.table k;
-          Some e
-      | None -> None)
-  with
+  match Lru.remove t (key ~tenant ~view:name) with
   | Some e ->
       close_entry e;
       true
   | None -> false
-
-let size t = locked t (fun () -> Hashtbl.length t.table)
-
-type stats = { entries : int; hits : int; misses : int; evictions : int }
-
-let stats t =
-  {
-    entries = size t;
-    hits = Obs.value hits;
-    misses = Obs.value misses;
-    evictions = Obs.value evictions;
-  }

@@ -1,5 +1,6 @@
-(** LRU cache of live materialized views ({!Cql_eval.Engine.view}), keyed by
-    tenant and view name — the incremental sibling of {!Plan_cache}.
+(** Live materialized views ({!Cql_eval.Engine.view}), keyed by tenant and
+    view name in an {!Lru} named [serve.view_cache] — the incremental
+    sibling of the plan cache.
 
     Unlike compiled plans, views are stateful and must be maintained under a
     lock: each entry carries its own mutex, and {!with_view} runs the caller
@@ -9,13 +10,13 @@
     ({!Cql_eval.Engine.close_view}), after waiting for any in-flight
     operation on it.
 
-    Hits/misses/evictions are lib/obs counters ([serve.view_cache.*]) and
-    appear in [stats] responses like the plan cache's. *)
+    Hits/misses/evictions are the {!Lru}'s counters ([serve.view_cache.*])
+    and appear in [stats] responses like the plan cache's. *)
 
-type t
+type entry
+type t = entry Lru.t
 
 val create : max_entries:int -> t
-val key : tenant:string -> view:string -> string
 
 val add : t -> tenant:string -> view:string -> Cql_eval.Engine.view -> unit
 (** Insert (or replace) the named view; closes the replaced view and, at
@@ -28,9 +29,3 @@ val with_view : t -> tenant:string -> view:string -> (Cql_eval.Engine.view -> 'a
 val remove : t -> tenant:string -> view:string -> bool
 (** Drop and close the named view (e.g. after a maintenance round was
     truncated by its budget); [false] when absent. *)
-
-val size : t -> int
-
-type stats = { entries : int; hits : int; misses : int; evictions : int }
-
-val stats : t -> stats

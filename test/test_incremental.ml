@@ -146,6 +146,20 @@ let test_retract_cover_resurrects () =
     (List.exists (fun f -> Fact.compare f narrow = 0) (Engine.view_facts_of vw "p"));
   Engine.close_view vw
 
+(* a fact covered by a later insert and resurrected by its retraction
+   keeps exactly the firings it had: re-deriving it must not add a second
+   copy of a firing that is still live, or its support would count double *)
+let test_resurrected_keeps_firings () =
+  let p = parse "q(X) :- p(X), X <= 5. #query q." in
+  let vw, _ = Engine.materialize p ~edb:(edb_of "p(X; X >= 1, X <= 3).") in
+  let wide = edb_of "p(X; X >= 0, X <= 10)." in
+  ignore (Engine.insert vw wide);
+  check_against_scratch ~msg:"cover inserted" vw;
+  let st = Engine.retract vw wide in
+  check_bool "resurrected" true (st.Engine.m_resurrected > 0);
+  check_against_scratch ~msg:"cover retracted" vw;
+  Engine.close_view vw
+
 (* retracting the last external support of a cyclically-derived fact must
    delete the whole cycle: p and q support each other, so counts alone
    would keep them alive *)
@@ -276,6 +290,8 @@ let () =
             test_retract_subsumed_by_survivor;
           Alcotest.test_case "retracting the cover resurrects" `Quick
             test_retract_cover_resurrects;
+          Alcotest.test_case "a resurrected fact keeps its firings" `Quick
+            test_resurrected_keeps_firings;
           Alcotest.test_case "cyclic last support" `Quick test_retract_cyclic_last_support;
           Alcotest.test_case "cyclic with second support" `Quick
             test_retract_cyclic_second_support;

@@ -5,6 +5,7 @@
 module Json = Cql_serve.Json
 module Protocol = Cql_serve.Protocol
 module Plan_cache = Cql_serve.Plan_cache
+module Lru = Cql_serve.Lru
 module Admission = Cql_serve.Admission
 module Server = Cql_serve.Server
 module Client = Cql_serve.Client
@@ -180,6 +181,7 @@ let test_request_of_json () =
       check_str "default tenant" "anon" e.tenant;
       check_str "default pipeline" "pred,qrp" e.pipeline;
       check_str "program" "p(1)." e.program;
+      check_bool "no view" true (e.view = None);
       check_bool "no budgets" true (e.max_iterations = None && e.max_derivations = None)
   | _ -> Alcotest.fail "eval defaults");
   (match decode {|{"op": "eval", "program": "p.", "max_derivations": 9, "id": "r1"}|} with
@@ -192,8 +194,8 @@ let test_request_of_json () =
   check_bool "missing program rejected" true (Result.is_error (decode {|{"op": "eval"}|}));
   check_bool "non-object rejected" true (Result.is_error (decode "[1]"));
   (match decode {|{"op": "materialize", "view": "v", "program": "p(1).", "tenant": "a"}|} with
-  | Ok (Protocol.Materialize m) ->
-      check_str "view name" "v" m.view;
+  | Ok (Protocol.Eval m) ->
+      Alcotest.(check (option string)) "view name" (Some "v") m.view;
       check_str "materialize tenant" "a" m.tenant;
       check_str "materialize pipeline default" "pred,qrp" m.pipeline
   | _ -> Alcotest.fail "materialize decoding");
@@ -223,7 +225,8 @@ let test_request_of_json () =
   | Ok (Protocol.Eval e) -> check_bool "int domain" true (e.domain = Cql_constr.Cdomain.Z)
   | _ -> Alcotest.fail "eval int domain");
   (match decode {|{"op": "materialize", "view": "v", "program": "p(1).", "domain": "rat"}|} with
-  | Ok (Protocol.Materialize m) ->
+  | Ok (Protocol.Eval m) ->
+      Alcotest.(check (option string)) "materialize view" (Some "v") m.view;
       check_bool "materialize rat domain" true (m.domain = Cql_constr.Cdomain.Q)
   | _ -> Alcotest.fail "materialize domain");
   check_bool "unknown domain rejected" true
@@ -240,7 +243,7 @@ let test_request_of_json () =
   | Ok (Protocol.Eval e) -> check_bool "builder roundtrip" true (e.domain = Cql_constr.Cdomain.Z)
   | _ -> Alcotest.fail "builder roundtrip"
 
-(* ----- plan cache ----- *)
+(* ----- plan cache (an Lru of plans) ----- *)
 
 let dummy_plan pipeline =
   let program = Cql_datalog.Parser.program_of_string "p(1)." in
@@ -253,7 +256,7 @@ let dummy_plan pipeline =
   }
 
 let test_plan_cache_lru () =
-  let c = Plan_cache.create ~max_entries:2 in
+  let c = Lru.create ~name:"serve.plan_cache" ~max_entries:2 in
   let k p = Plan_cache.key ~pipeline:"none" ~domain:Cql_constr.Cdomain.Q ~source:p in
   check_bool "distinct sources, distinct keys" true (k "a" <> k "b");
   check_bool "pipeline part of the key" true
@@ -262,21 +265,40 @@ let test_plan_cache_lru () =
   check_bool "domain part of the key" true
     (Plan_cache.key ~pipeline:"none" ~domain:Cql_constr.Cdomain.Q ~source:"a"
     <> Plan_cache.key ~pipeline:"none" ~domain:Cql_constr.Cdomain.Z ~source:"a");
-  let s0 = Plan_cache.stats c in
-  check_bool "cold miss" true (Plan_cache.find c (k "a") = None);
-  Plan_cache.add c (k "a") (dummy_plan "none");
-  check_bool "hit after add" true (Plan_cache.find c (k "a") <> None);
-  Plan_cache.add c (k "b") (dummy_plan "none");
+  let s0 = Lru.stats c in
+  check_bool "cold miss" true (Lru.find c (k "a") = None);
+  check_bool "a fresh key displaces nothing" true (Lru.add c (k "a") (dummy_plan "none") = []);
+  check_bool "hit after add" true (Lru.find c (k "a") <> None);
+  let b = dummy_plan "none" in
+  ignore (Lru.add c (k "b") b);
   (* touch a so b is the least recently used *)
-  ignore (Plan_cache.find c (k "a"));
-  Plan_cache.add c (k "c") (dummy_plan "none");
-  check_int "capacity held" 2 (Plan_cache.size c);
-  check_bool "LRU entry evicted" true (Plan_cache.find c (k "b") = None);
-  check_bool "recently used entry kept" true (Plan_cache.find c (k "a") <> None);
-  let s1 = Plan_cache.stats c in
-  check_int "evictions counted" 1 (s1.Plan_cache.evictions - s0.Plan_cache.evictions);
-  check_int "hits counted" 3 (s1.Plan_cache.hits - s0.Plan_cache.hits);
-  check_int "misses counted" 2 (s1.Plan_cache.misses - s0.Plan_cache.misses)
+  ignore (Lru.find c (k "a"));
+  let evicted = Lru.add c (k "c") (dummy_plan "none") in
+  check_int "capacity held" 2 (Lru.size c);
+  check_bool "LRU entry evicted" true (Lru.find c (k "b") = None);
+  check_bool "recently used entry kept" true (Lru.find c (k "a") <> None);
+  let s1 = Lru.stats c in
+  check_int "evictions counted" 1 (s1.Lru.evictions - s0.Lru.evictions);
+  check_int "hits counted" 3 (s1.Lru.hits - s0.Lru.hits);
+  check_int "misses counted" 2 (s1.Lru.misses - s0.Lru.misses);
+  (* the displaced values come back, so a cache of live views can close them *)
+  check_bool "add hands back the evicted value" true
+    (match evicted with [ v ] -> v == b | _ -> false);
+  let c1 = dummy_plan "optimal" in
+  let c2 = dummy_plan "optimal" in
+  ignore (Lru.add c (k "c") c1);
+  check_bool "add hands back the replaced value" true
+    (match Lru.add c (k "c") c2 with [ v ] -> v == c1 | _ -> false);
+  check_bool "the later insert wins" true
+    (match Lru.find c (k "c") with Some v -> v == c2 | None -> false);
+  check_int "replacing is not evicting" 2 (Lru.size c);
+  check_bool "remove hands back the value" true
+    (match Lru.remove c (k "c") with Some v -> v == c2 | None -> false);
+  check_bool "removed entry gone" true (Lru.find c (k "c") = None);
+  check_bool "removing an absent key" true (Lru.remove c (k "c") = None);
+  check_int "remove shrinks" 1 (Lru.size c);
+  check_int "neither replacing nor removing counts an eviction" 1
+    ((Lru.stats c).Lru.evictions - s0.Lru.evictions)
 
 (* ----- admission control ----- *)
 
@@ -595,6 +617,54 @@ let test_server_concurrent_clients () =
             (List.for_all Fun.id (Domain.join d)))
         domains)
 
+(* The wire as every client sees it: request bytes, reply key orders and
+   budget messages.  Eval and materialize share a request record, its
+   encoder and a handler, so only pinned values catch a change made to
+   both sides at once. *)
+let test_server_wire () =
+  let program = "q(X) :- b(X). #query q." in
+  check_str "materialize request bytes"
+    {|{"id": "r1", "max_derivations": 9, "max_iterations": 3, "domain": "int", "pipeline": "optimal", "edb": "b(1).", "tenant": "t", "op": "materialize", "view": "v", "program": "q(X) :- b(X). #query q."}|}
+    (Json.to_string
+       (Protocol.eval_request_json ~id:"r1" ~tenant:"t" ~view:"v" ~edb:"b(1)." ~pipeline:"optimal"
+          ~domain:Cql_constr.Cdomain.Z ~max_iterations:3 ~max_derivations:9 ~program ()));
+  check_str "eval request bytes"
+    {|{"id": "r1", "max_derivations": 9, "max_iterations": 3, "domain": "int", "pipeline": "optimal", "edb": "b(1).", "tenant": "t", "op": "eval", "program": "q(X) :- b(X). #query q."}|}
+    (Json.to_string
+       (Protocol.eval_request_json ~id:"r1" ~tenant:"t" ~edb:"b(1)." ~pipeline:"optimal"
+          ~domain:Cql_constr.Cdomain.Z ~max_iterations:3 ~max_derivations:9 ~program ()));
+  with_server "wire" (fun _ t ->
+      let program = "q(X) :- b(X), X <= 3. #query q." in
+      let respond ?view ?max_derivations () =
+        Server.respond t
+          (Json.to_string
+             (Protocol.eval_request_json ?view ?max_derivations ~edb:"b(1). b(5)." ~program ()))
+      in
+      let keys = function Json.Obj kvs -> String.concat "," (List.map fst kvs) | _ -> "" in
+      let message = Alcotest.(check (option string)) in
+      let r = respond () in
+      check_str "eval reply keys"
+        "status,tenant,cache,pipeline,domain,query,answers,stats,rewrite_ms,eval_ms" (keys r);
+      check_bool "eval answers" true (Client.answers r = [ "q(1)" ]);
+      let r = respond ~view:"v" () in
+      check_str "materialize reply keys"
+        "status,tenant,view,cache,pipeline,domain,query,answers,facts,maintain,rewrite_ms,eval_ms"
+        (keys r);
+      check_bool "materialize answers" true (Client.answers r = [ "q(1)" ]);
+      message "eval budget message"
+        (Some "evaluation truncated by its budget after 1 iterations / 1 derivations")
+        (Client.error_message (respond ~max_derivations:1 ()));
+      message "materialize budget message"
+        (Some
+           "materialization truncated by its budget after 1 iterations / 1 derivations; the \
+            view was not cached")
+        (Client.error_message (respond ~view:"w" ~max_derivations:1 ()));
+      let r = Server.respond t {|{"op": "materialize", "program": "q(1)."}|} in
+      check_bool "materialize without a view is malformed" true
+        (Client.error_kind r = Some "malformed");
+      message "missing view message" (Some {|materialize request is missing "view"|})
+        (Client.error_message r))
+
 (* ----- materialized views over the socket ----- *)
 
 let tc_program = "r1: t(X, Y) :- e(X, Y).\nr2: t(X, Y) :- t(X, Z), e(Z, Y).\n#query t."
@@ -659,6 +729,15 @@ let test_server_view_lifecycle () =
           check_bool "malformed facts" true (Client.error_kind r = Some "parse_error");
           check_bool "view survives the parse error" true
             (Client.is_ok (Result.get_ok (Client.query c ~view:"tc" ())));
+          (* materializing an existing name replaces (and closes) the view *)
+          let r =
+            Result.get_ok
+              (Client.materialize c ~view:"tc" ~pipeline:"none" ~edb:"e(7, 8)."
+                 ~program:tc_program ())
+          in
+          check_bool "re-materialize ok" true (Client.is_ok r);
+          check_bool "query reads the replacement" true
+            (Client.answers (Result.get_ok (Client.query c ~view:"tc" ())) = [ "t(7, 8)" ]);
           (* the view cache shows up in stats *)
           let s = Result.get_ok (Client.stats c) in
           match Json.member "view_cache" s with
@@ -793,6 +872,7 @@ let () =
           Alcotest.test_case "oversized frame" `Quick test_server_oversized_frame;
           Alcotest.test_case "shutdown drains in-flight" `Quick test_server_shutdown_drains;
           Alcotest.test_case "concurrent clients" `Quick test_server_concurrent_clients;
+          Alcotest.test_case "wire format pinned" `Quick test_server_wire;
         ] );
       ( "views",
         [
