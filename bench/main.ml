@@ -5,7 +5,7 @@
    paper-vs-measured record):
 
      table1 table2 fig1 fig2 ex41 ex51 ex43 ex44 ex61 d1 d2 optimal
-     ablation-disjuncts ablation-single ablation-stratified bound
+     ablation-disjuncts ablation-single bound
      fuzz compiled incremental int serve
 
    Usage:
@@ -516,25 +516,6 @@ let run_ablation_single () =
     (List.length single.Program.rules);
   measured "single-disjunct computes at least as many facts: %b" (ns >= nf)
 
-(* ----- engine ablation: stratified evaluation ----- *)
-
-let run_ablation_stratified () =
-  header "ABLATION (engine): SCC-stratified vs whole-program semi-naive";
-  paper "(implementation ablation; no paper counterpart -- same facts, fewer wasted combinations)";
-  let p = parse flights_src in
-  let p', _ = Rewrite.constraint_rewrite p in
-  Printf.printf "  %-10s %18s %18s %8s\n" "cities" "plain derivs" "stratified derivs" "equal?";
-  List.iter
-    (fun m ->
-      let edb = singleleg_edb (200 + m) m in
-      let r1 = Engine.run ~max_iterations:30 p' ~edb in
-      let r2 = Engine.run_stratified ~max_iterations:30 p' ~edb in
-      let c1 = Engine.total_idb_facts r1 ~edb and c2 = Engine.total_idb_facts r2 ~edb in
-      Printf.printf "  %-10d %18d %18d %8b\n" m (Engine.stats r1).Engine.derivations
-        (Engine.stats r2).Engine.derivations (c1 = c2))
-    [ 6; 10; 14 ];
-  measured "identical fact sets; stratified never does more derivations"
-
 (* ----- Theorem 5.1 bound sweep ----- *)
 
 let run_bound () =
@@ -704,7 +685,7 @@ let incremental () =
     let res = Engine.run ~max_iterations ~max_derivations p ~edb in
     if not (Engine.stats res).Engine.reached_fixpoint then
       failwith "incremental: from-scratch run truncated (raise the budgets)";
-    List.sort Fact.compare (Engine.answers res p)
+    Engine.answers res p
   in
   let (vw, ms0), materialize_ms =
     time_ms (fun () -> Engine.materialize ~max_iterations ~max_derivations p ~edb)
@@ -858,8 +839,7 @@ let int_workload (name, src, edb_src, points) =
     in
     let res, eval_ms = time_ms (fun () -> Engine.run p ~edb) in
     let res', eval_rw_ms = time_ms (fun () -> Engine.run p' ~edb) in
-    let answers r pr = List.sort Fact.compare (Engine.answers r pr) in
-    let n_answers = List.length (answers res p) and facts = Engine.total_facts res' in
+    let n_answers = List.length (Engine.answers res p) and facts = Engine.total_facts res' in
     let line =
       Printf.sprintf "  %s: rewrite=%.2fms eval=%.2fms eval(rw)=%.2fms answers=%d facts=%d"
         (Cdomain.to_string d) rewrite_ms eval_ms eval_rw_ms n_answers facts
@@ -873,7 +853,7 @@ let int_workload (name, src, edb_src, points) =
         ("facts", J.Int facts);
       ]
     in
-    (answers res p, answers res' p', line, row)
+    (Engine.answers res p, Engine.answers res' p', line, row)
   in
   let expected = List.length (List.filter snd points) in
   let _, _, rat_line, rat = run_domain Cdomain.Q in
@@ -1362,7 +1342,6 @@ let experiments =
     ("optimal", run_optimal);
     ("ablation-disjuncts", run_ablation_disjuncts);
     ("ablation-single", run_ablation_single);
-    ("ablation-stratified", run_ablation_stratified);
     ("bound", run_bound);
     ("fuzz", run_fuzz);
     ("compiled", run_compiled);

@@ -195,8 +195,7 @@ let rewrite_cmd =
 (* ----- eval ----- *)
 
 let eval_cmd =
-  let run path edb_path domain max_iterations max_derivations traced naive explain stratified
-      tracing =
+  let run path edb_path domain max_iterations max_derivations traced explain tracing =
     apply_domain domain;
     Tracing.traced tracing @@ fun () ->
     match read_program path with
@@ -211,11 +210,10 @@ let eval_cmd =
         | Ok edb -> (
             let max_iterations = if max_iterations = 0 then None else Some max_iterations in
             let max_derivations = if max_derivations = 0 then None else Some max_derivations in
+            (* derivation trees are read from the trace *)
             match
-              if naive then Cql_eval.Engine.run_naive ?max_iterations ?max_derivations p ~edb
-              else if stratified then
-                Cql_eval.Engine.run_stratified ?max_iterations ?max_derivations p ~edb
-              else Cql_eval.Engine.run ?max_iterations ?max_derivations ~traced p ~edb
+              Cql_eval.Engine.run ?max_iterations ?max_derivations ~traced:(traced || explain) p
+                ~edb
             with
             | exception Cql_eval.Engine.Arity_mismatch msg ->
                 prerr_endline ("edb: " ^ msg);
@@ -245,9 +243,7 @@ let eval_cmd =
                           match Cql_eval.Explain.tree res f with
                           | Some t -> print_string (Cql_eval.Explain.to_string t)
                           | None -> ())
-                      (* sorted (predicate, then canonical fact order) so output
-                         diffs cleanly across runs *)
-                      (List.sort Cql_eval.Fact.compare (Cql_eval.Engine.facts_of res q))
+                      (Cql_eval.Engine.answers res p)
                 | None -> ());
                 0))
   in
@@ -263,16 +259,12 @@ let eval_cmd =
            ~doc:"Stop after N derivations (0 = unlimited)")
   in
   let traced = Arg.(value & flag & info [ "trace" ] ~doc:"Print every derivation") in
-  let naive = Arg.(value & flag & info [ "naive" ] ~doc:"Naive instead of semi-naive") in
   let explain =
     Arg.(value & flag & info [ "explain" ] ~doc:"Print a derivation tree for each answer")
   in
-  let stratified =
-    Arg.(value & flag & info [ "stratified" ] ~doc:"Evaluate SCC by SCC (callees first)")
-  in
   let term =
     Term.(const run $ program_arg $ edb $ domain_arg $ max_iterations $ max_derivations
-          $ traced $ naive $ explain $ stratified $ Tracing.term)
+          $ traced $ explain $ Tracing.term)
   in
   Cmd.v (Cmd.info "eval" ~doc:"Bottom-up evaluation of a CQL program") term
 

@@ -42,17 +42,16 @@ let help_text =
 let print_err msg = Printf.printf "error: %s\n%!" msg
 
 let eval_query st (lits, cstr) =
-  let p, q = Program.with_query_rule st.program lits cstr in
+  let p, _ = Program.with_query_rule st.program lits cstr in
   match Program.check p with
   | Error msg -> print_err msg
   | Ok () ->
+      (* derivation trees are read from the trace *)
       let res =
         Cql_eval.Engine.run ~max_iterations:st.max_iterations
-          ~max_derivations:st.max_derivations p ~edb:[]
+          ~max_derivations:st.max_derivations ~traced:st.explain p ~edb:[]
       in
-      (* deterministic order (predicate, then canonical fact compare) so
-         output diffs cleanly regardless of derivation interleaving *)
-      let answers = List.sort Cql_eval.Fact.compare (Cql_eval.Engine.facts_of res q) in
+      let answers = Cql_eval.Engine.answers res p in
       let stats = Cql_eval.Engine.stats res in
       if answers = [] then
         Printf.printf "no%s\n"

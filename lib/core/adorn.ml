@@ -15,9 +15,6 @@ let split_adorned name =
         Some (base, ad)
       else None
 
-let all_free n = String.make n 'f'
-let all_bound n = String.make n 'b'
-
 let bound_args ad args =
   if String.length ad <> List.length args then
     invalid_arg "Adorn.bound_args: adornment/arity mismatch";

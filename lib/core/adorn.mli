@@ -18,9 +18,6 @@ val adorned_name : string -> adornment -> string
 val split_adorned : string -> (string * adornment) option
 (** Inverse of {!adorned_name} (recognizes a trailing [_b*f*] chunk). *)
 
-val all_free : int -> adornment
-val all_bound : int -> adornment
-
 val bound_args : adornment -> 'a list -> 'a list
 (** Keep the arguments at bound positions.
     @raise Invalid_argument on length mismatch. *)

@@ -50,14 +50,6 @@ let unfold_literal ~defs (r : Rule.t) (lit : Literal.t) : Rule.t list =
           if Conj.is_sat resolvent.Rule.cstr then Some resolvent else None)
     defs
 
-let unfold_pred ~defs ~pred (r : Rule.t) : Rule.t list =
-  let rec go (r : Rule.t) =
-    match List.find_opt (fun (l : Literal.t) -> l.Literal.pred = pred) r.Rule.body with
-    | None -> [ r ]
-    | Some lit -> List.concat_map go (unfold_literal ~defs r lit)
-  in
-  go r
-
 let fold_occurrences ?(check = true) ~primed ~orig cset (r : Rule.t) : Rule.t option =
   let ok = ref true in
   let body =

@@ -22,10 +22,6 @@ val unfold_literal : defs:Rule.t list -> Rule.t -> Literal.t -> Rule.t list
     rules whose heads may unify with [lit]).  Definition rules are renamed
     apart; unsatisfiable resolvents are dropped (Unfolding Step). *)
 
-val unfold_pred : defs:Rule.t list -> pred:string -> Rule.t -> Rule.t list
-(** Unfold every body occurrence of [pred] in the rule (left to right,
-    cascading through all occurrences). *)
-
 val fold_occurrences :
   ?check:bool -> primed:string -> orig:string -> Cset.t -> Rule.t -> Rule.t option
 (** Replace each body occurrence [orig(t̄)] by [primed(t̄)] (Folding Step

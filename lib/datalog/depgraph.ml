@@ -2,11 +2,11 @@ module StringMap = Map.Make (String)
 module StringSet = Set.Make (String)
 
 type t = {
-  edges : StringSet.t StringMap.t; (* p -> body predicates of rules defining p *)
   scc_id : int StringMap.t;
   scc_list : string list list; (* reverse topological: callees first *)
 }
 
+(* p -> body predicates of rules defining p *)
 let build_edges (p : Program.t) =
   List.fold_left
     (fun acc (r : Rule.t) ->
@@ -74,12 +74,8 @@ let of_program p =
       (0, StringMap.empty) scc_list
     |> snd
   in
-  { edges; scc_id; scc_list }
+  { scc_id; scc_list }
 
-let depends g v =
-  match StringMap.find_opt v g.edges with Some s -> StringSet.elements s | None -> []
-
-let sccs g = g.scc_list
 let sccs_top_down g = List.rev g.scc_list
 
 let same_scc g a b =
@@ -88,8 +84,3 @@ let same_scc g a b =
   | _ -> false
 
 let recursive_with = same_scc
-
-let scc_of g v =
-  match StringMap.find_opt v g.scc_id with
-  | None -> [ v ]
-  | Some i -> List.nth g.scc_list i

@@ -11,13 +11,6 @@ val of_program : Program.t -> t
 (** Graph with an edge [p -> q] whenever [q] occurs in the body of a rule
     defining [p]. *)
 
-val depends : t -> string -> string list
-(** Direct dependencies of a predicate (body predicates of its rules). *)
-
-val sccs : t -> string list list
-(** Strongly connected components in *reverse* topological order: callees
-    before callers, so the query predicate's SCC comes last. *)
-
 val sccs_top_down : t -> string list list
 (** SCCs with the query SCC first — the order [Ground_Fold_Unfold]
     iterates in. *)
@@ -27,5 +20,3 @@ val same_scc : t -> string -> string -> bool
 
 val recursive_with : t -> string -> string -> bool
 (** [recursive_with g p q] iff [p] and [q] are in the same SCC. *)
-
-val scc_of : t -> string -> string list

@@ -23,7 +23,6 @@ let apply s r =
 
 let rename_apart r = apply (Subst.renaming_of (vars r) ~suffix:"") r
 
-let add_constraint c r = { r with cstr = Conj.and_ r.cstr c }
 let relabel label r = { r with label }
 
 (* Head variables may also be grounded through equality constraints, e.g.

@@ -28,8 +28,6 @@ val apply : Subst.t -> t -> t
 val rename_apart : t -> t
 (** Rename all variables of the rule to globally fresh ones. *)
 
-val add_constraint : Conj.t -> t -> t
-
 val relabel : string -> t -> t
 
 val grounded_vars : t -> Var.Set.t

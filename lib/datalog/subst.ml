@@ -83,7 +83,6 @@ let lookup_of s v = resolve s (Term.V v)
 
 let apply_term s t = resolve s t
 let apply_literal s l = apply_literal_env ~lookup:(lookup_of s) l
-let apply_linexpr s e = apply_linexpr_env ~lookup:(lookup_of s) e
 let apply_conj s c = apply_conj_env ~lookup:(lookup_of s) c
 
 (* union-find style flat unification: bind the representative var *)

@@ -29,9 +29,6 @@ val resolve : t -> Term.t -> Term.t
 val apply_term : t -> Term.t -> Term.t
 val apply_literal : t -> Literal.t -> Literal.t
 
-val apply_linexpr : t -> Linexpr.t -> Linexpr.t
-(** @raise Type_error when a variable is bound to a symbolic constant. *)
-
 val apply_conj : t -> Conj.t -> Conj.t
 (** @raise Type_error when a variable is bound to a symbolic constant. *)
 

@@ -4,9 +4,13 @@ module Store = Cql_store.Store
 module Planner = Cql_store.Planner
 module Obs = Cql_obs.Obs
 
-module StringMap = Map.Make (String)
-
-type trace_entry = { iteration : int; rule_label : string; fact : Fact.t; subsumed : bool }
+type trace_entry = {
+  iteration : int;
+  rule_label : string;
+  fact : Fact.t;
+  used : Fact.t list;
+  subsumed : bool;
+}
 
 type stats = {
   iterations : int;
@@ -19,30 +23,29 @@ type stats = {
   subsumptions_avoided : int;
 }
 
-module FactMap = Map.Make (Fact)
-
 type result = {
-  facts : Fact.t list StringMap.t; (* final live facts per predicate, oldest first *)
+  store : Store.t; (* the run's final store *)
   stats : stats;
+  traced : bool;
   trace_rev : trace_entry list;
-  provenance : (string * Fact.t list) FactMap.t;
-      (* first derivation of each fact: rule label + the facts it used *)
 }
 
 let stats r = r.stats
-let trace r = List.rev r.trace_rev
 
-let facts_of r pred = match StringMap.find_opt pred r.facts with None -> [] | Some l -> l
-let all_facts r = StringMap.fold (fun p l acc -> (p, l) :: acc) r.facts []
-let total_facts r = StringMap.fold (fun _ l acc -> acc + List.length l) r.facts 0
+let trace r =
+  if not r.traced then invalid_arg "Engine.trace: the run was not traced";
+  List.rev r.trace_rev
+
+let facts_of r pred = Store.facts r.store pred
+let all_facts r = List.sort (fun (p, _) (q, _) -> String.compare p q) (Store.all_facts r.store)
+let total_facts r = Store.total r.store
 let total_idb_facts r ~edb = total_facts r - List.length edb
 
 let answers r (p : Program.t) =
-  match p.Program.query with None -> [] | Some q -> facts_of r q
+  match p.Program.query with None -> [] | Some q -> List.sort Fact.compare (facts_of r q)
 
-let provenance r f = FactMap.find_opt f r.provenance
-
-let all_ground r = StringMap.for_all (fun _ l -> List.for_all Fact.is_ground l) r.facts
+let all_ground r =
+  List.for_all (fun (_, l) -> List.for_all Fact.is_ground l) (Store.all_facts r.store)
 
 (* ----- EDB admission ----- *)
 
@@ -74,19 +77,49 @@ let check_arities (p : Program.t) facts =
 
 (* ----- rule application ----- *)
 
-(* a bodyless rule fires once, from the empty substitution *)
-let derive_fact_rule (r : Rule.t) = Compile.derive_head_env ~lookup:Term.var r Conj.tt
+(* iteration 0: each bodyless rule fires once, from the empty substitution *)
+let fire_fact_rules (p : Program.t) merge =
+  List.iter
+    (fun (r : Rule.t) ->
+      if Rule.is_fact r then
+        Option.iter
+          (fun f -> ignore (merge 0 (r.Rule.label, f, [])))
+          (Compile.derive_head_env ~lookup:Term.var r Conj.tt))
+    p.Program.rules
 
-(* the compiled (rule, pivot) programs of the body rules, in rule order
-   then plan order — the order every round produces derivations in *)
-let compile_rules ~seminaive rules =
-  List.concat_map
-    (fun r -> List.map (Compile.compile r) (Planner.plans ~seminaive r))
-    rules
-
-type budget = { mutable deriv_left : int }
+(* The budget of one run or one maintenance operation: the last iteration
+   started and the derivations merged so far, against their caps. *)
+type budget = {
+  max_iterations : int option;
+  mutable iterations : int;
+  mutable derivations : int;
+  mutable deriv_left : int;
+}
 
 exception Budget_exhausted
+
+let budget ?max_iterations ?max_derivations () =
+  {
+    max_iterations;
+    iterations = 0;
+    derivations = 0;
+    deriv_left = Option.value max_derivations ~default:max_int;
+  }
+
+(* count one merged derivation; the one that exhausts the budget is counted
+   but its fact is not stored *)
+let spend b =
+  b.derivations <- b.derivations + 1;
+  b.deriv_left <- b.deriv_left - 1;
+  if b.deriv_left <= 0 then raise Budget_exhausted
+
+(* whether [f] ran to completion: [Exit] and [Budget_exhausted] mean a
+   budget cut it short *)
+let completes f =
+  try
+    f ();
+    true
+  with Exit | Budget_exhausted -> false
 
 (* One match/join phase over every compiled plan, returning the
    productions in enumeration order (rule order, then plan order) for the
@@ -103,38 +136,68 @@ let produce_round store codes =
 (* A precompiled plan set for one program: built once (e.g. by the plan
    cache) and reused across runs so warm requests skip both planning and
    compilation.  [cp_for] is compared physically — the artifact only applies
-   to the exact program value it was built from. *)
+   to the exact program value it was built from.  The compiled (rule, pivot)
+   programs come in rule order then plan order. *)
 type compiled = { cp_for : Program.t; cp_codes : Compile.code list }
 
 let ctr_cache_hits = Obs.counter "engine.compile.cache_hits"
 
 let compile_plans (p : Program.t) : compiled =
   let body_rules = List.filter (fun r -> not (Rule.is_fact r)) p.Program.rules in
-  { cp_for = p; cp_codes = compile_rules ~seminaive:true body_rules }
+  let codes r = List.map (Compile.compile r) (Planner.plans r) in
+  { cp_for = p; cp_codes = List.concat_map codes body_rules }
 
-(* the semi-naive programs for [p]: the precompiled artifact when it was
-   built from this exact program value, else a fresh compilation *)
-let codes_for ?compiled (p : Program.t) body_rules =
+(* the programs for [p]: the precompiled artifact when it was built from
+   this exact program value, else a fresh compilation *)
+let codes_for ?compiled (p : Program.t) =
   match compiled with
   | Some cp when cp.cp_for == p ->
       Obs.incr ctr_cache_hits;
       cp.cp_codes
-  | _ -> compile_rules ~seminaive:true body_rules
+  | _ -> (compile_plans p).cp_codes
 
-let run_loop ~seminaive ?max_iterations ?max_derivations ?(traced = false) ?compiled
-    (p : Program.t) ~(edb : Fact.t list) =
+(* Semi-naive rounds until one adds nothing, shared by runs and views: each
+   round moves the pending partition into the delta, runs every compiled
+   plan and merges the productions in derivation order.  [merge iteration
+   production] spends the budget and returns whether it stored the fact.
+   Raises [Exit] at the iteration cap and [Budget_exhausted] when the
+   derivations run out. *)
+let rounds b store codes merge =
+  let continue_ = ref true in
+  while !continue_ do
+    let iter = b.iterations + 1 in
+    (match b.max_iterations with Some cap when iter > cap -> raise Exit | _ -> ());
+    b.iterations <- iter;
+    continue_ :=
+      Obs.span "engine.iteration" @@ fun () ->
+      Obs.add_field "iteration" iter;
+      Store.advance store;
+      let produced = produce_round store codes in
+      (* [merge] may raise Budget_exhausted mid-round; the span still
+         records (with the fields attached so far) and re-raises *)
+      let added =
+        List.fold_left (fun n prod -> if merge iter prod then n + 1 else n) 0 produced
+      in
+      if Obs.enabled () then begin
+        let n = List.length produced in
+        Obs.add_field "produced" n;
+        Obs.add_field "delta_added" added;
+        Obs.add_field "subsumption_hits" (n - added)
+      end;
+      added > 0
+  done
+
+let run ?jobs:_ ?max_iterations ?max_derivations ?(traced = false) ?compiled (p : Program.t)
+    ~(edb : Fact.t list) =
   Obs.span "engine.run" @@ fun () ->
   check_arities p edb;
   if Obs.enabled () then begin
     Obs.add_field "rules" (List.length p.Program.rules);
-    Obs.add_field "edb_facts" (List.length edb);
-    Obs.add_field_str "mode" (if seminaive then "seminaive" else "naive")
+    Obs.add_field "edb_facts" (List.length edb)
   end;
   let store = Store.create () in
-  let budget = { deriv_left = (match max_derivations with Some n -> n | None -> max_int) } in
-  let provenance = ref FactMap.empty in
+  let b = budget ?max_iterations ?max_derivations () in
   let trace_rev = ref [] in
-  let derivations = ref 0 in
   let facts_added = ref 0 in
   let add_fact f =
     (* back-subsumption: drop stored facts the new fact subsumes; safe for
@@ -142,192 +205,51 @@ let run_loop ~seminaive ?max_iterations ?max_derivations ?(traced = false) ?comp
     Store.add store f;
     incr facts_added
   in
-  let record iter label f subsumed =
-    incr derivations;
-    if traced then trace_rev := { iteration = iter; rule_label = label; fact = f; subsumed } :: !trace_rev;
-    budget.deriv_left <- budget.deriv_left - 1;
-    if budget.deriv_left <= 0 then raise Budget_exhausted
-  in
-  let remember label f used =
-    if not (FactMap.mem f !provenance) then
-      provenance := FactMap.add f (label, used) !provenance
-  in
   (* merge one production in derivation order: subsumed arrivals only count *)
-  let merge iter (label, f, used) =
-    let subsumed = Store.known_subsumes store f in
-    record iter label f subsumed;
-    if not subsumed then begin
-      add_fact f;
-      remember label f used
-    end;
-    subsumed
+  let merge iteration (rule_label, fact, used) =
+    let subsumed = Store.known_subsumes store fact in
+    if traced then trace_rev := { iteration; rule_label; fact; used; subsumed } :: !trace_rev;
+    spend b;
+    if not subsumed then add_fact fact;
+    not subsumed
   in
-  let fact_rules, body_rules = List.partition Rule.is_fact p.Program.rules in
   (* join plans are planned and compiled once per rule, not per iteration;
      a precompiled artifact for this exact program skips both phases *)
-  let codes =
-    if seminaive then codes_for ?compiled p body_rules
-    else compile_rules ~seminaive:false body_rules
+  let codes = codes_for ?compiled p in
+  let fixpoint =
+    completes (fun () ->
+        (* iteration 0: EDB facts (untraced) + fact rules *)
+        List.iter (fun f -> if not (Store.known_subsumes store f) then add_fact f) edb;
+        fire_fact_rules p merge;
+        rounds b store codes merge)
   in
-  let iterations = ref 0 in
-  let fixpoint = ref false in
-  let result () =
-    if Obs.enabled () then begin
-      Obs.add_field "iterations" !iterations;
-      Obs.add_field "derivations" !derivations;
-      Obs.add_field "facts_added" !facts_added;
-      Obs.add_field_str "fixpoint" (string_of_bool !fixpoint)
-    end;
-    let s = Store.stats store in
-    {
-      facts =
-        List.fold_left
-          (fun acc (pred, fs) -> StringMap.add pred fs acc)
-          StringMap.empty (Store.all_facts store);
-      provenance = !provenance;
-      stats =
-        {
-          iterations = !iterations;
-          derivations = !derivations;
-          facts_added = !facts_added;
-          reached_fixpoint = !fixpoint;
-          index_probes = s.Store.indexed_probes;
-          index_hits = s.Store.index_hits;
-          facts_skipped = s.Store.facts_skipped;
-          subsumptions_avoided = s.Store.subsumption_avoided;
-        };
-      trace_rev = !trace_rev;
-    }
-  in
-  try
-    (* iteration 0: EDB facts (untraced) + fact rules *)
-    List.iter
-      (fun f ->
-        if not (Store.known_subsumes store f) then begin
-          add_fact f;
-          remember "edb" f []
-        end)
-      edb;
-    List.iter
-      (fun (r : Rule.t) ->
-        Option.iter (fun f -> ignore (merge 0 (r.Rule.label, f, []))) (derive_fact_rule r))
-      fact_rules;
-    let continue_ = ref true in
-    while !continue_ do
-      let iter = !iterations + 1 in
-      (match max_iterations with Some cap when iter > cap -> raise Exit | _ -> ());
-      iterations := iter;
-      let any_added =
-        Obs.span "engine.iteration" @@ fun () ->
-        Obs.add_field "iteration" iter;
-        Store.advance store;
-        let produced = produce_round store codes in
-        let added = ref 0 and subsumed_hits = ref 0 in
-        (* [record] may raise Budget_exhausted mid-merge; the span still
-           records (with the fields attached so far) and re-raises *)
-        List.iter
-          (fun prod -> if merge iter prod then incr subsumed_hits else incr added)
-          produced;
-        if Obs.enabled () then begin
-          Obs.add_field "produced" (List.length produced);
-          Obs.add_field "delta_added" !added;
-          Obs.add_field "subsumption_hits" !subsumed_hits
-        end;
-        !added > 0
-      in
-      if not any_added then begin
-        fixpoint := true;
-        continue_ := false
-      end
-    done;
-    result ()
-  with Exit | Budget_exhausted -> result ()
-
-let run ?jobs:_ ?max_iterations ?max_derivations ?traced ?compiled p ~edb =
-  run_loop ~seminaive:true ?max_iterations ?max_derivations ?traced ?compiled p ~edb
-
-let run_naive ?max_iterations ?max_derivations p ~edb =
-  run_loop ~seminaive:false ?max_iterations ?max_derivations p ~edb
-
-(* SCC-stratified evaluation: process the predicate dependency graph
-   callees-first, running the semi-naive loop once per stratum with all
-   earlier facts as input.  Same fixpoint; each stratum's rules only ever
-   see fully-computed lower strata, so no wasted re-derivation across strata. *)
-let run_stratified ?max_iterations ?max_derivations (p : Program.t) ~edb =
-  Obs.span "engine.run_stratified" @@ fun () ->
-  check_arities p edb;
-  let g = Depgraph.of_program p in
-  let derived = Program.derived p in
-  let sccs =
-    List.filter (fun scc -> List.exists (fun x -> List.mem x derived) scc) (Depgraph.sccs g)
-  in
-  Obs.add_field "strata" (List.length sccs);
-  let deriv_budget = ref (match max_derivations with Some n -> n | None -> max_int) in
-  let facts = ref edb in
-  let derivations = ref 0 and facts_added = ref 0 and iterations = ref 0 in
-  let index_probes = ref 0
-  and index_hits = ref 0
-  and facts_skipped = ref 0
-  and subsumptions_avoided = ref 0 in
-  let fixpoint = ref true in
-  let provs = ref [] in
-  let last = ref None in
-  List.iter
-    (fun scc ->
-      if !deriv_budget > 0 then begin
-        let rules =
-          List.filter
-            (fun (r : Rule.t) -> List.mem r.Rule.head.Literal.pred scc)
-            p.Program.rules
-        in
-        let sub = { p with Program.rules } in
-        let res =
-          run_loop ~seminaive:true ?max_iterations ~max_derivations:!deriv_budget
-            ~traced:false sub ~edb:!facts
-        in
-        deriv_budget := !deriv_budget - res.stats.derivations;
-        derivations := !derivations + res.stats.derivations;
-        facts_added := !facts_added + res.stats.facts_added - List.length !facts;
-        iterations := max !iterations res.stats.iterations;
-        index_probes := !index_probes + res.stats.index_probes;
-        index_hits := !index_hits + res.stats.index_hits;
-        facts_skipped := !facts_skipped + res.stats.facts_skipped;
-        subsumptions_avoided := !subsumptions_avoided + res.stats.subsumptions_avoided;
-        if not res.stats.reached_fixpoint then fixpoint := false;
-        provs := res.provenance :: !provs;
-        facts := List.concat_map snd (all_facts res);
-        last := Some res
-      end
-      else fixpoint := false)
-    sccs;
-  match !last with
-  | None -> run ?max_iterations ?max_derivations p ~edb
-  | Some res ->
-      (* merge provenance, preferring the stratum that really derived a
-         fact over a later stratum seeing it as input *)
-      let provenance =
-        List.fold_left
-          (fun acc m ->
-            FactMap.union (fun _ a b -> if fst a = "edb" then Some b else Some a) acc m)
-          FactMap.empty (List.rev !provs)
-      in
+  if Obs.enabled () then begin
+    Obs.add_field "iterations" b.iterations;
+    Obs.add_field "derivations" b.derivations;
+    Obs.add_field "facts_added" !facts_added;
+    Obs.add_field_str "fixpoint" (string_of_bool fixpoint)
+  end;
+  let s = Store.stats store in
+  {
+    store;
+    traced;
+    trace_rev = !trace_rev;
+    stats =
       {
-        res with
-        provenance;
-        stats =
-          {
-            iterations = !iterations;
-            derivations = !derivations;
-            facts_added = !facts_added + List.length edb;
-            reached_fixpoint = !fixpoint;
-            index_probes = !index_probes;
-            index_hits = !index_hits;
-            facts_skipped = !facts_skipped;
-            subsumptions_avoided = !subsumptions_avoided;
-          };
-      }
+        iterations = b.iterations;
+        derivations = b.derivations;
+        facts_added = !facts_added;
+        reached_fixpoint = fixpoint;
+        index_probes = s.Store.indexed_probes;
+        index_hits = s.Store.index_hits;
+        facts_skipped = s.Store.facts_skipped;
+        subsumptions_avoided = s.Store.subsumption_avoided;
+      };
+  }
 
 (* ----- incremental view maintenance ----- *)
+
+module FactMap = Map.Make (Fact)
 
 (* A materialized view keeps the fixpoint of one program alive across EDB
    changes.  Insertions are ordinary semi-naive rounds seeded from the new
@@ -445,86 +367,64 @@ let compact_graph vw gone =
 
 (* mutable accumulator threaded through one maintenance operation *)
 type mstate = {
+  s_budget : budget;
   mutable s_inserted : int;
   mutable s_retracted : int;
   mutable s_noops : int;
-  mutable s_derivations : int;
   mutable s_over_deleted : int;
   mutable s_rederived : int;
   mutable s_resurrected : int;
   mutable s_deleted : int;
-  mutable s_iterations : int;
-  mutable s_deriv_left : int;
 }
 
-let spend ms = 
-  ms.s_derivations <- ms.s_derivations + 1;
-  ms.s_deriv_left <- ms.s_deriv_left - 1;
-  if ms.s_deriv_left <= 0 then raise Budget_exhausted
+let cover vw f = vw.vw_covered <- FactMap.add f () vw.vw_covered
 
-(* Merge one round's productions into the view: structural duplicates add a
-   firing to the stored fact (a new support), covered arrivals are
-   remembered for possible resurrection, genuinely new facts enter the
-   pending partition.  Returns how many facts were added. *)
-let view_merge vw ms produced =
-  let added = ref 0 in
-  List.iter
-    (fun (label, f, used) ->
-      spend ms;
-      match Store.find_equal vw.vw_store f with
-      | Some g -> ignore (add_firing vw label g used)
-      | None ->
-          if Store.known_subsumes vw.vw_store f then begin
-            ignore (add_firing vw label f used);
-            vw.vw_covered <- FactMap.add f () vw.vw_covered
-          end
-          else begin
-            let killed = Store.add_reporting vw.vw_store f in
-            List.iter (fun k -> vw.vw_covered <- FactMap.add k () vw.vw_covered) killed;
-            ignore (add_firing vw label f used);
-            incr added
-          end)
-    produced;
-  !added
+(* store a fact no live fact subsumes, remembering the facts it killed by
+   back-subsumption as covered *)
+let store_live vw f = List.iter (cover vw) (Store.add_reporting vw.vw_store f)
 
-(* Semi-naive rounds until fixpoint: whatever sits in the pending partition
-   becomes the delta at the first boundary.  Raises Exit / Budget_exhausted
-   on truncation (callers convert that into m_complete = false). *)
-let view_rounds vw ms ~max_iterations =
-  let continue_ = ref true in
-  while !continue_ do
-    let iter = ms.s_iterations + 1 in
-    (match max_iterations with Some cap when iter > cap -> raise Exit | _ -> ());
-    ms.s_iterations <- iter;
-    Store.advance vw.vw_store;
-    let produced = produce_round vw.vw_store vw.vw_codes in
-    if view_merge vw ms produced = 0 then continue_ := false
-  done
-
-(* one EDB insertion, before the rounds run *)
-let insert_edb vw ms f =
-  vw.vw_edb <- f :: vw.vw_edb;
+(* Where a fact arriving at the view goes: onto its live structural
+   duplicate, into the covered set (remembered for possible resurrection)
+   when a live fact subsumes it, else into the pending partition.  Returns
+   the fact that carries its support and whether it was stored. *)
+let arrive vw f =
   match Store.find_equal vw.vw_store f with
-  | Some _ ->
-      (* already live: the EDB occurrence is one more support *)
-      ms.s_noops <- ms.s_noops + 1
+  | Some g -> (g, false)
   | None ->
       if Store.known_subsumes vw.vw_store f then begin
-        vw.vw_covered <- FactMap.add f () vw.vw_covered;
-        ms.s_noops <- ms.s_noops + 1
+        cover vw f;
+        (f, false)
       end
       else begin
-        let killed = Store.add_reporting vw.vw_store f in
-        List.iter (fun k -> vw.vw_covered <- FactMap.add k () vw.vw_covered) killed;
-        ms.s_inserted <- ms.s_inserted + 1
+        store_live vw f;
+        (f, true)
       end
+
+(* merge one production into the view: its firing is one more support of
+   the fact it arrived at *)
+let view_merge vw ms _iteration (label, f, used) =
+  spend ms.s_budget;
+  let head, stored = arrive vw f in
+  ignore (add_firing vw label head used);
+  stored
+
+(* the shared rounds, until fixpoint: whatever sits in the pending partition
+   becomes the delta at the first boundary *)
+let view_rounds vw ms = rounds ms.s_budget vw.vw_store vw.vw_codes (view_merge vw ms)
+
+(* one EDB insertion, before the rounds run; a duplicate or covered fact
+   only gains the EDB occurrence as one more support *)
+let insert_edb vw ms f =
+  vw.vw_edb <- f :: vw.vw_edb;
+  if snd (arrive vw f) then ms.s_inserted <- ms.s_inserted + 1
+  else ms.s_noops <- ms.s_noops + 1
 
 (* DRed on the support graph.  [gone_seeds] are facts that ceased to exist
    without ever being live (dropped covered facts); [live_seeds] are live
    facts whose EDB support vanished.  Every firing reachable from a seed is
    provisionally killed and every live head it supported provisionally
    deleted; the re-derivation pass then revives firings whose bodies
-   survived and rescues their heads.  Returns the facts actually removed. *)
+   survived and rescues their heads; what stays deleted leaves the store. *)
 let dred vw ms ~live_seeds ~gone_seeds =
   let d = ref FactMap.empty in
   let killed = ref [] in
@@ -593,11 +493,7 @@ let dred vw ms ~live_seeds ~gone_seeds =
   ms.s_rederived <- ms.s_rederived + FactMap.cardinal !r;
   ms.s_deleted <- ms.s_deleted + List.length deleted;
   List.iter (fun f -> ignore (Store.delete vw.vw_store f)) deleted;
-  let all_gone =
-    List.fold_left (fun acc f -> FactMap.add f () acc) gone0 deleted
-  in
-  compact_graph vw all_gone;
-  (deleted, all_gone)
+  compact_graph vw (List.fold_left (fun acc f -> FactMap.add f () acc) gone0 deleted)
 
 (* After deletions, covered facts whose cover died either resurrect (still
    supported) or vanish (cascading into another DRed pass). *)
@@ -613,8 +509,27 @@ let covered_sweep vw =
     (!resurrect @ !gone);
   (!resurrect, !gone)
 
+(* a fresh accumulator whose budgets are the caller's, else the view's *)
+let mstate_create vw max_iterations max_derivations =
+  let or_view o d = match o with Some _ -> o | None -> d in
+  {
+    s_budget =
+      budget
+        ?max_iterations:(or_view max_iterations vw.vw_max_iterations)
+        ?max_derivations:(or_view max_derivations vw.vw_max_derivations)
+        ();
+    s_inserted = 0;
+    s_retracted = 0;
+    s_noops = 0;
+    s_over_deleted = 0;
+    s_rederived = 0;
+    s_resurrected = 0;
+    s_deleted = 0;
+  }
+
 let finish_op vw ms ~op ~batch ~complete =
   if not complete then vw.vw_complete <- false;
+  let b = ms.s_budget in
   Obs.add ctr_inserted ms.s_inserted;
   Obs.add ctr_retracted ms.s_retracted;
   Obs.add ctr_over_deleted ms.s_over_deleted;
@@ -626,8 +541,8 @@ let finish_op vw ms ~op ~batch ~complete =
     Obs.add_field "over_deleted" ms.s_over_deleted;
     Obs.add_field "rederived" ms.s_rederived;
     Obs.add_field "resurrected" ms.s_resurrected;
-    Obs.add_field "derivations" ms.s_derivations;
-    Obs.add_field "iterations" ms.s_iterations;
+    Obs.add_field "derivations" b.derivations;
+    Obs.add_field "iterations" b.iterations;
     Obs.add_field_str "complete" (string_of_bool complete)
   end;
   {
@@ -636,27 +551,13 @@ let finish_op vw ms ~op ~batch ~complete =
     m_inserted = ms.s_inserted;
     m_retracted = ms.s_retracted;
     m_noops = ms.s_noops;
-    m_derivations = ms.s_derivations;
+    m_derivations = b.derivations;
     m_over_deleted = ms.s_over_deleted;
     m_rederived = ms.s_rederived;
     m_resurrected = ms.s_resurrected;
     m_deleted = ms.s_deleted;
-    m_iterations = ms.s_iterations;
+    m_iterations = b.iterations;
     m_complete = complete;
-  }
-
-let mstate_create ~max_derivations =
-  {
-    s_inserted = 0;
-    s_retracted = 0;
-    s_noops = 0;
-    s_derivations = 0;
-    s_over_deleted = 0;
-    s_rederived = 0;
-    s_resurrected = 0;
-    s_deleted = 0;
-    s_iterations = 0;
-    s_deriv_left = (match max_derivations with Some n -> n | None -> max_int);
   }
 
 let insert ?max_iterations ?max_derivations vw facts =
@@ -667,19 +568,11 @@ let insert ?max_iterations ?max_derivations vw facts =
   Cdomain.with_domain vw.vw_domain @@ fun () ->
   Obs.span "engine.maintain" @@ fun () ->
   Obs.add_field_str "op" "insert";
-  let max_iterations =
-    match max_iterations with Some _ as m -> m | None -> vw.vw_max_iterations
-  in
-  let max_derivations =
-    match max_derivations with Some _ as m -> m | None -> vw.vw_max_derivations
-  in
-  let ms = mstate_create ~max_derivations in
+  let ms = mstate_create vw max_iterations max_derivations in
   let complete =
-    try
-      List.iter (insert_edb vw ms) facts;
-      view_rounds vw ms ~max_iterations;
-      true
-    with Exit | Budget_exhausted -> false
+    completes (fun () ->
+        List.iter (insert_edb vw ms) facts;
+        view_rounds vw ms)
   in
   finish_op vw ms ~op:"insert" ~batch:(List.length facts) ~complete
 
@@ -688,13 +581,7 @@ let retract ?max_iterations ?max_derivations vw facts =
   Cdomain.with_domain vw.vw_domain @@ fun () ->
   Obs.span "engine.maintain" @@ fun () ->
   Obs.add_field_str "op" "retract";
-  let max_iterations =
-    match max_iterations with Some _ as m -> m | None -> vw.vw_max_iterations
-  in
-  let max_derivations =
-    match max_derivations with Some _ as m -> m | None -> vw.vw_max_derivations
-  in
-  let ms = mstate_create ~max_derivations in
+  let ms = mstate_create vw max_iterations max_derivations in
   let live_seeds = ref [] and gone_seeds = ref [] in
   List.iter
     (fun f ->
@@ -724,27 +611,19 @@ let retract ?max_iterations ?max_derivations vw facts =
           end)
     facts;
   let complete =
-    try
-      let live = ref (dedup_facts !live_seeds) and gone = ref !gone_seeds in
-      let continue_ = ref (!live <> [] || !gone <> []) in
-      while !continue_ do
-        let _, _ = dred vw ms ~live_seeds:!live ~gone_seeds:!gone in
-        let resurrect, vanished = covered_sweep vw in
-        ms.s_resurrected <- ms.s_resurrected + List.length resurrect;
-        if resurrect <> [] then begin
-          List.iter
-            (fun c ->
-              let killed = Store.add_reporting vw.vw_store c in
-              List.iter (fun k -> vw.vw_covered <- FactMap.add k () vw.vw_covered) killed)
-            resurrect;
-          view_rounds vw ms ~max_iterations
-        end;
-        live := [];
-        gone := vanished;
-        continue_ := vanished <> []
-      done;
-      true
-    with Exit | Budget_exhausted -> false
+    completes (fun () ->
+        let live = ref (dedup_facts !live_seeds) and gone = ref !gone_seeds in
+        while !live <> [] || !gone <> [] do
+          dred vw ms ~live_seeds:!live ~gone_seeds:!gone;
+          let resurrect, vanished = covered_sweep vw in
+          ms.s_resurrected <- ms.s_resurrected + List.length resurrect;
+          if resurrect <> [] then begin
+            List.iter (store_live vw) resurrect;
+            view_rounds vw ms
+          end;
+          live := [];
+          gone := vanished
+        done)
   in
   finish_op vw ms ~op:"retract" ~batch:(List.length facts) ~complete
 
@@ -752,13 +631,11 @@ let materialize ?jobs:_ ?max_iterations ?max_derivations ?compiled (p : Program.
   Obs.span "engine.maintain" @@ fun () ->
   Obs.add_field_str "op" "materialize";
   check_arities p edb;
-  let fact_rules, body_rules = List.partition Rule.is_fact p.Program.rules in
-  let codes = codes_for ?compiled p body_rules in
   let vw =
     {
       vw_program = p;
       vw_store = Store.create ();
-      vw_codes = codes;
+      vw_codes = codes_for ?compiled p;
       vw_domain = Cdomain.current ();
       vw_max_iterations = max_iterations;
       vw_max_derivations = max_derivations;
@@ -770,20 +647,13 @@ let materialize ?jobs:_ ?max_iterations ?max_derivations ?compiled (p : Program.
       vw_closed = false;
     }
   in
-  let ms = mstate_create ~max_derivations in
+  let ms = mstate_create vw None None in
   let complete =
-    try
-      List.iter (insert_edb vw ms) edb;
-      (* bodyless rules fire once, as firings with no body: never deleted *)
-      List.iter
-        (fun (r : Rule.t) ->
-          Option.iter
-            (fun f -> ignore (view_merge vw ms [ (r.Rule.label, f, []) ]))
-            (derive_fact_rule r))
-        fact_rules;
-      view_rounds vw ms ~max_iterations;
-      true
-    with Exit | Budget_exhausted -> false
+    completes (fun () ->
+        List.iter (insert_edb vw ms) edb;
+        (* bodyless rules fire once, as firings with no body: never deleted *)
+        fire_fact_rules p (view_merge vw ms);
+        view_rounds vw ms)
   in
   let stats = finish_op vw ms ~op:"materialize" ~batch:(List.length edb) ~complete in
   (vw, stats)

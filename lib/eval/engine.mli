@@ -6,11 +6,13 @@
     and eliminate the non-head variables by projection.  Newly derived facts
     subsumed by known facts are discarded.
 
-    Both naive and semi-naive evaluation are provided; semi-naive requires
-    each derivation to use at least one fact from the previous iteration's
-    delta, giving the iteration-by-iteration behaviour of the paper's
-    Tables 1 and 2.  Budgets allow safely running the *non-terminating*
-    evaluations the paper exhibits (Table 1).
+    Evaluation is semi-naive: each derivation uses at least one fact from
+    the previous iteration's delta, giving the iteration-by-iteration
+    behaviour of the paper's Tables 1 and 2.  One round loop and one
+    derivation budget serve both one-shot runs ({!run}) and live views
+    ({!materialize}, {!insert}, {!retract}); each keeps its own merge.
+    Budgets allow safely running the *non-terminating* evaluations the
+    paper exhibits (Table 1).
 
     Facts live in the indexed relation store ({!Cql_store.Store}): hash
     indexes on the argument columns each probe binds, old/delta/full
@@ -18,8 +20,9 @@
     checks.  Rule bodies are reordered once per rule by the join planner's
     bound-ness heuristic ({!Cql_store.Planner}) and each (rule, pivot) plan
     is compiled once into a register-frame program ({!Compile}), the one
-    rule executor.  The seed list-based evaluator lives on outside the
-    engine as [Cql_gen.Reference], the fuzz harness's cross-check.
+    rule executor.  The seed list-based evaluator, semi-naive and naive,
+    lives on outside the engine as [Cql_gen.Reference], the cross-check of
+    the fuzz harness and the tests.
 
     {b Concurrency.}  One evaluation runs on the calling domain from start
     to finish; its store, register frames and budgets belong to that run
@@ -33,6 +36,9 @@ type trace_entry = {
   iteration : int;
   rule_label : string;
   fact : Fact.t;
+  used : Fact.t list;
+      (** the body facts the derivation used, in body-literal order; [[]]
+          for a fact rule *)
   subsumed : bool;  (** discarded because a known fact subsumes it *)
 }
 
@@ -54,10 +60,15 @@ type result
 
 val stats : result -> stats
 val trace : result -> trace_entry list
-(** In derivation order; empty unless the run was traced. *)
+(** Every derivation of a traced run, in derivation order, EDB loading
+    excluded.  @raise Invalid_argument when the run was not traced. *)
 
 val facts_of : result -> string -> Fact.t list
+(** Live facts of a predicate, oldest first, read from the run's store. *)
+
 val all_facts : result -> (string * Fact.t list) list
+(** Sorted by predicate, each predicate's facts as {!facts_of}. *)
+
 val total_facts : result -> int
 (** Number of stored (non-subsumed) facts, EDB included. *)
 
@@ -65,12 +76,8 @@ val total_idb_facts : result -> edb:Fact.t list -> int
 (** Stored facts minus the EDB input size. *)
 
 val answers : result -> Program.t -> Fact.t list
-(** Facts of the program's query predicate (empty when no query is set). *)
-
-val provenance : result -> Fact.t -> (string * Fact.t list) option
-(** The first derivation recorded for a stored fact: the rule label
-    (["edb"] for database facts) and the facts its body literals used.
-    [None] for facts never stored (e.g. subsumed on arrival). *)
+(** Facts of the program's query predicate, sorted by {!Fact.compare}
+    (empty when no query is set). *)
 
 type compiled
 (** Precompiled register-frame programs for every (rule, pivot) plan of one
@@ -80,16 +87,15 @@ type compiled
     built from (physical equality). *)
 
 val compile_plans : Program.t -> compiled
-(** Plan and compile every body rule of the program (semi-naive plans, as
-    {!run} uses). *)
+(** Plan and compile every body rule of the program. *)
 
 exception Arity_mismatch of string
 (** An EDB fact's arity disagrees with the program's use of its predicate.
-    {!run}, {!run_naive}, {!run_stratified}, {!materialize} and {!insert}
-    check the whole batch before touching the store and raise this (with a
-    message naming the fact) instead of evaluating; a rejected {!insert}
-    leaves the view unchanged.  Facts of predicates the program never
-    mentions are accepted and inert. *)
+    {!run}, {!materialize} and {!insert} check the whole batch before
+    touching the store and raise this (with a message naming the fact)
+    instead of evaluating; a rejected {!insert} leaves the view unchanged.
+    Facts of predicates the program never mentions are accepted and
+    inert. *)
 
 val run :
   ?jobs:int ->
@@ -105,31 +111,12 @@ val run :
     (rule, pivot) plan is compiled once into a register-frame program
     ({!Cql_eval.Compile}).  [compiled] supplies a precompiled artifact for
     this exact program (physical equality), skipping planning and
-    compilation entirely.
+    compilation entirely.  [traced] (default [false]) records every
+    derivation for {!trace} and {!Explain}; an untraced run keeps no
+    per-derivation record.
     [jobs] is accepted and ignored: evaluation is sequential, and no result
     ever depended on it.  It stays only because [perfbench/] still passes
     it. *)
-
-val run_naive :
-  ?max_iterations:int ->
-  ?max_derivations:int ->
-  Program.t ->
-  edb:Fact.t list ->
-  result
-(** Naive evaluation (every rule against the full database each iteration);
-    used to cross-check the semi-naive engine. *)
-
-val run_stratified :
-  ?max_iterations:int ->
-  ?max_derivations:int ->
-  Program.t ->
-  edb:Fact.t list ->
-  result
-(** SCC-stratified semi-naive evaluation: strongly connected components of
-    the predicate dependency graph are computed callees-first, each with one
-    semi-naive fixpoint over fully-computed lower strata.  Computes the same
-    facts as {!run}; [iterations] reports the maximum per-stratum iteration
-    count and no trace is recorded. *)
 
 val all_ground : result -> bool
 (** Every stored fact is ground (the property Theorems 4.4/4.6 preserve). *)

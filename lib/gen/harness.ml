@@ -124,7 +124,7 @@ let check_transparent ~switch ~what ~max_iterations ~max_derivations ~max_iters 
             let res = Engine.run ~max_iterations ~max_derivations p' ~edb in
             Some
               ( p',
-                List.sort F.compare (Engine.answers res p'),
+                Engine.answers res p',
                 (Engine.stats res).Engine.reached_fixpoint ))
   in
   match (run_with true, run_with false) with
@@ -390,7 +390,7 @@ let check_relaxation ~max_iterations ~max_derivations st p edb =
         Memo.clear_all ();
         let res = Engine.run ~max_iterations ~max_derivations p ~edb in
         if (Engine.stats res).Engine.reached_fixpoint then
-          Some (List.sort F.compare (Engine.answers res p))
+          Some (Engine.answers res p)
         else None)
   in
   match (run_in Cdomain.Z, run_in Cdomain.Q) with
@@ -678,9 +678,7 @@ let check_update_case ?(max_iterations = 25) ?(max_derivations = 20_000) st p (e
                 if not (Engine.stats r).Engine.reached_fixpoint then ()
                 else if
                   not
-                    (List.equal F.equal
-                       (List.sort F.compare (Engine.answers r p))
-                       (Engine.view_answers vw))
+                    (List.equal F.equal (Engine.answers r p) (Engine.view_answers vw))
                 then raise Exit;
                 None
               end

@@ -12,15 +12,17 @@
     relation store, the join planner or the compiled executor, so a bug in
     any of them shows up as a disagreement.
 
-    Semantics match {!Cql_eval.Engine.run} / {!Cql_eval.Engine.run_naive}:
-    iteration 0 loads the EDB and fires fact rules, every produced
-    candidate (subsumed or not) counts as a derivation, [max_derivations]
-    stops the run when that many derivations were merged, and
-    [max_iterations] caps the number of delta iterations.  Within an
-    iteration derivations come in program order rather than the planner's
-    order, so fact sets, iteration and derivation counts agree with the
-    engine at a fixpoint or an iteration cap; the facts of a run truncated
-    mid-iteration by [max_derivations] may differ. *)
+    Semantics match {!Cql_eval.Engine.run}: iteration 0 loads the EDB and
+    fires fact rules, every produced candidate (subsumed or not) counts as
+    a derivation, [max_derivations] stops the run when that many
+    derivations were merged, and [max_iterations] caps the number of delta
+    iterations.  Within an iteration derivations come in program order
+    rather than the planner's order, so fact sets, iteration and derivation
+    counts agree with the engine at a fixpoint or an iteration cap; the
+    facts of a run truncated mid-iteration by [max_derivations] may differ.
+    {!run_naive}, the one naive evaluator, agrees with the engine on fact
+    sets, iterations and the fixpoint flag, but re-derives every
+    combination each iteration, so its derivation counts are larger. *)
 
 open Cql_datalog
 

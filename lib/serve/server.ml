@@ -198,7 +198,7 @@ let handle_eval t ?id ~tenant ~view ~program ~edb ~pipeline ~domain ~max_iterati
             (Protocol.Budget, truncated "evaluation" s.Engine.iterations s.Engine.derivations)
         else
           Ok
-            ( List.sort Fact.compare (Engine.answers res prog),
+            ( Engine.answers res prog,
               [
                 ( "stats",
                   Json.Obj

@@ -81,7 +81,7 @@ val compare : t -> t -> int
 (** Structural order: predicate, then the pattern position by position
     ([Pvar] before [Psym], symbols by [String.compare], a shorter pattern
     before its extensions), then {!Conj.compare}.  Allocation free; keys the
-    engine's provenance map and the store's derivation counts. *)
+    views' support graphs and orders query answers. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints ground values where pinned, e.g. [m_fib(N1, 5; N1 > 0)] style:

@@ -61,12 +61,10 @@ let order ~pivot (body : Literal.t list) : plan =
   in
   placed @ pick [] rest
 
-(* All evaluation plans for one rule, computed once: one per pivot for
-   semi-naive evaluation, a single all-full plan for naive. *)
-let plans ~seminaive (r : Rule.t) : plan list =
-  let n = List.length r.Rule.body in
-  if seminaive then List.init n (fun pivot -> order ~pivot r.Rule.body)
-  else [ order ~pivot:(-1) r.Rule.body ]
+(* All evaluation plans for one rule, computed once: one per semi-naive
+   pivot. *)
+let plans (r : Rule.t) : plan list =
+  List.init (List.length r.Rule.body) (fun pivot -> order ~pivot r.Rule.body)
 
 (* per-step binding metadata, for compiling a plan: which variables earlier
    steps have bound when a step starts, and which the step binds first *)

@@ -20,11 +20,13 @@ type step = {
 type plan = step list
 
 val order : pivot:int -> Literal.t list -> plan
-(** One evaluation order for the body under the given pivot. *)
+(** One evaluation order for the body under the given pivot.  A negative
+    pivot orders the body by bound-ness alone, every literal reading the
+    full partition. *)
 
-val plans : seminaive:bool -> Rule.t -> plan list
-(** Every plan the engine needs for one rule: one per pivot when
-    semi-naive, a single full-partition plan when naive. *)
+val plans : Rule.t -> plan list
+(** Every plan the engine needs for one rule: one per body literal as the
+    semi-naive pivot (none for a fact rule). *)
 
 val step_bindings : plan -> (Cql_constr.Var.Set.t * Cql_constr.Var.Set.t) list
 (** Per step, in plan order: [(bound_before, newly_bound)] — the variables

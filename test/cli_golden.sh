@@ -2,14 +2,16 @@
 # Golden outputs of the cqlopt CLI: eval and rewrite on every example
 # program, in both constraint domains, each run's standard output followed
 # by its exit status.  A program's EDB is the _edb.cql file next to it.
+# One scripted cqlrepl session follows.
 #
-#   sh cli_golden.sh CQLOPT EXAMPLES_DIR > cli_golden.out
+#   sh cli_golden.sh CQLOPT EXAMPLES_DIR CQLREPL > cli_golden.out
 #
 # dune runtest diffs the result against cli_golden.expected; after an
 # intended change of output, dune promote updates that file.
 
 cqlopt=$1
 dir=$2
+cqlrepl=$3
 export LC_ALL=C
 
 for prog in "$dir"/*.cql; do
@@ -22,7 +24,7 @@ for prog in "$dir"/*.cql; do
     edb_note=" --edb $(basename "${prog%.cql}_edb.cql")"
   fi
   for domain in rat int; do
-    for mode in "" --naive --stratified --explain; do
+    for mode in "" --trace --explain; do
       echo "### eval $name$edb_note --domain $domain${mode:+ $mode}"
       "$cqlopt" eval "$prog" $edb --domain "$domain" $mode \
         --max-derivations 5000 --max-iterations 50 2>/dev/null
@@ -35,3 +37,12 @@ for prog in "$dir"/*.cql; do
     done
   done
 done
+
+# the flights program with its EDB loaded as clauses: derivation trees on,
+# then off, and a query its iteration budget cuts short
+echo "### cqlrepl flights.cql flights_edb.cql"
+printf '%s\n' ":load $dir/flights.cql" ":load $dir/flights_edb.cql" ":explain" \
+  "?- cheaporshort(madison, D, T, C)." ":explain" \
+  "?- flight(S, boston, T, C), T <= 200." ":iterations 3" \
+  "?- cheaporshort(S, D, T, C)." ":quit" | "$cqlrepl" 2>/dev/null
+echo "### exit $?"

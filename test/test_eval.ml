@@ -1,6 +1,7 @@
 (* Tests for the bottom-up evaluation engine: constraint facts, subsumption,
-   semi-naive and naive fixpoint evaluation, compiled join plans checked
-   against the seed reference evaluator, and EDB admission. *)
+   the semi-naive fixpoint checked against the seed reference evaluator's
+   semi-naive and naive modes, compiled join plans, derivation trees, and
+   EDB admission. *)
 
 open Cql_num
 open Cql_constr
@@ -128,9 +129,8 @@ let test_transitive_closure () =
   check_int "paths" 6 (List.length (Engine.facts_of res "path"));
   check_bool "fixpoint" true (Engine.stats res).Engine.reached_fixpoint;
   check_bool "all ground" true (Engine.all_ground res);
-  (* naive agrees *)
-  let res_naive = Engine.run_naive p ~edb in
-  check_int "naive paths" 6 (List.length (Engine.facts_of res_naive "path"))
+  (* naive evaluation agrees *)
+  Reference_check.check_naive "naive" res (Reference.run_naive p ~edb)
 
 (* ----- evaluation: arithmetic (flights) ----- *)
 
@@ -242,9 +242,9 @@ let test_derivation_budget () =
 let test_budget_truncation_both_engines () =
   let diverging = parse "r1: p(0).\nr2: p(Y) :- p(X), Y = X + 1.\n#query p." in
   let finite = parse "r1: q(1).\nr2: q(2).\n#query q." in
-  (* [run iters derivs p], [naive iters p]; [stats r] is (fixpoint,
-     iterations, derivations) *)
-  let check tag run naive stats facts_of =
+  (* [run iters derivs p]; [stats r] is (fixpoint, iterations,
+     derivations) *)
+  let check tag run stats facts_of =
     let by_iter = run (Some 5) None diverging in
     let fixpoint, iterations, _ = stats by_iter in
     check_bool (tag ^ ": iteration budget reported") false fixpoint;
@@ -256,9 +256,6 @@ let test_budget_truncation_both_engines () =
     check_bool (tag ^ ": derivations within budget") true (derivations <= 7);
     check_bool (tag ^ ": partial facts under derivation budget") true
       (facts_of by_deriv "p" <> []);
-    (* the naive strategy reports truncation the same way *)
-    let fixpoint, _, _ = stats (naive (Some 4) diverging) in
-    check_bool (tag ^ ": naive reports truncation") false fixpoint;
     (* a terminating program under the same budgets still reports fixpoint *)
     let fixpoint, _, _ = stats (run (Some 5) (Some 7) finite) in
     check_bool (tag ^ ": fixpoint when budgets suffice") true fixpoint
@@ -266,7 +263,6 @@ let test_budget_truncation_both_engines () =
   check "engine"
     (fun max_iterations max_derivations p ->
       Engine.run ?max_iterations ?max_derivations p ~edb:[])
-    (fun max_iterations p -> Engine.run_naive ?max_iterations p ~edb:[])
     (fun r ->
       let s = Engine.stats r in
       (s.Engine.reached_fixpoint, s.Engine.iterations, s.Engine.derivations))
@@ -274,7 +270,6 @@ let test_budget_truncation_both_engines () =
   check "reference"
     (fun max_iterations max_derivations p ->
       Reference.run ?max_iterations ?max_derivations p ~edb:[])
-    (fun max_iterations p -> Reference.run_naive ?max_iterations p ~edb:[])
     (fun r ->
       let s = Reference.stats r in
       (s.Reference.reached_fixpoint, s.Reference.iterations, s.Reference.derivations))
@@ -296,31 +291,26 @@ let test_budget_truncation_both_engines () =
       ( "derivation cap in iteration 0",
         Engine.run ~max_derivations:1 finite ~edb:[],
         Reference.run ~max_derivations:1 finite ~edb:[] );
-    ]
+    ];
+  (* the naive reference reports truncation at the same point *)
+  let e = Engine.run ~max_iterations:4 diverging ~edb:[] in
+  Reference_check.check_naive "naive iteration cap" e
+    (Reference.run_naive ~max_iterations:4 diverging ~edb:[]);
+  check_bool "naive iteration cap: truncation reported" false
+    (Engine.stats e).Engine.reached_fixpoint
 
 (* ----- semi-naive vs naive cross-check ----- *)
-
-let relations_equivalent res1 res2 preds =
-  List.for_all
-    (fun pred ->
-      let f1 = Engine.facts_of res1 pred and f2 = Engine.facts_of res2 pred in
-      List.for_all (fun f -> List.exists (fun g -> Fact.subsumes g f) f2) f1
-      && List.for_all (fun f -> List.exists (fun g -> Fact.subsumes g f) f1) f2)
-    preds
 
 let test_seminaive_vs_naive () =
   let p = parse tc_src in
   let edb = edb_of "edge(a, b). edge(b, c). edge(c, a). edge(c, d)." in
-  let r1 = Engine.run p ~edb in
-  let r2 = Engine.run_naive p ~edb in
-  check_bool "cyclic graph agrees" true (relations_equivalent r1 r2 [ "path" ]);
+  Reference_check.check_naive "cyclic graph" (Engine.run p ~edb) (Reference.run_naive p ~edb);
   let pf = parse flights_src in
   let edbf = edb_of "singleleg(a, b, 100, 60). singleleg(b, a, 90, 70). singleleg(b, c, 20, 20)." in
-  let r3 = Engine.run ~max_iterations:8 pf ~edb:edbf in
-  let r4 = Engine.run_naive ~max_iterations:8 pf ~edb:edbf in
   (* cyclic flights diverge (times grow unboundedly); compare the prefix *)
-  check_bool "flights prefixes agree" true
-    ((Engine.stats r3).Engine.reached_fixpoint = (Engine.stats r4).Engine.reached_fixpoint)
+  Reference_check.check_naive "flights prefix"
+    (Engine.run ~max_iterations:8 pf ~edb:edbf)
+    (Reference.run_naive ~max_iterations:8 pf ~edb:edbf)
 
 (* iteration counting: paths in a chain of length n need n iterations *)
 let test_iteration_count () =
@@ -366,8 +356,6 @@ let test_edb_arity_mismatch () =
   let p = parse arity_src in
   let edb = edb_of "p(1). p(1, 2). r(2)." in
   check_bool "run" true (rejected (fun () -> Engine.run p ~edb));
-  check_bool "run_naive" true (rejected (fun () -> Engine.run_naive p ~edb));
-  check_bool "run_stratified" true (rejected (fun () -> Engine.run_stratified p ~edb));
   check_bool "materialize" true (rejected (fun () -> Engine.materialize p ~edb));
   let vw, _ = Engine.materialize p ~edb:(edb_of "p(1, 2). r(2).") in
   Fun.protect ~finally:(fun () -> Engine.close_view vw) @@ fun () ->
@@ -443,14 +431,14 @@ let test_zero_arity_predicates () =
   check_int "q has both rows" 2 (List.length (Engine.facts_of res "q"))
 
 
-(* ----- provenance / derivation trees (Definition 2.2) ----- *)
+(* ----- derivation trees (Definition 2.2), read from the trace ----- *)
 
 let test_derivation_tree () =
   let p = parse flights_src in
   let edb =
     edb_of "singleleg(madison, chicago, 50, 100).\nsingleleg(chicago, seattle, 100, 80)."
   in
-  let res = Engine.run p ~edb in
+  let res = Engine.run ~traced:true p ~edb in
   (* the composite madison->seattle flight: 50+100+30 = 180, 100+80 = 180 *)
   let composite =
     List.find
@@ -474,7 +462,13 @@ let test_derivation_tree () =
           check_bool "leaf is singleleg" true (Fact.pred l.Explain.fact = "singleleg"))
         (leaves t));
   (* unknown facts have no tree *)
-  check_bool "unknown fact" true (Explain.tree res (Fact.ground "flight" [ Term.Sym "x"; Term.Sym "y"; Term.Num Rat.one; Term.Num Rat.one ]) = None)
+  check_bool "unknown fact" true (Explain.tree res (Fact.ground "flight" [ Term.Sym "x"; Term.Sym "y"; Term.Num Rat.one; Term.Num Rat.one ]) = None);
+  (* an untraced run has no derivations to read: refused, never all-edb *)
+  let untraced = Engine.run p ~edb in
+  check_bool "untraced run refused" true
+    (match Explain.tree untraced (List.hd (Engine.facts_of untraced "flight")) with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let test_matches_literal () =
   let f = Fact.ground "e" [ Term.Sym "a"; Term.Num (Rat.of_int 3) ] in
@@ -489,101 +483,6 @@ let test_matches_literal () =
   let cf = Fact.of_fact_rule (Parser.rule_of_string "e(a, X; X <= 9).") in
   check_bool "unpinned accepts constant" true
     (Fact.matches_literal (lit [ Term.sym "a"; Term.int 3 ]) cf)
-
-(* ----- stratified evaluation ----- *)
-
-let test_stratified_same_results () =
-  let p = parse flights_src in
-  let edb =
-    edb_of
-      {|
-singleleg(madison, chicago, 50, 100).
-singleleg(chicago, seattle, 100, 80).
-singleleg(seattle, anchorage, 60, 40).
-|}
-  in
-  let r1 = Engine.run p ~edb in
-  let r2 = Engine.run_stratified p ~edb in
-  List.iter
-    (fun pred ->
-      check_int (pred ^ " counts agree")
-        (List.length (Engine.facts_of r1 pred))
-        (List.length (Engine.facts_of r2 pred)))
-    [ "flight"; "cheaporshort" ];
-  check_bool "fixpoint" true (Engine.stats r2).Engine.reached_fixpoint;
-  (* provenance survives stratification *)
-  let ans = List.hd (Engine.facts_of r2 "cheaporshort") in
-  check_bool "tree exists" true (Explain.tree r2 ans <> None)
-
-let test_stratified_multi_scc () =
-  let p = parse {|
-top(X) :- mid(X), X <= 50.
-mid(X) :- base(X).
-mid(X) :- mid(Y), X = Y + 10, X <= 100.
-base(X) :- e(X).
-#query top.
-|} in
-  let edb = edb_of "e(5). e(95)." in
-  let r1 = Engine.run p ~edb in
-  let r2 = Engine.run_stratified p ~edb in
-  check_int "same top facts" (List.length (Engine.facts_of r1 "top"))
-    (List.length (Engine.facts_of r2 "top"));
-  check_int "same mid facts" (List.length (Engine.facts_of r1 "mid"))
-    (List.length (Engine.facts_of r2 "mid"));
-  (* budget respected across strata *)
-  let r3 = Engine.run_stratified ~max_derivations:5 p ~edb in
-  check_bool "budget stops" false (Engine.stats r3).Engine.reached_fixpoint
-
-(* the derivation budget carries over between sub-runs: each stratum's
-   fixpoint starts from whatever the previous strata left.  The program has
-   two single-predicate strata of exactly five derivations each, so the
-   interesting budgets sit right on the boundary. *)
-
-let budget_carry_src = {|
-b(X) :- e(X).
-a(X) :- b(X).
-#query a.
-|}
-
-let budget_carry_edb = "e(1). e(2). e(3). e(4). e(5)."
-
-let test_stratified_budget_boundary () =
-  let p = parse budget_carry_src in
-  let edb = edb_of budget_carry_edb in
-  (* budget 5: exhausted exactly at the end of the first stratum.  The
-     budgeted fifth derivation is counted but its fact is not added, and the
-     second stratum is entered with nothing left, so it derives nothing. *)
-  let r = Engine.run_stratified ~max_derivations:5 p ~edb in
-  check_int "derivations stop at the budget" 5 (Engine.stats r).Engine.derivations;
-  check_bool "not a fixpoint" false (Engine.stats r).Engine.reached_fixpoint;
-  check_int "first stratum truncated" 4 (List.length (Engine.facts_of r "b"));
-  check_int "second stratum starved" 0 (List.length (Engine.facts_of r "a"));
-  (* budget 10: the first stratum completes (5 of 10), the second exhausts
-     the remainder mid-run *)
-  let r = Engine.run_stratified ~max_derivations:10 p ~edb in
-  check_int "carry-over spent exactly" 10 (Engine.stats r).Engine.derivations;
-  check_bool "still not a fixpoint" false (Engine.stats r).Engine.reached_fixpoint;
-  check_int "first stratum complete" 5 (List.length (Engine.facts_of r "b"));
-  check_int "second stratum truncated" 4 (List.length (Engine.facts_of r "a"));
-  (* one more derivation of headroom and the whole program completes *)
-  let r = Engine.run_stratified ~max_derivations:11 p ~edb in
-  check_bool "fixpoint under budget 11" true (Engine.stats r).Engine.reached_fixpoint;
-  check_int "all derivations performed" 10 (Engine.stats r).Engine.derivations;
-  check_int "second stratum complete" 5 (List.length (Engine.facts_of r "a"));
-  (* unbounded agrees with the generous budget *)
-  let r' = Engine.run_stratified p ~edb in
-  check_bool "unbounded fixpoint" true (Engine.stats r').Engine.reached_fixpoint;
-  check_int "unbounded derivations" 10 (Engine.stats r').Engine.derivations
-
-let test_stratified_budget_jobs_agree () =
-  (* the truncation point is deterministic: budget 7 stops inside the
-     second stratum *)
-  let p = parse budget_carry_src in
-  let edb = edb_of budget_carry_edb in
-  let r = Engine.run_stratified ~max_derivations:7 p ~edb in
-  check_int "all 7 derivations counted" 7 (Engine.stats r).Engine.derivations;
-  check_bool "truncated" false (Engine.stats r).Engine.reached_fixpoint;
-  check_int "budget 7 truncates the second stratum" 1 (List.length (Engine.facts_of r "a"))
 
 (* ----- compiled register-frame execution vs the seed interpreter ----- *)
 
@@ -643,14 +542,14 @@ let test_compiled_artifact_reuse () =
   let edb = edb_of compiled_flights_edb in
   let cp = Engine.compile_plans p in
   let h0 = Obs.value hits in
-  let r1 = Engine.run ~max_iterations:20 ~compiled:cp p ~edb in
+  let r1 = Engine.run ~max_iterations:20 ~traced:true ~compiled:cp p ~edb in
   check_bool "artifact hit" true (Obs.value hits > h0);
-  let r2 = Engine.run ~max_iterations:20 p ~edb in
+  let r2 = Engine.run ~max_iterations:20 ~traced:true p ~edb in
   check_bool "precompiled == fresh compile" true (fingerprint r1 = fingerprint r2);
   (* the artifact only applies to the exact program value it was built from *)
   let p' = parse compiled_flights_src in
   let h1 = Obs.value hits in
-  let r3 = Engine.run ~max_iterations:20 ~compiled:cp p' ~edb in
+  let r3 = Engine.run ~max_iterations:20 ~traced:true ~compiled:cp p' ~edb in
   check_int "other program value: no hit" h1 (Obs.value hits);
   check_bool "and still correct" true (fingerprint r3 = fingerprint r2)
 
@@ -974,12 +873,6 @@ let () =
         [
           Alcotest.test_case "derivation tree" `Quick test_derivation_tree;
           Alcotest.test_case "matches_literal" `Quick test_matches_literal;
-          Alcotest.test_case "stratified same results" `Quick test_stratified_same_results;
-          Alcotest.test_case "stratified multi-SCC" `Quick test_stratified_multi_scc;
-          Alcotest.test_case "stratified budget boundary" `Quick
-            test_stratified_budget_boundary;
-          Alcotest.test_case "stratified budget jobs agree" `Quick
-            test_stratified_budget_jobs_agree;
         ] );
       ( "engine-extra",
         [

@@ -12,8 +12,6 @@ let check_int = Alcotest.(check int)
 let parse = Parser.program_of_string
 let edb_of s = List.map Fact.of_fact_rule (Parser.facts_of_string s)
 
-let sorted_answers r p = List.sort Fact.compare (Engine.answers r p)
-
 (* all live facts of a view / result, sorted, for state comparison *)
 let result_state r =
   List.sort compare
@@ -44,7 +42,7 @@ let check_against_scratch ?(msg = "view") vw =
   let r = Engine.run p ~edb in
   Alcotest.(check (list string))
     (msg ^ ": run answers")
-    (List.map Fact.to_string (sorted_answers r p))
+    (List.map Fact.to_string (Engine.answers r p))
     (List.map Fact.to_string (Engine.view_answers vw));
   Engine.close_view scratch
 
@@ -66,7 +64,7 @@ let test_materialize_matches_run () =
   check_int "edb inserted" 3 st.Engine.m_inserted;
   let r = Engine.run tc_program ~edb:chain_edb in
   check_bool "answers" true
-    (Engine.view_answers vw = sorted_answers r tc_program);
+    (Engine.view_answers vw = Engine.answers r tc_program);
   check_bool "state" true (view_state vw = result_state r);
   (* every live fact carries a positive support count *)
   List.iter
@@ -273,6 +271,60 @@ let test_flights_updates () =
   check_against_scratch ~msg:"flights reinsert" vw;
   Engine.close_view vw
 
+(* ----- one round loop, one budget ----- *)
+
+(* runtest sandbox cwd is test/; dune exec runs from the project root *)
+let programs_dir = List.find Sys.file_exists [ "../examples/programs"; "examples/programs" ]
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* A view and a run share one round loop and one derivation budget: on
+   every example program, at a fixpoint and cut short by either budget,
+   they report the same iterations, derivations, fact total, completion
+   and answers.  A few of the readings are pinned as well. *)
+let test_view_and_run_agree () =
+  let pinned =
+    [
+      (("flights.cql", (50, 5000)), (4, 23, 23));
+      (("flights.cql", (50, 7)), (2, 7, 11));
+      (("fib.cql", (50, 5000)), (50, 53, 53));
+    ]
+  in
+  let programs =
+    List.filter
+      (fun f -> Filename.check_suffix f ".cql" && not (Filename.check_suffix f "_edb.cql"))
+      (List.sort compare (Array.to_list (Sys.readdir programs_dir)))
+  in
+  check_bool "every example program" true (List.length programs >= 5);
+  List.iter
+    (fun file ->
+      let path = Filename.concat programs_dir file in
+      let p = parse (read_file path) in
+      let edb_path = Filename.chop_suffix path ".cql" ^ "_edb.cql" in
+      let edb = if Sys.file_exists edb_path then edb_of (read_file edb_path) else [] in
+      List.iter
+        (fun ((max_iterations, max_derivations) as budget) ->
+          let tag = Printf.sprintf "%s at (%d, %d)" file max_iterations max_derivations in
+          let r = Engine.run ~max_iterations ~max_derivations p ~edb in
+          let vw, ms = Engine.materialize ~max_iterations ~max_derivations p ~edb in
+          let s = Engine.stats r in
+          check_int (tag ^ ": iterations") s.Engine.iterations ms.Engine.m_iterations;
+          check_int (tag ^ ": derivations") s.Engine.derivations ms.Engine.m_derivations;
+          check_int (tag ^ ": facts") (Engine.total_facts r) (Engine.view_total vw);
+          check_bool (tag ^ ": complete") s.Engine.reached_fixpoint ms.Engine.m_complete;
+          Alcotest.(check (list string))
+            (tag ^ ": answers")
+            (List.map Fact.to_string (Engine.answers r p))
+            (List.map Fact.to_string (Engine.view_answers vw));
+          Option.iter
+            (fun (iterations, derivations, facts) ->
+              check_int (tag ^ ": pinned iterations") iterations s.Engine.iterations;
+              check_int (tag ^ ": pinned derivations") derivations s.Engine.derivations;
+              check_int (tag ^ ": pinned facts") facts (Engine.total_facts r))
+            (List.assoc_opt (file, budget) pinned);
+          Engine.close_view vw)
+        [ (50, 5000); (5, 5000); (50, 7) ])
+    programs
+
 let () =
   Alcotest.run "incremental"
     [
@@ -283,6 +335,7 @@ let () =
           Alcotest.test_case "retract maintains fixpoint" `Quick test_retract_maintains;
           Alcotest.test_case "duplicate EDB facts are a multiset" `Quick
             test_duplicate_edb_multiset;
+          Alcotest.test_case "a view and a run agree" `Quick test_view_and_run_agree;
         ] );
       ( "retraction edge cases",
         [

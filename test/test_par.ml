@@ -218,7 +218,7 @@ let rewrite_and_run (mode, (p, edb)) =
       let s = Engine.stats res in
       Some
         ( p',
-          List.sort Fact.compare (Engine.answers res p'),
+          Engine.answers res p',
           s.Engine.derivations,
           s.Engine.reached_fixpoint )
 

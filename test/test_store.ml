@@ -183,14 +183,14 @@ let test_planner_pivot_first () =
 
 let test_planner_constants_first () =
   let r = rule_of "q(X, Z) :- e(X, Y), f(Y, Z), g(c, Z)." in
-  (* naive: g has a constant column, so it leads even with no pivot *)
+  (* no pivot: g has a constant column, so it leads *)
   let plan = Planner.order ~pivot:(-1) r.Rule.body in
   Alcotest.(check (list string)) "order" [ "g"; "f"; "e" ] (preds plan);
   check_bool "all full" true (List.for_all (fun p -> p = Store.Full) (parts plan))
 
 let test_planner_covers_pivots () =
   let r = rule_of "q(X, Z) :- e(X, Y), f(Y, Z)." in
-  let plans = Planner.plans ~seminaive:true r in
+  let plans = Planner.plans r in
   check_int "one plan per pivot" 2 (List.length plans);
   List.iteri
     (fun pivot plan ->
@@ -201,16 +201,13 @@ let test_planner_covers_pivots () =
              st.Planner.orig = pivot && st.Planner.part = Store.Delta)
            plan);
       check_bool "pivot goes first" true ((List.hd plan).Planner.orig = pivot))
-    plans;
-  check_int "naive is a single plan" 1 (List.length (Planner.plans ~seminaive:false r))
+    plans
 
 let test_planner_empty_body () =
   check_int "ordering an empty body" 0 (List.length (Planner.order ~pivot:(-1) []));
   let r = rule_of "q(1)." in
-  (* a fact rule has no pivots, so semi-naive has no plans at all; the
-     naive path keeps its single (empty) plan *)
-  check_int "no semi-naive plans" 0 (List.length (Planner.plans ~seminaive:true r));
-  check_bool "one empty naive plan" true (Planner.plans ~seminaive:false r = [ [] ]);
+  (* a fact rule has no pivots, so it has no plans at all *)
+  check_int "no plans" 0 (List.length (Planner.plans r));
   check_int "no step bindings" 0 (List.length (Planner.step_bindings []))
 
 let test_planner_all_constants () =
@@ -226,7 +223,7 @@ let test_planner_all_constants () =
 
 let test_planner_single_literal () =
   let r = rule_of "q(X) :- e(X, Y)." in
-  match Planner.plans ~seminaive:true r with
+  match Planner.plans r with
   | [ [ st ] ] ->
       check_int "the only literal is the pivot" 0 st.Planner.orig;
       check_bool "and reads the delta" true (st.Planner.part = Store.Delta)
@@ -292,12 +289,9 @@ let test_engine_store_stats () =
 
 let cross_check ?(max_iterations = 8) name src edb =
   let p = parse src in
-  Reference_check.check (name ^ " seminaive")
-    (Engine.run ~max_iterations p ~edb)
-    (Reference.run ~max_iterations p ~edb);
-  Reference_check.check (name ^ " naive")
-    (Engine.run_naive ~max_iterations p ~edb)
-    (Reference.run_naive ~max_iterations p ~edb)
+  let e = Engine.run ~max_iterations p ~edb in
+  Reference_check.check (name ^ " seminaive") e (Reference.run ~max_iterations p ~edb);
+  Reference_check.check_naive (name ^ " naive") e (Reference.run_naive ~max_iterations p ~edb)
 
 (* every program under examples/programs/, with an EDB where one is needed *)
 let programs_dir =
