@@ -77,12 +77,19 @@ let eval_query st (lits, cstr) =
         stats.Cql_eval.Engine.index_probes stats.Cql_eval.Engine.index_hits
         stats.Cql_eval.Engine.facts_skipped stats.Cql_eval.Engine.subsumptions_avoided
 
+(* an unlabelled bodyless clause is a database fact: labelled [edb], it
+   explains as [cqlopt eval --explain] shows the facts of an --edb file *)
+let edb_label (r : Rule.t) =
+  if Rule.is_fact r && r.Rule.label = "" then Rule.relabel "edb" r else r
+
 let add_source st src =
   match Parser.program_of_string src with
   | exception Parser.Error msg -> print_err msg
   | addition ->
       let merged =
-        List.fold_left (fun p r -> Program.add_rule r p) st.program addition.Program.rules
+        List.fold_left
+          (fun p r -> Program.add_rule (edb_label r) p)
+          st.program addition.Program.rules
       in
       let merged =
         match addition.Program.query with

@@ -68,7 +68,8 @@ let integerize e =
     let dens =
       Var.Map.fold (fun _ c acc -> Bigint.lcm acc (Rat.den c)) e.coeffs (Rat.den e.const)
     in
-    let scaled = scale (Rat.of_bigint dens) e in
+    (* integer coefficients are already the scaled form: no copy by 1 *)
+    let scaled = if Bigint.is_one dens then e else scale (Rat.of_bigint dens) e in
     let g =
       Var.Map.fold
         (fun _ c acc -> Bigint.gcd acc (Bigint.abs (Rat.num c)))

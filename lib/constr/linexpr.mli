@@ -57,7 +57,8 @@ val rename : (Var.t -> Var.t) -> t -> t
 val integerize : t -> t
 (** Scale by a positive rational so all coefficients and the constant are
     coprime integers (the canonical representative of the positive ray of the
-    expression).  Zero maps to zero. *)
+    expression).  Zero maps to zero; an expression already in that form is
+    returned as it is ([==]). *)
 
 (** {1 Comparison and printing} *)
 

@@ -42,39 +42,32 @@ let fact_literal (f : Fact.t) : Literal.t * Conj.t =
   let fresh = Array.make n None in
   let args =
     List.init n (fun i ->
-        match f.Fact.args.(i) with
-        | Fact.Psym s -> Term.sym s
-        | Fact.Pvar -> (
-            match f.Fact.pinned.(i) with
-            | Some q -> Term.num q
-            | None ->
-                let v = Var.fresh "F" in
-                fresh.(i) <- Some v;
-                Term.var v))
+        match f.Fact.terms.(i) with
+        | Term.C _ as t -> t
+        | Term.V _ ->
+            let v = Var.fresh "F" in
+            fresh.(i) <- Some v;
+            Term.var v)
   in
   let residual =
-    if Array.for_all (fun o -> o = None) fresh then Conj.tt
-    else begin
-      (* substitute pinned values, rename the remaining canonical vars *)
-      let c =
-        Array.to_list f.Fact.pinned
-        |> List.mapi (fun i q -> (i, q))
-        |> List.fold_left
-             (fun c (i, q) ->
-               match q with
-               | Some q when f.Fact.args.(i) = Fact.Pvar ->
-                   Conj.subst (Var.arg (i + 1)) (Linexpr.const q) c
-               | _ -> c)
-             (Fact.cstr f)
-      in
-      let ren v =
-        match Var.arg_index v with
-        | Some i when i >= 1 && i <= n -> (
-            match fresh.(i - 1) with Some fv -> fv | None -> v)
-        | _ -> v
-      in
-      Conj.rename ren c
-    end
+    match f.Fact.constr with
+    | None -> Conj.tt
+    | Some c ->
+        (* substitute pinned values, rename the remaining canonical vars *)
+        let c = ref c in
+        Array.iteri
+          (fun i t ->
+            match t with
+            | Term.C (Term.Num q) -> c := Conj.subst (Var.arg (i + 1)) (Linexpr.const q) !c
+            | Term.C (Term.Sym _) | Term.V _ -> ())
+          f.Fact.terms;
+        let ren v =
+          match Var.arg_index v with
+          | Some i when i >= 1 && i <= n -> (
+              match fresh.(i - 1) with Some fv -> fv | None -> v)
+          | _ -> v
+        in
+        Conj.rename ren !c
   in
   (Literal.make (Fact.pred f) args, residual)
 
@@ -392,23 +385,10 @@ let dummy_term = Term.C (Term.Sym "")
 let dummy_const = Term.Sym ""
 let dummy_fact = Fact.ground "" []
 
-(* the fact's constant at a position of a ground fact *)
-let fact_const_term (f : Fact.t) i : Term.t =
-  match f.Fact.args.(i) with
-  | Fact.Psym s -> Term.sym s
-  | Fact.Pvar -> (
-      match f.Fact.pinned.(i) with
-      | Some q -> Term.num q
-      | None -> assert false (* ground facts pin every numeric position *))
-
 (* does a ground fact's position agree with a constant?  The [unify_terms]
-   constant/constant case without building the fact-side term *)
+   constant/constant case, on the fact's own term *)
 let const_matches (c : Term.const) (f : Fact.t) i =
-  match (c, f.Fact.args.(i)) with
-  | Term.Sym s1, Fact.Psym s2 -> String.equal s1 s2
-  | Term.Num q1, Fact.Pvar -> (
-      match f.Fact.pinned.(i) with Some q2 -> Rat.equal q1 q2 | None -> false)
-  | Term.Num _, Fact.Psym _ | Term.Sym _, Fact.Pvar -> false
+  match f.Fact.terms.(i) with Term.C c' -> Term.equal_const c c' | Term.V _ -> false
 
 type frame = {
   regs : Term.t array;
@@ -434,87 +414,81 @@ let make_frame code =
     hconsts = Array.map (function H_const c -> c | H_reg _ | H_slot _ -> dummy_const) head;
   }
 
-(* Apply one step's actions to a candidate fact.  Returns the updated side
-   substitution (fresh-variable bindings) and body constraint, or [None] on
-   a failed check.  Registers are overwritten in place: enumeration is a
-   depth-first walk, so any later read of a register is dominated by the
-   write of the current candidate. *)
+(* Apply one step's actions to a candidate fact, the generic way: the fact
+   instantiated as a literal, every position unified through the side
+   substitution (fresh-variable bindings).  Returns the updated side
+   substitution and body constraint, or [None] on a failed check.
+   Registers are overwritten in place: enumeration is a depth-first walk,
+   so any later read of a register is dominated by the write of the
+   current candidate. *)
 let apply_fact (fr : frame) (st : cstep) f side cstr =
   let nargs = Array.length st.c_actions in
-  if Fact.is_ground f then begin
-    (* every position is a constant and the residual is [tt]: actions run
-       as direct comparisons, no literal or substitution is built *)
-    let rec go i side =
-      if i = nargs then Some (side, cstr)
-      else
-        match st.c_actions.(i) with
-        | Check_const c -> if const_matches c f i then go (i + 1) side else None
-        | Check_reg r -> (
-            match Subst.resolve side fr.regs.(r) with
-            | Term.C c -> if const_matches c f i then go (i + 1) side else None
-            | Term.V _ as t -> (
-                (* register chain ends at an unbound fresh variable: bind it *)
-                match Subst.unify_terms side t (fact_const_term f i) with
-                | Some side' -> go (i + 1) side'
-                | None -> None))
-        | Bind_reg r ->
-            fr.regs.(r) <- fact_const_term f i;
-            go (i + 1) side
-    in
-    go 0 side
-  end
-  else begin
-    let flit, fcstr = fact_literal f in
-    let fargs = Array.of_list flit.Literal.args in
-    let rec go i side =
-      if i = nargs then Some (side, Conj.and_ cstr fcstr)
-      else
-        let fa = fargs.(i) in
-        match st.c_actions.(i) with
-        | Check_const c -> (
-            match Subst.unify_terms side (Term.C c) fa with
-            | Some side' -> go (i + 1) side'
-            | None -> None)
-        | Check_reg r -> (
-            match Subst.unify_terms side fr.regs.(r) fa with
-            | Some side' -> go (i + 1) side'
-            | None -> None)
-        | Bind_reg r ->
-            fr.regs.(r) <- Subst.resolve side fa;
-            go (i + 1) side
-    in
-    go 0 side
-  end
+  let flit, fcstr = fact_literal f in
+  let fargs = Array.of_list flit.Literal.args in
+  let rec go i side =
+    if i = nargs then Some (side, Conj.and_ cstr fcstr)
+    else
+      let fa = fargs.(i) in
+      match st.c_actions.(i) with
+      | Check_const c -> (
+          match Subst.unify_terms side (Term.C c) fa with
+          | Some side' -> go (i + 1) side'
+          | None -> None)
+      | Check_reg r -> (
+          match Subst.unify_terms side fr.regs.(r) fa with
+          | Some side' -> go (i + 1) side'
+          | None -> None)
+      | Bind_reg r ->
+          fr.regs.(r) <- Subst.resolve side fa;
+          go (i + 1) side
+  in
+  go 0 side
 
-(* the probe's bound columns: compile-time constants plus register reads
+type ground_match = Match | No_match | Generic
+
+(* The ground fast path, for a ground candidate under an empty side
+   substitution: every action is a direct comparison or a register write
+   of the fact's own term, and nothing is allocated.  [Generic] when a
+   register it checks holds a variable (bound by a non-ground fact), which
+   only [apply_fact] can unify. *)
+let rec match_ground (regs : Term.t array) (acts : action array) (f : Fact.t) i =
+  if i = Array.length acts then Match
+  else
+    match acts.(i) with
+    | Check_const c ->
+        if const_matches c f i then match_ground regs acts f (i + 1) else No_match
+    | Check_reg r -> (
+        match regs.(r) with
+        | Term.C c -> if const_matches c f i then match_ground regs acts f (i + 1) else No_match
+        | Term.V _ -> Generic)
+    | Bind_reg r ->
+        regs.(r) <- f.Fact.terms.(i);
+        match_ground regs acts f (i + 1)
+
+(* The probe's bound columns: compile-time constants plus register reads
    that resolve to constants, ascending positions — a register chain ending
    at an unbound fresh variable contributes nothing, as the still-variable
-   position of the resolved literal would not *)
-let probe_cols (fr : frame) (st : cstep) side =
-  let ps = st.c_probe in
-  let n = Array.length ps in
-  let rec go j =
-    if j = n then ([], [])
-    else
-      match ps.(j) with
-      | PS_const (i, c) ->
-          let rest_p, rest_k = go (j + 1) in
-          (i :: rest_p, c :: rest_k)
-      | PS_reg (i, r) -> (
-          match Subst.resolve side fr.regs.(r) with
-          | Term.C c ->
-              let rest_p, rest_k = go (j + 1) in
-              (i :: rest_p, c :: rest_k)
-          | Term.V _ -> go (j + 1))
-  in
-  go 0
+   position of the resolved literal would not.  Positions and key are built
+   by two top-level loops, so a probe allocates their lists alone. *)
+let rec probe_positions regs side (ps : probe_src array) j =
+  if j = Array.length ps then []
+  else
+    match ps.(j) with
+    | PS_const (i, _) -> i :: probe_positions regs side ps (j + 1)
+    | PS_reg (i, r) ->
+        if Term.is_ground (Subst.resolve side regs.(r)) then
+          i :: probe_positions regs side ps (j + 1)
+        else probe_positions regs side ps (j + 1)
 
-(* a step's candidates: the store's index probe on the bound columns.  Only
-   the arity guard runs here; every other [Fact.matches_literal] condition
-   is re-checked by the step's actions *)
-let iter_cands store (st : cstep) positions key k =
-  Store.iter_probe_cols store st.c_part st.c_lit.Literal.pred positions key (fun f ->
-      if Fact.arity f = st.c_arity then k f)
+let rec probe_key regs side (ps : probe_src array) j =
+  if j = Array.length ps then []
+  else
+    match ps.(j) with
+    | PS_const (_, c) -> c :: probe_key regs side ps (j + 1)
+    | PS_reg (_, r) -> (
+        match Subst.resolve side regs.(r) with
+        | Term.C c -> c :: probe_key regs side ps (j + 1)
+        | Term.V _ -> probe_key regs side ps (j + 1))
 
 (* ----- the constraint program at the leaf ----- *)
 
@@ -680,13 +654,29 @@ let exec (code : code) store ~emit =
     if si = nsteps then leaf side cstr
     else begin
       let st = code.c_steps.(si) in
-      let positions, key = probe_cols fr st side in
-      iter_cands store st positions key (fun f ->
-          match apply_fact fr st f side cstr with
-          | None -> ()
-          | Some (side', cstr') ->
+      let positions = probe_positions fr.regs side st.c_probe 0 in
+      let key = probe_key fr.regs side st.c_probe 0 in
+      (* a step's candidates: the store's index probe on the bound columns.
+         Only the arity guard runs here; every other
+         [Fact.matches_literal] condition is re-checked by the actions *)
+      Store.iter_probe_cols store st.c_part st.c_lit.Literal.pred positions key (fun f ->
+          let m =
+            if Fact.arity f <> st.c_arity then No_match
+            else if Subst.is_empty side && Fact.is_ground f then
+              match_ground fr.regs st.c_actions f 0
+            else Generic
+          in
+          match m with
+          | Match ->
               fr.chosen.(si) <- f;
-              step_loop (si + 1) side' cstr')
+              step_loop (si + 1) side cstr
+          | No_match -> ()
+          | Generic -> (
+              match apply_fact fr st f side cstr with
+              | None -> ()
+              | Some (side', cstr') ->
+                  fr.chosen.(si) <- f;
+                  step_loop (si + 1) side' cstr'))
     end
   in
   step_loop 0 Subst.empty Conj.tt

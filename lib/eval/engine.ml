@@ -205,11 +205,14 @@ let run ?jobs:_ ?max_iterations ?max_derivations ?(traced = false) ?compiled (p 
     Store.add store f;
     incr facts_added
   in
-  (* merge one production in derivation order: subsumed arrivals only count *)
+  (* merge one production in derivation order: subsumed arrivals only
+     count.  The budget is spent first, so the derivation that exhausts it
+     is neither stored nor traced: the trace shows no fact the result does
+     not hold. *)
   let merge iteration (rule_label, fact, used) =
+    spend b;
     let subsumed = Store.known_subsumes store fact in
     if traced then trace_rev := { iteration; rule_label; fact; used; subsumed } :: !trace_rev;
-    spend b;
     if not subsumed then add_fact fact;
     not subsumed
   in

@@ -20,16 +20,16 @@ let mag_normalize a =
 
 let mag_is_zero a = Array.length a = 0
 
-let mag_compare a b =
+(* limbs from the top down; a top-level loop over int arrays, so a
+   comparison allocates no closure and calls no polymorphic compare *)
+let rec mag_compare_from (a : int array) (b : int array) i =
+  if i < 0 then 0
+  else if a.(i) <> b.(i) then Int.compare a.(i) b.(i)
+  else mag_compare_from a b (i - 1)
+
+let mag_compare (a : int array) (b : int array) =
   let la = Array.length a and lb = Array.length b in
-  if la <> lb then Stdlib.compare la lb
-  else
-    let rec go i =
-      if i < 0 then 0
-      else if a.(i) <> b.(i) then Stdlib.compare a.(i) b.(i)
-      else go (i - 1)
-    in
-    go (la - 1)
+  if la <> lb then Int.compare la lb else mag_compare_from a b (la - 1)
 
 let mag_add a b =
   let la = Array.length a and lb = Array.length b in
@@ -219,10 +219,12 @@ let of_int n =
     let sign = if n > 0 then 1 else -1 in
     (* min_int negation overflows; go through three limbs of abs value *)
     let v = if n = Stdlib.min_int then n else Stdlib.abs n in
-    let v0 = v land mask
-    and v1 = (v lsr base_bits) land mask
-    and v2 = (v lsr (2 * base_bits)) land 7 in
-    make sign [| v0; v1; v2 |]
+    if v > 0 && v < base * base then { sign; mag = mag_of_small v } (* one or two limbs *)
+    else
+      let v0 = v land mask
+      and v1 = (v lsr base_bits) land mask
+      and v2 = (v lsr (2 * base_bits)) land 7 in
+      make sign [| v0; v1; v2 |]
   end
 
 let one = of_int 1

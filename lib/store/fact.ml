@@ -7,8 +7,8 @@ type pos = Psym of string | Pvar
 type t = {
   pred : string;
   args : pos array;
-  cstr : Conj.t;
-  pinned : Rat.t option array; (* cached per-position ground values *)
+  terms : Term.t array; (* the constant a position holds or is pinned to, else [$i] *)
+  constr : Conj.t option; (* [None]: ground, the pins are the whole constraint *)
 }
 
 exception Unsat
@@ -33,54 +33,63 @@ let pinned_value cstr v =
   in
   find (Conj.to_list cstr)
 
-let compute_pinned args cstr =
+let compute_terms args cstr =
   Array.mapi
     (fun i p ->
       match p with
-      | Psym _ -> None
+      | Psym s -> Term.sym s
       | Pvar -> (
           let v = Var.arg (i + 1) in
           match pinned_value cstr v with
-          | Some q -> Some q
-          | None ->
+          | Some q -> Term.num q
+          | None -> (
               (* an equality may pin it only after projecting the others out *)
-              pinned_value (Conj.project ~keep:(Var.Set.singleton v) cstr) v))
+              match pinned_value (Conj.project ~keep:(Var.Set.singleton v) cstr) v with
+              | Some q -> Term.num q
+              | None -> Term.var v)))
     args
 
+(* A satisfiable constraint that pins every numeric position denotes one
+   point, so it is equivalent to the pins: such a fact keeps only them, and
+   is the very fact [of_consts] builds from the same values. *)
 let make pred args cstr =
   let keep = numeric_vars args in
   let c = Conj.simplify (Conj.project ~keep cstr) in
   if not (Conj.is_sat c) then raise Unsat;
-  { pred; args; cstr = c; pinned = compute_pinned args c }
+  let terms = compute_terms args c in
+  let ground = Array.for_all Term.is_ground terms in
+  { pred; args; terms; constr = (if ground then None else Some c) }
 
-(* Ground fast path: every position is a symbol or a known numeric value.
-   [make] over the pin conjunction would return its canonicalization
-   unchanged — [project] keeps every variable (none falls outside [keep]),
-   [simplify] drops nothing (each pin binds a distinct [$i], so no atom is
-   implied by the others) and the conjunction is satisfiable (over ℤ only
-   when every value is an integer, which callers check) — so
-   the canonical representation is built directly, skipping the solver
-   memo lookups and the per-position pin extraction of [compute_pinned]. *)
+(* Ground fast path: every position is a symbol or a known numeric value,
+   and the pins are satisfiable (over ℤ only when every value is an
+   integer, which callers check), so the fact is built directly, with no
+   solver call and no constraint. *)
 let of_consts pred (consts : Term.const array) =
-  let n = Array.length consts in
-  let args = Array.make n Pvar in
-  let pinned = Array.make n None in
+  {
+    pred;
+    args = Array.map (function Term.Sym s -> Psym s | Term.Num _ -> Pvar) consts;
+    terms = Array.map (fun c -> Term.C c) consts;
+    constr = None;
+  }
+
+let is_fractional = function Term.C (Term.Num q) -> not (Rat.is_integer q) | _ -> false
+
+(* the pin conjunction [$i = q], one atom per numeric position *)
+let pins f =
   let atoms = ref [] in
-  for i = 0 to n - 1 do
-    match consts.(i) with
-    | Term.Sym s -> args.(i) <- Psym s
-    | Term.Num q ->
-        pinned.(i) <- Some q;
-        atoms := Atom.pin (Var.arg (i + 1)) q :: !atoms
-  done;
-  { pred; args; cstr = Conj.of_list !atoms; pinned }
+  Array.iteri
+    (fun i t ->
+      match t with
+      | Term.C (Term.Num q) -> atoms := Atom.pin (Var.arg (i + 1)) q :: !atoms
+      | Term.C (Term.Sym _) | Term.V _ -> ())
+    f.terms;
+  Conj.of_list !atoms
 
 (* Over ℤ a pin to a fractional value is unsatisfiable: such a fact is left
    to [make], which raises [Unsat].  Every other ground fact is [of_consts]'s. *)
 let ground pred consts =
   let f = of_consts pred (Array.of_list consts) in
-  let fractional = function Some q -> not (Rat.is_integer q) | None -> false in
-  if Cdomain.is_z () && Array.exists fractional f.pinned then make pred f.args f.cstr else f
+  if Cdomain.is_z () && Array.exists is_fractional f.terms then make pred f.args (pins f) else f
 
 let of_fact_rule (r : Rule.t) =
   if r.Rule.body <> [] then invalid_arg "Fact.of_fact_rule: rule has body literals";
@@ -114,16 +123,13 @@ let of_fact_rule (r : Rule.t) =
 
 let pred f = f.pred
 let arity f = Array.length f.args
-let cstr f = f.cstr
+let cstr f = match f.constr with Some c -> c | None -> pins f
+let is_ground f = Option.is_none f.constr
 
-let ground_value f i = f.pinned.(i - 1)
-
-let is_ground f =
-  let ok = ref true in
-  Array.iteri
-    (fun i p -> match p with Psym _ -> () | Pvar -> if f.pinned.(i) = None then ok := false)
-    f.args;
-  !ok
+let ground_value f i =
+  match f.terms.(i - 1) with
+  | Term.C (Term.Num q) -> Some q
+  | Term.C (Term.Sym _) | Term.V _ -> None
 
 let same_pattern a b =
   a.pred = b.pred
@@ -147,95 +153,130 @@ let matches_literal (l : Literal.t) f =
   Array.length f.args = Literal.arity l
   && begin
        let ok i t =
-         match (t, f.args.(i)) with
-         | Term.C (Term.Sym s), Psym s' -> s = s'
-         | Term.C (Term.Sym _), Pvar -> f.pinned.(i) = None
-         | Term.C (Term.Num _), Psym _ -> false
-         | Term.C (Term.Num q), Pvar -> (
-             match f.pinned.(i) with Some v -> Rat.equal v q | None -> true)
-         | Term.V _, _ -> true
+         match (t, f.args.(i), f.terms.(i)) with
+         | Term.C (Term.Sym s), Psym s', _ -> s = s'
+         | Term.C (Term.Sym _), Pvar, ft -> Term.is_var ft
+         | Term.C (Term.Num _), Psym _, _ -> false
+         | Term.C (Term.Num q), Pvar, Term.C (Term.Num v) -> Rat.equal v q
+         | Term.C (Term.Num _), Pvar, _ -> true
+         | Term.V _, _, _ -> true
        in
        List.for_all Fun.id (List.mapi ok l.Literal.args)
      end
 
-let all_pinned f =
-  Array.for_all2
-    (fun p v -> match p with Psym _ -> true | Pvar -> v <> None)
-    f.args f.pinned
+(* two ground facts of one pattern: the same point *)
+let same_values a b = Array.for_all2 Term.equal a.terms b.terms
 
 let subsumes general specific =
   same_pattern general specific
-  && (general.cstr == specific.cstr (* interned: identical constraints *)
-     ||
-     if all_pinned specific then
-       (* evaluate the general constraint at the specific point: no solver *)
-       let env v =
-         match Var.arg_index v with
-         | Some i when i >= 1 && i <= Array.length specific.pinned -> specific.pinned.(i - 1)
-         | _ -> None
-       in
-       match Conj.eval_at env general.cstr with
-       | Some b -> b
-       | None -> Conj.implies specific.cstr general.cstr
-     else Conj.implies specific.cstr general.cstr)
+  &&
+  match (general.constr, specific.constr) with
+  | None, None -> same_values general specific
+  | Some g, None -> (
+      (* evaluate the general constraint at the specific point: no solver *)
+      let env v =
+        match Var.arg_index v with
+        | Some i when i >= 1 && i <= Array.length specific.terms -> ground_value specific i
+        | _ -> None
+      in
+      match Conj.eval_at env g with Some b -> b | None -> Conj.implies (pins specific) g)
+  | None, Some s -> Conj.implies s (pins general)
+  | Some g, Some s -> g == s (* interned: identical constraints *) || Conj.implies s g
+
+(* ----- the order ----- *)
 
 (* position by position, [Pvar] before [Psym], then the shorter pattern
    first: the order of the patterns as [string option] lists *)
-let compare_args a b =
+let rec compare_args (a : pos array) (b : pos array) i =
   let la = Array.length a and lb = Array.length b in
-  let rec go i =
-    if i = la || i = lb then Int.compare la lb
-    else
-      match (a.(i), b.(i)) with
-      | Pvar, Pvar -> go (i + 1)
-      | Pvar, Psym _ -> -1
-      | Psym _, Pvar -> 1
-      | Psym s1, Psym s2 ->
-          let c = String.compare s1 s2 in
-          if c <> 0 then c else go (i + 1)
-  in
-  go 0
+  if i = la || i = lb then Int.compare la lb
+  else
+    match (a.(i), b.(i)) with
+    | Pvar, Pvar -> compare_args a b (i + 1)
+    | Pvar, Psym _ -> -1
+    | Psym _, Pvar -> 1
+    | Psym s1, Psym s2 ->
+        let c = String.compare s1 s2 in
+        if c <> 0 then c else compare_args a b (i + 1)
 
-let compare a b =
-  let c = String.compare a.pred b.pred in
+(* The pin [$i = q] is the atom [den(q)·$i − num(q) = 0], and {!Atom.compare}
+   orders such atoms by the constant [−num(q)], then by the variable, then
+   by the coefficient [den(q)].  A ground fact's pin conjunction lists its
+   pins in this order, so comparing the pins in it, least first, is
+   {!Conj.compare} on the conjunctions, which are never built. *)
+let compare_pin i p j q =
+  let c = Bigint.compare (Rat.num q) (Rat.num p) in
   if c <> 0 then c
   else
-    let c = compare_args a.args b.args in
-    if c <> 0 then c else Conj.compare a.cstr b.cstr
+    let c = Var.compare (Var.arg (i + 1)) (Var.arg (j + 1)) in
+    if c <> 0 then c else Bigint.compare (Rat.den p) (Rat.den q)
+
+let pin_value (t : Term.t array) i =
+  if i < 0 then Rat.zero else match t.(i) with Term.C (Term.Num q) -> q | _ -> Rat.zero
+
+(* the position of the least pin of [t] above the pin at [prev] (every pin
+   when [prev] is [-1]) from position [i] on, given the [best] so far; [-1]
+   when there is none.  Pins bind distinct positions, so the order among
+   one fact's pins is strict. *)
+let rec least_above (t : Term.t array) prev pq i best =
+  if i = Array.length t then best
+  else
+    match t.(i) with
+    | Term.C (Term.Num q)
+      when (prev < 0 || compare_pin prev pq i q < 0)
+           && (best < 0 || compare_pin i q best (pin_value t best) < 0) ->
+        least_above t prev pq (i + 1) i
+    | _ -> least_above t prev pq (i + 1) best
+
+(* the pins of two ground facts in order, after the pins at [pa] and [pb]:
+   a selection per step, allocation free; a fact out of pins first sorts
+   first, as the shorter atom list *)
+let rec compare_pins (ta : Term.t array) (tb : Term.t array) pa pb =
+  let i = least_above ta pa (pin_value ta pa) 0 (-1) in
+  let j = least_above tb pb (pin_value tb pb) 0 (-1) in
+  if i < 0 then if j < 0 then 0 else -1
+  else if j < 0 then 1
+  else
+    let c = compare_pin i (pin_value ta i) j (pin_value tb j) in
+    if c <> 0 then c else compare_pins ta tb i j
+
+let compare a b =
+  if a == b then 0
+  else
+    let c = String.compare a.pred b.pred in
+    if c <> 0 then c
+    else
+      let c = compare_args a.args b.args 0 in
+      if c <> 0 then c
+      else
+        match (a.constr, b.constr) with
+        | None, None -> compare_pins a.terms b.terms (-1) (-1)
+        | Some ca, Some cb -> Conj.compare ca cb
+        | None, Some _ | Some _, None -> Conj.compare (cstr a) (cstr b)
 
 let equal a b = compare a b = 0
 
 let pp fmt f =
   let n = Array.length f.args in
-  let pinned = Array.make n None in
-  for i = 1 to n do
-    pinned.(i - 1) <- ground_value f i
-  done;
+  let pinned i = Term.is_ground f.terms.(i) in
   (* residual constraints: those not expressed by pinned positions *)
   let residual =
-    List.filter
-      (fun (a : Atom.t) ->
-        not
-          (Var.Set.for_all
-             (fun v ->
-               match Var.arg_index v with
-               | Some i when i <= n -> pinned.(i - 1) <> None
-               | _ -> false)
-             (Atom.vars a)))
-      (Conj.to_list f.cstr)
-  in
-  let pp_arg fmt i =
-    match f.args.(i) with
-    | Psym s -> Format.pp_print_string fmt s
-    | Pvar -> (
-        match pinned.(i) with
-        | Some q -> Rat.pp fmt q
-        | None -> Var.pp fmt (Var.arg (i + 1)))
+    match f.constr with
+    | None -> []
+    | Some c ->
+        List.filter
+          (fun (a : Atom.t) ->
+            not
+              (Var.Set.for_all
+                 (fun v ->
+                   match Var.arg_index v with Some i when i <= n -> pinned (i - 1) | _ -> false)
+                 (Atom.vars a)))
+          (Conj.to_list c)
   in
   Format.fprintf fmt "%s(" f.pred;
   for i = 0 to n - 1 do
     if i > 0 then Format.pp_print_string fmt ", ";
-    pp_arg fmt i
+    Term.pp fmt f.terms.(i)
   done;
   if residual <> [] then
     Format.fprintf fmt "; %a"

@@ -4,9 +4,10 @@
     A fact maps each argument position to either a symbolic constant or the
     canonical numeric variable [$i], with a conjunction [C] over the [$i]
     constraining the numeric positions.  A ground numeric fact is the special
-    case where [C] pins every numeric position to a value.  A constraint fact
-    finitely represents the (potentially infinite) set of ground facts
-    satisfying [C]. *)
+    case where [C] pins every numeric position to a value; it is stored as
+    those values alone, with no conjunction, whichever constructor built it.
+    A constraint fact finitely represents the (potentially infinite) set of
+    ground facts satisfying [C]. *)
 
 open Cql_num
 open Cql_constr
@@ -17,9 +18,12 @@ type pos = Psym of string | Pvar  (** position [i] holds the variable [$i] *)
 type t = private {
   pred : string;
   args : pos array;
-  cstr : Conj.t;
-  pinned : Rat.t option array;
-      (** cached ground value per position, when the constraints pin one *)
+  terms : Term.t array;
+      (** per position: the symbol it holds or the value its constraint
+          pins it to, else the variable [$i] *)
+  constr : Conj.t option;
+      (** the canonical constraint; [None] exactly when the fact is ground,
+          its pins being the whole constraint *)
 }
 
 exception Unsat
@@ -29,17 +33,18 @@ exception Unsat
 val make : string -> pos array -> Conj.t -> t
 (** [make pred args c] canonicalizes [c] (projects it onto the [$i] of
     numeric positions and simplifies).  The constructor for facts that carry
-    a real constraint; ground facts take {!ground}.
+    a real constraint; ground facts take {!ground}.  When the result pins
+    every numeric position it is the ground fact of those values, equal
+    ([=]) to the one {!of_consts} builds.
     @raise Unsat if [c] is unsatisfiable. *)
 
 val of_consts : string -> Term.const array -> t
-(** The ground fact from constants, its pin conjunction ([$i = q] per
-    numeric position) built directly: {!make}'s projection and
-    simplification are provably the identity on it and it is satisfiable
-    over ℚ, so no solver call is made.  The compiled executor's head
-    constructor; its leaf checks over ℤ that every value is an integer
-    before the call.  Unchecked: over ℤ it builds a fact {!make} would
-    refute (a fractional pin); use {!ground} for constants from outside. *)
+(** The ground fact from constants, built directly: the pins are
+    satisfiable over ℚ, so no solver call is made and no conjunction is
+    built.  The compiled executor's head constructor; its leaf checks over
+    ℤ that every value is an integer before the call.  Unchecked: over ℤ it
+    builds a fact {!make} would refute (a fractional pin); use {!ground}
+    for constants from outside. *)
 
 val ground : string -> Term.const list -> t
 (** The ground fact from constants: {!of_consts}, except that over ℤ a
@@ -58,10 +63,14 @@ val of_fact_rule : Rule.t -> t
 
 val pred : t -> string
 val arity : t -> int
+
 val cstr : t -> Conj.t
+(** The fact's constraint.  A ground fact stores none: its pin conjunction
+    ([$i = q] per numeric position) is built and interned on each call. *)
 
 val is_ground : t -> bool
-(** Every numeric position is pinned to a single value. *)
+(** Every numeric position is pinned to a single value ([constr] is
+    [None]). *)
 
 val ground_value : t -> int -> Rat.t option
 (** The value of numeric position [i] (1-based) when pinned. *)
@@ -73,15 +82,19 @@ val matches_literal : Literal.t -> t -> bool
 
 val subsumes : t -> t -> bool
 (** [subsumes general specific]: every ground instance of [specific] is an
-    instance of [general].  Requires identical symbolic pattern. *)
+    instance of [general].  Requires identical symbolic pattern.  Two ground
+    facts compare their values; a constraint met with a ground fact is
+    evaluated at its point; only two constraint facts call the solver. *)
 
 val equal : t -> t -> bool
 
 val compare : t -> t -> int
 (** Structural order: predicate, then the pattern position by position
     ([Pvar] before [Psym], symbols by [String.compare], a shorter pattern
-    before its extensions), then {!Conj.compare}.  Allocation free; keys the
-    views' support graphs and orders query answers. *)
+    before its extensions), then {!Conj.compare} on {!cstr}.  Two ground
+    facts compare their pins in the order of their pin conjunctions,
+    without building them: allocation free.  Keys the views' support graphs
+    and orders query answers. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints ground values where pinned, e.g. [m_fib(N1, 5; N1 > 0)] style:

@@ -16,6 +16,16 @@ type cell = { fact : Fact.t; mutable live : bool; mutable part : int }
 
 type t
 
+val hash_const : Term.const -> int
+(** The hash of one key value. *)
+
+val hash_mix : int -> int
+(** Mix a hash folded from {!hash_const}s, as [(acc * 65599) lxor h], so
+    that its low bits, which [Hashtbl.Make] picks buckets by, depend on
+    every bit: folded alone they are the low bits of the values, and small
+    integers that agree there would share buckets.  The store's index keys
+    and ground-fact keys both go through it. *)
+
 val positions : t -> int list
 (** The indexed 0-based columns, ascending. *)
 
@@ -27,7 +37,10 @@ val add : t -> cell -> unit
 val of_cells : int list -> cell list -> t
 (** Build an index over a newest-first cell list. *)
 
-val probe : t -> Term.const list -> cell list * cell list
-(** [probe idx key] is [(bucket, wildcard)]: the cells whose indexed columns
-    equal [key], plus the cells indexable on no key.  Dead cells are not
+val bucket : t -> Term.const list -> cell list
+(** [bucket idx key]: the cells whose indexed columns equal [key].  A probe
+    for [key] returns them and the {!wild} cells.  Dead cells are not
     filtered here. *)
+
+val wild : t -> cell list
+(** The cells indexable on no key: not ground on some indexed column. *)

@@ -46,7 +46,9 @@ let known_subsumes s f =
   match find_table s (Fact.pred f) with
   | None -> false
   | Some t ->
-      let hit, compared = Table.known_subsumes t f in
+      let before = Table.compared t in
+      let hit = Table.known_subsumes t f in
+      let compared = Table.compared t - before in
       st.subsumption_compared <- st.subsumption_compared + compared;
       st.subsumption_avoided <- st.subsumption_avoided + (Table.live_total t - compared);
       hit
@@ -56,8 +58,9 @@ let known_subsumes s f =
    the newcomer killed are reported for maintenance bookkeeping *)
 let add_reporting s f =
   let t = table s (Fact.pred f) in
-  let compared, killed = Table.back_subsume t f in
-  s.stats.subsumption_compared <- s.stats.subsumption_compared + compared;
+  let before = Table.compared t in
+  let killed = Table.back_subsume t f in
+  s.stats.subsumption_compared <- s.stats.subsumption_compared + (Table.compared t - before);
   Table.insert t f;
   killed
 

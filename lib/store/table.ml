@@ -1,4 +1,4 @@
-open Cql_num
+open Cql_datalog
 
 type cell = Index.cell = { fact : Fact.t; mutable live : bool; mutable part : int }
 
@@ -17,25 +17,20 @@ type sbucket = {
   mutable general : cell list; (* carries a residual constraint *)
 }
 
-(* fully-pinned facts keyed by pattern and values, read off the fact *)
+(* ground facts keyed by their values, which give the pattern too (a
+   symbol where the pattern has one, a number elsewhere) *)
 module GroundKey = struct
   type t = Fact.t
 
   let equal (a : Fact.t) (b : Fact.t) =
-    Array.length a.Fact.args = Array.length b.Fact.args
-    && a.Fact.args = b.Fact.args
-    && Array.for_all2
-         (fun a b ->
-           match (a, b) with
-           | None, None -> true
-           | Some x, Some y -> Rat.equal x y
-           | _ -> false)
-         a.Fact.pinned b.Fact.pinned
+    Array.length a.Fact.terms = Array.length b.Fact.terms
+    && Array.for_all2 Term.equal a.Fact.terms b.Fact.terms
 
-  let hash (f : Fact.t) =
-    Array.fold_left
-      (fun acc o -> (acc * 65599) lxor (match o with Some q -> Rat.hash q | None -> 7))
-      (Hashtbl.hash f.Fact.args) f.Fact.pinned
+  let hash_term acc = function
+    | Term.C c -> (acc * 65599) lxor Index.hash_const c
+    | Term.V _ -> acc
+
+  let hash (f : Fact.t) = Index.hash_mix (Array.fold_left hash_term 17 f.Fact.terms)
 end
 
 module GroundTbl = Hashtbl.Make (GroundKey)
@@ -52,6 +47,8 @@ type t = {
   (* subsumption indexes over every live cell *)
   ground : cell GroundTbl.t; (* fully-pinned facts by (pattern, values) *)
   patterns : (Fact.pos array, sbucket) Hashtbl.t;
+  mutable dead : int; (* killed cells the structures above may still hold *)
+  mutable compared : int; (* Fact.subsumes calls so far *)
 }
 
 let create () =
@@ -64,12 +61,14 @@ let create () =
     indexes = Array.make 2 [];
     ground = GroundTbl.create 64;
     patterns = Hashtbl.create 16;
+    dead = 0;
+    compared = 0;
   }
 
 let sbucket_of t pat =
-  match Hashtbl.find_opt t.patterns pat with
-  | Some b -> b
-  | None ->
+  match Hashtbl.find t.patterns pat with
+  | b -> b
+  | exception Not_found ->
       let b = { ground_cells = []; general = [] } in
       Hashtbl.add t.patterns pat b;
       b
@@ -84,7 +83,32 @@ let part_count t = function
 let kill t c =
   if c.live then begin
     c.live <- false;
-    t.live_counts.(c.part) <- t.live_counts.(c.part) - 1
+    t.live_counts.(c.part) <- t.live_counts.(c.part) - 1;
+    t.dead <- t.dead + 1
+  end
+
+(* Read paths skip dead cells, but every list, bucket, hash and index
+   would keep them for the table's lifetime: a view's writes would grow it
+   without bound.  Once the dead outnumber the live, one sweep drops them
+   all; it costs O(live + dead) = O(dead), so each kill pays a constant on
+   average.  Join indexes are dropped rather than swept; probes rebuild
+   them from the swept partitions. *)
+let reclaim t =
+  if t.dead > live_total t then begin
+    let live l = List.filter (fun c -> c.live) l in
+    t.old_cells <- live t.old_cells;
+    t.delta_cells <- live t.delta_cells;
+    t.pending_cells <- live t.pending_cells;
+    t.all_rev <- live t.all_rev;
+    Hashtbl.filter_map_inplace
+      (fun _ b ->
+        b.ground_cells <- live b.ground_cells;
+        b.general <- live b.general;
+        if b.ground_cells = [] && b.general = [] then None else Some b)
+      t.patterns;
+    GroundTbl.filter_map_inplace (fun _ c -> if c.live then Some c else None) t.ground;
+    Array.fill t.indexes 0 (Array.length t.indexes) [];
+    t.dead <- 0
   end
 
 (* ----- insertion & subsumption ----- *)
@@ -101,37 +125,47 @@ let insert t f =
   end
   else b.general <- c :: b.general
 
-(* [known_subsumes t f] is [(hit, comparisons)]: is [f] subsumed by a live
-   stored fact, and how many Fact.subsumes calls it took to decide.  Only
-   same-pattern facts are candidates; a fully-pinned [f] checks the ground
-   hash first (a pinned general fact subsumes it only if their constraints
-   agree at [f]'s point, which the general scan still covers). *)
+(* Subsumption walks the pattern bucket with top-level loops and counts
+   each Fact.subsumes call in [t.compared], so a check allocates nothing:
+   no closure, counter or result pair. *)
+let rec any_subsumes t f = function
+  | [] -> false
+  | c :: rest ->
+      (c.live
+      &&
+      (t.compared <- t.compared + 1;
+       Fact.subsumes c.fact f))
+      || any_subsumes t f rest
+
+(* Is [f] subsumed by a live stored fact?  Only same-pattern facts are
+   candidates; a fully-pinned [f] checks the ground hash first (a pinned
+   general fact subsumes it only if their constraints agree at [f]'s
+   point, which the general scan still covers). *)
 let known_subsumes t f =
-  match Hashtbl.find_opt t.patterns f.Fact.args with
-  | None -> (false, 0)
-  | Some b ->
-      let cmp = ref 0 in
-      let scan l =
-        List.exists
-          (fun c ->
-            c.live
-            &&
-            (incr cmp;
-             Fact.subsumes c.fact f))
-          l
-      in
+  match Hashtbl.find t.patterns f.Fact.args with
+  | exception Not_found -> false
+  | b ->
       if Fact.is_ground f then
-        match GroundTbl.find_opt t.ground f with
-        | Some c when c.live -> (true, 0)
-        | _ ->
-            let hit = scan b.general in
-            (hit, !cmp)
-      else begin
+        match GroundTbl.find t.ground f with
+        | c when c.live -> true
+        | _ | (exception Not_found) -> any_subsumes t f b.general
+      else
         (* a fully-pinned fact can also subsume a syntactically unpinned
            one whose constraint happens to imply the point *)
-        let hit = scan b.general || scan b.ground_cells in
-        (hit, !cmp)
+        any_subsumes t f b.general || any_subsumes t f b.ground_cells
+
+let rec kill_subsumed t f killed = function
+  | [] -> killed
+  | c :: rest ->
+      if c.live then begin
+        t.compared <- t.compared + 1;
+        if Fact.subsumes f c.fact then begin
+          kill t c;
+          kill_subsumed t f (c.fact :: killed) rest
+        end
+        else kill_subsumed t f killed rest
       end
+      else kill_subsumed t f killed rest
 
 (* Drop live facts the new fact subsumes (back-subsumption).  A fully
    pinned [f] denotes a single point: the only ground fact it could
@@ -139,26 +173,13 @@ let known_subsumes t f =
    only general cells need scanning.  Killed facts are reported so a
    maintenance layer can remember them as covered. *)
 let back_subsume t f =
-  match Hashtbl.find_opt t.patterns f.Fact.args with
-  | None -> (0, [])
-  | Some b ->
-      let cmp = ref 0 in
-      let killed = ref [] in
-      let kill_in l =
-        List.iter
-          (fun c ->
-            if c.live then begin
-              incr cmp;
-              if Fact.subsumes f c.fact then begin
-                kill t c;
-                killed := c.fact :: !killed
-              end
-            end)
-          l
-      in
-      kill_in b.general;
-      if not (Fact.is_ground f) then kill_in b.ground_cells;
-      (!cmp, !killed)
+  match Hashtbl.find t.patterns f.Fact.args with
+  | exception Not_found -> []
+  | b ->
+      let killed = kill_subsumed t f [] b.general in
+      if Fact.is_ground f then killed else kill_subsumed t f killed b.ground_cells
+
+let compared t = t.compared
 
 (* ----- structural lookup & deletion ----- *)
 
@@ -176,9 +197,9 @@ let find_cell_equal t f =
 let find_equal t f = Option.map (fun c -> c.fact) (find_cell_equal t f)
 let mem_equal t f = Option.is_some (find_cell_equal t f)
 
-(* Physically retire the live cell structurally equal to [f] (dead cells
-   are filtered by every read path, so killing suffices; the ground hash
-   entry is refreshed in case another live duplicate remains). *)
+(* Retire the live cell structurally equal to [f]: killing suffices for
+   every read path, [reclaim] frees it later; the ground hash entry is
+   refreshed in case another live duplicate remains. *)
 let delete t f =
   match find_cell_equal t f with
   | None -> false
@@ -196,6 +217,7 @@ let delete t f =
         | Some c2 -> GroundTbl.replace t.ground f c2
         | None -> ()
       end;
+      reclaim t;
       true
 
 (* ----- partitions ----- *)
@@ -215,37 +237,42 @@ let advance t =
   t.live_counts.(p_delta) <- List.length delta;
   t.pending_cells <- [];
   t.live_counts.(p_pending) <- 0;
-  t.indexes.(p_delta) <- []
+  t.indexes.(p_delta) <- [];
+  reclaim t
 
 (* ----- probing ----- *)
 
+let rec find_index positions = function
+  | [] -> raise Not_found
+  | idx :: rest ->
+      if List.equal Int.equal (Index.positions idx) positions then idx
+      else find_index positions rest
+
 let get_index t part cells positions =
-  match List.find_opt (fun i -> Index.positions i = positions) t.indexes.(part) with
-  | Some idx -> idx
-  | None ->
+  match find_index positions t.indexes.(part) with
+  | idx -> idx
+  | exception Not_found ->
       let idx = Index.of_cells positions cells in
       t.indexes.(part) <- idx :: t.indexes.(part);
       idx
 
 (* Probes push candidates to a callback instead of materializing a list,
-   so the compiled executor's inner loop allocates nothing per probe.  Both
-   return the number of live facts visited (the store's stats). *)
+   and walk the lists with top-level loops, so a probe allocates no result,
+   closure or counter.  Both return the number of live facts visited (the
+   store's stats). *)
+
+let rec visit_live k n = function
+  | [] -> n
+  | c :: rest ->
+      if c.live then begin
+        k c.fact;
+        visit_live k (n + 1) rest
+      end
+      else visit_live k n rest
 
 let iter_probe_one t part cells positions key k =
-  let bucket, wild = Index.probe (get_index t part cells positions) key in
-  let n = ref 0 in
-  let visit l =
-    List.iter
-      (fun c ->
-        if c.live then begin
-          incr n;
-          k c.fact
-        end)
-      l
-  in
-  visit bucket;
-  visit wild;
-  !n
+  let idx = get_index t part cells positions in
+  visit_live k (visit_live k 0 (Index.bucket idx key)) (Index.wild idx)
 
 let iter_probe t part positions key k =
   match part with
@@ -258,22 +285,12 @@ let iter_probe t part positions key k =
       d + iter_probe_one t p_old t.old_cells positions key k
 
 let iter_scan t part k =
-  let visit l =
-    List.fold_left
-      (fun n c ->
-        if c.live then begin
-          k c.fact;
-          n + 1
-        end
-        else n)
-      0 l
-  in
   match part with
-  | Old -> visit t.old_cells
-  | Delta -> visit t.delta_cells
+  | Old -> visit_live k 0 t.old_cells
+  | Delta -> visit_live k 0 t.delta_cells
   | Full ->
-      let d = visit t.delta_cells in
-      d + visit t.old_cells
+      let d = visit_live k 0 t.delta_cells in
+      d + visit_live k 0 t.old_cells
 
 (* ----- listing ----- *)
 

@@ -12,6 +12,11 @@
     are additionally hashed by their value tuple, so duplicate ground facts
     are detected without a single solver call.
 
+    Killed cells (back-subsumed or deleted) are skipped by every read and
+    reclaimed once they outnumber the live ones: {!advance} and {!delete}
+    then sweep them out of every list, bucket and hash and drop the join
+    indexes, so a table's size follows its live facts, not its history.
+
     A table is used by one domain at a time: probes build their indexes
     lazily, without synchronization. *)
 
@@ -26,13 +31,16 @@ val create : unit -> t
 val insert : t -> Fact.t -> unit
 (** Append to the pending partition (no subsumption checking here). *)
 
-val known_subsumes : t -> Fact.t -> bool * int
-(** [(subsumed, comparisons)]: is the fact subsumed by a live stored fact,
-    and how many {!Fact.subsumes} calls the check performed. *)
+val known_subsumes : t -> Fact.t -> bool
+(** Is the fact subsumed by a live stored fact? *)
 
-val back_subsume : t -> Fact.t -> int * Fact.t list
-(** Mark live stored facts subsumed by the new fact dead; returns the number
-    of comparisons performed and the facts that were killed. *)
+val back_subsume : t -> Fact.t -> Fact.t list
+(** Mark live stored facts subsumed by the new fact dead; returns the facts
+    that were killed. *)
+
+val compared : t -> int
+(** The {!Fact.subsumes} calls {!known_subsumes} and {!back_subsume} have
+    made so far: the difference across one call is its comparisons. *)
 
 val find_equal : t -> Fact.t -> Fact.t option
 (** The live stored fact structurally equal to the argument

@@ -66,7 +66,12 @@ let test_linexpr_integerize () =
   let f = Linexpr.of_terms [ (Q.of_int 4, x); (Q.of_int 6, y) ] Q.zero in
   check_bool "gcd reduced" true
     (Linexpr.equal (Linexpr.integerize f)
-       (Linexpr.of_terms [ (Q.of_int 2, x); (Q.of_int 3, y) ] Q.zero))
+       (Linexpr.of_terms [ (Q.of_int 2, x); (Q.of_int 3, y) ] Q.zero));
+  (* an expression already in normal form comes back as it is, not copied *)
+  List.iter
+    (fun g ->
+      check_bool (Linexpr.to_string g ^ " returned as is") true (Linexpr.integerize g == g))
+    [ e'; Linexpr.integerize f; Linexpr.of_terms [ (Q.of_int 2, x) ] (Q.of_int 3); vx ]
 
 let test_linexpr_rename () =
   let e = Linexpr.add vx vy in

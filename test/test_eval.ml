@@ -235,6 +235,38 @@ let test_derivation_budget () =
   check_bool "stopped by derivations" false (Engine.stats res).Engine.reached_fixpoint;
   check_bool "at most 10" true ((Engine.stats res).Engine.derivations <= 10)
 
+(* the derivation that exhausts the budget is neither stored nor traced:
+   on flights cut at 7 derivations, every fact the trace shows as stored,
+   and every fact of an answer's derivation tree, is one the result holds *)
+let test_budget_trace () =
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let dir = List.find Sys.file_exists [ "../examples/programs"; "examples/programs" ] in
+  let p = parse (read (Filename.concat dir "flights.cql")) in
+  let edb = edb_of (read (Filename.concat dir "flights_edb.cql")) in
+  let res = Engine.run ~traced:true ~max_derivations:7 p ~edb in
+  let s = Engine.stats res in
+  check_bool "cut by the budget" false s.Engine.reached_fixpoint;
+  check_int "derivations" 7 s.Engine.derivations;
+  let held (f : Fact.t) =
+    List.exists (fun g -> Fact.equal f g) (Engine.facts_of res (Fact.pred f))
+  in
+  let trace = Engine.trace res in
+  check_int "the exhausting derivation is not traced" 6 (List.length trace);
+  List.iter
+    (fun (e : Engine.trace_entry) ->
+      if not e.Engine.subsumed then
+        check_bool ("held: " ^ Fact.to_string e.Engine.fact) true (held e.Engine.fact))
+    trace;
+  List.iter
+    (fun a ->
+      match Explain.tree res a with
+      | None -> Alcotest.fail ("no tree for " ^ Fact.to_string a)
+      | Some t ->
+          List.iter
+            (fun f -> check_bool ("tree fact held: " ^ Fact.to_string f) true (held f))
+            (Explain.facts t))
+    (Engine.answers res p)
+
 (* budget exhaustion must be reported identically by the engine and the
    seed reference evaluator: [reached_fixpoint = false], the budget
    respected, and the partial results still available -- never a silent
@@ -778,10 +810,10 @@ let prop_ground_direct =
              consts)
       in
       let build f = match f () with f -> Some f | exception Fact.Unsat -> None in
-      let same (f : Fact.t) (m : Fact.t) =
-        Fact.compare f m = 0 && f.Fact.cstr == m.Fact.cstr
-        && Array.for_all2 (Option.equal Rat.equal) f.Fact.pinned m.Fact.pinned
-      in
+      (* one representation: polymorphic [=] is what the update oracle
+         compares view states with *)
+      let same (f : Fact.t) (m : Fact.t) = Fact.compare f m = 0 && f = m in
+      let fractional = function Term.Num q -> not (Rat.is_integer q) | Term.Sym _ -> false in
       List.for_all
         (fun d ->
           Cdomain.with_domain d (fun () ->
@@ -791,7 +823,12 @@ let prop_ground_direct =
                   build (fun () -> Fact.make pred args (Conj.of_list pins)) )
               with
               | None, None, None -> true
-              | Some r, Some g, Some m -> same r m && same g m
+              | Some r, Some g, Some m ->
+                  same r m && same g m
+                  (* [of_consts] is unchecked: over ℤ a fractional pin is
+                     the executor's leaf to reject *)
+                  && (d = Cdomain.Z && List.exists fractional consts
+                     || same (Fact.of_consts pred (Array.of_list consts)) m)
               | _ -> false))
         [ Cdomain.Q; Cdomain.Z ])
 
@@ -805,24 +842,66 @@ let list_fact_compare (a : Fact.t) (b : Fact.t) =
       Array.to_list (Array.map (function Fact.Psym s -> Some s | Fact.Pvar -> None) f.Fact.args)
     in
     let c = Stdlib.compare (pattern a) (pattern b) in
-    if c <> 0 then c else Conj.compare a.Fact.cstr b.Fact.cstr
+    if c <> 0 then c else Conj.compare (Fact.cstr a) (Fact.cstr b)
+
+(* ground facts of up to four positions; numbers are small fractions (so
+   values, numerators and denominators tie), or negative, fractional or
+   past one limb ([rat_gen]) *)
+let fact_num_gen =
+  let open QCheck.Gen in
+  oneof
+    [
+      map2 (fun n d -> Term.Num (Rat.of_ints n d)) (int_range (-2) 2) (int_range 1 3);
+      map (fun q -> Term.Num q) rat_gen;
+    ]
 
 let fact_gen =
   let open QCheck.Gen in
-  let arg =
-    oneof
-      [
-        map (fun s -> Term.Sym s) (oneofl [ ""; "a"; "ab"; "b" ]);
-        map (fun n -> Term.Num (Rat.of_int n)) (int_range 0 2);
-      ]
-  in
+  let arg = oneof [ map (fun s -> Term.Sym s) (oneofl [ ""; "a"; "ab"; "b" ]); fact_num_gen ] in
   map2 Fact.ground (oneofl [ "p"; "q" ]) (list_size (int_range 0 4) arg)
 
+(* two ground facts of one pattern with up to four pins, so the order is
+   decided by the pins *)
+let same_pattern_gen =
+  let open QCheck.Gen in
+  list_size (int_range 0 4)
+    (oneof [ map (fun s -> Term.Sym s) (oneofl [ "a"; "b" ]); fact_num_gen ])
+  >>= fun shape ->
+  let values =
+    flatten_l
+      (List.map (function Term.Sym _ as c -> return c | Term.Num _ -> fact_num_gen) shape)
+  in
+  map2 (fun a b -> (Fact.ground "p" a, Fact.ground "p" b)) values values
+
 let prop_fact_compare =
-  QCheck.Test.make ~name:"Fact.compare orders as the list-based definition" ~count:1000
+  QCheck.Test.make ~name:"Fact.compare orders as the list-based definition" ~count:2000
     (QCheck.make ~print:(fun (a, b) -> Fact.to_string a ^ " vs " ^ Fact.to_string b)
-       QCheck.Gen.(pair fact_gen fact_gen))
+       QCheck.Gen.(oneof [ pair fact_gen fact_gen; same_pattern_gen ]))
     (fun (a, b) -> Int.compare (Fact.compare a b) 0 = Int.compare (list_fact_compare a b) 0)
+
+(* comparing ground facts allocates nothing: the views' fact maps compare
+   on every insert and lookup *)
+let test_fact_compare_alloc () =
+  let facts =
+    Array.of_list
+      (List.map
+         (fun (s, t, c) ->
+           Fact.ground "leg" [ Term.Sym s; Term.Num (Rat.of_int t); Term.Num c ])
+         [
+           ("a", 50, Rat.of_int 100);
+           ("a", 50, Rat.of_ints 201 2);
+           ("b", -30, Rat.of_int 100);
+           ("a", 50, Rat.of_int 100);
+           ("a", 1 lsl 40, Rat.of_int 7);
+         ])
+  in
+  let n = Array.length facts in
+  let w0 = Gc.minor_words () in
+  for k = 0 to 9_999 do
+    ignore (Sys.opaque_identity (Fact.compare facts.(k mod n) facts.((k + 1) mod n)))
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "minor words for 10,000 compares" 0. (w1 -. w0)
 
 (* ----- the cqlopt CLI ----- *)
 
@@ -896,6 +975,7 @@ let () =
           Alcotest.test_case "subsumption during evaluation" `Quick test_subsumption_during_evaluation;
           Alcotest.test_case "fib diverges, budget stops" `Quick test_fib_forward_style;
           Alcotest.test_case "derivation budget" `Quick test_derivation_budget;
+          Alcotest.test_case "the exhausting derivation is not traced" `Quick test_budget_trace;
           Alcotest.test_case "budget truncation both engines" `Quick
             test_budget_truncation_both_engines;
           Alcotest.test_case "semi-naive vs naive" `Quick test_seminaive_vs_naive;
@@ -913,6 +993,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_pin;
           QCheck_alcotest.to_alcotest prop_ground_direct;
           QCheck_alcotest.to_alcotest prop_fact_compare;
+          Alcotest.test_case "Fact.compare allocates nothing" `Quick test_fact_compare_alloc;
         ] );
       ( "cli",
         [ Alcotest.test_case "eval rejects a mixed-arity EDB" `Quick test_cli_edb_arity ] );

@@ -271,6 +271,40 @@ let test_flights_updates () =
   check_against_scratch ~msg:"flights reinsert" vw;
   Engine.close_view vw
 
+(* Killed cells leave the store's tables: a spare leg inserted and
+   retracted 2,000 times keeps the flights view within twice its size
+   after the first cycle, although every retraction kills the cells of the
+   facts the leg derived *)
+let test_view_heap_bounded () =
+  let p = flights_program () in
+  let edb =
+    edb_of
+      {|
+        singleleg(madison, chicago, 50, 100).
+        singleleg(chicago, seattle, 230, 90).
+        singleleg(newyork, boston, 45, 60).
+        singleleg(seattle, anchorage, 200, 210).
+      |}
+  in
+  let spare = edb_of "singleleg(chicago, newyork, 110, 160)." in
+  let vw, _ = Engine.materialize p ~edb in
+  let cycle () =
+    ignore (Engine.insert vw spare);
+    ignore (Engine.retract vw spare)
+  in
+  let words () = Obj.reachable_words (Obj.repr vw) in
+  cycle ();
+  let first = words () in
+  for _ = 2 to 2_000 do
+    cycle ()
+  done;
+  let last = words () in
+  check_bool
+    (Printf.sprintf "%d words after 2,000 cycles, %d after one" last first)
+    true (last <= 2 * first);
+  check_against_scratch ~msg:"after 2,000 cycles" vw;
+  Engine.close_view vw
+
 (* ----- one round loop, one budget ----- *)
 
 (* runtest sandbox cwd is test/; dune exec runs from the project root *)
@@ -357,5 +391,9 @@ let () =
           Alcotest.test_case "closed view raises" `Quick test_closed_view_raises;
         ] );
       ( "flights",
-        [ Alcotest.test_case "flights update stream" `Quick test_flights_updates ] );
+        [
+          Alcotest.test_case "flights update stream" `Quick test_flights_updates;
+          Alcotest.test_case "writes keep the view's heap bounded" `Quick
+            test_view_heap_bounded;
+        ] );
     ]
