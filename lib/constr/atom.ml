@@ -99,7 +99,9 @@ let eval_at env a =
     Some (match a.op with Le -> Rat.sign v <= 0 | Lt -> Rat.sign v < 0 | Eq -> Rat.sign v = 0)
   with Unvalued -> None
 
-let subst x repl a = make (Linexpr.subst x repl a.expr) a.op
+let subst s a =
+  let e = Linexpr.subst s a.expr in
+  if e == a.expr then a else make e a.op
 let rename f a = make (Linexpr.rename f a.expr) a.op
 
 (* structural order (op, then expression) so the canonical atom order inside

@@ -59,7 +59,10 @@ val eval_at : (Var.t -> Cql_num.Rat.t option) -> t -> bool option
 
 (** {1 Substitution} *)
 
-val subst : Var.t -> Linexpr.t -> t -> t
+val subst : (Var.t * Linexpr.t) list -> t -> t
+(** [subst s a] is {!Linexpr.subst} on the expression, renormalized; an
+    atom mentioning no variable [s] binds is returned as it is. *)
+
 val rename : (Var.t -> Var.t) -> t -> t
 
 (** {1 Comparison and printing} *)

@@ -128,7 +128,7 @@ let eliminate x (c : t) : t =
           let r = Linexpr.sub eqa.Atom.expr (Linexpr.term a x) in
           let repl = Linexpr.scale (Rat.neg (Rat.inv a)) r in
           let others = List.filter (fun a' -> not (Atom.equal a' eqa)) mentions in
-          of_list (rest @ List.map (Atom.subst x repl) others)
+          of_list (rest @ List.map (Atom.subst [ (x, repl) ]) others)
       | None ->
           Obs.incr ctr_fm;
           (* all atoms mentioning x are inequalities e op 0 with op in {Le,Lt} *)
@@ -300,7 +300,9 @@ let simplify c =
           in
           of_list (go [] c.atoms))
 
-let subst x repl c = of_list (List.map (Atom.subst x repl) c.atoms)
+let subst s c =
+  let atoms = List.map (Atom.subst s) c.atoms in
+  if List.for_all2 ( == ) atoms c.atoms then c else of_list atoms
 let rename f c = of_list (List.map (Atom.rename f) c.atoms)
 
 (* structural order on the canonical atom lists — stable across runs and

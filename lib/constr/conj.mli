@@ -100,7 +100,11 @@ val simplify : t -> t
 
 (** {1 Substitution} *)
 
-val subst : Var.t -> Linexpr.t -> t -> t
+val subst : (Var.t * Linexpr.t) list -> t -> t
+(** [subst s c] substitutes every binding of [s] at once (see
+    {!Linexpr.subst}), rebuilding each atom once; a conjunction none of
+    whose atoms [s] touches is returned as it is. *)
+
 val rename : (Var.t -> Var.t) -> t -> t
 
 (** {1 Comparison and printing} *)

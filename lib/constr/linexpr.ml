@@ -41,13 +41,17 @@ let constant e = e.const
 let vars e = Var.Map.fold (fun x _ acc -> Var.Set.add x acc) e.coeffs Var.Set.empty
 let is_const e = Var.Map.is_empty e.coeffs
 let terms e = Var.Map.bindings e.coeffs
+let iter f e = Var.Map.iter f e.coeffs
 
-let subst x repl e =
-  let c = coeff x e in
-  if Rat.is_zero c then e
-  else
-    let without = { e with coeffs = Var.Map.remove x e.coeffs } in
-    add without (scale c repl)
+(* no replacement mentions a bound variable, so each binding reads its
+   coefficient off [e] and the order of the bindings does not matter *)
+let subst s e =
+  List.fold_left
+    (fun acc (x, repl) ->
+      match Var.Map.find_opt x e.coeffs with
+      | None -> acc
+      | Some c -> add { acc with coeffs = Var.Map.remove x acc.coeffs } (scale c repl))
+    e s
 
 let rename f e =
   let coeffs =
@@ -63,22 +67,12 @@ let rename f e =
 
 let integerize e =
   if Var.Map.is_empty e.coeffs && Rat.is_zero e.const then zero
-  else begin
-    (* common denominator, then gcd of integer numerators *)
-    let dens =
-      Var.Map.fold (fun _ c acc -> Bigint.lcm acc (Rat.den c)) e.coeffs (Rat.den e.const)
-    in
-    (* integer coefficients are already the scaled form: no copy by 1 *)
-    let scaled = if Bigint.is_one dens then e else scale (Rat.of_bigint dens) e in
-    let g =
-      Var.Map.fold
-        (fun _ c acc -> Bigint.gcd acc (Bigint.abs (Rat.num c)))
-        scaled.coeffs
-        (Bigint.abs (Rat.num scaled.const))
-    in
-    if Bigint.is_zero g || Bigint.is_one g then scaled
-    else scale (Rat.inv (Rat.of_bigint g)) scaled
-  end
+  else
+    (* divide by the content: the largest g with every coefficient and the
+       constant of e/g an integer, so they come out jointly coprime; an
+       expression already in that form is returned as it is *)
+    let g = Var.Map.fold (fun _ c acc -> Rat.gcd acc c) e.coeffs (Rat.abs e.const) in
+    if Rat.equal g Rat.one then e else scale (Rat.inv g) e
 
 let compare a b =
   let c = Rat.compare a.const b.const in

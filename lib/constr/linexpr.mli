@@ -43,10 +43,16 @@ val is_const : t -> bool
 val terms : t -> (Var.t * Rat.t) list
 (** Variable/coefficient pairs in increasing variable order. *)
 
+val iter : (Var.t -> Rat.t -> unit) -> t -> unit
+(** [iter f e] calls [f] on the pairs of {!terms}, in the same order. *)
+
 (** {1 Substitution} *)
 
-val subst : Var.t -> t -> t -> t
-(** [subst x e t] replaces [x] by the expression [e] in [t]. *)
+val subst : (Var.t * t) list -> t -> t
+(** [subst s t] replaces every variable bound in [s] by its expression, all
+    at once; no expression in [s] may mention a variable [s] binds, so the
+    result is that of substituting the bindings one after another.  An
+    expression mentioning no bound variable is returned as it is ([==]). *)
 
 val rename : (Var.t -> Var.t) -> t -> t
 (** Apply a variable renaming.  The renaming must be injective on the

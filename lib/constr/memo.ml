@@ -19,7 +19,7 @@ module Obs = Cql_obs.Obs
 
 let enabled = ref true
 (* per-domain, per-cache entry bound *)
-let max_entries = 65_536
+let max_entries = 4_096
 
 type entry = {
   name : string;

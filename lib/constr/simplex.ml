@@ -20,65 +20,58 @@ module Qeps = struct
            Rat.pp a.eps
 end
 
-module IntMap = Map.Make (Int)
 module Obs = Cql_obs.Obs
 
 let ctr_runs = Obs.counter "solver.simplex_runs"
 let ctr_pivots = Obs.counter "solver.simplex_pivots"
 
+(* Variables are dense indices: the original variables first, then one
+   slack per distinct variable part.  A basic variable's row is dense over
+   all of them (zero at every basic index, its own included); a nonbasic
+   variable's row is empty. *)
 type tableau = {
-  mutable rows : Rat.t IntMap.t IntMap.t; (* basic var -> sparse row over nonbasics *)
+  rows : Rat.t array array;
   beta : Qeps.t array;
   lower : Qeps.t option array;
   upper : Qeps.t option array;
 }
+
+let is_basic t x = Array.length t.rows.(x) > 0
 
 (* Dutertre-de Moura "AssertUpper/AssertLower" merged into initial bounds;
    we only ever solve a full conjunction at once. *)
 
 let pivot_and_update t xb xn v =
   Obs.incr ctr_pivots;
-  let row_b = IntMap.find xb t.rows in
-  let a = IntMap.find xn row_b in
-  let theta = Qeps.scale (Rat.inv a) (Qeps.sub v t.beta.(xb)) in
+  let n = Array.length t.rows in
+  let row_b = t.rows.(xb) in
+  let inv_a = Rat.inv row_b.(xn) in
+  let theta = Qeps.scale inv_a (Qeps.sub v t.beta.(xb)) in
   t.beta.(xb) <- v;
   t.beta.(xn) <- Qeps.add t.beta.(xn) theta;
-  IntMap.iter
-    (fun xk row ->
-      if xk <> xb then
-        match IntMap.find_opt xn row with
-        | Some ak -> t.beta.(xk) <- Qeps.add t.beta.(xk) (Qeps.scale ak theta)
-        | None -> ())
-    t.rows;
   (* pivot: xn becomes basic with row derived from xb's *)
-  let inv_a = Rat.inv a in
-  let row_n =
-    IntMap.fold
-      (fun i ci acc ->
-        if i = xn then acc
-        else
-          let c = Rat.neg (Rat.mul ci inv_a) in
-          if Rat.is_zero c then acc else IntMap.add i c acc)
-      row_b
-      (IntMap.singleton xb inv_a)
-  in
-  let rows = IntMap.remove xb t.rows in
-  let rows =
-    IntMap.map
-      (fun row ->
-        match IntMap.find_opt xn row with
-        | None -> row
-        | Some ak ->
-            let row = IntMap.remove xn row in
-            IntMap.union
-              (fun _ c1 c2 ->
-                let c = Rat.add c1 c2 in
-                if Rat.is_zero c then None else Some c)
-              row
-              (IntMap.map (Rat.mul ak) row_n))
-      rows
-  in
-  t.rows <- IntMap.add xn row_n rows
+  let row_n = Array.make n Rat.zero in
+  for i = 0 to n - 1 do
+    let c = row_b.(i) in
+    if i <> xn && not (Rat.is_zero c) then row_n.(i) <- Rat.neg (Rat.mul c inv_a)
+  done;
+  row_n.(xb) <- inv_a;
+  t.rows.(xb) <- [||];
+  for xk = 0 to n - 1 do
+    let row = t.rows.(xk) in
+    if Array.length row > 0 then begin
+      let ak = row.(xn) in
+      if not (Rat.is_zero ak) then begin
+        t.beta.(xk) <- Qeps.add t.beta.(xk) (Qeps.scale ak theta);
+        row.(xn) <- Rat.zero;
+        for i = 0 to n - 1 do
+          let c = row_n.(i) in
+          if not (Rat.is_zero c) then row.(i) <- Rat.add row.(i) (Rat.mul ak c)
+        done
+      end
+    end
+  done;
+  t.rows.(xn) <- row_n
 
 let below_lower t x = match t.lower.(x) with Some l -> Qeps.compare t.beta.(x) l < 0 | None -> false
 let above_upper t x = match t.upper.(x) with Some u -> Qeps.compare t.beta.(x) u > 0 | None -> false
@@ -132,40 +125,51 @@ let check t =
   let limit = current_pivot_limit () in
   let bland_after = limit / 2 in
   let pivots = ref 0 in
+  let n = Array.length t.rows in
   let rec go () =
     let bland = !pivots >= bland_after in
-    let violating =
-      IntMap.fold
-        (fun xb _ acc ->
-          let dir =
-            if below_lower t xb then Some `Low
-            else if above_upper t xb then Some `High
-            else None
-          in
+    (* basic variables in ascending index *)
+    let rec violating xb acc =
+      if xb = n then acc
+      else if not (is_basic t xb) then violating (xb + 1) acc
+      else
+        let dir =
+          if below_lower t xb then Some `Low
+          else if above_upper t xb then Some `High
+          else None
+        in
+        let acc =
           match (dir, acc) with
           | None, _ -> acc
           | Some d, None -> Some (xb, d)
           | Some _, Some _ when bland -> acc (* keep the smallest index *)
           | Some d, Some (xb', d') ->
               if Qeps.compare (violation t xb d) (violation t xb' d') > 0 then Some (xb, d)
-              else acc)
-        t.rows None
+              else acc
+        in
+        violating (xb + 1) acc
     in
-    match violating with
+    match violating 0 None with
     | None -> true
     | Some (xb, dir) ->
-        let row = IntMap.find xb t.rows in
-        let suitable =
-          IntMap.fold
-            (fun xn a acc ->
-              if not (suitable_dir dir a t xn) then acc
-              else
+        let row = t.rows.(xb) in
+        (* nonbasic variables of the row in ascending index *)
+        let rec suitable xn acc =
+          if xn = n then acc
+          else
+            let a = row.(xn) in
+            if Rat.is_zero a || not (suitable_dir dir a t xn) then suitable (xn + 1) acc
+            else
+              let acc =
                 match acc with
                 | None -> Some (xn, a)
                 | Some _ when bland -> acc (* keep the smallest index *)
-                | Some (_, a') -> if Rat.compare (Rat.abs a) (Rat.abs a') > 0 then Some (xn, a) else acc)
-            row None
+                | Some (_, a') ->
+                    if Rat.compare (Rat.abs a) (Rat.abs a') > 0 then Some (xn, a) else acc
+              in
+              suitable (xn + 1) acc
         in
+        let suitable = suitable 0 None in
         (match suitable with
         | None -> false
         | Some (xn, _) ->
@@ -182,18 +186,18 @@ let check t =
   go ()
 
 let build (atoms : Atom.t list) =
-  (* index original variables *)
+  (* index original variables in order of first occurrence *)
   let var_ids = Hashtbl.create 16 in
   let n_orig = ref 0 in
   List.iter
-    (fun a ->
-      Var.Set.iter
-        (fun v ->
+    (fun (a : Atom.t) ->
+      Linexpr.iter
+        (fun v _ ->
           if not (Hashtbl.mem var_ids v) then begin
             Hashtbl.add var_ids v !n_orig;
             incr n_orig
           end)
-        (Atom.vars a))
+        a.Atom.expr)
     atoms;
   (* one slack per distinct variable part *)
   let slack_ids : (Linexpr.t * int) list ref = ref [] in
@@ -235,7 +239,7 @@ let build (atoms : Atom.t list) =
     let total = !n in
     let t =
       {
-        rows = IntMap.empty;
+        rows = Array.make total [||];
         beta = Array.make total Qeps.zero;
         lower = Array.make total None;
         upper = Array.make total None;
@@ -244,12 +248,9 @@ let build (atoms : Atom.t list) =
     (* tableau rows: slack = variable part *)
     List.iter
       (fun (vp, sid) ->
-        let row =
-          List.fold_left
-            (fun acc (v, k) -> IntMap.add (Hashtbl.find var_ids v) k acc)
-            IntMap.empty (Linexpr.terms vp)
-        in
-        t.rows <- IntMap.add sid row t.rows)
+        let row = Array.make total Rat.zero in
+        Linexpr.iter (fun v k -> row.(Hashtbl.find var_ids v) <- k) vp;
+        t.rows.(sid) <- row)
       !slack_ids;
     (* bounds from atoms: s op bound *)
     let tighten_upper x (b : Qeps.t) =

@@ -38,31 +38,23 @@ let tighten_atom (a : Atom.t) =
   match Linexpr.terms a.Atom.expr with
   | [] -> a (* ground: truth is domain-independent *)
   | terms -> (
-      let g =
-        List.fold_left (fun acc (_, c) -> Bigint.gcd acc (Rat.num c)) Bigint.zero terms
-      in
-      let c = Rat.num (Linexpr.constant a.Atom.expr) in
+      let g = List.fold_left (fun acc (_, c) -> Rat.gcd acc c) Rat.zero terms in
+      let c = Linexpr.constant a.Atom.expr in
       match a.Atom.op with
       | Atom.Eq ->
-          if Bigint.is_one g || Bigint.is_zero (Bigint.rem c g) then a
+          if Rat.equal g Rat.one || Rat.is_integer (Rat.div c g) then a
           else begin
             Obs.incr ctr_tightened;
             Atom.ff
           end
       | Atom.Le | Atom.Lt ->
-          if Bigint.is_one g && a.Atom.op = Atom.Le then a
+          if Rat.equal g Rat.one && a.Atom.op = Atom.Le then a
           else begin
-            let b =
-              if a.Atom.op = Atom.Lt then Bigint.sub (Bigint.neg c) Bigint.one
-              else Bigint.neg c
-            in
-            let b' = fdiv b g in
+            let b = if a.Atom.op = Atom.Lt then Rat.sub (Rat.neg c) Rat.one else Rat.neg c in
             let e' =
               Linexpr.of_terms
-                (List.map
-                   (fun (x, cf) -> (Rat.of_bigint (Bigint.div (Rat.num cf) g), x))
-                   terms)
-                (Rat.neg (Rat.of_bigint b'))
+                (List.map (fun (x, cf) -> (Rat.div cf g, x)) terms)
+                (Rat.neg (Rat.floor (Rat.div b g)))
             in
             let a' = Atom.make e' Atom.Le in
             if not (Atom.equal a' a) then Obs.incr ctr_tightened;
@@ -119,7 +111,7 @@ let solve_equality atoms (eq : Atom.t) =
     let rest_e = Linexpr.sub eq.Atom.expr (Linexpr.term ak xk) in
     let repl = Linexpr.scale (Rat.neg (Rat.inv ak)) rest_e in
     List.filter_map
-      (fun a -> if Atom.equal a eq then None else Some (Atom.subst xk repl a))
+      (fun a -> if Atom.equal a eq then None else Some (Atom.subst [ (xk, repl) ] a))
       atoms
   else begin
     let m = Bigint.add (Bigint.abs (Rat.num ak)) Bigint.one in
@@ -137,7 +129,7 @@ let solve_equality atoms (eq : Atom.t) =
     let ck = Linexpr.coeff xk n_expr in
     let rest_e = Linexpr.sub n_expr (Linexpr.term ck xk) in
     let repl = Linexpr.scale (Rat.neg (Rat.inv ck)) rest_e in
-    List.map (Atom.subst xk repl) atoms
+    List.map (Atom.subst [ (xk, repl) ]) atoms
   end
 
 (* Shadow of a (lower, upper) pair around x: from a·x ≥ r and c·x ≤ u

@@ -50,17 +50,15 @@ let unfold_literal ~defs (r : Rule.t) (lit : Literal.t) : Rule.t list =
           if Conj.is_sat resolvent.Rule.cstr then Some resolvent else None)
     defs
 
-let fold_occurrences ?(check = true) ~primed ~orig cset (r : Rule.t) : Rule.t option =
+let fold_occurrences ~primed ~orig cset (r : Rule.t) : Rule.t option =
   let ok = ref true in
   let body =
     List.map
       (fun (l : Literal.t) ->
         if l.Literal.pred <> orig then l
         else begin
-          if check then begin
-            let required = Ptol_ltop.ptol l cset in
-            if not (Cset.conj_implies r.Rule.cstr required) then ok := false
-          end;
+          let required = Ptol_ltop.ptol l cset in
+          if not (Cset.conj_implies r.Rule.cstr required) then ok := false;
           { l with Literal.pred = primed }
         end)
       r.Rule.body

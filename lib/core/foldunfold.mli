@@ -22,10 +22,8 @@ val unfold_literal : defs:Rule.t list -> Rule.t -> Literal.t -> Rule.t list
     rules whose heads may unify with [lit]).  Definition rules are renamed
     apart; unsatisfiable resolvents are dropped (Unfolding Step). *)
 
-val fold_occurrences :
-  ?check:bool -> primed:string -> orig:string -> Cset.t -> Rule.t -> Rule.t option
+val fold_occurrences : primed:string -> orig:string -> Cset.t -> Rule.t -> Rule.t option
 (** Replace each body occurrence [orig(t̄)] by [primed(t̄)] (Folding Step
-    with the definition rules of {!definition}).  With [~check:true]
-    (default), verifies the foldability condition — the rule's constraints
-    imply [PTOL(orig(t̄), cset)] — and returns [None] if any occurrence
-    fails it. *)
+    with the definition rules of {!definition}), after checking the
+    foldability condition — the rule's constraints imply
+    [PTOL(orig(t̄), cset)] — and [None] if any occurrence fails it. *)

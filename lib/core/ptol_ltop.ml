@@ -12,17 +12,16 @@ let sym_positions (l : Literal.t) =
 let ptol_conj (l : Literal.t) (c : Conj.t) : Conj.t =
   let keep = Var.Set.diff (Conj.vars c) (Var.Set.of_list (sym_positions l)) in
   let c = Conj.project ~keep c in
-  (* substitute $i := t_i; repeated variables merge, which is exactly
-     substitution semantics *)
-  List.fold_left
-    (fun acc (i, t) ->
-      let ai = Var.arg i in
-      match t with
-      | Term.V v -> Conj.subst ai (Linexpr.var v) acc
-      | Term.C (Term.Num q) -> Conj.subst ai (Linexpr.const q) acc
-      | Term.C (Term.Sym _) -> acc)
+  (* substitute $i := t_i for every argument at once (rule variables are
+     never canonical $j, so no t_i mentions one); repeated variables merge,
+     which is exactly substitution semantics *)
+  Conj.subst
+    (List.concat
+       (List.mapi
+          (fun i t ->
+            match Term.to_linexpr t with Some e -> [ (Var.arg (i + 1), e) ] | None -> [])
+          l.Literal.args))
     c
-    (List.mapi (fun i t -> (i + 1, t)) l.Literal.args)
 
 let ptol l cs = Cset.of_disjuncts (List.map (ptol_conj l) (Cset.disjuncts cs))
 

@@ -145,12 +145,40 @@ let propagate ?(primed_suffix = "'") (res : result) (p : Program.t) : Program.t 
         | None -> r (* fold condition failed: keep the unfolded occurrence *))
       r to_prime
   in
-  let all_rules =
-    Cql_obs.Obs.span "qrp.fold" (fun () ->
-        List.map fold_all (p.Program.rules @ primed_rules))
-  in
-  let p' = { p with Program.rules = all_rules } in
-  Program.dedup_rules (Program.restrict_reachable p')
+  let rules = Array.of_list (p.Program.rules @ primed_rules) in
+  let folded = Array.make (Array.length rules) None in
+  (* only the rules of predicates the query reaches through folded bodies
+     stay, so only those are folded and pay for the fold checks; without a
+     query every rule stays *)
+  Cql_obs.Obs.span "qrp.fold" (fun () ->
+      match query with
+      | None -> Array.iteri (fun i r -> folded.(i) <- Some (fold_all r)) rules
+      | Some q ->
+          let seen = Hashtbl.create 16 in
+          let rec reach = function
+            | [] -> ()
+            | pred :: rest ->
+                let next = ref rest in
+                Array.iteri
+                  (fun i (r : Rule.t) ->
+                    if r.Rule.head.Literal.pred = pred then begin
+                      let r' = fold_all r in
+                      folded.(i) <- Some r';
+                      List.iter
+                        (fun (l : Literal.t) ->
+                          let b = l.Literal.pred in
+                          if not (Hashtbl.mem seen b) then begin
+                            Hashtbl.add seen b ();
+                            next := b :: !next
+                          end)
+                        r'.Rule.body
+                    end)
+                  rules;
+                reach !next
+          in
+          Hashtbl.add seen q ();
+          reach [ q ]);
+  Program.dedup_rules { p with Program.rules = List.filter_map Fun.id (Array.to_list folded) }
 
 let gen_prop ?max_iters p =
   let res = gen ?max_iters p in

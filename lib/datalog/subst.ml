@@ -35,8 +35,8 @@ let apply_linexpr_env ~lookup e =
   Var.Set.fold
     (fun v acc ->
       match (lookup v : Term.t) with
-      | Term.V v' -> if Var.equal v v' then acc else Linexpr.subst v (Linexpr.var v') acc
-      | Term.C (Term.Num q) -> Linexpr.subst v (Linexpr.const q) acc
+      | Term.V v' -> if Var.equal v v' then acc else Linexpr.subst [ (v, Linexpr.var v') ] acc
+      | Term.C (Term.Num q) -> Linexpr.subst [ (v, Linexpr.const q) ] acc
       | Term.C (Term.Sym sym) ->
           raise
             (Type_error

@@ -54,11 +54,11 @@ let fact_literal (f : Fact.t) : Literal.t * Conj.t =
     | None -> Conj.tt
     | Some c ->
         (* substitute pinned values, rename the remaining canonical vars *)
-        let c = ref c in
+        let pins = ref [] in
         Array.iteri
           (fun i t ->
             match t with
-            | Term.C (Term.Num q) -> c := Conj.subst (Var.arg (i + 1)) (Linexpr.const q) !c
+            | Term.C (Term.Num q) -> pins := (Var.arg (i + 1), Linexpr.const q) :: !pins
             | Term.C (Term.Sym _) | Term.V _ -> ())
           f.Fact.terms;
         let ren v =
@@ -67,7 +67,7 @@ let fact_literal (f : Fact.t) : Literal.t * Conj.t =
               match fresh.(i - 1) with Some fv -> fv | None -> v)
           | _ -> v
         in
-        Conj.rename ren !c
+        Conj.rename ren (Conj.subst !pins c)
   in
   (Literal.make (Fact.pred f) args, residual)
 

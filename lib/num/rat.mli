@@ -2,7 +2,12 @@
 
     Values are kept in canonical form: the denominator is strictly positive
     and numerator/denominator are coprime, so structural operations such as
-    {!equal} and {!hash} agree with numeric equality. *)
+    {!equal} and {!hash} agree with numeric equality.  A value whose
+    numerator and denominator are both below 2{^30} in magnitude is an
+    immediate (unboxed) value and arithmetic on such values allocates only
+    when a result leaves that range; polymorphic [=] and [Hashtbl.hash]
+    agree with {!equal}, but polymorphic [compare] is not the numeric
+    order. *)
 
 type t
 
@@ -33,6 +38,11 @@ val of_string : string -> t
 val num : t -> Bigint.t
 val den : t -> Bigint.t
 (** Always strictly positive. *)
+
+val compare_num : t -> t -> int
+val compare_den : t -> t -> int
+(** [compare_num a b] is [Bigint.compare (num a) (num b)] (likewise for
+    the denominators), without building a bigint for small values. *)
 
 val sign : t -> int
 val is_zero : t -> bool
@@ -66,6 +76,13 @@ val div : t -> t -> t
 
 val inv : t -> t
 (** @raise Division_by_zero when the argument is zero. *)
+
+val gcd : t -> t -> t
+(** The largest [g >= 0] with [a/g] and [b/g] both integers: the gcd of
+    the numerators over the lcm of the denominators.  [gcd 0 0 = 0]. *)
+
+val floor : t -> t
+(** The largest integer not above the argument. *)
 
 (** {1 Infix operators} *)
 

@@ -205,11 +205,11 @@ let rec compare_args (a : pos array) (b : pos array) i =
    pins in this order, so comparing the pins in it, least first, is
    {!Conj.compare} on the conjunctions, which are never built. *)
 let compare_pin i p j q =
-  let c = Bigint.compare (Rat.num q) (Rat.num p) in
+  let c = Rat.compare_num q p in
   if c <> 0 then c
   else
     let c = Var.compare (Var.arg (i + 1)) (Var.arg (j + 1)) in
-    if c <> 0 then c else Bigint.compare (Rat.den p) (Rat.den q)
+    if c <> 0 then c else Rat.compare_den p q
 
 let pin_value (t : Term.t array) i =
   if i < 0 then Rat.zero else match t.(i) with Term.C (Term.Num q) -> q | _ -> Rat.zero

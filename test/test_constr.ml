@@ -52,7 +52,7 @@ let test_linexpr_basics () =
 let test_linexpr_subst () =
   (* substitute X := Y + 1 in  2X + Z  ->  2Y + Z + 2 *)
   let e = Linexpr.add (Linexpr.scale (Q.of_int 2) vx) vz in
-  let e' = Linexpr.subst x (Linexpr.add vy (n 1)) e in
+  let e' = Linexpr.subst [ (x, Linexpr.add vy (n 1)) ] e in
   check_bool "subst result" true
     (Linexpr.equal e' (Linexpr.of_terms [ (Q.of_int 2, y); (Q.one, z) ] (Q.of_int 2)))
 
@@ -353,6 +353,55 @@ let point_gen =
       (list_repeat 4 (int_range (-8) 8)))
 
 let conj_point = QCheck.make QCheck.Gen.(pair conj_gen point_gen)
+
+(* a conjunction over the canonical $1..$3 and X, and a substitution
+   binding some of the $i to X, Y, a constant or an affine expression in Y
+   (repeats included: $1 := X, $2 := X); no replacement mentions a $i *)
+let subst_case_gen =
+  QCheck.Gen.(
+    let pool = [| Var.arg 1; Var.arg 2; Var.arg 3; x |] in
+    let coeff = map Q.of_int (int_range (-3) 3) in
+    let term = map2 (fun c i -> (c, pool.(i))) coeff (int_range 0 3) in
+    let expr =
+      map2 (fun ts k -> Linexpr.of_terms ts (Q.of_int k)) (list_size (int_range 1 3) term)
+        (int_range (-5) 5)
+    in
+    let atom =
+      map2
+        (fun e op -> Atom.make e (match op with 0 -> Atom.Le | 1 -> Atom.Lt | _ -> Atom.Eq))
+        expr (int_range 0 2)
+    in
+    let repl =
+      oneof
+        [
+          return vx;
+          return vy;
+          map n (int_range (-4) 4);
+          map2 (fun a k -> Linexpr.affine (Q.of_int a) y (Q.of_int k)) (int_range (-2) 2)
+            (int_range (-3) 3);
+        ]
+    in
+    pair
+      (map Conj.of_list (list_size (int_range 0 4) atom))
+      (map
+         (fun rs ->
+           List.concat
+             (List.mapi
+                (fun i r -> match r with Some e -> [ (Var.arg (i + 1), e) ] | None -> [])
+                rs))
+         (list_repeat 3 (opt repl))))
+
+let prop_subst_one_pass =
+  QCheck.Test.make ~name:"one-pass subst equals sequential single-variable substs" ~count:1000
+    (QCheck.make
+       ~print:(fun (c, s) ->
+         Conj.to_string c ^ " with "
+         ^ String.concat ", "
+             (List.map (fun (v, e) -> Var.name v ^ " := " ^ Linexpr.to_string e) s))
+       subst_case_gen)
+    (fun (c, s) ->
+      Conj.subst s c == List.fold_left (fun acc b -> Conj.subst [ b ] acc) c s
+      && (s <> [] || Conj.subst s c == c))
 
 let prop_sat_sound =
   QCheck.Test.make ~name:"point satisfying conj => is_sat" ~count:500 conj_point
@@ -1105,6 +1154,7 @@ let () =
           [
             prop_simplex_agrees_fm;
             prop_simplex_model_satisfies;
+            prop_subst_one_pass;
             prop_cset_or_is_union;
             prop_cset_and_is_intersection;
             prop_negate_conj_complement;

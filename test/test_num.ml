@@ -134,10 +134,10 @@ let prop_gcd_divides =
    offsetting with 2^70 first. *)
 
 let boundary_values =
-  let b30 = 1 lsl 30 and b60 = 1 lsl 60 and b62 = 1 lsl 62 in
+  let b30 = 1 lsl 30 and b31 = 1 lsl 31 and b60 = 1 lsl 60 and b62 = 1 lsl 62 in
   [
-    0; 1; -1; b30 - 1; b30; b30 + 1; -b30; -(b30 + 1); b60 - 1; b60; b60 + 1;
-    -b60; -(b60 + 1); b62; -b62; max_int; min_int; min_int + 1;
+    0; 1; -1; b30 - 1; -(b30 - 1); b30; b30 + 1; -b30; -(b30 + 1); b31; -b31; b60 - 1; b60;
+    b60 + 1; -b60; -(b60 + 1); b62; -b62; max_int; min_int; min_int + 1;
   ]
 
 let boundary_int =
@@ -266,6 +266,69 @@ let prop_rat_string_roundtrip =
   QCheck.Test.make ~name:"rat string roundtrip" ~count:500 rat_gen (fun a ->
       Q.equal a (Q.of_string (Q.to_string a)))
 
+(* ----- Rat across the packed/bigint split -----
+
+   A fraction whose numerator and denominator are both below 2^30 is an
+   immediate value with native arithmetic; any other is a pair of bigints.
+   Draw numerators and denominators on both sides of that line (and far
+   past it) and check every operation against the same computation done
+   on bigints and normalized by [make]. *)
+
+let rat_boundary =
+  QCheck.map
+    (fun (n, d) -> Q.make (B.of_int n) (B.of_int (if d = 0 then 1 else d)))
+    (QCheck.pair boundary_int boundary_int)
+
+let via_bigints a b f g =
+  Q.make (f (Q.num a) (Q.den a) (Q.num b) (Q.den b)) (g (Q.den a) (Q.den b))
+
+let prop_rat_boundary_construct =
+  QCheck.Test.make ~name:"rat make and of_ints agree across the packed split" ~count:1000
+    (QCheck.pair boundary_int boundary_int) (fun (n, d) ->
+      let d = if d = 0 then 1 else d in
+      let a = Q.of_ints n d in
+      a = Q.make (B.of_int n) (B.of_int d)
+      && Q.hash a = Q.hash (Q.make (B.of_int n) (B.of_int d))
+      && Q.of_int n = Q.of_ints n 1
+      && Q.of_bigint (B.of_int n) = Q.of_int n
+      && Q.of_string (Q.to_string a) = a)
+
+let prop_rat_boundary_field =
+  QCheck.Test.make ~name:"rat field laws across the packed split" ~count:1000
+    (QCheck.triple rat_boundary rat_boundary rat_boundary) (fun (a, b, c) ->
+      Q.add a b
+      = via_bigints a b (fun na da nb db -> B.add (B.mul na db) (B.mul nb da)) B.mul
+      && Q.mul a b = via_bigints a b (fun na _ nb _ -> B.mul na nb) B.mul
+      && Q.add a b = Q.add b a
+      && Q.add (Q.add a b) c = Q.add a (Q.add b c)
+      && Q.mul a (Q.add b c) = Q.add (Q.mul a b) (Q.mul a c)
+      && Q.sub (Q.add a b) b = a
+      && (Q.is_zero a || Q.mul a (Q.inv a) = Q.one))
+
+let prop_rat_boundary_compare =
+  QCheck.Test.make ~name:"rat compare across the packed split agrees with bigints" ~count:1000
+    (QCheck.pair rat_boundary rat_boundary) (fun (a, b) ->
+      let c = Q.compare a b in
+      c = B.compare (B.mul (Q.num a) (Q.den b)) (B.mul (Q.num b) (Q.den a))
+      && Q.compare_num a b = B.compare (Q.num a) (Q.num b)
+      && Q.compare_den a b = B.compare (Q.den a) (Q.den b)
+      && Q.equal a b = (c = 0)
+      && (a = b) = (c = 0))
+
+let prop_rat_boundary_gcd_floor =
+  QCheck.Test.make ~name:"rat gcd and floor across the packed split" ~count:1000
+    (QCheck.pair rat_boundary rat_boundary) (fun (a, b) ->
+      let g = Q.gcd a b and f = Q.floor a in
+      (if Q.is_zero a && Q.is_zero b then Q.is_zero g
+       else
+         Q.sign g > 0
+         && Q.is_integer (Q.div a g)
+         && Q.is_integer (Q.div b g)
+         && B.is_one (B.gcd (Q.num (Q.div a g)) (Q.num (Q.div b g))))
+      && Q.is_integer f
+      && Q.(f <= a)
+      && Q.(a < f + one))
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "num"
@@ -297,4 +360,10 @@ let () =
         ] );
       ( "rat-properties",
         qt [ prop_rat_field; prop_rat_compare_antisym; prop_rat_string_roundtrip ] );
+      ( "rat-boundaries",
+        qt
+          [
+            prop_rat_boundary_construct; prop_rat_boundary_field; prop_rat_boundary_compare;
+            prop_rat_boundary_gcd_floor;
+          ] );
     ]

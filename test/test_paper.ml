@@ -381,6 +381,32 @@ r4: flight(S, D, T, C) :- flight(S, D1, T1, C1), flight(D1, D, T2, C2),
 #query cheaporshort.
 |}
 
+(* Example 1.1's pred,qrp rewrite.  QRP folds only the rules the query
+   still reaches through folded bodies, so the original r4, which the
+   rewrite drops, pays no fold checks (folding every rule makes 19 cset
+   implication checks) *)
+let flights_rewritten =
+  {|r1'1: cheaporshort(S, D, T, C) :- flight'(S, D, T, C), T <= 240, -T < 0, -C < 0.
+r2'1: cheaporshort(S, D, T, C) :- flight'(S, D, T, C), T <= 240, C <= 150, -T < 0, -C < 0.
+r2'2: cheaporshort(S, D, T, C) :- flight'(S, D, T, C), C <= 150, -T < 0, -C < 0.
+r3'1: flight'(Src, Dst, Time, Cost) :- singleleg(Src, Dst, Time, Cost), Time <= 240, -Time < 0, -Cost < 0.
+r4'1: flight'(S, D, T, C) :- flight'(S, D1, T1, C1), flight'(D1, D, T2, C2), T <= 240, -T < 0, -C < 0, -T1 < 0, -C1 < 0, -T2 < 0, -C2 < 0, T - T1 - T2 = 30, C - C1 - C2 = 0.
+r3'2: flight'(Src, Dst, Time, Cost) :- singleleg(Src, Dst, Time, Cost), Cost <= 150, -Time < 0, -Cost < 0.
+r4'2: flight'(S, D, T, C) :- flight'(S, D1, T1, C1), flight'(D1, D, T2, C2), C <= 150, -T < 0, -C < 0, -T1 < 0, -C1 < 0, -T2 < 0, -C2 < 0, T - T1 - T2 = 30, C - C1 - C2 = 0.
+#query cheaporshort.|}
+
+let test_flights_rewrite_checks () =
+  let module Obs = Cql_obs.Obs in
+  Memo.clear_all ();
+  Obs.zero "solver.";
+  let p', _ = Rewrite.constraint_rewrite (parse flights_src) in
+  let checks = Obs.value (Obs.counter "solver.cset_implies_checks") in
+  check_bool
+    (Printf.sprintf "%d cset implication checks, at most 15" checks)
+    true (checks <= 15);
+  Alcotest.(check string) "rewritten program" flights_rewritten
+    (Program.to_string (Program.prettify p'))
+
 let singleleg_edb seed m =
   let rng = ref seed in
   let next () =
@@ -546,6 +572,11 @@ let () =
           Alcotest.test_case "Example 7.2 / D.2" `Quick test_d2;
         ] );
       ( "ordering", [ Alcotest.test_case "Theorem 7.10 optimal order" `Slow test_optimal_ordering ] );
+      ( "rewrite",
+        [
+          Alcotest.test_case "Example 1.1 folds only surviving rules" `Quick
+            test_flights_rewrite_checks;
+        ] );
       ( "reference",
         [
           Alcotest.test_case "Table 1 (diverging fib)" `Quick test_reference_table1;
