@@ -2,40 +2,11 @@ open Cql_num
 
 type op = Le | Lt | Eq
 
-type t = { expr : Linexpr.t; op : op; id : int; hash : int }
+type t = { expr : Linexpr.t; op : op; hash : int }
 
-(* hash-consing: one interned node per normalized (expr, op), so equality is
-   physical and [id]s key the memoization caches in O(1) *)
-module WT = Weak.Make (struct
-  type nonrec t = t
-
-  let equal a b = a.op = b.op && Linexpr.equal a.expr b.expr
-  let hash a = a.hash
-end)
-
-(* The weak hashset is striped by hash so domains interning concurrently
-   (the server's requests) rarely contend; ids come from one atomic counter, so they stay
-   globally unique and monotonic regardless of which stripe allocates. *)
-let stripes = 16 (* power of two: stripe index is a mask of the hash *)
-let tables = Array.init stripes (fun _ -> WT.create 256)
-let locks = Array.init stripes (fun _ -> Mutex.create ())
-let counter = Atomic.make 0
-
-let struct_hash e op =
+let mk e op =
   let tag = match op with Le -> 3 | Lt -> 5 | Eq -> 7 in
-  ((Linexpr.hash e * 31) + tag) land max_int
-
-let intern e op =
-  let h = struct_hash e op in
-  let probe = { expr = e; op; id = -1; hash = h } in
-  let i = h land (stripes - 1) in
-  Mutex.protect locks.(i) (fun () ->
-      match WT.find_opt tables.(i) probe with
-      | Some a -> a
-      | None ->
-          let a = { probe with id = Atomic.fetch_and_add counter 1 + 1 } in
-          WT.add tables.(i) a;
-          a)
+  { expr = e; op; hash = ((Linexpr.hash e * 31) + tag) land max_int }
 
 let make e op =
   let e = Linexpr.integerize e in
@@ -48,8 +19,8 @@ let make e op =
         | [] when Rat.sign (Linexpr.constant e) < 0 -> Linexpr.neg e
         | _ -> e
       in
-      intern e op
-  | Le | Lt -> intern e op
+      mk e op
+  | Le | Lt -> mk e op
 
 let le e1 e2 = make (Linexpr.sub e1 e2) Le
 let lt e1 e2 = make (Linexpr.sub e1 e2) Lt
@@ -65,7 +36,7 @@ let pin x q =
     else
       Linexpr.affine (Rat.of_bigint (Rat.den q)) x (Rat.of_bigint (Bigint.neg (Rat.num q)))
   in
-  intern e Eq
+  mk e Eq
 
 let tt = make Linexpr.zero Eq
 let ff = make Linexpr.zero Lt
@@ -104,17 +75,15 @@ let subst s a =
   if e == a.expr then a else make e a.op
 let rename f a = make (Linexpr.rename f a.expr) a.op
 
-(* structural order (op, then expression) so the canonical atom order inside
-   conjunctions is independent of interning order; physically-equal atoms
-   short-circuit *)
+(* structural order (op, then expression): the canonical atom order inside
+   conjunctions *)
 let compare a b =
   if a == b then 0
   else
     let c = Stdlib.compare a.op b.op in
     if c <> 0 then c else Linexpr.compare a.expr b.expr
 
-let equal a b = a == b
-let id a = a.id
+let equal a b = a == b || (a.hash = b.hash && a.op = b.op && Linexpr.equal a.expr b.expr)
 let hash a = a.hash
 
 let op_string = function Le -> "<=" | Lt -> "<" | Eq -> "="

@@ -8,11 +8,11 @@
 
 type op = Le | Lt | Eq
 
-type t = private { expr : Linexpr.t; op : op; id : int; hash : int }
-(** The constraint [expr op 0].  Atoms are hash-consed: {!make} interns the
-    normalized atom in a weak table, so structurally equal atoms are
-    physically equal and [id] is a unique (never reused) integer keying the
-    memoization caches. *)
+type t = private { expr : Linexpr.t; op : op; hash : int }
+(** The constraint [expr op 0]: an immutable value that stores its
+    structural hash.  Two atoms built apart from the same constraint are
+    {!equal}, not physically equal; the memoization caches key by the
+    atoms themselves, through {!hash} and {!equal}. *)
 
 (** {1 Construction} *)
 
@@ -28,8 +28,8 @@ val gt : Linexpr.t -> Linexpr.t -> t
 val eq : Linexpr.t -> Linexpr.t -> t
 
 val pin : Var.t -> Cql_num.Rat.t -> t
-(** [pin x q] is [eq (Linexpr.var x) (Linexpr.const q)] — the identical
-    interned atom — built directly as [den(q)·x − num(q) = 0], without the
+(** [pin x q] is [eq (Linexpr.var x) (Linexpr.const q)] — an {!equal}
+    atom — built directly as [den(q)·x − num(q) = 0], without the
     subtraction and normalization of {!make}. *)
 
 val tt : t
@@ -69,16 +69,15 @@ val rename : (Var.t -> Var.t) -> t -> t
 
 val compare : t -> t -> int
 (** Structural order (operator, then expression) — the canonical atom order
-    inside conjunctions, independent of interning order. *)
+    inside conjunctions. *)
 
 val equal : t -> t -> bool
-(** Physical equality; equivalent to structural equality by interning. *)
-
-val id : t -> int
-(** Unique interning id (never reused across the process lifetime). *)
+(** Structural equality: [==] first, then the stored hashes, then operator
+    and expression.  Never compare atoms with polymorphic [=]: the
+    expression's variable map may be shaped differently for equal atoms. *)
 
 val hash : t -> int
-(** Structural hash, consistent with {!equal}. *)
+(** Structural hash, stored at construction; consistent with {!equal}. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -12,7 +12,7 @@
     the domain it was materialized under).
 
     The decision procedures read the flag through {!current}; memoization
-    caches salt their keys with {!tag} so a rational verdict is never
+    caches pair their keys with {!tag} so a rational verdict is never
     served to an integer query or vice versa. *)
 
 type t = Q | Z
@@ -23,8 +23,8 @@ val current : unit -> t
 val is_z : unit -> bool
 
 val tag : unit -> int
-(** [0] for {!Q}, [1] for {!Z} — mixed into memo-cache keys as the low bit
-    ([(id lsl 1) lor tag]). *)
+(** [0] for {!Q}, [1] for {!Z} — paired with the term in a memo-cache key,
+    [(tag (), c)]. *)
 
 val set_default : t -> unit
 (** Set the process-wide default (CLI/daemon startup). *)

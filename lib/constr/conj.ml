@@ -1,45 +1,20 @@
 open Cql_num
 
-(* A conjunction is an interned node wrapping its sorted, duplicate-free atom
-   list.  Hash-consing makes equality physical and gives every canonical
-   conjunction a unique integer id; the decision procedures below are
-   memoized in id-keyed caches (see Memo), with raw entry counts recorded in
-   the Cql_obs registry before any cache lookup. *)
-type t = { atoms : Atom.t list; id : int; hash : int }
+(* A conjunction is an immutable value wrapping its sorted, duplicate-free
+   atom list and the list's structural hash.  The decision procedures below
+   are memoized in caches keyed by the conjunctions themselves (see Memo),
+   with raw entry counts recorded in the Cql_obs registry before any cache
+   lookup. *)
+type t = { atoms : Atom.t list; hash : int }
 
-module WT = Weak.Make (struct
-  type nonrec t = t
+let mk atoms =
+  let mix acc a = ((acc * 65599) lxor Atom.hash a) land max_int in
+  { atoms; hash = List.fold_left mix 17 atoms }
 
-  (* atoms are themselves interned, so element-wise physical equality
-     decides list equality *)
-  let equal a b = try List.for_all2 ( == ) a.atoms b.atoms with Invalid_argument _ -> false
-  let hash c = c.hash
-end)
-
-(* The weak hashset is striped by hash so domains interning concurrently
-   (the server's requests) rarely contend; ids come from one atomic counter, so they stay
-   globally unique and monotonic regardless of which stripe allocates. *)
-let stripes = 16 (* power of two: stripe index is a mask of the hash *)
-let tables = Array.init stripes (fun _ -> WT.create 512)
-let locks = Array.init stripes (fun _ -> Mutex.create ())
-let counter = Atomic.make 0
-
-let intern atoms =
-  let h = List.fold_left (fun acc a -> ((acc * 65599) lxor Atom.id a) land max_int) 17 atoms in
-  let probe = { atoms; id = -1; hash = h } in
-  let i = h land (stripes - 1) in
-  Mutex.protect locks.(i) (fun () ->
-      match WT.find_opt tables.(i) probe with
-      | Some c -> c
-      | None ->
-          let c = { probe with id = Atomic.fetch_and_add counter 1 + 1 } in
-          WT.add tables.(i) c;
-          c)
-
-let tt : t = intern []
-let ff : t = intern [ Atom.ff ]
-
-(* interning makes the syntactic-ff test physical *)
+(* [of_list] returns these two shared values for every empty and every
+   contradictory atom list, so the tt and syntactic-ff tests are physical *)
+let tt : t = mk []
+let ff : t = mk [ Atom.ff ]
 let is_ff_syntactic c = c == ff
 
 (* Normalize a raw atom list: evaluate variable-free atoms, sort, dedup;
@@ -56,7 +31,7 @@ let of_list atoms =
           | None -> true)
         atoms
     in
-    intern (List.sort_uniq Atom.compare kept)
+    match List.sort_uniq Atom.compare kept with [] -> tt | atoms -> mk atoms
   with False -> ff
 
 let singleton a = of_list [ a ]
@@ -74,8 +49,8 @@ let size c = List.length c.atoms
 let vars c =
   List.fold_left (fun acc a -> Var.Set.union acc (Atom.vars a)) Var.Set.empty c.atoms
 
-let id c = c.id
 let hash c = c.hash
+let equal a b = a == b || (a.hash = b.hash && List.equal Atom.equal a.atoms b.atoms)
 
 (* ----- counters and caches ----- *)
 
@@ -88,25 +63,39 @@ let ctr_project = Obs.counter "solver.project_calls"
 let ctr_fm = Obs.counter "solver.fm_eliminations"
 let ctr_pivot_limit = Obs.counter "solver.pivot_limit_hits"
 
-let sat_memo : (int, bool) Memo.cache = Memo.create ~name:"conj_is_sat"
-let implies_atom_memo : (int * int, bool) Memo.cache = Memo.create ~name:"conj_implies_atom"
-let implies_memo : (int * int, bool) Memo.cache = Memo.create ~name:"conj_implies"
-let project_memo : (int * int list, t) Memo.cache = Memo.create ~name:"conj_project"
-let simplify_memo : (int, t) Memo.cache = Memo.create ~name:"conj_simplify"
-let ztighten_memo : (int, t) Memo.cache = Memo.create ~name:"conj_ztighten"
-
 (* Verdicts differ between the rational and the integer domain ([2·X = 1]
-   is Q-sat, Z-unsat), so every memo key carries the active domain in its
-   low bit.  Ids stay well under 62 bits, the shift never overflows. *)
-let dkey id = (id lsl 1) lor Cdomain.tag ()
+   is Q-sat, Z-unsat), so a domain-dependent key pairs the conjunction with
+   the active domain's tag. *)
+let dkey c = (Cdomain.tag (), c)
+let dkey_hash (tag, c) = (c.hash lsl 1) lor tag
+let dkey_equal (t1, c1) (t2, c2) = t1 = t2 && equal c1 c2
+
+let sat_memo : (int * t, bool) Memo.cache =
+  Memo.create ~name:"conj_is_sat" ~hash:dkey_hash ~equal:dkey_equal
+
+let implies_memo : ((int * t) * t, bool) Memo.cache =
+  Memo.create ~name:"conj_implies"
+    ~hash:(fun (k, d) -> (dkey_hash k * 65599) lxor d.hash)
+    ~equal:(fun (k1, d1) (k2, d2) -> dkey_equal k1 k2 && equal d1 d2)
+
+let project_memo : ((int * t) * int list, t) Memo.cache =
+  Memo.create ~name:"conj_project"
+    ~hash:(fun (k, ids) -> List.fold_left (fun acc i -> (acc * 65599) lxor i) (dkey_hash k) ids)
+    ~equal:(fun (k1, ids1) (k2, ids2) -> dkey_equal k1 k2 && List.equal Int.equal ids1 ids2)
+
+let simplify_memo : (int * t, t) Memo.cache =
+  Memo.create ~name:"conj_simplify" ~hash:dkey_hash ~equal:dkey_equal
+
+let ztighten_memo : (t, t) Memo.cache = Memo.create ~name:"conj_ztighten" ~hash ~equal
 
 (* The integer-tightened form of a conjunction: equivalent over ℤ,
    generally strictly stronger over ℚ.  Tightening is per-atom and
-   domain-independent as a rewrite, so the cache key is the plain id. *)
+   domain-independent as a rewrite, so the cache key is the plain
+   conjunction. *)
 let ztighten (c : t) : t =
   if c == tt || is_ff_syntactic c then c
   else
-    Memo.cached ztighten_memo c.id (fun () ->
+    Memo.cached ztighten_memo c (fun () ->
         let atoms' = List.map Zsolve.tighten_atom c.atoms in
         if List.for_all2 ( == ) atoms' c.atoms then c else of_list atoms')
 
@@ -218,7 +207,7 @@ let project ~keep (c : t) : t =
     if Var.Set.subset cvars keep then c
     else
       (* the result depends only on keep ∩ vars c, so canonicalize the key *)
-      let key = (dkey c.id, List.map Var.id (Var.Set.elements (Var.Set.inter keep cvars))) in
+      let key = (dkey c, List.map Var.id (Var.Set.elements (Var.Set.inter keep cvars))) in
       Memo.cached project_memo key (fun () -> project_uncached ~keep c)
 
 (* satisfiability via the simplex backend (cross-checked against full
@@ -239,7 +228,7 @@ let is_sat c =
     if is_ff_syntactic c then false
     else if c == tt then true
     else
-      Memo.cached sat_memo (dkey c.id) (fun () ->
+      Memo.cached sat_memo (dkey c) (fun () ->
           if z then Zsolve.is_sat c.atoms
           else
             try Simplex.is_sat c.atoms
@@ -265,18 +254,14 @@ let implies_atom c a =
     match Atom.truth a with
     | Some b -> b || not (is_sat c)
     | None ->
-        if List.memq a c.atoms then true (* syntactic subset fast path *)
-        else
-          Memo.cached implies_atom_memo (dkey c.id, Atom.id a) (fun () ->
-              List.for_all (fun na -> not (is_sat (add na c))) (Atom.negate a))
+        List.exists (Atom.equal a) c.atoms (* syntactic subset fast path *)
+        || List.for_all (fun na -> not (is_sat (add na c))) (Atom.negate a)
 
 let implies c d =
   Obs.incr ctr_implies;
-  if c == d || d == tt then true
+  if d == tt || equal c d then true
   else if is_ff_syntactic c then true
-  else
-    Memo.cached implies_memo (dkey c.id, d.id) (fun () ->
-        List.for_all (implies_atom c) d.atoms)
+  else Memo.cached implies_memo (dkey c, d) (fun () -> List.for_all (implies_atom c) d.atoms)
 
 let equiv c d = implies c d && implies d c
 
@@ -288,7 +273,7 @@ let simplify c =
     let c = if Cdomain.is_z () then ztighten c else c in
     if c == tt || is_ff_syntactic c then c
     else
-    Memo.cached simplify_memo (dkey c.id) (fun () ->
+    Memo.cached simplify_memo (dkey c) (fun () ->
         if not (is_sat c) then ff
         else
           (* drop atoms implied by the remaining ones; iterate front to back *)
@@ -305,10 +290,8 @@ let subst s c =
   if List.for_all2 ( == ) atoms c.atoms then c else of_list atoms
 let rename f c = of_list (List.map (Atom.rename f) c.atoms)
 
-(* structural order on the canonical atom lists — stable across runs and
-   independent of interning order (which would vary with workload) *)
+(* structural order on the canonical atom lists — stable across runs *)
 let compare a b = if a == b then 0 else List.compare Atom.compare a.atoms b.atoms
-let equal a b = a == b
 
 let pp fmt c =
   match c.atoms with

@@ -14,11 +14,14 @@
     atoms are dropped and a detected contradiction is represented by the
     single atom {!Atom.ff}.
 
-    Conjunctions are hash-consed: every canonical atom list is interned in a
-    weak table, so {!equal} is physical equality and {!id} is a unique
-    integer.  The decision procedures ({!is_sat}, {!implies},
-    {!implies_atom}, {!project}, {!simplify}) are memoized in id-keyed
-    caches registered with {!Memo}.  Each entry, cache hit or not, counts
+    A conjunction is an immutable value that stores its structural hash.
+    Two conjunctions built apart from the same atoms are {!equal}, not
+    physically equal, except that every empty list gives the shared {!tt}
+    and every contradiction the shared {!ff}.  The decision procedures
+    ({!is_sat}, {!implies}, {!project}, {!simplify}, {!ztighten}) are
+    memoized in caches registered with {!Memo} and keyed by the
+    conjunctions themselves (paired with the active {!Cdomain}'s tag where
+    the answer depends on it).  Each entry, cache hit or not, counts
     one in the {!Cql_obs.Obs} registry ([solver.sat_checks],
     [solver.implies_checks], [solver.implies_atom_checks],
     [solver.project_calls]); each cache counts its own hits and misses
@@ -50,12 +53,8 @@ val is_tt : t -> bool
 val size : t -> int
 val vars : t -> Var.Set.t
 
-val id : t -> int
-(** Unique interning id (never reused across the process lifetime); keys the
-    memoization caches. *)
-
 val hash : t -> int
-(** O(1) precomputed hash, consistent with {!equal}. *)
+(** Structural hash, stored at construction; consistent with {!equal}. *)
 
 (** {1 Decision procedures} *)
 
@@ -85,12 +84,14 @@ val eval_at : (Var.t -> Cql_num.Rat.t option) -> t -> bool option
 (** Evaluate at a (partial) point: [Some b] when every atom evaluates. *)
 
 val implies_atom : t -> Atom.t -> bool
-(** [implies_atom c a] decides [c ⊨ a]: after the memo, by refutation —
-    [c ∧ ¬a] is unsatisfiable, one {!is_sat} per disjunct of [¬a]. *)
+(** [implies_atom c a] decides [c ⊨ a]: true when [a] is an atom of [c],
+    else by refutation — [c ∧ ¬a] is unsatisfiable, one {!is_sat} per
+    disjunct of [¬a]. *)
 
 val implies : t -> t -> bool
-(** [implies c d] decides [c ⊨ d]: after the memo, {!implies_atom} for
-    each atom of [d].  An unsatisfiable [c] implies everything. *)
+(** [implies c d] decides [c ⊨ d]: true when [c] and [d] are {!equal},
+    else, after the memo, {!implies_atom} for each atom of [d].  An
+    unsatisfiable [c] implies everything. *)
 
 val equiv : t -> t -> bool
 
@@ -110,13 +111,14 @@ val rename : (Var.t -> Var.t) -> t -> t
 (** {1 Comparison and printing} *)
 
 val compare : t -> t -> int
-(** Structural order on the canonical atom lists — stable across runs,
-    independent of interning order. *)
+(** Structural order on the canonical atom lists — stable across runs. *)
 
 val equal : t -> t -> bool
-(** Physical equality, equivalent to structural equality of the canonical
-    form by interning (implies logical equivalence of the atom sets, but two
-    equivalent conjunctions may differ structurally unless simplified). *)
+(** Structural equality of the canonical atom lists: [==] first, then the
+    stored hashes, then {!Atom.equal} atom by atom.  It implies logical
+    equivalence, but two equivalent conjunctions may differ structurally
+    unless simplified.  Never compare conjunctions, or values holding
+    them, with polymorphic [=], [compare] or [Hashtbl.hash]. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

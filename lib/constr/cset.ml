@@ -21,9 +21,7 @@ let ctr_disjoint = Obs.counter "solver.interval.disjoint_hits"
 
 (* interval box-disjointness between two disjuncts; [false] = maybe
    compatible (prefilter off, or the boxes overlap) *)
-let interval_disjoint d d' =
-  Interval.enabled ()
-  && Interval.disjoint ~id1:(Conj.id d) (Conj.to_list d) ~id2:(Conj.id d') (Conj.to_list d')
+let interval_disjoint d d' = Interval.enabled () && Interval.disjoint d d'
 
 (* prune disjuncts subsumed by another disjunct; with zero or one disjunct
    there is nothing to subsume, so skip the quadratic pass entirely *)
@@ -63,48 +61,49 @@ let negate_conj d =
   of_disjuncts
     (List.concat_map (fun a -> List.map Conj.singleton (Atom.negate a)) (Conj.to_list d))
 
-let conj_implies_memo : (int * int list, bool) Memo.cache = Memo.create ~name:"cset_conj_implies"
-
 let conj_implies d (cs : t) =
   (* d ⊨ cs  iff  d ∧ ¬E1 ∧ ... ∧ ¬Ek is unsatisfiable *)
   Obs.incr ctr_implies;
-  if List.memq d cs then true (* d is itself a disjunct *)
+  if List.exists (Conj.equal d) cs then true (* d is itself a disjunct *)
   else if not (Conj.is_sat d) then true
   else
     match cs with
     | [] -> false (* d is satisfiable, cs denotes the empty set *)
     | [ e ] -> Conj.implies d e
     | _ ->
-        Memo.cached conj_implies_memo
-          (* same low-bit domain tag as the Conj caches: the residue is
-             emptiness-checked over the active domain *)
-          ((Conj.id d lsl 1) lor Cdomain.tag (), List.map Conj.id cs)
-          (fun () ->
-            if List.for_all (interval_disjoint d) cs then begin
-              (* d is satisfiable yet box-disjoint from every disjunct, so
-                 some point of d escapes cs: no need to build the DNF residue
-                 (the false still lands in the memo for warm repeats) *)
-              Obs.incr ctr_disjoint;
-              false
-            end
-            else
-              let residue =
-                List.fold_left
-                  (fun residue e ->
-                    if residue = [] then []
-                    else
-                      let neg = negate_conj e in
-                      List.concat_map
-                        (fun r -> List.filter Conj.is_sat (List.map (Conj.and_ r) neg))
-                        residue)
-                  [ d ] cs
-              in
-              residue = [])
+        (* d ∧ ¬E is d itself when d is box-disjoint from E: drop E *)
+        let es =
+          List.filter
+            (fun e ->
+              if interval_disjoint d e then begin
+                Obs.incr ctr_disjoint;
+                false
+              end
+              else true)
+            cs
+        in
+        (* [escapes r es]: the satisfiable [r] has a point outside every
+           disjunct of [es].  The residue's DNF is searched depth first, one
+           negated atom of each disjunct per level (none of an atom [r]
+           already has), and the first satisfiable leaf answers. *)
+        let rec escapes r = function
+          | [] -> true
+          | e :: rest ->
+              List.exists
+                (fun a ->
+                  (not (List.exists (Atom.equal a) (Conj.to_list r)))
+                  && List.exists
+                       (fun na ->
+                         let r' = Conj.add na r in
+                         Conj.is_sat r' && escapes r' rest)
+                       (Atom.negate a))
+                (Conj.to_list e)
+        in
+        not (escapes d es)
 
-(* interned disjuncts in canonical order: id-equal lists denote the same
-   set, so physical element-wise equality is a sound fast path *)
-let same_disjuncts (a : t) (b : t) =
-  a == b || (try List.for_all2 (fun x y -> Conj.equal x y) a b with Invalid_argument _ -> false)
+(* disjuncts in canonical order: element-wise equal lists denote the same
+   set, a sound fast path *)
+let same_disjuncts (a : t) (b : t) = a == b || List.equal Conj.equal a b
 
 let implies c1 c2 = same_disjuncts c1 c2 || List.for_all (fun d -> conj_implies d c2) c1
 let equiv a b = same_disjuncts a b || (implies a b && implies b a)

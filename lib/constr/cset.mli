@@ -42,8 +42,10 @@ val and_conj : Conj.t -> t -> t
 
 val conj_implies : Conj.t -> t -> bool
 (** [conj_implies d cs] decides [d ⊨ cs] by refutation: [d ∧ ¬cs] is
-    reduced to DNF (negating each disjunct) and checked unsatisfiable.
-    This is the implication test of [13] that the paper relies on. *)
+    unsatisfiable.  The DNF of [d ∧ ¬E1 ∧ … ∧ ¬Ek] is searched depth
+    first, one negated atom of each disjunct per level, and the first
+    satisfiable leaf refutes the implication.  This is the implication test
+    of [13] that the paper relies on. *)
 
 val implies : t -> t -> bool
 (** [implies c1 c2] decides [c1 ⊨ c2] (written [c1 ⊐ c2] in the paper,

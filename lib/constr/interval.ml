@@ -174,19 +174,24 @@ let build atoms =
 
 (* ----- memoized environments ----- *)
 
-let env_memo : (int, env) Memo.cache = Memo.create ~name:"interval_env"
+(* integer-mode boxes are rounded differently, so the key pairs the
+   conjunction with the domain tag — same discipline as the Conj memo
+   tables *)
+let env_memo : (int * Conj.t, env) Memo.cache =
+  Memo.create ~name:"interval_env"
+    ~hash:(fun (tag, c) -> (Conj.hash c lsl 1) lor tag)
+    ~equal:(fun (t1, c1) (t2, c2) -> t1 = t2 && Conj.equal c1 c2)
+
 let ctr_env_builds = Cql_obs.Obs.counter "solver.interval.env_builds"
 
-(* integer-mode boxes are rounded differently, so the domain tag rides in
-   the cache key's low bit — same discipline as the Conj memo tables *)
-let env_of ~id atoms =
-  Memo.cached env_memo ((id lsl 1) lor Cdomain.tag ()) (fun () ->
+let env_of c =
+  Memo.cached env_memo (Cdomain.tag (), c) (fun () ->
       Cql_obs.Obs.incr ctr_env_builds;
-      build atoms)
+      build (Conj.to_list c))
 
-let disjoint ~id1 atoms1 ~id2 atoms2 =
-  let e1 = env_of ~id:id1 atoms1 in
-  let e2 = env_of ~id:id2 atoms2 in
+let disjoint c1 c2 =
+  let e1 = env_of c1 in
+  let e2 = env_of c2 in
   env_is_empty e1 || env_is_empty e2
   || Var.Map.exists
        (fun x i1 ->

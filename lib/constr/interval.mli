@@ -16,12 +16,12 @@
     In the integer domain every bound rounds inward to a closed integer
     endpoint, which keeps the box a superset of the integer solutions.
 
-    Boxes are memoized per conjunction id in a {!Memo} cache
-    (["interval_env"]), so they obey the same epoch clearing and
-    per-domain storage as the decision-procedure caches.  The prefilter is
-    always on in production; {!with_tier} turns it off for a scope, which
-    is how the fuzz harness's Tier oracle and the benchmarks check that it
-    never changes a result. *)
+    Boxes are memoized in a {!Memo} cache (["interval_env"]) keyed by the
+    conjunction and the constraint domain, so they obey the same epoch
+    clearing and per-domain storage as the decision-procedure caches.  The
+    prefilter is always on in production; {!with_tier} turns it off for a
+    scope, which is how the fuzz harness's Tier oracle and the benchmarks
+    check that it never changes a result. *)
 
 val enabled : unit -> bool
 (** Whether the prefilter is on: [true] except inside [with_tier false].
@@ -32,7 +32,8 @@ val with_tier : bool -> (unit -> 'a) -> 'a
     restoring the previous state afterwards (exception-safe).  Call only
     from sequential phases: the state is process-wide. *)
 
-val disjoint : id1:int -> Atom.t list -> id2:int -> Atom.t list -> bool
-(** [true] when the two boxes have provably empty intersection (some
-    variable's intervals do not meet, or either box is empty) — then the
-    conjunctions share no solutions.  [false] means "maybe compatible". *)
+val disjoint : Conj.t -> Conj.t -> bool
+(** [disjoint c1 c2] is [true] when the two conjunctions' boxes have
+    provably empty intersection (some variable's intervals do not meet, or
+    either box is empty) — then the conjunctions share no solutions.
+    [false] means "maybe compatible". *)

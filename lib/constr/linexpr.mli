@@ -72,8 +72,9 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val hash : t -> int
-(** Structural hash, consistent with {!equal} (used by the {!Atom} interning
-    table). *)
+(** Structural hash, consistent with {!equal}: it folds over the terms in
+    variable order, so it does not depend on how the map was built.
+    {!Atom} stores it in every atom. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

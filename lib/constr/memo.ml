@@ -1,12 +1,14 @@
 (* Global registry of the decision-procedure result caches.
 
-   Each cache is keyed by hash-cons ids (never by the terms themselves), so
-   caches do not retain constraint terms and a cleared or collected term can
-   never alias a live entry: ids are allocated from a monotonic counter and
-   never reused.
+   Each cache is keyed by the constraint terms themselves, through the hash
+   and equality it is created with (the terms' stored structural hashes and
+   structural equality), so a hit depends on what was asked, never on GC
+   timing.  A key keeps its term alive, so the tables are bounded, and
+   [clear_local] lets a long-lived worker domain drop its tables between
+   requests.
 
    Storage is per-domain ([Domain.DLS]): every domain lazily materializes
-   its own Hashtbl for each cache, so lookups and insertions by evaluations
+   its own table for each cache, so lookups and insertions by evaluations
    running concurrently on different domains need no locking and never
    observe a torn table.  [clear_all] bumps a per-cache epoch; a domain whose local table
    is from an older epoch drops it on its next access.  Hits and misses are
@@ -24,35 +26,39 @@ let max_entries = 4_096
 type entry = {
   name : string;
   clear : unit -> unit;
+  clear_local : unit -> unit;
   size : unit -> int;
   hits : Obs.counter;
   misses : Obs.counter;
 }
 
-type ('k, 'v) cache = {
-  e : entry;
-  epoch : int Atomic.t;
-  slot : (int ref * ('k, 'v) Hashtbl.t) Domain.DLS.key;
-}
+(* the calling domain's table, behind closures over its [Hashtbl.Make]
+   instance *)
+type ('k, 'v) cache = { e : entry; find : 'k -> 'v option; add : 'k -> 'v -> unit }
 
 let tables : entry list ref = ref []
 
-(* Fetch the calling domain's table, dropping it first if a [clear_all]
-   has bumped the epoch since this domain last looked. *)
-let local_table c =
-  let seen, tbl = Domain.DLS.get c.slot in
-  let now = Atomic.get c.epoch in
-  if !seen <> now then begin
-    Hashtbl.reset tbl;
-    seen := now
-  end;
-  tbl
+let create (type k) ~name ~(hash : k -> int) ~(equal : k -> k -> bool) : (k, 'v) cache =
+  let module H = Hashtbl.Make (struct
+    type t = k
 
-let create ~name =
+    let hash = hash
+    let equal = equal
+  end) in
   let epoch = Atomic.make 0 in
-  let slot = Domain.DLS.new_key (fun () -> (ref (Atomic.get epoch), Hashtbl.create 1024)) in
-  let rec c = { e; epoch; slot }
-  and e =
+  let slot = Domain.DLS.new_key (fun () -> (ref (Atomic.get epoch), H.create 1024)) in
+  (* the calling domain's table, dropped first if a [clear_all] has bumped
+     the epoch since this domain last looked *)
+  let local () =
+    let seen, tbl = Domain.DLS.get slot in
+    let now = Atomic.get epoch in
+    if !seen <> now then begin
+      H.reset tbl;
+      seen := now
+    end;
+    tbl
+  in
+  let e =
     {
       name;
       (* bumping the epoch invalidates every domain's table lazily; resetting
@@ -61,31 +67,35 @@ let create ~name =
       clear =
         (fun () ->
           Atomic.incr epoch;
-          ignore (local_table c));
-      size = (fun () -> Hashtbl.length (local_table c));
+          ignore (local ()));
+      clear_local = (fun () -> H.reset (local ()));
+      size = (fun () -> H.length (local ()));
       hits = Obs.counter ("solver.memo." ^ name ^ ".hits");
       misses = Obs.counter ("solver.memo." ^ name ^ ".misses");
     }
   in
   tables := e :: !tables;
-  c
+  let add k v =
+    let tbl = local () in
+    (* bounded: a full cache is dropped wholesale rather than evicted
+       entry-by-entry — the workloads are fixpoints that re-ask the same
+       questions, so a periodic cold restart costs little *)
+    if H.length tbl >= max_entries then H.reset tbl;
+    H.add tbl k v
+  in
+  { e; find = (fun k -> H.find_opt (local ()) k); add }
 
 let cached c key compute =
   if not !enabled then compute ()
   else
-    let tbl = local_table c in
-    match Hashtbl.find_opt tbl key with
+    match c.find key with
     | Some v ->
         Obs.incr c.e.hits;
         v
     | None ->
         Obs.incr c.e.misses;
         let v = compute () in
-        (* bounded: a full cache is dropped wholesale rather than evicted
-           entry-by-entry — the workloads are fixpoints that re-ask the same
-           questions, so a periodic cold restart costs little *)
-        if Hashtbl.length tbl >= max_entries then Hashtbl.reset tbl;
-        Hashtbl.add tbl key v;
+        c.add key v;
         v
 
 type table_stats = { name : string; hits : int; misses : int; entries : int }
@@ -97,6 +107,7 @@ let stats () =
     !tables
 
 let clear_all () = List.iter (fun (e : entry) -> e.clear ()) !tables
+let clear_local () = List.iter (fun (e : entry) -> e.clear_local ()) !tables
 
 let with_caches on f =
   let prev = !enabled in

@@ -1,36 +1,39 @@
 (** Registry of the memoization caches used by the decision procedures
-    ({!Conj.is_sat}, {!Conj.implies}, {!Conj.project}, {!Cset.conj_implies}).
+    ({!Conj.is_sat}, {!Conj.implies}, {!Conj.project}, …) and by the
+    disjointness prefilter's boxes ({!Interval}).
 
-    Caches are keyed by hash-cons ids ({!Conj.id} / {!Atom.id}), which are
-    allocated from a monotonic counter and never reused — so a stale entry
-    left behind by {!clear_all} or by the weak tables collecting a term can
-    never be observed by a later lookup.  Memoization caches {e results
-    only}; disabling them ({!enabled} := false, or {!with_caches}) changes
-    nothing but speed, and the fuzz harness's cache oracle checks exactly
-    that.
+    A cache is keyed by the constraint terms themselves, through the hash
+    and equality it is created with: the terms' stored structural hashes
+    and {!Conj.equal}/{!Atom.equal}, never polymorphic [Hashtbl.hash] or
+    [=].  So a hit depends only on the question asked, not on when the GC
+    ran.  Memoization caches {e results only}; disabling them ({!enabled}
+    := false, or {!with_caches}) changes nothing but speed, and the fuzz
+    harness's cache oracle checks exactly that.
 
     Storage is per-domain via [Domain.DLS]: each domain owns a private
     table per cache, so evaluations running concurrently on different
-    domains (the server's requests) memoize without locks.
-    Hits and misses are the {!Cql_obs.Obs} counters
-    [solver.memo.<name>.hits] and [solver.memo.<name>.misses]: they
-    aggregate exactly across domains, traced spans carry their deltas and
-    [Obs.zero] resets them; {!stats}' [entries] field is the calling
-    domain's view. *)
+    domains (the server's requests) memoize without locks.  A key keeps
+    its term alive, so every table is bounded (4,096 entries, dropped
+    wholesale when full), and a long-lived worker domain drops its own
+    tables after each request ({!clear_local}).  Hits and misses are the
+    {!Cql_obs.Obs} counters [solver.memo.<name>.hits] and
+    [solver.memo.<name>.misses]: they aggregate exactly across domains,
+    traced spans carry their deltas and [Obs.zero] resets them; {!stats}'
+    [entries] field is the calling domain's view. *)
 
 val enabled : bool ref
 (** When [false], every cache is bypassed (no lookups, no insertions, no
-    hit/miss accounting).  Interning itself is always on — it is the term
-    representation, not an optimization that can drift.  Toggle only from
-    while no other domain is solving (it is a plain flag read racily by
-    them). *)
+    hit/miss accounting).  Toggle only while no other domain is solving
+    (it is a plain flag read racily by them). *)
 
 type ('k, 'v) cache
 (** One registered cache: per-domain tables from ['k] to ['v]. *)
 
-val create : name:string -> ('k, 'v) cache
-(** Register a cache and its two [solver.memo.<name>.*] counters.  Call
-    once, at module initialization, from the main domain. *)
+val create : name:string -> hash:('k -> int) -> equal:('k -> 'k -> bool) -> ('k, 'v) cache
+(** Register a cache over keys with the given hash and equality, and its
+    two [solver.memo.<name>.*] counters.  [equal] must imply equal
+    [hash]es.  Call once, at module initialization, from the main
+    domain. *)
 
 val cached : ('k, 'v) cache -> 'k -> (unit -> 'v) -> 'v
 (** [cached c key compute] looks [key] up in the calling domain's table,
@@ -50,6 +53,11 @@ val clear_all : unit -> unit
     domains drop theirs at their next access.  Call between independent
     workloads — e.g. the fuzz harness clears caches around each
     cache-oracle run. *)
+
+val clear_local : unit -> unit
+(** Drop every cache's entries in the calling domain only; other domains'
+    tables are untouched, so a request running there keeps its warm
+    entries.  [cqlserved] calls it after each request. *)
 
 val with_caches : bool -> (unit -> 'a) -> 'a
 (** [with_caches on f] runs [f] with caching forced on or off and a fresh

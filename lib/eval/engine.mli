@@ -27,8 +27,9 @@
     {b Concurrency.}  One evaluation runs on the calling domain from start
     to finish; its store, register frames and budgets belong to that run
     alone.  Independent evaluations may run on different domains at once
-    (as [cqlserved] runs requests): the interned constraint terms, the
-    solver caches and the constraint domain are safe to share that way. *)
+    (as [cqlserved] runs requests): the immutable constraint terms, the
+    per-domain solver caches and the constraint domain are safe to share
+    that way. *)
 
 open Cql_datalog
 

@@ -1,13 +1,12 @@
-(** The compiled-plan cache's entries: rewritten programs interned by
+(** The compiled-plan cache's entries: rewritten programs keyed by
     source digest.
 
     The expensive, reusable artifact of this engine is the constraint-pushing
     rewrite (pred/QRP/magic), not the fixpoint — so the service caches the
     {e rewritten} {!Cql_datalog.Program.t} in an {!Lru} named
     [serve.plan_cache], keyed by {!key}.  A repeat tenant (same program,
-    same pipeline, same domain) skips the rewrite entirely; hash-consed
-    constraint terms make the cached plans cheap to retain and share across
-    worker domains (the plan is immutable once built).
+    same pipeline, same domain) skips the rewrite entirely; the plan is
+    immutable once built, so worker domains share it as it is.
 
     The rewrite itself runs outside the cache's lock, so two concurrent
     first requests for the same key may both compute the plan — the second

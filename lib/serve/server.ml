@@ -5,6 +5,7 @@ module Pool = Cql_par.Pool
 module Engine = Cql_eval.Engine
 module Fact = Cql_eval.Fact
 module Cdomain = Cql_constr.Cdomain
+module Memo = Cql_constr.Memo
 
 type config = {
   socket_path : string;
@@ -447,7 +448,11 @@ let handle_connection t fd =
     | Error (Protocol.Bad_header _ as e) -> frame_err Protocol.Malformed e
     | Error (Protocol.Too_large _ as e) -> frame_err Protocol.Oversized e
     | Ok payload ->
-        send (match respond t payload with reply -> reply | exception e -> internal e);
+        let reply = match respond t payload with reply -> reply | exception e -> internal e in
+        (* memo keys keep their terms alive: once the reply is out, drop
+           this worker's solver tables, and only this worker's, so a
+           request running on another keeps its warm entries *)
+        Fun.protect ~finally:Memo.clear_local (fun () -> send reply);
         loop ()
   in
   try loop () with

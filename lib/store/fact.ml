@@ -181,7 +181,7 @@ let subsumes general specific =
       in
       match Conj.eval_at env g with Some b -> b | None -> Conj.implies (pins specific) g)
   | None, Some s -> Conj.implies s (pins general)
-  | Some g, Some s -> g == s (* interned: identical constraints *) || Conj.implies s g
+  | Some g, Some s -> Conj.implies s g
 
 (* ----- the order ----- *)
 

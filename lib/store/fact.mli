@@ -66,7 +66,7 @@ val arity : t -> int
 
 val cstr : t -> Conj.t
 (** The fact's constraint.  A ground fact stores none: its pin conjunction
-    ([$i = q] per numeric position) is built and interned on each call. *)
+    ([$i = q] per numeric position) is built on each call. *)
 
 val is_ground : t -> bool
 (** Every numeric position is pinned to a single value ([constr] is

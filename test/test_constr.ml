@@ -225,6 +225,79 @@ let test_cset_implies () =
     (Cset.conj_implies mid
        (Cset.of_disjuncts [ conj [ Atom.lt vx (n 5) ]; conj [ Atom.gt vx (n 5) ] ]))
 
+(* Implication cases, one row each: the conjunction [d], the disjuncts of
+   the set it is tested against, and whether [d ⊨ set].  Each row is
+   decided with caches and the box prefilter on and off. *)
+let implication_cases =
+  let between v lo hi = [ Atom.ge v (n lo); Atom.le v (n hi) ] in
+  let unit_cover k = List.init k (fun i -> between vx i (i + 1)) in
+  [
+    ( "disjunct itself",
+      [ Atom.le vx (n 1) ],
+      [ [ Atom.le vx (n 1) ]; [ Atom.ge vx (n 5) ] ],
+      true );
+    ("unsatisfiable d", [ Atom.le vx (n 0); Atom.ge vx (n 1) ], [ [ Atom.ge vy (n 9) ] ], true);
+    ("empty set", [ Atom.le vx (n 1) ], [], false);
+    ("one disjunct implied", [ Atom.le vx (n 1) ], [ [ Atom.le vx (n 2) ] ], true);
+    ("one disjunct not implied", [ Atom.le vx (n 3) ], [ [ Atom.le vx (n 2) ] ], false);
+    ( "case split on a closed point",
+      between vx 0 10,
+      [ [ Atom.le vx (n 5) ]; [ Atom.ge vx (n 5) ] ],
+      true );
+    ( "open gap escapes",
+      between vx 0 10,
+      [ [ Atom.lt vx (n 5) ]; [ Atom.gt vx (n 5) ] ],
+      false );
+    ( "box-disjoint from every disjunct",
+      between vx 20 21,
+      [ between vx 0 1; between vx 5 6 ],
+      false );
+    ( "equality negates to two sides",
+      between vx 0 10,
+      [ [ Atom.eq vx (n 3) ]; [ Atom.lt vx (n 3) ]; [ Atom.gt vx (n 3) ] ],
+      true );
+    ( "two variables, split by a diagonal",
+      between vx 0 4 @ between vy 0 4,
+      [ [ Atom.le vx vy ]; [ Atom.ge vx vy ] ],
+      true );
+    ( "two variables, diagonal band missing",
+      between vx 0 4 @ between vy 0 4,
+      [ [ Atom.le (Linexpr.add vx (n 1)) vy ]; [ Atom.ge vx (Linexpr.add vy (n 1)) ] ],
+      false );
+    ( "quadrants cover a square",
+      between vx 0 4 @ between vy 0 4,
+      [
+        between vx 0 2 @ between vy 0 2;
+        between vx 2 4 @ between vy 0 2;
+        between vx 0 2 @ between vy 2 4;
+        between vx 2 4 @ between vy 2 4;
+      ],
+      true );
+    ("many disjuncts cover", between vx 0 24, unit_cover 24, true);
+    ( "many disjuncts, the last gap escapes",
+      between vx 0 25,
+      unit_cover 24 @ [ [ Atom.gt vx (n 24); Atom.lt vx (n 25) ] ],
+      false );
+    ( "many disjuncts, one missing",
+      between vx 0 24,
+      List.filteri (fun i _ -> i <> 17) (unit_cover 24),
+      false );
+  ]
+
+let test_implication_table () =
+  List.iter
+    (fun (label, d, ds, expected) ->
+      let cs = Cset.of_disjuncts (List.map conj ds) in
+      List.iter
+        (fun (caches, tier) ->
+          let got =
+            Memo.with_caches caches (fun () ->
+                Interval.with_tier tier (fun () -> Cset.conj_implies (conj d) cs))
+          in
+          check_bool (Printf.sprintf "%s (caches %b, boxes %b)" label caches tier) expected got)
+        [ (true, true); (true, false); (false, true); (false, false) ])
+    implication_cases
+
 let test_cset_and () =
   let a = Cset.of_disjuncts [ conj [ Atom.le vx (n 1) ]; conj [ Atom.ge vx (n 5) ] ] in
   let b = Cset.of_conj (conj [ Atom.ge vx (n 0) ]) in
@@ -400,7 +473,7 @@ let prop_subst_one_pass =
              (List.map (fun (v, e) -> Var.name v ^ " := " ^ Linexpr.to_string e) s))
        subst_case_gen)
     (fun (c, s) ->
-      Conj.subst s c == List.fold_left (fun acc b -> Conj.subst [ b ] acc) c s
+      Conj.equal (Conj.subst s c) (List.fold_left (fun acc b -> Conj.subst [ b ] acc) c s)
       && (s <> [] || Conj.subst s c == c))
 
 let prop_sat_sound =
@@ -679,27 +752,36 @@ let prop_disjoint_sound =
       List.for_all
         (fun dom ->
           Cdomain.with_domain dom (fun () ->
-              (not
-                 (Interval.disjoint ~id1:(Conj.id d) (Conj.to_list d) ~id2:(Conj.id d')
-                    (Conj.to_list d')))
-              || not (Conj.is_sat (Conj.and_ d d'))))
+              (not (Interval.disjoint d d')) || not (Conj.is_sat (Conj.and_ d d'))))
         [ Cdomain.Q; Cdomain.Z ])
 
-(* ----- hash-consing and memoization ----- *)
+(* ----- structural terms and memoization ----- *)
 
-let test_hashcons_interning () =
-  (* equal atoms are the same node *)
-  check_bool "atoms interned" true (Atom.le vx (n 4) == Atom.le vx (n 4));
-  check_bool "atom ids equal" true (Atom.id (Atom.le vx (n 4)) = Atom.id (Atom.le vx (n 4)));
-  (* conjunctions canonicalize (sort + dedup) before interning, so atom
-     order and duplicates don't matter *)
-  let a = Atom.le vx (n 4) and b = Atom.lt vy vx in
-  let c1 = Conj.of_list [ a; b ] and c2 = Conj.of_list [ b; a; b ] in
-  check_bool "conjs interned" true (c1 == c2);
-  check_int "conj ids equal" (Conj.id c1) (Conj.id c2);
-  check_bool "distinct conjs distinct" false (c1 == Conj.of_list [ a ]);
-  (* interning makes structural equality physical *)
-  check_bool "equal is physical" true (Conj.equal c1 c2)
+(* terms built apart are equal, hash alike and share memo entries *)
+let test_structural_terms () =
+  let a = Atom.le vx (n 4) and a' = Atom.le vx (n 4) in
+  check_bool "atoms built apart are equal" true (Atom.equal a a');
+  check_int "atom hashes agree" (Atom.hash a) (Atom.hash a');
+  (* the expression's variable map built in another order *)
+  let e1 = Linexpr.add vx (Linexpr.add vy vz) and e2 = Linexpr.add vz (Linexpr.add vy vx) in
+  check_bool "term order does not matter" true
+    (Atom.equal (Atom.le e1 (n 1)) (Atom.le e2 (n 1)));
+  (* conjunctions canonicalize (sort + dedup), so atom order and
+     duplicates don't matter *)
+  let b = Atom.lt vy vx in
+  let c1 = Conj.of_list [ a; b ] and c2 = Conj.of_list [ b; a'; b ] in
+  check_bool "conjs equal" true (Conj.equal c1 c2);
+  check_int "conj hashes agree" (Conj.hash c1) (Conj.hash c2);
+  check_bool "distinct conjs distinct" false (Conj.equal c1 (Conj.of_list [ a ]));
+  (* the tt and syntactic-ff tests stay physical *)
+  check_bool "empty list is the shared tt" true (Conj.of_list [] == Conj.tt);
+  check_bool "contradiction is the shared ff" true
+    (Conj.of_list [ a; Atom.lt vx vx ] == Conj.ff);
+  Memo.clear_all ();
+  Obs.zero "solver.";
+  check_bool "sat" true (Conj.is_sat c1);
+  check_bool "sat again" true (Conj.is_sat c2);
+  check_int "an equal conjunction hits the entry" 1 (count "solver.memo.conj_is_sat.hits")
 
 let total_entries () =
   List.fold_left (fun acc (s : Memo.table_stats) -> acc + s.Memo.entries) 0 (Memo.stats ())
@@ -784,8 +866,8 @@ let test_memo_registry () =
           check_bool (name ^ " registered") true (List.mem name registered))
         [ ".hits"; ".misses" ])
     [
-      "conj_is_sat"; "conj_implies_atom"; "conj_implies"; "conj_project"; "conj_simplify";
-      "conj_ztighten"; "cset_conj_implies"; "interval_env";
+      "conj_is_sat"; "conj_implies"; "conj_project"; "conj_simplify"; "conj_ztighten";
+      "interval_env";
     ]
 
 let test_memo_clear_all () =
@@ -820,9 +902,7 @@ let test_memo_with_caches_off () =
 
 (* ----- the disjointness prefilter ----- *)
 
-let itv_disjoint atoms atoms' =
-  let c = conj atoms and c' = conj atoms' in
-  Interval.disjoint ~id1:(Conj.id c) (Conj.to_list c) ~id2:(Conj.id c') (Conj.to_list c')
+let itv_disjoint atoms atoms' = Interval.disjoint (conj atoms) (conj atoms')
 
 let test_interval_verdicts () =
   (* an empty box is disjoint from anything, the empty conjunction too *)
@@ -1115,6 +1195,7 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_cset_basics;
           Alcotest.test_case "implication" `Quick test_cset_implies;
+          Alcotest.test_case "implication table" `Quick test_implication_table;
           Alcotest.test_case "conjunction" `Quick test_cset_and;
           Alcotest.test_case "disjointify" `Quick test_cset_disjointify;
           Alcotest.test_case "weaken_to_one" `Quick test_cset_weaken_to_one;
@@ -1130,7 +1211,7 @@ let () =
         ] );
       ( "memo",
         [
-          Alcotest.test_case "hash-consing interns" `Quick test_hashcons_interning;
+          Alcotest.test_case "equal terms share entries" `Quick test_structural_terms;
           Alcotest.test_case "hit counting" `Quick test_memo_hit_counting;
           Alcotest.test_case "registry is the one source" `Quick test_memo_registry;
           Alcotest.test_case "clear_all" `Quick test_memo_clear_all;

@@ -557,6 +557,63 @@ p(X) :- b(X).
   check_int "same answers" (List.length (Cql_eval.Engine.facts_of r1 "q"))
     (List.length (Cql_eval.Engine.facts_of r2 "q"))
 
+(* ----- memory ----- *)
+
+(* Rewriting from cleared caches leaves nothing behind: the live heap after
+   1,000 rewrites of generated programs matches the one after 100.  A term
+   table that grows with the work done fails this, as the weak interning
+   sets that once held every atom and conjunction did (one slot per term,
+   freed only by a later major cycle). *)
+let test_rewrites_leave_no_residue () =
+  let module G = Cql_gen.Generate in
+  let rng = Cql_gen.Rng.create 3 in
+  let rec draw config =
+    match G.case (Cql_gen.Rng.split rng) config with
+    | p, _ -> p
+    | exception G.Exhausted _ -> draw config
+  in
+  let corpus =
+    Array.of_list
+      (List.concat_map
+         (fun mode -> List.init 40 (fun _ -> (mode, draw (G.default mode))))
+         [ G.Decidable; G.Linear; G.Int ])
+  in
+  let rewrite i =
+    let mode, p = corpus.(i mod Array.length corpus) in
+    Memo.clear_all ();
+    Cdomain.with_domain (if mode = G.Int then Cdomain.Z else Cdomain.Q) @@ fun () ->
+    match p.Program.query with
+    | None -> ()
+    | Some q -> (
+        let adornment = String.make (Program.arity p q) 'f' in
+        try ignore (Rewrite.optimal ~max_iters:20 ~adornment p)
+        with Invalid_argument _ | Failure _ -> ())
+  in
+  let live_words () =
+    Memo.clear_all ();
+    Gc.full_major ();
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  (* a traced run keeps its spans, which would grow with the work too *)
+  let traced = Cql_obs.Obs.enabled () in
+  Cql_obs.Obs.set_enabled false;
+  Fun.protect ~finally:(fun () -> Cql_obs.Obs.set_enabled traced) @@ fun () ->
+  for i = 0 to 99 do
+    rewrite i
+  done;
+  let at_100 = live_words () in
+  for i = 100 to 999 do
+    rewrite i
+  done;
+  let at_1000 = live_words () in
+  (* the corpus stays live through both readings *)
+  ignore (Sys.opaque_identity corpus);
+  check_bool
+    (Printf.sprintf "live words %d after 100 rewrites, %d after 1,000" at_100 at_1000)
+    true
+    (abs (at_1000 - at_100) < 4_096)
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "core"
@@ -599,6 +656,10 @@ let () =
           Alcotest.test_case "inline_seed" `Quick test_inline_seed;
           Alcotest.test_case "Theorem 7.9 redundancy" `Slow test_theorem_7_9_redundancy;
           Alcotest.test_case "plain vs constraint magic" `Quick test_magic_no_constraint_magic;
+        ] );
+      ( "memory",
+        [
+          Alcotest.test_case "rewrites leave no residue" `Quick test_rewrites_leave_no_residue;
         ] );
       ( "properties",
         qt

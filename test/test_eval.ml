@@ -775,7 +775,8 @@ let prop_pin =
        QCheck.Gen.(pair (int_range 1 40) rat_gen))
     (fun (i, q) ->
       let x = Var.arg i in
-      Atom.pin x q == Atom.eq (Linexpr.var x) (Linexpr.const q))
+      let a = Atom.pin x q and b = Atom.eq (Linexpr.var x) (Linexpr.const q) in
+      Atom.equal a b && Atom.hash a = Atom.hash b)
 
 (* ground fact rules: symbols from a small pool, numbers from [rat_gen] or
    a small range, so values repeat *)

@@ -23,6 +23,15 @@ let result_state r =
 let view_state vw =
   List.filter (fun (_, fs) -> fs <> []) (Engine.view_all_facts vw)
 
+(* per-predicate lists compared with Fact.equal: a fact's constraint is a
+   structural term that polymorphic [=] must not compare *)
+let same_by_pred eq a b =
+  List.equal (fun (p, xs) (q, ys) -> String.equal p q && List.equal eq xs ys) a b
+
+let same_state = same_by_pred Fact.equal
+let same_counts = same_by_pred (fun (f, n) (g, m) -> Fact.equal f g && n = m)
+let same_facts = List.equal Fact.equal
+
 (* compare a view against a fresh materialization of its current EDB:
    answers, full fact state, support counts and completeness *)
 let check_against_scratch ?(msg = "view") vw =
@@ -35,9 +44,9 @@ let check_against_scratch ?(msg = "view") vw =
     (msg ^ ": answers")
     (List.map Fact.to_string (Engine.view_answers scratch))
     (List.map Fact.to_string (Engine.view_answers vw));
-  check_bool (msg ^ ": state") true (view_state scratch = view_state vw);
+  check_bool (msg ^ ": state") true (same_state (view_state scratch) (view_state vw));
   check_bool (msg ^ ": counts") true
-    (Engine.view_counts scratch = Engine.view_counts vw);
+    (same_counts (Engine.view_counts scratch) (Engine.view_counts vw));
   (* and the plain engine agrees on the answers *)
   let r = Engine.run p ~edb in
   Alcotest.(check (list string))
@@ -64,8 +73,8 @@ let test_materialize_matches_run () =
   check_int "edb inserted" 3 st.Engine.m_inserted;
   let r = Engine.run tc_program ~edb:chain_edb in
   check_bool "answers" true
-    (Engine.view_answers vw = Engine.answers r tc_program);
-  check_bool "state" true (view_state vw = result_state r);
+    (same_facts (Engine.view_answers vw) (Engine.answers r tc_program));
+  check_bool "state" true (same_state (view_state vw) (result_state r));
   (* every live fact carries a positive support count *)
   List.iter
     (fun (_, counts) ->
@@ -126,7 +135,7 @@ let test_retract_subsumed_by_survivor () =
   let st = Engine.retract vw [ narrow ] in
   check_int "retracted" 1 st.Engine.m_retracted;
   check_int "nothing over-deleted" 0 st.Engine.m_over_deleted;
-  check_bool "state unchanged" true (view_state vw = before);
+  check_bool "state unchanged" true (same_state (view_state vw) before);
   check_against_scratch ~msg:"subsumed retract" vw;
   Engine.close_view vw
 
@@ -209,11 +218,11 @@ let test_retract_reinsert_identity () =
   let counts0 = Engine.view_counts vw in
   let answers0 = Engine.view_answers vw in
   ignore (Engine.retract vw (edb_of "edge(b, c)."));
-  check_bool "state changed" true (view_state vw <> state0);
+  check_bool "state changed" false (same_state (view_state vw) state0);
   ignore (Engine.insert vw (edb_of "edge(b, c)."));
-  check_bool "state restored" true (view_state vw = state0);
-  check_bool "counts restored" true (Engine.view_counts vw = counts0);
-  check_bool "answers restored" true (Engine.view_answers vw = answers0);
+  check_bool "state restored" true (same_state (view_state vw) state0);
+  check_bool "counts restored" true (same_counts (Engine.view_counts vw) counts0);
+  check_bool "answers restored" true (same_facts (Engine.view_answers vw) answers0);
   check_against_scratch ~msg:"retract-reinsert" vw;
   Engine.close_view vw
 

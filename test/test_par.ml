@@ -1,7 +1,6 @@
 (* Tests for the concurrency layer behind cqlserved: the domain pool's
-   independent jobs, domain-safety of the interned constraint terms and
-   memo caches, and independent fixpoints running on several domains at
-   once. *)
+   independent jobs, constraint terms and memo caches across domains, and
+   independent fixpoints running on several domains at once. *)
 
 open Cql_constr
 open Cql_datalog
@@ -15,37 +14,41 @@ let edb_of s = List.map Fact.of_fact_rule (Parser.facts_of_string s)
 
 exception Boom of int
 
-(* ----- domain-safe interning ----- *)
+(* ----- terms across domains ----- *)
 
-(* four domains concurrently intern overlapping atoms and conjunctions;
-   interning must hand every domain the same physical term for the same
-   structure, with ids unique per structure *)
-let test_interning_stress () =
-  let build () =
+(* In each of 20 rounds four domains are spawned and joined; each builds
+   overlapping atoms and conjunctions and asks is_sat/implies.  Every term
+   must equal the main domain's, with the same hash, and every answer must
+   match.  Domains that built terms and then exited once crashed the
+   process when terms were interned in weak tables. *)
+let test_terms_across_domains () =
+  let v i = Linexpr.var (Var.arg i) in
+  let build round =
     List.init 200 (fun k ->
-        let a = Atom.le (Linexpr.var (Var.arg 1)) (Linexpr.of_int k) in
-        let b = Atom.ge (Linexpr.var (Var.arg 2)) (Linexpr.of_int (k mod 17)) in
-        (a, Conj.of_list [ a; b ]))
+        let a = Atom.le (v 1) (Linexpr.of_int ((k + round) mod 50)) in
+        let b = Atom.ge (Linexpr.add (v 1) (v 2)) (Linexpr.of_int (k mod 17)) in
+        let c = Conj.of_list [ a; b ] in
+        let d = Conj.of_list [ b; Atom.le (v 1) (Linexpr.of_int (k mod 23)) ] in
+        (a, c, (Conj.is_sat c, Conj.implies c d, Conj.implies_atom d a)))
   in
-  let domains = Array.init 4 (fun _ -> Domain.spawn build) in
-  let results = Array.map Domain.join domains in
-  let reference = build () in
-  Array.iter
-    (fun r ->
-      List.iter2
-        (fun (a, c) (a', c') ->
-          check_bool "atom interned across domains" true (a == a');
-          check_bool "conj interned across domains" true (c == c'))
-        reference r)
-    results;
-  (* atoms and conjunctions draw from separate id counters; within each
-     space, distinct structures must have distinct ids *)
-  let atom_ids = List.map (fun (a, _) -> Atom.id a) reference in
-  let conj_ids = List.map (fun (_, c) -> Conj.id c) reference in
-  check_int "atom ids unique per structure" (List.length atom_ids)
-    (List.length (List.sort_uniq compare atom_ids));
-  check_int "conj ids unique per structure" (List.length conj_ids)
-    (List.length (List.sort_uniq compare conj_ids))
+  for round = 1 to 20 do
+    let domains = Array.init 4 (fun _ -> Domain.spawn (fun () -> build round)) in
+    let results = Array.map Domain.join domains in
+    let reference = build round in
+    Array.iteri
+      (fun i r ->
+        let same =
+          List.for_all2
+            (fun (a, c, answers) (a', c', answers') ->
+              Atom.equal a a' && Atom.hash a = Atom.hash a' && Conj.equal c c'
+              && Conj.hash c = Conj.hash c' && answers = answers')
+            reference r
+        in
+        check_bool
+          (Printf.sprintf "round %d, domain %d: equal terms and answers" round i)
+          true same)
+      results
+  done
 
 let test_fresh_vars_parallel () =
   (* Var.fresh from concurrent domains must never hand out a duplicate id *)
@@ -59,7 +62,9 @@ let test_fresh_vars_parallel () =
 (* ----- memo caches under domains ----- *)
 
 let test_memo_domain_isolation () =
-  let c : (int, int) Memo.cache = Memo.create ~name:"test_par_isolation" in
+  let c : (int, int) Memo.cache =
+    Memo.create ~name:"test_par_isolation" ~hash:Hashtbl.hash ~equal:Int.equal
+  in
   Memo.clear_all ();
   Cql_obs.Obs.zero "solver.memo.test_par_isolation.";
   let v1 = Memo.cached c 1 (fun () -> 10) in
@@ -82,6 +87,35 @@ let test_memo_results_agree_across_domains () =
   let here = Conj.implies_atom c a in
   let there = Domain.join (Domain.spawn (fun () -> Conj.implies_atom c a)) in
   check_bool "implies_atom agrees across domains" true (here = there && here = true)
+
+(* a worker's per-request clear leaves every other domain's tables warm *)
+let test_memo_clear_local () =
+  let c : (int, int) Memo.cache =
+    Memo.create ~name:"test_par_clear_local" ~hash:Hashtbl.hash ~equal:Int.equal
+  in
+  Memo.clear_all ();
+  ignore (Memo.cached c 1 (fun () -> 10));
+  let filled = Atomic.make false and cleared = Atomic.make false in
+  let other =
+    Domain.spawn (fun () ->
+        ignore (Memo.cached c 1 (fun () -> 20));
+        Atomic.set filled true;
+        while not (Atomic.get cleared) do
+          Domain.cpu_relax ()
+        done;
+        let kept = Memo.cached c 1 (fun () -> 30) in
+        Memo.clear_local ();
+        (kept, Memo.cached c 1 (fun () -> 40)))
+  in
+  while not (Atomic.get filled) do
+    Domain.cpu_relax ()
+  done;
+  Memo.clear_local ();
+  Atomic.set cleared true;
+  let kept, after = Domain.join other in
+  check_int "the other domain keeps its entry" 20 kept;
+  check_int "its own clear_local drops it" 40 after;
+  check_int "the caller's entry is gone" 50 (Memo.cached c 1 (fun () -> 50))
 
 (* ----- concurrent independent fixpoints (the cqlserved execution model) ----- *)
 
@@ -225,9 +259,7 @@ let rewrite_and_run (mode, (p, edb)) =
 (* every case submitted at once to one pool with two workers must match
    its sequential run: rewritten program (mod renaming: fresh variables
    come from a process-wide counter), sorted answers, derivation count and
-   fixpoint flag.  One pool serves the whole test: interning domains that
-   are spawned and joined round after round trip the weak-table defect
-   recorded in ROADMAP.md (item 4). *)
+   fixpoint flag *)
 let test_concurrent_generated_cases () =
   let cases = generated_cases () in
   let sequential = List.map rewrite_and_run cases in
@@ -306,14 +338,12 @@ let () =
           Alcotest.test_case "generated cases as pool jobs" `Quick
             test_concurrent_generated_cases;
         ] );
-      ( "interning",
-        [
-          Alcotest.test_case "4-domain stress" `Quick test_interning_stress;
-          Alcotest.test_case "fresh vars unique" `Quick test_fresh_vars_parallel;
-        ] );
+      ("terms", [ Alcotest.test_case "4-domain stress" `Quick test_terms_across_domains ]);
+      ("interning", [ Alcotest.test_case "fresh vars unique" `Quick test_fresh_vars_parallel ]);
       ( "memo",
         [
           Alcotest.test_case "per-domain isolation" `Quick test_memo_domain_isolation;
           Alcotest.test_case "agreement across domains" `Quick test_memo_results_agree_across_domains;
+          Alcotest.test_case "clear_local is per-domain" `Quick test_memo_clear_local;
         ] );
     ]
