@@ -26,7 +26,11 @@ let compare_const a b =
   | Sym _, Num _ -> 1
   | Sym x, Sym y -> String.compare x y
 
-let equal_const a b = compare_const a b = 0
+let equal_const a b =
+  match (a, b) with
+  | Num x, Num y -> Rat.equal x y
+  | Sym x, Sym y -> String.equal x y
+  | Num _, Sym _ | Sym _, Num _ -> false
 
 let compare a b =
   match (a, b) with
@@ -35,7 +39,11 @@ let compare a b =
   | C _, V _ -> 1
   | C x, C y -> compare_const x y
 
-let equal a b = compare a b = 0
+let equal a b =
+  match (a, b) with
+  | V x, V y -> Var.equal x y
+  | C x, C y -> equal_const x y
+  | V _, C _ | C _, V _ -> false
 
 let pp_const fmt = function
   | Num q -> Rat.pp fmt q

@@ -159,6 +159,7 @@ type cstep = {
 
 type code = {
   c_rule : Rule.t;
+  c_pivot : string option;  (* the predicate the first step reads the delta of *)
   c_steps : cstep array;
   c_used_perm : int array;  (* step indices sorted by original position *)
   c_nregs : int;
@@ -357,9 +358,16 @@ let compile_plan (rule : Rule.t) reg_of nregs prog (plan : Planner.plan) : code 
   in
   let perm = Array.init (Array.length steps) Fun.id in
   Array.sort (fun a b -> compare steps.(a).c_orig steps.(b).c_orig) perm;
+  (* the planner places the semi-naive pivot first *)
+  let pivot =
+    if Array.length steps > 0 && steps.(0).c_part = Store.Delta then
+      Some steps.(0).c_lit.Literal.pred
+    else None
+  in
   let code =
     {
       c_rule = rule;
+      c_pivot = pivot;
       c_steps = steps;
       c_used_perm = perm;
       c_nregs = nregs;
@@ -623,6 +631,15 @@ let run_program p (fr : frame) side ~z =
       | Reject -> Reject
       | Unfit -> finish_exact p fr ~z)
   | Large | Small -> finish_exact p fr ~z
+
+(* The first step probes the pivot's delta: when that partition is empty
+   the plan derives nothing, and the probe is counted as answered empty
+   without a frame being built. *)
+let idle code store =
+  match code.c_pivot with
+  | None -> false
+  | Some pred ->
+      Store.probe_empty_delta store pred ~indexed:(Array.length code.c_steps.(0).c_probe > 0)
 
 let exec (code : code) store ~emit =
   let fr = make_frame code in

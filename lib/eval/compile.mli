@@ -66,6 +66,13 @@ val compile : Rule.t -> Planner.plan -> code
 val rule : code -> Rule.t
 (** The rule the program was compiled from. *)
 
+val idle : code -> Store.t -> bool
+(** The plan's semi-naive pivot, the body literal its first step reads
+    from the delta partition (its predicate is recorded at compilation),
+    has an empty delta: the plan derives nothing this round.  The probe
+    that step would issue is counted in the store's stats as one that found
+    nothing.  Always [false] for a plan with no delta step. *)
+
 val exec : code -> Store.t -> emit:(Fact.t -> Fact.t list -> unit) -> unit
 (** Enumerate every derivation of the program against the store: each step
     probes {!Store.iter_probe_cols} on its bound columns (constants and

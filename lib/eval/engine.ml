@@ -51,12 +51,8 @@ let all_ground r =
 
 exception Arity_mismatch of string
 
-(* A fact whose predicate the program uses must have the program's arity:
-   the store's join indexes key on the program's argument positions, so a
-   shorter fact would break them.  Checked over the whole batch before any
-   store mutation, so a rejected batch leaves the store (or view) exactly as
-   it was.  Facts of predicates the program never mentions are inert. *)
-let check_arities (p : Program.t) facts =
+(* the arity of every predicate the program's rules use *)
+let arities_of (p : Program.t) =
   let arities = Hashtbl.create 16 in
   List.iter
     (fun (r : Rule.t) ->
@@ -64,6 +60,14 @@ let check_arities (p : Program.t) facts =
         (fun (l : Literal.t) -> Hashtbl.replace arities l.Literal.pred (Literal.arity l))
         (r.Rule.head :: r.Rule.body))
     p.Program.rules;
+  arities
+
+(* A fact whose predicate the program uses must have the program's arity:
+   the store's join indexes key on the program's argument positions, so a
+   shorter fact would break them.  Checked over the whole batch before any
+   store mutation, so a rejected batch leaves the store (or view) exactly as
+   it was.  Facts of predicates the program never mentions are inert. *)
+let check_arities arities facts =
   List.iter
     (fun f ->
       match Hashtbl.find_opt arities (Fact.pred f) with
@@ -123,13 +127,15 @@ let completes f =
 
 (* One match/join phase over every compiled plan, returning the
    productions in enumeration order (rule order, then plan order) for the
-   merge that follows. *)
+   merge that follows.  A plan whose pivot's delta is empty derives nothing
+   and is skipped. *)
 let produce_round store codes =
   let produced = ref [] in
   List.iter
     (fun code ->
-      let label = (Compile.rule code).Rule.label in
-      Compile.exec code store ~emit:(fun f used -> produced := (label, f, used) :: !produced))
+      if not (Compile.idle code store) then
+        let label = (Compile.rule code).Rule.label in
+        Compile.exec code store ~emit:(fun f used -> produced := (label, f, used) :: !produced))
     codes;
   List.rev !produced
 
@@ -190,7 +196,7 @@ let rounds b store codes merge =
 let run ?jobs:_ ?max_iterations ?max_derivations ?(traced = false) ?compiled (p : Program.t)
     ~(edb : Fact.t list) =
   Obs.span "engine.run" @@ fun () ->
-  check_arities p edb;
+  check_arities (arities_of p) edb;
   if Obs.enabled () then begin
     Obs.add_field "rules" (List.length p.Program.rules);
     Obs.add_field "edb_facts" (List.length edb)
@@ -252,8 +258,6 @@ let run ?jobs:_ ?max_iterations ?max_derivations ?(traced = false) ?compiled (p 
 
 (* ----- incremental view maintenance ----- *)
 
-module FactMap = Map.Make (Fact)
-
 (* A materialized view keeps the fixpoint of one program alive across EDB
    changes.  Insertions are ordinary semi-naive rounds seeded from the new
    facts (the pending partition becomes the delta at the first boundary).
@@ -264,22 +268,38 @@ module FactMap = Map.Make (Fact)
    The twist relative to textbook DRed is the support graph: every rule
    firing {head; label; body facts} is recorded, so both phases of deletion
    are pure graph walks — no joins, no solver calls — and facts outside the
-   deleted cone are never re-proved.  A fact's support count (EDB
-   multiplicity + live firings) is read off the graph when asked for, and
-   is what the update-oracle fuzz mode cross-checks against a from-scratch
-   run.
+   deleted cone are never re-proved.  The graph is one mutable node per
+   stored or covered fact, reached through a hash table on the fact:
+   firings point at their head and body nodes, and each node lists the
+   firings that produce it and the firings it feeds, so a write touches
+   only the nodes of the facts it reaches.  A fact's support is its node's
+   EDB multiplicity plus its live firings, and is what the update-oracle
+   fuzz mode cross-checks against a from-scratch run.
 
    Constraint subsumption needs one extra piece of state: a fact can be
    dropped on arrival (or killed by back-subsumption) because a live fact
-   covers it.  Such facts are remembered in [vw_covered]; when a retraction
+   covers it.  Such a fact's node stays, flagged covered; when a retraction
    removes the last cover of a still-supported covered fact, it resurrects
    through a normal insertion round. *)
 
-type firing = {
+module FactTbl = Hashtbl.Make (Fact)
+
+type node = {
+  n_fact : Fact.t;
+  mutable n_edb : int; (* EDB multiplicity *)
+  mutable n_firings : firing list; (* the firings that produce it *)
+  mutable n_uses : firing list; (* the firings it feeds, each once *)
+  mutable n_covered : bool; (* on [vw_covered]: not stored, a live fact subsumes it *)
+  mutable n_mark : int; (* DRed: [unmarked], [deleted], [rescued] or [gone] *)
+  mutable n_swept : int; (* the last DRed pass that swept its lists *)
+}
+
+and firing = {
   fr_label : string;
-  fr_head : Fact.t;
-  fr_body : Fact.t list; (* in body-literal order; [] for fact rules *)
-  mutable fr_dead : bool;
+  fr_head : node;
+  fr_body : node array; (* in body-literal order; empty for fact rules *)
+  mutable fr_dead : bool; (* only ever set during a DRed pass *)
+  mutable fr_missing : int; (* DRed: distinct body nodes still deleted or gone *)
 }
 
 type maintain_stats = {
@@ -299,15 +319,17 @@ type maintain_stats = {
 
 type view = {
   vw_program : Program.t;
+  vw_arities : (string, int) Hashtbl.t; (* the program's, for [insert]'s check *)
   vw_store : Store.t;
   vw_codes : Compile.code list;
   vw_domain : Cdomain.t;  (* constraint domain captured at materialize *)
   vw_max_iterations : int option;
   vw_max_derivations : int option;
-  mutable vw_edb : Fact.t list; (* EDB multiset, newest first *)
-  mutable vw_supports : firing list FactMap.t; (* head fact -> firings *)
-  mutable vw_uses : firing list FactMap.t; (* body fact -> firings *)
-  mutable vw_covered : unit FactMap.t; (* subsumed or back-subsumed facts *)
+  mutable vw_edb : Fact.t list; (* EDB multiset, newest first: [view_edb]'s order *)
+  vw_nodes : node FactTbl.t; (* stored and covered facts (and vanished ones
+                                 until their DRed pass) -> their nodes *)
+  mutable vw_covered : node list; (* the nodes flagged covered *)
+  mutable vw_passes : int; (* DRed passes so far: [n_swept]'s clock *)
   mutable vw_complete : bool; (* no maintenance round was ever truncated *)
   mutable vw_closed : bool;
 }
@@ -318,55 +340,124 @@ let ctr_over_deleted = Obs.counter "engine.maintain.over_deleted"
 let ctr_rederived = Obs.counter "engine.maintain.rederived"
 
 let check_open vw who = if vw.vw_closed then invalid_arg (who ^ ": view is closed")
-let edb_mult vw f = List.length (List.filter (fun g -> Fact.compare g f = 0) vw.vw_edb)
 
-let live_firings vw f =
-  match FactMap.find_opt f vw.vw_supports with
-  | None -> []
-  | Some l -> List.filter (fun fr -> not fr.fr_dead) l
+(* DRed marks *)
+let unmarked = 0
+let deleted = 1
+let rescued = 2
+let gone = 3
+
+let node_of vw f = FactTbl.find vw.vw_nodes f
+
+let node_for vw f =
+  match FactTbl.find vw.vw_nodes f with
+  | n -> n
+  | exception Not_found ->
+      let n =
+        {
+          n_fact = f;
+          n_edb = 0;
+          n_firings = [];
+          n_uses = [];
+          n_covered = false;
+          n_mark = unmarked;
+          n_swept = 0;
+        }
+      in
+      FactTbl.add vw.vw_nodes f n;
+      n
+
+let rec count_live n = function
+  | [] -> n
+  | fr :: rest -> count_live (if fr.fr_dead then n else n + 1) rest
 
 (* a fact's support: EDB multiplicity plus live firings producing it *)
-let support vw f = edb_mult vw f + List.length (live_firings vw f)
+let support n = n.n_edb + count_live 0 n.n_firings
 
-let dedup_facts fs =
-  List.fold_left (fun acc f -> if FactMap.mem f acc then acc else FactMap.add f () acc) FactMap.empty fs
-  |> FactMap.bindings |> List.map fst
-
-(* Record a firing unless a structurally identical live one exists (a
-   resurrected fact re-enumerates joins that were already recorded while it
-   was live the first time).  Returns whether the firing was new. *)
-let add_firing vw label head body =
-  let same fr =
-    fr.fr_label = label
-    && (not fr.fr_dead)
-    && List.length fr.fr_body = List.length body
-    && List.for_all2 (fun a b -> Fact.compare a b = 0) fr.fr_body body
-  in
-  let existing = match FactMap.find_opt head vw.vw_supports with None -> [] | Some l -> l in
-  if List.exists same existing then false
-  else begin
-    let fr = { fr_label = label; fr_head = head; fr_body = body; fr_dead = false } in
-    vw.vw_supports <- FactMap.add head (fr :: existing) vw.vw_supports;
-    List.iter
-      (fun b ->
-        let l = match FactMap.find_opt b vw.vw_uses with None -> [] | Some l -> l in
-        vw.vw_uses <- FactMap.add b (fr :: l) vw.vw_uses)
-      (dedup_facts body);
-    true
+let cover vw n =
+  if not n.n_covered then begin
+    n.n_covered <- true;
+    vw.vw_covered <- n :: vw.vw_covered
   end
 
-(* drop every dead firing (and every entry of vanished facts) from the maps *)
-let compact_graph vw gone =
-  let prune l = List.filter (fun fr -> not fr.fr_dead) l in
-  let sweep m =
-    FactMap.filter_map
-      (fun f l ->
-        if FactMap.mem f gone then None
-        else match prune l with [] -> None | l -> Some l)
-      m
-  in
-  vw.vw_supports <- sweep vw.vw_supports;
-  vw.vw_uses <- sweep vw.vw_uses
+let rec cover_facts vw = function
+  | [] -> ()
+  | f :: rest ->
+      cover vw (node_of vw f);
+      cover_facts vw rest
+
+(* store a fact no live fact subsumes; the facts it kills by
+   back-subsumption become covered *)
+let store_live vw n =
+  n.n_covered <- false;
+  cover_facts vw (Store.add_reporting vw.vw_store n.n_fact)
+
+(* Where a fact arriving at the view goes, after one probe of its table:
+   onto the node of its live equal, into the covered set when a live fact
+   subsumes it, else into the pending partition.  Returns the node that
+   carries its support and whether the fact was stored. *)
+let arrive vw f =
+  match Store.classify vw.vw_store f with
+  | Store.Equal g -> (node_of vw g, false)
+  | Store.Subsumed ->
+      let n = node_for vw f in
+      cover vw n;
+      (n, false)
+  | Store.Absent ->
+      let n = node_for vw f in
+      store_live vw n;
+      (n, true)
+
+(* ----- recording firings ----- *)
+
+let rec same_body (a : node array) (b : node array) i =
+  i = Array.length a || (a.(i) == b.(i) && same_body a b (i + 1))
+
+let rec has_firing label body = function
+  | [] -> false
+  | fr :: rest ->
+      (String.equal fr.fr_label label
+      && Array.length fr.fr_body = Array.length body
+      && same_body fr.fr_body body 0)
+      || has_firing label body rest
+
+(* the body node at [i] also sits at an index in [j, i) *)
+let rec repeated (body : node array) i j =
+  j < i && (body.(j) == body.(i) || repeated body i (j + 1))
+
+let rec link_uses fr body i =
+  if i < Array.length body then begin
+    let b = body.(i) in
+    if not (repeated body i 0) then b.n_uses <- fr :: b.n_uses;
+    link_uses fr body (i + 1)
+  end
+
+let rec fill_body vw (body : node array) i = function
+  | [] -> ()
+  | f :: rest ->
+      body.(i) <- node_of vw f;
+      fill_body vw body (i + 1) rest
+
+let body_nodes vw = function
+  | [] -> [||]
+  | f :: rest as used ->
+      let body = Array.make (List.length used) (node_of vw f) in
+      fill_body vw body 1 rest;
+      body
+
+(* Record a firing unless an identical one exists (outside a DRed pass
+   every recorded firing is live): a resurrected fact re-enumerates joins
+   that were recorded while it was live the first time.  A body that lists
+   one fact twice enters its uses once. *)
+let add_firing vw label head used =
+  let body = body_nodes vw used in
+  if not (has_firing label body head.n_firings) then begin
+    let fr =
+      { fr_label = label; fr_head = head; fr_body = body; fr_dead = false; fr_missing = 0 }
+    in
+    head.n_firings <- fr :: head.n_firings;
+    link_uses fr body 0
+  end
 
 (* mutable accumulator threaded through one maintenance operation *)
 type mstate = {
@@ -380,35 +471,12 @@ type mstate = {
   mutable s_deleted : int;
 }
 
-let cover vw f = vw.vw_covered <- FactMap.add f () vw.vw_covered
-
-(* store a fact no live fact subsumes, remembering the facts it killed by
-   back-subsumption as covered *)
-let store_live vw f = List.iter (cover vw) (Store.add_reporting vw.vw_store f)
-
-(* Where a fact arriving at the view goes: onto its live structural
-   duplicate, into the covered set (remembered for possible resurrection)
-   when a live fact subsumes it, else into the pending partition.  Returns
-   the fact that carries its support and whether it was stored. *)
-let arrive vw f =
-  match Store.find_equal vw.vw_store f with
-  | Some g -> (g, false)
-  | None ->
-      if Store.known_subsumes vw.vw_store f then begin
-        cover vw f;
-        (f, false)
-      end
-      else begin
-        store_live vw f;
-        (f, true)
-      end
-
 (* merge one production into the view: its firing is one more support of
    the fact it arrived at *)
 let view_merge vw ms _iteration (label, f, used) =
   spend ms.s_budget;
   let head, stored = arrive vw f in
-  ignore (add_firing vw label head used);
+  add_firing vw label head used;
   stored
 
 (* the shared rounds, until fixpoint: whatever sits in the pending partition
@@ -419,98 +487,162 @@ let view_rounds vw ms = rounds ms.s_budget vw.vw_store vw.vw_codes (view_merge v
    only gains the EDB occurrence as one more support *)
 let insert_edb vw ms f =
   vw.vw_edb <- f :: vw.vw_edb;
-  if snd (arrive vw f) then ms.s_inserted <- ms.s_inserted + 1
-  else ms.s_noops <- ms.s_noops + 1
+  let n, stored = arrive vw f in
+  n.n_edb <- n.n_edb + 1;
+  if stored then ms.s_inserted <- ms.s_inserted + 1 else ms.s_noops <- ms.s_noops + 1
 
-(* DRed on the support graph.  [gone_seeds] are facts that ceased to exist
-   without ever being live (dropped covered facts); [live_seeds] are live
-   facts whose EDB support vanished.  Every firing reachable from a seed is
-   provisionally killed and every live head it supported provisionally
-   deleted; the re-derivation pass then revives firings whose bodies
-   survived and rescues their heads; what stays deleted leaves the store. *)
+(* ----- DRed ----- *)
+
+(* the cone of one DRed pass *)
+type cone = {
+  mutable c_deleted : node list; (* every node marked [deleted], rescued or not *)
+  mutable c_gone : node list;
+  mutable c_killed : firing list;
+  mutable c_todo : node list; (* the walk's worklist *)
+  mutable c_rescued : int;
+}
+
+(* a node joins the cone as provisionally deleted, and the walk *)
+let over_delete cone n =
+  n.n_mark <- deleted;
+  cone.c_deleted <- n :: cone.c_deleted;
+  cone.c_todo <- n :: cone.c_todo
+
+(* over-deletion from one node: kill every live firing it feeds; a stored
+   head not yet deleted joins the cone *)
+let rec kill_uses cone = function
+  | [] -> ()
+  | fr :: rest ->
+      if not fr.fr_dead then begin
+        fr.fr_dead <- true;
+        cone.c_killed <- fr :: cone.c_killed;
+        let h = fr.fr_head in
+        if (not h.n_covered) && h.n_mark = unmarked then over_delete cone h
+      end;
+      kill_uses cone rest
+
+(* run [visit] on the uses of each node of the worklist until it empties *)
+let rec walk cone visit =
+  match cone.c_todo with
+  | [] -> ()
+  | n :: rest ->
+      cone.c_todo <- rest;
+      visit cone n.n_uses;
+      walk cone visit
+
+(* the distinct body nodes of a killed firing still deleted or gone *)
+let rec count_missing (body : node array) i n =
+  if i = Array.length body then n
+  else
+    let b = body.(i) in
+    let out = (b.n_mark = deleted || b.n_mark = gone) && not (repeated body i 0) in
+    count_missing body (i + 1) (if out then n + 1 else n)
+
+let rescue cone n =
+  n.n_mark <- rescued;
+  cone.c_rescued <- cone.c_rescued + 1;
+  cone.c_todo <- n :: cone.c_todo
+
+(* a rescued node is one fewer missing body node for every killed firing
+   it feeds; a firing missing none revives and rescues its head *)
+let rec revive_uses cone = function
+  | [] -> ()
+  | fr :: rest ->
+      if fr.fr_dead then begin
+        fr.fr_missing <- fr.fr_missing - 1;
+        if fr.fr_missing = 0 then begin
+          fr.fr_dead <- false;
+          if fr.fr_head.n_mark = deleted then rescue cone fr.fr_head
+        end
+      end;
+      revive_uses cone rest
+
+(* [l] without its dead firings, sharing the tail after the last one *)
+let rec drop_dead = function
+  | [] -> []
+  | fr :: rest as l ->
+      let rest' = drop_dead rest in
+      if fr.fr_dead then rest' else if rest' == rest then l else fr :: rest'
+
+(* filter the dead firings off a surviving node, once per pass *)
+let sweep_node pass n =
+  if n.n_swept <> pass && n.n_mark <> deleted && n.n_mark <> gone then begin
+    n.n_swept <- pass;
+    n.n_firings <- drop_dead n.n_firings;
+    n.n_uses <- drop_dead n.n_uses
+  end
+
+(* DRed on the support graph.  [gone_seeds] are nodes of facts that ceased
+   to exist without being live (covered facts left with no support);
+   [live_seeds] are stored facts whose EDB support vanished.  Every firing
+   reachable from a seed is provisionally killed and every stored head it
+   supported provisionally deleted.  Re-derivation is a worklist: a killed
+   firing counts its body nodes still deleted or gone, a rescued node
+   decrements the count of every firing it feeds, and a firing whose count
+   reaches zero revives and rescues its head.  A node is rescued from the
+   start when it has EDB support or a firing that was never killed.  What
+   stays deleted leaves the store and the graph; the firings that stay dead
+   are filtered off the nodes they touch, and nothing else is visited. *)
 let dred vw ms ~live_seeds ~gone_seeds =
-  let d = ref FactMap.empty in
-  let killed = ref [] in
-  let queue = Queue.create () in
+  let cone = { c_deleted = []; c_gone = []; c_killed = []; c_todo = []; c_rescued = 0 } in
+  List.iter (fun n -> if n.n_mark = unmarked then over_delete cone n) live_seeds;
+  (* a vanished fact re-derived since it vanished has support again *)
   List.iter
-    (fun f ->
-      if not (FactMap.mem f !d) then begin
-        d := FactMap.add f () !d;
-        Queue.add f queue
+    (fun n ->
+      if n.n_mark = unmarked && support n = 0 then begin
+        n.n_mark <- gone;
+        cone.c_gone <- n :: cone.c_gone;
+        cone.c_todo <- n :: cone.c_todo
       end)
-    live_seeds;
-  List.iter (fun f -> Queue.add f queue) gone_seeds;
-  while not (Queue.is_empty queue) do
-    let f = Queue.pop queue in
-    List.iter
-      (fun fr ->
-        if not fr.fr_dead then begin
-          fr.fr_dead <- true;
-          killed := fr :: !killed;
-          let h = fr.fr_head in
-          if Store.mem_equal vw.vw_store h && not (FactMap.mem h !d) then begin
-            d := FactMap.add h () !d;
-            Queue.add h queue
-          end
-        end)
-      (match FactMap.find_opt f vw.vw_uses with None -> [] | Some l -> l)
-  done;
-  let gone0 =
-    List.fold_left (fun acc f -> FactMap.add f () acc) FactMap.empty gone_seeds
-  in
-  ms.s_over_deleted <- ms.s_over_deleted + FactMap.cardinal !d;
-  (* re-derivation: a fact in D survives if it has EDB support or a live
-     firing; a killed firing revives once none of its body facts is still
-     provisionally deleted (or gone for good).  Iterate to fixpoint. *)
-  let r = ref FactMap.empty in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    FactMap.iter
-      (fun f () ->
-        if
-          (not (FactMap.mem f !r))
-          && (edb_mult vw f > 0 || live_firings vw f <> [])
-        then begin
-          r := FactMap.add f () !r;
-          changed := true
-        end)
-      !d;
-    List.iter
-      (fun fr ->
-        if fr.fr_dead then begin
-          let body_ok b =
-            (not (FactMap.mem b gone0))
-            && ((not (FactMap.mem b !d)) || FactMap.mem b !r)
-          in
-          if List.for_all body_ok fr.fr_body then begin
-            fr.fr_dead <- false;
-            changed := true
-          end
-        end)
-      !killed
-  done;
-  let deleted =
-    FactMap.fold (fun f () acc -> if FactMap.mem f !r then acc else f :: acc) !d []
-  in
-  ms.s_rederived <- ms.s_rederived + FactMap.cardinal !r;
-  ms.s_deleted <- ms.s_deleted + List.length deleted;
-  List.iter (fun f -> ignore (Store.delete vw.vw_store f)) deleted;
-  compact_graph vw (List.fold_left (fun acc f -> FactMap.add f () acc) gone0 deleted)
+    gone_seeds;
+  walk cone kill_uses;
+  List.iter (fun fr -> fr.fr_missing <- count_missing fr.fr_body 0 0) cone.c_killed;
+  List.iter
+    (fun n ->
+      if n.n_mark = deleted && (n.n_edb > 0 || count_live 0 n.n_firings > 0) then rescue cone n)
+    cone.c_deleted;
+  walk cone revive_uses;
+  vw.vw_passes <- vw.vw_passes + 1;
+  let pass = vw.vw_passes in
+  List.iter
+    (fun fr ->
+      if fr.fr_dead then begin
+        sweep_node pass fr.fr_head;
+        Array.iter (sweep_node pass) fr.fr_body
+      end)
+    cone.c_killed;
+  let removed = ref 0 in
+  List.iter
+    (fun n ->
+      if n.n_mark = deleted then begin
+        ignore (Store.delete vw.vw_store n.n_fact);
+        FactTbl.remove vw.vw_nodes n.n_fact;
+        incr removed
+      end
+      else n.n_mark <- unmarked)
+    cone.c_deleted;
+  List.iter (fun n -> FactTbl.remove vw.vw_nodes n.n_fact) cone.c_gone;
+  ms.s_over_deleted <- ms.s_over_deleted + List.length cone.c_deleted;
+  ms.s_rederived <- ms.s_rederived + cone.c_rescued;
+  ms.s_deleted <- ms.s_deleted + !removed
 
 (* After deletions, covered facts whose cover died either resurrect (still
-   supported) or vanish (cascading into another DRed pass). *)
+   supported) or vanish (cascading into another DRed pass).  Resurrection
+   stores them in descending {!Fact.compare} order, so which of two
+   resurrected facts back-subsumes the other does not depend on how the
+   covered set was built. *)
 let covered_sweep vw =
-  let resurrect = ref [] and gone = ref [] in
-  FactMap.iter
-    (fun c () ->
-      if not (Store.known_subsumes vw.vw_store c) then
-        if support vw c > 0 then resurrect := c :: !resurrect else gone := c :: !gone)
-    vw.vw_covered;
+  let resurrect = ref [] and vanished = ref [] and still = ref [] in
   List.iter
-    (fun c -> vw.vw_covered <- FactMap.remove c vw.vw_covered)
-    (!resurrect @ !gone);
-  (!resurrect, !gone)
+    (fun n ->
+      if Store.known_subsumes vw.vw_store n.n_fact then still := n :: !still
+      else begin
+        n.n_covered <- false;
+        if support n > 0 then resurrect := n :: !resurrect else vanished := n :: !vanished
+      end)
+    vw.vw_covered;
+  vw.vw_covered <- !still;
+  (List.sort (fun a b -> Fact.compare b.n_fact a.n_fact) !resurrect, !vanished)
 
 (* a fresh accumulator whose budgets are the caller's, else the view's *)
 let mstate_create vw max_iterations max_derivations =
@@ -565,7 +697,7 @@ let finish_op vw ms ~op ~batch ~complete =
 
 let insert ?max_iterations ?max_derivations vw facts =
   check_open vw "Engine.insert";
-  check_arities vw.vw_program facts;
+  check_arities vw.vw_arities facts;
   (* maintenance must re-derive under the same constraint domain the view
      was materialized with, whatever the ambient domain of the caller *)
   Cdomain.with_domain vw.vw_domain @@ fun () ->
@@ -579,6 +711,12 @@ let insert ?max_iterations ?max_derivations vw facts =
   in
   finish_op vw ms ~op:"insert" ~batch:(List.length facts) ~complete
 
+(* [l] without its first fact equal to [f], which it holds *)
+let rec remove_first f acc = function
+  | [] -> List.rev acc
+  | g :: rest ->
+      if Fact.equal g f then List.rev_append acc rest else remove_first f (g :: acc) rest
+
 let retract ?max_iterations ?max_derivations vw facts =
   check_open vw "Engine.retract";
   Cdomain.with_domain vw.vw_domain @@ fun () ->
@@ -588,34 +726,29 @@ let retract ?max_iterations ?max_derivations vw facts =
   let live_seeds = ref [] and gone_seeds = ref [] in
   List.iter
     (fun f ->
-      let rec remove_one = function
-        | [] -> None
-        | g :: rest when Fact.compare g f = 0 -> Some rest
-        | g :: rest -> Option.map (fun l -> g :: l) (remove_one rest)
-      in
-      match remove_one vw.vw_edb with
-      | None -> ms.s_noops <- ms.s_noops + 1 (* not an EDB fact: nothing to do *)
-      | Some edb' ->
-          vw.vw_edb <- edb';
+      match FactTbl.find vw.vw_nodes f with
+      | n when n.n_edb > 0 ->
+          vw.vw_edb <- remove_first f [] vw.vw_edb;
+          n.n_edb <- n.n_edb - 1;
           ms.s_retracted <- ms.s_retracted + 1;
-          if Store.mem_equal vw.vw_store f then begin
-            if edb_mult vw f = 0 then
+          if not n.n_covered then begin
+            if n.n_edb = 0 then
               (* last EDB occurrence: over-delete even when firings remain —
                  the remaining support may be a derivation cycle *)
-              live_seeds := f :: !live_seeds
+              live_seeds := n :: !live_seeds
           end
-          else if
-            (* covered (or never-stored) fact: no store change, but if this
-               was its last support its joins must cascade *)
-            FactMap.mem f vw.vw_covered && support vw f = 0
-          then begin
-            vw.vw_covered <- FactMap.remove f vw.vw_covered;
-            gone_seeds := f :: !gone_seeds
-          end)
+          else if support n = 0 then begin
+            (* covered fact: no store change, but its last support is gone
+               and its joins must cascade *)
+            n.n_covered <- false;
+            vw.vw_covered <- List.filter (fun m -> m != n) vw.vw_covered;
+            gone_seeds := n :: !gone_seeds
+          end
+      | _ | (exception Not_found) -> ms.s_noops <- ms.s_noops + 1 (* not an EDB fact *))
     facts;
   let complete =
     completes (fun () ->
-        let live = ref (dedup_facts !live_seeds) and gone = ref !gone_seeds in
+        let live = ref !live_seeds and gone = ref !gone_seeds in
         while !live <> [] || !gone <> [] do
           dred vw ms ~live_seeds:!live ~gone_seeds:!gone;
           let resurrect, vanished = covered_sweep vw in
@@ -633,19 +766,21 @@ let retract ?max_iterations ?max_derivations vw facts =
 let materialize ?jobs:_ ?max_iterations ?max_derivations ?compiled (p : Program.t) ~edb =
   Obs.span "engine.maintain" @@ fun () ->
   Obs.add_field_str "op" "materialize";
-  check_arities p edb;
+  let arities = arities_of p in
+  check_arities arities edb;
   let vw =
     {
       vw_program = p;
+      vw_arities = arities;
       vw_store = Store.create ();
       vw_codes = codes_for ?compiled p;
       vw_domain = Cdomain.current ();
       vw_max_iterations = max_iterations;
       vw_max_derivations = max_derivations;
       vw_edb = [];
-      vw_supports = FactMap.empty;
-      vw_uses = FactMap.empty;
-      vw_covered = FactMap.empty;
+      vw_nodes = FactTbl.create 64;
+      vw_covered = [];
+      vw_passes = 0;
       vw_complete = true;
       vw_closed = false;
     }
@@ -673,7 +808,8 @@ let view_domain vw = vw.vw_domain
 let view_facts_of vw pred = Store.facts vw.vw_store pred
 
 let view_all_facts vw =
-  List.sort compare
+  List.sort
+    (fun (p, _) (q, _) -> String.compare p q)
     (List.map (fun (p, fs) -> (p, List.sort Fact.compare fs)) (Store.all_facts vw.vw_store))
 
 let view_answers vw =
@@ -683,7 +819,8 @@ let view_answers vw =
 
 let view_counts vw =
   List.filter_map
-    (fun (p, fs) -> if fs = [] then None else Some (p, List.map (fun f -> (f, support vw f)) fs))
+    (fun (p, fs) ->
+      if fs = [] then None else Some (p, List.map (fun f -> (f, support (node_of vw f))) fs))
     (view_all_facts vw)
 
 let view_total vw = Store.total vw.vw_store

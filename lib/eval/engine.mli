@@ -131,8 +131,15 @@ val all_ground : result -> bool
     recorded support graph:
     every rule firing (head, label, body facts) is kept, so over-deletion
     and re-derivation are pure graph walks and facts outside the deleted
-    cone are never re-proved.  A fact's support count (EDB multiplicity +
-    live firings) is read off that graph ({!view_counts}).
+    cone are never re-proved.  The graph is one mutable node per stored or
+    covered fact, found by {!Fact.hash}/{!Fact.equal}, listing the firings
+    that produce it and those it feeds; re-derivation is a worklist over
+    the killed firings' missing body nodes, and the dead firings are
+    filtered off the nodes they touch, so a write costs time in proportion
+    to the facts it reaches, not to the view's size.  A fact's support
+    count (EDB multiplicity + live firings) is read off its node
+    ({!view_counts}).  Each arriving fact is placed by one store probe
+    ({!Cql_store.Store.classify}).
 
     Constraint subsumption interacts with deletion through the covered set:
     facts dropped on arrival (or killed by back-subsumption) because a live
@@ -176,7 +183,9 @@ val materialize :
 val insert :
   ?max_iterations:int -> ?max_derivations:int -> view -> Fact.t list -> maintain_stats
 (** Add EDB facts and restore the fixpoint with semi-naive delta rounds.
-    A structural duplicate only adds one to the stored fact's support. *)
+    A structural duplicate only adds one to the stored fact's support.
+    The batch is checked against the arities the view recorded at
+    {!materialize}. *)
 
 val retract :
   ?max_iterations:int -> ?max_derivations:int -> view -> Fact.t list -> maintain_stats

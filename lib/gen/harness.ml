@@ -631,15 +631,22 @@ let replay ?mode p edb =
    plain engine must agree on the answers.  Generated programs are
    range-restricted, so every derived fact is ground and support counts are
    arrival-order independent — incremental maintenance must reproduce them
-   exactly. *)
-
-let sorted_all_facts fs = List.sort compare (List.map (fun (p, l) -> (p, List.sort F.compare l)) fs)
+   exactly.  Facts are compared with [F.equal], never with polymorphic
+   equality: a constraint fact's linear expressions are maps whose shape
+   depends on the order they were built in. *)
 
 let view_state vw =
   List.filter (fun (_, l) -> l <> []) (Engine.view_all_facts vw)
 
+(* two per-predicate listings, both sorted as [Engine.view_all_facts] *)
+let same_by_pred eq a b =
+  List.equal (fun (p, xs) (q, ys) -> String.equal p q && List.equal eq xs ys) a b
+
 let diff_state name a b =
-  if a <> b then Some (name ^ ": incremental and from-scratch state differ") else None
+  if same_by_pred F.equal a b then None
+  else Some (name ^ ": incremental and from-scratch state differ")
+
+let same_counts = same_by_pred (fun (f, n) (g, m) -> F.equal f g && n = m)
 
 let check_update_case ?(max_iterations = 25) ?(max_derivations = 20_000) st p (edb0 : F.t list)
     (ops : update_op list) =
@@ -663,14 +670,10 @@ let check_update_case ?(max_iterations = 25) ?(max_derivations = 20_000) st p (e
           not (List.equal F.equal (Engine.view_answers vw) (Engine.view_answers sv))
         then Some (what ^ ": incremental and from-scratch answers differ")
         else
-          match
-            diff_state what
-              (sorted_all_facts (view_state vw))
-              (sorted_all_facts (view_state sv))
-          with
+          match diff_state what (view_state vw) (view_state sv) with
           | Some d -> Some d
           | None ->
-              if Engine.view_counts vw <> Engine.view_counts sv then
+              if not (same_counts (Engine.view_counts vw) (Engine.view_counts sv)) then
                 Some (what ^ ": incremental and from-scratch support counts differ")
               else begin
                 (* anchor to the plain engine: same answers *)

@@ -254,7 +254,41 @@ let compare a b =
         | Some ca, Some cb -> Conj.compare ca cb
         | None, Some _ | Some _, None -> Conj.compare (cstr a) (cstr b)
 
-let equal a b = compare a b = 0
+let rec same_terms (a : Term.t array) (b : Term.t array) i =
+  i = Array.length a || (Term.equal a.(i) b.(i) && same_terms a b (i + 1))
+
+(* [compare a b = 0], decided without ordering.  Two ground facts are equal
+   exactly when they hold the same values, which give the pattern too.  A
+   ground fact never equals a constraint fact: [make] keeps a constraint
+   only when some position stays unpinned, and a constraint structurally
+   equal to a pin conjunction would pin them all. *)
+let equal a b =
+  a == b
+  || String.equal a.pred b.pred
+     &&
+     match (a.constr, b.constr) with
+     | None, None -> Array.length a.terms = Array.length b.terms && same_terms a.terms b.terms 0
+     | Some ca, Some cb -> compare_args a.args b.args 0 = 0 && Conj.equal ca cb
+     | None, Some _ | Some _, None -> false
+
+let hash_term acc (t : Term.t) =
+  let h =
+    match t with
+    | Term.C (Term.Sym s) -> Hashtbl.hash s
+    | Term.C (Term.Num q) -> Rat.hash q
+    | Term.V _ -> 1
+  in
+  (acc * 65599) lxor h
+
+(* Consistent with [equal]: equal facts hold the same terms (the values a
+   canonical constraint pins are a function of it) and equal constraints.
+   The fold keeps the low bits of the values' own hashes, so the product's
+   high bits are shifted down into the bucket index, as in [Index]. *)
+let hash f =
+  let h = Array.fold_left hash_term (Hashtbl.hash f.pred) f.terms in
+  let h = match f.constr with None -> h | Some c -> (h * 65599) lxor Conj.hash c in
+  let h = h * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 29)) land max_int
 
 let pp fmt f =
   let n = Array.length f.args in

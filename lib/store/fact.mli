@@ -87,14 +87,23 @@ val subsumes : t -> t -> bool
     evaluated at its point; only two constraint facts call the solver. *)
 
 val equal : t -> t -> bool
+(** [compare a b = 0], decided without ordering: two ground facts are
+    equal when they have the same predicate and the same values; two
+    constraint facts when they have the same predicate, pattern and
+    constraint ({!Conj.equal}).  A ground fact never equals a constraint
+    fact. *)
+
+val hash : t -> int
+(** A hash consistent with {!equal}, whatever path built the facts: it
+    mixes the predicate, the per-position values and, for a constraint
+    fact, {!Conj.hash}.  Keys the views' support graphs. *)
 
 val compare : t -> t -> int
 (** Structural order: predicate, then the pattern position by position
     ([Pvar] before [Psym], symbols by [String.compare], a shorter pattern
     before its extensions), then {!Conj.compare} on {!cstr}.  Two ground
     facts compare their pins in the order of their pin conjunctions,
-    without building them: allocation free.  Keys the views' support graphs
-    and orders query answers. *)
+    without building them: allocation free.  Orders query answers. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints ground values where pinned, e.g. [m_fib(N1, 5; N1 > 0)] style:

@@ -1,4 +1,5 @@
 type partition = Table.partition = Old | Delta | Full
+type arrival = Table.arrival = Equal of Fact.t | Subsumed | Absent
 
 type stats = {
   mutable probes : int;
@@ -40,18 +41,22 @@ let table s pred =
 
 let find_table s pred = Hashtbl.find_opt s.tables pred
 
-let known_subsumes s f =
+(* one subsumption check of [f] against its table, counted in the stats *)
+let counted_check s f ~none check =
   let st = s.stats in
   st.subsumption_checks <- st.subsumption_checks + 1;
   match find_table s (Fact.pred f) with
-  | None -> false
+  | None -> none
   | Some t ->
       let before = Table.compared t in
-      let hit = Table.known_subsumes t f in
+      let r = check t f in
       let compared = Table.compared t - before in
       st.subsumption_compared <- st.subsumption_compared + compared;
       st.subsumption_avoided <- st.subsumption_avoided + (Table.live_total t - compared);
-      hit
+      r
+
+let known_subsumes s f = counted_check s f ~none:false Table.known_subsumes
+let classify s f = counted_check s f ~none:Absent Table.classify
 
 (* add a fact known not to be subsumed: back-subsumption first, then into
    the pending partition (it becomes delta at the next advance); the facts
@@ -66,16 +71,25 @@ let add_reporting s f =
 
 let add s f = ignore (add_reporting s f)
 
-let find_equal s f =
-  match find_table s (Fact.pred f) with None -> None | Some t -> Table.find_equal t f
-
-let mem_equal s f =
-  match find_table s (Fact.pred f) with None -> false | Some t -> Table.mem_equal t f
-
 let delete s f =
   match find_table s (Fact.pred f) with None -> false | Some t -> Table.delete t f
 
 let advance s = Hashtbl.iter (fun _ t -> Table.advance t) s.tables
+
+let probe_empty_delta s pred ~indexed =
+  let st = s.stats in
+  match find_table s pred with
+  | None ->
+      st.probes <- st.probes + 1;
+      true
+  | Some t ->
+      Table.part_count t Delta = 0
+      && begin
+           st.probes <- st.probes + 1;
+           if indexed then st.indexed_probes <- st.indexed_probes + 1
+           else st.scans <- st.scans + 1;
+           true
+         end
 
 (* [iter_probe_cols s part pred positions key k]: candidate facts for a
    body literal whose resolved bound columns are [positions] with constants

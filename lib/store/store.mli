@@ -14,6 +14,11 @@ open Cql_datalog
 
 type partition = Table.partition = Old | Delta | Full
 
+type arrival = Table.arrival =
+  | Equal of Fact.t  (** a live stored fact {!Fact.equal} to it *)
+  | Subsumed  (** no equal live fact, but one that subsumes it *)
+  | Absent
+
 type stats = {
   mutable probes : int;  (** candidate lookups issued by the engine *)
   mutable indexed_probes : int;  (** probes answered from a hash index *)
@@ -44,17 +49,24 @@ val add_reporting : t -> Fact.t -> Fact.t list
 (** Like {!add}, but returns the stored facts the newcomer back-subsumed
     (killed), so a maintenance layer can remember them as covered. *)
 
-val find_equal : t -> Fact.t -> Fact.t option
-(** The live stored fact structurally equal to the argument, if any. *)
-
-val mem_equal : t -> Fact.t -> bool
+val classify : t -> Fact.t -> arrival
+(** Where a fact arriving at a view goes, in one probe of its table: onto
+    the equal live fact, into the covered set (a live fact subsumes it), or
+    into the store.  Counted in the stats as {!known_subsumes} is. *)
 
 val delete : t -> Fact.t -> bool
-(** Retire the live fact structurally equal to the argument.  Returns
-    whether it existed. *)
+(** Retire the live fact {!Fact.equal} to the argument.  Returns whether it
+    existed. *)
 
 val advance : t -> unit
 (** Iteration boundary on every table: old ∪= delta, delta ← pending. *)
+
+val probe_empty_delta : t -> string -> indexed:bool -> bool
+(** Whether the predicate's delta partition holds no live fact, so that a
+    plan reading it first derives nothing this round.  When it is empty,
+    the probe such a plan would issue there is counted as
+    {!iter_probe_cols} counts one that finds nothing ([indexed]: on bound
+    columns, else a scan), without building an index. *)
 
 val iter_probe_cols :
   t -> partition -> string -> int list -> Term.const list -> (Fact.t -> unit) -> unit

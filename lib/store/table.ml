@@ -181,42 +181,61 @@ let back_subsume t f =
 
 let compared t = t.compared
 
-(* ----- structural lookup & deletion ----- *)
+(* ----- arrivals, structural lookup & deletion ----- *)
+
+type arrival = Equal of Fact.t | Subsumed | Absent
+
+(* a constraint fact against the general cells, in one walk: equality with
+   every live cell, subsumption until the first cell that subsumes it *)
+let rec classify_general t f subsumed = function
+  | [] -> if subsumed then Subsumed else Absent
+  | c :: rest ->
+      if not c.live then classify_general t f subsumed rest
+      else if Fact.equal c.fact f then Equal c.fact
+      else
+        let subsumed =
+          subsumed
+          ||
+          (t.compared <- t.compared + 1;
+           Fact.subsumes c.fact f)
+        in
+        classify_general t f subsumed rest
+
+(* [known_subsumes] that tells an equal live fact apart: one pattern-bucket
+   lookup and, for a ground fact, one ground-hash probe, whose live hit is
+   the equal fact.  The table holds no two live equal facts (see
+   [insert]'s contract), so the hash entry of a ground fact's values is its
+   only candidate. *)
+let classify t f =
+  match Hashtbl.find t.patterns f.Fact.args with
+  | exception Not_found -> Absent
+  | b -> (
+      if Fact.is_ground f then
+        match GroundTbl.find t.ground f with
+        | c when c.live -> Equal c.fact
+        | _ | (exception Not_found) -> if any_subsumes t f b.general then Subsumed else Absent
+      else
+        match classify_general t f false b.general with
+        | Absent -> if any_subsumes t f b.ground_cells then Subsumed else Absent
+        | (Equal _ | Subsumed) as r -> r)
 
 let find_cell_equal t f =
   match Hashtbl.find_opt t.patterns f.Fact.args with
   | None -> None
   | Some b ->
-      let scan l = List.find_opt (fun c -> c.live && Fact.compare c.fact f = 0) l in
       if Fact.is_ground f then
-        match GroundTbl.find_opt t.ground f with
-        | Some c when c.live && Fact.compare c.fact f = 0 -> Some c
-        | _ -> scan b.ground_cells
-      else scan b.general
+        match GroundTbl.find_opt t.ground f with Some c when c.live -> Some c | _ -> None
+      else List.find_opt (fun c -> c.live && Fact.equal c.fact f) b.general
 
-let find_equal t f = Option.map (fun c -> c.fact) (find_cell_equal t f)
-let mem_equal t f = Option.is_some (find_cell_equal t f)
-
-(* Retire the live cell structurally equal to [f]: killing suffices for
-   every read path, [reclaim] frees it later; the ground hash entry is
-   refreshed in case another live duplicate remains. *)
+(* Retire the live cell equal to [f]: killing suffices for every read
+   path, [reclaim] frees it later; a ground fact's hash entry goes at
+   once. *)
 let delete t f =
   match find_cell_equal t f with
   | None -> false
   | Some c ->
       kill t c;
-      if Fact.is_ground f then begin
-        (match GroundTbl.find_opt t.ground f with
-        | Some c' when not c'.live -> GroundTbl.remove t.ground f
-        | _ -> ());
-        match
-          List.find_opt
-            (fun c2 -> c2.live && Fact.compare c2.fact f = 0)
-            (sbucket_of t f.Fact.args).ground_cells
-        with
-        | Some c2 -> GroundTbl.replace t.ground f c2
-        | None -> ()
-      end;
+      if Fact.is_ground f then GroundTbl.remove t.ground f;
       reclaim t;
       true
 

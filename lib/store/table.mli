@@ -29,7 +29,9 @@ type t
 val create : unit -> t
 
 val insert : t -> Fact.t -> unit
-(** Append to the pending partition (no subsumption checking here). *)
+(** Append to the pending partition (no subsumption checking here).  The
+    caller inserts a fact only when no live fact equals it, so the ground
+    hash answers {!classify} and {!delete} alone. *)
 
 val known_subsumes : t -> Fact.t -> bool
 (** Is the fact subsumed by a live stored fact? *)
@@ -42,15 +44,19 @@ val compared : t -> int
 (** The {!Fact.subsumes} calls {!known_subsumes} and {!back_subsume} have
     made so far: the difference across one call is its comparisons. *)
 
-val find_equal : t -> Fact.t -> Fact.t option
-(** The live stored fact structurally equal to the argument
-    ([Fact.compare] = 0), if any. *)
+type arrival =
+  | Equal of Fact.t  (** a live stored fact {!Fact.equal} to it *)
+  | Subsumed  (** no equal live fact, but one that subsumes it *)
+  | Absent
 
-val mem_equal : t -> Fact.t -> bool
+val classify : t -> Fact.t -> arrival
+(** Where an arriving fact stands, in one pass: {!known_subsumes} that
+    tells an equal live fact apart.  Counts its {!Fact.subsumes} calls in
+    {!compared} as {!known_subsumes} does. *)
 
 val delete : t -> Fact.t -> bool
-(** Retire the live cell structurally equal to the fact.  Returns whether
-    such a cell existed. *)
+(** Retire the live cell {!Fact.equal} to the fact.  Returns whether such a
+    cell existed. *)
 
 val advance : t -> unit
 (** Iteration boundary: old ∪= delta, delta ← pending, pending ← ∅. *)

@@ -3,6 +3,8 @@
    (subsumption covers, cyclic support, retract-then-reinsert) and budget
    accounting. *)
 
+open Cql_num
+open Cql_constr
 open Cql_datalog
 open Cql_eval
 
@@ -314,6 +316,166 @@ let test_view_heap_bounded () =
   check_against_scratch ~msg:"after 2,000 cycles" vw;
   Engine.close_view vw
 
+(* ----- randomized DRed: deep cones and cycles ----- *)
+
+let closure_program =
+  parse
+    {|
+      path(X, Y) :- edge(X, Y).
+      path(X, Z) :- path(X, Y), path(Y, Z).
+      #query path.
+    |}
+
+let edge i j =
+  Fact.ground "edge" [ Term.Sym (Printf.sprintf "n%d" i); Term.Sym (Printf.sprintf "n%d" j) ]
+
+(* Seeded random digraphs of 10 nodes and 25 edges (a self-loop among
+   them, cycles and duplicate edges as they come), each under a stream of
+   150 random inserts and retracts; after every write the view must equal
+   a fresh materialization of its EDB in state, support counts and answers.
+   Non-linear transitive closure gives each path fact many firings and
+   deletions deep cones with multi-level re-derivation, and a self-loop
+   puts one path fact twice in a body: [path(n, n) :- path(n, n), path(n, n)]. *)
+let test_random_closure_stream () =
+  let nodes = 10 in
+  let deepest = ref 0 and rederived = ref 0 in
+  List.iter
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let random_edge () = edge (Random.State.int rng nodes) (Random.State.int rng nodes) in
+      let edb = edge 0 0 :: List.init 24 (fun _ -> random_edge ()) in
+      let vw, _ = Engine.materialize closure_program ~edb in
+      check_against_scratch ~msg:(Printf.sprintf "seed %d materialized" seed) vw;
+      for step = 1 to 150 do
+        let current = Engine.view_edb vw in
+        let st =
+          if current <> [] && Random.State.bool rng then
+            Engine.retract vw [ List.nth current (Random.State.int rng (List.length current)) ]
+          else Engine.insert vw [ random_edge () ]
+        in
+        deepest := max !deepest st.Engine.m_over_deleted;
+        rederived := !rederived + st.Engine.m_rederived;
+        check_against_scratch ~msg:(Printf.sprintf "seed %d, step %d" seed step) vw
+      done;
+      Engine.close_view vw)
+    [ 1; 2; 3 ];
+  check_bool
+    (Printf.sprintf "a deep cone (largest over-deletion %d)" !deepest)
+    true (!deepest >= 20);
+  check_bool "re-derivation rescued facts" true (!rederived > 0)
+
+(* Constraint facts under subsumption: random intervals [p(X; a <= X <= b)]
+   and points [p(a)] inserted and retracted, so covers die, covered facts
+   resurrect or vanish, and a vanished fact can be derived again before its
+   deletion pass runs.  Constraint facts make the stored representation
+   depend on arrival order, so after every write the view is compared with
+   a fresh run by the half-integer points each predicate covers, and every
+   live fact must carry support. *)
+let test_random_interval_stream () =
+  let p =
+    parse
+      {|
+        q(X) :- p(X), X <= 5.
+        s(X) :- p(X), X >= 2.
+        r(X) :- q(X), s(X).
+        #query r.
+      |}
+  in
+  let covers facts pred k =
+    let point = Fact.ground pred [ Term.Num (Rat.of_ints k 2) ] in
+    List.exists (fun f -> Fact.subsumes f point) facts
+  in
+  List.iter
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let interval () =
+        let a = Random.State.int rng 8 in
+        let text =
+          if Random.State.int rng 4 = 0 then Printf.sprintf "p(%d)." a
+          else Printf.sprintf "p(X; X >= %d, X <= %d)." a (a + Random.State.int rng 6)
+        in
+        Fact.of_fact_rule (Parser.rule_of_string text)
+      in
+      let vw, _ = Engine.materialize p ~edb:(List.init 4 (fun _ -> interval ())) in
+      for step = 1 to 100 do
+        let current = Engine.view_edb vw in
+        ignore
+          (if current <> [] && Random.State.bool rng then
+             Engine.retract vw [ List.nth current (Random.State.int rng (List.length current)) ]
+           else Engine.insert vw [ interval () ]);
+        let r = Engine.run p ~edb:(Engine.view_edb vw) in
+        List.iter
+          (fun pred ->
+            for k = -2 to 32 do
+              let in_view = covers (Engine.view_facts_of vw pred) pred k in
+              if in_view <> covers (Engine.facts_of r pred) pred k then
+                Alcotest.failf "seed %d, step %d: %s(%d/2) differs from a fresh run" seed
+                  step pred k
+            done)
+          [ "p"; "q"; "r"; "s" ];
+        List.iter
+          (fun (_, counts) ->
+            List.iter
+              (fun (f, n) ->
+                if n <= 0 then
+                  Alcotest.failf "seed %d, step %d: %s is live with support %d" seed step
+                    (Fact.to_string f) n)
+              counts)
+          (Engine.view_counts vw)
+      done;
+      Engine.close_view vw)
+    [ 1; 2; 3; 4 ]
+
+(* ----- Fact.hash ----- *)
+
+(* Equal facts hash alike, however they were built: a ground fact from
+   constants, from a parsed clause and from its pin conjunction through
+   [Fact.make]; a constraint fact from the same atoms listed in either
+   order, each expression built from its terms in either order, and from
+   two clauses that write one constraint differently. *)
+let prop_hash_agrees_with_equal =
+  let term = QCheck.Gen.(pair (int_range (-3) 3) (int_range 1 4)) in
+  let atom =
+    QCheck.Gen.(triple (list_size (int_range 1 4) term) (int_range (-6) 6) (int_range 0 2))
+  in
+  let clause s = Fact.of_fact_rule (Parser.rule_of_string s) in
+  let agree a b = Fact.equal a b && Fact.hash a = Fact.hash b in
+  QCheck.Test.make ~name:"equal facts hash alike" ~count:500
+    (QCheck.make QCheck.Gen.(pair (list_size (int_range 1 3) atom) (pair (int_range 0 9) bool)))
+    (fun (atoms, (v, sym)) ->
+      let expr terms k =
+        Linexpr.of_terms
+          (List.map (fun (c, i) -> (Rat.of_int c, Var.arg i)) terms)
+          (Rat.of_int k)
+      in
+      let atom_of rev (terms, k, op) =
+        let terms = if rev then List.rev terms else terms in
+        Atom.make (expr terms k) (match op with 0 -> Atom.Le | 1 -> Atom.Lt | _ -> Atom.Eq)
+      in
+      let pattern = if sym then Fact.Psym "a" else Fact.Pvar in
+      let args = [| pattern; Fact.Pvar; Fact.Pvar; Fact.Pvar |] in
+      let ground_ok =
+        let text = if sym then "a" else string_of_int v in
+        let first = if sym then Term.Sym "a" else Term.Num (Rat.of_int v) in
+        let g = Fact.ground "p" [ first; Term.Num (Rat.of_int v) ] in
+        agree g (clause (Printf.sprintf "p(%s, %d)." text v))
+        && agree g (Fact.make "p" g.Fact.args (Fact.cstr g))
+      in
+      let constraint_ok =
+        match
+          ( Fact.make "p" args (Conj.of_list (List.map (atom_of false) atoms)),
+            Fact.make "p" args (Conj.of_list (List.rev_map (atom_of true) atoms)) )
+        with
+        | a, b -> agree a b
+        | exception Fact.Unsat -> true
+      in
+      let clauses_ok =
+        agree
+          (clause (Printf.sprintf "q(X, Y; X <= Y, Y <= %d)." v))
+          (clause (Printf.sprintf "q(A, B; B <= %d, A - B <= 0)." v))
+      in
+      ground_ok && constraint_ok && clauses_ok)
+
 (* ----- one round loop, one budget ----- *)
 
 (* runtest sandbox cwd is test/; dune exec runs from the project root *)
@@ -398,6 +560,14 @@ let () =
         [
           Alcotest.test_case "budgets truncate maintenance" `Quick test_budget_truncates;
           Alcotest.test_case "closed view raises" `Quick test_closed_view_raises;
+        ] );
+      ( "randomized",
+        [
+          Alcotest.test_case "transitive closure update streams" `Quick
+            test_random_closure_stream;
+          Alcotest.test_case "constraint interval update streams" `Quick
+            test_random_interval_stream;
+          QCheck_alcotest.to_alcotest prop_hash_agrees_with_equal;
         ] );
       ( "flights",
         [

@@ -135,7 +135,7 @@ let test_subsumption_avoided_stat () =
 
 (* ----- maintenance primitives: structural lookup, deletion ----- *)
 
-let test_find_equal_and_delete () =
+let test_classify_and_delete () =
   let s = Store.create () in
   let f1 = ground2 "p" "a" 1 and f2 = ground2 "p" "a" 2 in
   let cf = fact_of "q(X; X <= 3)." in
@@ -143,26 +143,38 @@ let test_find_equal_and_delete () =
   Store.add s cf;
   Store.advance s;
   Store.add s f2;
+  let equal_to f =
+    match Store.classify s f with
+    | Store.Equal g -> Fact.equal g f
+    | Store.Subsumed | Store.Absent -> false
+  in
   (* structural lookup sees every partition, including pending *)
-  check_bool "ground fact found" true (Store.mem_equal s f1);
-  check_bool "pending fact found" true (Store.mem_equal s f2);
-  check_bool "constraint fact found structurally" true (Store.mem_equal s cf);
-  check_bool "absent fact" false (Store.mem_equal s (ground2 "p" "b" 1));
-  (* find_equal is equality, not subsumption: a narrower variant is a miss *)
-  check_bool "narrower variant not equal" false (Store.mem_equal s (fact_of "q(X; X <= 2)."));
-  (match Store.find_equal s f1 with
-  | Some f -> check_int "the stored cell's fact" 0 (Fact.compare f f1)
-  | None -> Alcotest.fail "find_equal missed a live fact");
+  check_bool "ground fact found" true (equal_to f1);
+  check_bool "pending fact found" true (equal_to f2);
+  check_bool "constraint fact found structurally" true (equal_to cf);
+  check_bool "absent fact" true (Store.classify s (ground2 "p" "b" 1) = Store.Absent);
+  (* equality, not subsumption: a narrower variant is subsumed, not equal *)
+  check_bool "narrower variant subsumed" true
+    (Store.classify s (fact_of "q(X; X <= 2).") = Store.Subsumed);
+  check_bool "ground point subsumed" true
+    (Store.classify s (Fact.ground "q" [ Term.Num (Rat.of_int 2) ]) = Store.Subsumed);
+  check_bool "wider variant absent" true
+    (Store.classify s (fact_of "q(X; X <= 5).") = Store.Absent);
+  (match Store.classify s f1 with
+  | Store.Equal g -> check_bool "the stored cell's fact" true (g == f1)
+  | Store.Subsumed | Store.Absent -> Alcotest.fail "classify missed a live fact");
   check_bool "delete removes a live fact" true (Store.delete s f1);
-  check_bool "deleted fact gone" false (Store.mem_equal s f1);
+  check_bool "deleted fact gone" true (Store.classify s f1 = Store.Absent);
   check_bool "double delete is a no-op" false (Store.delete s f1);
   (* a deleted ground fact is no longer a known duplicate, so it can come
      back (retract-then-reinsert) *)
   check_bool "no longer subsumed" false (Store.known_subsumes s f1);
   Store.add s f1;
   Store.advance s;
-  check_bool "reinsert after delete" true (Store.mem_equal s f1);
-  check_int "other facts untouched" 3 (Store.total s)
+  check_bool "reinsert after delete" true (equal_to f1);
+  check_bool "constraint fact deleted" true (Store.delete s cf);
+  check_bool "constraint fact gone" true (Store.classify s cf = Store.Absent);
+  check_int "other facts untouched" 2 (Store.total s)
 
 (* ----- join planner ----- *)
 
@@ -395,7 +407,7 @@ let () =
         ] );
       ( "maintenance",
         [
-          Alcotest.test_case "find_equal + delete" `Quick test_find_equal_and_delete;
+          Alcotest.test_case "classify + delete" `Quick test_classify_and_delete;
         ] );
       ( "planner",
         [
