@@ -63,8 +63,6 @@ let domain_arg =
                per-atom tightening, Omega-test elimination, branch-and-bound \
                fallback)")
 
-let apply_domain d = Cql_constr.Cdomain.set_default d
-
 (* ----- analyze ----- *)
 
 let analyze_cmd =
@@ -125,7 +123,7 @@ let parse_steps adornment constraint_magic s =
 let rewrite_cmd =
   let run path domain steps adornment no_cmagic gmt optimal max_iters inline_seed simplify
       tracing =
-    apply_domain domain;
+    Cql_constr.Cdomain.with_domain domain @@ fun () ->
     Tracing.traced tracing @@ fun () ->
     match read_program path with
     | Error msg ->
@@ -196,7 +194,7 @@ let rewrite_cmd =
 
 let eval_cmd =
   let run path edb_path domain max_iterations max_derivations traced explain tracing =
-    apply_domain domain;
+    Cql_constr.Cdomain.with_domain domain @@ fun () ->
     Tracing.traced tracing @@ fun () ->
     match read_program path with
     | Error msg ->
@@ -274,7 +272,7 @@ let fuzz_cmd =
   let module H = Cql_gen.Harness in
   let module G = Cql_gen.Generate in
   let run seed count mode domain inject_bug replay out tracing =
-    apply_domain domain;
+    Cql_constr.Cdomain.with_domain domain @@ fun () ->
     Tracing.traced tracing @@ fun () ->
     match replay with
     | Some path -> (

@@ -3,9 +3,10 @@
    Listens on a Unix-domain socket for length-prefixed NDJSON requests
    (eval, materialize, insert, retract, query, ping and stats; see
    lib/serve/protocol.mli), caches compiled plans by program digest and
-   live views by tenant and name, and serves each connection as one job on
-   a domain pool.  SIGTERM/SIGINT stop accepting, drain in-flight requests
-   and exit cleanly. *)
+   live views by tenant and name, and serves connections on --workers
+   domains, each accepting and serving one connection at a time.
+   SIGTERM/SIGINT stop accepting, drain in-flight requests and exit
+   cleanly. *)
 
 open Cql_serve
 open Cmdliner

@@ -17,8 +17,8 @@
     endpoint, which keeps the box a superset of the integer solutions.
 
     Boxes are memoized in a {!Memo} cache (["interval_env"]) keyed by the
-    conjunction and the constraint domain, so they obey the same epoch
-    clearing and per-domain storage as the decision-procedure caches.  The
+    conjunction and the constraint domain, so they obey the same clearing
+    and per-domain storage as the decision-procedure caches.  The
     prefilter is always on in production; {!with_tier} turns it off for a
     scope, which is how the fuzz harness's Tier oracle and the benchmarks
     check that it never changes a result. *)

@@ -3,19 +3,17 @@
    Each cache is keyed by the constraint terms themselves, through the hash
    and equality it is created with (the terms' stored structural hashes and
    structural equality), so a hit depends on what was asked, never on GC
-   timing.  A key keeps its term alive, so the tables are bounded, and
-   [clear_local] lets a long-lived worker domain drop its tables between
-   requests.
+   timing.  A key keeps its term alive, so the tables are bounded, and a
+   long-lived worker domain drops its tables between requests.
 
    Storage is per-domain ([Domain.DLS]): every domain lazily materializes
    its own table for each cache, so lookups and insertions by evaluations
    running concurrently on different domains need no locking and never
-   observe a torn table.  [clear_all] bumps a per-cache epoch; a domain whose local table
-   is from an older epoch drops it on its next access.  Hits and misses are
-   counted in the Cql_obs registry as [solver.memo.<name>.hits] and
-   [.misses], so they aggregate exactly across domains and traced spans
-   carry their deltas, while [entries] in {!stats} reports the calling
-   domain's table only. *)
+   observe a torn table, and [clear_all] empties the calling domain's
+   tables only.  Hits and misses are counted in the Cql_obs registry as
+   [solver.memo.<name>.hits] and [.misses], so they aggregate exactly
+   across domains and traced spans carry their deltas, while [entries] in
+   {!stats} reports the calling domain's table only. *)
 
 module Obs = Cql_obs.Obs
 
@@ -26,7 +24,6 @@ let max_entries = 4_096
 type entry = {
   name : string;
   clear : unit -> unit;
-  clear_local : unit -> unit;
   size : unit -> int;
   hits : Obs.counter;
   misses : Obs.counter;
@@ -45,30 +42,12 @@ let create (type k) ~name ~(hash : k -> int) ~(equal : k -> k -> bool) : (k, 'v)
     let hash = hash
     let equal = equal
   end) in
-  let epoch = Atomic.make 0 in
-  let slot = Domain.DLS.new_key (fun () -> (ref (Atomic.get epoch), H.create 1024)) in
-  (* the calling domain's table, dropped first if a [clear_all] has bumped
-     the epoch since this domain last looked *)
-  let local () =
-    let seen, tbl = Domain.DLS.get slot in
-    let now = Atomic.get epoch in
-    if !seen <> now then begin
-      H.reset tbl;
-      seen := now
-    end;
-    tbl
-  in
+  let slot = Domain.DLS.new_key (fun () -> H.create 1024) in
+  let local () = Domain.DLS.get slot in
   let e =
     {
       name;
-      (* bumping the epoch invalidates every domain's table lazily; resetting
-         the caller's own table eagerly keeps [stats] coherent right after a
-         clear *)
-      clear =
-        (fun () ->
-          Atomic.incr epoch;
-          ignore (local ()));
-      clear_local = (fun () -> H.reset (local ()));
+      clear = (fun () -> H.reset (local ()));
       size = (fun () -> H.length (local ()));
       hits = Obs.counter ("solver.memo." ^ name ^ ".hits");
       misses = Obs.counter ("solver.memo." ^ name ^ ".misses");
@@ -107,7 +86,6 @@ let stats () =
     !tables
 
 let clear_all () = List.iter (fun (e : entry) -> e.clear ()) !tables
-let clear_local () = List.iter (fun (e : entry) -> e.clear_local ()) !tables
 
 let with_caches on f =
   let prev = !enabled in

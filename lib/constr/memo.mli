@@ -15,7 +15,7 @@
     domains (the server's requests) memoize without locks.  A key keeps
     its term alive, so every table is bounded (4,096 entries, dropped
     wholesale when full), and a long-lived worker domain drops its own
-    tables after each request ({!clear_local}).  Hits and misses are the
+    tables after each request ({!clear_all}).  Hits and misses are the
     {!Cql_obs.Obs} counters [solver.memo.<name>.hits] and
     [solver.memo.<name>.misses]: they aggregate exactly across domains,
     traced spans carry their deltas and [Obs.zero] resets them; {!stats}'
@@ -48,16 +48,11 @@ val stats : unit -> table_stats list
     domain's table. *)
 
 val clear_all : unit -> unit
-(** Drop every cache's entries in every domain (hit/miss counters
-    survive).  The calling domain's tables empty immediately; other
-    domains drop theirs at their next access.  Call between independent
-    workloads — e.g. the fuzz harness clears caches around each
-    cache-oracle run. *)
-
-val clear_local : unit -> unit
-(** Drop every cache's entries in the calling domain only; other domains'
-    tables are untouched, so a request running there keeps its warm
-    entries.  [cqlserved] calls it after each request. *)
+(** Drop every cache's entries in the calling domain (hit/miss counters
+    survive); other domains' tables are untouched, so a request running
+    there keeps its warm entries.  Call between independent workloads —
+    the fuzz harness clears caches around each cache-oracle run, and
+    [cqlserved] after each reply. *)
 
 val with_caches : bool -> (unit -> 'a) -> 'a
 (** [with_caches on f] runs [f] with caching forced on or off and a fresh

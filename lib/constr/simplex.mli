@@ -37,8 +37,8 @@ val with_pivot_limit : int -> (unit -> 'a) -> 'a
     restoring the previous value afterwards (also on exceptions).
     Concurrent solves on other domains keep their own budget, so one
     request's scoped budget can never leak into another — but note that a
-    domain spawned inside [f], or a pool worker running a job submitted
-    from it, starts from the default budget, not the caller's override. *)
+    domain spawned inside [f] starts from the default budget, not the
+    caller's override. *)
 
 val is_sat : Atom.t list -> bool
 (** Exact satisfiability of the conjunction of the atoms, over the reals;

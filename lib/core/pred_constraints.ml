@@ -114,6 +114,6 @@ let propagate (res : result) (p : Program.t) : Program.t =
   in
   { p with Program.rules }
 
-let gen_prop ?max_iters ?edb_constraints p =
-  let res = gen ?max_iters ?edb_constraints p in
+let gen_prop ?max_iters p =
+  let res = gen ?max_iters p in
   (propagate res p, res)

@@ -45,6 +45,5 @@ val propagate : result -> Program.t -> Program.t
     one rule copy per choice of disjuncts (Appendix C).  Unsatisfiable
     copies are dropped. *)
 
-val gen_prop :
-  ?max_iters:int -> ?edb_constraints:(string * Cset.t) list -> Program.t -> Program.t * result
+val gen_prop : ?max_iters:int -> Program.t -> Program.t * result
 (** Generation followed by propagation. *)

@@ -95,12 +95,12 @@ let gen_syntactic ?max_iters p =
   gen_with ~literal_constraint:literal_constraint_syntactic ?max_iters p
 
 (* keep adorned names parseable: flight_bbff primes to flight'_bbff *)
-let primed_name ~suffix name =
+let primed_name name =
   match Adorn.split_adorned name with
-  | Some (base, ad) -> Adorn.adorned_name (base ^ suffix) ad
-  | None -> name ^ suffix
+  | Some (base, ad) -> Adorn.adorned_name (base ^ "'") ad
+  | None -> name ^ "'"
 
-let propagate ?(primed_suffix = "'") (res : result) (p : Program.t) : Program.t =
+let propagate (res : result) (p : Program.t) : Program.t =
   let query = p.Program.query in
   let to_prime =
     List.filter
@@ -115,7 +115,7 @@ let propagate ?(primed_suffix = "'") (res : result) (p : Program.t) : Program.t 
     Cql_obs.Obs.add_field "predicates" (List.length to_prime);
     List.concat_map
       (fun (pred, cset) ->
-        let primed = primed_name ~suffix:primed_suffix pred in
+        let primed = primed_name pred in
         let arity = Program.arity p pred in
         let defs = Foldunfold.definition ~primed ~orig:pred ~arity cset in
         let orig_rules = Program.rules_defining p pred in
@@ -128,7 +128,7 @@ let propagate ?(primed_suffix = "'") (res : result) (p : Program.t) : Program.t 
                  (fun (orig : Rule.t) ->
                    List.map
                      (Rule.relabel
-                        (Printf.sprintf "%s%s%d" orig.Rule.label primed_suffix (j + 1)))
+                        (Printf.sprintf "%s'%d" orig.Rule.label (j + 1)))
                      (Foldunfold.unfold_literal ~defs:[ orig ] def (List.hd def.Rule.body)))
                  orig_rules)
              defs))
@@ -139,7 +139,7 @@ let propagate ?(primed_suffix = "'") (res : result) (p : Program.t) : Program.t 
   let fold_all (r : Rule.t) =
     List.fold_left
       (fun r (pred, cset) ->
-        let primed = primed_name ~suffix:primed_suffix pred in
+        let primed = primed_name pred in
         match Foldunfold.fold_occurrences ~primed ~orig:pred cset r with
         | Some r' -> r'
         | None -> r (* fold condition failed: keep the unfolded occurrence *))

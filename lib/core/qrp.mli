@@ -46,15 +46,15 @@ val gen_syntactic : ?max_iters:int -> Program.t -> result
     variables all occur in the literal, with no semantic projection.  Used
     as the Figure 1 baseline; cannot derive [Y <= 4] in Example 4.1. *)
 
-val primed_name : suffix:string -> string -> string
+val primed_name : string -> string
 (** Primed name of a predicate; adorned names keep the adornment parseable
     ([flight_bbff] primes to [flight'_bbff]). *)
 
-val propagate : ?primed_suffix:string -> result -> Program.t -> Program.t
+val propagate : result -> Program.t -> Program.t
 (** [Gen_Prop_QRP_constraints]: for each derived non-query predicate whose
     QRP constraint is neither [true] nor [false], perform the
     definition/unfold/fold sequence, then delete rules unreachable from the
-    query predicate.  Predicates are renamed with [primed_suffix]
-    (default ["'"]). *)
+    query predicate.  A propagated predicate [p] is renamed [p'] (see
+    {!primed_name}). *)
 
 val gen_prop : ?max_iters:int -> Program.t -> Program.t * result

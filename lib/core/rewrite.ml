@@ -19,11 +19,11 @@ let is_adorned (p : Program.t) =
   | Some q -> Adorn.split_adorned q <> None
   | None -> false
 
-let apply_step ?max_iters ?edb_constraints (p, report) = function
+let apply_step ?max_iters (p, report) = function
   | Pred ->
       let p', res =
         Obs.span "rewrite.pred_constraints" (fun () ->
-            Pred_constraints.gen_prop ?max_iters ?edb_constraints p)
+            Pred_constraints.gen_prop ?max_iters p)
       in
       (p', { report with pred_constraints = Some res })
   | Qrp ->
@@ -39,10 +39,9 @@ let apply_step ?max_iters ?edb_constraints (p, report) = function
   | Magic_complete ->
       Obs.span "rewrite.magic_complete" (fun () -> (Magic.templates_complete p, report))
 
-let sequence ?max_iters ?edb_constraints steps p =
-  List.fold_left (apply_step ?max_iters ?edb_constraints) (p, empty_report) steps
+let sequence ?max_iters steps p = List.fold_left (apply_step ?max_iters) (p, empty_report) steps
 
-let constraint_rewrite ?max_iters ?edb_constraints (p : Program.t) =
+let constraint_rewrite ?max_iters (p : Program.t) =
   Obs.span "rewrite.constraint_rewrite" @@ fun () ->
   let q =
     match p.Program.query with
@@ -56,7 +55,7 @@ let constraint_rewrite ?max_iters ?edb_constraints (p : Program.t) =
   let p1, aux = Program.with_query_rule p [ aux_body ] Cql_constr.Conj.tt in
   let p2, pres =
     Obs.span "rewrite.pred_constraints" (fun () ->
-        Pred_constraints.gen_prop ?max_iters ?edb_constraints p1)
+        Pred_constraints.gen_prop ?max_iters p1)
   in
   let qres = Obs.span "rewrite.qrp.gen" (fun () -> Qrp.gen ?max_iters p2) in
   let p3 = Obs.span "rewrite.qrp.propagate" (fun () -> Qrp.propagate qres p2) in
@@ -64,7 +63,7 @@ let constraint_rewrite ?max_iters ?edb_constraints (p : Program.t) =
   let rules =
     List.filter (fun (r : Rule.t) -> r.Rule.head.Literal.pred <> aux) p3.Program.rules
   in
-  let primed = Qrp.primed_name ~suffix:"'" q in
+  let primed = Qrp.primed_name q in
   let p4 = Program.make ~query:q rules in
   let p4 =
     if Program.is_derived p4 primed && not (Program.is_derived p4 q) then
@@ -74,9 +73,9 @@ let constraint_rewrite ?max_iters ?edb_constraints (p : Program.t) =
   in
   (p4, { pred_constraints = Some pres; qrp_constraints = Some qres })
 
-let optimal ?max_iters ?edb_constraints ~adornment p =
+let optimal ?max_iters ~adornment p =
   let adorned = if is_adorned p then p else Adorn.program ~query_adornment:adornment p in
-  let p1, report = constraint_rewrite ?max_iters ?edb_constraints adorned in
+  let p1, report = constraint_rewrite ?max_iters adorned in
   (Obs.span "rewrite.magic" (fun () -> Magic.templates_bf ~constraint_magic:true p1), report)
 
 let balbin ?max_iters ~adornment p =

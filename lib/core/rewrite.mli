@@ -7,7 +7,6 @@
     [optimal] appends constraint magic rewriting, the ordering Theorem 7.10
     proves optimal: [pred, qrp, mg]. *)
 
-open Cql_constr
 open Cql_datalog
 
 type step =
@@ -23,20 +22,11 @@ type report = {
   qrp_constraints : Qrp.result option;
 }
 
-val sequence :
-  ?max_iters:int ->
-  ?edb_constraints:(string * Cset.t) list ->
-  step list ->
-  Program.t ->
-  Program.t * report
+val sequence : ?max_iters:int -> step list -> Program.t -> Program.t * report
 (** Apply the steps left to right.  The report keeps the last generated
     constraint sets of each kind. *)
 
-val constraint_rewrite :
-  ?max_iters:int ->
-  ?edb_constraints:(string * Cset.t) list ->
-  Program.t ->
-  Program.t * report
+val constraint_rewrite : ?max_iters:int -> Program.t -> Program.t * report
 (** Procedure [Constraint_rewrite] (Section 4.5): wrap the query predicate
     in an auxiliary rule [q1(X̄) :- q(X̄)], run [pred] then [qrp], delete the
     auxiliary rules, and make the propagated (primed) query predicate the
@@ -44,12 +34,7 @@ val constraint_rewrite :
     Example 4.3 where [cheaporshort] keeps its name while [flight] becomes
     [flight']. *)
 
-val optimal :
-  ?max_iters:int ->
-  ?edb_constraints:(string * Cset.t) list ->
-  adornment:string ->
-  Program.t ->
-  Program.t * report
+val optimal : ?max_iters:int -> adornment:string -> Program.t -> Program.t * report
 (** The optimal order of Theorem 7.10: [pred, qrp] (via
     {!constraint_rewrite}) followed by constraint magic rewriting. *)
 

@@ -11,7 +11,10 @@ let derivations res =
       else FactMap.add e.Engine.fact (e.Engine.rule_label, e.Engine.used) m)
     FactMap.empty (Engine.trace res)
 
-let tree ?(max_depth = 64) res root =
+(* a guard against pathological depth *)
+let max_depth = 64
+
+let tree res root =
   let derived = derivations res in
   (* only derived and EDB facts enter the store, and EDB loading is not
      traced: a fact with no derivation is a database fact *)

@@ -11,11 +11,10 @@
 
 type t = { fact : Fact.t; rule : string; children : t list }
 
-val tree : ?max_depth:int -> Engine.result -> Fact.t -> t option
+val tree : Engine.result -> Fact.t -> t option
 (** [tree res f] reconstructs the derivation tree of [f] from the trace of
-    [res].  [None] when [f] is neither stored nor derived.  [max_depth]
-    (default 64) guards against pathological depth; deeper subtrees are
-    truncated into leaves labelled ["..."].
+    [res].  [None] when [f] is neither stored nor derived.  Subtrees deeper
+    than 64 levels are truncated into leaves labelled ["..."].
     @raise Invalid_argument when [res] was not traced. *)
 
 val depth : t -> int

@@ -195,7 +195,7 @@ let pipelines ~max_iters ?tamper (p : Program.t) =
         let primed_rules =
           List.concat_map
             (fun (pred, cs) ->
-              let primed = Qrp.primed_name ~suffix:"'" pred in
+              let primed = Qrp.primed_name pred in
               let arity = Program.arity p1 pred in
               let defs = Foldunfold.definition ~primed ~orig:pred ~arity (t cs) in
               let orig_rules = Program.rules_defining p1 pred in
@@ -208,7 +208,7 @@ let pipelines ~max_iters ?tamper (p : Program.t) =
         let fold_all r =
           List.fold_left
             (fun r (pred, cs) ->
-              let primed = Qrp.primed_name ~suffix:"'" pred in
+              let primed = Qrp.primed_name pred in
               match Foldunfold.fold_occurrences ~primed ~orig:pred cs r with
               | Some r' -> r'
               | None -> r)

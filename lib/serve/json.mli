@@ -1,7 +1,7 @@
 (** A minimal JSON value type with a parser and printer.
 
     The toolchain deliberately has no JSON dependency (lib/serve is
-    dependency-free like lib/par and lib/obs), so the wire protocol, the
+    dependency-free like lib/obs), so the wire protocol, the
     plan-service responses and bench's BENCH_results.json all go through
     this module.  It covers the whole of JSON except that numbers are split
     into [Int] (exact 63-bit integers) and [Float] (everything else), and

@@ -1,7 +1,6 @@
 open Cql_datalog
 open Cql_core
 module Obs = Cql_obs.Obs
-module Pool = Cql_par.Pool
 module Engine = Cql_eval.Engine
 module Fact = Cql_eval.Fact
 module Cdomain = Cql_constr.Cdomain
@@ -28,8 +27,7 @@ let default_config ~socket_path =
 
 type t = {
   config : config;
-  listen_fd : Unix.file_descr;
-  pool : Pool.t;
+  listen_fd : Unix.file_descr;  (* non-blocking: idle workers race to accept *)
   plans : Plan_cache.plan Lru.t;
   views : View_cache.t;
   adm : Admission.t;
@@ -38,7 +36,7 @@ type t = {
   requests : Obs.counter;
   errors : Obs.counter;
   started_ns : int64;
-  mutable accept_domain : unit Domain.t option;
+  mutable workers : unit Domain.t list;
 }
 
 let stopping t = Atomic.get t.stop_flag
@@ -452,42 +450,39 @@ let handle_connection t fd =
         (* memo keys keep their terms alive: once the reply is out, drop
            this worker's solver tables, and only this worker's, so a
            request running on another keeps its warm entries *)
-        Fun.protect ~finally:Memo.clear_local (fun () -> send reply);
+        Fun.protect ~finally:Memo.clear_all (fun () -> send reply);
         loop ()
   in
-  try loop () with
+  try
+    (* BSDs hand the listener's O_NONBLOCK on to the accepted socket *)
+    Unix.clear_nonblock fd;
+    loop ()
+  with
   | Client_gone | Unix.Unix_error _ -> ()
   | e -> (
       (* outside a handler (framing, encoding): answer once, then close *)
       try send (internal e) with _ -> ())
 
-(* ----- accept loop ----- *)
+(* ----- workers ----- *)
 
-let accept_loop t =
-  let conns = ref [] in
-  let rec go () =
-    if not (stopping t) then begin
-      (match Unix.select [ t.listen_fd ] [] [] 0.15 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | [], _, _ -> ()
-      | _ -> (
-          match Unix.accept ~cloexec:true t.listen_fd with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-          | fd, _ ->
-              Atomic.incr t.served;
-              conns := Pool.submit t.pool (fun () -> handle_connection t fd) :: !conns;
-              (* keep the tracking list from growing with connection count *)
-              if List.length !conns > 64 then
-                conns := List.filter (fun j -> not (Pool.is_done j)) !conns));
-      go ()
-    end
-  in
-  go ();
-  (* drain: every accepted connection finishes its in-flight requests *)
-  List.iter Pool.await !conns;
-  Pool.shutdown t.pool;
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  try Unix.unlink t.config.socket_path with Unix.Unix_error _ | Sys_error _ -> ()
+(* Each worker accepts and serves its own connections, one at a time, and
+   leaves once a stop is requested.  Idle workers all wake for a new
+   connection; the listening socket is non-blocking, so every accept but
+   the winner's fails at once.  A failed accept (EAGAIN, EINTR, a client
+   that hung up first) just waits again.  Connections beyond [workers]
+   wait in the kernel's listen backlog. *)
+let worker t =
+  while not (stopping t) do
+    match Unix.select [ t.listen_fd ] [] [] 0.15 with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | [], _, _ -> ()
+    | _ -> (
+        match Unix.accept ~cloexec:true t.listen_fd with
+        | exception Unix.Unix_error _ -> ()
+        | fd, _ ->
+            Atomic.incr t.served;
+            handle_connection t fd)
+  done
 
 (* ----- lifecycle ----- *)
 
@@ -497,17 +492,16 @@ let start config =
   let listen_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try
      Unix.bind listen_fd (Unix.ADDR_UNIX config.socket_path);
-     Unix.listen listen_fd 64
+     Unix.listen listen_fd 64;
+     Unix.set_nonblock listen_fd
    with e ->
      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
      raise e);
+  let config = { config with workers = max 1 config.workers } in
   let t =
     {
-      config = { config with workers = max 1 config.workers };
+      config;
       listen_fd;
-      (* [workers] domains run connection jobs; the accept domain only
-         submits, so it is not counted as a pool worker *)
-      pool = Pool.create ~jobs:(max 1 config.workers + 1);
       plans = Lru.create ~name:"serve.plan_cache" ~max_entries:config.plan_cache_entries;
       views = View_cache.create ~max_entries:config.view_cache_entries;
       adm = Admission.create config.limits;
@@ -516,15 +510,18 @@ let start config =
       requests = Obs.counter "serve.requests";
       errors = Obs.counter "serve.errors";
       started_ns = Obs.monotonic_ns ();
-      accept_domain = None;
+      workers = [];
     }
   in
-  t.accept_domain <- Some (Domain.spawn (fun () -> accept_loop t));
+  t.workers <- List.init config.workers (fun _ -> Domain.spawn (fun () -> worker t));
   t
 
+(* the socket goes once every worker has left, so a connection still in
+   the backlog is refused rather than left waiting *)
 let wait t =
-  match t.accept_domain with
-  | Some d ->
-      Domain.join d;
-      t.accept_domain <- None
-  | None -> ()
+  if t.workers <> [] then begin
+    List.iter Domain.join t.workers;
+    t.workers <- [];
+    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+    try Unix.unlink t.config.socket_path with Unix.Unix_error _ | Sys_error _ -> ()
+  end

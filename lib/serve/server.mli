@@ -1,16 +1,18 @@
 (** The cqlserved daemon core: a persistent multi-tenant query service over
     a Unix-domain socket.
 
-    Architecture (all dependency-free, in the style of lib/par and lib/obs):
+    Architecture (all dependency-free, in the style of lib/obs):
 
     {ul
-    {- One accept domain owns the listening socket.  Each accepted
-       connection becomes one independent job on a {!Cql_par.Pool} executor
-       ({!Cql_par.Pool.submit}), so up to [workers] connections are served
-       concurrently, each request running its fixpoint sequentially on its
-       worker domain.  Each request sets its own constraint domain there
-       ({!Cql_constr.Cdomain.with_domain}); a view's maintenance runs under
-       the {!View_cache} entry's lock.}
+    {- [workers] domains share the non-blocking listening socket.  An idle
+       worker waits for a connection, accepts it and serves it to the end,
+       so up to [workers] connections are served concurrently, each
+       request running its fixpoint sequentially on its worker domain.
+       Further connections wait in the kernel's listen backlog (64), not
+       in the server.  Each request sets its own constraint domain
+       ({!Cql_constr.Cdomain.with_domain}) and its worker drops its solver
+       memo tables after the reply; a view's maintenance runs under the
+       {!View_cache} entry's lock.}
     {- Requests and responses are length-prefixed NDJSON frames
        ({!Protocol}).  CQL syntax errors come back as structured
        [parse_error] responses carrying the parser's token/position
@@ -37,16 +39,17 @@
        NDJSON traces with solver-counter deltas attached.}}
 
     Shutdown ({!stop}, or SIGTERM/SIGINT in the daemon binary) stops
-    accepting, lets every connection finish the requests already submitted
-    (idle connections are closed at the next quiet moment), then joins the
-    workers.  In-flight evaluations always get their responses; a new
-    eval, materialize, insert or retract arriving while the server drains
-    is answered [shutting_down], while [query], [ping] and [stats] are
-    still served. *)
+    accepting, lets every accepted connection finish the requests already
+    sent (idle connections are closed at the next quiet moment), then
+    joins the workers and closes the socket, which refuses the connections
+    still waiting in the backlog.  In-flight evaluations always get their
+    responses; a new eval, materialize, insert or retract arriving while
+    the server drains is answered [shutting_down], while [query], [ping]
+    and [stats] are still served. *)
 
 type config = {
   socket_path : string;
-  workers : int;  (** concurrent connection handlers (clamped to >= 1) *)
+  workers : int;  (** worker domains, one connection each at a time (clamped to >= 1) *)
   limits : Admission.limits;
   plan_cache_entries : int;
   view_cache_entries : int;  (** live materialized views kept (LRU) *)
@@ -60,10 +63,9 @@ val default_config : socket_path:string -> config
 type t
 
 val start : config -> t
-(** Bind the socket (unlinking a stale file first), spawn the accept domain
-    and the worker pool, and return immediately.  Ignores SIGPIPE
-    process-wide (a client hanging up mid-response must not kill the
-    daemon). *)
+(** Bind the socket (unlinking a stale file first), spawn the [workers]
+    domains and return immediately.  Ignores SIGPIPE process-wide (a
+    client hanging up mid-response must not kill the daemon). *)
 
 val stop : t -> unit
 (** Request shutdown; safe to call from a signal handler (it only flips an
@@ -72,9 +74,9 @@ val stop : t -> unit
 val stopping : t -> bool
 
 val wait : t -> unit
-(** Block until the accept domain has drained and everything is joined;
-    the socket file is unlinked.  [stop] must be called (by anyone) for
-    this to return. *)
+(** Block until every worker has drained its connection and been joined,
+    then close the socket and unlink its file.  [stop] must be called (by
+    anyone) for this to return; a second call returns at once. *)
 
 val connections_served : t -> int
 

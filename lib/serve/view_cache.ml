@@ -13,11 +13,8 @@ let create ~max_entries = Lru.create ~name:"serve.view_cache" ~max_entries
 let key ~tenant ~view = tenant ^ "\x00" ^ view
 
 (* Close after the entry is unreachable from the table, waiting on its
-   mutex so an in-flight maintenance op finishes first.  [close_view] on a
-   view another thread already closed raises; swallow it — the pool is
-   released either way. *)
-let close_entry e =
-  Mutex.protect e.vm (fun () -> try Engine.close_view e.view with Invalid_argument _ -> ())
+   mutex so an in-flight maintenance op finishes first. *)
+let close_entry e = Mutex.protect e.vm (fun () -> Engine.close_view e.view)
 
 let add t ~tenant ~view:name view =
   List.iter close_entry (Lru.add t (key ~tenant ~view:name) { view; vm = Mutex.create () })

@@ -36,11 +36,11 @@ end
 module GroundTbl = Hashtbl.Make (GroundKey)
 
 type t = {
-  (* partitions, newest-first; dead cells are filtered on read *)
+  (* partitions, newest-first, so [pending @ delta @ old] is every cell
+     newest first; dead cells are filtered on read *)
   mutable old_cells : cell list;
   mutable delta_cells : cell list;
   mutable pending_cells : cell list;
-  mutable all_rev : cell list; (* insertion order (newest first), for listing *)
   mutable live_counts : int array; (* live cells per partition tag *)
   indexes : Index.t list array; (* old/delta join indexes by partition tag,
                                    built lazily per probed column set *)
@@ -56,7 +56,6 @@ let create () =
     old_cells = [];
     delta_cells = [];
     pending_cells = [];
-    all_rev = [];
     live_counts = Array.make 3 0;
     indexes = Array.make 2 [];
     ground = GroundTbl.create 64;
@@ -99,7 +98,6 @@ let reclaim t =
     t.old_cells <- live t.old_cells;
     t.delta_cells <- live t.delta_cells;
     t.pending_cells <- live t.pending_cells;
-    t.all_rev <- live t.all_rev;
     Hashtbl.filter_map_inplace
       (fun _ b ->
         b.ground_cells <- live b.ground_cells;
@@ -116,7 +114,6 @@ let reclaim t =
 let insert t f =
   let c = { fact = f; live = true; part = p_pending } in
   t.pending_cells <- c :: t.pending_cells;
-  t.all_rev <- c :: t.all_rev;
   t.live_counts.(p_pending) <- t.live_counts.(p_pending) + 1;
   let b = sbucket_of t f.Fact.args in
   if Fact.is_ground f then begin
@@ -313,5 +310,9 @@ let iter_scan t part k =
 
 (* ----- listing ----- *)
 
+(* consing the cells of [pending @ delta @ old], newest first, onto one
+   list leaves the live facts oldest first *)
 let facts t =
-  List.rev (List.filter_map (fun c -> if c.live then Some c.fact else None) t.all_rev)
+  let cons acc c = if c.live then c.fact :: acc else acc in
+  let newer = List.fold_left cons (List.fold_left cons [] t.pending_cells) t.delta_cells in
+  List.fold_left cons newer t.old_cells

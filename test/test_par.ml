@@ -1,18 +1,15 @@
-(* Tests for the concurrency layer behind cqlserved: the domain pool's
-   independent jobs, constraint terms and memo caches across domains, and
-   independent fixpoints running on several domains at once. *)
+(* Tests for the concurrency behind cqlserved, whose worker domains each
+   serve their own connections: constraint terms and memo caches across
+   domains, and independent fixpoints running on several domains at once. *)
 
 open Cql_constr
 open Cql_datalog
 open Cql_eval
-module Pool = Cql_par.Pool
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let parse = Parser.program_of_string
 let edb_of s = List.map Fact.of_fact_rule (Parser.facts_of_string s)
-
-exception Boom of int
 
 (* ----- terms across domains ----- *)
 
@@ -89,9 +86,9 @@ let test_memo_results_agree_across_domains () =
   check_bool "implies_atom agrees across domains" true (here = there && here = true)
 
 (* a worker's per-request clear leaves every other domain's tables warm *)
-let test_memo_clear_local () =
+let test_memo_clear_per_domain () =
   let c : (int, int) Memo.cache =
-    Memo.create ~name:"test_par_clear_local" ~hash:Hashtbl.hash ~equal:Int.equal
+    Memo.create ~name:"test_par_clear_per_domain" ~hash:Hashtbl.hash ~equal:Int.equal
   in
   Memo.clear_all ();
   ignore (Memo.cached c 1 (fun () -> 10));
@@ -104,17 +101,17 @@ let test_memo_clear_local () =
           Domain.cpu_relax ()
         done;
         let kept = Memo.cached c 1 (fun () -> 30) in
-        Memo.clear_local ();
+        Memo.clear_all ();
         (kept, Memo.cached c 1 (fun () -> 40)))
   in
   while not (Atomic.get filled) do
     Domain.cpu_relax ()
   done;
-  Memo.clear_local ();
+  Memo.clear_all ();
   Atomic.set cleared true;
   let kept, after = Domain.join other in
   check_int "the other domain keeps its entry" 20 kept;
-  check_int "its own clear_local drops it" 40 after;
+  check_int "its own clear_all drops it" 40 after;
   check_int "the caller's entry is gone" 50 (Memo.cached c 1 (fun () -> 50))
 
 (* ----- concurrent independent fixpoints (the cqlserved execution model) ----- *)
@@ -152,65 +149,6 @@ let check_runs_agree name r1 rn =
        (fun (p, fs) (q, gs) -> p = q && List.equal Fact.equal fs gs)
        (sorted_all r1) (sorted_all rn))
 
-(* ----- independent jobs (the executor behind cqlserved) ----- *)
-
-let test_submit_await () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let jobs = List.init 20 (fun i -> Pool.submit pool (fun () -> i * i)) in
-      check_bool "all values" true
-        (List.map Pool.await jobs = List.init 20 (fun i -> i * i)))
-
-let test_submit_concurrent () =
-  (* two jobs that each wait for the other to start can only finish if they
-     run on different workers at the same time *)
-  Pool.with_pool ~jobs:3 (fun pool ->
-      let started = Atomic.make 0 in
-      let job () =
-        Atomic.incr started;
-        while Atomic.get started < 2 do
-          Domain.cpu_relax ()
-        done;
-        Atomic.get started
-      in
-      let j1 = Pool.submit pool job and j2 = Pool.submit pool job in
-      check_bool "both ran concurrently" true (Pool.await j1 = 2 && Pool.await j2 = 2))
-
-let test_submit_exception () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      let j = Pool.submit pool (fun () -> raise (Boom 7)) in
-      let raised = match Pool.await j with _ -> None | exception Boom n -> Some n in
-      check_bool "job exception re-raised in await" true (raised = Some 7);
-      check_int "pool usable after a failed job" 5
-        (Pool.await (Pool.submit pool (fun () -> 5))))
-
-let test_submit_sequential () =
-  Pool.with_pool ~jobs:1 (fun pool ->
-      let ran = ref false in
-      let j =
-        Pool.submit pool (fun () ->
-            ran := true;
-            9)
-      in
-      check_bool "jobs=1 runs synchronously" true !ran;
-      check_bool "already done" true (Pool.is_done j);
-      check_int "value" 9 (Pool.await j));
-  (* jobs below 1 clamp to 1 rather than failing *)
-  Pool.with_pool ~jobs:0 (fun pool ->
-      check_bool "jobs=0 clamped to the synchronous path" true
-        (Pool.is_done (Pool.submit pool (fun () -> ()))))
-
-let test_shutdown_drains () =
-  (* queued-but-unstarted jobs are run in the caller during shutdown, so no
-     await ever hangs *)
-  let pool = Pool.create ~jobs:2 in
-  let js = List.init 16 (fun i -> Pool.submit pool (fun () -> i)) in
-  Pool.shutdown pool;
-  check_bool "every await returns" true (List.map Pool.await js = List.init 16 Fun.id);
-  check_bool "submit after shutdown rejected" true
-    (match Pool.submit pool (fun () -> 0) with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
 (* two engine runs on two domains at once — as two server requests — must
    not observe each other through any process-global pipeline state *)
 let test_concurrent_fixpoints () =
@@ -241,7 +179,7 @@ let generated_cases () =
 
 (* constraint_rewrite, then an evaluation of its output, under the case's
    constraint domain (ℤ for int cases).  The scope is entered inside the
-   call, so a pool job sets it on whichever worker runs it. *)
+   call, so it holds on whichever domain runs it. *)
 let rewrite_and_run (mode, (p, edb)) =
   let cdom = if mode = Cql_gen.Generate.Int then Cdomain.Z else Cdomain.Q in
   Cdomain.with_domain cdom @@ fun () ->
@@ -256,17 +194,21 @@ let rewrite_and_run (mode, (p, edb)) =
           s.Engine.derivations,
           s.Engine.reached_fixpoint )
 
-(* every case submitted at once to one pool with two workers must match
-   its sequential run: rewritten program (mod renaming: fresh variables
+(* the cases split between two domains running at once must each match
+   their sequential run: rewritten program (mod renaming: fresh variables
    come from a process-wide counter), sorted answers, derivation count and
    fixpoint flag *)
 let test_concurrent_generated_cases () =
   let cases = generated_cases () in
   let sequential = List.map rewrite_and_run cases in
   let concurrent =
-    Pool.with_pool ~jobs:3 (fun pool ->
-        List.map Pool.await
-          (List.map (fun case -> Pool.submit pool (fun () -> rewrite_and_run case)) cases))
+    let cases = Array.of_list cases in
+    let results = Array.make (Array.length cases) None in
+    let run k () =
+      Array.iteri (fun i case -> if i mod 2 = k then results.(i) <- rewrite_and_run case) cases
+    in
+    List.iter Domain.join (List.init 2 (fun k -> Domain.spawn (run k)));
+    Array.to_list results
   in
   let rewritten = List.length (List.filter Option.is_some sequential) in
   check_bool "most cases rewrite" true (rewritten >= 20);
@@ -321,16 +263,8 @@ let test_pivot_limit_isolation () =
   check_bool "concurrent domain keeps the process default" true unaffected
 
 let () =
-  Alcotest.run "cql_par"
+  Alcotest.run "concurrency"
     [
-      ( "jobs",
-        [
-          Alcotest.test_case "submit/await" `Quick test_submit_await;
-          Alcotest.test_case "jobs run concurrently" `Quick test_submit_concurrent;
-          Alcotest.test_case "exception through await" `Quick test_submit_exception;
-          Alcotest.test_case "jobs=1 synchronous path" `Quick test_submit_sequential;
-          Alcotest.test_case "shutdown drains the queue" `Quick test_shutdown_drains;
-        ] );
       ( "reentrancy",
         [
           Alcotest.test_case "two concurrent fixpoints" `Quick test_concurrent_fixpoints;
@@ -344,6 +278,6 @@ let () =
         [
           Alcotest.test_case "per-domain isolation" `Quick test_memo_domain_isolation;
           Alcotest.test_case "agreement across domains" `Quick test_memo_results_agree_across_domains;
-          Alcotest.test_case "clear_local is per-domain" `Quick test_memo_clear_local;
+          Alcotest.test_case "clear_local is per-domain" `Quick test_memo_clear_per_domain;
         ] );
     ]

@@ -617,6 +617,44 @@ let test_server_concurrent_clients () =
             (List.for_all Fun.id (Domain.join d)))
         domains)
 
+(* One worker and more clients than that: connections wait in the listen
+   backlog and are served in turn.  A stop drains the one being served,
+   and a client still waiting in the backlog then fails instead of
+   hanging. *)
+let test_server_more_clients_than_workers () =
+  with_server "backlog" ~configure:(fun c -> { c with Server.workers = 1 }) (fun socket t ->
+      let connect () =
+        match Client.connect_retry socket with
+        | Ok c -> c
+        | Error msg -> Alcotest.failf "connect %s: %s" socket msg
+      in
+      let eval c = Client.eval c ~edb:ex41_edb ~program:ex41_program () in
+      (* all three are connected before any sends: two of them wait *)
+      let replies =
+        List.init 3 (fun _ -> connect ())
+        |> List.map (fun c ->
+               Domain.spawn (fun () ->
+                   Fun.protect ~finally:(fun () -> Client.close c) (fun () -> eval c)))
+        |> List.map Domain.join
+      in
+      let answers = function Ok r when Client.is_ok r -> Client.answers r | _ -> [] in
+      check_bool "every client answered" true
+        (List.for_all (fun r -> answers r <> [] && answers r = answers (List.hd replies)) replies);
+      check_int "three connections served" 3 (Server.connections_served t);
+      (* the worker is busy with [served] while [waiting] sits in the backlog *)
+      let served = connect () in
+      check_bool "served client answered" true (Result.is_ok (Client.ping served));
+      let waiting = connect () in
+      let request = Domain.spawn (fun () -> eval waiting) in
+      Server.stop t;
+      Server.wait t;
+      check_bool "socket unlinked" false (Sys.file_exists socket);
+      check_bool "the waiting client's request fails" true
+        (Result.is_error (Domain.join request));
+      check_int "the waiting client was never accepted" 4 (Server.connections_served t);
+      Client.close served;
+      Client.close waiting)
+
 (* The wire as every client sees it: request bytes, reply key orders and
    budget messages.  Eval and materialize share a request record, its
    encoder and a handler, so only pinned values catch a change made to
@@ -872,6 +910,8 @@ let () =
           Alcotest.test_case "oversized frame" `Quick test_server_oversized_frame;
           Alcotest.test_case "shutdown drains in-flight" `Quick test_server_shutdown_drains;
           Alcotest.test_case "concurrent clients" `Quick test_server_concurrent_clients;
+          Alcotest.test_case "more clients than workers" `Quick
+            test_server_more_clients_than_workers;
           Alcotest.test_case "wire format pinned" `Quick test_server_wire;
         ] );
       ( "views",
