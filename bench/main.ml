@@ -1236,19 +1236,13 @@ let solver_json () =
       ])
 
 (* decision-procedure call counts and cache hit rates over two representative
-   workloads; each workload runs twice from cold caches and zeroed counters,
-   once with the disjointness prefilter on and once with it off, so the
-   implication checks it saves are read off one block *)
+   workloads, each run once from cold caches and zeroed counters *)
 let json_solver_cache () =
-  let side on f =
-    Interval.with_tier on (fun () ->
-        Memo.clear_all ();
-        Cql_obs.Obs.zero "solver.";
-        f ();
-        solver_json ())
-  in
   let workload name f =
-    (name, J.Obj [ ("with_interval", side true f); ("without_interval", side false f) ])
+    Memo.clear_all ();
+    Cql_obs.Obs.zero "solver.";
+    f ();
+    (name, solver_json ())
   in
   [
     workload "rewrite_flights" (fun () ->

@@ -1,8 +1,7 @@
 type t = Q | Z
 
-(* a per-domain DLS scope, as for the simplex pivot budget, so one
-   request's domain can never leak into a concurrent one; outside every
-   scope it is the paper's ℚ *)
+(* a per-domain DLS scope, so one request's domain can never leak into a
+   concurrent one; outside every scope it is the paper's ℚ *)
 let scope : t ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref Q)
 
 let current () = !(Domain.DLS.get scope)

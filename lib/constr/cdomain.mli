@@ -1,9 +1,8 @@
 (** The constraint interpretation domain in force: rationals (the paper's
     setting, the default) or integers.
 
-    The flag is a per-domain scope ({!with_domain}), the same discipline
-    {!Simplex.with_pivot_limit} uses for the pivot budget; outside every
-    scope it is {!Q}.  A domain spawned inside a scope starts from {!Q},
+    The flag is a per-domain scope ({!with_domain}); outside every scope
+    it is {!Q}.  A domain spawned inside a scope starts from {!Q},
     so work that needs the caller's choice re-enters the scope itself (as
     [cqlserved] does per request, and a view's maintenance does with the
     domain it was materialized under).

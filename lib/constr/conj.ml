@@ -61,7 +61,6 @@ let ctr_implies = Obs.counter "solver.implies_checks"
 let ctr_implies_atom = Obs.counter "solver.implies_atom_checks"
 let ctr_project = Obs.counter "solver.project_calls"
 let ctr_fm = Obs.counter "solver.fm_eliminations"
-let ctr_pivot_limit = Obs.counter "solver.pivot_limit_hits"
 
 (* Verdicts differ between the rational and the integer domain ([2·X = 1]
    is Q-sat, Z-unsat), so a domain-dependent key pairs the conjunction with
@@ -210,11 +209,9 @@ let project ~keep (c : t) : t =
       let key = (dkey c, List.map Var.id (Var.Set.elements (Var.Set.inter keep cvars))) in
       Memo.cached project_memo key (fun () -> project_uncached ~keep c)
 
-(* satisfiability via the simplex backend (cross-checked against full
-   Fourier-Motzkin elimination by the property tests); projection remains
-   the eliminator's job.  If a solve blows its pivot budget we record the
-   hit and decide by eliminating every variable: the conjunction is
-   satisfiable iff full Fourier-Motzkin projection does not reach ff. *)
+(* satisfiability via simplex over Q (cross-checked against full
+   Fourier-Motzkin elimination by the property tests and the fuzz
+   harness), via Zsolve over Z; projection remains the eliminator's job *)
 let is_sat c =
   Obs.incr ctr_sat;
   if is_ff_syntactic c then false
@@ -229,12 +226,7 @@ let is_sat c =
     else if c == tt then true
     else
       Memo.cached sat_memo (dkey c) (fun () ->
-          if z then Zsolve.is_sat c.atoms
-          else
-            try Simplex.is_sat c.atoms
-            with Simplex.Pivot_limit _ ->
-              Obs.incr ctr_pivot_limit;
-              not (is_ff_syntactic (project_uncached ~keep:Var.Set.empty c)))
+          if z then Zsolve.is_sat c.atoms else Simplex.is_sat c.atoms)
 
 let eval_at env c =
   let rec go = function

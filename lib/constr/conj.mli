@@ -60,8 +60,7 @@ val hash : t -> int
 
 val is_sat : t -> bool
 (** Exact satisfiability over the active {!Cdomain}: after the memo, over
-    the reals by simplex when it is {!Cdomain.Q} (Fourier–Motzkin only
-    when a solve exhausts its pivot budget), over the integers by
+    the reals by {!Simplex} when it is {!Cdomain.Q}, over the integers by
     {!ztighten} and then {!Zsolve} when it is {!Cdomain.Z}.  Memo entries
     are keyed by domain, so flipping the domain never serves a stale
     verdict. *)

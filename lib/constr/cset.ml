@@ -17,11 +17,6 @@ let num_disjuncts = List.length
 let vars cs = List.fold_left (fun acc d -> Var.Set.union acc (Conj.vars d)) Var.Set.empty cs
 
 let ctr_implies = Obs.counter "solver.cset_implies_checks"
-let ctr_disjoint = Obs.counter "solver.interval.disjoint_hits"
-
-(* interval box-disjointness between two disjuncts; [false] = maybe
-   compatible (prefilter off, or the boxes overlap) *)
-let interval_disjoint d d' = Interval.enabled () && Interval.disjoint d d'
 
 (* prune disjuncts subsumed by another disjunct; with zero or one disjunct
    there is nothing to subsume, so skip the quadratic pass entirely *)
@@ -32,17 +27,7 @@ let prune cs =
       let rec go acc = function
         | [] -> List.rev acc
         | d :: rest ->
-            let subsumed_by d' =
-              (not (Conj.equal d d'))
-              &&
-              (* prune's inputs are satisfiable disjuncts, so a disjoint
-                 pair can never subsume: skip the implication outright *)
-              if interval_disjoint d d' then begin
-                Obs.incr ctr_disjoint;
-                false
-              end
-              else Conj.implies d d'
-            in
+            let subsumed_by d' = (not (Conj.equal d d')) && Conj.implies d d' in
             if List.exists subsumed_by rest || List.exists subsumed_by acc then go acc rest
             else go (d :: acc) rest
       in
@@ -71,17 +56,6 @@ let conj_implies d (cs : t) =
     | [] -> false (* d is satisfiable, cs denotes the empty set *)
     | [ e ] -> Conj.implies d e
     | _ ->
-        (* d ∧ ¬E is d itself when d is box-disjoint from E: drop E *)
-        let es =
-          List.filter
-            (fun e ->
-              if interval_disjoint d e then begin
-                Obs.incr ctr_disjoint;
-                false
-              end
-              else true)
-            cs
-        in
         (* [escapes r es]: the satisfiable [r] has a point outside every
            disjunct of [es].  The residue's DNF is searched depth first, one
            negated atom of each disjunct per level (none of an atom [r]
@@ -99,7 +73,7 @@ let conj_implies d (cs : t) =
                        (Atom.negate a))
                 (Conj.to_list e)
         in
-        not (escapes d es)
+        not (escapes d cs)
 
 (* disjuncts in canonical order: element-wise equal lists denote the same
    set, a sound fast path *)

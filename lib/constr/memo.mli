@@ -1,6 +1,6 @@
 (** Registry of the memoization caches used by the decision procedures
-    ({!Conj.is_sat}, {!Conj.implies}, {!Conj.project}, …) and by the
-    disjointness prefilter's boxes ({!Interval}).
+    ({!Conj.is_sat}, {!Conj.implies}, {!Conj.project}, {!Conj.simplify}
+    and {!Conj.ztighten}).
 
     A cache is keyed by the constraint terms themselves, through the hash
     and equality it is created with: the terms' stored structural hashes

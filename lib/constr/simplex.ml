@@ -78,30 +78,6 @@ let above_upper t x = match t.upper.(x) with Some u -> Qeps.compare t.beta.(x) u
 let can_increase t x = match t.upper.(x) with Some u -> Qeps.compare t.beta.(x) u < 0 | None -> true
 let can_decrease t x = match t.lower.(x) with Some l -> Qeps.compare t.beta.(x) l > 0 | None -> true
 
-(* ----- pivot budget ----- *)
-
-exception Pivot_limit of { pivots : int }
-
-let default_pivot_limit = 200_000
-
-(* The budget is a constant default plus a per-domain override:
-   [with_pivot_limit] in one request (domain) must not change the budget a
-   concurrent request observes, so the scoped form only ever touches the
-   calling domain's cell. *)
-let pivot_limit_override : int option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let current_pivot_limit () =
-  match !(Domain.DLS.get pivot_limit_override) with
-  | Some n -> n
-  | None -> default_pivot_limit
-
-let with_pivot_limit n f =
-  let cell = Domain.DLS.get pivot_limit_override in
-  let prev = !cell in
-  cell := Some (max 1 n);
-  Fun.protect ~finally:(fun () -> cell := prev) f
-
 (* how far a violating basic variable is outside its bound *)
 let violation t x = function
   | `Low -> Qeps.sub (Option.get t.lower.(x)) t.beta.(x)
@@ -112,18 +88,16 @@ let suitable_dir dir a t xn =
   | `Low -> (Rat.sign a > 0 && can_increase t xn) || (Rat.sign a < 0 && can_decrease t xn)
   | `High -> (Rat.sign a < 0 && can_increase t xn) || (Rat.sign a > 0 && can_decrease t xn)
 
-(* Pivot selection runs in two regimes.  The first [limit/2] pivots use a
-   largest-violation heuristic (pick the basic variable furthest outside its
-   bounds, enter on the suitable nonbasic with the largest |coefficient|),
-   which converges fastest in practice but — unlike Bland's rule — can cycle
-   on degenerate tableaus.  Past that threshold the solver switches to pure
+(* Pivot selection runs in two regimes.  The first [bland_after] pivots use
+   a largest-violation heuristic (pick the basic variable furthest outside
+   its bounds, enter on the suitable nonbasic with the largest
+   |coefficient|), which converges fastest in practice but can cycle on
+   degenerate tableaus.  Past that threshold the solver switches to pure
    Bland's rule (smallest violating basic index, smallest suitable nonbasic
-   index), which provably terminates.  The hard budget is a backstop for
-   pathological sizes: exhausting it raises {!Pivot_limit} so a caller can
-   fall back to another procedure instead of spinning. *)
+   index), which cannot cycle, so every solve terminates with a verdict. *)
+let bland_after = 100_000
+
 let check t =
-  let limit = current_pivot_limit () in
-  let bland_after = limit / 2 in
   let pivots = ref 0 in
   let n = Array.length t.rows in
   let rec go () =
@@ -173,7 +147,6 @@ let check t =
         (match suitable with
         | None -> false
         | Some (xn, _) ->
-            if !pivots >= limit then raise (Pivot_limit { pivots = !pivots });
             incr pivots;
             let target =
               match dir with

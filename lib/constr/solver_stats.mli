@@ -1,8 +1,8 @@
 (** The solver counters [perfbench/trace.ml] reads, as one record.
 
     Every solver and cache count lives in the {!Cql_obs.Obs} registry under
-    [solver.]: {!Conj}, {!Cset}, {!Interval}, {!Simplex} and {!Zsolve}
-    register the counters they increment, and {!Memo.create} registers
+    [solver.]: {!Conj}, {!Cset}, {!Simplex} and {!Zsolve} register the
+    counters they increment, and {!Memo.create} registers
     [solver.memo.<cache>.hits] and [.misses].  Spans, [cqlopt --metrics] and
     [bench/main.exe json] read the registry directly.  This record re-lists
     the counters the benchmark reads and goes with the next change to
@@ -25,8 +25,8 @@ type t = {
   memo_hits : int;  (** the sum of every [solver.memo.*.hits] *)
   memo_misses : int;  (** the sum of every [solver.memo.*.misses] *)
 }
-(** The [interval_*] fields are always [0]: no {!Conj} decision consults the
-    interval boxes, which only prefilter {!Cset}'s implication checks. *)
+(** The [interval_*] fields are always [0]: the solver has no interval
+    tier, and the fields stay only because [perfbench/] reads them. *)
 
 val snapshot : unit -> t
 val total_hits : t -> int

@@ -7,7 +7,6 @@ let ctr_omega = Obs.counter "solver.int.omega_eliminations"
 let ctr_splinters = Obs.counter "solver.int.splinters"
 let ctr_bb_fallbacks = Obs.counter "solver.int.bb_fallbacks"
 let ctr_bb_nodes = Obs.counter "solver.int.bb_nodes"
-let ctr_pivot_limit = Obs.counter "solver.pivot_limit_hits"
 
 (* ----- floor arithmetic ----- *)
 
@@ -18,7 +17,6 @@ let fdiv a b =
   if Bigint.sign r < 0 then Bigint.sub q Bigint.one else q
 
 let floor_rat q = fdiv (Rat.num q) (Rat.den q)
-let ceil_rat q = Bigint.neg (floor_rat (Rat.neg q))
 
 (* symmetric modulus: [smod a m ≡ a (mod m)] with the representative in
    [[-m/2, m/2)]; for [m = |a|+1] it maps [a] to [-sign a], a unit *)
@@ -66,6 +64,8 @@ let tighten_atom (a : Atom.t) =
 exception Unsat_exn
 exception Budget
 
+(* Omega eliminations + splinter branches allowed per [is_sat] query before
+   handing over to branch-and-bound *)
 let default_budget = 2000
 
 (* tighten every atom and evaluate the ground ones *)
@@ -303,30 +303,11 @@ let bb_is_sat atoms0 =
       let ge_atom v k =
         Atom.make (Linexpr.sub (Linexpr.const (Rat.of_bigint k)) (Linexpr.var v)) Atom.Le
       in
-      let ranges =
-        List.fold_left
-          (fun m v -> Var.Map.add v (Bigint.neg big_m, big_m) m)
-          Var.Map.empty vars
-      in
       let clamp =
         List.concat_map (fun v -> [ le_atom v big_m; ge_atom v (Bigint.neg big_m) ]) vars
       in
-      let rec node atoms ranges =
+      let rec node atoms =
         Obs.incr ctr_bb_nodes;
-        let branch v k =
-          (* left: v ≤ k, right: v ≥ k+1; both strictly shrink v's range *)
-          let lo, hi = Var.Map.find v ranges in
-          let left () =
-            Bigint.compare k lo >= 0
-            && node (le_atom v k :: atoms) (Var.Map.add v (lo, Bigint.min hi k) ranges)
-          in
-          let right () =
-            let k1 = Bigint.add k Bigint.one in
-            Bigint.compare k1 hi <= 0
-            && node (ge_atom v k1 :: atoms) (Var.Map.add v (Bigint.max lo k1, hi) ranges)
-          in
-          left () || right ()
-        in
         match Simplex.solve atoms with
         | None -> false
         | Some model -> (
@@ -337,27 +318,14 @@ let bb_is_sat atoms0 =
             in
             match List.find_opt (fun v -> not (Rat.is_integer (value v))) vars with
             | None -> true
-            | Some v -> branch v (floor_rat (value v)))
-        | exception Simplex.Pivot_limit _ ->
-            Obs.incr ctr_pivot_limit;
-            (* no relaxation verdict: bisect the widest remaining range *)
-            let v, (lo, hi) =
-              List.fold_left
-                (fun ((_, (blo, bhi)) as best) v ->
-                  let lo, hi = Var.Map.find v ranges in
-                  if Bigint.compare (Bigint.sub hi lo) (Bigint.sub bhi blo) > 0 then
-                    (v, (lo, hi))
-                  else best)
-                (List.hd vars, Var.Map.find (List.hd vars) ranges)
-                (List.tl vars)
-            in
-            if Bigint.compare lo hi >= 0 then
-              (* every variable is pinned: decide by direct evaluation *)
-              let env v = Some (Rat.of_bigint (fst (Var.Map.find v ranges))) in
-              List.for_all (fun a -> Atom.eval_at env a = Some true) atoms
-            else branch v (fdiv (Bigint.add lo hi) (Bigint.of_int 2))
+            | Some v ->
+                (* left: v ≤ k, right: v ≥ k+1; the relaxation's value lies
+                   strictly between, so both strictly shrink v's range *)
+                let k = floor_rat (value v) in
+                node (le_atom v k :: atoms)
+                || node (ge_atom v (Bigint.add k Bigint.one) :: atoms))
       in
-      node (clamp @ atoms) ranges
+      node (clamp @ atoms)
 
 (* ----- entry points ----- *)
 

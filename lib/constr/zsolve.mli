@@ -22,8 +22,7 @@
     {- {b Branch-and-bound} over {!Simplex.solve} as the completeness
        fallback when the budget runs out: variables are clamped to the
        von zur Gathen–Sieveking solution bound, so branching on fractional
-       relaxation values (or bisecting on a pivot-limit bail) always
-       terminates.}}
+       relaxation values always terminates.}}
 
     Callers normally go through {!Conj.is_sat} with {!Cdomain} set to [Z];
     the direct entry points exist for the property tests and the fuzz
@@ -38,15 +37,8 @@ val tighten_atom : Atom.t -> Atom.t
 val is_sat : Atom.t list -> bool
 (** Exact integer satisfiability of the conjunction: Omega-test
     elimination, falling back to branch-and-bound when the elimination
-    budget is exhausted. *)
+    budget (2,000 eliminations and splinter branches) is exhausted. *)
 
 val is_sat_bb : Atom.t list -> bool
 (** Branch-and-bound only (no Omega elimination) — kept as an independent
     second implementation so the fuzz harness can cross-check the two. *)
-
-val floor_rat : Cql_num.Rat.t -> Cql_num.Bigint.t
-val ceil_rat : Cql_num.Rat.t -> Cql_num.Bigint.t
-
-val default_budget : int
-(** Omega eliminations + splinter branches allowed per {!is_sat} query
-    before handing over to branch-and-bound. *)

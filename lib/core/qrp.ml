@@ -179,7 +179,3 @@ let propagate (res : result) (p : Program.t) : Program.t =
           Hashtbl.add seen q ();
           reach [ q ]);
   Program.dedup_rules { p with Program.rules = List.filter_map Fun.id (Array.to_list folded) }
-
-let gen_prop ?max_iters p =
-  let res = gen ?max_iters p in
-  (propagate res p, res)

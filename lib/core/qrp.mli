@@ -56,5 +56,3 @@ val propagate : result -> Program.t -> Program.t
     definition/unfold/fold sequence, then delete rules unreachable from the
     query predicate.  A propagated predicate [p] is renamed [p'] (see
     {!primed_name}). *)
-
-val gen_prop : ?max_iters:int -> Program.t -> Program.t * result

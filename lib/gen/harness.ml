@@ -19,7 +19,6 @@ type oracle =
   | Bound
   | Cache
   | Update
-  | Tier
   | Relaxation
 
 let oracle_name = function
@@ -30,7 +29,6 @@ let oracle_name = function
   | Bound -> "bound"
   | Cache -> "cache"
   | Update -> "update"
-  | Tier -> "interval"
   | Relaxation -> "relaxation"
 
 type update_op = Insert of F.t | Retract of F.t
@@ -104,20 +102,17 @@ let fm_sat c = Conj.is_tt (Conj.project ~keep:Var.Set.empty c)
 
 let simplex_sat c = Simplex.is_sat (Conj.to_list c)
 
-(* ----- the transparency differentials (oracles 6 and 8) ----- *)
+(* ----- the cache differential (oracle 6) ----- *)
 
 (* Run the heaviest rewrite (the pred/qrp constraint_rewrite fixpoint) and an
-   evaluation of its output under [switch true] and [switch false], each
-   from a fresh cache state, and require an alpha-equivalent rewritten
-   program, identical sorted answers and identical fixpoint status.  The
-   switches are the decision-procedure caches ([Memo.with_caches]), which
-   may only change speed, and the interval disjointness prefilter
-   ([Interval.with_tier]), which may only skip an implication check whose
-   answer is known; [what] names the switch in failure messages. *)
-let check_transparent ~switch ~what ~max_iterations ~max_derivations ~max_iters st p edb =
+   evaluation of its output with the decision-procedure caches on and off
+   ([Memo.with_caches], which starts each run from a fresh cache state),
+   and require an alpha-equivalent rewritten program, identical sorted
+   answers and identical fixpoint status: the caches may only change
+   speed. *)
+let check_cache ~max_iterations ~max_derivations ~max_iters st p edb =
   let run_with on =
-    switch on (fun () ->
-        Memo.clear_all ();
+    Memo.with_caches on (fun () ->
         match Rw.constraint_rewrite ~max_iters p with
         | exception (Invalid_argument _ | Failure _) -> None
         | p', _ ->
@@ -135,15 +130,15 @@ let check_transparent ~switch ~what ~max_iterations ~max_derivations ~max_iters 
       if not (Program.equal_mod_renaming p1 p2) then
         Some
           (Printf.sprintf
-             "constraint_rewrite output differs with %s on vs off:\n--- on ---\n%s\n--- off ---\n%s"
-             what (Program.to_string p1) (Program.to_string p2))
+             "constraint_rewrite output differs with caches on vs off:\n--- on ---\n%s\n--- off ---\n%s"
+             (Program.to_string p1) (Program.to_string p2))
       else if f1 <> f2 || not (List.equal F.equal a1 a2) then
-        Some (Printf.sprintf "evaluation answers differ with %s on vs off" what)
+        Some "evaluation answers differ with caches on vs off"
       else begin
         st.checks <- st.checks + 1;
         None
       end
-  | _ -> Some (Printf.sprintf "constraint_rewrite applicability differs with %s on vs off" what)
+  | _ -> Some "constraint_rewrite applicability differs with caches on vs off"
 
 (* ----- pipelines ----- *)
 
@@ -411,7 +406,7 @@ let check_relaxation ~max_iterations ~max_derivations st p edb =
 let check_case ?tamper ?(max_iterations = 25) ?(max_derivations = 20_000) ?(max_iters = 20)
     ~mode st p edb =
   (* Int-mode cases run every oracle under the integer domain, so the
-     cache/prefilter differentials double as ℤ transparency checks;
+     cache differential doubles as a ℤ transparency check;
      the relaxation oracle below is the only one that crosses domains on
      purpose. *)
   (if mode = Generate.Int then Cdomain.with_domain Cdomain.Z else fun k -> k ()) @@ fun () ->
@@ -439,14 +434,8 @@ let check_case ?tamper ?(max_iterations = 25) ?(max_derivations = 20_000) ?(max_
         match bound_failure with
         | Some detail -> fail Bound "analyze" detail
         | None -> (
-            let check_transparent =
-              check_transparent ~max_iterations ~max_derivations ~max_iters st p edb
-            in
-            match check_transparent ~switch:Memo.with_caches ~what:"caches" with
+            match check_cache ~max_iterations ~max_derivations ~max_iters st p edb with
             | Some detail -> fail Cache "constraint_rewrite" detail
-            | None -> (
-            match check_transparent ~switch:Interval.with_tier ~what:"the interval prefilter" with
-            | Some detail -> fail Tier "constraint_rewrite" detail
             | None -> (
             let relaxation_failure =
               if mode = Generate.Int then
@@ -507,7 +496,7 @@ let check_case ?tamper ?(max_iterations = 25) ?(max_derivations = 20_000) ?(max_
             | None -> (
                 match check_solver_pool st !solver_pool with
                 | Some detail -> fail Solver "solver" detail
-                | None -> None))))))
+                | None -> None)))))
   end
 
 (* ----- shrinking ----- *)

@@ -1,7 +1,7 @@
 (** Differential fuzzing harness: run generated (program, query, EDB) cases
     through every rewrite pipeline and check the equivalence oracles.
 
-    Nine oracles guard the paper's claims and the implementation:
+    Eight oracles guard the paper's claims and the implementation:
 
     + {b Answers} — query-answer equivalence: the rewritten program computes
       exactly the original's query answers (Theorems 4.7/4.8, 6.2, 7.10),
@@ -30,19 +30,13 @@
       the sorted answers, per-predicate fact state, per-fact support counts
       and fixpoint status of a from-scratch re-evaluation of the current
       EDB multiset ({!run_update}, [--mode update]).
-    + {b Tier} — the interval disjointness prefilter
-      ({!Cql_constr.Interval}, consulted only by {!Cql_constr.Cset}) never
-      changes a result: the [constraint_rewrite] output (mod renaming), the
-      sorted answers of its evaluation and the fixpoint status are identical
-      with the prefilter enabled and disabled, each run starting from a
-      fresh cache state (reported as ["interval"]).
     + {b Relaxation} — integer-mode only ([--mode int]): ℤ ⊂ ℚ, so every
       answer the integer-domain evaluation derives must be covered by the
       rational-domain answers of the same program (one-directional — the
       real-shadow FM projection over-approximates, so the converse is
       expected to fail).  Integer-mode cases additionally run {e all} the
       differential oracles above under {!Cql_constr.Cdomain.Z}, which makes
-      the prefilter differential a ℤ transparency check, and swap
+      the cache differential a ℤ transparency check, and swap
       the {b Solver} pair to the two independent exact ℤ procedures (Omega
       elimination vs. branch-and-bound over the rational relaxation).
 
@@ -63,7 +57,6 @@ type oracle =
   | Bound
   | Cache
   | Update
-  | Tier
   | Relaxation
 
 val oracle_name : oracle -> string

@@ -1,5 +1,3 @@
-module Obs = Cql_obs.Obs
-
 type limits = {
   max_program_bytes : int;
   max_inflight_per_tenant : int;
@@ -15,7 +13,7 @@ let default_limits =
     max_iterations = 200;
   }
 
-type tenant_state = { mutable inflight : int; served : Obs.counter; rejected : Obs.counter }
+type tenant_state = { mutable inflight : int; mutable served : int; mutable rejected : int }
 
 type t = { limits : limits; m : Mutex.t; table : (string, tenant_state) Hashtbl.t }
 
@@ -26,19 +24,19 @@ let locked t f =
   Mutex.lock t.m;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
-(* [Obs.counter] returns the existing cell when the name is registered, so
-   re-creating a tenant state after a restart keeps its process totals *)
+(* Clients choose tenant names, so the table is bounded: a new name that
+   finds it full drops every row with nothing in flight (and their totals).
+   A row with requests in flight stays, or its tenant could pass the
+   in-flight cap. *)
+let max_tenants = 1_024
+
 let state t tenant =
   match Hashtbl.find_opt t.table tenant with
   | Some s -> s
   | None ->
-      let s =
-        {
-          inflight = 0;
-          served = Obs.counter (Printf.sprintf "serve.tenant.%s.served" tenant);
-          rejected = Obs.counter (Printf.sprintf "serve.tenant.%s.rejected" tenant);
-        }
-      in
+      if Hashtbl.length t.table >= max_tenants then
+        Hashtbl.filter_map_inplace (fun _ s -> if s.inflight > 0 then Some s else None) t.table;
+      let s = { inflight = 0; served = 0; rejected = 0 } in
       Hashtbl.add t.table tenant s;
       s
 
@@ -53,7 +51,7 @@ let admit t ~tenant ~program_bytes ~max_iterations ~max_derivations =
       let s = state t tenant in
       let l = t.limits in
       let reject mk msg =
-        Obs.incr s.rejected;
+        s.rejected <- s.rejected + 1;
         mk msg
       in
       if program_bytes > l.max_program_bytes then
@@ -76,7 +74,7 @@ let admit t ~tenant ~program_bytes ~max_iterations ~max_derivations =
         | _, Some d when d > l.max_derivations -> over "derivation" d l.max_derivations
         | _ ->
             s.inflight <- s.inflight + 1;
-            Obs.incr s.served;
+            s.served <- s.served + 1;
             Admit
               {
                 max_iterations = Option.value max_iterations ~default:l.max_iterations;
@@ -85,8 +83,9 @@ let admit t ~tenant ~program_bytes ~max_iterations ~max_derivations =
 
 let release t ~tenant =
   locked t (fun () ->
-      let s = state t tenant in
-      s.inflight <- max 0 (s.inflight - 1))
+      match Hashtbl.find_opt t.table tenant with
+      | Some s -> s.inflight <- max 0 (s.inflight - 1)
+      | None -> ())
 
 type tenant_stats = { tenant : string; inflight : int; served : int; rejected : int }
 
@@ -94,12 +93,6 @@ let tenants t =
   locked t (fun () ->
       Hashtbl.fold
         (fun tenant (s : tenant_state) acc ->
-          {
-            tenant;
-            inflight = s.inflight;
-            served = Obs.value s.served;
-            rejected = Obs.value s.rejected;
-          }
-          :: acc)
+          { tenant; inflight = s.inflight; served = s.served; rejected = s.rejected } :: acc)
         t.table [])
   |> List.sort (fun a b -> compare a.tenant b.tenant)

@@ -9,9 +9,11 @@
     enforce ([max_derivations]/[max_iterations] truncation), so a runaway
     program costs at most one capped fixpoint.
 
-    Per-tenant served/rejected totals are lib/obs counters
-    ([serve.tenant.<name>.served] / [.rejected]) and therefore show up in
-    traces and [stats] responses without extra plumbing. *)
+    Each tenant has a row with its in-flight count and its served and
+    rejected totals, which the [stats] op reports ({!tenants}).  Clients
+    choose tenant names, so the table holds at most 1,024 rows: a new name
+    that finds it full first drops every row with nothing in flight, and
+    those tenants' totals with them. *)
 
 type limits = {
   max_program_bytes : int;  (** reject larger program sources as oversized *)
@@ -54,4 +56,4 @@ val release : t -> tenant:string -> unit
 type tenant_stats = { tenant : string; inflight : int; served : int; rejected : int }
 
 val tenants : t -> tenant_stats list
-(** Sorted by tenant name. *)
+(** The rows currently held, sorted by tenant name. *)

@@ -73,6 +73,12 @@ let to_string v =
 
 exception Fail of int * string
 
+(* Requests and replies nest at most 3 levels deep.  The parser recurses
+   once per level, so without a bound one frame of brackets could make it
+   recurse and allocate millions of times before any check ran. *)
+let max_depth = 64
+let too_deep = Printf.sprintf "nesting deeper than %d levels" max_depth
+
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
@@ -197,12 +203,16 @@ let parse s =
     if !fractional then Float (float_of_string text)
     else match int_of_string_opt text with Some i -> Int i | None -> Float (float_of_string text)
   in
-  let rec parse_value () =
+  (* [depth] counts the arrays and objects the value sits inside.  The
+     inner loops take it as an argument instead of capturing it, so the
+     bound adds no allocation to a parse (clients parse every reply). *)
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
     | Some '"' -> Str (parse_string ())
     | Some '{' ->
+        if depth >= max_depth then fail too_deep;
         advance ();
         skip_ws ();
         if peek () = Some '}' then begin
@@ -211,25 +221,26 @@ let parse s =
         end
         else begin
           let items = ref [] in
-          let rec members () =
+          let rec members inner =
             skip_ws ();
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value inner in
             items := (k, v) :: !items;
             skip_ws ();
             match peek () with
             | Some ',' ->
                 advance ();
-                members ()
+                members inner
             | Some '}' -> advance ()
             | _ -> fail "expected ',' or '}'"
           in
-          members ();
+          members (depth + 1);
           Obj (List.rev !items)
         end
     | Some '[' ->
+        if depth >= max_depth then fail too_deep;
         advance ();
         skip_ws ();
         if peek () = Some ']' then begin
@@ -238,18 +249,18 @@ let parse s =
         end
         else begin
           let items = ref [] in
-          let rec elements () =
-            let v = parse_value () in
+          let rec elements inner =
+            let v = parse_value inner in
             items := v :: !items;
             skip_ws ();
             match peek () with
             | Some ',' ->
                 advance ();
-                elements ()
+                elements inner
             | Some ']' -> advance ()
             | _ -> fail "expected ',' or ']'"
           in
-          elements ();
+          elements (depth + 1);
           List (List.rev !items)
         end
     | Some 't' -> literal "true" (Bool true)
@@ -259,7 +270,7 @@ let parse s =
     | Some c -> fail (Printf.sprintf "unexpected character %C" c)
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos < n then fail "trailing content after the document";
     v

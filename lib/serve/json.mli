@@ -19,7 +19,8 @@ type t =
 
 val parse : string -> (t, string) result
 (** Parse one JSON document; the error names the byte offset.  Trailing
-    whitespace is allowed, trailing content is an error. *)
+    whitespace is allowed, trailing content is an error, and so is an
+    array or object nested more than 64 levels deep. *)
 
 val to_string : t -> string
 (** Compact form, no newlines; strings escaped per RFC 8259 ([\uXXXX] for

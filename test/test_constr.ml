@@ -289,14 +289,31 @@ let test_implication_table () =
     (fun (label, d, ds, expected) ->
       let cs = Cset.of_disjuncts (List.map conj ds) in
       List.iter
-        (fun (caches, tier) ->
-          let got =
-            Memo.with_caches caches (fun () ->
-                Interval.with_tier tier (fun () -> Cset.conj_implies (conj d) cs))
-          in
-          check_bool (Printf.sprintf "%s (caches %b, boxes %b)" label caches tier) expected got)
-        [ (true, true); (true, false); (false, true); (false, false) ])
+        (fun caches ->
+          let got = Memo.with_caches caches (fun () -> Cset.conj_implies (conj d) cs) in
+          check_bool (Printf.sprintf "%s (caches %b)" label caches) expected got)
+        [ true; false ])
     implication_cases
+
+let test_cset_prune_multi () =
+  (* three disjuncts: (0<=X<=1) | (0<=X<=3) | (5<=X<=6); the first is
+     subsumed by the second, the third is disjoint from both *)
+  let d1 = conj [ Atom.ge vx (n 0); Atom.le vx (n 1) ] in
+  let d2 = conj [ Atom.ge vx (n 0); Atom.le vx (n 3) ] in
+  let d3 = conj [ Atom.ge vx (n 5); Atom.le vx (n 6) ] in
+  let cs = Cset.or_ (Cset.of_disjuncts [ d1; d2 ]) (Cset.of_conj d3) in
+  check_int "two disjuncts survive" 2 (Cset.num_disjuncts cs);
+  check_bool "subsumed disjunct gone" false (List.exists (Conj.equal d1) (Cset.disjuncts cs));
+  check_bool "incomparable pair kept" true
+    (List.exists (Conj.equal d2) (Cset.disjuncts cs)
+    && List.exists (Conj.equal d3) (Cset.disjuncts cs));
+  (* a 2-disjunct set of incomparable disjuncts survives prune intact *)
+  check_int "incomparable pair intact" 2
+    (Cset.num_disjuncts (Cset.or_ (Cset.of_conj d2) (Cset.of_conj d3)));
+  (* a conjunction disjoint from every disjunct implies none of them *)
+  let far = conj [ Atom.ge vx (n 10); Atom.le vx (n 11) ] in
+  check_bool "disjoint conj_implies is false" false
+    (Cset.conj_implies far (Cset.of_disjuncts [ d1; d3 ]))
 
 let test_cset_and () =
   let a = Cset.of_disjuncts [ conj [ Atom.le vx (n 1) ]; conj [ Atom.ge vx (n 5) ] ] in
@@ -611,43 +628,6 @@ let test_simplex_units () =
       check_bool "x < y in the model" true
         (Simplex.Qeps.compare (value x) (value y) < 0)
 
-let test_pivot_limit () =
-  (* needs one pivot per lower-bounded variable: 2 pivots total, so a
-     budget of 1 must trip *)
-  let atoms = [ Atom.ge vx (n 1); Atom.ge vy (n 1); Atom.le (Linexpr.add vx vy) (n 10) ] in
-  check_bool "fits under the default budget" true (Simplex.is_sat atoms);
-  (match Simplex.with_pivot_limit 1 (fun () -> Simplex.is_sat atoms) with
-  | exception Simplex.Pivot_limit { pivots } ->
-      check_int "budget spent when raising" 1 pivots
-  | _ -> Alcotest.fail "expected Pivot_limit");
-  (* the limit is restored on the way out *)
-  check_bool "limit restored after with_pivot_limit" true (Simplex.is_sat atoms);
-  (* single-pivot systems still decide under budget 1 *)
-  check_bool "one pivot fits in budget 1" true
-    (Simplex.with_pivot_limit 1 (fun () -> Simplex.is_sat [ Atom.ge vx (n 1) ]))
-
-let test_pivot_limit_fm_fallback () =
-  Memo.clear_all ();
-  Obs.zero "solver.";
-  (* fresh conjunctions (constants unused elsewhere) so the sat memo can't
-     already hold an answer computed without the tiny budget *)
-  let sat_c =
-    conj [ Atom.ge vx (n 101); Atom.ge vy (n 102); Atom.le (Linexpr.add vx vy) (n 1000) ]
-  in
-  let unsat_c =
-    conj [ Atom.ge vx (n 103); Atom.ge vy (n 104); Atom.le (Linexpr.add vx vy) (n 5) ]
-  in
-  let r_sat, r_unsat =
-    Simplex.with_pivot_limit 1 (fun () -> (Conj.is_sat sat_c, Conj.is_sat unsat_c))
-  in
-  check_bool "FM fallback: sat" true r_sat;
-  check_bool "FM fallback: unsat" false r_unsat;
-  check_int "both limit hits counted" 2 (count "solver.pivot_limit_hits");
-  (* the fallback answers were memoized like any other *)
-  check_bool "memoized sat answer" true (Conj.is_sat sat_c);
-  check_bool "memoized unsat answer" false (Conj.is_sat unsat_c);
-  check_int "memo hits add no further limit hits" 2 (count "solver.pivot_limit_hits")
-
 let test_qeps_order () =
   let open Simplex.Qeps in
   let one = of_rat Q.one in
@@ -711,49 +691,6 @@ let prop_negate_conj_complement =
   QCheck.Test.make ~name:"negate_conj is pointwise complement" ~count:200
     (QCheck.make QCheck.Gen.(pair conj_gen point_gen)) (fun (c, env) ->
       eval_cset env (Cset.negate_conj c) = not (eval_conj env c))
-
-(* the disjointness prefilter never changes a pruned cset or a cset
-   implication, only how it is computed (fresh caches on both sides);
-   [Cset.or_] and [Cset.conj_implies] are the only calls that consult it *)
-let cset_calls_with_tier (a, b, c) on =
-  Interval.with_tier on (fun () ->
-      Memo.with_caches true (fun () ->
-          let cs = Cset.or_ (Cset.of_disjuncts [ a; b ]) (Cset.of_conj c) in
-          let ci = Cset.conj_implies a (Cset.of_disjuncts [ b; c ]) in
-          (Cset.to_string cs, ci)))
-
-let prop_interval_transparent =
-  QCheck.Test.make ~name:"interval tier is result-transparent" ~count:300
-    (QCheck.make QCheck.Gen.(triple conj_gen conj_gen conj_gen)) (fun abc ->
-      cset_calls_with_tier abc true = cset_calls_with_tier abc false)
-
-(* univariate bounds give the boxes edges, so a fair share of generated
-   pairs come out box-disjoint *)
-let boxy_conj_gen =
-  QCheck.Gen.(
-    let bound =
-      map3
-        (fun i k op ->
-          let v = Linexpr.var vars_pool.(i) in
-          match op with
-          | 0 -> Atom.le v (n k)
-          | 1 -> Atom.ge v (n k)
-          | 2 -> Atom.lt v (n k)
-          | _ -> Atom.gt v (n k))
-        (int_range 0 1) (int_range (-4) 4) (int_range 0 3)
-    in
-    map Conj.of_list (list_size (int_range 1 4) (frequency [ (2, bound); (1, atom_gen) ])))
-
-(* the invariant that makes the prefilter transparent: a box-disjoint pair
-   has no common solution, over Q and over Z *)
-let prop_disjoint_sound =
-  QCheck.Test.make ~name:"box-disjoint conjunctions share no solution" ~count:500
-    (QCheck.make QCheck.Gen.(pair boxy_conj_gen boxy_conj_gen)) (fun (d, d') ->
-      List.for_all
-        (fun dom ->
-          Cdomain.with_domain dom (fun () ->
-              (not (Interval.disjoint d d')) || not (Conj.is_sat (Conj.and_ d d'))))
-        [ Cdomain.Q; Cdomain.Z ])
 
 (* ----- structural terms and memoization ----- *)
 
@@ -865,10 +802,7 @@ let test_memo_registry () =
           let name = "solver.memo." ^ cache ^ k in
           check_bool (name ^ " registered") true (List.mem name registered))
         [ ".hits"; ".misses" ])
-    [
-      "conj_is_sat"; "conj_implies"; "conj_project"; "conj_simplify"; "conj_ztighten";
-      "interval_env";
-    ]
+    [ "conj_is_sat"; "conj_implies"; "conj_project"; "conj_simplify"; "conj_ztighten" ]
 
 let test_memo_clear_all () =
   Memo.clear_all ();
@@ -899,84 +833,6 @@ let test_memo_with_caches_off () =
   check_bool "caches change nothing but speed" true (cached = uncached);
   check_bool "enabled restored" true !Memo.enabled;
   check_int "fresh state on exit" 0 (total_entries ())
-
-(* ----- the disjointness prefilter ----- *)
-
-let itv_disjoint atoms atoms' = Interval.disjoint (conj atoms) (conj atoms')
-
-let test_interval_verdicts () =
-  (* an empty box is disjoint from anything, the empty conjunction too *)
-  check_bool "empty box" true (itv_disjoint [ Atom.le vx (n 0); Atom.ge vx (n 1) ] []);
-  check_bool "strictly empty box" true
-    (itv_disjoint [ Atom.lt vx (n 1); Atom.ge vx (n 1) ] [ Atom.ge vy (n 0) ]);
-  check_bool "nonempty box meets the whole space" false
-    (itv_disjoint [ Atom.ge vx (n 0); Atom.le vx (n 4) ] []);
-  (* an equality pins a point box *)
-  check_bool "point box misses a bound past it" true
-    (itv_disjoint [ Atom.eq vx (n 5) ] [ Atom.ge vx (n 6) ]);
-  check_bool "point box meets a bound through it" false
-    (itv_disjoint [ Atom.eq vx (n 5) ] [ Atom.ge vx (n 5) ]);
-  (* one-unknown propagation through a two-variable atom *)
-  check_bool "propagated empty box" true
-    (itv_disjoint [ Atom.le (Linexpr.add vx vy) (n 4); Atom.ge vx (n 2); Atom.ge vy (n 3) ] []);
-  check_bool "propagated bound separates" true
-    (itv_disjoint
-       [ Atom.le (Linexpr.add vx vy) (n 4); Atom.ge vx (n 2); Atom.ge vy (n 0) ]
-       [ Atom.ge vx (n 5) ]);
-  (* purely relational conjunctions are beyond the box: maybe compatible *)
-  check_bool "relational cycle has no box" false
-    (itv_disjoint [ Atom.le vx vy; Atom.le vy vz; Atom.le vz vx ] [ Atom.ge vx (n 5) ]);
-  check_bool "relational contradiction is beyond the box" false
-    (itv_disjoint [ Atom.lt vx vy; Atom.lt vy vx ] []);
-  (* pairwise box disjointness *)
-  check_bool "separated intervals" true (itv_disjoint [ Atom.le vx (n 1) ] [ Atom.ge vx (n 5) ]);
-  check_bool "touching closed intervals meet" false
-    (itv_disjoint [ Atom.le vx (n 2) ] [ Atom.ge vx (n 2) ]);
-  check_bool "touching open intervals are disjoint" true
-    (itv_disjoint [ Atom.lt vx (n 2) ] [ Atom.ge vx (n 2) ]);
-  check_bool "different variables never separate" false
-    (itv_disjoint [ Atom.le vx (n 1) ] [ Atom.ge vy (n 5) ])
-
-let test_cset_prune_multi () =
-  (* three disjuncts: (0<=X<=1) | (0<=X<=3) | (5<=X<=6); the first is
-     subsumed by the second, the third is box-disjoint from both *)
-  let d1 = conj [ Atom.ge vx (n 0); Atom.le vx (n 1) ] in
-  let d2 = conj [ Atom.ge vx (n 0); Atom.le vx (n 3) ] in
-  let d3 = conj [ Atom.ge vx (n 5); Atom.le vx (n 6) ] in
-  let check_pruned label cs =
-    check_int (label ^ ": two disjuncts survive") 2 (Cset.num_disjuncts cs);
-    check_bool (label ^ ": subsumed disjunct gone") false
-      (List.exists (Conj.equal d1) (Cset.disjuncts cs));
-    check_bool (label ^ ": incomparable pair kept") true
-      (List.exists (Conj.equal d2) (Cset.disjuncts cs)
-      && List.exists (Conj.equal d3) (Cset.disjuncts cs))
-  in
-  Memo.clear_all ();
-  Obs.zero "solver.";
-  let pruned on =
-    Interval.with_tier on (fun () ->
-        Cset.or_ (Cset.of_disjuncts [ d1; d2 ]) (Cset.of_conj d3))
-  in
-  let with_on = pruned true in
-  check_bool "disjoint prefilter fired" true (count "solver.interval.disjoint_hits" > 0);
-  let with_off = pruned false in
-  check_pruned "tier on" with_on;
-  check_pruned "tier off" with_off;
-  check_bool "tier changes nothing" true (Cset.equal with_on with_off);
-  (* a 2-disjunct set of incomparable disjuncts survives prune intact *)
-  check_int "incomparable pair intact" 2
-    (Cset.num_disjuncts (Cset.or_ (Cset.of_conj d2) (Cset.of_conj d3)));
-  (* conj_implies bails early when the left side is box-disjoint from every
-     disjunct: no DNF residue is built *)
-  Obs.zero "solver.";
-  let far = conj [ Atom.ge vx (n 10); Atom.le vx (n 11) ] in
-  Interval.with_tier true (fun () ->
-      check_bool "disjoint conj_implies is false" false
-        (Cset.conj_implies far (Cset.of_disjuncts [ d1; d3 ])));
-  check_bool "early bail counted" true (count "solver.interval.disjoint_hits" > 0);
-  Interval.with_tier false (fun () ->
-      check_bool "exact tier agrees" false
-        (Cset.conj_implies far (Cset.of_disjuncts [ d1; d3 ])))
 
 (* ----- the integer domain: tightening, Omega elimination, B&B ----- *)
 
@@ -1046,46 +902,7 @@ let test_int_counters () =
   check_bool "sat checks counted" true (count "solver.int.sat_checks" >= 1);
   check_bool "tightened atoms counted" true (count "solver.int.tightened_atoms" >= 2)
 
-(* integer boxes round every bound inward to a closed integer endpoint:
-   endpoint-touching cases where the rational and the integer box differ *)
-
-let test_interval_z_verdicts () =
-  let zdisjoint atoms atoms' =
-    Cdomain.with_domain Cdomain.Z (fun () -> itv_disjoint atoms atoms')
-  in
-  let half = [ Atom.ge (scale2 vx) (n 1); Atom.le (scale2 vx) (n 1) ] in
-  check_bool "half-point box over Q" false (itv_disjoint half []);
-  check_bool "half-point box rounds empty over Z" true (zdisjoint half []);
-  (* the open interval (2, 3): sat over Q, no integer inside *)
-  let gap = [ Atom.gt vx (n 2); Atom.lt vx (n 3) ] in
-  check_bool "open unit gap over Q" false (itv_disjoint gap []);
-  check_bool "open unit gap empty over Z" true (zdisjoint gap []);
-  (* touching an integer endpoint survives the rounding *)
-  let endpoint = [ Atom.ge (scale2 vx) (n 4); Atom.le vx (n 2) ] in
-  check_bool "integer endpoint survives" false (zdisjoint endpoint []);
-  check_bool "integer endpoint meets it" false (zdisjoint endpoint [ Atom.ge vx (n 2) ]);
-  check_bool "integer endpoint bounds the box" true (zdisjoint endpoint [ Atom.gt vx (n 2) ]);
-  let unit_width = [ Atom.ge (scale3 vx) (n 2); Atom.le (scale3 vx) (n 4) ] in
-  check_bool "interval containing an integer survives" false (zdisjoint unit_width []);
-  (* strict bounds close over Z: x < 2 and x > 1 share no integer *)
-  check_bool "open bounds one apart are disjoint over Z" true
-    (zdisjoint [ Atom.lt vx (n 2) ] [ Atom.gt vx (n 1) ]);
-  check_bool "open bounds one apart meet over Q" false
-    (itv_disjoint [ Atom.lt vx (n 2) ] [ Atom.gt vx (n 1) ]);
-  (* every disjoint verdict above matches the exact integer answer *)
-  List.iter
-    (fun (label, atoms, atoms') ->
-      if zdisjoint atoms atoms' then
-        check_bool (label ^ ": disjoint boxes are Z-unsat together") false
-          (Zsolve.is_sat (atoms @ atoms')))
-    [
-      ("half", half, []);
-      ("gap", gap, []);
-      ("endpoint", endpoint, [ Atom.gt vx (n 2) ]);
-      ("open bounds", [ Atom.lt vx (n 2) ], [ Atom.gt vx (n 1) ]);
-    ]
-
-let test_z_tier_endpoints () =
+let test_z_endpoints () =
   (* Conj.is_sat under Z agrees with Zsolve on the endpoint cases *)
   let cases =
     [
@@ -1160,12 +977,6 @@ let prop_z_relaxation =
     (QCheck.make bigger_conj_gen) (fun atoms ->
       (not (Zsolve.is_sat atoms)) || Simplex.is_sat atoms)
 
-let prop_z_tier_transparent =
-  QCheck.Test.make ~name:"interval tier is result-transparent over Z" ~count:300
-    (QCheck.make QCheck.Gen.(triple conj_gen conj_gen conj_gen)) (fun abc ->
-      Cdomain.with_domain Cdomain.Z (fun () ->
-          cset_calls_with_tier abc true = cset_calls_with_tier abc false))
-
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "constr"
@@ -1196,6 +1007,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_cset_basics;
           Alcotest.test_case "implication" `Quick test_cset_implies;
           Alcotest.test_case "implication table" `Quick test_implication_table;
+          Alcotest.test_case "prune multi-disjunct" `Quick test_cset_prune_multi;
           Alcotest.test_case "conjunction" `Quick test_cset_and;
           Alcotest.test_case "disjointify" `Quick test_cset_disjointify;
           Alcotest.test_case "weaken_to_one" `Quick test_cset_weaken_to_one;
@@ -1204,9 +1016,6 @@ let () =
       ( "simplex",
         [
           Alcotest.test_case "units" `Quick test_simplex_units;
-          Alcotest.test_case "pivot limit" `Quick test_pivot_limit;
-          Alcotest.test_case "pivot limit FM fallback" `Quick
-            test_pivot_limit_fm_fallback;
           Alcotest.test_case "qeps ordering" `Quick test_qeps_order;
         ] );
       ( "memo",
@@ -1216,11 +1025,6 @@ let () =
           Alcotest.test_case "registry is the one source" `Quick test_memo_registry;
           Alcotest.test_case "clear_all" `Quick test_memo_clear_all;
           Alcotest.test_case "with_caches off" `Quick test_memo_with_caches_off;
-        ] );
-      ( "interval",
-        [
-          Alcotest.test_case "verdicts" `Quick test_interval_verdicts;
-          Alcotest.test_case "cset prune multi-disjunct" `Quick test_cset_prune_multi;
         ] );
       ( "extra",
         [
@@ -1239,8 +1043,6 @@ let () =
             prop_cset_or_is_union;
             prop_cset_and_is_intersection;
             prop_negate_conj_complement;
-            prop_interval_transparent;
-            prop_disjoint_sound;
             prop_sat_sound;
             prop_project_sound;
             prop_implies_sound;
@@ -1254,8 +1056,7 @@ let () =
           Alcotest.test_case "tightening rules" `Quick test_ztighten_rules;
           Alcotest.test_case "Z satisfiability" `Quick test_zsat_basics;
           Alcotest.test_case "solver.int counters" `Quick test_int_counters;
-          Alcotest.test_case "interval Z verdicts" `Quick test_interval_z_verdicts;
-          Alcotest.test_case "tier endpoints over Z" `Quick test_z_tier_endpoints;
+          Alcotest.test_case "Conj.is_sat endpoints over Z" `Quick test_z_endpoints;
         ] );
       ( "integer-properties",
         qt
@@ -1264,6 +1065,5 @@ let () =
             prop_z_sound;
             prop_omega_bb_agree;
             prop_z_relaxation;
-            prop_z_tier_transparent;
           ] );
     ]

@@ -78,9 +78,9 @@ let prop_int_well_formed =
       Program.check p = Ok () && Program.is_range_restricted p)
 
 let test_oracles_int () =
-  (* int mode runs every case under the ℤ domain (so the cache, parallel,
-     interval and compiled differentials double as ℤ-transparency checks)
-     plus the rational-relaxation coverage oracle *)
+  (* int mode runs every case under the ℤ domain (so the cache and
+     indexing differentials double as ℤ-transparency checks) plus the
+     rational-relaxation coverage oracle *)
   let s = H.run ~config:(G.default G.Int) ~seed:42 ~count:40 () in
   check_bool "no failure" true (s.H.failure = None);
   check_bool "some cases evaluated" true (s.H.stats.H.evaluated > 0);
@@ -89,29 +89,6 @@ let test_oracles_int () =
     (H.oracle_name H.Relaxation = "relaxation");
   (* the run restores the caller's domain *)
   check_bool "domain restored" true (Cql_constr.Cdomain.current () = Cql_constr.Cdomain.Q)
-
-(* ----- the interval-tier transparency oracle ----- *)
-
-let test_interval_tier_oracle () =
-  (* the tier differential runs inside every check_case, so a clean run
-     means zero tier-on/tier-off mismatches across the generated cases *)
-  let s = H.run ~seed:7 ~count:40 () in
-  check_bool "no failure" true (s.H.failure = None);
-  check_bool "oracle checks happened" true (s.H.stats.H.checks > 0);
-  (* the oracle name round-trips for --mode wiring and failure reports *)
-  check_bool "interval oracle is addressable" true
-    (H.oracle_name H.Tier = "interval");
-  (* an explicit case checked with the tier pinned off also passes: the
-     differential really compares two different code paths and restores the
-     caller's tier state afterwards *)
-  let rng = Rng.create 21 in
-  let p, edb = G.case rng (G.default G.Decidable) in
-  let prev = Cql_constr.Interval.enabled () in
-  check_bool "case passes with the tier off" true
-    (Cql_constr.Interval.with_tier false (fun () ->
-         H.check_case ~mode:G.Decidable (H.new_stats ()) p edb)
-    = None);
-  check_bool "tier state restored" true (Cql_constr.Interval.enabled () = prev)
 
 (* ----- silent pred/QRP fallbacks are counted ----- *)
 
@@ -310,7 +287,6 @@ let () =
           Alcotest.test_case "decidable mode, oracles pass" `Quick test_oracles_decidable;
           Alcotest.test_case "linear mode, oracles pass" `Quick test_oracles_linear;
           Alcotest.test_case "int mode, oracles pass" `Quick test_oracles_int;
-          Alcotest.test_case "interval tier transparency" `Quick test_interval_tier_oracle;
           Alcotest.test_case "injected bug caught and shrunk" `Quick test_injected_bug_caught;
           Alcotest.test_case "typed generator exhaustion" `Quick test_generate_exhausted;
           Alcotest.test_case "reseeded retry recovers" `Quick test_exhausted_reseed_retry;

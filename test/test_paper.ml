@@ -187,20 +187,6 @@ let test_fib_no_answer_terminates () =
   check_bool "terminates" true (Engine.stats res).Engine.reached_fixpoint;
   check_bool "no answers" true (Engine.answers res (parse fib_src) = [])
 
-(* The pred/QRP fixpoints on Example 1.2 build constraint sets whose
-   disjuncts are mostly box-disjoint; the interval prefilter in Cset skips
-   the implication check for each such pair.  Without it the same rewrite
-   pays over a thousand checks here, and [cqlopt rewrite] on the fib
-   example runs for minutes. *)
-let test_fib_prefilter () =
-  let module Obs = Cql_obs.Obs in
-  Memo.clear_all ();
-  Obs.zero "solver.";
-  ignore (Rewrite.sequence ~max_iters:10 [ Rewrite.Pred; Rewrite.Qrp ] (parse fib_src));
-  let count name = Obs.value (Obs.counter name) in
-  check_bool "under 200 implication checks" true (count "solver.implies_checks" < 200);
-  check_bool "prefilter skipped pairs" true (count "solver.interval.disjoint_hits" > 0)
-
 (* ----- Example 6.1: GMT ----- *)
 
 let ex61_src =
@@ -557,8 +543,6 @@ let () =
           Alcotest.test_case "Table 1 (diverging fib)" `Quick test_table1;
           Alcotest.test_case "Table 2 (terminating fib)" `Quick test_table2;
           Alcotest.test_case "fib(N,6) answers no (Example 4.4)" `Quick test_fib_no_answer_terminates;
-          Alcotest.test_case "Example 1.2 rewrite uses the disjointness prefilter" `Quick
-            test_fib_prefilter;
         ] );
       ( "gmt",
         [

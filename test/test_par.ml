@@ -225,50 +225,12 @@ let test_concurrent_generated_cases () =
       | _ -> Alcotest.failf "%s: constraint_rewrite applies on one side only" name)
     (List.combine sequential concurrent)
 
-(* one request's scoped pivot budget must not leak into a concurrent
-   request on another domain (the budget override is per-domain) *)
-let test_pivot_limit_isolation () =
-  (* needs one pivot per lower-bounded variable: 2 pivots, so budget 1 trips *)
-  let atoms =
-    [
-      Atom.ge (Linexpr.var (Var.arg 1)) (Linexpr.of_int 1);
-      Atom.ge (Linexpr.var (Var.arg 2)) (Linexpr.of_int 1);
-      Atom.le (Linexpr.add (Linexpr.var (Var.arg 1)) (Linexpr.var (Var.arg 2)))
-        (Linexpr.of_int 10);
-    ]
-  in
-  let in_override = Atomic.make false in
-  let release = Atomic.make false in
-  let constrained =
-    Domain.spawn (fun () ->
-        Simplex.with_pivot_limit 1 (fun () ->
-            let tripped =
-              match Simplex.is_sat atoms with
-              | _ -> false
-              | exception Simplex.Pivot_limit _ -> true
-            in
-            Atomic.set in_override true;
-            while not (Atomic.get release) do
-              Domain.cpu_relax ()
-            done;
-            tripped))
-  in
-  (* solve here strictly while the other domain holds its budget-1 scope *)
-  while not (Atomic.get in_override) do
-    Domain.cpu_relax ()
-  done;
-  let unaffected = match Simplex.is_sat atoms with s -> s | exception _ -> false in
-  Atomic.set release true;
-  check_bool "override effective on its own domain" true (Domain.join constrained);
-  check_bool "concurrent domain keeps the process default" true unaffected
-
 let () =
   Alcotest.run "concurrency"
     [
       ( "reentrancy",
         [
           Alcotest.test_case "two concurrent fixpoints" `Quick test_concurrent_fixpoints;
-          Alcotest.test_case "pivot-limit isolation" `Quick test_pivot_limit_isolation;
           Alcotest.test_case "generated cases as pool jobs" `Quick
             test_concurrent_generated_cases;
         ] );

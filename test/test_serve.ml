@@ -61,6 +61,20 @@ let test_json_errors () =
   | Error msg -> check_bool "offset in message" true (String.length msg > 0)
   | Ok _ -> Alcotest.fail "expected error"
 
+let nested_brackets k = String.make k '[' ^ String.make k ']'
+
+let test_json_depth () =
+  check_bool "64 nested arrays parse" true (Result.is_ok (Json.parse (nested_brackets 64)));
+  check_bool "65 nested arrays are an error" true
+    (Result.is_error (Json.parse (nested_brackets 65)));
+  let objects k =
+    String.concat "" (List.init k (fun _ -> {|{"a": |})) ^ "1" ^ String.make k '}'
+  in
+  check_bool "64 nested objects parse" true (Result.is_ok (Json.parse (objects 64)));
+  check_bool "65 nested objects are an error" true (Result.is_error (Json.parse (objects 65)));
+  check_bool "100,000 nested brackets are an error" true
+    (Result.is_error (Json.parse (nested_brackets 100_000)))
+
 let test_json_accessors () =
   let j = Result.get_ok (Json.parse {|{"a": 7, "b": "x", "c": [1], "d": 2.0}|}) in
   check_bool "member hit" true (Json.member "a" j = Some (Json.Int 7));
@@ -348,6 +362,39 @@ let test_admission () =
   | Admission.Admit _ -> ()
   | _ -> Alcotest.fail "per-tenant isolation"
 
+(* clients choose tenant names: a stream of new names must not grow the
+   table or the counter registry *)
+let test_admission_tenant_rows () =
+  let adm = Admission.create Admission.default_limits in
+  let admit tenant =
+    Admission.admit adm ~tenant ~program_bytes:10 ~max_iterations:None ~max_derivations:None
+  in
+  let counters = List.length (Obs.counters ()) in
+  (* a tenant at its in-flight cap before the stream *)
+  let cap = Admission.default_limits.Admission.max_inflight_per_tenant in
+  for _ = 1 to cap do
+    match admit "busy" with Admission.Admit _ -> () | _ -> Alcotest.fail "busy should admit"
+  done;
+  for i = 1 to 3_000 do
+    let tenant = Printf.sprintf "tenant-%d" i in
+    (match admit tenant with
+    | Admission.Admit _ -> ()
+    | _ -> Alcotest.failf "%s rejected" tenant);
+    Admission.release adm ~tenant
+  done;
+  check_int "no counter per tenant" counters (List.length (Obs.counters ()));
+  let rows = Admission.tenants adm in
+  check_bool "at most 1,024 rows" true (List.length rows <= 1_024);
+  (* rows with requests in flight are kept, so the cap still holds *)
+  check_bool "the busy row is kept" true
+    (List.exists
+       (fun (r : Admission.tenant_stats) ->
+         r.Admission.tenant = "busy" && r.Admission.inflight = cap && r.Admission.served = cap)
+       rows);
+  match admit "busy" with
+  | Admission.Reject_busy _ -> ()
+  | _ -> Alcotest.fail "the in-flight cap outlived the dropped rows"
+
 (* ----- load-generator percentiles ----- *)
 
 (* nearest rank: of 100 sorted samples, p50 is the 50th and p99 the 99th *)
@@ -531,7 +578,8 @@ let test_server_malformed_frames () =
           | Error e -> Alcotest.failf "expected a response, got %s" (Protocol.frame_error_to_string e));
           check_bool "connection closed after bad header" true
             (Protocol.read_frame r = Error Protocol.Closed));
-      (* unparseable JSON in a well-formed frame: structured error, stream keeps going *)
+      (* unparseable or too deeply nested JSON in a well-formed frame:
+         structured error, stream keeps going *)
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.connect fd (Unix.ADDR_UNIX socket);
       Fun.protect
@@ -539,16 +587,25 @@ let test_server_malformed_frames () =
         (fun () ->
           let send s = ignore (Unix.write_substring fd s 0 (String.length s)) in
           let r = Protocol.reader (fun buf off len -> Unix.read fd buf off len) in
-          let payload = "{\"op\": \"eval\",}\n" in
-          send (Printf.sprintf "%d\n%s" (String.length payload) payload);
-          (match Protocol.read_frame r with
-          | Ok resp ->
-              let j = Result.get_ok (Json.parse resp) in
-              check_bool "bad JSON is a malformed response" true
-                (Option.bind (Json.member "error" j)
-                   (fun e -> Option.bind (Json.member "kind" e) Json.to_str)
-                = Some "malformed")
-          | Error e -> Alcotest.failf "expected a response, got %s" (Protocol.frame_error_to_string e));
+          let malformed payload =
+            send (Printf.sprintf "%d\n%s\n" (String.length payload + 1) payload);
+            match Protocol.read_frame r with
+            | Ok resp ->
+                let j = Result.get_ok (Json.parse resp) in
+                if Client.error_kind j = Some "malformed" then Client.error_message j else None
+            | Error e ->
+                Alcotest.failf "expected a response, got %s" (Protocol.frame_error_to_string e)
+          in
+          check_bool "bad JSON is a malformed response" true
+            (malformed "{\"op\": \"eval\",}" <> None);
+          check_bool "100,000 nested brackets are refused by the depth bound" true
+            (match malformed (nested_brackets 100_000) with
+            | Some msg ->
+                let rec has i =
+                  i + 7 <= String.length msg && (String.sub msg i 7 = "nesting" || has (i + 1))
+                in
+                has 0
+            | None -> false);
           (* the same connection still answers a valid request *)
           let b = Buffer.create 64 in
           Protocol.write_frame b (Protocol.ping_request_json ());
@@ -884,6 +941,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "unicode escapes" `Quick test_json_unicode;
           Alcotest.test_case "parse errors" `Quick test_json_errors;
+          Alcotest.test_case "nesting depth" `Quick test_json_depth;
           Alcotest.test_case "accessors" `Quick test_json_accessors;
           Alcotest.test_case "float printing" `Quick test_json_float_printing;
           Alcotest.test_case "integer bounds" `Quick test_json_int_bounds;
@@ -897,7 +955,11 @@ let () =
         ] );
       ( "requests", [ Alcotest.test_case "decoding" `Quick test_request_of_json ] );
       ( "plan-cache", [ Alcotest.test_case "LRU + counters" `Quick test_plan_cache_lru ] );
-      ( "admission", [ Alcotest.test_case "verdicts" `Quick test_admission ] );
+      ( "admission",
+        [
+          Alcotest.test_case "verdicts" `Quick test_admission;
+          Alcotest.test_case "tenant rows stay bounded" `Quick test_admission_tenant_rows;
+        ] );
       ( "loadgen",
         [ Alcotest.test_case "nearest-rank percentiles" `Quick test_loadgen_percentile ] );
       ( "server",
