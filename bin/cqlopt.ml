@@ -60,8 +60,7 @@ let domain_arg =
   Arg.(value & opt domain_conv Cql_constr.Cdomain.Q & info [ "domain" ] ~docv:"D"
          ~doc:"Constraint domain: rat (the paper's rational setting, the default) \
                or int (decide every constraint exactly over the integers: \
-               per-atom tightening, Omega-test elimination, branch-and-bound \
-               fallback)")
+               per-atom tightening, then Omega-test elimination)")
 
 (* ----- analyze ----- *)
 

@@ -5,7 +5,6 @@ let ctr_sat = Obs.counter "solver.int.sat_checks"
 let ctr_tightened = Obs.counter "solver.int.tightened_atoms"
 let ctr_omega = Obs.counter "solver.int.omega_eliminations"
 let ctr_splinters = Obs.counter "solver.int.splinters"
-let ctr_bb_fallbacks = Obs.counter "solver.int.bb_fallbacks"
 let ctr_bb_nodes = Obs.counter "solver.int.bb_nodes"
 
 (* ----- floor arithmetic ----- *)
@@ -62,11 +61,6 @@ let tighten_atom (a : Atom.t) =
 (* ----- Omega-test elimination ----- *)
 
 exception Unsat_exn
-exception Budget
-
-(* Omega eliminations + splinter branches allowed per [is_sat] query before
-   handing over to branch-and-bound *)
-let default_budget = 2000
 
 (* tighten every atom and evaluate the ground ones *)
 let normalize atoms =
@@ -78,10 +72,6 @@ let normalize atoms =
       | Some false -> raise Unsat_exn
       | None -> Some a)
     atoms
-
-let spend budget =
-  decr budget;
-  if !budget < 0 then raise Budget
 
 let conj_vars atoms =
   List.fold_left (fun s a -> Var.Set.union s (Atom.vars a)) Var.Set.empty atoms
@@ -179,16 +169,19 @@ let pick_var atoms vars =
       | _ -> Some (x, exact, cost))
     vars None
 
-let rec zsat budget atoms0 =
+(* The Omega test terminates without a budget: an equality step removes a
+   variable or, through the symmetric modulus, shrinks the coefficients; an
+   inequality step removes a variable; and the finitely many splinters each
+   add an equality over the variable being eliminated. *)
+let rec zsat atoms0 =
   match normalize atoms0 with
   | exception Unsat_exn -> false
   | [] -> true
   | atoms -> (
       match List.find_opt (fun (a : Atom.t) -> a.Atom.op = Atom.Eq) atoms with
       | Some eq ->
-          spend budget;
           Obs.incr ctr_omega;
-          zsat budget (solve_equality atoms eq)
+          zsat (solve_equality atoms eq)
       | None -> (
           (* only (tightened, non-ground) Le atoms remain *)
           match pick_var atoms (conj_vars atoms) with
@@ -203,12 +196,10 @@ let rec zsat budget atoms0 =
               if lowers = [] || uppers = [] then begin
                 (* x is bounded on at most one side: any sufficiently extreme
                    integer satisfies the mentions, so they project away *)
-                spend budget;
                 Obs.incr ctr_omega;
-                zsat budget rest
+                zsat rest
               end
               else begin
-                spend budget;
                 Obs.incr ctr_omega;
                 let lower_bound (a : Atom.t) =
                   let k = Linexpr.coeff x a.Atom.expr in
@@ -223,8 +214,8 @@ let rec zsat budget atoms0 =
                 let pairs ~dark =
                   List.concat_map (fun lb -> List.map (shadow ~dark lb) ubs) lbs
                 in
-                if exact then zsat budget (rest @ pairs ~dark:false)
-                else if zsat budget (rest @ pairs ~dark:true) then true
+                if exact then zsat (rest @ pairs ~dark:false)
+                else if zsat (rest @ pairs ~dark:true) then true
                 else
                   (* the dark shadow refuted: any remaining solution hugs a
                      non-unit lower bound, so try the splinter equalities
@@ -244,31 +235,31 @@ let rec zsat budget atoms0 =
                           if Bigint.compare i imax > 0 then false
                           else begin
                             Obs.incr ctr_splinters;
-                            spend budget;
                             let eqa =
                               Atom.make
                                 (Linexpr.sub (Linexpr.term a x)
                                    (Linexpr.add rl (Linexpr.const (Rat.of_bigint i))))
                                 Atom.Eq
                             in
-                            zsat budget (eqa :: atoms) || try_i (Bigint.add i Bigint.one)
+                            zsat (eqa :: atoms) || try_i (Bigint.add i Bigint.one)
                           end
                         in
                         try_i Bigint.zero)
                     lbs
               end))
 
-(* ----- branch-and-bound fallback ----- *)
+(* ----- branch-and-bound: the reference ----- *)
 
-(* Complete without a budget: every variable is clamped to the von zur
+(* An independent second procedure, the reference the Omega test is checked
+   against.  Complete: every variable is clamped to the von zur
    Gathen-Sieveking solution bound (a satisfiable integer system has a
    solution with |x_j| ≤ (n+1)·Δ, Δ ≤ r!·amax^r, r = min(vars, rows)), and
    every branch shrinks one variable's integer range by at least one, so
    the tree is finite.  Relaxation models come from Simplex.solve; their
    [re] parts satisfy all Le/Eq atoms (the ε components only order strict
    bounds, and tightening leaves none). *)
-let bb_is_sat atoms0 =
-  Obs.incr ctr_bb_fallbacks;
+let is_sat_bb atoms0 =
+  Obs.incr ctr_sat;
   match normalize atoms0 with
   | exception Unsat_exn -> false
   | [] -> true
@@ -327,13 +318,6 @@ let bb_is_sat atoms0 =
       in
       node (clamp @ atoms)
 
-(* ----- entry points ----- *)
-
 let is_sat atoms =
   Obs.incr ctr_sat;
-  let budget = ref default_budget in
-  try zsat budget atoms with Budget -> bb_is_sat atoms
-
-let is_sat_bb atoms =
-  Obs.incr ctr_sat;
-  bb_is_sat atoms
+  zsat atoms

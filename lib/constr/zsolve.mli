@@ -4,7 +4,7 @@
     The rational procedures ({!Simplex}, the Fourier–Motzkin eliminator in
     {!Conj}) are sound but incomplete over ℤ: [2·X = 2·Y + 1] is
     rationally satisfiable but has no integer solution.  This module
-    decides the integer question exactly, in three layers:
+    decides the integer question exactly, in two layers:
 
     {ol
     {- {b Tightening} ({!tighten_atom}): strict bounds close
@@ -17,12 +17,12 @@
     {- {b Omega-test elimination}: equalities are eliminated by exact
        substitution (unit coefficient) or Pugh's symmetric-modulus rewrite;
        inequalities by dark-shadow projection with splinter equalities when
-       the dark shadow refutes.  Exact, but the splinter fan-out is bounded
-       by an elimination budget.}
-    {- {b Branch-and-bound} over {!Simplex.solve} as the completeness
-       fallback when the budget runs out: variables are clamped to the
-       von zur Gathen–Sieveking solution bound, so branching on fractional
-       relaxation values always terminates.}}
+       the dark shadow refutes.  Exact and terminating: each step removes
+       a variable or shrinks a coefficient.}}
+
+    Branch-and-bound over {!Simplex.solve} ({!is_sat_bb}) is the reference
+    the Omega test is checked against, by the int-mode Solver oracle of
+    the fuzz harness and by the property tests.
 
     Callers normally go through {!Conj.is_sat} with {!Cdomain} set to [Z];
     the direct entry points exist for the property tests and the fuzz
@@ -35,10 +35,11 @@ val tighten_atom : Atom.t -> Atom.t
     does not depend on the domain). *)
 
 val is_sat : Atom.t list -> bool
-(** Exact integer satisfiability of the conjunction: Omega-test
-    elimination, falling back to branch-and-bound when the elimination
-    budget (2,000 eliminations and splinter branches) is exhausted. *)
+(** Exact integer satisfiability of the conjunction by Omega-test
+    elimination. *)
 
 val is_sat_bb : Atom.t list -> bool
-(** Branch-and-bound only (no Omega elimination) — kept as an independent
-    second implementation so the fuzz harness can cross-check the two. *)
+(** Branch-and-bound only (no Omega elimination), with every variable
+    clamped to the von zur Gathen–Sieveking solution bound so that
+    branching on fractional relaxation values terminates — an independent
+    second implementation, kept as the reference of the cross-checks. *)

@@ -72,21 +72,7 @@ let adorn_rule derived (r : Rule.t) (head_ad : adornment) : Rule.t * (string * a
   let head = { r.Rule.head with Literal.pred = adorned_name r.Rule.head.Literal.pred head_ad } in
   ({ r with Rule.head; Rule.body }, List.rev !requested)
 
-let program ~query_adornment (p : Program.t) : Program.t =
-  let query =
-    match p.Program.query with
-    | Some q -> q
-    | None -> invalid_arg "Adorn.program: no query predicate"
-  in
-  (match Program.arity p query with
-  | exception Not_found ->
-      (* the query predicate occurs nowhere (e.g. every rule mentioning it
-         was deleted as unsatisfiable by an earlier rewrite): nothing to
-         adorn, the result below is the empty program *)
-      ()
-  | n ->
-      if String.length query_adornment <> n then
-        invalid_arg "Adorn.program: adornment length does not match query arity");
+let reachable ~adorn_rule ~query ~query_adornment (p : Program.t) =
   let derived = Program.derived p in
   let seen = Hashtbl.create 16 in
   let out = ref [] in
@@ -103,3 +89,20 @@ let program ~query_adornment (p : Program.t) : Program.t =
   in
   process (query, query_adornment);
   Program.make ~query:(adorned_name query query_adornment) (List.rev !out)
+
+let program ~query_adornment (p : Program.t) : Program.t =
+  let query =
+    match p.Program.query with
+    | Some q -> q
+    | None -> invalid_arg "Adorn.program: no query predicate"
+  in
+  (match Program.arity p query with
+  | exception Not_found ->
+      (* the query predicate occurs nowhere (e.g. every rule mentioning it
+         was deleted as unsatisfiable by an earlier rewrite): nothing to
+         adorn, the result below is the empty program *)
+      ()
+  | n ->
+      if String.length query_adornment <> n then
+        invalid_arg "Adorn.program: adornment length does not match query arity");
+  reachable ~adorn_rule ~query ~query_adornment p

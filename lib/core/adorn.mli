@@ -22,8 +22,17 @@ val bound_args : adornment -> 'a list -> 'a list
 (** Keep the arguments at bound positions.
     @raise Invalid_argument on length mismatch. *)
 
-val literal_adornment : bound:Cql_constr.Var.Set.t -> Literal.t -> adornment
-(** Adornment of a body literal given the currently-ground variables. *)
+val reachable :
+  adorn_rule:(string list -> Rule.t -> adornment -> Rule.t * (string * adornment) list) ->
+  query:string ->
+  query_adornment:adornment ->
+  Program.t ->
+  Program.t
+(** The (pred, adornment) versions reachable from [query] queried with
+    [query_adornment]: [adorn_rule derived r ad] adorns a rule [r] of a
+    predicate queried with [ad] ([derived] lists the derived predicates)
+    and returns the versions its body requests.  {!program} is this with
+    the bf rule adorner; {!Gmt.adorn_bcf} passes a bcf one. *)
 
 val program : query_adornment:adornment -> Program.t -> Program.t
 (** Adorn a program for its query predicate queried with the given

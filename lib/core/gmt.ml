@@ -88,27 +88,9 @@ let adorn_rule_bcf derived (r : Rule.t) (head_ad : string) =
   ({ r with Rule.head; Rule.body }, List.rev !requested)
 
 let adorn_bcf ~query_adornment (p : Program.t) : Program.t =
-  let query =
-    match p.Program.query with
-    | Some q -> q
-    | None -> invalid_arg "Gmt.adorn_bcf: no query predicate"
-  in
-  let derived = Program.derived p in
-  let seen = Hashtbl.create 16 in
-  let out = ref [] in
-  let rec process (pred, ad) =
-    if not (Hashtbl.mem seen (pred, ad)) then begin
-      Hashtbl.add seen (pred, ad) ();
-      List.iter
-        (fun r ->
-          let r', requested = adorn_rule_bcf derived r ad in
-          out := r' :: !out;
-          List.iter process requested)
-        (Program.rules_defining p pred)
-    end
-  in
-  process (query, query_adornment);
-  Program.make ~query:(query ^ "_" ^ query_adornment) (List.rev !out)
+  match p.Program.query with
+  | Some query -> Adorn.reachable ~adorn_rule:adorn_rule_bcf ~query ~query_adornment p
+  | None -> invalid_arg "Gmt.adorn_bcf: no query predicate"
 
 (* ----- groundability and grounding subgoals ----- *)
 
@@ -131,7 +113,7 @@ let grounding_subgoals g (r : Rule.t) =
     List.filter
       (fun (l : Literal.t) ->
         (not (Magic.is_magic l.Literal.pred))
-        && (not (Depgraph.recursive_with g head_pred l.Literal.pred))
+        && (not (Depgraph.same_scc g head_pred l.Literal.pred))
         && not (Var.Set.is_empty (Var.Set.inter (Literal.vars l) chvars)))
       r.Rule.body
   in
@@ -181,7 +163,7 @@ let magic (p : Program.t) : Program.t =
         let args = List.filteri (fun i _ -> ad.[i] = 'b' || ad.[i] = 'c') l.Literal.args in
         Literal.make (Magic.magic_name l.Literal.pred) args
   in
-  Magic.templates_with_head ~magic_head p
+  Magic.templates_general ~magic_head p
 
 (* ----- the grounding step as fold/unfold (Section 6.2) ----- *)
 

@@ -13,25 +13,13 @@
     range-restricted, via a definition/unfold/fold sequence per SCC of the
     adorned program. *)
 
-open Cql_constr
 open Cql_datalog
-
-val split_bcf : string -> (string * string) option
-(** Recognize a [_<adornment>] suffix over [b]/[c]/[f]. *)
 
 val adorn_bcf : query_adornment:string -> Program.t -> Program.t
 (** bcf-adorn the program for its query predicate (left-to-right sips; a
     variable is conditioned when a constraint links it to ground or
     conditioned variables and constants).
     @raise Invalid_argument without a query predicate. *)
-
-val conditioned_head_vars : Rule.t -> Var.Set.t
-(** Variables in conditioned ([c]) head positions of an adorned rule. *)
-
-val grounding_subgoals : Depgraph.t -> Rule.t -> Literal.t list * Conj.t
-(** The grounding subgoals of an adorned rule — ordinary body literals not
-    recursive with the head that contain conditioned head variables — and
-    their associated constraints (atoms over the subgoals' variables). *)
 
 val groundable : Program.t -> bool
 (** Definition 6.1 on a bcf-adorned program. *)

@@ -86,8 +86,6 @@ let inline_seed (p : Program.t) : Program.t =
         in
         { p with Program.rules = rules }
 
-let templates_with_head ~magic_head p = templates_general ~magic_head p
-
 let templates_complete (p : Program.t) : Program.t =
   let magic_head (l : Literal.t) = { l with Literal.pred = magic_name l.Literal.pred } in
   templates_general ~magic_head p

@@ -41,7 +41,7 @@ val templates_bf : ?constraint_magic:bool -> Program.t -> Program.t
     @raise Invalid_argument when a derived predicate is not adorned or no
     query predicate is set. *)
 
-val templates_with_head :
+val templates_general :
   magic_head:(Literal.t -> Literal.t) -> Program.t -> Program.t
 (** The generic template engine: supply the magic-literal construction (how
     a literal's magic version keeps/encodes its arguments).  Used by the

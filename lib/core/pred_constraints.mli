@@ -7,15 +7,14 @@
     contents (Definition 2.4).  Generation iterates an exact
     immediate-consequence step over constraint sets starting from [false]
     for derived predicates; it produces the *minimum* predicate constraints
-    when it converges.  In general it need not terminate, so an iteration
-    budget is taken; on exhaustion the procedure falls back to [true]
-    (sound, not minimum) as Section 4.2 prescribes. *)
+    when it converges.  The iteration, its budget and its fallback to
+    [true] are {!Fixpoint.run}'s. *)
 
 open Cql_constr
 open Cql_datalog
 
-type result = {
-  constraints : (string * Cset.t) list;  (** per predicate (derived and EDB) *)
+type result = Fixpoint.result = {
+  constraints : (string * Cset.t) list;  (** per derived predicate *)
   iterations : int;
   converged : bool;  (** false when the iteration budget was exhausted *)
 }
@@ -23,21 +22,11 @@ type result = {
 val find : result -> string -> Cset.t
 (** The constraint for a predicate ([true] when absent). *)
 
-val gen :
-  ?max_iters:int ->
-  ?edb_constraints:(string * Cset.t) list ->
-  Program.t ->
-  result
-(** [gen p] runs [Gen_predicate_constraints].  [edb_constraints] supplies
-    the (minimum) predicate constraints of database predicates — the
-    procedure's input in Appendix C; unlisted EDB predicates get [true].
-    Default [max_iters] is 50. *)
-
-val single_step : Program.t -> (string -> Cset.t) -> (string * Cset.t) list
-(** One application of the inferred-head-constraint step ([Single_step] of
-    Appendix C): for each rule and each choice of disjuncts for its body
+val gen : ?max_iters:int -> Program.t -> result
+(** [gen p] runs [Gen_predicate_constraints] with the step [Single_step] of
+    Appendix C: for each rule and each choice of disjuncts for its body
     literals, the LTOP of the projection of the combined constraints onto
-    the head. *)
+    the head.  Database predicates get [true].  Default [max_iters] is 50. *)
 
 val propagate : result -> Program.t -> Program.t
 (** [Gen_Prop_predicate_constraints]: associate the PTOL of each

@@ -1,13 +1,16 @@
 open Cql_constr
 open Cql_datalog
 
-module StringMap = Map.Make (String)
+type result = Fixpoint.result = {
+  constraints : (string * Cset.t) list;
+  iterations : int;
+  converged : bool;
+}
 
-type result = { constraints : (string * Cset.t) list; iterations : int; converged : bool }
+let find = Fixpoint.find
 
-let find r pred =
-  match List.assoc_opt pred r.constraints with Some c -> c | None -> Cset.tt
-
+(* Proposition 4.1: the projection of the head constraint (already PTOL'd)
+   and the rule's constraints onto the literal, converted by LTOP *)
 let literal_constraint ~head_ptol ~rule_cstr (lit : Literal.t) =
   Ptol_ltop.ltop_conj lit (Conj.and_ head_ptol rule_cstr)
 
@@ -20,74 +23,32 @@ let literal_constraint_syntactic ~head_ptol ~rule_cstr (lit : Literal.t) =
   in
   Ptol_ltop.ltop_conj lit (Conj.and_ (local head_ptol) (local rule_cstr))
 
-let gen_with ~literal_constraint ?(max_iters = 50) (p : Program.t) : result =
+let gen_with ~literal_constraint ?max_iters (p : Program.t) : result =
   let query =
     match p.Program.query with
     | Some q -> q
     | None -> invalid_arg "Qrp.gen: program has no query predicate"
   in
-  let derived = Program.derived p in
-  let state = ref StringMap.empty in
-  List.iter
-    (fun d -> state := StringMap.add d (if d = query then Cset.tt else Cset.ff) !state)
-    derived;
-  let current name =
-    match StringMap.find_opt name !state with Some c -> c | None -> Cset.tt
-  in
-  let step () =
-    (* C2: disjunction of LTOPs of literal constraints inferred this pass *)
-    let c2 = ref StringMap.empty in
-    let add pred c =
-      if StringMap.mem pred !state then begin
-        let prev = match StringMap.find_opt pred !c2 with Some x -> x | None -> Cset.ff in
-        c2 := StringMap.add pred (Cset.or_ prev (Cset.of_conj c)) !c2
-      end
-    in
+  (* one pass: the literal constraints of every body literal under each
+     disjunct of its head's current constraint *)
+  let step current infer =
     List.iter
       (fun (r : Rule.t) ->
-        let head_cset = current r.Rule.head.Literal.pred in
         List.iter
           (fun d ->
             let head_ptol = Ptol_ltop.ptol_conj r.Rule.head d in
             if Conj.is_sat (Conj.and_ head_ptol r.Rule.cstr) then
               List.iter
                 (fun (lit : Literal.t) ->
-                  add lit.Literal.pred
+                  infer lit.Literal.pred
                     (literal_constraint ~head_ptol ~rule_cstr:r.Rule.cstr lit))
                 r.Rule.body)
-          (Cset.disjuncts head_cset))
-      p.Program.rules;
-    !c2
+          (Cset.disjuncts (current r.Rule.head.Literal.pred)))
+      p.Program.rules
   in
-  let rec iterate i =
-    if i > max_iters then (i - 1, false)
-    else begin
-      let changed =
-        Cql_obs.Obs.span "qrp.iteration" @@ fun () ->
-        Cql_obs.Obs.add_field "iteration" i;
-        let c2 = step () in
-        let changed = ref false in
-        StringMap.iter
-          (fun pred c2p ->
-            let c1 = current pred in
-            if not (Cset.implies c2p c1) then begin
-              changed := true;
-              state := StringMap.add pred (Cset.or_ c1 c2p) !state
-            end)
-          c2;
-        !changed
-      in
-      if changed then iterate (i + 1) else (i, true)
-    end
-  in
-  let iterations, converged = iterate 1 in
-  Cql_obs.Obs.add_field "iterations" iterations;
-  Cql_obs.Obs.add_field_str "converged" (string_of_bool converged);
-  let constraints =
-    if converged then StringMap.bindings !state
-    else List.map (fun d -> (d, Cset.tt)) derived
-  in
-  { constraints; iterations; converged }
+  Fixpoint.run ~span:"qrp.iteration" ?max_iters
+    ~seed:(List.map (fun d -> (d, if d = query then Cset.tt else Cset.ff)) (Program.derived p))
+    step
 
 let gen ?max_iters p = gen_with ~literal_constraint ?max_iters p
 

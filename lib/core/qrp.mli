@@ -20,23 +20,21 @@
 open Cql_constr
 open Cql_datalog
 
-type result = {
+type result = Fixpoint.result = {
   constraints : (string * Cset.t) list;  (** per derived predicate *)
   iterations : int;
-  converged : bool;
+  converged : bool;  (** false when the iteration budget was exhausted *)
 }
 
 val find : result -> string -> Cset.t
-
-val literal_constraint : head_ptol:Conj.t -> rule_cstr:Conj.t -> Literal.t -> Conj.t
-(** Proposition 4.1: the literal constraint on a body literal, i.e. the
-    projection of the head constraint (already converted by PTOL) and the
-    rule's constraints onto the literal's variables, converted by LTOP. *)
+(** The constraint for a predicate ([true] when absent). *)
 
 val gen : ?max_iters:int -> Program.t -> result
-(** [Gen_QRP_constraints].  The program must have a query predicate.
-    Default [max_iters] is 50; on exhaustion every predicate falls back to
-    [true] (sound, not minimum — Section 4.2).
+(** [Gen_QRP_constraints] through {!Fixpoint.run}: each step infers the
+    literal constraint of every body literal (Proposition 4.1: the
+    projection of the head constraint, converted by PTOL, and the rule's
+    constraints onto the literal's variables, converted by LTOP).  The
+    program must have a query predicate.  Default [max_iters] is 50.
     @raise Invalid_argument when no query predicate is set. *)
 
 val gen_syntactic : ?max_iters:int -> Program.t -> result

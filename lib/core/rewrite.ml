@@ -14,10 +14,24 @@ type report = {
 
 let empty_report = { pred_constraints = None; qrp_constraints = None }
 
-let is_adorned (p : Program.t) =
+(* adorn for the query unless the query predicate already is adorned *)
+let adorn adornment (p : Program.t) =
   match p.Program.query with
-  | Some q -> Adorn.split_adorned q <> None
-  | None -> false
+  | Some q when Adorn.split_adorned q <> None -> p
+  | _ -> Adorn.program ~query_adornment:adornment p
+
+(* the stages: each runs under its span, and the fixpoints' results go into
+   the report *)
+let qrp gen ?max_iters (p, report) =
+  let res = Obs.span "rewrite.qrp.gen" (fun () -> gen ?max_iters p) in
+  let p' = Obs.span "rewrite.qrp.propagate" (fun () -> Qrp.propagate res p) in
+  (p', { report with qrp_constraints = Some res })
+
+(* with [adornment], the program is adorned first, inside the span *)
+let magic ?adornment ~constraint_magic p =
+  Obs.span "rewrite.magic" @@ fun () ->
+  let p = match adornment with Some a -> adorn a p | None -> p in
+  Magic.templates_bf ~constraint_magic p
 
 let apply_step ?max_iters (p, report) = function
   | Pred ->
@@ -26,16 +40,8 @@ let apply_step ?max_iters (p, report) = function
             Pred_constraints.gen_prop ?max_iters p)
       in
       (p', { report with pred_constraints = Some res })
-  | Qrp ->
-      let res = Obs.span "rewrite.qrp.gen" (fun () -> Qrp.gen ?max_iters p) in
-      let p' = Obs.span "rewrite.qrp.propagate" (fun () -> Qrp.propagate res p) in
-      (p', { report with qrp_constraints = Some res })
-  | Magic { adornment; constraint_magic } ->
-      Obs.span "rewrite.magic" (fun () ->
-          let adorned =
-            if is_adorned p then p else Adorn.program ~query_adornment:adornment p
-          in
-          (Magic.templates_bf ~constraint_magic adorned, report))
+  | Qrp -> qrp Qrp.gen ?max_iters (p, report)
+  | Magic { adornment; constraint_magic } -> (magic ~adornment ~constraint_magic p, report)
   | Magic_complete ->
       Obs.span "rewrite.magic_complete" (fun () -> (Magic.templates_complete p, report))
 
@@ -53,15 +59,10 @@ let constraint_rewrite ?max_iters (p : Program.t) =
      constraint inferred from its uses (Section 4.5) *)
   let aux_body = Literal.fresh_args q (Program.arity p q) in
   let p1, aux = Program.with_query_rule p [ aux_body ] Cql_constr.Conj.tt in
-  let p2, pres =
-    Obs.span "rewrite.pred_constraints" (fun () ->
-        Pred_constraints.gen_prop ?max_iters p1)
-  in
-  let qres = Obs.span "rewrite.qrp.gen" (fun () -> Qrp.gen ?max_iters p2) in
-  let p3 = Obs.span "rewrite.qrp.propagate" (fun () -> Qrp.propagate qres p2) in
+  let p2, report = sequence ?max_iters [ Pred; Qrp ] p1 in
   (* delete the auxiliary rules and restore the query predicate's name *)
   let rules =
-    List.filter (fun (r : Rule.t) -> r.Rule.head.Literal.pred <> aux) p3.Program.rules
+    List.filter (fun (r : Rule.t) -> r.Rule.head.Literal.pred <> aux) p2.Program.rules
   in
   let primed = Qrp.primed_name q in
   let p4 = Program.make ~query:q rules in
@@ -71,16 +72,12 @@ let constraint_rewrite ?max_iters (p : Program.t) =
     else if Program.is_derived p4 primed then Program.set_query primed p4
     else p4
   in
-  (p4, { pred_constraints = Some pres; qrp_constraints = Some qres })
+  (p4, report)
 
 let optimal ?max_iters ~adornment p =
-  let adorned = if is_adorned p then p else Adorn.program ~query_adornment:adornment p in
-  let p1, report = constraint_rewrite ?max_iters adorned in
-  (Obs.span "rewrite.magic" (fun () -> Magic.templates_bf ~constraint_magic:true p1), report)
+  let p1, report = constraint_rewrite ?max_iters (adorn adornment p) in
+  (magic ~constraint_magic:true p1, report)
 
 let balbin ?max_iters ~adornment p =
-  let adorned = if is_adorned p then p else Adorn.program ~query_adornment:adornment p in
-  let res = Obs.span "rewrite.qrp.gen" (fun () -> Qrp.gen_syntactic ?max_iters adorned) in
-  let p1 = Obs.span "rewrite.qrp.propagate" (fun () -> Qrp.propagate res adorned) in
-  let p2 = Obs.span "rewrite.magic" (fun () -> Magic.templates_bf ~constraint_magic:true p1) in
-  (p2, { empty_report with qrp_constraints = Some res })
+  let p1, report = qrp Qrp.gen_syntactic ?max_iters (adorn adornment p, empty_report) in
+  (magic ~constraint_magic:true p1, report)

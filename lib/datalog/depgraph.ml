@@ -82,5 +82,3 @@ let same_scc g a b =
   match (StringMap.find_opt a g.scc_id, StringMap.find_opt b g.scc_id) with
   | Some i, Some j -> i = j
   | _ -> false
-
-let recursive_with = same_scc

@@ -16,7 +16,5 @@ val sccs_top_down : t -> string list list
     iterates in. *)
 
 val same_scc : t -> string -> string -> bool
-(** Mutual recursion test. *)
-
-val recursive_with : t -> string -> string -> bool
-(** [recursive_with g p q] iff [p] and [q] are in the same SCC. *)
+(** [same_scc g p q] iff [p] and [q] are in the same SCC: the mutual
+    recursion test. *)

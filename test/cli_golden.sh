@@ -1,8 +1,9 @@
 #!/bin/sh
 # Golden outputs of the cqlopt CLI: eval and rewrite on every example
-# program, in both constraint domains, each run's standard output followed
-# by its exit status.  A program's EDB is the _edb.cql file next to it.
-# One scripted cqlrepl session follows.
+# program, in both constraint domains, and analyze at two iteration
+# budgets, each run's standard output followed by its exit status.  A
+# program's EDB is the _edb.cql file next to it.  One scripted cqlrepl
+# session follows.
 #
 #   sh cli_golden.sh CQLOPT EXAMPLES_DIR CQLREPL > cli_golden.out
 #
@@ -35,6 +36,13 @@ for prog in "$dir"/*.cql; do
       "$cqlopt" rewrite "$prog" --domain "$domain" $mode --max-iters 10 2>/dev/null
       echo "### exit $?"
     done
+  done
+  # the pred and QRP fixpoints at the default budget, and at a budget of 3
+  # that cuts some of them short (their fallback to true)
+  for iters in "" 3; do
+    echo "### analyze $name${iters:+ --max-iters $iters}"
+    "$cqlopt" analyze "$prog" ${iters:+--max-iters $iters} 2>/dev/null
+    echo "### exit $?"
   done
 done
 

@@ -921,6 +921,42 @@ let test_z_endpoints () =
             (Memo.with_caches true (fun () -> Conj.is_sat (conj atoms)))))
     cases
 
+(* inexact eliminations whose dark shadow refutes go through the splinter
+   equalities; each case asserts the verdict, that splinters ran, and that
+   branch-and-bound agrees *)
+let check_splinters label ~expected atoms =
+  Obs.zero "solver.";
+  check_bool (label ^ ": Omega") expected (Zsolve.is_sat atoms);
+  check_bool (label ^ ": splinters ran") true (count "solver.int.splinters" > 0);
+  check_bool (label ^ ": B&B agrees") expected (Zsolve.is_sat_bb atoms)
+
+let lin2 a b = Linexpr.add (Linexpr.scale (Q.of_int a) vx) (Linexpr.scale (Q.of_int b) vy)
+
+let test_z_splinters_pugh () =
+  (* Pugh's example: 27 <= 11X + 13Y <= 45, -10 <= 7X - 9Y <= 4 has
+     rational solutions but no integer one *)
+  let pugh =
+    [
+      Atom.ge (lin2 11 13) (n 27);
+      Atom.le (lin2 11 13) (n 45);
+      Atom.ge (lin2 7 (-9)) (n (-10));
+      Atom.le (lin2 7 (-9)) (n 4);
+    ]
+  in
+  check_bool "sat over Q" true (Simplex.is_sat pugh);
+  check_splinters "Pugh" ~expected:false pugh
+
+let test_z_splinter_sat () =
+  (* 2Y + 1 <= 3X <= 2Y + 2, 0 <= Y <= 3: the dark shadow refutes, and one
+     splinter finds X = Y = 1 *)
+  check_splinters "one splinter" ~expected:true
+    [
+      Atom.ge (lin2 3 (-2)) (n 1);
+      Atom.le (lin2 3 (-2)) (n 2);
+      Atom.ge vy (n 0);
+      Atom.le vy (n 3);
+    ]
+
 (* ----- integer-domain properties ----- *)
 
 let int_point_gen =
@@ -945,8 +981,9 @@ let prop_z_sound =
 
 (* pure branch-and-bound explores the whole von zur Gathen box when the
    system is unbounded, so the cross-check generator pins every variable
-   inside an explicit box; the fuzz harness's solver-pool oracle covers
-   the unbounded space through the budgeted path *)
+   inside an explicit box; the fuzz harness's int-mode Solver oracle
+   cross-checks the two on the conjunctions its rewrites meet, unbounded
+   ones included *)
 let boxed_z_gen =
   QCheck.Gen.(
     let coeff = map Q.of_int (int_range (-3) 3) in
@@ -1057,6 +1094,8 @@ let () =
           Alcotest.test_case "Z satisfiability" `Quick test_zsat_basics;
           Alcotest.test_case "solver.int counters" `Quick test_int_counters;
           Alcotest.test_case "Conj.is_sat endpoints over Z" `Quick test_z_endpoints;
+          Alcotest.test_case "splinters refute Pugh's example" `Quick test_z_splinters_pugh;
+          Alcotest.test_case "a splinter finds an integer point" `Quick test_z_splinter_sat;
         ] );
       ( "integer-properties",
         qt
