@@ -25,14 +25,6 @@ let read_file path =
     Ok src
   with Sys_error msg -> Error msg
 
-(* a fact whose constraint is unsatisfiable in the current domain (e.g. one
-   pinning a fractional value under --domain int) denotes the empty
-   relation: drop it rather than crash *)
-let fact_opt r =
-  match Cql_eval.Fact.of_fact_rule r with
-  | f -> Some f
-  | exception Cql_eval.Fact.Unsat -> None
-
 let read_edb = function
   | None -> Ok []
   | Some path -> (
@@ -41,7 +33,7 @@ let read_edb = function
         let n = in_channel_length ic in
         let src = really_input_string ic n in
         close_in ic;
-        Ok (List.filter_map fact_opt (Parser.facts_of_string src))
+        Ok (List.filter_map Cql_eval.Fact.of_fact_rule_opt (Parser.facts_of_string src))
       with
       | Parser.Error msg -> Error (Printf.sprintf "%s: %s" path msg)
       | Sys_error msg -> Error msg)
@@ -271,75 +263,61 @@ let fuzz_cmd =
   let module H = Cql_gen.Harness in
   let module G = Cql_gen.Generate in
   let run seed count mode domain inject_bug replay out tracing =
-    Cql_constr.Cdomain.with_domain domain @@ fun () ->
-    Tracing.traced tracing @@ fun () ->
-    match replay with
-    | Some path -> (
-        match read_file path with
-        | Error msg ->
-            prerr_endline msg;
-            1
-        | Ok src -> (
-            match H.parse_counterexample src with
-            | exception Parser.Error msg ->
-                Printf.eprintf "%s: %s\n" path msg;
+    match G.mode_of_string mode with
+    | None ->
+        Printf.eprintf "unknown mode %S (use decidable, linear, int or update)\n" mode;
+        1
+    | Some mode -> (
+        Cql_constr.Cdomain.with_domain domain @@ fun () ->
+        Tracing.traced tracing @@ fun () ->
+        match replay with
+        | Some path -> (
+            match read_file path with
+            | Error msg ->
+                prerr_endline msg;
                 1
-            | p, edb, updates -> (
-                let result =
-                  if updates = [] then
-                    (* --mode int replays the case under ℤ; other modes are
+            | Ok src -> (
+                match H.parse_counterexample src with
+                | exception Parser.Error msg ->
+                    Printf.eprintf "%s: %s\n" path msg;
+                    1
+                | p, edb, updates -> (
+                    (* --mode int replays the case under ℤ; a case with
+                       updates replays in update mode, any other mode is
                        inferred from the program *)
-                    H.replay ?mode:(if mode = "int" then Some G.Int else None) p edb
-                  else H.replay_update p edb updates
-                in
-                match result with
-                | None ->
-                    print_endline "replay: all oracles passed";
-                    0
-                | Some f ->
-                    Printf.printf "replay: FAILURE oracle=%s pipeline=%s: %s\n"
-                      (H.oracle_name f.H.oracle) f.H.pipeline f.H.detail;
-                    1)))
-    | None -> (
-        let report (s : H.summary) =
-          Format.printf "%a" H.pp_summary s;
-          match s.H.failure with
-          | None ->
-              if inject_bug then begin
-                print_endline "injected bug was NOT caught";
-                1
-              end
-              else 0
-          | Some f ->
-              let doc = H.counterexample_to_string s f in
-              let oc = open_out out in
-              output_string oc doc;
-              close_out oc;
-              Printf.printf "counterexample (%d rules, %d facts, %d updates) written to %s\n"
-                (List.length f.H.program.Program.rules)
-                (List.length f.H.edb) (List.length f.H.updates) out;
-              if inject_bug then begin
-                print_endline "injected bug caught as intended";
-                0
-              end
-              else 1
-        in
-        match mode with
-        | "update" ->
-            if inject_bug then begin
-              prerr_endline "--inject-bug targets the rewrite oracles, not --mode update";
-              1
-            end
-            else report (H.run_update ~seed ~count ())
-        | _ -> (
-            match G.mode_of_string mode with
+                    let mode = if mode = G.Int then Some mode else None in
+                    match H.replay ?mode p edb updates with
+                    | None ->
+                        print_endline "replay: all oracles passed";
+                        0
+                    | Some f ->
+                        Printf.printf "replay: FAILURE oracle=%s pipeline=%s: %s\n"
+                          (H.oracle_name f.H.oracle) f.H.pipeline f.H.detail;
+                        1)))
+        | None -> (
+            let tamper = if inject_bug then Some H.drop_disjuncts else None in
+            let s = H.run ?tamper ~config:(G.default mode) ~seed ~count () in
+            Format.printf "%a" H.pp_summary s;
+            match s.H.failure with
             | None ->
-                Printf.eprintf "unknown mode %S (use decidable, linear, int or update)\n" mode;
-                1
-            | Some m ->
-                let config = G.default m in
-                let tamper = if inject_bug then Some H.drop_disjuncts else None in
-                report (H.run ?tamper ~config ~seed ~count ())))
+                if inject_bug then begin
+                  print_endline "injected bug was NOT caught";
+                  1
+                end
+                else 0
+            | Some f ->
+                let doc = H.counterexample_to_string s f in
+                let oc = open_out out in
+                output_string oc doc;
+                close_out oc;
+                Printf.printf "counterexample (%d rules, %d facts, %d updates) written to %s\n"
+                  (List.length f.H.program.Program.rules)
+                  (List.length f.H.edb) (List.length f.H.updates) out;
+                if inject_bug then begin
+                  print_endline "injected bug caught as intended";
+                  0
+                end
+                else 1))
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed") in
   let count =
@@ -356,7 +334,8 @@ let fuzz_cmd =
     Arg.(value & flag & info [ "inject-bug" ]
            ~doc:"Demo: run an extra pipeline with a deliberately broken constraint \
                  propagation (folding with constraints the definitions no longer match); \
-                 exits 0 iff the oracles catch it")
+                 exits 0 iff the oracles catch it.  Update mode runs no pipeline, so it \
+                 never catches the bug")
   in
   let replay =
     Arg.(value & opt (some file) None & info [ "replay" ] ~docv:"FILE"

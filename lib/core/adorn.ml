@@ -3,7 +3,8 @@ open Cql_datalog
 
 type adornment = string
 
-let adorned_name pred ad = pred ^ "_" ^ ad
+(* a 0-ary predicate has one adornment, the empty one, and keeps its name *)
+let adorned_name pred ad = if ad = "" then pred else pred ^ "_" ^ ad
 
 let split_adorned name =
   match String.rindex_opt name '_' with
@@ -11,9 +12,14 @@ let split_adorned name =
   | Some i ->
       let base = String.sub name 0 i in
       let ad = String.sub name (i + 1) (String.length name - i - 1) in
-      if base <> "" && ad <> "" && String.for_all (fun c -> c = 'b' || c = 'f') ad then
-        Some (base, ad)
+      if base <> "" && ad <> "" && String.for_all (fun c -> c = 'b' || c = 'c' || c = 'f') ad
+      then Some (base, ad)
       else None
+
+let adornment_of (l : Literal.t) =
+  match split_adorned l.Literal.pred with
+  | Some (_, ad) when String.length ad = Literal.arity l -> Some ad
+  | _ -> if Literal.arity l = 0 then Some "" else None
 
 let bound_args ad args =
   if String.length ad <> List.length args then

@@ -1,7 +1,9 @@
 (** Adornments and sideways information passing (Appendix B).
 
     An adornment is a string over ['b']/['f'] (bound/free), one character
-    per argument position.  We implement full left-to-right sips with the
+    per argument position; GMT's bcf adornments ({!Gmt.adorn_bcf}) add
+    ['c'] (conditioned).  A 0-ary predicate has exactly one adornment, the
+    empty one.  We implement full left-to-right sips with the
     bound-if-ground rule: an argument of a body literal is bound iff it is a
     constant or its variable is ground given the head's bound arguments, the
     literals to its left, and the rule's equality constraints (the closure
@@ -13,10 +15,16 @@ open Cql_datalog
 type adornment = string
 
 val adorned_name : string -> adornment -> string
-(** [adorned_name "p" "bf"] is ["p_bf"]. *)
+(** [adorned_name "p" "bf"] is ["p_bf"]; [adorned_name "p" ""] is ["p"]. *)
 
 val split_adorned : string -> (string * adornment) option
-(** Inverse of {!adorned_name} (recognizes a trailing [_b*f*] chunk). *)
+(** Inverse of {!adorned_name} on a non-empty adornment: recognizes a
+    trailing [_] followed by [b], [c] and [f] characters. *)
+
+val adornment_of : Literal.t -> adornment option
+(** The adornment of an adorned literal: the one {!split_adorned} reads off
+    its predicate's name when its length is the literal's arity, or the
+    empty one when the literal is 0-ary. *)
 
 val bound_args : adornment -> 'a list -> 'a list
 (** Keep the arguments at bound positions.

@@ -1,16 +1,6 @@
 open Cql_constr
 open Cql_datalog
 
-let split_bcf name =
-  match String.rindex_opt name '_' with
-  | None -> None
-  | Some i ->
-      let base = String.sub name 0 i in
-      let ad = String.sub name (i + 1) (String.length name - i - 1) in
-      if base <> "" && ad <> "" && String.for_all (fun c -> c = 'b' || c = 'c' || c = 'f') ad
-      then Some (base, ad)
-      else None
-
 (* ----- bcf adornment ----- *)
 
 (* extend (ground, conditioned) with single-unknown constraint atoms: an
@@ -71,7 +61,7 @@ let adorn_rule_bcf derived (r : Rule.t) (head_ad : string) =
                       else 'f')
             in
             requested := (l.Literal.pred, ad) :: !requested;
-            { l with Literal.pred = l.Literal.pred ^ "_" ^ ad }
+            { l with Literal.pred = Adorn.adorned_name l.Literal.pred ad }
           end
           else l
         in
@@ -84,7 +74,9 @@ let adorn_rule_bcf derived (r : Rule.t) (head_ad : string) =
         l')
       r.Rule.body
   in
-  let head = { r.Rule.head with Literal.pred = r.Rule.head.Literal.pred ^ "_" ^ head_ad } in
+  let head =
+    { r.Rule.head with Literal.pred = Adorn.adorned_name r.Rule.head.Literal.pred head_ad }
+  in
   ({ r with Rule.head; Rule.body }, List.rev !requested)
 
 let adorn_bcf ~query_adornment (p : Program.t) : Program.t =
@@ -95,7 +87,7 @@ let adorn_bcf ~query_adornment (p : Program.t) : Program.t =
 (* ----- groundability and grounding subgoals ----- *)
 
 let conditioned_head_vars (r : Rule.t) =
-  match split_bcf r.Rule.head.Literal.pred with
+  match Adorn.split_adorned r.Rule.head.Literal.pred with
   | None -> Var.Set.empty
   | Some (_, ad) ->
       List.fold_left
@@ -157,9 +149,9 @@ let magic (p : Program.t) : Program.t =
   (* reuse the generic template engine with magic heads keeping b and c
      positions *)
   let magic_head (l : Literal.t) =
-    match split_bcf l.Literal.pred with
+    match Adorn.adornment_of l with
     | None -> invalid_arg (Printf.sprintf "Gmt.magic: %s is not bcf-adorned" l.Literal.pred)
-    | Some (_, ad) ->
+    | Some ad ->
         let args = List.filteri (fun i _ -> ad.[i] = 'b' || ad.[i] = 'c') l.Literal.args in
         Literal.make (Magic.magic_name l.Literal.pred) args
   in
@@ -254,7 +246,10 @@ let ground_fold_unfold ~adorned (pmg : Program.t) : Program.t =
         List.filter
           (fun pred ->
             List.mem pred derived
-            && match split_bcf pred with Some (_, ad) -> String.contains ad 'c' | None -> false)
+            &&
+            match Adorn.split_adorned pred with
+            | Some (_, ad) -> String.contains ad 'c'
+            | None -> false)
           scc
       in
       if cpreds <> [] then begin

@@ -91,16 +91,11 @@ let templates_complete (p : Program.t) : Program.t =
   templates_general ~magic_head p
 
 let templates_bf ?(constraint_magic = true) (p : Program.t) : Program.t =
-  List.iter
-    (fun d ->
-      if Adorn.split_adorned d = None then
-        invalid_arg (Printf.sprintf "Magic.templates_bf: predicate %s is not adorned" d))
-    (Program.derived p);
+  (* every derived predicate heads a rule, so this checks them all *)
   let magic_head (l : Literal.t) =
-    match Adorn.split_adorned l.Literal.pred with
+    match Adorn.adornment_of l with
     | None -> invalid_arg (Printf.sprintf "Magic.templates_bf: %s is not adorned" l.Literal.pred)
-    | Some (_, ad) ->
-        Literal.make (magic_name l.Literal.pred) (Adorn.bound_args ad l.Literal.args)
+    | Some ad -> Literal.make (magic_name l.Literal.pred) (Adorn.bound_args ad l.Literal.args)
   in
   let out = templates_general ~magic_head p in
   if constraint_magic then out

@@ -65,7 +65,10 @@ let propagate (res : result) (p : Program.t) : Program.t =
                nothing; drop it *)
             []
         | [ only ] -> [ only ]
-        | many -> List.mapi (fun i c -> Rule.relabel (Printf.sprintf "%s_%d" r.Rule.label (i + 1)) c) many)
+        | many ->
+            List.mapi
+              (fun i c -> Rule.relabel (Rule.copy_label r (Printf.sprintf "_%d" (i + 1))) c)
+              many)
       p.Program.rules
   in
   { p with Program.rules }

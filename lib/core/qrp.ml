@@ -29,8 +29,10 @@ let gen_with ~literal_constraint ?max_iters (p : Program.t) : result =
     | Some q -> q
     | None -> invalid_arg "Qrp.gen: program has no query predicate"
   in
-  (* one pass: the literal constraints of every body literal under each
-     disjunct of its head's current constraint *)
+  let derived = Program.derived p in
+  (* one pass: the literal constraints of every derived body literal under
+     each disjunct of its head's current constraint (a database predicate
+     gets none, so its projection is not computed) *)
   let step current infer =
     List.iter
       (fun (r : Rule.t) ->
@@ -40,14 +42,15 @@ let gen_with ~literal_constraint ?max_iters (p : Program.t) : result =
             if Conj.is_sat (Conj.and_ head_ptol r.Rule.cstr) then
               List.iter
                 (fun (lit : Literal.t) ->
-                  infer lit.Literal.pred
-                    (literal_constraint ~head_ptol ~rule_cstr:r.Rule.cstr lit))
+                  if List.mem lit.Literal.pred derived then
+                    infer lit.Literal.pred
+                      (literal_constraint ~head_ptol ~rule_cstr:r.Rule.cstr lit))
                 r.Rule.body)
           (Cset.disjuncts (current r.Rule.head.Literal.pred)))
       p.Program.rules
   in
   Fixpoint.run ~span:"qrp.iteration" ?max_iters
-    ~seed:(List.map (fun d -> (d, if d = query then Cset.tt else Cset.ff)) (Program.derived p))
+    ~seed:(List.map (fun d -> (d, if d = query then Cset.tt else Cset.ff)) derived)
     step
 
 let gen ?max_iters p = gen_with ~literal_constraint ?max_iters p
@@ -88,8 +91,7 @@ let propagate (res : result) (p : Program.t) : Program.t =
                List.concat_map
                  (fun (orig : Rule.t) ->
                    List.map
-                     (Rule.relabel
-                        (Printf.sprintf "%s'%d" orig.Rule.label (j + 1)))
+                     (Rule.relabel (Rule.copy_label orig (Printf.sprintf "'%d" (j + 1))))
                      (Foldunfold.unfold_literal ~defs:[ orig ] def (List.hd def.Rule.body)))
                  orig_rules)
              defs))

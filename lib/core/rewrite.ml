@@ -14,11 +14,12 @@ type report = {
 
 let empty_report = { pred_constraints = None; qrp_constraints = None }
 
-(* adorn for the query unless the query predicate already is adorned *)
+(* adorn for the query unless every derived predicate already carries an
+   adornment: a name alone can look adorned ([big_c], [p_bf]) *)
 let adorn adornment (p : Program.t) =
-  match p.Program.query with
-  | Some q when Adorn.split_adorned q <> None -> p
-  | _ -> Adorn.program ~query_adornment:adornment p
+  if List.for_all (fun (r : Rule.t) -> Adorn.adornment_of r.Rule.head <> None) p.Program.rules
+  then p
+  else Adorn.program ~query_adornment:adornment p
 
 (* the stages: each runs under its span, and the fixpoints' results go into
    the report *)

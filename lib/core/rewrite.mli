@@ -13,8 +13,9 @@ type step =
   | Pred  (** [Gen_Prop_predicate_constraints] *)
   | Qrp  (** [Gen_Prop_QRP_constraints] *)
   | Magic of { adornment : string; constraint_magic : bool }
-      (** adorn for the query predicate with this adornment, then
-          constraint magic rewriting (Section 7.2) *)
+      (** adorn for the query predicate with this adornment (unless every
+          derived predicate already carries an adornment of its arity),
+          then constraint magic rewriting (Section 7.2) *)
   | Magic_complete  (** full Magic Templates with complete sips *)
 
 type report = {

@@ -24,6 +24,7 @@ let apply s r =
 let rename_apart r = apply (Subst.renaming_of (vars r) ~suffix:"") r
 
 let relabel label r = { r with label }
+let copy_label r suffix = if r.label = "" then "" else r.label ^ suffix
 
 (* Head variables may also be grounded through equality constraints, e.g.
    T = T1 + T2 + 30 grounds T once T1 and T2 are bound by body literals;

@@ -30,6 +30,11 @@ val rename_apart : t -> t
 
 val relabel : string -> t -> t
 
+val copy_label : t -> string -> string
+(** [copy_label r suffix]: the label of a rule derived from [r], [r]'s
+    label followed by [suffix]; a copy of an unlabelled rule is unlabelled
+    too (a bare suffix would not parse back as a label). *)
+
 val grounded_vars : t -> Var.Set.t
 (** Variables bound to ground terms once the body literals are: body literal
     variables, closed under equality constraints with a single unknown

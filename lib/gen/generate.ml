@@ -2,15 +2,23 @@ open Cql_num
 open Cql_constr
 open Cql_datalog
 
-type mode = Decidable | Linear | Int
+type mode = Decidable | Linear | Int | Update
 
 let mode_of_string = function
   | "decidable" -> Some Decidable
   | "linear" -> Some Linear
   | "int" -> Some Int
+  | "update" -> Some Update
   | _ -> None
 
-let mode_to_string = function Decidable -> "decidable" | Linear -> "linear" | Int -> "int"
+let mode_to_string = function
+  | Decidable -> "decidable"
+  | Linear -> "linear"
+  | Int -> "int"
+  | Update -> "update"
+
+(* update mode draws its programs from the Theorem 5.1 class *)
+let decidable mode = mode = Decidable || mode = Update
 
 type config = {
   mode : mode;
@@ -34,7 +42,8 @@ let default mode =
     max_rules_per_pred = 2;
     max_body_lits = 2;
     max_constraint_atoms = 2;
-    max_edb_facts = 4;
+    (* update streams insert from the EDB pool, so it is twice as deep *)
+    max_edb_facts = (if mode = Update then 8 else 4);
     const_range = 8;
     recursion = true;
   }
@@ -169,7 +178,7 @@ let gen_rule rng cfg ~label ~head_sig ~body_sigs ~allow_rec =
     | nv ->
         let a =
           match cfg.mode with
-          | Decidable -> decidable_atom rng cfg nv
+          | Decidable | Update -> decidable_atom rng cfg nv
           | Linear -> linear_atom rng cfg nv
           | Int -> int_atom rng cfg nv
         in
@@ -197,7 +206,7 @@ let gen_rule rng cfg ~label ~head_sig ~body_sigs ~allow_rec =
   (* an unsatisfiable conjunction collapses to the constant atom [0 < 0],
      which is outside the Theorem 5.1 class; keep decidable-mode rules
      in-class (the rule would never fire anyway) *)
-  let cstr = if cfg.mode = Decidable && not (Conj.is_sat cstr) then Conj.tt else cstr in
+  let cstr = if decidable cfg.mode && not (Conj.is_sat cstr) then Conj.tt else cstr in
   Rule.make ~label head body cstr
 
 (* ----- programs ----- *)
@@ -253,7 +262,7 @@ let case ?(attempts = 20) rng cfg =
     match Program.check p with
     | Ok ()
       when Program.is_range_restricted p
-           && (cfg.mode <> Decidable || Cql_core.Decidable.in_class p) ->
+           && ((not (decidable cfg.mode)) || Cql_core.Decidable.in_class p) ->
         (p, gen_edb rng cfg p edb_sigs)
     | _ -> attempt (n - 1)
   in

@@ -10,7 +10,7 @@
     predicate-creation time so constraints only ever touch numeric
     variables and EDB facts are well-typed.
 
-    Three constraint modes:
+    Four modes:
 
     - {!Decidable}: constraints restricted to the decidable class of
       Theorem 5.1 — [X op Y] / [X op c] with [op ∈ {≤, <, ≥, >}], no
@@ -24,11 +24,14 @@
       diverge — non-unit coefficients ([2X ≤ 7] tightens to [X ≤ 3]),
       strict bounds (which close over ℤ), and divisibility traps
       ([2X = 2Y + 1], Q-sat but Z-unsat).  The harness evaluates these
-      cases under {!Cql_constr.Cdomain.Z}. *)
+      cases under {!Cql_constr.Cdomain.Z}.
+    - {!Update}: {!Decidable} programs over an EDB pool twice as deep,
+      for the harness's update oracle, which inserts facts from the pool
+      into a materialized view and retracts them again. *)
 
 open Cql_datalog
 
-type mode = Decidable | Linear | Int
+type mode = Decidable | Linear | Int | Update
 
 val mode_of_string : string -> mode option
 val mode_to_string : mode -> string
@@ -47,6 +50,8 @@ type config = {
 }
 
 val default : mode -> config
+(** The configuration the harness runs each mode with; {!Update}'s
+    [max_edb_facts] is twice the other modes'. *)
 
 exception Exhausted of { attempts : int }
 (** {!case} draws candidate programs and keeps only those passing the
@@ -60,7 +65,8 @@ val case : ?attempts:int -> Rng.t -> config -> Program.t * Cql_eval.Fact.t list
 (** A random (program, EDB) pair.  The program has a query predicate set,
     passes {!Program.check} and {!Program.is_range_restricted}; the EDB
     facts are ground, one batch per database predicate occurring in the
-    program.  In [Decidable] mode the program is in the Theorem 5.1 class.
+    program.  In [Decidable] and [Update] mode the program is in the
+    Theorem 5.1 class.
     @raise Exhausted after [attempts] (default 20, clamped to at least 1)
     failed draws. *)
 

@@ -43,7 +43,7 @@ type failure = {
   detail : string;
   program : Program.t;
   edb : F.t list;
-  updates : update_op list; (* empty except for the update oracle *)
+  updates : update_op list; (* empty except in update mode *)
 }
 
 type stats = {
@@ -68,6 +68,12 @@ let new_stats () =
     facts_derived = 0;
     gen_retries = 0;
   }
+
+(* Each oracle check returns the detail of its failure, or [None] when it
+   passes or does not apply; it counts its own passes and skips in [st]. *)
+let pass st =
+  st.checks <- st.checks + 1;
+  None
 
 (* ----- fact-set comparison ----- *)
 
@@ -110,13 +116,13 @@ let simplex_sat c = Simplex.is_sat (Conj.to_list c)
    and require an alpha-equivalent rewritten program, identical sorted
    answers and identical fixpoint status: the caches may only change
    speed. *)
-let check_cache ~max_iterations ~max_derivations ~max_iters st p edb =
+let check_cache ~eval ~max_iters st p =
   let run_with on =
     Memo.with_caches on (fun () ->
         match Rw.constraint_rewrite ~max_iters p with
         | exception (Invalid_argument _ | Failure _) -> None
         | p', _ ->
-            let res = Engine.run ~max_iterations ~max_derivations p' ~edb in
+            let res = eval p' in
             Some
               ( p',
                 Engine.answers res p',
@@ -134,10 +140,7 @@ let check_cache ~max_iterations ~max_derivations ~max_iters st p edb =
              (Program.to_string p1) (Program.to_string p2))
       else if f1 <> f2 || not (List.equal F.equal a1 a2) then
         Some "evaluation answers differ with caches on vs off"
-      else begin
-        st.checks <- st.checks + 1;
-        None
-      end
+      else pass st
   | _ -> Some "constraint_rewrite applicability differs with caches on vs off"
 
 (* ----- pipelines ----- *)
@@ -230,42 +233,42 @@ let fell_back (r : Rw.report) =
 
 (* ----- oracles ----- *)
 
-(* The Answers and Monotone oracles on one rewrite [p'] of [p], from both
-   programs' fixpoints [res0] and [res']: the rewrite computes exactly the
-   original's query answers, and derives for each original predicate only
-   facts the original derives.  [pass] runs once per oracle passed. *)
-let compare_rewrite ~pass (p : Program.t) res0 (p' : Program.t) res' =
+(* The Answers oracle on one rewrite [p'] of [p], from both programs'
+   fixpoints [res0] and [res']: the rewrite computes exactly the original's
+   query answers. *)
+let check_answers st (p : Program.t) res0 (p' : Program.t) res' =
   let answers0 = Engine.answers res0 p and answers' = Engine.answers res' p' in
   match first_uncovered answers0 answers' with
-  | Some f ->
-      Some (Answers, Printf.sprintf "answer %s of the original program is lost" (F.to_string f))
+  | Some f -> Some (Printf.sprintf "answer %s of the original program is lost" (F.to_string f))
   | None -> (
       match first_uncovered answers' answers0 with
       | Some f ->
-          Some (Answers, Printf.sprintf "extra answer %s not derivable originally" (F.to_string f))
-      | None -> (
-          pass ();
-          let orig_preds = Program.predicates p in
-          let bad =
-            List.find_map
-              (fun (pred', facts') ->
-                match root_name orig_preds pred' with
-                | None -> None
-                | Some op ->
-                    if facts' <> [] && F.arity (List.hd facts') <> Program.arity p op then None
-                    else
-                      Option.map
-                        (fun f ->
-                          Printf.sprintf "%s derives %s, not subsumed by any original %s fact"
-                            pred' (F.to_string f) op)
-                        (first_uncovered facts' (Engine.facts_of res0 op)))
-              (Engine.all_facts res')
-          in
-          match bad with
-          | Some detail -> Some (Monotone, detail)
-          | None ->
-              pass ();
-              None))
+          Some (Printf.sprintf "extra answer %s not derivable originally" (F.to_string f))
+      | None -> pass st)
+
+(* The Monotone oracle: the rewrite derives, for each original predicate,
+   only facts the original derives. *)
+let check_monotone st (p : Program.t) res0 (_ : Program.t) res' =
+  let orig_preds = Program.predicates p in
+  let bad =
+    List.find_map
+      (fun (pred', facts') ->
+        match root_name orig_preds pred' with
+        | None -> None
+        | Some op ->
+            if facts' <> [] && F.arity (List.hd facts') <> Program.arity p op then None
+            else
+              Option.map
+                (fun f ->
+                  Printf.sprintf "%s derives %s, not subsumed by any original %s fact" pred'
+                    (F.to_string f) op)
+                (first_uncovered facts' (Engine.facts_of res0 op)))
+      (Engine.all_facts res')
+  in
+  if bad = None then pass st else bad
+
+(* the oracles that compare a rewrite with the original, in order *)
+let comparisons = [ (Answers, check_answers); (Monotone, check_monotone) ]
 
 type verdict = Agree | Truncated | Fails of oracle * string
 
@@ -276,12 +279,15 @@ let check_rewrite ?(max_iterations = 25) ?(max_derivations = 20_000) ~original ~
   let fixpoint res = (Engine.stats res).Engine.reached_fixpoint in
   if not (fixpoint res0 && fixpoint res') then Truncated
   else
-    match compare_rewrite ~pass:ignore original res0 rewritten res' with
-    | None -> Agree
-    | Some (oracle, detail) -> Fails (oracle, detail)
+    let st = new_stats () in
+    List.find_map
+      (fun (oracle, check) ->
+        Option.map (fun d -> Fails (oracle, d)) (check st original res0 rewritten res'))
+      comparisons
+    |> Option.value ~default:Agree
 
 (* the Indexing oracle: the production engine against the seed evaluator *)
-let same_engine_results name res_idx res_seed =
+let check_indexing st name res_idx res_seed =
   let preds =
     List.sort_uniq compare
       (List.map fst (Engine.all_facts res_idx) @ List.map fst (Reference.all_facts res_seed))
@@ -303,7 +309,7 @@ let same_engine_results name res_idx res_seed =
       if di <> ds then
         Some
           (Printf.sprintf "%s: derivation counts differ (engine %d, reference %d)" name di ds)
-      else None
+      else pass st
 
 let check_solver_pool st pool =
   if Cdomain.is_z () then
@@ -341,16 +347,12 @@ let check_solver_pool st pool =
           (simplex_sat c) (Conj.to_string c))
       bad
 
-let check_bound ~max_bound_iters st p =
+let check_bound st p =
   if not (Decidable.in_class p) then
     Some "generated program left the Theorem 5.1 decidable class"
   else
     let bound = Decidable.iteration_bound p in
-    let limit =
-      match Bigint.to_int_opt bound with
-      | Some b when b < max_bound_iters -> b
-      | _ -> max_bound_iters
-    in
+    let limit = match Bigint.to_int_opt bound with Some b when b < 300 -> b | _ -> 300 in
     let pres = Pred_constraints.gen ~max_iters:limit p in
     let qres = Qrp.gen ~max_iters:limit p in
     let within iters = Bigint.compare (Bigint.of_int iters) bound <= 0 in
@@ -359,10 +361,7 @@ let check_bound ~max_bound_iters st p =
       && qres.Qrp.converged
       && within pres.Pred_constraints.iterations
       && within qres.Qrp.iterations
-    then begin
-      st.checks <- st.checks + 1;
-      None
-    end
+    then pass st
     else
       Some
         (Printf.sprintf
@@ -379,11 +378,11 @@ let check_bound ~max_bound_iters st p =
    over-approximation, so Q answers with no integer witness are expected.
    Coverage is judged in Q mode (the covering constraint is a ℚ statement).
    Skipped when either run truncates. *)
-let check_relaxation ~max_iterations ~max_derivations st p edb =
+let check_relaxation ~eval st p =
   let run_in dom =
     Cdomain.with_domain dom (fun () ->
         Memo.clear_all ();
-        let res = Engine.run ~max_iterations ~max_derivations p ~edb in
+        let res = eval p in
         if (Engine.stats res).Engine.reached_fixpoint then
           Some (Engine.answers res p)
         else None)
@@ -396,25 +395,32 @@ let check_relaxation ~max_iterations ~max_derivations st p edb =
             (Printf.sprintf
                "integer-domain answer %s is not covered by any rational-domain answer"
                (F.to_string f))
-      | None ->
-          st.checks <- st.checks + 1;
-          None)
+      | None -> pass st)
   | _ ->
       st.runs_truncated <- st.runs_truncated + 1;
       None
 
-let check_case ?tamper ?(max_iterations = 25) ?(max_derivations = 20_000) ?(max_iters = 20)
-    ~mode st p edb =
+(* both programs name a query predicate of the same arity, so their
+   answers compare *)
+let same_query_arity (p : Program.t) (p' : Program.t) =
+  match (p.Program.query, p'.Program.query) with
+  | Some q, Some q' -> ( try Program.arity p q = Program.arity p' q' with Not_found -> false)
+  | _ -> false
+
+(* The rewrite oracles on one case, checked in this order: Indexing on the
+   original program, Bound (decidable mode), Cache, Relaxation (int mode),
+   then each pipeline's Indexing, Answers and Monotone, and last Solver on
+   every constraint conjunction the case touched.  The first failure
+   stops the check. *)
+let check_rewrites ?tamper ~max_iterations ~max_derivations ~max_iters ~mode st p edb =
   (* Int-mode cases run every oracle under the integer domain, so the
      cache differential doubles as a ℤ transparency check;
-     the relaxation oracle below is the only one that crosses domains on
+     the relaxation oracle is the only one that crosses domains on
      purpose. *)
   (if mode = Generate.Int then Cdomain.with_domain Cdomain.Z else fun k -> k ()) @@ fun () ->
-  st.cases <- st.cases + 1;
-  let fail oracle pipeline detail =
-    Some { oracle; pipeline; detail; program = p; edb; updates = [] }
-  in
-  let res0 = Engine.run ~max_iterations ~max_derivations p ~edb in
+  let eval p = Engine.run ~max_iterations ~max_derivations p ~edb in
+  let reference p = Reference.run ~max_iterations ~max_derivations p ~edb in
+  let res0 = eval p in
   if not (Engine.stats res0).Engine.reached_fixpoint then begin
     (* a truncated baseline cannot anchor equivalence; skip the case *)
     st.runs_truncated <- st.runs_truncated + 1;
@@ -423,81 +429,155 @@ let check_case ?tamper ?(max_iterations = 25) ?(max_derivations = 20_000) ?(max_
   else begin
     st.evaluated <- st.evaluated + 1;
     st.facts_derived <- st.facts_derived + Engine.total_idb_facts res0 ~edb;
-    let res0_seed = Reference.run ~max_iterations ~max_derivations p ~edb in
-    match same_engine_results "original" res0 res0_seed with
-    | Some detail -> fail Indexing "eval" detail
-    | None -> (
-        st.checks <- st.checks + 1;
-        let bound_failure =
-          if mode = Generate.Decidable then check_bound ~max_bound_iters:300 st p else None
-        in
-        match bound_failure with
-        | Some detail -> fail Bound "analyze" detail
-        | None -> (
-            match check_cache ~max_iterations ~max_derivations ~max_iters st p edb with
-            | Some detail -> fail Cache "constraint_rewrite" detail
-            | None -> (
-            let relaxation_failure =
-              if mode = Generate.Int then
-                check_relaxation ~max_iterations ~max_derivations st p edb
-              else None
-            in
-            match relaxation_failure with
-            | Some detail -> fail Relaxation "eval" detail
-            | None -> (
-            let solver_pool = ref [] in
-            let add_conjs (prog : Program.t) =
-              List.iter (fun (r : Rule.t) -> solver_pool := r.Rule.cstr :: !solver_pool)
-                prog.Program.rules
-            in
-            add_conjs p;
-            List.iter
-              (fun (_, fs) -> List.iter (fun f -> solver_pool := F.cstr f :: !solver_pool) fs)
-              (Engine.all_facts res0);
-            (* run one pipeline; None = all its oracles passed or skipped *)
-            let check_pipeline (name, rw) =
-              match rw p with
-              | exception (Invalid_argument _ | Failure _) ->
-                  st.rewrites_skipped <- st.rewrites_skipped + 1;
-                  None
-              | p', report -> (
-                  if fell_back report then
-                    st.rewrites_unconverged <- st.rewrites_unconverged + 1;
-                  add_conjs p';
-                  let res' = Engine.run ~max_iterations ~max_derivations p' ~edb in
-                  if not (Engine.stats res').Engine.reached_fixpoint then begin
-                    st.runs_truncated <- st.runs_truncated + 1;
-                    None
-                  end
-                  else
-                    let res'_seed = Reference.run ~max_iterations ~max_derivations p' ~edb in
-                    match same_engine_results name res' res'_seed with
-                    | Some detail -> fail Indexing name detail
-                    | None ->
-                    st.checks <- st.checks + 1;
-                    let arity_ok =
-                      match (p.Program.query, p'.Program.query) with
-                      | Some q, Some q' -> (
-                          try Program.arity p q = Program.arity p' q'
-                          with Not_found -> false)
-                      | _ -> false
-                    in
-                    if not arity_ok then begin
-                      st.rewrites_skipped <- st.rewrites_skipped + 1;
-                      None
-                    end
-                    else
-                      let pass () = st.checks <- st.checks + 1 in
-                      Option.bind (compare_rewrite ~pass p res0 p' res') (fun (oracle, detail) ->
-                          fail oracle name detail))
-            in
-            match List.find_map check_pipeline (pipelines ~max_iters ?tamper p) with
-            | Some _ as f -> f
-            | None -> (
-                match check_solver_pool st !solver_pool with
-                | Some detail -> fail Solver "solver" detail
-                | None -> None)))))
+    let solver_pool = ref [] in
+    let add_conjs (prog : Program.t) =
+      List.iter
+        (fun (r : Rule.t) -> solver_pool := r.Rule.cstr :: !solver_pool)
+        prog.Program.rules
+    in
+    add_conjs p;
+    List.iter
+      (fun (_, fs) -> List.iter (fun f -> solver_pool := F.cstr f :: !solver_pool) fs)
+      (Engine.all_facts res0);
+    let pipeline_oracles (name, rw) =
+      (* the rewrite and its evaluation, run when the pipeline's first
+         oracle is checked; [None] when the pipeline does not apply or the
+         evaluation is cut short *)
+      let evaluated =
+        lazy
+          (match rw p with
+          | exception (Invalid_argument _ | Failure _) ->
+              st.rewrites_skipped <- st.rewrites_skipped + 1;
+              None
+          | p', report ->
+              if fell_back report then st.rewrites_unconverged <- st.rewrites_unconverged + 1;
+              add_conjs p';
+              let res' = eval p' in
+              if (Engine.stats res').Engine.reached_fixpoint then Some (p', res')
+              else begin
+                st.runs_truncated <- st.runs_truncated + 1;
+                None
+              end)
+      in
+      let comparable =
+        lazy
+          (match Lazy.force evaluated with
+          | Some (p', _) when not (same_query_arity p p') ->
+              st.rewrites_skipped <- st.rewrites_skipped + 1;
+              None
+          | e -> e)
+      in
+      let on run check () = Option.bind (Lazy.force run) check in
+      (Indexing, name, on evaluated (fun (p', r') -> check_indexing st name r' (reference p')))
+      :: List.map
+           (fun (oracle, check) ->
+             (oracle, name, on comparable (fun (p', res') -> check st p res0 p' res')))
+           comparisons
+    in
+    let only m oracles = if mode = m then oracles else [] in
+    let oracles =
+      [ (Indexing, "eval", fun () -> check_indexing st "original" res0 (reference p)) ]
+      @ only Generate.Decidable [ (Bound, "analyze", fun () -> check_bound st p) ]
+      @ [ (Cache, "constraint_rewrite", fun () -> check_cache ~eval ~max_iters st p) ]
+      @ only Generate.Int [ (Relaxation, "eval", fun () -> check_relaxation ~eval st p) ]
+      @ List.concat_map pipeline_oracles (pipelines ~max_iters ?tamper p)
+      @ [ (Solver, "solver", fun () -> check_solver_pool st !solver_pool) ]
+    in
+    List.find_map
+      (fun (oracle, pipeline, check) ->
+        Option.map
+          (fun detail -> { oracle; pipeline; detail; program = p; edb; updates = [] })
+          (check ()))
+      oracles
   end
+
+(* ----- the update-oracle differential ----- *)
+
+(* Apply an insert/retract sequence to a materialized view and, after
+   every step, compare it against a from-scratch re-evaluation of the
+   current EDB multiset: sorted answers, the full per-predicate fact state,
+   per-fact support counts and fixpoint convergence must all agree, and the
+   plain engine must agree on the answers.  Generated programs are
+   range-restricted, so every derived fact is ground and support counts are
+   arrival-order independent — incremental maintenance must reproduce them
+   exactly.  Facts are compared with [F.equal], never with polymorphic
+   equality: a constraint fact's linear expressions are maps whose shape
+   depends on the order they were built in. *)
+
+let view_state vw =
+  List.filter (fun (_, l) -> l <> []) (Engine.view_all_facts vw)
+
+(* two per-predicate listings, both sorted as [Engine.view_all_facts] *)
+let same_by_pred eq a b =
+  List.equal (fun (p, xs) (q, ys) -> String.equal p q && List.equal eq xs ys) a b
+
+let same_counts = same_by_pred (fun (f, n) (g, m) -> F.equal f g && n = m)
+
+let check_updates ~max_iterations ~max_derivations st p edb0 ops =
+  let materialize edb = Engine.materialize ~max_iterations ~max_derivations p ~edb in
+  let vw, mst0 = materialize edb0 in
+  Fun.protect ~finally:(fun () -> Engine.close_view vw) @@ fun () ->
+  (* the live view against fresh evaluations of its current EDB *)
+  let compare_now what =
+    let edb_now = Engine.view_edb vw in
+    let sv, sst = materialize edb_now in
+    Fun.protect ~finally:(fun () -> Engine.close_view sv) @@ fun () ->
+    if not sst.Engine.m_complete then `Truncated
+    else if not (Engine.view_complete vw) then
+      `Fail (what ^ ": incremental maintenance lost fixpoint convergence")
+    else if not (List.equal F.equal (Engine.view_answers vw) (Engine.view_answers sv)) then
+      `Fail (what ^ ": incremental and from-scratch answers differ")
+    else if not (same_by_pred F.equal (view_state vw) (view_state sv)) then
+      `Fail (what ^ ": incremental and from-scratch state differ")
+    else if not (same_counts (Engine.view_counts vw) (Engine.view_counts sv)) then
+      `Fail (what ^ ": incremental and from-scratch support counts differ")
+    else
+      let r = Engine.run ~max_iterations ~max_derivations p ~edb:edb_now in
+      if
+        (Engine.stats r).Engine.reached_fixpoint
+        && not (List.equal F.equal (Engine.answers r p) (Engine.view_answers vw))
+      then `Fail (what ^ ": view answers differ from Engine.run answers")
+      else begin
+        st.checks <- st.checks + 1;
+        `Ok
+      end
+  in
+  let truncated () =
+    st.runs_truncated <- st.runs_truncated + 1;
+    None
+  in
+  if not mst0.Engine.m_complete then truncated ()
+  else begin
+    st.evaluated <- st.evaluated + 1;
+    st.facts_derived <- st.facts_derived + (Engine.view_total vw - List.length edb0);
+    (* check the view as it stands, then apply op [i] *)
+    let rec steps i what pending =
+      match compare_now what with
+      | `Truncated -> truncated ()
+      | `Fail detail ->
+          let pipeline = "maintain" in
+          Some { oracle = Update; pipeline; detail; program = p; edb = edb0; updates = ops }
+      | `Ok -> (
+          match pending with
+          | [] -> None
+          | op :: rest ->
+              let mst =
+                match op with
+                | Insert f -> Engine.insert vw [ f ]
+                | Retract f -> Engine.retract vw [ f ]
+              in
+              if mst.Engine.m_complete then
+                steps (i + 1) (Printf.sprintf "step %d (%s)" i (update_op_to_string op)) rest
+              else truncated ())
+    in
+    steps 1 "materialize" ops
+  end
+
+let check_case ?tamper ?(max_iterations = 25) ?(max_derivations = 20_000) ?(max_iters = 20)
+    ~mode st p edb ops =
+  st.cases <- st.cases + 1;
+  if mode = Generate.Update then check_updates ~max_iterations ~max_derivations st p edb ops
+  else check_rewrites ?tamper ~max_iterations ~max_derivations ~max_iters ~mode st p edb
 
 (* ----- shrinking ----- *)
 
@@ -547,22 +627,24 @@ let reductions (p : Program.t) edb =
 
 let shrink ?tamper ?max_iterations ?max_derivations ?max_iters ~mode (f0 : failure) =
   let budget = ref 400 in
-  let still_fails p edb =
+  let still_fails (p, edb, ops) =
     if !budget <= 0 then None
     else begin
       decr budget;
-      check_case ?tamper ?max_iterations ?max_derivations ?max_iters ~mode (new_stats ()) p
-        edb
+      check_case ?tamper ?max_iterations ?max_derivations ?max_iters ~mode (new_stats ()) p edb
+        ops
     end
   in
+  (* single ops first (an update sequence usually shrinks to one or two),
+     then the program and EDB reductions *)
   let rec go (f : failure) =
-    let next =
-      List.find_map
-        (fun (p', edb') ->
-          match still_fails p' edb' with Some f' -> Some f' | None -> None)
-        (reductions f.program f.edb)
+    let drop_op =
+      List.init (List.length f.updates) (fun i -> (f.program, f.edb, remove_nth i f.updates))
     in
-    match next with Some f' when !budget > 0 -> go f' | _ -> f
+    let reduced = List.map (fun (p, edb) -> (p, edb, f.updates)) (reductions f.program f.edb) in
+    match List.find_map still_fails (drop_op @ reduced) with
+    | Some f' when !budget > 0 -> go f'
+    | _ -> f
   in
   go f0
 
@@ -584,148 +666,6 @@ let draw_case st rng config =
         draw (retries_left - 1)
   in
   draw 10
-
-let run ?tamper ?config ?max_iterations ?max_derivations ?max_iters ~seed ~count () =
-  let config = match config with Some c -> c | None -> Generate.default Generate.Decidable in
-  let rng = Rng.create seed in
-  let st = new_stats () in
-  let rec go i =
-    if i >= count then None
-    else
-      let p, edb = draw_case st rng config in
-      match
-        check_case ?tamper ?max_iterations ?max_derivations ?max_iters ~mode:config.Generate.mode
-          st p edb
-      with
-      | None -> go (i + 1)
-      | Some f ->
-          Some (shrink ?tamper ?max_iterations ?max_derivations ?max_iters ~mode:config.Generate.mode f)
-  in
-  { seed; count; stats = st; failure = go 0 }
-
-let replay ?mode p edb =
-  let mode =
-    match mode with
-    | Some m -> m
-    | None -> if Decidable.in_class p then Generate.Decidable else Generate.Linear
-  in
-  check_case ~mode (new_stats ()) p edb
-
-(* ----- the update-oracle differential (oracle 7) ----- *)
-
-(* Apply a random insert/retract sequence to a materialized view and, after
-   every step, compare it against a from-scratch re-evaluation of the
-   current EDB multiset: sorted answers, the full per-predicate fact state,
-   per-fact support counts and fixpoint convergence must all agree, and the
-   plain engine must agree on the answers.  Generated programs are
-   range-restricted, so every derived fact is ground and support counts are
-   arrival-order independent — incremental maintenance must reproduce them
-   exactly.  Facts are compared with [F.equal], never with polymorphic
-   equality: a constraint fact's linear expressions are maps whose shape
-   depends on the order they were built in. *)
-
-let view_state vw =
-  List.filter (fun (_, l) -> l <> []) (Engine.view_all_facts vw)
-
-(* two per-predicate listings, both sorted as [Engine.view_all_facts] *)
-let same_by_pred eq a b =
-  List.equal (fun (p, xs) (q, ys) -> String.equal p q && List.equal eq xs ys) a b
-
-let diff_state name a b =
-  if same_by_pred F.equal a b then None
-  else Some (name ^ ": incremental and from-scratch state differ")
-
-let same_counts = same_by_pred (fun (f, n) (g, m) -> F.equal f g && n = m)
-
-let check_update_case ?(max_iterations = 25) ?(max_derivations = 20_000) st p (edb0 : F.t list)
-    (ops : update_op list) =
-  st.cases <- st.cases + 1;
-  let fail detail =
-    Some { oracle = Update; pipeline = "maintain"; detail; program = p; edb = edb0; updates = ops }
-  in
-  let vw, mst0 = Engine.materialize ~max_iterations ~max_derivations p ~edb:edb0 in
-  Fun.protect ~finally:(fun () -> Engine.close_view vw) @@ fun () ->
-  (* one differential check of the live view against fresh evaluations *)
-  let compare_now what =
-    let edb_now = Engine.view_edb vw in
-    let sv, sst = Engine.materialize ~max_iterations ~max_derivations p ~edb:edb_now in
-    Fun.protect ~finally:(fun () -> Engine.close_view sv) @@ fun () ->
-    if not sst.Engine.m_complete then `Truncated
-    else begin
-      let failure =
-        if not (Engine.view_complete vw) then
-          Some (what ^ ": incremental maintenance lost fixpoint convergence")
-        else if
-          not (List.equal F.equal (Engine.view_answers vw) (Engine.view_answers sv))
-        then Some (what ^ ": incremental and from-scratch answers differ")
-        else
-          match diff_state what (view_state vw) (view_state sv) with
-          | Some d -> Some d
-          | None ->
-              if not (same_counts (Engine.view_counts vw) (Engine.view_counts sv)) then
-                Some (what ^ ": incremental and from-scratch support counts differ")
-              else begin
-                (* anchor to the plain engine: same answers *)
-                let r = Engine.run ~max_iterations ~max_derivations p ~edb:edb_now in
-                if not (Engine.stats r).Engine.reached_fixpoint then ()
-                else if
-                  not
-                    (List.equal F.equal (Engine.answers r p) (Engine.view_answers vw))
-                then raise Exit;
-                None
-              end
-      in
-      match failure with
-      | Some d -> `Fail d
-      | None ->
-          st.checks <- st.checks + 1;
-          `Ok
-    end
-  in
-  let compare_now what =
-    try compare_now what
-    with Exit -> `Fail (what ^ ": view answers differ from Engine.run answers")
-  in
-  if not mst0.Engine.m_complete then begin
-    st.runs_truncated <- st.runs_truncated + 1;
-    None
-  end
-  else begin
-    st.evaluated <- st.evaluated + 1;
-    st.facts_derived <- st.facts_derived + (Engine.view_total vw - List.length edb0);
-    match compare_now "materialize" with
-    | `Truncated ->
-        st.runs_truncated <- st.runs_truncated + 1;
-        None
-    | `Fail d -> fail d
-    | `Ok ->
-        let rec steps i = function
-          | [] -> None
-          | op :: rest -> (
-              let what =
-                Printf.sprintf "step %d (%s)" i (update_op_to_string op)
-              in
-              let mst =
-                match op with
-                | Insert f -> Engine.insert vw [ f ]
-                | Retract f -> Engine.retract vw [ f ]
-              in
-              if not mst.Engine.m_complete then begin
-                st.runs_truncated <- st.runs_truncated + 1;
-                None
-              end
-              else
-                match compare_now what with
-                | `Truncated ->
-                    st.runs_truncated <- st.runs_truncated + 1;
-                    None
-                | `Fail d -> fail d
-                | `Ok -> steps (i + 1) rest)
-        in
-        steps 1 ops
-  end
-
-let replay_update p edb ops = check_update_case (new_stats ()) p edb ops
 
 (* random update sequence over a generated EDB: part of the database is
    held back as an insert pool, retracted facts return to the pool (so
@@ -765,54 +705,32 @@ let gen_updates rng edb =
   done;
   (initial, List.rev !ops)
 
-(* greedy shrinking of an update failure: drop individual ops first (the
-   sequence usually minimizes to one or two), then shrink the program and
-   initial EDB with the shared reductions *)
-let shrink_update ?max_iterations ?max_derivations (f0 : failure) =
-  let budget = ref 400 in
-  let still_fails p edb ops =
-    if !budget <= 0 then None
-    else begin
-      decr budget;
-      check_update_case ?max_iterations ?max_derivations (new_stats ()) p edb ops
-    end
-  in
-  let rec go (f : failure) =
-    let drop_op =
-      List.init (List.length f.updates) (fun i -> (f.program, f.edb, remove_nth i f.updates))
-    in
-    let prog_reds =
-      List.map (fun (p', edb') -> (p', edb', f.updates)) (reductions f.program f.edb)
-    in
-    let next =
-      List.find_map (fun (p', edb', ops') -> still_fails p' edb' ops') (drop_op @ prog_reds)
-    in
-    match next with Some f' when !budget > 0 -> go f' | _ -> f
-  in
-  go f0
-
-let run_update ?config ?max_iterations ?max_derivations ~seed ~count () =
-  let config =
-    match config with
-    | Some c -> c
-    | None ->
-        (* a deeper EDB pool than the rewrite-oracle default, so update
-           sequences have facts left to insert *)
-        let c = Generate.default Generate.Decidable in
-        { c with Generate.max_edb_facts = c.Generate.max_edb_facts * 2 }
-  in
+let run ?tamper ?config ?max_iterations ?max_derivations ?max_iters ~seed ~count () =
+  let config = match config with Some c -> c | None -> Generate.default Generate.Decidable in
+  let mode = config.Generate.mode in
   let rng = Rng.create seed in
   let st = new_stats () in
   let rec go i =
     if i >= count then None
     else
       let p, edb = draw_case st rng config in
-      let initial, ops = gen_updates (Rng.split rng) edb in
-      match check_update_case ?max_iterations ?max_derivations st p initial ops with
+      let edb, ops =
+        if mode = Generate.Update then gen_updates (Rng.split rng) edb else (edb, [])
+      in
+      match check_case ?tamper ?max_iterations ?max_derivations ?max_iters ~mode st p edb ops with
       | None -> go (i + 1)
-      | Some f -> Some (shrink_update ?max_iterations ?max_derivations f)
+      | Some f -> Some (shrink ?tamper ?max_iterations ?max_derivations ?max_iters ~mode f)
   in
   { seed; count; stats = st; failure = go 0 }
+
+let replay ?mode p edb ops =
+  let mode =
+    match mode with
+    | _ when ops <> [] -> Generate.Update
+    | Some m -> m
+    | None -> if Decidable.in_class p then Generate.Decidable else Generate.Linear
+  in
+  check_case ~mode (new_stats ()) p edb ops
 
 (* ----- counterexample rendering ----- *)
 
@@ -882,23 +800,24 @@ let parse_counterexample src =
   let prog_part, rest = split_on edb_marker src in
   let edb_part, updates_part = split_on updates_marker rest in
   let p = Parser.program_of_string prog_part in
-  let edb = List.map F.of_fact_rule (Parser.facts_of_string edb_part) in
+  (* an unsatisfiable fact denotes nothing: it is dropped, as are the
+     update ops that name one *)
+  let edb = List.filter_map F.of_fact_rule_opt (Parser.facts_of_string edb_part) in
   let updates =
     List.filter_map
       (fun line ->
         let line = String.trim line in
         if String.length line < 2 || line.[0] = '%' then None
         else
-          let clause = String.trim (String.sub line 1 (String.length line - 1)) in
-          let fact () =
-            match Parser.facts_of_string clause with
-            | [ r ] -> F.of_fact_rule r
-            | _ -> failwith ("malformed update line: " ^ line)
+          let op =
+            match line.[0] with
+            | '+' -> Some (fun f -> Insert f)
+            | '-' -> Some (fun f -> Retract f)
+            | _ -> None
           in
-          match line.[0] with
-          | '+' -> Some (Insert (fact ()))
-          | '-' -> Some (Retract (fact ()))
-          | _ -> failwith ("malformed update line: " ^ line))
+          match (op, Parser.facts_of_string (String.sub line 1 (String.length line - 1))) with
+          | Some op, [ r ] -> Option.map op (F.of_fact_rule_opt r)
+          | _ -> raise (Parser.Error ("malformed update line: " ^ line)))
       (String.split_on_char '\n' updates_part)
   in
   (p, edb, updates)

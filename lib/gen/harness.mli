@@ -1,5 +1,6 @@
 (** Differential fuzzing harness: run generated (program, query, EDB) cases
-    through every rewrite pipeline and check the equivalence oracles.
+    through every rewrite pipeline, or an update stream through a
+    materialized view, and check the equivalence oracles.
 
     Eight oracles guard the paper's claims and the implementation:
 
@@ -29,7 +30,8 @@
       ({!Cql_eval.Engine.materialize}) leaves, after {e every} step, exactly
       the sorted answers, per-predicate fact state, per-fact support counts
       and fixpoint status of a from-scratch re-evaluation of the current
-      EDB multiset ({!run_update}, [--mode update]).
+      EDB multiset.  It is the only oracle of {!Generate.Update} mode, and
+      runs in no other mode.
     + {b Relaxation} — integer-mode only ([--mode int]): ℤ ⊂ ℚ, so every
       answer the integer-domain evaluation derives must be covered by the
       rational-domain answers of the same program (one-directional — the
@@ -40,8 +42,13 @@
       the {b Solver} pair to the two independent exact ℤ procedures (Omega
       elimination vs. branch-and-bound over the rational relaxation).
 
-    On failure the harness shrinks the case — dropping rules, EDB facts,
-    update ops, body literals and constraint atoms while the failure
+    The other modes check the rewrite oracles as one ordered list: Indexing
+    on the original program, Bound, Cache, Relaxation, then each
+    pipeline's Indexing, Answers and Monotone, and Solver last; the first
+    failure ends the case.
+
+    On failure the harness shrinks the case — dropping update ops, rules,
+    EDB facts, body literals and constraint atoms while the failure
     persists and the program stays well-formed — and renders the minimal
     counterexample as a replayable [.cql] file
     ({!counterexample_to_string} / {!parse_counterexample}). *)
@@ -71,7 +78,7 @@ type failure = {
   detail : string;
   program : Program.t;
   edb : Cql_eval.Fact.t list;
-  updates : update_op list;  (** empty except for the update oracle *)
+  updates : update_op list;  (** empty except in update mode *)
 }
 
 type stats = {
@@ -125,15 +132,25 @@ val check_case :
   stats ->
   Program.t ->
   Cql_eval.Fact.t list ->
+  update_op list ->
   failure option
-(** Run one case through every pipeline and oracle; [None] when all checks
-    pass.  [tamper] injects a bug: an extra ["qrp(tampered)"] pipeline runs
-    a QRP propagation whose definition rules are built from each inferred
-    constraint set transformed by the given function while folding still
-    trusts the untransformed set (e.g. dropping all but one disjunct — the
-    over-tight pushed constraint the oracles must catch).  [max_iterations] /
-    [max_derivations] are evaluation budgets (defaults 25 / 20000);
-    [max_iters] bounds the rewrite fixpoints (default 20). *)
+(** Check one case; [None] when all checks pass.  In {!Generate.Update}
+    mode this is the update oracle on the ops: materialize the program over
+    the EDB, apply the ops one at a time, and after every step require the
+    view to agree with a from-scratch re-evaluation of the current EDB
+    multiset (and with {!Cql_eval.Engine.run} on the answers).  The other
+    modes ignore the ops and run every pipeline through the rewrite
+    oracles.  A case whose baseline evaluation hits a budget is skipped
+    ([runs_truncated]).
+
+    [tamper] injects a bug into the rewrite modes: an extra
+    ["qrp(tampered)"] pipeline runs a QRP propagation whose definition
+    rules are built from each inferred constraint set transformed by the
+    given function while folding still trusts the untransformed set (e.g.
+    dropping all but one disjunct — the over-tight pushed constraint the
+    oracles must catch).  [max_iterations] / [max_derivations] are
+    evaluation budgets (defaults 25 / 20000); [max_iters] bounds the
+    rewrite fixpoints (default 20). *)
 
 val shrink :
   ?tamper:(Cset.t -> Cset.t) ->
@@ -144,8 +161,9 @@ val shrink :
   failure ->
   failure
 (** Greedily minimize a failing case: re-run {!check_case} on candidates
-    with one rule / EDB fact / body literal / constraint atom removed and
-    keep any reduction that still fails (bounded number of re-checks). *)
+    with one update op removed, then with one rule / EDB fact / body
+    literal / constraint atom removed, and keep any reduction that still
+    fails (bounded number of re-checks). *)
 
 type summary = {
   seed : int;
@@ -166,57 +184,25 @@ val run :
   summary
 (** Generate and check [count] cases from the given seed, stopping at (and
     shrinking) the first failure.  [config] defaults to
-    [Generate.default Decidable].  When a case's generation raises
-    {!Generate.Exhausted} the harness retries on the next RNG substream
-    (counted in [stats.gen_retries], bounded per case). *)
+    [Generate.default Decidable]; in [Update] mode each case's EDB is split
+    by {!gen_updates} into an initial database and an update stream.  When
+    a case's generation raises {!Generate.Exhausted} the harness retries on
+    the next RNG substream (counted in [stats.gen_retries], bounded per
+    case). *)
 
-val replay : ?mode:Generate.mode -> Program.t -> Cql_eval.Fact.t list -> failure option
-(** Re-check a single case (e.g. a parsed counterexample).  When [mode] is
-    omitted it is inferred with {!Cql_core.Decidable.in_class} (which can
-    only distinguish [Decidable] from [Linear] — pass [Int] explicitly to
-    replay an integer-domain counterexample under ℤ). *)
-
-val check_update_case :
-  ?max_iterations:int ->
-  ?max_derivations:int ->
-  stats ->
-  Program.t ->
-  Cql_eval.Fact.t list ->
-  update_op list ->
-  failure option
-(** The update oracle on one explicit case: materialize the program over the
-    initial EDB, apply the ops one at a time, and after every step require
-    the view to agree with a from-scratch re-evaluation of the current EDB
-    multiset on sorted answers, full fact state, per-fact support counts and
-    fixpoint status (and with {!Cql_eval.Engine.run} on the answers).  Cases
-    where any evaluation hits a budget are skipped ([runs_truncated]). *)
-
-val replay_update :
-  Program.t -> Cql_eval.Fact.t list -> update_op list -> failure option
-(** Re-check a parsed update counterexample. *)
+val replay :
+  ?mode:Generate.mode -> Program.t -> Cql_eval.Fact.t list -> update_op list -> failure option
+(** Re-check a single case (e.g. a parsed counterexample).  A case with
+    ops replays in [Update] mode.  Otherwise, when [mode] is omitted it is
+    inferred with {!Cql_core.Decidable.in_class} (which can only
+    distinguish [Decidable] from [Linear] — pass [Int] explicitly to replay
+    an integer-domain counterexample under ℤ). *)
 
 val gen_updates : Rng.t -> Cql_eval.Fact.t list -> Cql_eval.Fact.t list * update_op list
 (** Split a generated EDB into an initial database and an insert pool and
     draw a random update sequence: inserts from the pool, retractions of
     present facts (which return to the pool, so retract-then-reinsert
     occurs) and occasional retractions of absent facts. *)
-
-val shrink_update : ?max_iterations:int -> ?max_derivations:int -> failure -> failure
-(** Greedy minimization for update failures: drop individual ops first,
-    then apply the shared program/EDB reductions. *)
-
-val run_update :
-  ?config:Generate.config ->
-  ?max_iterations:int ->
-  ?max_derivations:int ->
-  seed:int ->
-  count:int ->
-  unit ->
-  summary
-(** [--mode update]: generate [count] cases (default config: decidable mode
-    with a doubled EDB pool), apply {!gen_updates} sequences incrementally
-    and check the update oracle after every step, stopping at (and
-    shrinking) the first failure. *)
 
 val drop_disjuncts : Cset.t -> Cset.t
 (** The canonical injected bug for tests: keep only the first disjunct of a
@@ -232,7 +218,9 @@ val counterexample_to_string : summary -> failure -> string
 
 val parse_counterexample : string -> Program.t * Cql_eval.Fact.t list * update_op list
 (** Inverse of {!counterexample_to_string} (the op list is empty for
-    counterexamples of the other oracles).
-    @raise Cql_datalog.Parser.Error on malformed input. *)
+    counterexamples of the other oracles).  A fact or op whose constraint
+    is unsatisfiable denotes nothing and is dropped.
+    @raise Cql_datalog.Parser.Error on malformed input, a malformed update
+    line included. *)
 
 val pp_summary : Format.formatter -> summary -> unit

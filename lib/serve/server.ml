@@ -68,12 +68,6 @@ let rewrite ~pipeline (p : Program.t) =
 
 let ms_of_ns ns = Int64.to_float ns /. 1e6
 
-(* An unsatisfiable fact denotes the empty relation, so it contributes
-   nothing to any fixpoint: drop it instead of letting [Fact.Unsat] escape.
-   Under ["domain": "int"] this is the normal fate of a fact pinning a
-   position to a non-integral value. *)
-let fact_opt r = match Fact.of_fact_rule r with f -> Some f | exception Fact.Unsat -> None
-
 (* the caller has already entered the request's constraint domain (rewrite
    verdicts depend on it, and the key separates the domains) *)
 let compiled_plan t ~pipeline ~domain ~source p =
@@ -167,7 +161,7 @@ let handle_eval t ?id ~tenant ~view ~program ~edb ~pipeline ~domain ~max_iterati
     | exception Parser.Error msg -> Error (Protocol.Parse_error, what ^ msg)
   in
   let* p = parsed "" Parser.program_of_string program in
-  let facts s = List.filter_map fact_opt (Parser.facts_of_string s) in
+  let facts s = List.filter_map Fact.of_fact_rule_opt (Parser.facts_of_string s) in
   let* edb = parsed "edb: " facts edb in
   let* cached, plan = compiled_plan t ~pipeline ~domain ~source:program p in
   let cache = if cached then "hit" else "miss" in
@@ -254,7 +248,7 @@ let handle_update t ?id ~tenant ~view:name ~retract ~facts ~max_iterations ~max_
            rejects (drops) facts pinning non-integral values exactly as
            its original materialization would have *)
         Cdomain.with_domain (Engine.view_domain vw) @@ fun () ->
-        match List.filter_map fact_opt (Parser.facts_of_string facts) with
+        match List.filter_map Fact.of_fact_rule_opt (Parser.facts_of_string facts) with
         | exception Parser.Error msg -> Error (Protocol.Parse_error, "facts: " ^ msg)
         | fs -> (
             let op = if retract then Engine.retract else Engine.insert in

@@ -121,6 +121,8 @@ let of_fact_rule (r : Rule.t) =
       head.Literal.args;
     make head.Literal.pred args (Conj.of_list !atoms)
 
+let of_fact_rule_opt r = match of_fact_rule r with f -> Some f | exception Unsat -> None
+
 let pred f = f.pred
 let arity f = Array.length f.args
 let cstr f = match f.constr with Some c -> c | None -> pins f

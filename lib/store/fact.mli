@@ -61,6 +61,11 @@ val of_fact_rule : Rule.t -> t
     [tᵢ] is not an integer).
     @raise Invalid_argument when the rule has body literals. *)
 
+val of_fact_rule_opt : Rule.t -> t option
+(** {!of_fact_rule}, with [None] for a clause whose constraint is
+    unsatisfiable in the current domain (e.g. one pinning a fractional
+    value under ℤ): it denotes the empty relation, so loaders drop it. *)
+
 val pred : t -> string
 val arity : t -> int
 

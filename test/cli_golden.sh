@@ -3,7 +3,7 @@
 # program, in both constraint domains, and analyze at two iteration
 # budgets, each run's standard output followed by its exit status.  A
 # program's EDB is the _edb.cql file next to it.  One scripted cqlrepl
-# session follows.
+# session follows, then a seed-42 fuzz run in each generator mode.
 #
 #   sh cli_golden.sh CQLOPT EXAMPLES_DIR CQLREPL > cli_golden.out
 #
@@ -54,3 +54,11 @@ printf '%s\n' ":load $dir/flights.cql" ":load $dir/flights_edb.cql" ":explain" \
   "?- flight(S, boston, T, C), T <= 200." ":iterations 3" \
   "?- cheaporshort(S, D, T, C)." ":quit" | "$cqlrepl" 2>/dev/null
 echo "### exit $?"
+
+# the differential fuzzer in every mode: its summary line pins the case,
+# check, skip and truncation counts of a 200-case run
+for mode in decidable linear int update; do
+  echo "### fuzz --mode $mode --seed 42 --count 200"
+  "$cqlopt" fuzz --mode "$mode" --seed 42 --count 200 2>/dev/null
+  echo "### exit $?"
+done

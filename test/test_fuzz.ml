@@ -96,7 +96,7 @@ let count_fallbacks ?max_iters src edb_src =
   let p = Parser.program_of_string src in
   let edb = List.map Cql_eval.Fact.of_fact_rule (Parser.facts_of_string edb_src) in
   let st = H.new_stats () in
-  check_bool "case passes" true (H.check_case ?max_iters ~mode:G.Linear st p edb = None);
+  check_bool "case passes" true (H.check_case ?max_iters ~mode:G.Linear st p edb [] = None);
   check_bool "case evaluated" true (st.H.evaluated = 1);
   st.H.rewrites_unconverged
 
@@ -137,7 +137,7 @@ let test_injected_bug_caught () =
       (* the shrunk case must still fail on replay with the same tamper *)
       check_bool "shrunk case still fails" true
         (H.check_case ~tamper:H.drop_disjuncts ~mode:G.Decidable (H.new_stats ()) f.H.program
-           f.H.edb
+           f.H.edb []
         <> None)
 
 (* ----- generator exhaustion is typed and recoverable ----- *)
@@ -179,14 +179,14 @@ let test_exhausted_reseed_retry () =
 (* ----- the update oracle ----- *)
 
 let test_update_oracle_passes () =
-  let s = H.run_update ~seed:42 ~count:20 () in
+  let s = H.run ~config:(G.default G.Update) ~seed:42 ~count:20 () in
   check_int "all cases generated" 20 s.H.stats.H.cases;
   check_bool "no failure" true (s.H.failure = None);
   check_bool "update checks happened" true (s.H.stats.H.checks > 0)
 
 let test_update_oracle_determinism () =
   let snapshot () =
-    let s = H.run_update ~seed:9 ~count:10 () in
+    let s = H.run ~config:(G.default G.Update) ~seed:9 ~count:10 () in
     (s.H.stats.H.cases, s.H.stats.H.evaluated, s.H.stats.H.checks, s.H.failure = None)
   in
   check_bool "same seed, same run" true (snapshot () = snapshot ())
@@ -227,7 +227,7 @@ let test_update_case_explicit () =
   in
   let st = H.new_stats () in
   check_bool "incremental view tracks from-scratch after every step" true
-    (H.check_update_case st p edb ops = None);
+    (H.check_case ~mode:G.Update st p edb ops = None);
   check_bool "steps were checked" true (st.H.checks > 0)
 
 (* ----- counterexample round-trip ----- *)
@@ -269,7 +269,24 @@ let test_update_counterexample_roundtrip () =
     (List.length updates = List.length updates'
     && List.for_all2
          (fun a b -> H.update_op_to_string a = H.update_op_to_string b)
-         updates updates')
+         updates updates');
+  (* a malformed update line is a parse error *)
+  (match H.parse_counterexample (doc ^ "* e(2).\n") with
+  | exception Parser.Error _ -> ()
+  | _ -> Alcotest.fail "a malformed update line parsed");
+  (* a fact with an unsatisfiable constraint denotes nothing: the EDB fact
+     and the op that name one are dropped *)
+  let unsat = "e(X; X < 0, X > 1)." in
+  let doc' =
+    String.concat "\n"
+      (List.concat_map
+         (fun l -> if l = "% --- edb ---" then [ l; unsat ] else [ l ])
+         (String.split_on_char '\n' doc))
+    ^ "+ " ^ unsat ^ "\n"
+  in
+  let _, edb'', updates'' = H.parse_counterexample doc' in
+  check_int "unsatisfiable EDB fact dropped" (List.length edb) (List.length edb'');
+  check_int "op on an unsatisfiable fact dropped" (List.length updates) (List.length updates'')
 
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in

@@ -476,12 +476,14 @@ let test_rename_base () =
   let check what expected name =
     Alcotest.(check (option string))
       what expected
-      (Harness.root_name [ "flight"; "a1"; "cheap_seats" ] name)
+      (Harness.root_name [ "flight"; "a1"; "cheap_seats"; "p1" ] name)
   in
   check "prime" (Some "flight") "flight'";
   check "adorned" (Some "flight") "flight_bbff";
   check "both" (Some "flight") "flight'_bbff";
   check "nested" (Some "a1") "a1'_ff";
+  check "GMT conditioned" (Some "p1") "p1_cf";
+  check "GMT conditioned and primed" (Some "flight") "flight'_bcf";
   check "untouched" (Some "cheap_seats") "cheap_seats";
   check "magic" None "m_flight_bbff"
 
