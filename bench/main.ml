@@ -955,8 +955,9 @@ let run_int () =
 
 (* ----- serving (lib/serve): cqlserved under concurrent load ----- *)
 
+(* 1,000 requests, so that ten warm samples lie beyond the warm p99 *)
 let serve_clients = 4
-let serve_requests_per_client = 25
+let serve_requests_per_client = 250
 
 (* an in-process server driven by Loadgen: every answer is checked against
    one-shot evaluation, so this doubles as an end-to-end correctness run;
@@ -990,6 +991,16 @@ let serve () =
         r.p95_ms r.p99_ms r.max_ms r.throughput_rps;
       measured "warm (%d hits): p50=%.2fms p99=%.2fms; cold (%d misses): p50=%.2fms p99=%.2fms"
         r.cache_hits r.warm_p50_ms r.warm_p99_ms r.cache_misses r.cold_p50_ms r.cold_p99_ms;
+      (* the daemon's side: every minor collection stops all its domains *)
+      (match J.member "gc" r.server_stats with
+      | Some gc ->
+          let field k = Option.value ~default:0 (Option.bind (J.member k gc) J.to_int) in
+          let requests = field "requests" in
+          let kb = float_of_int (field "request_minor_words" * 8) /. 1024. in
+          measured "gc: minor=%d major=%d requests=%d minor_kb_per_request=%.1f"
+            (field "minor_collections") (field "major_collections") requests
+            (kb /. float_of_int (max 1 requests))
+      | None -> ());
       check "serve" (r.errors = 0 && r.answers_match);
       to_json r
 

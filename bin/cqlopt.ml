@@ -368,7 +368,9 @@ let client_cmd =
       1
     in
     let print_response j =
-      if raw then print_endline (S.Json.to_string j)
+      (* a stats reply has no answers: it is printed whole, counters and
+         the daemon's gc block *)
+      if raw || op = "stats" then print_endline (S.Json.to_string j)
       else if S.Client.is_ok j then begin
         (match Option.bind (S.Json.member "cache" j) S.Json.to_str with
         | Some c -> Printf.eprintf "cache=%s\n%!" c
@@ -444,7 +446,7 @@ let client_cmd =
   in
   let op =
     Arg.(value & opt string "eval" & info [ "op" ] ~docv:"OP"
-           ~doc:"Request to send: eval, ping or stats")
+           ~doc:"Request to send: eval, ping or stats (printed as the JSON reply)")
   in
   let raw =
     Arg.(value & flag & info [ "json" ] ~doc:"Print the raw JSON response instead of answers")

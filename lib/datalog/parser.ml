@@ -33,18 +33,23 @@ type lexer = { src : string; mutable pos : int; mutable line : int; mutable col 
 let lex_error lx msg =
   raise (Error (Printf.sprintf "line %d, column %d: %s" lx.line lx.col msg))
 
-let peek_char lx = if lx.pos < String.length lx.src then Some lx.src.[lx.pos] else None
+let at_end lx = lx.pos >= String.length lx.src
 
-let peek_char2 lx =
-  if lx.pos + 1 < String.length lx.src then Some lx.src.[lx.pos + 1] else None
+(* the character under the cursor, and the one after it; ['\000'] past the
+   end, so a caller that could take a NUL byte for the end tests [at_end]
+   first.  Peeking allocates nothing. *)
+let peek lx = if at_end lx then '\000' else String.unsafe_get lx.src lx.pos
+
+let peek2 lx =
+  if lx.pos + 1 < String.length lx.src then String.unsafe_get lx.src (lx.pos + 1) else '\000'
 
 let advance lx =
-  (match peek_char lx with
-  | Some '\n' ->
+  if not (at_end lx) then
+    if String.unsafe_get lx.src lx.pos = '\n' then begin
       lx.line <- lx.line + 1;
       lx.col <- 1
-  | Some _ -> lx.col <- lx.col + 1
-  | None -> ());
+    end
+    else lx.col <- lx.col + 1;
   lx.pos <- lx.pos + 1
 
 let is_digit c = c >= '0' && c <= '9'
@@ -53,112 +58,80 @@ let is_upper c = (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_lower c || is_upper c || is_digit c || c = '\''
 
 let rec skip_ws lx =
-  match peek_char lx with
-  | Some (' ' | '\t' | '\r' | '\n') ->
+  match peek lx with
+  | ' ' | '\t' | '\r' | '\n' ->
       advance lx;
       skip_ws lx
-  | Some '%' ->
-      let rec to_eol () =
-        match peek_char lx with
-        | Some '\n' | None -> ()
-        | Some _ ->
-            advance lx;
-            to_eol ()
-      in
-      to_eol ();
+  | '%' ->
+      while (not (at_end lx)) && peek lx <> '\n' do
+        advance lx
+      done;
       skip_ws lx
   | _ -> ()
 
+let skip_while p lx =
+  while p (peek lx) do
+    advance lx
+  done
+
 let lex_ident lx =
   let start = lx.pos in
-  while (match peek_char lx with Some c -> is_ident_char c | None -> false) do
-    advance lx
-  done;
+  skip_while is_ident_char lx;
   String.sub lx.src start (lx.pos - start)
 
 let lex_number lx =
   let start = lx.pos in
-  while (match peek_char lx with Some c -> is_digit c | None -> false) do
-    advance lx
-  done;
+  skip_while is_digit lx;
   (* a '.' is part of the number only when followed by a digit, so rule
      terminators after numerals lex correctly *)
-  (match (peek_char lx, peek_char2 lx) with
-  | Some '.', Some c when is_digit c ->
-      advance lx;
-      while (match peek_char lx with Some c -> is_digit c | None -> false) do
-        advance lx
-      done
-  | _ -> ());
+  if peek lx = '.' && is_digit (peek2 lx) then begin
+    advance lx;
+    skip_while is_digit lx
+  end;
   Rat.of_string (String.sub lx.src start (lx.pos - start))
+
+(* one character, then [tok]; or [tok2] when [next] follows it *)
+let lex_op lx next tok2 tok =
+  advance lx;
+  if peek lx = next then begin
+    advance lx;
+    tok2
+  end
+  else tok
+
+let single lx tok =
+  advance lx;
+  tok
 
 let next_token lx =
   skip_ws lx;
-  match peek_char lx with
-  | None -> EOF
-  | Some c when is_digit c -> NUM (lex_number lx)
-  | Some c when is_lower c -> IDENT (lex_ident lx)
-  | Some c when is_upper c -> VAR (lex_ident lx)
-  | Some '#' ->
-      advance lx;
-      let word = lex_ident lx in
-      if word = "query" then HASHQUERY else lex_error lx (Printf.sprintf "unknown directive #%s" word)
-  | Some '(' ->
-      advance lx;
-      LPAREN
-  | Some ')' ->
-      advance lx;
-      RPAREN
-  | Some ',' ->
-      advance lx;
-      COMMA
-  | Some ';' ->
-      advance lx;
-      SEMI
-  | Some '.' ->
-      advance lx;
-      PERIOD
-  | Some '+' ->
-      advance lx;
-      PLUS
-  | Some '-' ->
-      advance lx;
-      MINUS
-  | Some '*' ->
-      advance lx;
-      STAR
-  | Some ':' ->
-      advance lx;
-      if peek_char lx = Some '-' then begin
+  if at_end lx then EOF
+  else
+    match peek lx with
+    | c when is_digit c -> NUM (lex_number lx)
+    | c when is_lower c -> IDENT (lex_ident lx)
+    | c when is_upper c -> VAR (lex_ident lx)
+    | '#' ->
         advance lx;
-        IF
-      end
-      else COLON
-  | Some '?' ->
-      advance lx;
-      if peek_char lx = Some '-' then begin
+        let word = lex_ident lx in
+        if word = "query" then HASHQUERY
+        else lex_error lx (Printf.sprintf "unknown directive #%s" word)
+    | '(' -> single lx LPAREN
+    | ')' -> single lx RPAREN
+    | ',' -> single lx COMMA
+    | ';' -> single lx SEMI
+    | '.' -> single lx PERIOD
+    | '+' -> single lx PLUS
+    | '-' -> single lx MINUS
+    | '*' -> single lx STAR
+    | '=' -> single lx OP_EQ
+    | ':' -> lex_op lx '-' IF COLON
+    | '<' -> lex_op lx '=' OP_LE OP_LT
+    | '>' -> lex_op lx '=' OP_GE OP_GT
+    | '?' ->
         advance lx;
-        QUERY
-      end
-      else lex_error lx "expected '-' after '?'"
-  | Some '<' ->
-      advance lx;
-      if peek_char lx = Some '=' then begin
-        advance lx;
-        OP_LE
-      end
-      else OP_LT
-  | Some '>' ->
-      advance lx;
-      if peek_char lx = Some '=' then begin
-        advance lx;
-        OP_GE
-      end
-      else OP_GT
-  | Some '=' ->
-      advance lx;
-      OP_EQ
-  | Some c -> lex_error lx (Printf.sprintf "unexpected character %C" c)
+        if peek lx = '-' then single lx QUERY else lex_error lx "expected '-' after '?'"
+    | c -> lex_error lx (Printf.sprintf "unexpected character %C" c)
 
 (* ----- parser state: one-token lookahead ----- *)
 

@@ -329,6 +329,9 @@ type view = {
   vw_nodes : node FactTbl.t; (* stored and covered facts (and vanished ones
                                  until their DRed pass) -> their nodes *)
   mutable vw_covered : node list; (* the nodes flagged covered *)
+  mutable vw_answers : Fact.t list; (* the query's stored facts at the last flush, sorted *)
+  mutable vw_changes : (Fact.t * bool) list;
+      (* query facts stored ([true]) or removed since, newest first *)
   mutable vw_passes : int; (* DRed passes so far: [n_swept]'s clock *)
   mutable vw_complete : bool; (* no maintenance round was ever truncated *)
   mutable vw_closed : bool;
@@ -386,11 +389,22 @@ let rec cover_facts vw = function
       cover vw (node_of vw f);
       cover_facts vw rest
 
+let is_answer vw f =
+  match vw.vw_program.Program.query with Some q -> String.equal q (Fact.pred f) | None -> false
+
+(* log a query fact entering ([true]) or leaving the store, for [view_answers] *)
+let log_change vw f stored = vw.vw_changes <- (f, stored) :: vw.vw_changes
+
 (* store a fact no live fact subsumes; the facts it kills by
    back-subsumption become covered *)
 let store_live vw n =
   n.n_covered <- false;
-  cover_facts vw (Store.add_reporting vw.vw_store n.n_fact)
+  let killed = Store.add_reporting vw.vw_store n.n_fact in
+  if is_answer vw n.n_fact then begin
+    log_change vw n.n_fact true;
+    List.iter (fun k -> log_change vw k false) killed
+  end;
+  cover_facts vw killed
 
 (* Where a fact arriving at the view goes, after one probe of its table:
    onto the node of its live equal, into the covered set when a live fact
@@ -615,7 +629,8 @@ let dred vw ms ~live_seeds ~gone_seeds =
   List.iter
     (fun n ->
       if n.n_mark = deleted then begin
-        ignore (Store.delete vw.vw_store n.n_fact);
+        if Store.delete vw.vw_store n.n_fact && is_answer vw n.n_fact then
+          log_change vw n.n_fact false;
         FactTbl.remove vw.vw_nodes n.n_fact;
         incr removed
       end
@@ -662,8 +677,39 @@ let mstate_create vw max_iterations max_derivations =
     s_deleted = 0;
   }
 
+(* the changes of one fact come first in [changes]: drop them *)
+let rec skip_fact f = function
+  | (g, _) :: rest when Fact.compare g f = 0 -> skip_fact f rest
+  | changes -> changes
+
+(* [answers] after [changes], both sorted by fact and a fact's newest change
+   first among its own: that change says whether the fact is stored now.
+   The tail after the last change is shared. *)
+let rec apply_changes answers changes =
+  match (answers, changes) with
+  | _, [] -> answers
+  | g :: rest, (f, _) :: _ when Fact.compare g f < 0 -> g :: apply_changes rest changes
+  | _, (f, stored) :: _ ->
+      let answers =
+        match answers with g :: rest when Fact.compare g f = 0 -> rest | _ -> answers
+      in
+      let changes = skip_fact f changes in
+      if stored then f :: apply_changes answers changes else apply_changes answers changes
+
+(* The sorted answers are kept across writes: each operation merges in the
+   query facts it stored, sorted among themselves, and drops those it
+   removed (DRed deletions and back-subsumption kills alike).  A read
+   flushes too, in case an operation ended by an exception. *)
+let flush_answers vw =
+  if vw.vw_changes <> [] then begin
+    let changes = List.stable_sort (fun (a, _) (b, _) -> Fact.compare a b) vw.vw_changes in
+    vw.vw_changes <- [];
+    vw.vw_answers <- apply_changes vw.vw_answers changes
+  end
+
 let finish_op vw ms ~op ~batch ~complete =
   if not complete then vw.vw_complete <- false;
+  flush_answers vw;
   let b = ms.s_budget in
   Obs.add ctr_inserted ms.s_inserted;
   Obs.add ctr_retracted ms.s_retracted;
@@ -780,6 +826,8 @@ let materialize ?jobs:_ ?max_iterations ?max_derivations ?compiled (p : Program.
       vw_edb = [];
       vw_nodes = FactTbl.create 64;
       vw_covered = [];
+      vw_answers = [];
+      vw_changes = [];
       vw_passes = 0;
       vw_complete = true;
       vw_closed = false;
@@ -813,9 +861,8 @@ let view_all_facts vw =
     (List.map (fun (p, fs) -> (p, List.sort Fact.compare fs)) (Store.all_facts vw.vw_store))
 
 let view_answers vw =
-  match vw.vw_program.Program.query with
-  | None -> []
-  | Some q -> List.sort Fact.compare (view_facts_of vw q)
+  flush_answers vw;
+  vw.vw_answers
 
 let view_counts vw =
   List.filter_map

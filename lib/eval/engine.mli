@@ -216,7 +216,9 @@ val view_all_facts : view -> (string * Fact.t list) list
 (** Sorted by predicate, facts sorted by {!Fact.compare}. *)
 
 val view_answers : view -> Fact.t list
-(** Query-predicate facts, sorted by {!Fact.compare}. *)
+(** Query-predicate facts, sorted by {!Fact.compare}.  The view keeps them
+    sorted across maintenance: each operation merges in the query facts it
+    stored and drops the ones it removed, so a read sorts nothing. *)
 
 val view_counts : view -> (string * (Fact.t * int) list) list
 (** Each live fact with its support count (EDB multiplicity + live rule

@@ -179,29 +179,39 @@ let to_string x =
 
 let pp fmt x = Format.pp_print_string fmt (to_string x)
 
+(* an optional sign and at most 18 digits: below 10^18 < 2^62, so the
+   value is read natively, with no bignum *)
+let is_small_numeral s =
+  let len = String.length s in
+  let start = if len > 0 && (s.[0] = '-' || s.[0] = '+') then 1 else 0 in
+  let rec digits i = i = len || (s.[i] >= '0' && s.[i] <= '9' && digits (i + 1)) in
+  len > start && len - start <= 18 && digits start
+
 let of_string s =
-  match String.index_opt s '/' with
-  | Some i ->
-      let n = B.of_string (String.sub s 0 i) in
-      let d = B.of_string (String.sub s (i + 1) (String.length s - i - 1)) in
-      make n d
-  | None -> (
-      match String.index_opt s '.' with
-      | None -> of_bigint (B.of_string s)
-      | Some i ->
-          let int_part = String.sub s 0 i in
-          let frac = String.sub s (i + 1) (String.length s - i - 1) in
-          if String.length frac = 0 then invalid_arg "Rat.of_string: trailing dot";
-          let negative = String.length int_part > 0 && int_part.[0] = '-' in
-          let whole =
-            if String.length int_part = 0 || int_part = "-" || int_part = "+" then B.zero
-            else B.of_string int_part
-          in
-          let digits = B.of_string frac in
-          let scale = B.pow (B.of_int 10) (String.length frac) in
-          let frac_part = make digits scale in
-          let frac_part = if negative then neg frac_part else frac_part in
-          add (of_bigint whole) frac_part)
+  if is_small_numeral s then of_int (int_of_string s)
+  else
+    match String.index_opt s '/' with
+    | Some i ->
+        let n = B.of_string (String.sub s 0 i) in
+        let d = B.of_string (String.sub s (i + 1) (String.length s - i - 1)) in
+        make n d
+    | None -> (
+        match String.index_opt s '.' with
+        | None -> of_bigint (B.of_string s)
+        | Some i ->
+            let int_part = String.sub s 0 i in
+            let frac = String.sub s (i + 1) (String.length s - i - 1) in
+            if String.length frac = 0 then invalid_arg "Rat.of_string: trailing dot";
+            let negative = String.length int_part > 0 && int_part.[0] = '-' in
+            let whole =
+              if String.length int_part = 0 || int_part = "-" || int_part = "+" then B.zero
+              else B.of_string int_part
+            in
+            let digits = B.of_string frac in
+            let scale = B.pow (B.of_int 10) (String.length frac) in
+            let frac_part = make digits scale in
+            let frac_part = if negative then neg frac_part else frac_part in
+            add (of_bigint whole) frac_part)
 
 let ( + ) = add
 let ( - ) = sub

@@ -35,6 +35,9 @@ type t = {
   served : int Atomic.t;  (* connections accepted *)
   requests : Obs.counter;
   errors : Obs.counter;
+  gc_requests : int Atomic.t;  (* requests whose allocation the workers measured *)
+  gc_minor_words : int Atomic.t;  (* what those requests allocated, summed *)
+  gc_at_start : Gc.stat;  (* the process's collections before the server *)
   started_ns : int64;
   mutable workers : unit Domain.t list;
 }
@@ -45,12 +48,10 @@ let connections_served t = Atomic.get t.served
 
 (* ----- compilation ----- *)
 
-(* without a query predicate there is nothing to push: every pipeline
-   applies as "none" *)
-let applied ~pipeline (p : Program.t) = if p.Program.query = None then "none" else pipeline
-
 let rewrite ~pipeline (p : Program.t) =
-  let pipeline = applied ~pipeline p in
+  (* without a query predicate there is nothing to push: every pipeline
+     applies as "none" *)
+  let pipeline = if p.Program.query = None then "none" else pipeline in
   let pushed f =
     try Ok (pipeline, fst (f p))
     with Invalid_argument msg -> Error (Protocol.Internal, "rewrite failed: " ^ msg)
@@ -68,29 +69,46 @@ let rewrite ~pipeline (p : Program.t) =
 
 let ms_of_ns ns = Int64.to_float ns /. 1e6
 
-(* the caller has already entered the request's constraint domain (rewrite
-   verdicts depend on it, and the key separates the domains) *)
-let compiled_plan t ~pipeline ~domain ~source p =
-  let key = Plan_cache.key ~pipeline:(applied ~pipeline p) ~domain ~source in
+let parsed what parse src =
+  match parse src with
+  | x -> Ok x
+  | exception Parser.Error msg -> Error (Protocol.Parse_error, what ^ msg)
+
+(* the facts of an EDB text; a fact the request's domain rejects is dropped *)
+let facts_of s = List.filter_map Fact.of_fact_rule_opt (Parser.facts_of_string s)
+
+(* The plan for a program text, looked up before anything is parsed: the
+   key is the digest of the raw pipeline name, domain and text.  A hit
+   parses only the EDB.  A miss parses the program, then the EDB, then
+   rewrites, compiles and inserts, so a request with both texts broken
+   reports the program's error and a broken EDB caches no plan.  The caller
+   has already entered the request's constraint domain (EDB admission and
+   rewrite verdicts depend on it, and the key separates the domains). *)
+let compiled_plan t ~pipeline ~domain ~program ~edb =
+  let ( let* ) = Result.bind in
+  let key = Plan_cache.key ~pipeline ~domain ~source:program in
   match Lru.find t.plans key with
-  | Some plan -> Ok (true, plan)
+  | Some plan ->
+      let* edb = parsed "edb: " facts_of edb in
+      Ok (true, plan, edb)
   | None ->
+      let* p = parsed "" Parser.program_of_string program in
+      let* edb = parsed "edb: " facts_of edb in
       let t0 = Obs.monotonic_ns () in
-      rewrite ~pipeline p
-      |> Result.map (fun (pipeline, prog) ->
-             let plan =
-               {
-                 Plan_cache.pipeline;
-                 program = prog;
-                 (* join plans compile once here, at rewrite time: warm
-                    requests reuse the register-frame programs as well *)
-                 programs = Engine.compile_plans prog;
-                 source_bytes = String.length source;
-                 rewrite_ns = Int64.sub (Obs.monotonic_ns ()) t0;
-               }
-             in
-             ignore (Lru.add t.plans key plan);
-             (false, plan))
+      let* pipeline, prog = rewrite ~pipeline p in
+      let plan =
+        {
+          Plan_cache.pipeline;
+          program = prog;
+          (* join plans compile once here, at rewrite time: warm
+             requests reuse the register-frame programs as well *)
+          programs = Engine.compile_plans prog;
+          source_bytes = String.length program;
+          rewrite_ns = Int64.sub (Obs.monotonic_ns ()) t0;
+        }
+      in
+      ignore (Lru.add t.plans key plan);
+      Ok (false, plan, edb)
 
 (* ----- requests ----- *)
 
@@ -138,9 +156,9 @@ let maintain_json (ms : Engine.maintain_stats) =
       ("fixpoint", Json.Bool ms.Engine.m_complete);
     ]
 
-(* eval and materialize: one gate, one parse, one plan-cache lookup and one
-   fixpoint; a view ([Some name]) is then kept in the view cache instead of
-   being summarized by its run statistics *)
+(* eval and materialize: one gate, one plan-cache lookup, the parses it
+   needs and one fixpoint; a view ([Some name]) is then kept in the view
+   cache instead of being summarized by its run statistics *)
 let handle_eval t ?id ~tenant ~view ~program ~edb ~pipeline ~domain ~max_iterations
     ~max_derivations () =
   Obs.add_field_str "tenant" tenant;
@@ -155,15 +173,7 @@ let handle_eval t ?id ~tenant ~view ~program ~edb ~pipeline ~domain ~max_iterati
      it, so later insert/retract maintenance re-enters it automatically *)
   Cdomain.with_domain domain @@ fun () ->
   let ( let* ) r f = match r with Ok x -> f x | Error (kind, msg) -> error t ?id kind msg in
-  let parsed what parse src =
-    match parse src with
-    | x -> Ok x
-    | exception Parser.Error msg -> Error (Protocol.Parse_error, what ^ msg)
-  in
-  let* p = parsed "" Parser.program_of_string program in
-  let facts s = List.filter_map Fact.of_fact_rule_opt (Parser.facts_of_string s) in
-  let* edb = parsed "edb: " facts edb in
-  let* cached, plan = compiled_plan t ~pipeline ~domain ~source:program p in
+  let* cached, plan, edb = compiled_plan t ~pipeline ~domain ~program ~edb in
   let cache = if cached then "hit" else "miss" in
   Obs.add_field_str "cache" cache;
   let prog = plan.Plan_cache.program and compiled = plan.Plan_cache.programs in
@@ -248,9 +258,9 @@ let handle_update t ?id ~tenant ~view:name ~retract ~facts ~max_iterations ~max_
            rejects (drops) facts pinning non-integral values exactly as
            its original materialization would have *)
         Cdomain.with_domain (Engine.view_domain vw) @@ fun () ->
-        match List.filter_map Fact.of_fact_rule_opt (Parser.facts_of_string facts) with
-        | exception Parser.Error msg -> Error (Protocol.Parse_error, "facts: " ^ msg)
-        | fs -> (
+        match parsed "facts: " facts_of facts with
+        | Error e -> Error e
+        | Ok fs -> (
             let op = if retract then Engine.retract else Engine.insert in
             match op ~max_iterations ~max_derivations vw fs with
             | exception Engine.Arity_mismatch msg ->
@@ -343,6 +353,18 @@ let stats_response t ?id () =
           ] );
       ("plan_cache", cache_json (Lru.stats t.plans));
       ("view_cache", cache_json (Lru.stats t.views));
+      (* a minor collection stops every worker domain: the process's
+         collections since the server started, and what the requests
+         served so far allocated on their workers *)
+      ( "gc",
+        let q = Gc.quick_stat () and q0 = t.gc_at_start in
+        Json.Obj
+          [
+            ("minor_collections", Json.Int (q.Gc.minor_collections - q0.Gc.minor_collections));
+            ("major_collections", Json.Int (q.Gc.major_collections - q0.Gc.major_collections));
+            ("requests", Json.Int (Atomic.get t.gc_requests));
+            ("request_minor_words", Json.Int (Atomic.get t.gc_minor_words));
+          ] );
       ( "tenants",
         Json.List
           (List.map
@@ -440,7 +462,13 @@ let handle_connection t fd =
     | Error (Protocol.Bad_header _ as e) -> frame_err Protocol.Malformed e
     | Error (Protocol.Too_large _ as e) -> frame_err Protocol.Oversized e
     | Ok payload ->
+        let words = Gc.minor_words () in
         let reply = match respond t payload with reply -> reply | exception e -> internal e in
+        (* this domain's allocation is this request's: a worker serves one
+           connection, one request at a time *)
+        let words = Float.to_int (Gc.minor_words () -. words) in
+        ignore (Atomic.fetch_and_add t.gc_minor_words words);
+        Atomic.incr t.gc_requests;
         (* memo keys keep their terms alive: once the reply is out, drop
            this worker's solver tables, and only this worker's, so a
            request running on another keeps its warm entries *)
@@ -503,6 +531,9 @@ let start config =
       served = Atomic.make 0;
       requests = Obs.counter "serve.requests";
       errors = Obs.counter "serve.errors";
+      gc_requests = Atomic.make 0;
+      gc_minor_words = Atomic.make 0;
+      gc_at_start = Gc.quick_stat ();
       started_ns = Obs.monotonic_ns ();
       workers = [];
     }

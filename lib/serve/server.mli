@@ -17,11 +17,14 @@
        ({!Protocol}).  CQL syntax errors come back as structured
        [parse_error] responses carrying the parser's token/position
        message; malformed frames and JSON come back as [malformed].}
-    {- [eval] and [materialize] take one path: admission, parse, a
-       {!Plan_cache.plan} looked up by source digest in an {!Lru} (a warm
-       repeat query skips the rewrite pipeline entirely, observable through
-       the [serve.plan_cache.hits] counter and the response's ["cache"]
-       field), then one semi-naive fixpoint.  Only its end differs: [eval]
+    {- [eval] and [materialize] take one path: admission, a
+       {!Plan_cache.plan} looked up in an {!Lru} by the digest of the raw
+       pipeline name, domain and program text before anything is parsed
+       (a warm repeat query parses only its EDB and skips the rewrite
+       pipeline entirely, observable through the [serve.plan_cache.hits]
+       counter and the response's ["cache"] field; a miss parses the
+       program, then the EDB, then rewrites), then one semi-naive
+       fixpoint.  Only its end differs: [eval]
        answers with the run's statistics, [materialize] keeps the result
        alive as an incremental view ({!Cql_eval.Engine.materialize}) in the
        {!View_cache}, keyed by tenant and view name; [insert]/[retract] then
@@ -36,7 +39,10 @@
        its contents would under-approximate the fixpoint.}
     {- Every request runs inside an [Obs] span ([serve.request] with
        tenant/op/cache/status fields), so [--trace-json] gives per-request
-       NDJSON traces with solver-counter deltas attached.}}
+       NDJSON traces with solver-counter deltas attached.  [stats] reports
+       the process's minor and major collections since the server
+       started and the words the requests served so far allocated on
+       their workers ([gc]).}}
 
     Shutdown ({!stop}, or SIGTERM/SIGINT in the daemon binary) stops
     accepting, lets every accepted connection finish the requests already

@@ -320,4 +320,23 @@ let pp fmt f =
       residual;
   Format.pp_print_string fmt ")"
 
-let to_string f = Format.asprintf "%a" pp f
+(* a ground fact has no residual: its terms, printed as [pp] prints them,
+   straight into a buffer *)
+let to_string f =
+  match f.constr with
+  | Some _ -> Format.asprintf "%a" pp f
+  | None ->
+      let b = Buffer.create 64 in
+      Buffer.add_string b f.pred;
+      Buffer.add_char b '(';
+      Array.iteri
+        (fun i (t : Term.t) ->
+          if i > 0 then Buffer.add_string b ", ";
+          Buffer.add_string b
+            (match t with
+            | Term.C (Term.Num q) -> Rat.to_string q
+            | Term.C (Term.Sym s) -> s
+            | Term.V v -> Var.name v))
+        f.terms;
+      Buffer.add_char b ')';
+      Buffer.contents b

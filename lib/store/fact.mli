@@ -115,3 +115,5 @@ val pp : Format.formatter -> t -> unit
     [m_fib($1, 5; $1 > 0)]. *)
 
 val to_string : t -> string
+(** The text {!pp} prints.  A ground fact is printed through a [Buffer],
+    without [Format]: query answers go through here on every reply. *)

@@ -184,6 +184,33 @@ let test_parse_error_messages () =
   (* directives check their argument shape *)
   check_msg "bad #query" "#query 5." [ "predicate name"; "number 5" ]
 
+(* the lexer tests the end of input apart from the character it peeks: a
+   NUL byte is an unexpected character, anywhere, and an input that ends
+   inside a clause says so, at the position of its end *)
+let test_parse_error_end_of_input () =
+  List.iter
+    (fun (src, expected) ->
+      match Parser.program_of_string src with
+      | exception Parser.Error m -> Alcotest.(check string) (String.escaped src) expected m
+      | _ -> Alcotest.failf "expected a parse error for %S" src)
+    [
+      ("\000", "line 1, column 1: unexpected character '\\000'");
+      ("p(a).\000", "line 1, column 6: unexpected character '\\000'");
+      ("p(1, \000).", "line 1, column 6: unexpected character '\\000'");
+      ("p(X) :- q(X", "line 1, column 12: expected ')', got end of input");
+      ("p(X) :- q(X)", "line 1, column 13: expected '.', got end of input");
+      ( "p(X) :- q(X),",
+        "line 1, column 14: expected an arithmetic expression, got end of input" );
+      ( "p(X) :-\n  q(X), X <=",
+        "line 2, column 13: expected an arithmetic expression, got end of input" );
+      ("p(1).\nq(2", "line 2, column 4: expected ')', got end of input");
+      ( "% a \000 in a comment\np(1).\n?- p(X",
+        "line 3, column 7: expected ')', got end of input" );
+      ("p(X; X <= 3", "line 1, column 12: expected ')', got end of input");
+      ("?", "line 1, column 2: expected '-' after '?'");
+      ("p(3.", "line 1, column 5: expected ')', got '.'");
+    ]
+
 let test_pp_roundtrip () =
   let p = Parser.program_of_string flights_src in
   let p2 = Parser.program_of_string (Program.to_string p) in
@@ -385,6 +412,7 @@ let () =
           Alcotest.test_case "numbers" `Quick test_parse_numbers;
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "error messages" `Quick test_parse_error_messages;
+          Alcotest.test_case "NUL byte and end of input" `Quick test_parse_error_end_of_input;
           Alcotest.test_case "pp roundtrip" `Quick test_pp_roundtrip;
           Alcotest.test_case "pp roundtrip examples" `Quick test_pp_roundtrip_examples;
         ] );

@@ -266,6 +266,35 @@ let prop_rat_string_roundtrip =
   QCheck.Test.make ~name:"rat string roundtrip" ~count:500 rat_gen (fun a ->
       Q.equal a (Q.of_string (Q.to_string a)))
 
+(* A numeral of at most 18 digits is read natively, any other through
+   bigints: both routes must build the same canonical value, with leading
+   zeros and a sign, around the packed (2^30) and native (2^62) bounds, and
+   at 18, 19 and 20 digits. *)
+let numeral =
+  let open QCheck.Gen in
+  let digits n = map (String.concat "") (list_repeat n (map string_of_int (int_bound 9))) in
+  let near e =
+    map (fun d -> B.to_string (B.add (B.pow (B.of_int 2) e) (B.of_int d))) (int_range (-3) 3)
+  in
+  let body =
+    frequency
+      [
+        (2, int_range 1 20 >>= digits);
+        (2, oneofl [ 17; 18; 19; 20 ] >>= digits);
+        (1, near 30);
+        (1, near 62);
+      ]
+  in
+  let sign = oneofl [ ""; "-"; "+" ] in
+  let zeros = map (fun k -> String.make k '0') (int_bound 3) in
+  QCheck.make ~print:Fun.id (map (fun ((s, z), b) -> s ^ z ^ b) (pair (pair sign zeros) body))
+
+let prop_rat_of_numeral =
+  QCheck.Test.make ~name:"rat of_string of a numeral is its bigint" ~count:1000 numeral
+    (fun s ->
+      let a = Q.of_string s and b = Q.of_bigint (B.of_string s) in
+      Q.equal a b && Stdlib.( = ) a b)
+
 (* ----- Rat across the packed/bigint split -----
 
    A fraction whose numerator and denominator are both below 2^30 is an
@@ -359,7 +388,11 @@ let () =
           Alcotest.test_case "of_string" `Quick test_rat_of_string;
         ] );
       ( "rat-properties",
-        qt [ prop_rat_field; prop_rat_compare_antisym; prop_rat_string_roundtrip ] );
+        qt
+          [
+            prop_rat_field; prop_rat_compare_antisym; prop_rat_string_roundtrip;
+            prop_rat_of_numeral;
+          ] );
       ( "rat-boundaries",
         qt
           [

@@ -462,7 +462,56 @@ let test_server_cache_miss_then_hit () =
           check_int "plan-cache hit counter advanced" 1 (Obs.value hits - h0);
           check_bool "answers stable across hit and miss" true
             (Client.answers r1 = Client.answers r2);
+          List.iter
+            (fun k ->
+              check_bool (k ^ " stable across hit and miss") true
+                (Json.member k r1 = Json.member k r2 && Json.member k r1 <> None))
+            [ "query"; "pipeline" ];
           check_bool "some answers" true (Client.answers r1 <> [])))
+
+let member path j = List.fold_left (fun acc k -> Option.bind acc (Json.member k)) (Some j) path
+let cache_of r = Option.bind (Json.member "cache" r) Json.to_str
+let pipeline_of r = Option.bind (Json.member "pipeline" r) Json.to_str
+
+let starts_with prefix s =
+  String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
+
+(* the plan is looked up before anything is parsed: a hit parses only the
+   EDB, a miss parses the program first and caches nothing until its EDB
+   parsed too *)
+let test_server_lookup_before_parse () =
+  with_server "lookup" (fun socket _ ->
+      with_client socket (fun c ->
+          let entries () =
+            let s = Result.get_ok (Client.stats c) in
+            Option.bind (member [ "plan_cache"; "entries" ] s) Json.to_int
+          in
+          let parse_error what r =
+            check_bool (what ^ ": parse_error") true (Client.error_kind r = Some "parse_error");
+            Option.value (Client.error_message r) ~default:""
+          in
+          let eval ?pipeline ?(edb = ex41_edb) program =
+            Result.get_ok (Client.eval c ?pipeline ~edb ~program ())
+          in
+          let msg = parse_error "both broken" (eval ~edb:"nope(" "q(X :- p(X).") in
+          check_bool "both broken: the program's error" false (starts_with "edb: " msg);
+          let e0 = entries () in
+          let msg = parse_error "broken edb on a miss" (eval ~edb:"b1(2, " ex41_program) in
+          check_bool "broken edb on a miss: the edb's error" true (starts_with "edb: " msg);
+          check_bool "broken edb on a miss caches no plan" true (entries () = e0);
+          check_bool "then a good edb misses" true (cache_of (eval ex41_program) = Some "miss");
+          let msg = parse_error "broken edb on a hit" (eval ~edb:"b1(2, " ex41_program) in
+          check_bool "broken edb on a hit: the edb's error" true (starts_with "edb: " msg);
+          (* a program without a query runs as "none" whatever it was sent with *)
+          let queryless = "p(1). p(2)." in
+          let r1 = eval ~pipeline:"pred,qrp" ~edb:"" queryless in
+          let r2 = eval ~pipeline:"pred,qrp" ~edb:"" queryless in
+          check_bool "queryless miss then hit" true
+            (cache_of r1 = Some "miss" && cache_of r2 = Some "hit");
+          check_bool "queryless miss runs as none" true (pipeline_of r1 = Some "none");
+          check_bool "queryless hit runs as none" true (pipeline_of r2 = Some "none");
+          check_bool "queryless hit answers as the miss" true
+            (Client.answers r1 = Client.answers r2)))
 
 let test_server_parse_error () =
   with_server "parse" (fun socket _ ->
@@ -541,13 +590,18 @@ let test_server_stats_and_queryless () =
             (Option.bind (Json.member "pipeline" r) Json.to_str = Some "none");
           let s = Result.get_ok (Client.stats c) in
           check_bool "stats ok" true (Client.is_ok s);
-          let member path j =
-            List.fold_left (fun acc k -> Option.bind acc (Json.member k)) (Some j) path
-          in
           check_bool "requests counted" true
             (match Option.bind (member [ "server"; "requests" ] s) Json.to_int with
             | Some n -> n >= 2
             | None -> false);
+          (* the daemon's own allocation: the ping and the eval were
+             measured on their worker before this stats request ran *)
+          let gc k = Option.bind (member [ "gc"; k ] s) Json.to_int in
+          check_bool "gc minor collections" true (Option.is_some (gc "minor_collections"));
+          check_bool "gc major collections" true (Option.is_some (gc "major_collections"));
+          check_bool "gc requests" true (Option.value (gc "requests") ~default:0 >= 2);
+          check_bool "gc request words" true
+            (Option.value (gc "request_minor_words") ~default:0 > 0);
           check_bool "tenant row present" true
             (match Option.bind (member [ "tenants" ] s) Json.to_list with
             | Some rows ->
@@ -966,6 +1020,8 @@ let () =
         [
           Alcotest.test_case "cache miss then hit" `Quick test_server_cache_miss_then_hit;
           Alcotest.test_case "parse errors are structured" `Quick test_server_parse_error;
+          Alcotest.test_case "plan lookup before parsing" `Quick
+            test_server_lookup_before_parse;
           Alcotest.test_case "admission + budget" `Quick test_server_admission_and_budget;
           Alcotest.test_case "stats + queryless" `Quick test_server_stats_and_queryless;
           Alcotest.test_case "malformed frames" `Quick test_server_malformed_frames;

@@ -388,6 +388,46 @@ let prop_flights_cross_check =
       = Reference_check.fact_sets (Reference.all_facts r2)
       && (Engine.stats r1).Engine.derivations = (Reference.stats r2).Reference.derivations)
 
+(* ----- printing ----- *)
+
+(* [Fact.to_string] prints a ground fact through a buffer: the same text as
+   [Fact.pp], on symbols, negatives, fractions and multi-limb values *)
+let ground_fact =
+  let open QCheck.Gen in
+  let big = Bigint.pow (Bigint.of_int 10) 25 in
+  let near_big d = Bigint.add big (Bigint.of_int d) in
+  let num =
+    frequency
+      [
+        (3, map Rat.of_int (int_range (-1000) 1000));
+        (2, map2 Rat.of_ints (int_range (-50) 50) (int_range 1 12));
+        (1, map (fun d -> Rat.of_bigint (near_big d)) (int_range (-5) 5));
+        ( 1,
+          map2
+            (fun n d -> Rat.make (Bigint.neg (near_big n)) (Bigint.of_int d))
+            (int_range 0 9) (int_range 1 7) );
+      ]
+  in
+  let sym = map (fun s -> Term.Sym s) (oneofl [ "a"; "madison"; "c0"; "x_1" ]) in
+  let const = frequency [ (1, sym); (2, map (fun q -> Term.Num q) num) ] in
+  let pred = oneofl [ "p"; "singleleg"; "m_q'_bf" ] in
+  let fact = map2 Fact.ground pred (list_size (int_range 0 5) const) in
+  QCheck.make ~print:(Format.asprintf "%a" Fact.pp) fact
+
+let prop_fact_to_string =
+  QCheck.Test.make ~name:"ground fact to_string is its pp" ~count:1000 ground_fact (fun f ->
+      Fact.is_ground f && String.equal (Fact.to_string f) (Format.asprintf "%a" Fact.pp f))
+
+(* a fact with a residual constraint is still printed by [pp] *)
+let test_fact_to_string_residual () =
+  List.iter
+    (fun src ->
+      let f = fact_of src in
+      Alcotest.(check string) src (Format.asprintf "%a" Fact.pp f) (Fact.to_string f))
+    [ "p(X, 3; X <= 5)."; "q(X, Y; X + Y >= 1, X <= 2)."; "r(a, X; X = 1.5)." ];
+  Alcotest.(check string) "pinned by its constraint" "r(a, 3/2)"
+    (Fact.to_string (fact_of "r(a, X; 2 * X = 3)."))
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "store"
@@ -425,5 +465,8 @@ let () =
           Alcotest.test_case "store stats exposed" `Quick test_engine_store_stats;
           Alcotest.test_case "cross-check example programs" `Slow test_cross_check_examples;
         ] );
+      ( "printing",
+        Alcotest.test_case "residual constraints" `Quick test_fact_to_string_residual
+        :: qt [ prop_fact_to_string ] );
       ("properties", qt [ prop_tc_cross_check; prop_flights_cross_check ]);
     ]
