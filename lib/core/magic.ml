@@ -22,6 +22,20 @@ let templates_general ~magic_head (p : Program.t) : Program.t =
   let derived = Program.derived p in
   let rules = ref [] in
   let emit r = rules := r :: !rules in
+  (* magic rules emitted so far, by head predicate.  A magic rule whose body
+     is only its own head derives only facts its body fact subsumes, and
+     one equal up to renaming to an earlier one derives nothing new:
+     neither is emitted *)
+  let magic_rules = Hashtbl.create 16 in
+  let emit_magic (r : Rule.t) =
+    let pred = r.Rule.head.Literal.pred in
+    let earlier = Option.value ~default:[] (Hashtbl.find_opt magic_rules pred) in
+    let tautology = match r.Rule.body with [ l ] -> Literal.equal l r.Rule.head | _ -> false in
+    if not (tautology || List.exists (Rule.equal_mod_renaming r) earlier) then begin
+      Hashtbl.replace magic_rules pred (r :: earlier);
+      emit r
+    end
+  in
   (* seed: a magic fact for the query predicate over fresh variables.  The
      query predicate can be absent entirely (every rule mentioning it deleted
      as unsatisfiable by an earlier rewrite); then there is nothing to seed
@@ -44,7 +58,7 @@ let templates_general ~magic_head (p : Program.t) : Program.t =
               let body = m_head_lit :: List.rev before in
               let mhead = magic_head lit in
               let cstr = magic_constraints r.Rule.cstr (mhead :: body) in
-              emit
+              emit_magic
                 (Rule.make
                    ~label:("m" ^ r.Rule.label ^ "_" ^ string_of_int (List.length before + 1))
                    mhead body cstr)

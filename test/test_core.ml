@@ -567,7 +567,8 @@ let read_file path =
    query, whose magic predicate is 0-ary too; unlabelled rules, whose
    copies must not carry a bare ['1] or [_1] label; and a query whose name
    reads as a bcf-adorned one, which must not keep the program from being
-   adorned. *)
+   adorned.  No magic rule of a rewrite is a tautology (its body only its
+   own head) or equal up to renaming to another. *)
 let test_rewrites_parse_back () =
   let dir = List.find Sys.file_exists [ "../examples/programs"; "examples/programs" ] in
   let examples =
@@ -604,7 +605,26 @@ let test_rewrites_parse_back () =
       let mg = Rewrite.Magic { adornment; constraint_magic = true } in
       List.iter
         (fun (how, rewrite) ->
-          let printed = Program.to_string (Program.prettify (fst (rewrite p))) in
+          let out = fst (rewrite p) in
+          let rec magic_distinct = function
+            | [] -> ()
+            | (r : Rule.t) :: rest ->
+                (match r.Rule.body with
+                | [ l ] when Literal.equal l r.Rule.head ->
+                    Alcotest.failf "%s, %s: tautological magic rule %s" name how (Rule.to_string r)
+                | _ -> ());
+                List.iter
+                  (fun r' ->
+                    if Rule.equal_mod_renaming r r' then
+                      Alcotest.failf "%s, %s: repeated magic rule %s" name how (Rule.to_string r'))
+                  rest;
+                magic_distinct rest
+          in
+          magic_distinct
+            (List.filter
+               (fun (r : Rule.t) -> Magic.is_magic r.Rule.head.Literal.pred)
+               out.Program.rules);
+          let printed = Program.to_string (Program.prettify out) in
           match parse printed with
           | exception Parser.Error msg ->
               Alcotest.failf "%s, %s: %s in\n%s" name how msg printed
