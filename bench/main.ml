@@ -2,18 +2,20 @@
 
    One experiment per table, figure and worked example of the paper
    (see DESIGN.md's per-experiment index and EXPERIMENTS.md for the
-   paper-vs-measured record):
+   paper-vs-measured record), then the implementation's own:
 
      table1 table2 fig1 fig2 ex41 ex51 ex43 ex44 ex61 d1 d2 optimal
      ablation-disjuncts ablation-single bound
-     fuzz compiled incremental int serve
+     fuzz solver-cache trace compiled incremental int time serve
+
+   Every experiment prints its report and returns its JSON record.
 
    Usage:
      dune exec bench/main.exe              run every experiment
      dune exec bench/main.exe -- <id>...   run selected experiments
-     dune exec bench/main.exe -- time      Bechamel wall-clock timings
-     dune exec bench/main.exe -- json      run every experiment once and
-                                           write BENCH_results.json
+     dune exec bench/main.exe -- json      run every experiment with a
+                                           JSON record and write them to
+                                           BENCH_results.json
 
    The incremental, int and serve experiments carry checks: when one
    fails, the run finishes (json writes its file) and exits 1. *)
@@ -24,6 +26,7 @@ open Cql_datalog
 open Cql_eval
 open Cql_core
 module Reference = Cql_gen.Reference
+module Obs = Cql_obs.Obs
 module J = Cql_serve.Json
 
 let parse = Parser.program_of_string
@@ -42,9 +45,27 @@ let failed_checks = ref []
 let check name ok = if not ok then failed_checks := name :: !failed_checks
 
 let time_ms f =
-  let t0 = Cql_obs.Obs.monotonic_ns () in
+  let t0 = Obs.monotonic_ns () in
   let r = f () in
-  (r, Int64.to_float (Int64.sub (Cql_obs.Obs.monotonic_ns ()) t0) /. 1e6)
+  (r, Int64.to_float (Int64.sub (Obs.monotonic_ns ()) t0) /. 1e6)
+
+(* the repeated measurements of one wall time; every timing in
+   BENCH_results.json is recorded this way *)
+type spread = { reps : int; median : float; lo : float; hi : float }
+
+let sorted_array samples =
+  let a = Array.of_list samples in
+  Array.sort Float.compare a;
+  a
+
+let spread samples =
+  let a = sorted_array samples in
+  let n = Array.length a in
+  { reps = n; median = Obs.percentile a 50; lo = a.(0); hi = a.(n - 1) }
+
+let spread_json s =
+  let f x = J.Float x in
+  J.Obj [ ("reps", J.Int s.reps); ("median", f s.median); ("min", f s.lo); ("max", f s.hi) ]
 
 (* [(name, value)] for every registered Obs counter whose name starts with
    [prefix], the prefix stripped *)
@@ -55,7 +76,20 @@ let counters_with prefix =
       if String.starts_with ~prefix name then
         Some (String.sub name k (String.length name - k), J.Int v)
       else None)
-    (Cql_obs.Obs.counters ())
+    (Obs.counters ())
+
+let stats_json (s : Engine.stats) =
+  J.Obj
+    [
+      ("iterations", J.Int s.Engine.iterations);
+      ("derivations", J.Int s.Engine.derivations);
+      ("facts_added", J.Int s.Engine.facts_added);
+      ("reached_fixpoint", J.Bool s.Engine.reached_fixpoint);
+      ("index_probes", J.Int s.Engine.index_probes);
+      ("index_hits", J.Int s.Engine.index_hits);
+      ("facts_skipped", J.Int s.Engine.facts_skipped);
+      ("subsumptions_avoided", J.Int s.Engine.subsumptions_avoided);
+    ]
 
 (* ----- shared programs ----- *)
 
@@ -324,7 +358,9 @@ r3: a(X, Y) :- a(X, Z), Z <= X, a(Z, Y), Y <= Z.
 
 (* ----- Example 4.3: flights sweep ----- *)
 
-let run_ex43 () =
+(* the sweep's record is P' on the indexed store: its answers against the
+   seed reference evaluator, and the join probes indexing saved *)
+let ex43 () =
   header "EXAMPLE 4.3: flights -- P vs P' vs P^{pred,qrp,mg}";
   paper "P' computes no flight fact with T>240 & C>150 and only ground facts; P computes many";
   let p = parse flights_src in
@@ -332,40 +368,63 @@ let run_ex43 () =
   let popt, _ = Rewrite.optimal ~adornment:"ffff" p in
   Printf.printf "  %-8s %12s %12s %14s %12s %12s\n" "cities" "P flights" "P irrelev."
     "P' flights'" "P derivs" "P' derivs";
-  List.iter
-    (fun m ->
-      let edb = singleleg_edb (100 + m) m in
-      let budget = 30_000 in
-      let before = Engine.run ~max_iterations:10 ~max_derivations:budget p ~edb in
-      let after = Engine.run ~max_iterations:10 ~max_derivations:budget p' ~edb in
-      let irrelevant facts =
-        List.length
-          (List.filter
-             (fun f ->
-               match (Fact.ground_value f 3, Fact.ground_value f 4) with
-               | Some t, Some c ->
-                   Rat.compare t (Rat.of_int 240) > 0 && Rat.compare c (Rat.of_int 150) > 0
-               | _ -> false)
-             facts)
-      in
-      Printf.printf "  %-8d %12d %12d %14d %12d %12d\n" m
-        (List.length (Engine.facts_of before "flight"))
-        (irrelevant (Engine.facts_of before "flight"))
-        (List.length (Engine.facts_of after "flight'"))
-        (Engine.stats before).Engine.derivations
-        (Engine.stats after).Engine.derivations)
-    [ 4; 6; 8; 10 ];
+  let rows =
+    List.map
+      (fun m ->
+        let edb = singleleg_edb (100 + m) m in
+        let budget = 30_000 in
+        let before = Engine.run ~max_iterations:10 ~max_derivations:budget p ~edb in
+        let after = Engine.run ~max_iterations:10 ~max_derivations:budget p' ~edb in
+        let irrelevant facts =
+          List.length
+            (List.filter
+               (fun f ->
+                 match (Fact.ground_value f 3, Fact.ground_value f 4) with
+                 | Some t, Some c ->
+                     Rat.compare t (Rat.of_int 240) > 0 && Rat.compare c (Rat.of_int 150) > 0
+                 | _ -> false)
+               facts)
+        in
+        Printf.printf "  %-8d %12d %12d %14d %12d %12d\n" m
+          (List.length (Engine.facts_of before "flight"))
+          (irrelevant (Engine.facts_of before "flight"))
+          (List.length (Engine.facts_of after "flight'"))
+          (Engine.stats before).Engine.derivations
+          (Engine.stats after).Engine.derivations;
+        let reference = Reference.run ~max_iterations:10 ~max_derivations:budget p' ~edb in
+        let sorted fs = List.sort compare (List.map Fact.to_string fs) in
+        let si = Engine.stats after in
+        let considered = si.Engine.index_hits + si.Engine.facts_skipped in
+        J.Obj
+          [
+            ("cities", J.Int m);
+            ("edb_facts", J.Int (List.length edb));
+            ("flight_facts", J.Int (List.length (Engine.facts_of after "flight'")));
+            ("answer_facts", J.Int (List.length (Engine.answers after p')));
+            ( "answers_match_reference",
+              J.Bool (sorted (Engine.answers after p') = sorted (Reference.answers reference p')) );
+            ("indexed", stats_json si);
+            ("probe_candidates_without_index", J.Int considered);
+            ("probe_candidates_with_index", J.Int si.Engine.index_hits);
+            ( "join_probe_reduction",
+              J.Float
+                (if considered = 0 then 0.0
+                 else 1.0 -. (float_of_int si.Engine.index_hits /. float_of_int considered)) );
+          ])
+      [ 4; 6; 8; 10 ]
+  in
   let edb = singleleg_edb 108 8 in
   let after = Engine.run ~max_iterations:10 p' ~edb in
   let opt = Engine.run ~max_iterations:10 popt ~edb in
   measured "P' total facts %d; P^{pred,qrp,mg} total facts %d; both ground-only: %b"
     (Engine.total_idb_facts after ~edb)
     (Engine.total_idb_facts opt ~edb)
-    (Engine.all_ground after && Engine.all_ground opt)
+    (Engine.all_ground after && Engine.all_ground opt);
+  J.List rows
 
 (* ----- Example 4.4 ----- *)
 
-let run_ex44 () =
+let ex44 () =
   header "EXAMPLE 4.4: termination of the rewritten backward Fibonacci";
   paper "?- fib(N,5) answers N=4 and terminates; ?- fib(N,6) answers no and terminates";
   let r5 = Engine.run ~max_iterations:30 (fib_magic_constrained 5) ~edb:[] in
@@ -379,7 +438,13 @@ let run_ex44 () =
     (List.length (Engine.facts_of r6 "q_"));
   let r5m = Engine.run ~max_iterations:9 (fib_magic 5) ~edb:[] in
   measured "unconstrained P_fib^mg for comparison: fixpoint after 9 iterations = %b (diverges)"
-    (Engine.stats r5m).Engine.reached_fixpoint
+    (Engine.stats r5m).Engine.reached_fixpoint;
+  J.Obj
+    [
+      ("query", J.Str "fib(N, 5) via constrained magic rewriting");
+      ("stats", stats_json (Engine.stats r5));
+      ("answers", J.Int (List.length (Engine.facts_of r5 "q_")));
+    ]
 
 (* ----- Example 6.1 ----- *)
 
@@ -399,19 +464,30 @@ let run_ex61 () =
 
 (* ----- D.1 / D.2 ----- *)
 
-let run_d1 () =
+let d1 () =
   header "EXAMPLE 7.1 / D.1: P^{qrp,mg} beats P^{mg,qrp}";
   paper "rule mr2 is more restrictive in P^{qrp,mg}; fewer facts for all EDBs";
   let p = parse d1_src in
   let qrp_mg, _ = Rewrite.sequence [ Rewrite.Qrp; magic_ff ] p in
   let mg_qrp, _ = Rewrite.sequence [ magic_ff; Rewrite.Qrp ] p in
   Printf.printf "  %-10s %14s %14s\n" "sources" "qrp,mg facts" "mg,qrp facts";
-  List.iter
-    (fun nsrc ->
-      let edb = segments_edb nsrc 5 in
-      Printf.printf "  %-10d %14d %14d\n" nsrc (idb_count qrp_mg edb) (idb_count mg_qrp edb))
-    [ 6; 12; 24 ];
-  measured "qrp,mg <= mg,qrp on every row above"
+  let rows =
+    List.map
+      (fun nsrc ->
+        let edb = segments_edb nsrc 5 in
+        let nqm = idb_count qrp_mg edb and nmq = idb_count mg_qrp edb in
+        Printf.printf "  %-10d %14d %14d\n" nsrc nqm nmq;
+        J.Obj
+          [
+            ("sources", J.Int nsrc);
+            ("edb_facts", J.Int (List.length edb));
+            ("qrp_mg_facts", J.Int nqm);
+            ("mg_qrp_facts", J.Int nmq);
+          ])
+      [ 6; 12; 24 ]
+  in
+  measured "qrp,mg <= mg,qrp on every row above";
+  J.List rows
 
 let run_d2 () =
   header "EXAMPLE 7.2 / D.2: P^{mg,qrp} beats P^{qrp,mg}";
@@ -433,7 +509,7 @@ let run_d2 () =
 
 (* ----- Theorem 7.10: optimal ordering sweep ----- *)
 
-let run_optimal () =
+let optimal () =
   header "THEOREM 7.10: P^{pred,qrp,mg} is optimal among one-magic sequences";
   paper "pred,qrp,mg computes a subset of the facts of every other ordering";
   let p = parse flights_src in
@@ -460,7 +536,11 @@ let run_optimal () =
   in
   List.iter (fun (name, cnt) -> Printf.printf "  %-14s %6d facts\n" name cnt) results;
   let opt = List.assoc "pred,qrp,mg" results in
-  measured "pred,qrp,mg minimal: %b" (List.for_all (fun (_, c) -> opt <= c) results)
+  measured "pred,qrp,mg minimal: %b" (List.for_all (fun (_, c) -> opt <= c) results);
+  J.List
+    (List.map
+       (fun (name, cnt) -> J.Obj [ ("ordering", J.Str name); ("idb_facts", J.Int cnt) ])
+       results)
 
 (* ----- ablations (Section 4.6) ----- *)
 
@@ -556,50 +636,130 @@ a(X, Y) :- a(X, Z), Z <= X, a(Z, Y), Y <= Z.
 let fuzz_seed = 42
 let fuzz_count = 200
 
-let fuzz_summaries () =
-  let module G = Cql_gen.Generate in
-  let module H = Cql_gen.Harness in
-  List.map
-    (fun mode ->
-      (mode, H.run ~config:(G.default mode) ~seed:fuzz_seed ~count:fuzz_count ()))
-    [ G.Decidable; G.Linear ]
-
-let run_fuzz () =
+let fuzz () =
   let module G = Cql_gen.Generate in
   let module H = Cql_gen.Harness in
   header "FUZZ: differential testing of every pipeline against the oracles";
   paper "(no paper counterpart -- implementation validation of Theorems 4.7/4.8, 5.1, 6.2, 7.10)";
-  List.iter
-    (fun (mode, s) ->
-      Printf.printf "  mode=%-9s " (G.mode_to_string mode);
-      Format.printf "%a" H.pp_summary s)
-    (fuzz_summaries ())
+  J.List
+    (List.map
+       (fun mode ->
+         let s = H.run ~config:(G.default mode) ~seed:fuzz_seed ~count:fuzz_count () in
+         Printf.printf "  mode=%-9s " (G.mode_to_string mode);
+         Format.printf "%a" H.pp_summary s;
+         let st = s.H.stats in
+         J.Obj
+           [
+             ("mode", J.Str (G.mode_to_string mode));
+             ("seed", J.Int s.H.seed);
+             ("programs_generated", J.Int st.H.cases);
+             ("programs_evaluated", J.Int st.H.evaluated);
+             ("oracle_checks_passed", J.Int st.H.checks);
+             ("rewrites_skipped", J.Int st.H.rewrites_skipped);
+             ("rewrites_unconverged", J.Int st.H.rewrites_unconverged);
+             ("runs_truncated", J.Int st.H.runs_truncated);
+             ( "mean_facts_derived",
+               J.Float
+                 (if st.H.evaluated = 0 then 0.0
+                  else float_of_int st.H.facts_derived /. float_of_int st.H.evaluated) );
+             ("all_oracles_passed", J.Bool (s.H.failure = None));
+           ])
+       [ G.Decidable; G.Linear ])
 
-(* best-of-[reps] wall time: minimum filters out GC / scheduler noise *)
-let time_best reps f =
-  let best = ref infinity in
-  let last = ref None in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    last := Some r;
-    if dt < !best then best := dt
-  done;
-  (!best, Option.get !last)
+(* ----- solver calls and memo caches (lib/constr) ----- *)
+
+(* decision-procedure call counts and cache hit rates over two representative
+   workloads, each run once from cold caches and zeroed counters: every
+   solver.* counter in the Obs registry (each cache's hits and misses among
+   them, as memo.<cache>.hits/.misses), then each cache's entries and the
+   totals over all caches *)
+let solver_cache () =
+  header "SOLVER CACHE: decision-procedure calls and memo hit rates";
+  paper "(no paper counterpart -- the solver's memo tables)";
+  let workload (name, f) =
+    Memo.clear_all ();
+    Obs.zero "solver.";
+    f ();
+    let caches = Memo.stats () in
+    let total f = List.fold_left (fun acc c -> acc + f c) 0 caches in
+    let hits = total (fun c -> c.Memo.hits) and misses = total (fun c -> c.Memo.misses) in
+    let rate =
+      if hits + misses = 0 then 0.0 else float_of_int hits /. float_of_int (hits + misses)
+    in
+    measured "%s: cache hits=%d misses=%d hit rate=%.3f" name hits misses rate;
+    ( name,
+      J.Obj
+        (counters_with "solver."
+        @ [
+            ( "caches",
+              J.List
+                (List.map
+                   (fun (c : Memo.table_stats) ->
+                     J.Obj [ ("name", J.Str c.Memo.name); ("entries", J.Int c.Memo.entries) ])
+                   caches) );
+            ("cache_hits", J.Int hits);
+            ("cache_misses", J.Int misses);
+            ("cache_hit_rate", J.Float rate);
+          ]) )
+  in
+  J.Obj
+    (List.map workload
+       [
+         ("rewrite_flights", fun () -> ignore (Rewrite.constraint_rewrite (parse flights_src)));
+         ( "fuzz_decidable_50",
+           fun () ->
+             let config = Cql_gen.Generate.(default Decidable) in
+             ignore (Cql_gen.Harness.run ~config ~seed:fuzz_seed ~count:50 ()) );
+       ])
+
+(* ----- tracing (lib/obs) ----- *)
+
+(* per-phase wall-clock timings from the lib/obs tracing subsystem over two
+   representative pipelines (rewrite + evaluate), each run with tracing armed
+   and a cleared event buffer; [spans] aggregates by span name *)
+let trace () =
+  header "TRACE: spans of a rewrite and of an evaluation";
+  paper "(no paper counterpart -- the tracing subsystem)";
+  let was_enabled = Obs.enabled () in
+  Obs.set_enabled true;
+  Obs.reset ();
+  let workload (name, f) =
+    Obs.reset ();
+    f ();
+    let summary = Obs.summary () in
+    let events = List.length (Obs.events ()) in
+    measured "%s: events=%d span names=%d" name events (List.length summary);
+    let spans =
+      List.map
+        (fun (r : Obs.summary_row) ->
+          J.Obj
+            [
+              ("span", J.Str r.Obs.sr_name);
+              ("count", J.Int r.Obs.sr_count);
+              ("total_ns", J.Int (Int64.to_int r.Obs.sr_total_ns));
+              ("max_ns", J.Int (Int64.to_int r.Obs.sr_max_ns));
+            ])
+        summary
+    in
+    (name, J.Obj [ ("spans", J.List spans); ("events", J.Int events) ])
+  in
+  let rows =
+    List.map workload
+      [
+        ("rewrite_flights", fun () -> ignore (Rewrite.constraint_rewrite (parse flights_src)));
+        ( "eval_flights_rewritten",
+          fun () ->
+            let p', _ = Rewrite.constraint_rewrite (parse flights_src) in
+            ignore (Engine.run ~max_iterations:10 p' ~edb:(singleleg_edb 108 8)) );
+      ]
+  in
+  Obs.reset ();
+  Obs.set_enabled was_enabled;
+  J.Obj rows
 
 (* ----- compiled join plans (lib/eval/compile) ----- *)
 
 let compiled_reps = 3
-
-type compiled_row = {
-  cw_name : string;
-  cw_wall_s : float;
-  cw_bytes : float;
-  cw_derivations : int;
-  cw_answers_match : bool;  (** answers match the seed reference evaluator *)
-  cw_reference_derivations : int;
-}
 
 (* the three timing workloads: the raw recursive flights program (join-heavy,
    budget-capped), the constrained backward Fibonacci after magic rewriting,
@@ -626,41 +786,51 @@ let allocated f =
   Gc.minor ();
   Gc.allocated_bytes () -. a0
 
-let compiled_row (name, prog, edb, mi, md) =
-  let run () = Engine.run ~max_iterations:mi ~max_derivations:md prog ~edb in
-  let secs, res = time_best compiled_reps run in
-  let bytes = allocated run in
-  (* the seed reference evaluator under the same budgets: derivation counts
-     must agree, and so must the answers wherever the run ends on an
-     iteration boundary *)
-  let reference = Reference.run ~max_iterations:mi ~max_derivations:md prog ~edb in
-  let sorted fs = List.sort compare (List.map Fact.to_string fs) in
-  {
-    cw_name = name;
-    cw_wall_s = secs;
-    cw_bytes = bytes;
-    cw_derivations = (Engine.stats res).Engine.derivations;
-    cw_answers_match =
-      sorted (Engine.answers res prog) = sorted (Reference.answers reference prog);
-    cw_reference_derivations = (Reference.stats reference).Reference.derivations;
-  }
-
-let compiled_rows () = List.map compiled_row (compiled_workloads ())
-
-let bytes_per_derivation r =
-  if r.cw_derivations > 0 then r.cw_bytes /. float_of_int r.cw_derivations else 0.0
-
-let run_compiled () =
+(* each workload's wall time over [compiled_reps] runs and the bytes one
+   more run allocates, then the seed reference evaluator under the same
+   budgets: derivation counts must agree, and so must the answers wherever
+   the run ends on an iteration boundary.  [compile_counters] count this
+   experiment's own compilations *)
+let compiled () =
   header "COMPILED: register-frame join plans, checked against the seed reference";
   paper "(no paper counterpart -- rule-execution backend)";
-  Printf.printf "  %-12s %12s %14s %11s %12s %s\n" "workload" "wall" "allocated" "derivations"
-    "bytes/deriv" "vs reference";
-  List.iter
-    (fun r ->
-      Printf.printf "  %-12s %9.3f ms %11.1f MB %11d %12.0f answers=%b,derivations=%d/%d\n"
-        r.cw_name (r.cw_wall_s *. 1000.) (r.cw_bytes /. 1e6) r.cw_derivations
-        (bytes_per_derivation r) r.cw_answers_match r.cw_derivations r.cw_reference_derivations)
-    (compiled_rows ())
+  Obs.zero "engine.compile.";
+  Printf.printf "  %-12s %26s %14s %11s %12s %s\n" "workload" "wall: median [range]"
+    "allocated" "derivations" "bytes/deriv" "vs reference";
+  let runs =
+    List.map
+      (fun (name, prog, edb, mi, md) ->
+        let run () = Engine.run ~max_iterations:mi ~max_derivations:md prog ~edb in
+        let timed = List.init compiled_reps (fun _ -> time_ms run) in
+        let wall = spread (List.map (fun (_, ms) -> ms /. 1e3) timed) in
+        let res = fst (List.hd timed) in
+        let bytes = allocated run in
+        let reference = Reference.run ~max_iterations:mi ~max_derivations:md prog ~edb in
+        let sorted fs = List.sort compare (List.map Fact.to_string fs) in
+        let answers_match =
+          sorted (Engine.answers res prog) = sorted (Reference.answers reference prog)
+        in
+        let derivations = (Engine.stats res).Engine.derivations in
+        let reference_derivations = (Reference.stats reference).Reference.derivations in
+        let per_derivation = if derivations > 0 then bytes /. float_of_int derivations else 0.0 in
+        Printf.printf
+          ("  %-12s %8.3f ms [%.3f-%.3f] %11.1f MB %11d %12.0f " ^^ "answers=%b,derivations=%d/%d\n")
+          name (wall.median *. 1e3) (wall.lo *. 1e3) (wall.hi *. 1e3) (bytes /. 1e6) derivations
+          per_derivation answers_match derivations reference_derivations;
+        J.Obj
+          [
+            ("workload", J.Str name);
+            ("wall_seconds", spread_json wall);
+            ("allocated_bytes", J.Int (Float.to_int bytes));
+            ("derivations", J.Int derivations);
+            ("bytes_per_derivation", J.Int (Float.to_int (Float.round per_derivation)));
+            ("answers_match_reference", J.Bool answers_match);
+            ("reference_derivations", J.Int reference_derivations);
+            ("derivations_match", J.Bool (derivations = reference_derivations));
+          ])
+      (compiled_workloads ())
+  in
+  J.Obj [ ("runs", J.List runs); ("compile_counters", J.Obj (counters_with "engine.compile.")) ]
 
 (* ----- incremental view maintenance (Engine.materialize/insert/retract) ----- *)
 
@@ -718,6 +888,8 @@ let incremental_rep p edb =
    maintenance is faster on average in every rep.  What materializing the
    view allocates is recorded against a plain run of the same EDB. *)
 let incremental () =
+  header "INCREMENTAL: view maintenance vs from-scratch re-evaluation";
+  paper "(no paper counterpart -- materialized views under single-leg updates)";
   let legs = incremental_legs in
   let p = parse flights_src in
   let edb =
@@ -738,7 +910,7 @@ let incremental () =
   measured "allocated: run=%.1fMB materialize=%.1fMB (%.2fx)" (run_bytes /. 1e6)
     (materialize_bytes /. 1e6) (materialize_bytes /. run_bytes);
   let mean l = List.fold_left ( +. ) 0.0 l /. float_of_int (max 1 (List.length l)) in
-  let p50 l = match List.sort compare l with [] -> 0.0 | s -> List.nth s (List.length s / 2) in
+  let p50 l = (spread l).median in
   let runs =
     List.init incremental_reps (fun rep ->
         let materialize_ms, maintain, scratch, answers_match, facts = incremental_rep p edb in
@@ -763,13 +935,11 @@ let incremental () =
             ] ))
   in
   let results = List.map fst runs in
-  let speedups = List.sort compare (List.map (fun (s, _, _, _) -> s) results) in
+  let speedups = spread (List.map (fun (s, _, _, _) -> s) results) in
   let faster = List.for_all (fun (_, f, _, _) -> f) results in
   let answers_match = List.for_all (fun (_, _, a, _) -> a) results in
-  let median = p50 speedups in
-  let lo = List.hd speedups and hi = List.nth speedups (List.length speedups - 1) in
   measured "speedup over %d reps: median=%.2fx min=%.2fx max=%.2fx; faster in every rep=%b"
-    incremental_reps median lo hi faster;
+    incremental_reps speedups.median speedups.lo speedups.hi faster;
   check "incremental" (answers_match && faster);
   J.Obj
     [
@@ -782,17 +952,12 @@ let incremental () =
       ("materialize_alloc_ratio", J.Float (materialize_bytes /. run_bytes));
       ("reps", J.Int incremental_reps);
       ("runs", J.List (List.map snd runs));
-      ("speedup_median", J.Float median);
-      ("speedup_min", J.Float lo);
-      ("speedup_max", J.Float hi);
+      ("speedup_median", J.Float speedups.median);
+      ("speedup_min", J.Float speedups.lo);
+      ("speedup_max", J.Float speedups.hi);
       ("maintenance_faster", J.Bool faster);
       ("answers_match", J.Bool answers_match);
     ]
-
-let run_incremental () =
-  header "INCREMENTAL: view maintenance vs from-scratch re-evaluation";
-  paper "(no paper counterpart -- materialized views under single-leg updates)";
-  ignore (incremental ())
 
 (* ----- integer domain (Cdomain.Z) ----- *)
 
@@ -876,42 +1041,55 @@ r4: deal(S, D, C, V) :- reach(S, D, C), voucher(V), C <= 5*V.
       flights_points );
   ]
 
+let int_reps = 3
+
 (* The integer-domain answers of both the original program and its pred,qrp
    rewrite are verified point by point against the brute-force grid; the
-   rational run of the same workload is the timing baseline *)
+   rational run of the same workload is the timing baseline.  Each domain
+   rewrites and evaluates [int_reps] times from cold caches; the answers,
+   facts and counters are the first pass's *)
 let int_workload (name, src, edb_src, points) =
   let p = parse src in
   let edb = edb_of edb_src in
   let arity = Program.arity p (Option.get p.Program.query) in
   let run_domain d =
     Cdomain.with_domain d @@ fun () ->
-    Memo.clear_all ();
-    Cql_obs.Obs.zero "solver.";
-    let p', rewrite_ms =
-      time_ms (fun () -> fst (Rewrite.sequence ~max_iters:50 [ Rewrite.Pred; Rewrite.Qrp ] p))
+    let pass () =
+      Memo.clear_all ();
+      let p', rewrite_ms =
+        time_ms (fun () -> fst (Rewrite.sequence ~max_iters:50 [ Rewrite.Pred; Rewrite.Qrp ] p))
+      in
+      let res, eval_ms = time_ms (fun () -> Engine.run p ~edb) in
+      let res', eval_rw_ms = time_ms (fun () -> Engine.run p' ~edb) in
+      ((p', res, res'), (rewrite_ms, eval_ms, eval_rw_ms))
     in
-    let res, eval_ms = time_ms (fun () -> Engine.run p ~edb) in
-    let res', eval_rw_ms = time_ms (fun () -> Engine.run p' ~edb) in
+    Obs.zero "solver.";
+    let (p', res, res'), first = pass () in
+    let counters = counters_with "solver.int." in
+    let times = first :: List.init (int_reps - 1) (fun _ -> snd (pass ())) in
+    let rewrite = spread (List.map (fun (t, _, _) -> t) times)
+    and eval = spread (List.map (fun (_, t, _) -> t) times)
+    and eval_rw = spread (List.map (fun (_, _, t) -> t) times) in
     let n_answers = List.length (Engine.answers res p) and facts = Engine.total_facts res' in
     let line =
       Printf.sprintf "  %s: rewrite=%.2fms eval=%.2fms eval(rw)=%.2fms answers=%d facts=%d"
-        (Cdomain.to_string d) rewrite_ms eval_ms eval_rw_ms n_answers facts
+        (Cdomain.to_string d) rewrite.median eval.median eval_rw.median n_answers facts
     in
     let row =
       [
-        ("rewrite_ms", J.Float rewrite_ms);
-        ("eval_ms", J.Float eval_ms);
-        ("eval_rewritten_ms", J.Float eval_rw_ms);
+        ("rewrite_ms", spread_json rewrite);
+        ("eval_ms", spread_json eval);
+        ("eval_rewritten_ms", spread_json eval_rw);
         ("answers", J.Int n_answers);
         ("facts", J.Int facts);
       ]
     in
-    (Engine.answers res p, Engine.answers res' p', line, row)
+    (Engine.answers res p, Engine.answers res' p', line, row, counters)
   in
   let expected = List.length (List.filter snd points) in
-  let _, _, rat_line, rat = run_domain Cdomain.Q in
-  let za, za_rw, int_line, int = run_domain Cdomain.Z in
-  let int = int @ counters_with "solver.int." in
+  let _, _, rat_line, rat, _ = run_domain Cdomain.Q in
+  let za, za_rw, int_line, int, int_counters = run_domain Cdomain.Z in
+  let int = int @ int_counters in
   (* membership of every grid point in the ℤ answers, original and
      rewritten, must match the enumerated expectation in both directions *)
   let bad answers =
@@ -946,73 +1124,31 @@ let int_workload (name, src, edb_src, points) =
         ("int", J.Obj int);
       ] )
 
-let int_experiment () = J.Obj (List.map int_workload (int_workloads ()))
-
-let run_int () =
+let int () =
   header "INT: the integer domain, checked against brute-force grids";
   paper "(no paper counterpart -- constraints decided over Z instead of Q)";
-  ignore (int_experiment ())
+  J.Obj (List.map int_workload (int_workloads ()))
 
-(* ----- serving (lib/serve): cqlserved under concurrent load ----- *)
+(* ----- wall-clock timings ----- *)
 
-(* 1,000 requests, so that ten warm samples lie beyond the warm p99 *)
-let serve_clients = 4
-let serve_requests_per_client = 250
+let timing_batches = 15
 
-(* an in-process server driven by Loadgen: every answer is checked against
-   one-shot evaluation, so this doubles as an end-to-end correctness run;
-   the check fails on any failed request or differing answer *)
-let serve () =
-  let module S = Cql_serve in
-  let socket =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "cql-bench-serve-%d.sock" (Unix.getpid ()))
+(* [f]'s wall time per call, in ns: [timing_batches] batches of as many
+   calls as take at least 2 ms (found by doubling from one call, which
+   also warms caches), so the clock's own cost vanishes into the batch *)
+let per_call_ns f =
+  let batch k =
+    let t0 = Obs.monotonic_ns () in
+    for _ = 1 to k do
+      f ()
+    done;
+    Int64.to_float (Int64.sub (Obs.monotonic_ns ()) t0)
   in
-  let t = S.Server.start (S.Server.default_config ~socket_path:socket) in
-  let r =
-    Fun.protect
-      ~finally:(fun () ->
-        S.Server.stop t;
-        S.Server.wait t)
-      (fun () ->
-        S.Loadgen.run ~socket ~clients:serve_clients
-          ~requests_per_client:serve_requests_per_client)
-  in
-  match r with
-  | Error msg ->
-      measured "FAILED: %s" msg;
-      check "serve" false;
-      J.Obj [ ("error", J.Str msg) ]
-  | Ok r ->
-      let open S.Loadgen in
-      measured "clients=%d requests=%d ok=%d errors=%d cache_hits=%d answers_match=%b" r.clients
-        r.total_requests r.ok r.errors r.cache_hits r.answers_match;
-      measured "p50=%.2fms p95=%.2fms p99=%.2fms max=%.2fms throughput=%.1f req/s" r.p50_ms
-        r.p95_ms r.p99_ms r.max_ms r.throughput_rps;
-      measured "warm (%d hits): p50=%.2fms p99=%.2fms; cold (%d misses): p50=%.2fms p99=%.2fms"
-        r.cache_hits r.warm_p50_ms r.warm_p99_ms r.cache_misses r.cold_p50_ms r.cold_p99_ms;
-      (* the daemon's side: every minor collection stops all its domains *)
-      (match J.member "gc" r.server_stats with
-      | Some gc ->
-          let field k = Option.value ~default:0 (Option.bind (J.member k gc) J.to_int) in
-          let requests = field "requests" in
-          let kb = float_of_int (field "request_minor_words" * 8) /. 1024. in
-          measured "gc: minor=%d major=%d requests=%d minor_kb_per_request=%.1f"
-            (field "minor_collections") (field "major_collections") requests
-            (kb /. float_of_int (max 1 requests))
-      | None -> ());
-      check "serve" (r.errors = 0 && r.answers_match);
-      to_json r
+  let rec calls k = if batch k >= 2e6 then k else calls (2 * k) in
+  let k = calls 1 in
+  spread (List.init timing_batches (fun _ -> batch k /. float_of_int k))
 
-let run_serve () =
-  header "SERVE: cqlserved under concurrent load (plan cache + admission)";
-  paper "(no paper counterpart -- the persistent multi-tenant query service)";
-  ignore (serve ())
-
-(* ----- Bechamel timings ----- *)
-
-let timing_tests () =
-  let open Bechamel in
+let timing_thunks () =
   let edb8 = singleleg_edb 108 8 in
   let flights = parse flights_src in
   let flights', _ = Rewrite.constraint_rewrite flights in
@@ -1020,409 +1156,291 @@ let timing_tests () =
   let d1edb = segments_edb 4 3 in
   let d1qm, _ = Rewrite.sequence [ Rewrite.Qrp; magic_ff ] d1 in
   let d1mq, _ = Rewrite.sequence [ magic_ff; Rewrite.Qrp ] d1 in
-  [
-    Test.make ~name:"rewrite/constraint_rewrite(flights)"
-        (Staged.stage (fun () -> ignore (Rewrite.constraint_rewrite flights)));
-      Test.make ~name:"rewrite/gmt(ex61)"
-        (Staged.stage (fun () -> ignore (Gmt.pipeline ~query_adornment:"ff" (parse ex61_src))));
-      Test.make ~name:"eval/flights-P(8, capped)"
-        (Staged.stage (fun () ->
-             (* budget keeps the P-vs-P' contrast visible (P' needs ~a tenth
-                of this) while the whole suite stays under a minute *)
-             ignore (Engine.run ~max_iterations:6 ~max_derivations:1500 flights ~edb:edb8)));
-      Test.make ~name:"eval/flights-P'(8)"
-        (Staged.stage (fun () -> ignore (Engine.run ~max_iterations:10 flights' ~edb:edb8)));
-      Test.make ~name:"eval/fib-magic-constrained"
-        (Staged.stage
-           (let pmg = fib_magic_constrained 5 in
-            fun () -> ignore (Engine.run ~max_iterations:30 pmg ~edb:[])));
-      Test.make ~name:"eval/d1-qrp-mg" (Staged.stage (fun () -> ignore (idb_count d1qm d1edb)));
-      Test.make ~name:"eval/d1-mg-qrp" (Staged.stage (fun () -> ignore (idb_count d1mq d1edb)));
-      Test.make ~name:"solver/sat-simplex"
-        (Staged.stage
-           (let atoms =
-              Conj.to_list
-                (conj
-                   [ Atom.le (Linexpr.add (arg 1) (arg 2)) (n 6); Atom.ge (arg 1) (n 2);
-                     Atom.lt (arg 3) (arg 1); Atom.ge (arg 3) (n 0) ])
-            in
-            fun () -> ignore (Simplex.is_sat atoms)));
-      Test.make ~name:"solver/sat-fourier-motzkin"
-        (Staged.stage
-           (let c =
-              conj
-                [ Atom.le (Linexpr.add (arg 1) (arg 2)) (n 6); Atom.ge (arg 1) (n 2);
-                  Atom.lt (arg 3) (arg 1); Atom.ge (arg 3) (n 0) ]
-            in
-            fun () -> ignore (Conj.is_tt (Conj.project ~keep:Var.Set.empty c))));
-      Test.make ~name:"solver/implication"
-        (Staged.stage (fun () ->
-             let c =
-               conj [ Atom.le (Linexpr.add (arg 1) (arg 2)) (n 6); Atom.ge (arg 1) (n 2) ]
-             in
-             ignore (Conj.implies_atom c (Atom.le (arg 2) (n 4)))));
-      Test.make ~name:"solver/implication-cached"
-        (Staged.stage
-           (* prebuilt terms and a warmed cache: the steady-state cost of a
-              repeated implication query (one table lookup) *)
-           (let c = conj [ Atom.le (Linexpr.add (arg 1) (arg 2)) (n 6); Atom.ge (arg 1) (n 2) ] in
-            let d = conj [ Atom.le (arg 2) (n 4) ] in
-            ignore (Conj.implies c d);
-            fun () -> ignore (Conj.implies c d)));
-  ]
-
-(* [measure_timings tests] is [(name, ns-per-run option)] in test order *)
-let measure_timings tests =
-  let open Bechamel in
-  let open Bechamel.Toolkit in
-  let instance = Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) () in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  List.concat_map
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.fold
-        (fun name ols_result acc ->
-          let est =
-            match Analyze.OLS.estimates ols_result with Some [ ns ] -> Some ns | _ -> None
-          in
-          (name, est) :: acc)
-        analyzed [])
-    tests
-
-let run_timings () =
-  header "WALL-CLOCK TIMINGS (Bechamel, monotonic clock)";
-  Printf.printf "  %-40s %16s\n" "benchmark" "time/run";
-  List.iter
-    (fun (name, est) ->
-      match est with
-      | Some ns ->
-          if ns > 1_000_000.0 then Printf.printf "  %-40s %13.3f ms\n" name (ns /. 1e6)
-          else if ns > 1_000.0 then Printf.printf "  %-40s %13.3f us\n" name (ns /. 1e3)
-          else Printf.printf "  %-40s %13.1f ns\n" name ns
-      | None -> Printf.printf "  %-40s %16s\n" name "n/a")
-    (measure_timings (timing_tests ()))
-
-(* ----- machine-readable results: bench/main.exe json -> BENCH_results.json ----- *)
-
-let stats_json (s : Engine.stats) =
-  J.Obj
-    [
-      ("iterations", J.Int s.Engine.iterations);
-      ("derivations", J.Int s.Engine.derivations);
-      ("facts_added", J.Int s.Engine.facts_added);
-      ("reached_fixpoint", J.Bool s.Engine.reached_fixpoint);
-      ("index_probes", J.Int s.Engine.index_probes);
-      ("index_hits", J.Int s.Engine.index_hits);
-      ("facts_skipped", J.Int s.Engine.facts_skipped);
-      ("subsumptions_avoided", J.Int s.Engine.subsumptions_avoided);
-    ]
-
-(* flights (constraint-rewritten, terminating) on the indexed store: the
-   answers match the seed reference evaluator, and the store counters
-   quantify the join probes indexing saved *)
-let json_flights_store () =
-  let p = parse flights_src in
-  let p', _ = Rewrite.constraint_rewrite p in
-  List.map
-    (fun m ->
-      let edb = singleleg_edb (100 + m) m in
-      let ri = Engine.run ~max_iterations:10 p' ~edb in
-      let rs = Reference.run ~max_iterations:10 p' ~edb in
-      let si = Engine.stats ri in
-      let considered = si.Engine.index_hits + si.Engine.facts_skipped in
-      J.Obj
-        [
-          ("cities", J.Int m);
-          ("edb_facts", J.Int (List.length edb));
-          ("flight_facts", J.Int (List.length (Engine.facts_of ri "flight'")));
-          ("answer_facts", J.Int (List.length (Engine.answers ri p')));
-          ( "answers_match_reference",
-            J.Bool
-              (List.sort compare (List.map Fact.to_string (Engine.answers ri p'))
-              = List.sort compare (List.map Fact.to_string (Reference.answers rs p'))) );
-          ("indexed", stats_json si);
-          ("probe_candidates_without_index", J.Int considered);
-          ("probe_candidates_with_index", J.Int si.Engine.index_hits);
-          ( "join_probe_reduction",
-            J.Float
-              (if considered = 0 then 0.0
-               else 1.0 -. (float_of_int si.Engine.index_hits /. float_of_int considered)) );
-        ])
-    [ 4; 6; 8; 10 ]
-
-let json_d1 () =
-  let p = parse d1_src in
-  let qrp_mg, _ = Rewrite.sequence [ Rewrite.Qrp; magic_ff ] p in
-  let mg_qrp, _ = Rewrite.sequence [ magic_ff; Rewrite.Qrp ] p in
-  List.map
-    (fun nsrc ->
-      let edb = segments_edb nsrc 5 in
-      J.Obj
-        [
-          ("sources", J.Int nsrc);
-          ("edb_facts", J.Int (List.length edb));
-          ("qrp_mg_facts", J.Int (idb_count qrp_mg edb));
-          ("mg_qrp_facts", J.Int (idb_count mg_qrp edb));
-        ])
-    [ 6; 12; 24 ]
-
-let json_optimal () =
-  let p = parse flights_src in
-  let mg = Rewrite.Magic { adornment = "ffff"; constraint_magic = true } in
-  let orderings =
-    [
-      ("mg", [ mg ]);
-      ("pred,mg", [ Rewrite.Pred; mg ]);
-      ("qrp,mg", [ Rewrite.Qrp; mg ]);
-      ("pred,qrp,mg", [ Rewrite.Pred; Rewrite.Qrp; mg ]);
-      ("mg,qrp", [ mg; Rewrite.Qrp ]);
-    ]
-  in
-  let edb = singleleg_edb 77 7 in
-  List.map
-    (fun (name, steps) ->
-      let prog, _ = Rewrite.sequence steps p in
-      let res = Engine.run ~max_iterations:10 ~max_derivations:30_000 prog ~edb in
-      J.Obj
-        [ ("ordering", J.Str name); ("idb_facts", J.Int (Engine.total_idb_facts res ~edb)) ])
-    orderings
-
-let json_fib () =
-  let res = Engine.run ~max_iterations:30 (fib_magic_constrained 5) ~edb:[] in
-  J.Obj
-    [
-      ("query", J.Str "fib(N, 5) via constrained magic rewriting");
-      ("stats", stats_json (Engine.stats res));
-      ("answers", J.Int (List.length (Engine.facts_of res "q_")));
-    ]
-
-let json_fuzz () =
-  let module G = Cql_gen.Generate in
-  let module H = Cql_gen.Harness in
-  List.map
-    (fun (mode, (s : H.summary)) ->
-      let st = s.H.stats in
-      J.Obj
-        [
-          ("mode", J.Str (G.mode_to_string mode));
-          ("seed", J.Int s.H.seed);
-          ("programs_generated", J.Int st.H.cases);
-          ("programs_evaluated", J.Int st.H.evaluated);
-          ("oracle_checks_passed", J.Int st.H.checks);
-          ("rewrites_skipped", J.Int st.H.rewrites_skipped);
-          ("rewrites_unconverged", J.Int st.H.rewrites_unconverged);
-          ("runs_truncated", J.Int st.H.runs_truncated);
-          ( "mean_facts_derived",
-            J.Float
-              (if st.H.evaluated = 0 then 0.0
-               else float_of_int st.H.facts_derived /. float_of_int st.H.evaluated) );
-          ("all_oracles_passed", J.Bool (s.H.failure = None));
-        ])
-    (fuzz_summaries ())
-
-(* every solver.* counter in the Obs registry (each cache's hits and misses
-   among them, as memo.<cache>.hits/.misses), then each cache's entries and
-   the totals over all caches *)
-let solver_json () =
-  let caches = Memo.stats () in
-  let total f = List.fold_left (fun acc c -> acc + f c) 0 caches in
-  let hits = total (fun c -> c.Memo.hits) and misses = total (fun c -> c.Memo.misses) in
-  J.Obj
-    (counters_with "solver."
-    @ [
-        ( "caches",
-          J.List
-            (List.map
-               (fun (c : Memo.table_stats) ->
-                 J.Obj [ ("name", J.Str c.Memo.name); ("entries", J.Int c.Memo.entries) ])
-               caches) );
-        ("cache_hits", J.Int hits);
-        ("cache_misses", J.Int misses);
-        ( "cache_hit_rate",
-          J.Float
-            (if hits + misses = 0 then 0.0
-             else float_of_int hits /. float_of_int (hits + misses)) );
-      ])
-
-(* decision-procedure call counts and cache hit rates over two representative
-   workloads, each run once from cold caches and zeroed counters *)
-let json_solver_cache () =
-  let workload name f =
-    Memo.clear_all ();
-    Cql_obs.Obs.zero "solver.";
-    f ();
-    (name, solver_json ())
+  let sat_atoms =
+    [ Atom.le (Linexpr.add (arg 1) (arg 2)) (n 6); Atom.ge (arg 1) (n 2);
+      Atom.lt (arg 3) (arg 1); Atom.ge (arg 3) (n 0) ]
   in
   [
-    workload "rewrite_flights" (fun () ->
-        ignore (Rewrite.constraint_rewrite (parse flights_src)));
-    workload "fuzz_decidable_50" (fun () ->
-        let module G = Cql_gen.Generate in
-        let module H = Cql_gen.Harness in
-        ignore (H.run ~config:(G.default G.Decidable) ~seed:fuzz_seed ~count:50 ()));
+    ( "rewrite/constraint_rewrite(flights)",
+      fun () -> ignore (Rewrite.constraint_rewrite flights) );
+    ( "rewrite/gmt(ex61)",
+      fun () -> ignore (Gmt.pipeline ~query_adornment:"ff" (parse ex61_src)) );
+    ( "eval/flights-P(8, capped)",
+      fun () ->
+        (* budget keeps the P-vs-P' contrast visible (P' needs ~a tenth
+           of this) while the whole suite stays short *)
+        ignore (Engine.run ~max_iterations:6 ~max_derivations:1500 flights ~edb:edb8) );
+    ("eval/flights-P'(8)", fun () -> ignore (Engine.run ~max_iterations:10 flights' ~edb:edb8));
+    ( "eval/fib-magic-constrained",
+      let pmg = fib_magic_constrained 5 in
+      fun () -> ignore (Engine.run ~max_iterations:30 pmg ~edb:[]) );
+    ("eval/d1-qrp-mg", fun () -> ignore (idb_count d1qm d1edb));
+    ("eval/d1-mg-qrp", fun () -> ignore (idb_count d1mq d1edb));
+    ( "solver/sat-simplex",
+      let atoms = Conj.to_list (conj sat_atoms) in
+      fun () -> ignore (Simplex.is_sat atoms) );
+    ( "solver/sat-fourier-motzkin",
+      let c = conj sat_atoms in
+      fun () -> ignore (Conj.is_tt (Conj.project ~keep:Var.Set.empty c)) );
+    ( "solver/implication",
+      fun () ->
+        let c = conj [ Atom.le (Linexpr.add (arg 1) (arg 2)) (n 6); Atom.ge (arg 1) (n 2) ] in
+        ignore (Conj.implies_atom c (Atom.le (arg 2) (n 4))) );
+    ( "solver/implication-cached",
+      (* prebuilt terms and a warmed cache: the steady-state cost of a
+         repeated implication query (one table lookup) *)
+      let c = conj [ Atom.le (Linexpr.add (arg 1) (arg 2)) (n 6); Atom.ge (arg 1) (n 2) ] in
+      let d = conj [ Atom.le (arg 2) (n 4) ] in
+      ignore (Conj.implies c d);
+      fun () -> ignore (Conj.implies c d) );
   ]
 
-(* per-phase wall-clock timings from the lib/obs tracing subsystem over two
-   representative pipelines (rewrite + evaluate), each run with tracing armed
-   and a cleared event buffer; [spans] aggregates by span name *)
-let json_trace () =
-  let module Obs = Cql_obs.Obs in
-  let was_enabled = Obs.enabled () in
-  Obs.set_enabled true;
-  Obs.reset ();
-  let workload name f =
-    Obs.reset ();
-    f ();
-    let spans =
-      List.map
-        (fun (r : Obs.summary_row) ->
-          J.Obj
-            [
-              ("span", J.Str r.Obs.sr_name);
-              ("count", J.Int r.Obs.sr_count);
-              ("total_ns", J.Int (Int64.to_int r.Obs.sr_total_ns));
-              ("max_ns", J.Int (Int64.to_int r.Obs.sr_max_ns));
-            ])
-        (Obs.summary ())
-    in
-    (name, J.Obj [ ("spans", J.List spans); ("events", J.Int (List.length (Obs.events ()))) ])
+let time () =
+  header "WALL-CLOCK TIMINGS (monotonic clock, batches of >= 2 ms)";
+  let pp ns =
+    if ns > 1e6 then Printf.sprintf "%.3f ms" (ns /. 1e6)
+    else if ns > 1e3 then Printf.sprintf "%.3f us" (ns /. 1e3)
+    else Printf.sprintf "%.1f ns" ns
   in
-  let rows =
+  Printf.printf "  %-40s %12s   %s\n" "benchmark" "median/run" "[min-max] over batches";
+  J.List
+    (List.map
+       (fun (name, f) ->
+         let s = per_call_ns f in
+         Printf.printf "  %-40s %12s   [%s-%s] x%d\n" name (pp s.median) (pp s.lo) (pp s.hi)
+           s.reps;
+         J.Obj [ ("name", J.Str name); ("ns_per_run", spread_json s) ])
+       (timing_thunks ()))
+
+(* ----- serving (lib/serve): cqlserved under concurrent load ----- *)
+
+(* 4 x 255 requests: at most one request per client and program misses the
+   plan cache, so at least ten warm samples lie beyond the warm p99 *)
+let serve_clients = 4
+let serve_requests_per_client = 255
+
+(* the programs every client cycles through: (name, program, EDB, pipeline) *)
+let serve_workloads =
+  [|
+    ( "flights",
+      flights_src,
+      {|singleleg(c0, c1, 45, 30). singleleg(c1, c2, 120, 95). singleleg(c2, c3, 70, 60).
+singleleg(c3, c4, 200, 40). singleleg(c4, c5, 35, 110). singleleg(c5, c0, 90, 25).|},
+      "pred,qrp" );
+    ( "d1",
+      d1_src,
+      {|b1(1, 100). b1(3, 200). b1(7, 300). b2(100, 101). b2(101, 102). b2(102, 103).
+b2(200, 201). b2(201, 202). b2(300, 301).|},
+      "pred,qrp" );
+    ( "ex41",
+      ex41_src,
+      {|b1(2, 1). b1(2, 4). b1(3, 3). b1(5, 1). b1(4, 2). b1(1, 1).
+b2(1). b2(2). b2(3). b2(4). b2(9).|},
+      "optimal" );
+  |]
+
+(* one-shot reference answers: the same compile + evaluate the server does,
+   in this process, with the default admission budgets *)
+let oneshot_answers (_, src, edb, pipeline) =
+  let p = parse src in
+  match Cql_serve.Server.rewrite ~pipeline p with
+  | Error (_, msg) -> invalid_arg msg
+  | Ok (_, prog) ->
+      let res =
+        Engine.run ~max_iterations:200 ~max_derivations:200_000 prog ~edb:(edb_of edb)
+      in
+      List.map Fact.to_string (Engine.answers res prog)
+
+(* client [idx]'s requests, back to back on one connection: each one's
+   latency in ms, and for an ok reply its "cache" field and whether its
+   answers are the one-shot answers; no requests when it cannot connect *)
+let serve_client ~socket ~expected idx =
+  let module C = Cql_serve.Client in
+  match C.connect_retry socket with
+  | Error _ -> []
+  | Ok client ->
+      let replies =
+        List.init serve_requests_per_client (fun i ->
+            let k = (idx + i) mod Array.length serve_workloads in
+            let _, program, edb, pipeline = serve_workloads.(k) in
+            let reply, ms =
+              time_ms (fun () ->
+                  C.eval client ~tenant:(Printf.sprintf "client%d" idx) ~edb ~pipeline ~program
+                    ())
+            in
+            match reply with
+            | Ok j when C.is_ok j ->
+                let cache = Option.bind (J.member "cache" j) J.to_str in
+                (ms, Some (cache, C.answers j = expected.(k)))
+            | Ok _ | Error _ -> (ms, None))
+      in
+      C.close client;
+      replies
+
+(* an in-process server under [serve_clients] concurrent client domains:
+   every answer is checked against one-shot evaluation, so this doubles as
+   an end-to-end correctness run; the check fails on any failed request or
+   differing answer *)
+let serve () =
+  let module S = Cql_serve in
+  header "SERVE: cqlserved under concurrent load (plan cache + admission)";
+  paper "(no paper counterpart -- the persistent multi-tenant query service)";
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "cql-bench-serve-%d.sock" (Unix.getpid ()))
+  in
+  let expected = Array.map oneshot_answers serve_workloads in
+  let t = S.Server.start (S.Server.default_config ~socket_path:socket) in
+  let (replies, wall_ms), server_stats =
+    Fun.protect
+      ~finally:(fun () ->
+        S.Server.stop t;
+        S.Server.wait t)
+      (fun () ->
+        let run =
+          time_ms (fun () ->
+              List.init serve_clients (fun idx ->
+                  Domain.spawn (fun () -> serve_client ~socket ~expected idx))
+              |> List.concat_map Domain.join)
+        in
+        let stats =
+          Result.bind (S.Client.connect_retry socket) (fun c ->
+              Fun.protect ~finally:(fun () -> S.Client.close c) (fun () -> S.Client.stats c))
+        in
+        (run, match stats with Ok j -> j | Error msg -> J.Str ("error: " ^ msg)))
+  in
+  let total = serve_clients * serve_requests_per_client in
+  let ok = List.filter_map (fun (ms, r) -> Option.map (fun r -> (ms, r)) r) replies in
+  let lats = sorted_array (List.map fst replies) in
+  let cached c =
+    sorted_array (List.filter_map (fun (ms, (k, _)) -> if k = Some c then Some ms else None) ok)
+  in
+  let hits = cached "hit" and misses = cached "miss" in
+  let pct = Obs.percentile in
+  let errors = total - List.length ok in
+  let answers_match = List.for_all (fun (_, (_, same)) -> same) ok in
+  let throughput = if wall_ms > 0.0 then float_of_int total /. (wall_ms /. 1e3) else 0.0 in
+  measured "clients=%d requests=%d ok=%d errors=%d cache_hits=%d answers_match=%b" serve_clients
+    total (List.length ok) errors (Array.length hits) answers_match;
+  measured "p50=%.2fms p95=%.2fms p99=%.2fms max=%.2fms throughput=%.1f req/s" (pct lats 50)
+    (pct lats 95) (pct lats 99) (pct lats 100) throughput;
+  measured "warm (%d hits): p50=%.2fms p99=%.2fms; cold (%d misses): p50=%.2fms"
+    (Array.length hits) (pct hits 50) (pct hits 99) (Array.length misses) (pct misses 50);
+  (* the daemon's side: every minor collection stops all its domains *)
+  (match J.member "gc" server_stats with
+  | Some gc ->
+      let field k = Option.value ~default:0 (Option.bind (J.member k gc) J.to_int) in
+      let requests = field "requests" in
+      let kb = float_of_int (field "request_minor_words" * 8) /. 1024. in
+      measured "gc: minor=%d major=%d requests=%d minor_kb_per_request=%.1f"
+        (field "minor_collections") (field "major_collections") requests
+        (kb /. float_of_int (max 1 requests))
+  | None -> ());
+  check "serve" (errors = 0 && answers_match);
+  J.Obj
     [
-      workload "rewrite_flights" (fun () ->
-          ignore (Rewrite.constraint_rewrite (parse flights_src)));
-      workload "eval_flights_rewritten" (fun () ->
-          let p = parse flights_src in
-          let p', _ = Rewrite.constraint_rewrite p in
-          ignore (Engine.run ~max_iterations:10 p' ~edb:(singleleg_edb 108 8)));
+      ("clients", J.Int serve_clients);
+      ("requests_per_client", J.Int serve_requests_per_client);
+      ("total_requests", J.Int total);
+      ("ok", J.Int (List.length ok));
+      ("errors", J.Int errors);
+      ("cache_hits", J.Int (Array.length hits));
+      ("cache_misses", J.Int (Array.length misses));
+      ("answers_match_oneshot", J.Bool answers_match);
+      ("p50_ms", J.Float (pct lats 50));
+      ("p95_ms", J.Float (pct lats 95));
+      ("p99_ms", J.Float (pct lats 99));
+      ("max_ms", J.Float (pct lats 100));
+      ("warm_p50_ms", J.Float (pct hits 50));
+      ("warm_p99_ms", J.Float (pct hits 99));
+      ("cold_p50_ms", J.Float (pct misses 50));
+      ("wall_seconds", J.Float (wall_ms /. 1e3));
+      ("throughput_rps", J.Float throughput);
+      ( "workloads",
+        J.List (Array.to_list (Array.map (fun (w, _, _, _) -> J.Str w) serve_workloads)) );
+      ("server_stats", server_stats);
     ]
-  in
-  Obs.reset ();
-  Obs.set_enabled was_enabled;
-  rows
 
-(* the production engine on the three timing workloads: wall time, bytes
-   allocated and bytes per derivation; [answers_match_reference] and the
-   derivation pair compare against the seed reference evaluator *)
-let json_compiled () =
-  let runs =
-    List.map
-      (fun r ->
-        J.Obj
-          [
-            ("workload", J.Str r.cw_name);
-            ("reps", J.Int compiled_reps);
-            ("wall_seconds", J.Float r.cw_wall_s);
-            ("allocated_bytes", J.Int (Float.to_int r.cw_bytes));
-            ("derivations", J.Int r.cw_derivations);
-            ( "bytes_per_derivation",
-              J.Int (Float.to_int (Float.round (bytes_per_derivation r))) );
-            ("answers_match_reference", J.Bool r.cw_answers_match);
-            ("reference_derivations", J.Int r.cw_reference_derivations);
-            ("derivations_match", J.Bool (r.cw_derivations = r.cw_reference_derivations));
-          ])
-      (compiled_rows ())
-  in
-  J.Obj [ ("runs", J.List runs); ("compile_counters", J.Obj (counters_with "engine.compile.")) ]
+(* ----- driver ----- *)
 
-(* every experiment once, in document order; serve goes last, after the
-   timings, so nothing else runs after its server and client domains exit *)
-let run_json () =
-  let flights_store = json_flights_store () in
-  let d1 = json_d1 () in
-  let optimal = json_optimal () in
-  let fib = json_fib () in
-  let fuzz = json_fuzz () in
-  let solver_cache = json_solver_cache () in
-  let trace = json_trace () in
-  let compiled = json_compiled () in
-  let incremental = incremental () in
-  let int = int_experiment () in
-  let timings =
-    List.map
-      (fun (name, est) ->
-        J.Obj
-          [
-            ("name", J.Str name);
-            ("ns_per_run", match est with Some ns -> J.Float ns | None -> J.Null);
-          ])
-      (measure_timings (timing_tests ()))
+let text_only f () =
+  f ();
+  J.Null
+
+(* every experiment in run order, with the key of its record in
+   BENCH_results.json; serve goes last, so that nothing runs after its
+   server and client domains exit *)
+let experiments =
+  [
+    ("table1", None, text_only run_table1);
+    ("table2", None, text_only run_table2);
+    ("fig1", None, text_only run_fig1);
+    ("fig2", None, text_only run_fig2);
+    ("ex41", None, text_only run_ex41);
+    ("ex51", None, text_only run_ex51);
+    ("ex43", Some "flights_store", ex43);
+    ("ex44", Some "fib_backward", ex44);
+    ("ex61", None, text_only run_ex61);
+    ("d1", Some "d1_rewrite_orderings", d1);
+    ("d2", None, text_only run_d2);
+    ("optimal", Some "optimal_orderings", optimal);
+    ("ablation-disjuncts", None, text_only run_ablation_disjuncts);
+    ("ablation-single", None, text_only run_ablation_single);
+    ("bound", None, text_only run_bound);
+    ("fuzz", Some "fuzz", fuzz);
+    ("solver-cache", Some "solver_cache", solver_cache);
+    ("trace", Some "trace", trace);
+    ("compiled", Some "compiled", compiled);
+    ("incremental", Some "incremental", incremental);
+    ("int", Some "int", int);
+    ("time", Some "timings", time);
+    ("serve", Some "serve", serve);
+  ]
+
+(* the measured commit: [git rev-parse HEAD], with [-dirty] when a tracked
+   file differs from it, or [unknown] when git fails *)
+let commit () =
+  let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
+  let sha = In_channel.input_line ic in
+  match (Unix.close_process_in ic, sha) with
+  | Unix.WEXITED 0, Some sha ->
+      if Sys.command "git diff --quiet HEAD 2>/dev/null" = 0 then sha else sha ^ "-dirty"
+  | _ -> "unknown"
+
+(* every experiment with a record, once, into BENCH_results.json *)
+let json () =
+  let commit = commit () in
+  let records =
+    List.filter_map (fun (_, key, f) -> Option.map (fun key -> (key, f ())) key) experiments
   in
-  let serve = serve () in
   let doc =
     J.to_string
       (J.Obj
          [
-           ("schema", J.Str "cqlopt-bench-1");
+           ("schema", J.Str "cqlopt-bench-2");
            ("command", J.Str "dune exec bench/main.exe -- json");
-           ( "experiments",
-             J.Obj
-               [
-                 ("flights_store", J.List flights_store);
-                 ("d1_rewrite_orderings", J.List d1);
-                 ("optimal_orderings", J.List optimal);
-                 ("fib_backward", fib);
-                 ("fuzz", J.List fuzz);
-                 ("solver_cache", J.Obj solver_cache);
-                 ("trace", J.Obj trace);
-                 ("compiled", compiled);
-                 ("incremental", incremental);
-                 ("int", int);
-                 ("serve", serve);
-               ] );
-           ("timings", J.List timings);
+           ("commit", J.Str commit);
+           ("experiments", J.Obj records);
          ])
     ^ "\n"
   in
-  let oc = open_out "BENCH_results.json" in
-  output_string oc doc;
-  close_out oc;
+  Out_channel.with_open_text "BENCH_results.json" (fun oc -> output_string oc doc);
   Printf.printf "wrote BENCH_results.json (%d bytes)\n" (String.length doc)
-
-(* ----- driver ----- *)
-
-(* in list order; the no-argument run is everything but json *)
-let experiments =
-  [
-    ("table1", run_table1);
-    ("table2", run_table2);
-    ("fig1", run_fig1);
-    ("fig2", run_fig2);
-    ("ex41", run_ex41);
-    ("ex51", run_ex51);
-    ("ex43", run_ex43);
-    ("ex44", run_ex44);
-    ("ex61", run_ex61);
-    ("d1", run_d1);
-    ("d2", run_d2);
-    ("optimal", run_optimal);
-    ("ablation-disjuncts", run_ablation_disjuncts);
-    ("ablation-single", run_ablation_single);
-    ("bound", run_bound);
-    ("fuzz", run_fuzz);
-    ("compiled", run_compiled);
-    ("incremental", run_incremental);
-    ("int", run_int);
-    ("time", run_timings);
-    ("serve", run_serve);
-    ("json", run_json);
-  ]
 
 let () =
   let ids =
     match List.tl (Array.to_list Sys.argv) with
-    | [] -> List.filter (fun id -> id <> "json") (List.map fst experiments)
+    | [] -> List.map (fun (id, _, _) -> id) experiments
     | ids -> ids
   in
   List.iter
     (fun id ->
-      match List.assoc_opt id experiments with
-      | Some f -> f ()
+      match List.find_opt (fun (id', _, _) -> id' = id) experiments with
+      | Some (_, _, f) -> ignore (f ())
+      | None when id = "json" -> json ()
       | None ->
-          Printf.eprintf "unknown experiment %s; known: %s\n" id
-            (String.concat ", " (List.map fst experiments));
+          Printf.eprintf "unknown experiment %s; known: %s, json\n" id
+            (String.concat ", " (List.map (fun (id, _, _) -> id) experiments));
           exit 1)
     ids;
   match List.rev !failed_checks with

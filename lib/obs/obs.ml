@@ -23,6 +23,10 @@
 
 external monotonic_ns : unit -> int64 = "caml_obs_monotonic_ns"
 
+let percentile sorted p =
+  let n = Array.length sorted in
+  if n = 0 then 0.0 else sorted.(max 0 (min (n - 1) ((((p * n) + 99) / 100) - 1)))
+
 let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b

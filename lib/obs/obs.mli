@@ -15,6 +15,12 @@ val monotonic_ns : unit -> int64
 (** Nanoseconds on the monotonic clock (arbitrary epoch; differences are
     meaningful, absolute values are not). *)
 
+val percentile : float array -> int -> float
+(** [percentile sorted p] is the nearest-rank [p]th percentile of the
+    ascending samples [sorted]: the value at index ⌈p·n/100⌉ − 1, so [p]
+    = 0 is the least sample and 100 the greatest.  [0.0] when [sorted] is
+    empty. *)
+
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 

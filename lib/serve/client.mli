@@ -1,6 +1,6 @@
 (** Blocking client for the cqlserved protocol (one connection, requests
-    answered in order).  Used by [cqlopt client], the load generator and the
-    tests. *)
+    answered in order).  Used by [cqlopt client], bench's [serve] experiment and
+    the tests. *)
 
 type t
 

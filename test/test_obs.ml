@@ -36,6 +36,20 @@ let test_monotonic_clock () =
   let t1 = Obs.monotonic_ns () in
   check_bool "monotonic" true (Int64.compare t1 t0 >= 0)
 
+(* nearest rank: of 100 sorted samples, p50 is the 50th and p99 the 99th *)
+let test_percentile () =
+  let sorted = Array.init 100 (fun i -> float_of_int (i + 1)) in
+  let check_float name want got = Alcotest.(check (float 1e-9)) name want got in
+  check_float "p0 is the least" 1.0 (Obs.percentile sorted 0);
+  check_float "p50 of 1..100" 50.0 (Obs.percentile sorted 50);
+  check_float "p95 of 1..100" 95.0 (Obs.percentile sorted 95);
+  check_float "p99 of 1..100" 99.0 (Obs.percentile sorted 99);
+  check_float "p100 is the maximum" 100.0 (Obs.percentile sorted 100);
+  List.iter
+    (fun p -> check_float (Printf.sprintf "p%d of one sample" p) 7.0 (Obs.percentile [| 7.0 |] p))
+    [ 0; 50; 99; 100 ];
+  check_float "no samples" 0.0 (Obs.percentile [||] 50)
+
 (* ----- spans ----- *)
 
 let test_span_nesting () =
@@ -256,6 +270,7 @@ let () =
       ( "core",
         [
           Alcotest.test_case "monotonic clock" `Quick test_monotonic_clock;
+          Alcotest.test_case "nearest-rank percentiles" `Quick test_percentile;
           Alcotest.test_case "span nesting" `Quick test_span_nesting;
           Alcotest.test_case "exception safety" `Quick test_span_exception;
           Alcotest.test_case "fields" `Quick test_fields;

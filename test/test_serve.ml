@@ -9,7 +9,6 @@ module Lru = Cql_serve.Lru
 module Admission = Cql_serve.Admission
 module Server = Cql_serve.Server
 module Client = Cql_serve.Client
-module Loadgen = Cql_serve.Loadgen
 module Obs = Cql_obs.Obs
 
 let check_bool = Alcotest.(check bool)
@@ -394,23 +393,6 @@ let test_admission_tenant_rows () =
   match admit "busy" with
   | Admission.Reject_busy _ -> ()
   | _ -> Alcotest.fail "the in-flight cap outlived the dropped rows"
-
-(* ----- load-generator percentiles ----- *)
-
-(* nearest rank: of 100 sorted samples, p50 is the 50th and p99 the 99th *)
-let test_loadgen_percentile () =
-  let ms xs = Array.map (fun m -> Int64.of_int (m * 1_000_000)) xs in
-  let sorted = ms (Array.init 100 (fun i -> i + 1)) in
-  let check_ms name want got = Alcotest.(check (float 1e-9)) name want got in
-  check_ms "p50 of 1..100" 50.0 (Loadgen.percentile sorted 50);
-  check_ms "p95 of 1..100" 95.0 (Loadgen.percentile sorted 95);
-  check_ms "p99 of 1..100" 99.0 (Loadgen.percentile sorted 99);
-  check_ms "p100 is the maximum" 100.0 (Loadgen.percentile sorted 100);
-  List.iter
-    (fun p ->
-      check_ms (Printf.sprintf "p%d of one sample" p) 7.0 (Loadgen.percentile (ms [| 7 |]) p))
-    [ 0; 50; 99; 100 ];
-  check_ms "no samples" 0.0 (Loadgen.percentile [||] 50)
 
 (* ----- the daemon end to end ----- *)
 
@@ -1014,8 +996,6 @@ let () =
           Alcotest.test_case "verdicts" `Quick test_admission;
           Alcotest.test_case "tenant rows stay bounded" `Quick test_admission_tenant_rows;
         ] );
-      ( "loadgen",
-        [ Alcotest.test_case "nearest-rank percentiles" `Quick test_loadgen_percentile ] );
       ( "server",
         [
           Alcotest.test_case "cache miss then hit" `Quick test_server_cache_miss_then_hit;
