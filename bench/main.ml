@@ -820,6 +820,7 @@ let compiled () =
         J.Obj
           [
             ("workload", J.Str name);
+            ("reps", J.Int wall.reps);
             ("wall_seconds", spread_json wall);
             ("allocated_bytes", J.Int (Float.to_int bytes));
             ("derivations", J.Int derivations);
