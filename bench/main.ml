@@ -1362,7 +1362,7 @@ let serve () =
       ("server_stats", server_stats);
     ]
 
-(* ----- driver ----- *)
+(* ----- command line ----- *)
 
 let text_only f () =
   f ();
