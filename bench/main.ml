@@ -137,6 +137,39 @@ let singleleg_edb seed m =
         [ Term.Sym (Printf.sprintf "c%d" i); Term.Sym (Printf.sprintf "c%d" ((i + 1) mod m));
           Term.Num (Rat.of_int time); Term.Num (Rat.of_int cost) ])
 
+(* a flight network of [cities] cities with [degree] outgoing legs each,
+   to distinct random destinations, leg times a shuffle of evenly spaced
+   values over 40-160 minutes and costs over $30-120: the shape of the
+   benchmark's paper-eval inputs *)
+let network_edb seed ~cities ~degree =
+  let st = Random.State.make [| seed; 1 |] in
+  let n = cities * degree in
+  let spaced lo hi = Array.init n (fun i -> lo + ((hi - lo) * i / max 1 (n - 1))) in
+  let shuffle a =
+    for i = Array.length a - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let x = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- x
+    done;
+    a
+  in
+  let times = shuffle (spaced 40 160) and costs = shuffle (spaced 30 120) in
+  let city i = Term.Sym (Printf.sprintf "c%d" i) in
+  List.concat
+    (List.init cities (fun src ->
+         let dsts = Hashtbl.create 8 in
+         while Hashtbl.length dsts < degree do
+           let d = Random.State.int st cities in
+           if d <> src then Hashtbl.replace dsts d ()
+         done;
+         List.mapi
+           (fun k d ->
+             let i = (src * degree) + k in
+             let num a = Term.Num (Rat.of_int a.(i)) in
+             Fact.ground "singleleg" [ city src; city d; num times; num costs ])
+           (List.sort compare (Hashtbl.fold (fun d () acc -> d :: acc) dsts []))))
+
 let d1_src =
   {|
 r1: q(X, Y) :- a1(X, Y), X <= 4.
@@ -761,15 +794,19 @@ let trace () =
 
 let compiled_reps = 3
 
-(* the three timing workloads: the raw recursive flights program (join-heavy,
-   budget-capped), the constrained backward Fibonacci after magic rewriting,
-   and D.1 under qrp,mg.  Each runs on the production engine (the compiled
-   executor); the [Gc.allocated_bytes] delta of one run over its derivation
-   count is the bytes-per-derivation figure *)
+(* the timing workloads: the raw recursive flights program (join-heavy,
+   budget-capped), its pred,qrp rewrite over a 10-city network with 3 legs
+   per city (where the pushed selections guard the join), the constrained
+   backward Fibonacci after magic rewriting, and D.1 under qrp,mg.  Each
+   runs on the production engine (the compiled executor); the
+   [Gc.allocated_bytes] delta of one run over its derivation count is the
+   bytes-per-derivation figure *)
 let compiled_workloads () =
   let d1qm, _ = Rewrite.sequence [ Rewrite.Qrp; magic_ff ] (parse d1_src) in
+  let flights_pq, _ = Rewrite.constraint_rewrite (parse flights_src) in
   [
     ("flights-P", parse flights_src, singleleg_edb 110 16, 8, 30_000);
+    ("flights-pq", flights_pq, network_edb 7 ~cities:10 ~degree:3, 200, 2_000_000);
     ("fib-magic", fib_magic_constrained 5, [], 30, 200_000);
     ("d1-qrp-mg", d1qm, segments_edb 12 5, 30, 200_000);
   ]

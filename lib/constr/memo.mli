@@ -13,10 +13,12 @@
     Storage is per-domain via [Domain.DLS]: each domain owns a private
     table per cache, so evaluations running concurrently on different
     domains (the server's requests) memoize without locks.  A key keeps
-    its term alive, so every table is bounded (4,096 entries, dropped
-    wholesale when full), and a long-lived worker domain drops its own
-    tables after each request ({!clear_all}).  Hits and misses are the
-    {!Cql_obs.Obs} counters [solver.memo.<name>.hits] and
+    its term alive, so every table is bounded: two generations of 4,096
+    entries each, where a full current table becomes the previous one and
+    the older one is dropped wholesale, and a hit in the previous
+    generation moves the entry back to the current one.  A long-lived
+    worker domain drops its own tables after each request ({!clear_all}).
+    Hits and misses are the {!Cql_obs.Obs} counters [solver.memo.<name>.hits] and
     [solver.memo.<name>.misses]: they aggregate exactly across domains,
     traced spans carry their deltas and [Obs.zero] resets them; {!stats}'
     [entries] field is the calling domain's view. *)
@@ -45,12 +47,12 @@ type table_stats = { name : string; hits : int; misses : int; entries : int }
 val stats : unit -> table_stats list
 (** Per-cache counters, in registration order.  Hits/misses are read from
     the registry (summed across all domains); [entries] counts the calling
-    domain's table. *)
+    domain's tables, both generations. *)
 
 val clear_all : unit -> unit
-(** Drop every cache's entries in the calling domain (hit/miss counters
-    survive); other domains' tables are untouched, so a request running
-    there keeps its warm entries.  Call between independent workloads —
+(** Drop every cache's entries, both generations, in the calling domain
+    (hit/miss counters survive); other domains' tables are untouched, so a
+    request running there keeps its warm entries.  Call between independent workloads —
     the fuzz harness clears caches around each cache-oracle run, and
     [cqlserved] after each reply. *)
 

@@ -26,11 +26,17 @@ module Obs = Cql_obs.Obs
    value slots (the registers, then one slot per variable the constraint's
    equations solve).  A completed match runs it when the match is ground
    and numeric where the constraint reads it; every other candidate takes
-   the generic finisher [derive_from_combined]. *)
+   the generic finisher [derive_from_combined].
+
+   Its atoms also guard the join: an atom whose last register is bound by
+   one column of a step is a bound on that column, tested on each candidate
+   before it is matched, so a pushed selection drops a candidate at the
+   step that binds its column instead of at the leaf. *)
 
 let ctr_programs = Obs.counter "engine.compile.programs_compiled"
 let ctr_ops = Obs.counter "engine.compile.ops"
 let ctr_frame = Obs.counter "engine.compile.frame_width"
+let ctr_guard_rejects = Obs.counter "engine.join.guard_rejects"
 
 (* ----- fact instantiation (shared with the reference evaluator) ----- *)
 
@@ -148,6 +154,28 @@ type cprog = {
   p_head : hsrc array;
 }
 
+(* where a guarded column must lie relative to the guard's bound *)
+type bound_kind = At_most | Below | At_least | Above | Exactly
+
+(* a guard atom, [Σ a_coefs.(i) · a_regs.(i) + a_const op 0] over registers *)
+type gatom = { a_op : Atom.op; a_regs : int array; a_coefs : Rat.t array; a_const : Rat.t }
+
+(* A join guard: a guard atom [k·x + rest op 0] where [x] is bound by
+   column [g_col] of the guard's step and [rest = Σ g_coefs.(i) ·
+   g_regs.(i) + g_const] reads only registers earlier steps bind.  Per
+   probe, the bound [rest · g_scale] ([g_scale = −1/k]) goes to the
+   frame's slot [g_id]; per candidate, the column's value is compared with
+   it. *)
+type guard = {
+  g_id : int;
+  g_col : int;
+  g_kind : bound_kind;
+  g_scale : Rat.t;
+  g_regs : int array;
+  g_coefs : Rat.t array;
+  g_const : Rat.t;
+}
+
 type cstep = {
   c_lit : Literal.t;  (* the original body literal (predicate, shape) *)
   c_arity : int;
@@ -155,6 +183,8 @@ type cstep = {
   c_part : Store.partition;
   c_actions : action array;
   c_probe : probe_src array;
+  c_positions : int list;  (* every probe column *)
+  c_guards : guard array;
 }
 
 type code = {
@@ -162,6 +192,7 @@ type code = {
   c_pivot : string option;  (* the predicate the first step reads the delta of *)
   c_steps : cstep array;
   c_used_perm : int array;  (* step indices sorted by original position *)
+  c_nguards : int;
   c_nregs : int;
   c_reg_of : int Var.Map.t;  (* rule variable -> register *)
   c_prog : cprog option;
@@ -218,9 +249,15 @@ let native_form f =
    is neither registered nor solved into a [Solve] of that variable, until a
    pass solves nothing (the solvable set is the same in any atom order).
    Every other atom becomes a [Check], placed right after the last [Solve]
-   it reads, so register-only checks run first.  [None] when an atom keeps
-   an unknown, or a head variable is neither bound nor solved: such a rule
-   always takes the generic path. *)
+   it reads, so register-only checks run first.  The program is [None] when
+   an atom keeps an unknown, or a head variable is neither bound nor
+   solved: such a rule always takes the generic path.
+
+   The second result is the join guards' atoms: every check without an
+   unknown, with each solved variable replaced by its definition over the
+   registers, as [Conj.eliminate] does for an equality.  The rule's
+   constraint implies each of them, so a candidate whose registers falsify
+   one derives nothing, on the compiled path and on the generic one. *)
 let compile_cstr (rule : Rule.t) reg_of nregs =
   let solved = ref Var.Map.empty and nslots = ref nregs in
   let slot_opt v =
@@ -239,7 +276,7 @@ let compile_cstr (rule : Rule.t) reg_of nregs =
               incr nslots;
               solved := Var.Map.add x dst !solved;
               let rest = List.filter (fun (v, _) -> not (Var.equal v x)) terms in
-              solves := (dst, k, rest, Linexpr.constant a.Atom.expr) :: !solves;
+              solves := (x, a, dst, k, rest, Linexpr.constant a.Atom.expr) :: !solves;
               progress := true;
               false
           | _ -> true)
@@ -251,6 +288,29 @@ let compile_cstr (rule : Rule.t) reg_of nregs =
     List.map (fun (a : Atom.t) -> (a, Linexpr.terms a.Atom.expr)) (Conj.to_list rule.Rule.cstr)
   in
   let checks = chain atoms in
+  (* in solving order, each [k·x + rest = 0] defines [x = −rest/k] over the
+     registers once the earlier definitions are substituted into [rest] *)
+  let defs =
+    List.fold_left
+      (fun defs (x, (a : Atom.t), _, k, _, _) ->
+        let rest = Linexpr.subst defs (Linexpr.sub a.Atom.expr (Linexpr.term k x)) in
+        defs @ [ (x, Linexpr.scale (Rat.neg (Rat.inv k)) rest) ])
+      [] (List.rev !solves)
+  in
+  let gatom (a : Atom.t) =
+    let terms = Linexpr.terms a.Atom.expr in
+    {
+      a_op = a.Atom.op;
+      a_regs = Array.of_list (List.map (fun (v, _) -> Var.Map.find v reg_of) terms);
+      a_coefs = Array.of_list (List.map snd terms);
+      a_const = Linexpr.constant a.Atom.expr;
+    }
+  in
+  let guard_atoms =
+    List.filter_map
+      (fun (a, terms) -> if unknowns terms = [] then Some (gatom (Atom.subst defs a)) else None)
+      checks
+  in
   let head_slot = function
     | Term.C c -> Some (H_const c)
     | Term.V v -> (
@@ -261,7 +321,7 @@ let compile_cstr (rule : Rule.t) reg_of nregs =
   let head = List.map head_slot rule.Rule.head.Literal.args in
   if List.exists (fun (_, terms) -> unknowns terms <> []) checks
      || not (List.for_all Option.is_some head)
-  then None
+  then (None, guard_atoms)
   else begin
     let slot v = Option.get (slot_opt v) in
     (* a check is ready once the highest slot it reads is written *)
@@ -273,7 +333,7 @@ let compile_cstr (rule : Rule.t) reg_of nregs =
     let instrs =
       checks_at (fun c -> ready c < nregs)
       @ List.concat_map
-          (fun (dst, k, rest, const) ->
+          (fun (_, _, dst, k, rest, const) ->
             Solve { dst; k; n_k = Rat.to_small_int k; rest = form_of slot rest const }
             :: checks_at (fun c -> ready c = dst))
           (List.rev !solves)
@@ -281,19 +341,20 @@ let compile_cstr (rule : Rule.t) reg_of nregs =
     let reads = Array.make nregs false in
     let read (v, _) = Option.iter (fun r -> reads.(r) <- true) (Var.Map.find_opt v reg_of) in
     List.iter (fun (_, terms) -> List.iter read terms) atoms;
-    Some
-      {
-        p_instrs = Array.of_list instrs;
-        p_reads = Array.of_list (List.filter (fun r -> reads.(r)) (List.init nregs Fun.id));
-        p_nslots = !nslots;
-        p_native =
-          List.for_all
-            (function
-              | Check (_, f) -> native_form f
-              | Solve { k; rest; _ } -> small_coef k && native_form rest)
-            instrs;
-        p_head = Array.of_list (List.map Option.get head);
-      }
+    ( Some
+        {
+          p_instrs = Array.of_list instrs;
+          p_reads = Array.of_list (List.filter (fun r -> reads.(r)) (List.init nregs Fun.id));
+          p_nslots = !nslots;
+          p_native =
+            List.for_all
+              (function
+                | Check (_, f) -> native_form f
+                | Solve { k; rest; _ } -> small_coef k && native_form rest)
+              instrs;
+          p_head = Array.of_list (List.map Option.get head);
+        },
+      guard_atoms )
   end
 
 (* Registers are numbered once per rule, by first occurrence in the body,
@@ -310,8 +371,70 @@ let registers (rule : Rule.t) =
         acc l.Literal.args)
     (Var.Map.empty, 0) rule.Rule.body
 
-let compile_plan (rule : Rule.t) reg_of nregs prog (plan : Planner.plan) : code =
-  let compile_step (step : Planner.step) (bound_before, _newly) =
+(* the first column of a literal's arguments holding a variable of
+   register [r] *)
+let rec column reg_of r i = function
+  | Term.V v :: _ when Var.Map.find v reg_of = r -> i
+  | _ :: rest -> column reg_of r (i + 1) rest
+  | [] -> invalid_arg "Compile.column"
+
+(* without its element [j] *)
+let drop j a = Array.init (Array.length a - 1) (fun i -> if i < j then a.(i) else a.(i + 1))
+
+(* A guard atom goes to the step that first binds its last register, when
+   exactly one of its registers is first bound there: it reads
+   [k·x + rest op 0] with [x] bound by the first column of that step's
+   literal holding it, and [rest] over earlier registers.  An atom with two
+   registers first bound at one step (or none, a constant atom) is left to
+   the leaf.  [first.(r)] is the step that first binds register [r]; each
+   placed guard is added to [per_step] under the next id. *)
+let place_guard reg_of (first : int array) (lits : Literal.t array) per_step nguards a =
+  let s = ref (-1) and x = ref (-1) and at_s = ref 0 in
+  for i = 0 to Array.length a.a_regs - 1 do
+    let fs = first.(a.a_regs.(i)) in
+    if fs > !s then begin
+      s := fs;
+      x := i;
+      at_s := 1
+    end
+    else if fs = !s then incr at_s
+  done;
+  if !at_s = 1 then begin
+    let s = !s and x = !x in
+    let k = a.a_coefs.(x) in
+    let g_kind =
+      match (a.a_op, Rat.sign k > 0) with
+      | Atom.Le, true -> At_most
+      | Atom.Le, false -> At_least
+      | Atom.Lt, true -> Below
+      | Atom.Lt, false -> Above
+      | Atom.Eq, _ -> Exactly
+    in
+    let g =
+      {
+        g_id = !nguards;
+        g_col = column reg_of a.a_regs.(x) 0 lits.(s).Literal.args;
+        g_kind;
+        g_scale = Rat.neg (Rat.inv k);
+        g_regs = drop x a.a_regs;
+        g_coefs = drop x a.a_coefs;
+        g_const = a.a_const;
+      }
+    in
+    incr nguards;
+    per_step.(s) <- g :: per_step.(s)
+  end
+
+let compile_plan (rule : Rule.t) reg_of nregs (prog, guard_atoms) (plan : Planner.plan) : code =
+  let bindings = Planner.step_bindings plan in
+  let lits = Array.of_list (List.map (fun (st : Planner.step) -> st.Planner.lit) plan) in
+  let first = Array.make nregs 0 in
+  List.iteri
+    (fun s (_, newly) -> Var.Set.iter (fun v -> first.(Var.Map.find v reg_of) <- s) newly)
+    bindings;
+  let per_step = Array.make (Array.length lits) [] and nguards = ref 0 in
+  List.iter (place_guard reg_of first lits per_step nguards) guard_atoms;
+  let compile_step s (step : Planner.step) (bound_before, _newly) =
     (* probe columns use the bindings available when the step starts; a
        position neither constant nor bound before the step still holds a
        variable and can contribute no index key *)
@@ -351,10 +474,13 @@ let compile_plan (rule : Rule.t) reg_of nregs prog (plan : Planner.plan) : code 
       c_part = step.Planner.part;
       c_actions = Array.of_list actions;
       c_probe = Array.of_list probe;
+      c_positions = List.map (function PS_const (i, _) | PS_reg (i, _) -> i) probe;
+      c_guards = Array.of_list (List.rev per_step.(s));
     }
   in
   let steps =
-    Array.of_list (List.map2 compile_step plan (Planner.step_bindings plan))
+    Array.of_list
+      (List.mapi (fun s (step, b) -> compile_step s step b) (List.combine plan bindings))
   in
   let perm = Array.init (Array.length steps) Fun.id in
   Array.sort (fun a b -> compare steps.(a).c_orig steps.(b).c_orig) perm;
@@ -370,6 +496,7 @@ let compile_plan (rule : Rule.t) reg_of nregs prog (plan : Planner.plan) : code 
       c_pivot = pivot;
       c_steps = steps;
       c_used_perm = perm;
+      c_nguards = !nguards;
       c_nregs = nregs;
       c_reg_of = reg_of;
       c_prog = prog;
@@ -380,12 +507,12 @@ let compile_plan (rule : Rule.t) reg_of nregs prog (plan : Planner.plan) : code 
   Obs.add ctr_frame code.c_nregs;
   code
 
-(* partially applied to a rule, the registers and the constraint program
-   are built once for all of the rule's plans *)
+(* partially applied to a rule, the registers, the constraint program and
+   the guard atoms are built once for all of the rule's plans *)
 let compile (rule : Rule.t) =
   let reg_of, nregs = registers rule in
-  let prog = compile_cstr rule reg_of nregs in
-  fun plan -> compile_plan rule reg_of nregs prog plan
+  let cstr = compile_cstr rule reg_of nregs in
+  fun plan -> compile_plan rule reg_of nregs cstr plan
 
 (* ----- execution ----- *)
 
@@ -405,6 +532,14 @@ type frame = {
   ivals : int array;
   qvals : Rat.t array;
   hconsts : Term.const array;  (* the head under construction *)
+  (* each guard's bound for the current probe of its step, and whether it
+     is on (every register it reads holds a number) *)
+  bounds : Rat.t array;
+  bound_on : bool array;
+  mutable rejects : int;  (* candidates the guards dropped *)
+  (* each step's side substitution and body constraint, for its probe *)
+  sides : Subst.t array;
+  cstrs : Conj.t array;
 }
 
 let make_frame code =
@@ -420,6 +555,11 @@ let make_frame code =
     qvals = Array.make nslots Rat.zero;
     (* constant head positions are written once, here *)
     hconsts = Array.map (function H_const c -> c | H_reg _ | H_slot _ -> dummy_const) head;
+    bounds = Array.make code.c_nguards Rat.zero;
+    bound_on = Array.make code.c_nguards false;
+    rejects = 0;
+    sides = Array.make (Array.length code.c_steps) Subst.empty;
+    cstrs = Array.make (Array.length code.c_steps) Conj.tt;
   }
 
 (* Apply one step's actions to a candidate fact, the generic way: the fact
@@ -477,16 +617,28 @@ let rec match_ground (regs : Term.t array) (acts : action array) (f : Fact.t) i 
    that resolve to constants, ascending positions — a register chain ending
    at an unbound fresh variable contributes nothing, as the still-variable
    position of the resolved literal would not.  Positions and key are built
-   by two top-level loops, so a probe allocates their lists alone. *)
-let rec probe_positions regs side (ps : probe_src array) j =
+   by top-level loops, so a probe allocates their lists alone, and when
+   every register resolves the positions are the step's [c_positions]. *)
+let rec build_positions regs side (ps : probe_src array) j =
   if j = Array.length ps then []
   else
     match ps.(j) with
-    | PS_const (i, _) -> i :: probe_positions regs side ps (j + 1)
+    | PS_const (i, _) -> i :: build_positions regs side ps (j + 1)
     | PS_reg (i, r) ->
         if Term.is_ground (Subst.resolve side regs.(r)) then
-          i :: probe_positions regs side ps (j + 1)
-        else probe_positions regs side ps (j + 1)
+          i :: build_positions regs side ps (j + 1)
+        else build_positions regs side ps (j + 1)
+
+let rec all_resolve regs side (ps : probe_src array) j =
+  j = Array.length ps
+  || (match ps.(j) with
+     | PS_const _ -> true
+     | PS_reg (_, r) -> Term.is_ground (Subst.resolve side regs.(r)))
+     && all_resolve regs side ps (j + 1)
+
+let probe_positions regs side st =
+  if all_resolve regs side st.c_probe 0 then st.c_positions
+  else build_positions regs side st.c_probe 0
 
 let rec probe_key regs side (ps : probe_src array) j =
   if j = Array.length ps then []
@@ -497,6 +649,51 @@ let rec probe_key regs side (ps : probe_src array) j =
         match Subst.resolve side regs.(r) with
         | Term.C c -> c :: probe_key regs side ps (j + 1)
         | Term.V _ -> probe_key regs side ps (j + 1))
+
+(* ----- join guards ----- *)
+
+(* [g]'s bound for this probe into [bounds]: [rest], with every register
+   resolved through [side], times [g_scale].  [false] (the guard is off)
+   when a register does not resolve to a number.  Small values allocate
+   nothing. *)
+let rec load_bound regs side (g : guard) (bounds : Rat.t array) i acc =
+  if i = Array.length g.g_regs then begin
+    bounds.(g.g_id) <- Rat.mul acc g.g_scale;
+    true
+  end
+  else
+    match Subst.resolve side regs.(g.g_regs.(i)) with
+    | Term.C (Term.Num q) ->
+        load_bound regs side g bounds (i + 1) (Rat.add acc (Rat.mul g.g_coefs.(i) q))
+    | Term.C (Term.Sym _) | Term.V _ -> false
+
+let rec load_bounds (fr : frame) side (gs : guard array) i =
+  if i < Array.length gs then begin
+    let g = gs.(i) in
+    fr.bound_on.(g.g_id) <- load_bound fr.regs side g fr.bounds 0 g.g_const;
+    load_bounds fr side gs (i + 1)
+  end
+
+let within kind c =
+  match kind with
+  | At_most -> c <= 0
+  | Below -> c < 0
+  | At_least -> c >= 0
+  | Above -> c > 0
+  | Exactly -> c = 0
+
+(* Does the candidate pass every guard of its step?  A guard tests the
+   candidate's own value in its column; a column holding a variable (a
+   constraint fact) or a symbol passes, as does every guard that is off. *)
+let rec guards_pass (fr : frame) (gs : guard array) (f : Fact.t) i =
+  i = Array.length gs
+  ||
+  let g = gs.(i) in
+  (match f.Fact.terms.(g.g_col) with
+  | Term.C (Term.Num q) when fr.bound_on.(g.g_id) ->
+      within g.g_kind (Rat.compare q fr.bounds.(g.g_id))
+  | Term.C _ | Term.V _ -> true)
+  && guards_pass fr gs f (i + 1)
 
 (* ----- the constraint program at the leaf ----- *)
 
@@ -608,29 +805,35 @@ let store_solved p (fr : frame) ~native =
       | H_const _ | H_reg _ -> ())
     p.p_head
 
-let finish_exact p (fr : frame) ~z =
+(* an accepting program's head: [Unfit] when a head register does not
+   hold what [load_head] requires *)
+let finish_head p (fr : frame) side ~z ~native =
+  if load_head p fr side ~z 0 then begin
+    store_solved p fr ~native;
+    Accept
+  end
+  else Unfit
+
+let finish_exact p (fr : frame) side ~z =
   match run_exact p.p_instrs fr.qvals ~z 0 with
-  | Accept ->
-      store_solved p fr ~native:false;
-      Accept
+  | Accept -> finish_head p fr side ~z ~native:false
   | (Reject | Unfit) as v -> v
 
 (* The leaf contract: a ground match whose registers hold what the program
    reads and the head needs runs the program — [Accept] leaves the head in
    [fr.hconsts], [Reject] is exact — and everything else is [Unfit] for it
-   and takes [derive_from_combined]; there is no path in between. *)
+   and takes [derive_from_combined]; there is no path in between.  The
+   head is loaded only once the program accepts: a rejection is exact
+   whatever the head holds, and the generic path would reject too. *)
 let run_program p (fr : frame) side ~z =
   match load_reads p fr side 0 Small with
   | Not_numeric -> Unfit
-  | (Large | Small) when not (load_head p fr side ~z 0) -> Unfit
   | Small when p.p_native -> (
       match run_native p.p_instrs fr.ivals ~z 0 with
-      | Accept ->
-          store_solved p fr ~native:true;
-          Accept
+      | Accept -> finish_head p fr side ~z ~native:true
       | Reject -> Reject
-      | Unfit -> finish_exact p fr ~z)
-  | Large | Small -> finish_exact p fr ~z
+      | Unfit -> finish_exact p fr side ~z)
+  | Large | Small -> finish_exact p fr side ~z
 
 (* The first step probes the pivot's delta: when that partition is empty
    the plan derives nothing, and the probe is counted as answered empty
@@ -641,6 +844,11 @@ let idle code store =
   | Some pred ->
       Store.probe_empty_delta store pred ~indexed:(Array.length code.c_steps.(0).c_probe > 0)
 
+(* the chosen facts in original body order, by a top-level loop: a
+   derivation allocates the list alone *)
+let rec used_facts (chosen : Fact.t array) perm i acc =
+  if i < 0 then acc else used_facts chosen perm (i - 1) (chosen.(perm.(i)) :: acc)
+
 let exec (code : code) store ~emit =
   let fr = make_frame code in
   let nsteps = Array.length code.c_steps in
@@ -648,7 +856,7 @@ let exec (code : code) store ~emit =
   let hpred = rule.Rule.head.Literal.pred in
   let z = Cdomain.is_z () in
   let emit_used f =
-    emit f (Array.fold_right (fun i acc -> fr.chosen.(i) :: acc) code.c_used_perm [])
+    emit f (used_facts fr.chosen code.c_used_perm (Array.length code.c_used_perm - 1) [])
   in
   let generic side cstr =
     let lookup v =
@@ -667,33 +875,49 @@ let exec (code : code) store ~emit =
         | Unfit -> generic side cstr)
     | Some _ | None -> generic side cstr
   in
+  (* a step's candidates: the store's index probe on the bound columns,
+     filtered by the arity and the step's guards; every other
+     [Fact.matches_literal] condition is re-checked by the actions.  Each
+     step's callback is built once per call and reads the side
+     substitution and body constraint of its probe from the frame, so a
+     probe allocates no closure. *)
+  let visits = Array.make nsteps ignore in
   let rec step_loop si side cstr =
     if si = nsteps then leaf side cstr
     else begin
       let st = code.c_steps.(si) in
-      let positions = probe_positions fr.regs side st.c_probe 0 in
+      fr.sides.(si) <- side;
+      fr.cstrs.(si) <- cstr;
+      let positions = probe_positions fr.regs side st in
       let key = probe_key fr.regs side st.c_probe 0 in
-      (* a step's candidates: the store's index probe on the bound columns.
-         Only the arity guard runs here; every other
-         [Fact.matches_literal] condition is re-checked by the actions *)
-      Store.iter_probe_cols store st.c_part st.c_lit.Literal.pred positions key (fun f ->
-          let m =
-            if Fact.arity f <> st.c_arity then No_match
-            else if Subst.is_empty side && Fact.is_ground f then
-              match_ground fr.regs st.c_actions f 0
-            else Generic
-          in
-          match m with
-          | Match ->
-              fr.chosen.(si) <- f;
-              step_loop (si + 1) side cstr
-          | No_match -> ()
-          | Generic -> (
-              match apply_fact fr st f side cstr with
-              | None -> ()
-              | Some (side', cstr') ->
-                  fr.chosen.(si) <- f;
-                  step_loop (si + 1) side' cstr'))
+      load_bounds fr side st.c_guards 0;
+      Store.iter_probe_cols store st.c_part st.c_lit.Literal.pred positions key visits.(si)
     end
+  and visit si f =
+    let st = code.c_steps.(si) and side = fr.sides.(si) and cstr = fr.cstrs.(si) in
+    let m =
+      if Fact.arity f <> st.c_arity then No_match
+      else if not (guards_pass fr st.c_guards f 0) then begin
+        fr.rejects <- fr.rejects + 1;
+        No_match
+      end
+      else if Subst.is_empty side && Fact.is_ground f then match_ground fr.regs st.c_actions f 0
+      else Generic
+    in
+    match m with
+    | Match ->
+        fr.chosen.(si) <- f;
+        step_loop (si + 1) side cstr
+    | No_match -> ()
+    | Generic -> (
+        match apply_fact fr st f side cstr with
+        | None -> ()
+        | Some (side', cstr') ->
+            fr.chosen.(si) <- f;
+            step_loop (si + 1) side' cstr')
   in
-  step_loop 0 Subst.empty Conj.tt
+  for si = 0 to nsteps - 1 do
+    visits.(si) <- visit si
+  done;
+  step_loop 0 Subst.empty Conj.tt;
+  if fr.rejects > 0 then Obs.add ctr_guard_rejects fr.rejects

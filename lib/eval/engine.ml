@@ -205,11 +205,15 @@ let run ?jobs:_ ?max_iterations ?max_derivations ?(traced = false) ?compiled (p 
   let b = budget ?max_iterations ?max_derivations () in
   let trace_rev = ref [] in
   let facts_added = ref 0 in
+  (* a fact no live fact subsumes is stored, after back-subsumption drops
+     the stored facts it subsumes; safe for semi-naive completeness because
+     the new fact enters the delta *)
   let add_fact f =
-    (* back-subsumption: drop stored facts the new fact subsumes; safe for
-       semi-naive completeness because the new fact enters the delta *)
-    Store.add store f;
-    incr facts_added
+    match Store.arrive store f with
+    | Store.Stored _ ->
+        incr facts_added;
+        true
+    | Store.Equal | Store.Subsumed -> false
   in
   (* merge one production in derivation order: subsumed arrivals only
      count.  The budget is spent first, so the derivation that exhausts it
@@ -217,10 +221,10 @@ let run ?jobs:_ ?max_iterations ?max_derivations ?(traced = false) ?compiled (p 
      not hold. *)
   let merge iteration (rule_label, fact, used) =
     spend b;
-    let subsumed = Store.known_subsumes store fact in
-    if traced then trace_rev := { iteration; rule_label; fact; used; subsumed } :: !trace_rev;
-    if not subsumed then add_fact fact;
-    not subsumed
+    let stored = add_fact fact in
+    if traced then
+      trace_rev := { iteration; rule_label; fact; used; subsumed = not stored } :: !trace_rev;
+    stored
   in
   (* join plans are planned and compiled once per rule, not per iteration;
      a precompiled artifact for this exact program skips both phases *)
@@ -228,7 +232,7 @@ let run ?jobs:_ ?max_iterations ?max_derivations ?(traced = false) ?compiled (p 
   let fixpoint =
     completes (fun () ->
         (* iteration 0: EDB facts (untraced) + fact rules *)
-        List.iter (fun f -> if not (Store.known_subsumes store f) then add_fact f) edb;
+        List.iter (fun f -> ignore (add_fact f)) edb;
         fire_fact_rules p merge;
         rounds b store codes merge)
   in
@@ -395,31 +399,34 @@ let is_answer vw f =
 (* log a query fact entering ([true]) or leaving the store, for [view_answers] *)
 let log_change vw f stored = vw.vw_changes <- (f, stored) :: vw.vw_changes
 
-(* store a fact no live fact subsumes; the facts it kills by
-   back-subsumption become covered *)
-let store_live vw n =
+(* the bookkeeping of a fact just stored: it is live, and the facts it
+   killed by back-subsumption become covered *)
+let stored_live vw n killed =
   n.n_covered <- false;
-  let killed = Store.add_reporting vw.vw_store n.n_fact in
   if is_answer vw n.n_fact then begin
     log_change vw n.n_fact true;
     List.iter (fun k -> log_change vw k false) killed
   end;
   cover_facts vw killed
 
-(* Where a fact arriving at the view goes, after one probe of its table:
-   onto the node of its live equal, into the covered set when a live fact
-   subsumes it, else into the pending partition.  Returns the node that
-   carries its support and whether the fact was stored. *)
+(* store a fact no live fact subsumes *)
+let store_live vw n = stored_live vw n (Store.add_reporting vw.vw_store n.n_fact)
+
+(* Where a fact arriving at the view goes, in one call to the store: onto
+   the node of its live equal (the node table keys facts by {!Fact.equal}),
+   into the covered set when a live fact subsumes it, else into the pending
+   partition.  Returns the node that carries its support and whether the
+   fact was stored. *)
 let arrive vw f =
-  match Store.classify vw.vw_store f with
-  | Store.Equal g -> (node_of vw g, false)
+  match Store.arrive vw.vw_store f with
+  | Store.Equal -> (node_of vw f, false)
   | Store.Subsumed ->
       let n = node_for vw f in
       cover vw n;
       (n, false)
-  | Store.Absent ->
+  | Store.Stored killed ->
       let n = node_for vw f in
-      store_live vw n;
+      stored_live vw n killed;
       (n, true)
 
 (* ----- recording firings ----- *)

@@ -1,5 +1,5 @@
 type partition = Table.partition = Old | Delta | Full
-type arrival = Table.arrival = Equal of Fact.t | Subsumed | Absent
+type arrival = Equal | Subsumed | Stored of Fact.t list
 
 type stats = {
   mutable probes : int;
@@ -26,55 +26,81 @@ let zero_stats () =
     subsumption_avoided = 0;
   }
 
-type t = { tables : (string, Table.t) Hashtbl.t; stats : stats }
+module Tables = Hashtbl.Make (String)
 
-let create () = { tables = Hashtbl.create 32; stats = zero_stats () }
+type t = { tables : Table.t Tables.t; stats : stats }
+
+let create () = { tables = Tables.create 32; stats = zero_stats () }
 let stats s = s.stats
 
+(* found by [Tables.find]: the lookups of arrivals and probes allocate no
+   option *)
 let table s pred =
-  match Hashtbl.find_opt s.tables pred with
-  | Some t -> t
-  | None ->
+  match Tables.find s.tables pred with
+  | t -> t
+  | exception Not_found ->
       let t = Table.create () in
-      Hashtbl.add s.tables pred t;
+      Tables.add s.tables pred t;
       t
 
-let find_table s pred = Hashtbl.find_opt s.tables pred
+let find_table s pred = Tables.find_opt s.tables pred
 
-(* one subsumption check of [f] against its table, counted in the stats *)
-let counted_check s f ~none check =
+(* count one subsumption check against [t], which has made
+   [Table.compared t - before] comparisons since it began *)
+let count_check s t before =
   let st = s.stats in
+  let compared = Table.compared t - before in
   st.subsumption_checks <- st.subsumption_checks + 1;
+  st.subsumption_compared <- st.subsumption_compared + compared;
+  st.subsumption_avoided <- st.subsumption_avoided + (Table.live_total t - compared)
+
+let known_subsumes s f =
   match find_table s (Fact.pred f) with
-  | None -> none
+  | None ->
+      s.stats.subsumption_checks <- s.stats.subsumption_checks + 1;
+      false
   | Some t ->
       let before = Table.compared t in
-      let r = check t f in
-      let compared = Table.compared t - before in
-      st.subsumption_compared <- st.subsumption_compared + compared;
-      st.subsumption_avoided <- st.subsumption_avoided + (Table.live_total t - compared);
+      let r = Table.known_subsumes t f in
+      count_check s t before;
       r
 
-let known_subsumes s f = counted_check s f ~none:false Table.known_subsumes
-let classify s f = counted_check s f ~none:Absent Table.classify
+(* back-subsumption, then into the pending partition (the fact becomes
+   delta at the next advance); the facts it killed are returned for
+   maintenance bookkeeping *)
+let store_in s t b f =
+  let before = Table.compared t in
+  let killed = Table.store_in t b f in
+  s.stats.subsumption_compared <- s.stats.subsumption_compared + (Table.compared t - before);
+  killed
 
-(* add a fact known not to be subsumed: back-subsumption first, then into
-   the pending partition (it becomes delta at the next advance); the facts
-   the newcomer killed are reported for maintenance bookkeeping *)
+let stored_alone = Stored []
+
+(* one lookup of the predicate's table and of the fact's bucket serve both
+   the check and the insertion; a fact that kills nothing allocates no
+   verdict *)
+let arrive s f =
+  let t = table s (Fact.pred f) in
+  let b = Table.bucket t f in
+  let before = Table.compared t in
+  let v = Table.check_in t b f in
+  count_check s t before;
+  match v with
+  | Table.Equal -> Equal
+  | Table.Subsumed -> Subsumed
+  | Table.Absent -> (
+      match store_in s t b f with [] -> stored_alone | killed -> Stored killed)
+
 let add_reporting s f =
   let t = table s (Fact.pred f) in
-  let before = Table.compared t in
-  let killed = Table.back_subsume t f in
-  s.stats.subsumption_compared <- s.stats.subsumption_compared + (Table.compared t - before);
-  Table.insert t f;
-  killed
+  store_in s t (Table.bucket t f) f
 
 let add s f = ignore (add_reporting s f)
 
 let delete s f =
   match find_table s (Fact.pred f) with None -> false | Some t -> Table.delete t f
 
-let advance s = Hashtbl.iter (fun _ t -> Table.advance t) s.tables
+let advance s = Tables.iter (fun _ t -> Table.advance t) s.tables
 
 let probe_empty_delta s pred ~indexed =
   let st = s.stats in
@@ -115,7 +141,5 @@ let iter_probe_cols s part pred positions key k =
 
 let facts s pred = match find_table s pred with None -> [] | Some t -> Table.facts t
 
-let all_facts s =
-  Hashtbl.fold (fun pred t acc -> (pred, Table.facts t) :: acc) s.tables []
-
-let total s = Hashtbl.fold (fun _ t acc -> acc + Table.live_total t) s.tables 0
+let all_facts s = Tables.fold (fun pred t acc -> (pred, Table.facts t) :: acc) s.tables []
+let total s = Tables.fold (fun _ t acc -> acc + Table.live_total t) s.tables 0

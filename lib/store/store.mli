@@ -14,10 +14,12 @@ open Cql_datalog
 
 type partition = Table.partition = Old | Delta | Full
 
-type arrival = Table.arrival =
-  | Equal of Fact.t  (** a live stored fact {!Fact.equal} to it *)
-  | Subsumed  (** no equal live fact, but one that subsumes it *)
-  | Absent
+type arrival =
+  | Equal  (** a live stored fact is {!Fact.equal} to it; nothing stored *)
+  | Subsumed  (** no equal live fact, but one that subsumes it; nothing stored *)
+  | Stored of Fact.t list
+      (** stored in the pending partition; the live facts it subsumed,
+          which it killed *)
 
 type stats = {
   mutable probes : int;  (** candidate lookups issued by the engine *)
@@ -41,6 +43,12 @@ val stats : t -> stats
 val known_subsumes : t -> Fact.t -> bool
 (** Is the fact subsumed by a live stored fact? *)
 
+val arrive : t -> Fact.t -> arrival
+(** A fact arriving at the store: an equal or subsuming live fact keeps it
+    out, else it is stored as {!add_reporting} stores it.  One lookup of the
+    predicate's table and of the fact's pattern bucket serve both, and the
+    stats count the check as {!known_subsumes} counts one. *)
+
 val add : t -> Fact.t -> unit
 (** Insert a non-subsumed fact: drops stored facts it subsumes, then appends
     it to the pending partition. *)
@@ -48,11 +56,6 @@ val add : t -> Fact.t -> unit
 val add_reporting : t -> Fact.t -> Fact.t list
 (** Like {!add}, but returns the stored facts the newcomer back-subsumed
     (killed), so a maintenance layer can remember them as covered. *)
-
-val classify : t -> Fact.t -> arrival
-(** Where a fact arriving at a view goes, in one probe of its table: onto
-    the equal live fact, into the covered set (a live fact subsumes it), or
-    into the store.  Counted in the stats as {!known_subsumes} is. *)
 
 val delete : t -> Fact.t -> bool
 (** Retire the live fact {!Fact.equal} to the argument.  Returns whether it

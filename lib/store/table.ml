@@ -111,11 +111,11 @@ let reclaim t =
 
 (* ----- insertion & subsumption ----- *)
 
-let insert t f =
+(* append to the pending partition and to [f]'s bucket [b] *)
+let insert t b f =
   let c = { fact = f; live = true; part = p_pending } in
   t.pending_cells <- c :: t.pending_cells;
   t.live_counts.(p_pending) <- t.live_counts.(p_pending) + 1;
-  let b = sbucket_of t f.Fact.args in
   if Fact.is_ground f then begin
     b.ground_cells <- c :: b.ground_cells;
     GroundTbl.replace t.ground f c
@@ -164,31 +164,38 @@ let rec kill_subsumed t f killed = function
       end
       else kill_subsumed t f killed rest
 
-(* Drop live facts the new fact subsumes (back-subsumption).  A fully
-   pinned [f] denotes a single point: the only ground fact it could
-   subsume is its duplicate, which [known_subsumes] already rejected, so
-   only general cells need scanning.  Killed facts are reported so a
-   maintenance layer can remember them as covered. *)
-let back_subsume t f =
-  match Hashtbl.find t.patterns f.Fact.args with
-  | exception Not_found -> []
-  | b ->
-      let killed = kill_subsumed t f [] b.general in
-      if Fact.is_ground f then killed else kill_subsumed t f killed b.ground_cells
+(* Drop live facts of [f]'s bucket that [f] subsumes (back-subsumption),
+   then insert [f].  A fully pinned [f] denotes a single point: the only
+   ground fact it could subsume is its duplicate, which the caller already
+   ruled out, so only general cells need scanning.  Killed facts are
+   reported so a maintenance layer can remember them as covered. *)
+let store_in t b f =
+  let killed = kill_subsumed t f [] b.general in
+  let killed = if Fact.is_ground f then killed else kill_subsumed t f killed b.ground_cells in
+  insert t b f;
+  killed
 
 let compared t = t.compared
 
 (* ----- arrivals, structural lookup & deletion ----- *)
 
-type arrival = Equal of Fact.t | Subsumed | Absent
+type bucket = sbucket
+type verdict = Equal | Subsumed | Absent
+
+let bucket t f = sbucket_of t f.Fact.args
 
 (* a constraint fact against the general cells, in one walk: equality with
-   every live cell, subsumption until the first cell that subsumes it *)
+   every live cell, subsumption until the first cell that subsumes it.  An
+   equal cell met first counts the comparison [known_subsumes] would make
+   there (an equal fact subsumes), so both count alike. *)
 let rec classify_general t f subsumed = function
   | [] -> if subsumed then Subsumed else Absent
   | c :: rest ->
       if not c.live then classify_general t f subsumed rest
-      else if Fact.equal c.fact f then Equal c.fact
+      else if Fact.equal c.fact f then begin
+        if not subsumed then t.compared <- t.compared + 1;
+        Equal
+      end
       else
         let subsumed =
           subsumed
@@ -198,23 +205,20 @@ let rec classify_general t f subsumed = function
         in
         classify_general t f subsumed rest
 
-(* [known_subsumes] that tells an equal live fact apart: one pattern-bucket
-   lookup and, for a ground fact, one ground-hash probe, whose live hit is
-   the equal fact.  The table holds no two live equal facts (see
-   [insert]'s contract), so the hash entry of a ground fact's values is its
-   only candidate. *)
-let classify t f =
-  match Hashtbl.find t.patterns f.Fact.args with
-  | exception Not_found -> Absent
-  | b -> (
-      if Fact.is_ground f then
-        match GroundTbl.find t.ground f with
-        | c when c.live -> Equal c.fact
-        | _ | (exception Not_found) -> if any_subsumes t f b.general then Subsumed else Absent
-      else
-        match classify_general t f false b.general with
-        | Absent -> if any_subsumes t f b.ground_cells then Subsumed else Absent
-        | (Equal _ | Subsumed) as r -> r)
+(* [known_subsumes] over [f]'s bucket that tells an equal live fact apart:
+   for a ground fact one ground-hash probe, whose live hit is the equal
+   fact.  The table holds no two live equal facts (see [insert]'s
+   contract), so the hash entry of a ground fact's values is its only
+   candidate. *)
+let check_in t b f =
+  if Fact.is_ground f then
+    match GroundTbl.find t.ground f with
+    | c when c.live -> Equal
+    | _ | (exception Not_found) -> if any_subsumes t f b.general then Subsumed else Absent
+  else
+    match classify_general t f false b.general with
+    | Absent -> if any_subsumes t f b.ground_cells then Subsumed else Absent
+    | (Equal | Subsumed) as r -> r
 
 let find_cell_equal t f =
   match Hashtbl.find_opt t.patterns f.Fact.args with

@@ -28,31 +28,36 @@ type t
 
 val create : unit -> t
 
-val insert : t -> Fact.t -> unit
-(** Append to the pending partition (no subsumption checking here).  The
-    caller inserts a fact only when no live fact equals it, so the ground
-    hash answers {!classify} and {!delete} alone. *)
-
 val known_subsumes : t -> Fact.t -> bool
 (** Is the fact subsumed by a live stored fact? *)
 
-val back_subsume : t -> Fact.t -> Fact.t list
-(** Mark live stored facts subsumed by the new fact dead; returns the facts
-    that were killed. *)
+type bucket
+(** The subsumption candidates of one symbolic pattern. *)
 
-val compared : t -> int
-(** The {!Fact.subsumes} calls {!known_subsumes} and {!back_subsume} have
-    made so far: the difference across one call is its comparisons. *)
+val bucket : t -> Fact.t -> bucket
+(** The fact's pattern bucket, created empty if the table has none: an
+    arriving fact looks it up once for {!check_in} and {!store_in}. *)
 
-type arrival =
-  | Equal of Fact.t  (** a live stored fact {!Fact.equal} to it *)
+type verdict =
+  | Equal  (** a live stored fact is {!Fact.equal} to it *)
   | Subsumed  (** no equal live fact, but one that subsumes it *)
   | Absent
 
-val classify : t -> Fact.t -> arrival
-(** Where an arriving fact stands, in one pass: {!known_subsumes} that
-    tells an equal live fact apart.  Counts its {!Fact.subsumes} calls in
-    {!compared} as {!known_subsumes} does. *)
+val check_in : t -> bucket -> Fact.t -> verdict
+(** Where an arriving fact stands, given its {!bucket}: {!known_subsumes}
+    that tells an equal live fact apart, making and counting in
+    {!compared} the same {!Fact.subsumes} calls. *)
+
+val store_in : t -> bucket -> Fact.t -> Fact.t list
+(** Insert a fact {!check_in} found [Absent], given its {!bucket}: mark the
+    live facts it subsumes dead, returning them, then append it to the
+    pending partition.  No live fact equals it, so the ground hash answers
+    {!check_in} and {!delete} alone. *)
+
+val compared : t -> int
+(** The {!Fact.subsumes} calls {!known_subsumes}, {!check_in} and
+    {!store_in} have made so far: the difference across one call is its
+    comparisons. *)
 
 val delete : t -> Fact.t -> bool
 (** Retire the live cell {!Fact.equal} to the fact.  Returns whether such a

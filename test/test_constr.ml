@@ -818,6 +818,42 @@ let test_memo_clear_all () =
   check_bool "recompute after clear is a miss" true
     (Solver_stats.total_misses (Solver_stats.snapshot ()) > misses_before)
 
+(* a cache of its own, so the bound is reached with cheap keys *)
+let generations_cache : (int, int) Memo.cache =
+  Memo.create ~name:"test_generations" ~hash:Hashtbl.hash ~equal:Int.equal
+
+(* A table that fills past its 4,096-entry bound keeps the full table as
+   its previous generation: a question asked shortly before still hits,
+   and moves back.  A third table's worth of questions drops the oldest. *)
+let test_memo_generations () =
+  Memo.clear_all ();
+  let computed = ref 0 in
+  let ask k =
+    Memo.cached generations_cache k (fun () ->
+        incr computed;
+        k * k)
+  in
+  for k = 0 to 4_999 do
+    ignore (ask k)
+  done;
+  check_int "every first question computed" 5_000 !computed;
+  check_int "an entry of the full table" (4_000 * 4_000) (ask 4_000);
+  check_int "is a hit" 5_000 !computed;
+  check_int "the newest entry" (4_999 * 4_999) (ask 4_999);
+  check_int "is a hit too" 5_000 !computed;
+  for k = 5_000 to 12_999 do
+    ignore (ask k)
+  done;
+  let entries =
+    (List.find (fun (s : Memo.table_stats) -> s.Memo.name = "test_generations") (Memo.stats ()))
+      .Memo.entries
+  in
+  check_bool "at most two generations of entries" true (entries <= 2 * 4_096);
+  let before = !computed in
+  ignore (ask 0);
+  check_int "the oldest generation was dropped" (before + 1) !computed;
+  Memo.clear_all ()
+
 let test_memo_with_caches_off () =
   let c = Conj.of_list [ Atom.le vx (n 2); Atom.le vy vx ] in
   let d = Conj.of_list [ Atom.le vx (n 5) ] in
@@ -1061,6 +1097,7 @@ let () =
           Alcotest.test_case "hit counting" `Quick test_memo_hit_counting;
           Alcotest.test_case "registry is the one source" `Quick test_memo_registry;
           Alcotest.test_case "clear_all" `Quick test_memo_clear_all;
+          Alcotest.test_case "two generations" `Quick test_memo_generations;
           Alcotest.test_case "with_caches off" `Quick test_memo_with_caches_off;
         ] );
       ( "extra",

@@ -751,6 +751,95 @@ let test_leaf_program () =
         [ Cdomain.Q; Cdomain.Z ])
     leaf_cases
 
+(* ----- join guards ----- *)
+
+(* Each case runs under Q and under Z through the engine and the
+   reference, which has no guards: a guard may drop only candidates the
+   leaf would reject.  In [prunes] cases some candidate fails only a
+   guard's own test, so [engine.join.guard_rejects] must move: in the
+   boundary and lower-bound cases only through the guard the case is
+   named for. *)
+type guard_case = { g_name : string; g_src : string; g_edb : string; prunes : bool }
+
+let guard_cases =
+  [
+    {
+      g_name = "a strict bound met exactly at its boundary";
+      g_src = "q(A, B) :- e(A), f(B), A + B < 5.";
+      g_edb = "e(1). e(2). f(2). f(3).";
+      prunes = true;
+    };
+    {
+      g_name = "a lower bound (a negative coefficient)";
+      g_src = "q(A, B) :- e(A), f(B), B >= A + 2.";
+      g_edb = "e(1). e(3). f(2). f(3). f(5).";
+      prunes = true;
+    };
+    {
+      g_name = "an = check between two steps' columns";
+      g_src = "q(A, B, C) :- e(A, B), f(C), C = A - B.";
+      g_edb = "e(5, 1). e(1, 5). e(3, 3). f(4). f(-4). f(0). f(1).";
+      prunes = true;
+    };
+    {
+      g_name = "a bound with no earlier register, at a non-last step";
+      g_src = "q(A, B) :- e(A), f(B), A <= 1.";
+      g_edb = "e(0). e(1). e(2). f(7). f(8).";
+      prunes = true;
+    };
+    {
+      g_name = "fractional values at the boundary";
+      g_src = "q(A, B) :- e(A), f(B), 2 * A + 3 * B <= 7.";
+      g_edb = "e(0.5). e(1). f(1). f(2). f(2.1). f(1.6). f(1.7).";
+      prunes = true;
+    };
+    {
+      g_name = "a register value beyond 2^30";
+      g_src = "q(A, B) :- e(A), f(B), B < A + 1, B > A - 1073741825.";
+      g_edb = "e(1073741824). e(-1). f(1073741824). f(1073741825). f(-1073741826). f(0).";
+      prunes = true;
+    };
+    {
+      g_name = "a symbol in a guarded column";
+      g_src = "q(A, B) :- e(A), f(B), B <= A.";
+      g_edb = "e(3). e(pear). f(apple). f(1). f(5).";
+      prunes = true;
+    };
+    {
+      g_name = "a constraint fact whose guarded column is unpinned";
+      g_src = "q(A, B) :- e(A), f(B), B <= A.\nr(A, B) :- e(A), f(B), T = A + B, T <= 4.";
+      g_edb = "e(3). e(X; X >= 6). f(X; X <= 1). f(2). f(7).";
+      prunes = true;
+    };
+    {
+      g_name = "two registers first bound at one step stay at the leaf";
+      g_src = "q(A, B) :- e(A, B), A < B.";
+      g_edb = "e(1, 2). e(2, 1). e(3, 3).";
+      prunes = false;
+    };
+  ]
+
+let test_join_guards () =
+  let rejects = Cql_obs.Obs.counter "engine.join.guard_rejects" in
+  List.iter
+    (fun c ->
+      let p = parse (c.g_src ^ "\n#query q.") in
+      let edb = edb_of c.g_edb in
+      List.iter
+        (fun d ->
+          let tag = Printf.sprintf "%s [%s]" c.g_name (Cdomain.to_string d) in
+          Cdomain.with_domain d (fun () ->
+              let before = Cql_obs.Obs.value rejects in
+              let e = Engine.run ~max_iterations:20 p ~edb in
+              let dropped = Cql_obs.Obs.value rejects - before in
+              Reference_check.check tag e (Reference.run ~max_iterations:20 p ~edb);
+              check_bool (tag ^ ": answers") true (Engine.facts_of e "q" <> []);
+              if c.prunes then
+                check_bool (tag ^ ": the guards dropped a candidate") true (dropped > 0)
+              else check_int (tag ^ ": no guard") 0 dropped))
+        [ Cdomain.Q; Cdomain.Z ])
+    guard_cases
+
 let rat_gen =
   let open QCheck.Gen in
   (* past one limb: a * 2^e *)
@@ -991,6 +1080,7 @@ let () =
       ( "leaf",
         [
           Alcotest.test_case "constraint program vs reference" `Quick test_leaf_program;
+          Alcotest.test_case "join guards vs reference" `Quick test_join_guards;
           QCheck_alcotest.to_alcotest prop_pin;
           QCheck_alcotest.to_alcotest prop_ground_direct;
           QCheck_alcotest.to_alcotest prop_fact_compare;

@@ -139,42 +139,73 @@ let test_classify_and_delete () =
   let s = Store.create () in
   let f1 = ground2 "p" "a" 1 and f2 = ground2 "p" "a" 2 in
   let cf = fact_of "q(X; X <= 3)." in
-  Store.add s f1;
-  Store.add s cf;
+  let stored f =
+    match Store.arrive s f with
+    | Store.Stored [] -> true
+    | Store.Stored _ | Store.Equal | Store.Subsumed -> false
+  in
+  check_bool "new ground fact stored" true (stored f1);
+  check_bool "new constraint fact stored" true (stored cf);
   Store.advance s;
-  Store.add s f2;
+  check_bool "pending fact stored" true (stored f2);
   let equal_to f =
-    match Store.classify s f with
-    | Store.Equal g -> Fact.equal g f
-    | Store.Subsumed | Store.Absent -> false
+    match Store.arrive s f with Store.Equal -> true | Store.Subsumed | Store.Stored _ -> false
   in
   (* structural lookup sees every partition, including pending *)
   check_bool "ground fact found" true (equal_to f1);
   check_bool "pending fact found" true (equal_to f2);
   check_bool "constraint fact found structurally" true (equal_to cf);
-  check_bool "absent fact" true (Store.classify s (ground2 "p" "b" 1) = Store.Absent);
   (* equality, not subsumption: a narrower variant is subsumed, not equal *)
   check_bool "narrower variant subsumed" true
-    (Store.classify s (fact_of "q(X; X <= 2).") = Store.Subsumed);
+    (Store.arrive s (fact_of "q(X; X <= 2).") = Store.Subsumed);
   check_bool "ground point subsumed" true
-    (Store.classify s (Fact.ground "q" [ Term.Num (Rat.of_int 2) ]) = Store.Subsumed);
-  check_bool "wider variant absent" true
-    (Store.classify s (fact_of "q(X; X <= 5).") = Store.Absent);
-  (match Store.classify s f1 with
-  | Store.Equal g -> check_bool "the stored cell's fact" true (g == f1)
-  | Store.Subsumed | Store.Absent -> Alcotest.fail "classify missed a live fact");
+    (Store.arrive s (Fact.ground "q" [ Term.Num (Rat.of_int 2) ]) = Store.Subsumed);
+  check_int "no arrival stored twice" 3 (Store.total s);
   check_bool "delete removes a live fact" true (Store.delete s f1);
-  check_bool "deleted fact gone" true (Store.classify s f1 = Store.Absent);
+  check_bool "deleted fact gone" false (Store.known_subsumes s f1);
   check_bool "double delete is a no-op" false (Store.delete s f1);
   (* a deleted ground fact is no longer a known duplicate, so it can come
      back (retract-then-reinsert) *)
-  check_bool "no longer subsumed" false (Store.known_subsumes s f1);
-  Store.add s f1;
+  check_bool "stored again" true (stored f1);
   Store.advance s;
   check_bool "reinsert after delete" true (equal_to f1);
   check_bool "constraint fact deleted" true (Store.delete s cf);
-  check_bool "constraint fact gone" true (Store.classify s cf = Store.Absent);
-  check_int "other facts untouched" 2 (Store.total s)
+  check_bool "constraint fact gone" false (Store.known_subsumes s cf);
+  check_int "other facts untouched" 2 (Store.total s);
+  (* a wider variant is stored and reports the narrower one it kills *)
+  check_bool "narrower stored" true (stored cf);
+  (match Store.arrive s (fact_of "q(X; X <= 5).") with
+  | Store.Stored [ k ] -> check_bool "the killed fact" true (Fact.equal k cf)
+  | Store.Stored _ | Store.Equal | Store.Subsumed -> Alcotest.fail "no back-subsumption");
+  check_int "narrower one dropped" 3 (Store.total s)
+
+(* [arrive] counts its check as [known_subsumes] does and its insertion as
+   [add] does: two stores fed one stream, through one call and through
+   two, end with equal stats *)
+let test_arrive_counts () =
+  let one = Store.create () and two = Store.create () in
+  let stream =
+    List.map fact_of
+      [
+        "p(a, 1)."; "p(a, 1)."; "p(X, Y; Y <= 3)."; "p(a, 2)."; "p(X, Y; Y <= 3).";
+        "p(X, Y; Y <= 5)."; "p(X, Y; Y <= 2)."; "p(b, 7)."; "q(X; X >= 1)."; "q(X; X >= 1).";
+        "q(X; X >= 0)."; "q(4).";
+      ]
+  in
+  List.iteri
+    (fun i f ->
+      if i mod 4 = 3 then begin
+        Store.advance one;
+        Store.advance two
+      end;
+      ignore (Store.arrive one f);
+      if not (Store.known_subsumes two f) then Store.add two f)
+    stream;
+  let a = Store.stats one and b = Store.stats two in
+  check_int "subsumption checks" b.Store.subsumption_checks a.Store.subsumption_checks;
+  check_int "comparisons" b.Store.subsumption_compared a.Store.subsumption_compared;
+  check_int "comparisons avoided" b.Store.subsumption_avoided a.Store.subsumption_avoided;
+  check_int "live facts" (Store.total two) (Store.total one)
 
 (* ----- join planner ----- *)
 
@@ -448,6 +479,7 @@ let () =
       ( "maintenance",
         [
           Alcotest.test_case "classify + delete" `Quick test_classify_and_delete;
+          Alcotest.test_case "arrive counts as check plus add" `Quick test_arrive_counts;
         ] );
       ( "planner",
         [
