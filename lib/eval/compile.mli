@@ -20,6 +20,16 @@
     [Check] of a precomputed linear form, evaluated in native ints when no
     sum can overflow and in {!Cql_num.Rat} otherwise.
 
+    {b Guards.}  The checks, with every [Solve]'s definition substituted,
+    are atoms over registers; in each plan one whose registers are all
+    bound by a step, exactly one of them first there by column [j], is a
+    guard of that step: a bound on column [j] from the earlier registers,
+    computed once per probe.  A candidate whose column [j] holds a number
+    outside the bound is dropped before it is matched; a variable or a
+    symbol there passes.  The rule's constraint implies each guard, so
+    only candidates the leaf would reject are dropped, and derivations and
+    their order are unchanged.
+
     {b The leaf contract.}  A completed body match takes exactly one of two
     paths, with nothing in between:
     - the compiled program, when the body constraint is [tt] (every fact
@@ -34,7 +44,8 @@
 
     Counters: [engine.compile.programs_compiled], [engine.compile.ops],
     [engine.compile.frame_width] (and [engine.compile.cache_hits] in the
-    engine, for precompiled programs). *)
+    engine, for precompiled programs), and [engine.join.guard_rejects],
+    the candidates guards dropped, added once per {!exec} call. *)
 
 open Cql_constr
 open Cql_datalog
@@ -76,6 +87,8 @@ val idle : code -> Store.t -> bool
 val exec : code -> Store.t -> emit:(Fact.t -> Fact.t list -> unit) -> unit
 (** Enumerate every derivation of the program against the store: each step
     probes {!Store.iter_probe_cols} on its bound columns (constants and
-    registers that resolve to constants) in the step's partition.  [emit
-    fact used] receives each derived head fact with the body facts it used,
-    in original body-literal order.  Read-only on the store. *)
+    registers that resolve to constants) in the step's partition, and the
+    store callback drops a candidate of the wrong arity or one that fails
+    one of the step's guards before the actions match it.  [emit fact used]
+    receives each derived head fact with the body facts it used, in
+    original body-literal order.  Read-only on the store. *)
